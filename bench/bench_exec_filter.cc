@@ -49,6 +49,20 @@ bool& SmokeMode() {
   return smoke;
 }
 
+// The row-at-a-time arm: the executor's exact evaluator, called through
+// its public pieces (FilterTable -> SelectRows -> Project).
+Result<Table> ExecuteRows(const SelectQuery& query, const Database& db) {
+  AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
+                           db.GetTable(query.table_name));
+  AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
+                           FilterTable(*table, query.where.get()));
+  AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
+  if (query.select_all()) {
+    return selected;
+  }
+  return selected.Project(query.columns);
+}
+
 bench::ThreadScalingReporter& Reporter() {
   static auto* reporter = new bench::ThreadScalingReporter();
   return *reporter;
@@ -181,11 +195,8 @@ struct FilterFixture {
         auto shadow = f->db.ColumnarFor(kLayoutTables[layout]);
         AUTOCAT_CHECK(shadow.ok());
         for (SelectivityCase& c : f->cases[layout]) {
-          ExecOptions row_opts;
-          row_opts.use_columnar = false;
-          ExecOptions col_opts;
-          auto by_rows = ExecuteQuery(c.query, f->db, row_opts);
-          auto by_cols = ExecuteQuery(c.query, f->db, col_opts);
+          auto by_rows = ExecuteRows(c.query, f->db);
+          auto by_cols = ExecuteQuery(c.query, f->db);
           AUTOCAT_CHECK(by_rows.ok() && by_cols.ok());
           AUTOCAT_CHECK(by_rows.value().num_rows() ==
                         by_cols.value().num_rows());
@@ -237,12 +248,11 @@ struct FilterFixture {
 // kernels off for the duration (zone pruning stays on — the two effects
 // are separable).
 void BM_Filter(benchmark::State& state, const std::string& mode,
-               int layout, size_t case_index, bool use_columnar,
+               int layout, size_t case_index, bool columnar,
                size_t threads, bool force_scalar = false) {
   FilterFixture& fixture = FilterFixture::Get();
   const SelectivityCase& c = fixture.cases[layout][case_index];
   ExecOptions options;
-  options.use_columnar = use_columnar;
   options.parallel.threads = threads;
   if (force_scalar) {
     simd::ForceScalarForTest(true);
@@ -250,7 +260,8 @@ void BM_Filter(benchmark::State& state, const std::string& mode,
   size_t ops = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    auto result = ExecuteQuery(c.query, fixture.db, options);
+    auto result = columnar ? ExecuteQuery(c.query, fixture.db, options)
+                           : ExecuteRows(c.query, fixture.db);
     AUTOCAT_CHECK(result.ok());
     benchmark::DoNotOptimize(result.value());
     ++ops;

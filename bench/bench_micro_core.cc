@@ -97,8 +97,9 @@ void BM_PartitionCategorical(benchmark::State& state) {
   for (size_t i = 0; i < all.size(); ++i) {
     all[i] = i;
   }
+  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionCategorical(fixture.result, all, "neighborhood",
+    auto parts = PartitionCategorical(view, all, "neighborhood",
                                       *fixture.stats);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());
@@ -114,8 +115,9 @@ void BM_PartitionNumeric(benchmark::State& state) {
     all[i] = i;
   }
   NumericPartitionOptions options;
+  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionNumeric(fixture.result, all, "price",
+    auto parts = PartitionNumeric(view, all, "price",
                                   *fixture.stats, options, nullptr);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());

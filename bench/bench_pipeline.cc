@@ -1,9 +1,8 @@
-// Cold-serve comparison: the pre-pipeline filter -> materialize -> rescan
-// chain (ServiceOptions::use_pipeline = false) against the push-based
-// morsel pipeline (DESIGN.md §14), at WHERE selectivities from ~1% to the
-// whole table. Both services run over the same generated ListProperty
-// data with bypass_cache requests, so every iteration is a full cold
-// execution; the closing table reports the per-selectivity speedup.
+// Cold-serve cost of the push-based morsel pipeline (DESIGN.md §14) at
+// WHERE selectivities from ~1% to the whole table, plus the workload
+// query mix. The service runs over generated ListProperty data with
+// bypass_cache requests, so every iteration is a full cold execution;
+// the closing table reports cold ms/op per selectivity.
 //
 // --smoke shrinks the environment for sanitizer CI legs (tools/ci.sh
 // --bench-smoke); --threads=N is accepted for interface parity with the
@@ -33,11 +32,10 @@ bool& SmokeMode() {
   return smoke;
 }
 
-// Mean cold ms/op per (variant, selectivity-label), filled by the
-// benchmark bodies and printed as a comparison table at exit.
-std::map<std::string, std::map<std::string, double>>& Results() {
-  static auto* results =
-      new std::map<std::string, std::map<std::string, double>>();
+// Mean cold ms/op per selectivity label, filled by the benchmark bodies
+// and printed as a table at exit.
+std::map<std::string, double>& Results() {
+  static auto* results = new std::map<std::string, double>();
   return *results;
 }
 
@@ -46,17 +44,14 @@ struct SelectivityQuery {
   std::string sql;
 };
 
-// One environment, two services over identical copies of the table: the
-// only difference between them is the use_pipeline knob.
 struct PipelineFixture {
   StudyConfig config;
   std::unique_ptr<StudyEnvironment> env;
-  std::unique_ptr<CategorizationService> legacy;
-  std::unique_ptr<CategorizationService> pipelined;
+  std::unique_ptr<CategorizationService> service;
   std::vector<SelectivityQuery> queries;
   // The first 64 distinct workload queries — the same stream
-  // bench_serve_throughput's BM_ServeCold cycles, so the "mix" rows here
-  // explain that benchmark's variant delta operator by operator.
+  // bench_serve_throughput's BM_ServeCold cycles, so the "mix" row here
+  // explains that benchmark's cold cost operator by operator.
   std::vector<std::string> mix_sqls;
 
   static PipelineFixture& Get() {
@@ -71,19 +66,13 @@ struct PipelineFixture {
       AUTOCAT_CHECK(env.ok());
       f->env = std::make_unique<StudyEnvironment>(std::move(env).value());
 
-      const auto make_service = [&](bool use_pipeline) {
-        Database db;
-        AUTOCAT_CHECK(
-            db.RegisterTable("ListProperty", f->env->homes()).ok());
-        ServiceOptions options;
-        options.categorizer = f->config.categorizer;
-        options.stats = f->config.stats;
-        options.use_pipeline = use_pipeline;
-        return std::make_unique<CategorizationService>(
-            std::move(db), f->env->workload(), std::move(options));
-      };
-      f->legacy = make_service(false);
-      f->pipelined = make_service(true);
+      Database db;
+      AUTOCAT_CHECK(db.RegisterTable("ListProperty", f->env->homes()).ok());
+      ServiceOptions options;
+      options.categorizer = f->config.categorizer;
+      options.stats = f->config.stats;
+      f->service = std::make_unique<CategorizationService>(
+          std::move(db), f->env->workload(), std::move(options));
 
       // Price thresholds at quantiles of the generated data give WHERE
       // clauses with known survivor fractions.
@@ -117,35 +106,31 @@ struct PipelineFixture {
       }
       AUTOCAT_CHECK(!f->mix_sqls.empty());
 
-      // Warm the per-table WorkloadStats in both services so the timed
-      // iterations measure execution, not preprocessing.
-      for (CategorizationService* service :
-           {f->legacy.get(), f->pipelined.get()}) {
-        ServeRequest warm;
-        warm.sql = f->queries.front().sql;
-        warm.bypass_cache = true;
-        AUTOCAT_CHECK(service->Handle(warm).ok());
-      }
+      // Warm the per-table WorkloadStats so the timed iterations measure
+      // execution, not preprocessing.
+      ServeRequest warm;
+      warm.sql = f->queries.front().sql;
+      warm.bypass_cache = true;
+      AUTOCAT_CHECK(f->service->Handle(warm).ok());
       return f;
     }();
     return *fixture;
   }
 };
 
-void BM_Cold(benchmark::State& state, const std::string& variant,
-             size_t query_index) {
-  PipelineFixture& fixture = PipelineFixture::Get();
-  CategorizationService* service = variant == "pipeline"
-                                       ? fixture.pipelined.get()
-                                       : fixture.legacy.get();
-  const SelectivityQuery& query = fixture.queries[query_index];
+// Serves `sql_at(i)` cold for the i-th iteration and records the mean
+// ms/op under `label`.
+template <typename SqlAt>
+void RunCold(benchmark::State& state, const std::string& label,
+             const SqlAt& sql_at) {
+  CategorizationService& service = *PipelineFixture::Get().service;
   size_t ops = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     ServeRequest request;
-    request.sql = query.sql;
+    request.sql = sql_at(ops);
     request.bypass_cache = true;
-    auto response = service->Handle(request);
+    auto response = service.Handle(request);
     AUTOCAT_CHECK(response.ok());
     benchmark::DoNotOptimize(response->payload);
     ++ops;
@@ -154,34 +139,7 @@ void BM_Cold(benchmark::State& state, const std::string& variant,
                                 std::chrono::steady_clock::now() - start)
                                 .count();
   if (ops > 0) {
-    Results()[variant][query.label] =
-        elapsed_ms / static_cast<double>(ops);
-  }
-}
-
-// The workload-query stream BM_ServeCold serves, cold, per variant.
-void BM_ColdMix(benchmark::State& state, const std::string& variant) {
-  PipelineFixture& fixture = PipelineFixture::Get();
-  CategorizationService* service = variant == "pipeline"
-                                       ? fixture.pipelined.get()
-                                       : fixture.legacy.get();
-  size_t ops = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    ServeRequest request;
-    request.sql = fixture.mix_sqls[ops % fixture.mix_sqls.size()];
-    request.bypass_cache = true;
-    auto response = service->Handle(request);
-    AUTOCAT_CHECK(response.ok());
-    benchmark::DoNotOptimize(response->payload);
-    ++ops;
-  }
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-  if (ops > 0) {
-    Results()[variant]["workload-mix"] =
-        elapsed_ms / static_cast<double>(ops);
+    Results()[label] = elapsed_ms / static_cast<double>(ops);
   }
 }
 
@@ -202,24 +160,24 @@ int main(int argc, char** argv) {
   int filtered_argc = static_cast<int>(args.size());
 
   PipelineFixture& fixture = PipelineFixture::Get();
-  for (const char* variant : {"legacy", "pipeline"}) {
-    for (size_t q = 0; q < fixture.queries.size(); ++q) {
-      const std::string name = std::string("BM_Cold/") + variant + "/" +
-                               fixture.queries[q].label;
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [variant, q](benchmark::State& state) {
-            BM_Cold(state, variant, q);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->UseRealTime();
-    }
+  for (const SelectivityQuery& query : fixture.queries) {
     benchmark::RegisterBenchmark(
-        (std::string("BM_Cold/") + variant + "/workload-mix").c_str(),
-        [variant](benchmark::State& state) { BM_ColdMix(state, variant); })
+        ("BM_Cold/pipeline/" + query.label).c_str(),
+        [&query](benchmark::State& state) {
+          RunCold(state, query.label, [&query](size_t) { return query.sql; });
+        })
         ->Unit(benchmark::kMillisecond)
         ->UseRealTime();
   }
+  benchmark::RegisterBenchmark(
+      "BM_Cold/pipeline/workload-mix",
+      [&fixture](benchmark::State& state) {
+        RunCold(state, "workload-mix", [&fixture](size_t i) {
+          return fixture.mix_sqls[i % fixture.mix_sqls.size()];
+        });
+      })
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();
 
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
@@ -228,21 +186,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  const auto& results = Results();
-  const auto legacy = results.find("legacy");
-  const auto pipeline = results.find("pipeline");
-  if (legacy != results.end() && pipeline != results.end()) {
-    std::printf("\ncold serve, legacy vs pipeline (ms/op):\n");
-    for (const auto& [label, legacy_ms] : legacy->second) {
-      const auto it = pipeline->second.find(label);
-      if (it == pipeline->second.end() || it->second <= 0) {
-        continue;
-      }
-      std::printf("  %-10s %8.3f -> %8.3f  (%.2fx)\n", label.c_str(),
-                  legacy_ms, it->second, legacy_ms / it->second);
-    }
+  std::printf("\ncold serve, pipeline (ms/op):\n");
+  for (const auto& [label, ms] : Results()) {
+    std::printf("  %-12s %8.3f\n", label.c_str(), ms);
   }
-  std::printf("legacy   %s\n", fixture.legacy->MetricsJson().c_str());
-  std::printf("pipeline %s\n", fixture.pipelined->MetricsJson().c_str());
+  std::printf("pipeline %s\n", fixture.service->MetricsJson().c_str());
   return 0;
 }

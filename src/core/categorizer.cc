@@ -16,8 +16,9 @@ using PartitionFn = std::function<Result<std::vector<PartitionCategory>>(
     const std::vector<size_t>& tuples, const std::string& attribute)>;
 
 // Summary twin of PartitionFn: the partition's labels and tset sizes
-// without the tuple vectors (see PartitionSummary). An empty function
-// disables two-phase scoring.
+// without the tuple vectors (see PartitionSummary). The cost-based
+// technique always scores from summaries; an empty function (the
+// 'Attr-cost' baseline) scores single-phase.
 using SummarizeFn = std::function<Result<std::vector<PartitionSummary>>(
     const std::vector<size_t>& tuples, const std::string& attribute)>;
 
@@ -276,33 +277,11 @@ NumericPartitionOptions NumericOptionsOf(const CategorizerOptions& options) {
   return numeric_options;
 }
 
-// Cost-based partitioning dispatch (Sections 5.1.2 / 5.1.3). `index`,
-// when non-null, is the cold pipeline's precomputed ResultAttributeIndex;
-// the partitioners reuse its root-level sorted values / groups.
-PartitionFn MakeCostBasedPartition(const Table& result,
-                                   const WorkloadStats* stats,
-                                   const CategorizerOptions& options,
-                                   const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
-  return [&result, stats, &options, query, index](
-             const std::vector<size_t>& tuples,
-             const std::string& attribute)
-             -> Result<std::vector<PartitionCategory>> {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return PartitionCategorical(result, tuples, attribute, *stats, index);
-    }
-    return PartitionNumeric(result, tuples, attribute, *stats,
-                            NumericOptionsOf(options),
-                            QueryRangeFor(query, attribute), index);
-  };
-}
-
-// Columnar flavor of the cost-based dispatch: identical decisions, with
-// the partitioners reading through the view's dictionary codes / typed
-// arrays instead of result cells.
+// Cost-based partitioning dispatch (Sections 5.1.2 / 5.1.3): the
+// partitioners read through `view` (dictionary codes / typed arrays when a
+// columnar shadow is attached, cells otherwise). `index`, when non-null,
+// is the cold pipeline's precomputed ResultAttributeIndex; the
+// partitioners reuse its root-level sorted values / groups.
 PartitionFn MakeCostBasedPartition(const TableView& view,
                                    const WorkloadStats* stats,
                                    const CategorizerOptions& options,
@@ -324,36 +303,13 @@ PartitionFn MakeCostBasedPartition(const TableView& view,
   };
 }
 
-// Summary twins of the two dispatches above, for two-phase scoring. Must
-// take the same branches so the summaries mirror the partitions exactly.
-SummarizeFn MakeCostBasedSummarize(const Table& result,
-                                   const WorkloadStats* stats,
-                                   const CategorizerOptions& options,
-                                   const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
-  return [&result, stats, &options, query, index](
-             const std::vector<size_t>& tuples,
-             const std::string& attribute)
-             -> Result<std::vector<PartitionSummary>> {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return SummarizePartitionCategorical(result, tuples, attribute,
-                                           *stats, index);
-    }
-    return SummarizePartitionNumeric(result, tuples, attribute, *stats,
-                                     NumericOptionsOf(options),
-                                     QueryRangeFor(query, attribute), index);
-  };
-}
-
+// Summary twin of the dispatch above, for two-phase scoring. Must take
+// the same branches so the summaries mirror the partitions exactly.
 SummarizeFn MakeCostBasedSummarize(const TableView& view,
                                    const WorkloadStats* stats,
                                    const CategorizerOptions& options,
                                    const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
+                                   const ResultAttributeIndex* index) {
   return [&view, stats, &options, query, index](
              const std::vector<size_t>& tuples,
              const std::string& attribute)
@@ -372,23 +328,23 @@ SummarizeFn MakeCostBasedSummarize(const TableView& view,
 
 // Baseline partitioning dispatch (Section 6.1): arbitrary-order
 // single-value categories and equi-width buckets.
-PartitionFn MakeBaselinePartition(const Table& result,
+PartitionFn MakeBaselinePartition(const TableView& view,
                                   const WorkloadStats* stats,
                                   const CategorizerOptions& options,
                                   const SelectionProfile* query,
                                   Random* rng) {
-  return [&result, stats, &options, query, rng](
+  return [&view, stats, &options, query, rng](
              const std::vector<size_t>& tuples,
              const std::string& attribute)
              -> Result<std::vector<PartitionCategory>> {
     AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return PartitionCategoricalArbitrary(result, tuples, attribute, rng);
+                             view.schema().ColumnIndex(attribute));
+    if (view.schema().column(col).kind == ColumnKind::kCategorical) {
+      return PartitionCategoricalArbitrary(view, tuples, attribute, rng);
     }
     const double width = options.equiwidth_interval_multiplier *
                          stats->split_interval(attribute);
-    return PartitionNumericEquiWidth(result, tuples, attribute, width,
+    return PartitionNumericEquiWidth(view, tuples, attribute, width,
                                      QueryRangeFor(query, attribute));
   };
 }
@@ -413,23 +369,7 @@ std::vector<std::string> CostBasedCategorizer::RetainedAttributes(
 
 Result<CategoryTree> CostBasedCategorizer::Categorize(
     const Table& result, const SelectionProfile* query) const {
-  ProbabilityEstimator estimator(stats_, &result.schema());
-  CostModel model(&estimator, options_.cost_params);
-  return BuildLevelByLevel(
-      result, RetainedAttributes(result.schema()), model,
-      /*cost_based_choice=*/true,
-      MakeCostBasedPartition(result, stats_, options_, query),
-      options_.two_phase_scoring
-          ? MakeCostBasedSummarize(result, stats_, options_, query)
-          : SummarizeFn(),
-      options_.max_tuples_per_category, options_.max_levels,
-      &options_.parallel);
-}
-
-Result<CategoryTree> CostBasedCategorizer::Categorize(
-    const TableView& view, const Table& result,
-    const SelectionProfile* query) const {
-  return Categorize(view, result, query, /*index=*/nullptr);
+  return Categorize(TableView::All(result, nullptr), result, query);
 }
 
 Result<CategoryTree> CostBasedCategorizer::Categorize(
@@ -460,9 +400,7 @@ Result<CategoryTree> CostBasedCategorizer::Categorize(
       result, RetainedAttributes(result.schema()), model,
       /*cost_based_choice=*/true,
       MakeCostBasedPartition(view, stats_, options_, query, index),
-      options_.two_phase_scoring
-          ? MakeCostBasedSummarize(view, stats_, options_, query, index)
-          : SummarizeFn(),
+      MakeCostBasedSummarize(view, stats_, options_, query, index),
       options_.max_tuples_per_category, options_.max_levels,
       &options_.parallel);
 }
@@ -477,11 +415,13 @@ Result<CategoryTree> AttrCostCategorizer::Categorize(
           ? DefaultCandidates(result.schema())
           : options_.candidate_attributes;
   // The baseline partitioner draws from a shared Random: keep scoring
-  // sequential so its stream (hence the tree) is unchanged.
+  // sequential and single-phase so its stream (hence the tree) is
+  // unchanged.
+  const TableView view = TableView::All(result, nullptr);
   return BuildLevelByLevel(
       result, candidates, model,
       /*cost_based_choice=*/true,
-      MakeBaselinePartition(result, stats_, options_, query, &rng),
+      MakeBaselinePartition(view, stats_, options_, query, &rng),
       /*summarize=*/SummarizeFn(),
       options_.max_tuples_per_category, options_.max_levels,
       /*parallel=*/nullptr);
@@ -493,10 +433,11 @@ Result<CategoryTree> CategorizeWithFixedAttributeOrder(
     const SelectionProfile* query) {
   ProbabilityEstimator estimator(stats, &result.schema());
   CostModel model(&estimator, options.cost_params);
+  const TableView view = TableView::All(result, nullptr);
   return BuildLevelByLevel(
       result, attribute_order, model,
       /*cost_based_choice=*/false,
-      MakeCostBasedPartition(result, stats, options, query),
+      MakeCostBasedPartition(view, stats, options, query),
       /*summarize=*/SummarizeFn(),
       options.max_tuples_per_category, options.max_levels,
       /*parallel=*/nullptr);
@@ -512,10 +453,11 @@ Result<CategoryTree> NoCostCategorizer::Categorize(
           ? DefaultCandidates(result.schema())
           : options_.candidate_attributes;
   rng.Shuffle(candidates);
+  const TableView view = TableView::All(result, nullptr);
   return BuildLevelByLevel(
       result, std::move(candidates), model,
       /*cost_based_choice=*/false,
-      MakeBaselinePartition(result, stats_, options_, query, &rng),
+      MakeBaselinePartition(view, stats_, options_, query, &rng),
       /*summarize=*/SummarizeFn(),
       options_.max_tuples_per_category, options_.max_levels,
       /*parallel=*/nullptr);

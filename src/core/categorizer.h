@@ -55,17 +55,6 @@ struct CategorizerOptions {
   /// and category order).
   uint64_t arbitrary_seed = 42;
 
-  /// Two-phase candidate scoring (cost-based technique only): candidate
-  /// attributes are *scored* from partition summaries (labels + tset
-  /// sizes — everything the cost model reads) and only the winning
-  /// attribute's partition is materialized with tuple vectors. The winner
-  /// and its partition are bit-identical to single-phase construction
-  /// because the summaries mirror the partitions exactly and the
-  /// partition functions are pure. The baselines never use this (their
-  /// partitioners share a mutable Random whose stream the tree depends
-  /// on).
-  bool two_phase_scoring = true;
-
   /// Threads used by the cost-based technique to score candidate
   /// attributes concurrently per level. Candidate costs are reduced in
   /// candidate order with a strict-minimum tie-break, so the chosen tree
@@ -87,19 +76,6 @@ class Categorizer {
   virtual Result<CategoryTree> Categorize(
       const Table& result, const SelectionProfile* query) const = 0;
 
-  /// View-aware overload for the columnar serving path: `view` describes
-  /// the same rows as `result` (view row i == result row i; `result` is
-  /// the view materialized and owns the tuples the tree references).
-  /// Techniques that can read through the view override this to partition
-  /// on dictionary codes / typed arrays; the default ignores the view and
-  /// builds from `result`. Either way the tree is identical.
-  virtual Result<CategoryTree> Categorize(
-      const TableView& view, const Table& result,
-      const SelectionProfile* query) const {
-    (void)view;
-    return Categorize(result, query);
-  }
-
   /// Display name ("Cost-based", "Attr-cost", "No cost").
   virtual std::string name() const = 0;
 };
@@ -118,21 +94,20 @@ class CostBasedCategorizer final : public Categorizer {
   Result<CategoryTree> Categorize(
       const Table& result, const SelectionProfile* query) const override;
 
-  /// Columnar construction: the same level-by-level algorithm with the
-  /// partitioners reading dictionary codes / typed arrays through `view`.
-  /// Errors InvalidArgument when `view` and `result` disagree on shape.
+  /// Columnar construction for the serving path: the same level-by-level
+  /// algorithm with the partitioners reading dictionary codes / typed
+  /// arrays through `view`, which describes the same rows as `result`
+  /// (view row i == result row i; `result` is the view materialized and
+  /// owns the tuples the tree references). `index`, when non-null, is a
+  /// precomputed `ResultAttributeIndex` over `result` (built by the cold
+  /// pipeline's StatsAccumulate sink): the root-level partitioners reuse
+  /// its sorted values / value groups instead of rescanning, producing the
+  /// identical tree. Errors InvalidArgument when `view`, `index`, and
+  /// `result` disagree on shape.
   Result<CategoryTree> Categorize(
       const TableView& view, const Table& result,
-      const SelectionProfile* query) const override;
-
-  /// Columnar construction with a precomputed `ResultAttributeIndex` over
-  /// `result` (built by the cold pipeline's StatsAccumulate sink): the
-  /// root-level partitioners reuse its sorted values / value groups
-  /// instead of rescanning, producing the identical tree. `index` may be
-  /// null; entries apply only where they exist.
-  Result<CategoryTree> Categorize(const TableView& view, const Table& result,
-                                  const SelectionProfile* query,
-                                  const ResultAttributeIndex* index) const;
+      const SelectionProfile* query,
+      const ResultAttributeIndex* index = nullptr) const;
 
   std::string name() const override { return "Cost-based"; }
 
@@ -155,7 +130,6 @@ class AttrCostCategorizer final : public Categorizer {
   AttrCostCategorizer(const WorkloadStats* stats, CategorizerOptions options)
       : stats_(stats), options_(std::move(options)) {}
 
-  using Categorizer::Categorize;  // keep the view overload reachable
   Result<CategoryTree> Categorize(
       const Table& result, const SelectionProfile* query) const override;
   std::string name() const override { return "Attr-cost"; }
@@ -174,7 +148,6 @@ class NoCostCategorizer final : public Categorizer {
   NoCostCategorizer(const WorkloadStats* stats, CategorizerOptions options)
       : stats_(stats), options_(std::move(options)) {}
 
-  using Categorizer::Categorize;  // keep the view overload reachable
   Result<CategoryTree> Categorize(
       const Table& result, const SelectionProfile* query) const override;
   std::string name() const override { return "No cost"; }

@@ -79,6 +79,7 @@ Result<EnumerationResult> EnumerateBestOneLevel(
   for (size_t i = 0; i < all_rows.size(); ++i) {
     all_rows[i] = i;
   }
+  const TableView view = TableView::All(result, nullptr);
 
   // Scores each candidate independently (masks in ascending order, local
   // strict-minimum) into its own slot, then reduces the slots in candidate
@@ -91,7 +92,7 @@ Result<EnumerationResult> EnumerateBestOneLevel(
                              result.schema().ColumnIndex(attr));
     if (result.schema().column(col).kind == ColumnKind::kCategorical) {
       AUTOCAT_ASSIGN_OR_RETURN(
-          auto parts, PartitionCategorical(result, all_rows, attr, *stats));
+          auto parts, PartitionCategorical(view, all_rows, attr, *stats));
       ConsiderCandidate(model, OneLevelTree(result, std::move(parts)),
                         {attr}, best);
       return Status::OK();

@@ -97,42 +97,14 @@ Status ValidateCategoricalPartition(
 
 namespace {
 
-// Collects (value, row-index) pairs for the non-NULL cells of `attribute`
-// among `tuples`, plus the column index.
-Result<size_t> AttributeColumn(const Table& result,
-                               const std::string& attribute) {
-  return result.schema().ColumnIndex(attribute);
-}
-
-Result<size_t> AttributeColumn(const TableView& view,
-                               const std::string& attribute) {
-  return view.schema().ColumnIndex(attribute);
-}
-
 // Distinct-value groups over `tuples` in ascending value order, NULL cells
 // dropped — the shape both categorical partitioners consume.
 using ValueGroups = std::vector<std::pair<Value, std::vector<size_t>>>;
 
-ValueGroups GroupsOf(const Table& result, const std::vector<size_t>& tuples,
-                     size_t col) {
-  std::map<Value, std::vector<size_t>> groups;
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      groups[v].push_back(idx);
-    }
-  }
-  ValueGroups out;
-  out.reserve(groups.size());
-  for (auto& [value, group] : groups) {
-    out.emplace_back(value, std::move(group));
-  }
-  return out;
-}
-
-// View flavor: a dictionary-encoded string column groups by code — the
-// dictionary is sorted, so ascending code order *is* ascending value
-// order and the map walk above is reproduced without Value comparisons.
+// A dictionary-encoded string column groups by code — the dictionary is
+// sorted, so ascending code order *is* ascending value order and the
+// generic Value-map walk at the bottom is reproduced without Value
+// comparisons.
 ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
                      size_t col) {
   const ColumnarTable::Column* cc =
@@ -246,18 +218,6 @@ ValueGroups GroupsFromIndex(const AttributeIndexEntry& entry) {
 // the groups' sizes without the groups. Branch structure mirrors
 // GroupsOf so the counted (and ordered) values are identical.
 using ValueCounts = std::vector<std::pair<Value, size_t>>;
-
-ValueCounts CountsOf(const Table& result, const std::vector<size_t>& tuples,
-                     size_t col) {
-  std::map<Value, size_t> counts;
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      ++counts[v];
-    }
-  }
-  return ValueCounts(counts.begin(), counts.end());
-}
 
 ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
                      size_t col) {
@@ -420,26 +380,11 @@ std::vector<PartitionCategory> ArbitraryCategoricalFromGroups(
 }  // namespace
 
 Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalFromGroups(attribute, stats,
-                                     GroupsFromIndex(*entry));
-  }
-  return CostCategoricalFromGroups(attribute, stats,
-                                   GroupsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionCategory>> PartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_groups) {
     return CostCategoricalFromGroups(attribute, stats,
@@ -450,26 +395,11 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 }
 
 Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalSummaryFromCounts(attribute, stats,
-                                            CountsFromIndex(*entry));
-  }
-  return CostCategoricalSummaryFromCounts(attribute, stats,
-                                          CountsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_groups) {
     return CostCategoricalSummaryFromCounts(attribute, stats,
@@ -523,28 +453,10 @@ std::vector<PartitionCategory> MaterializeBuckets(
   return out;
 }
 
-Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
-    const Table& result, const std::vector<size_t>& tuples, size_t col,
-    const std::string& attribute) {
-  if (result.schema().column(col).kind != ColumnKind::kNumeric) {
-    return Status::InvalidArgument("attribute '" + attribute +
-                                   "' is not numeric");
-  }
-  std::vector<std::pair<double, size_t>> values;
-  values.reserve(tuples.size());
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      values.emplace_back(v.AsDouble(), idx);
-    }
-  }
-  std::sort(values.begin(), values.end());
-  return values;
-}
-
-// View flavor: reads the typed arrays (and the null bitmap) directly when
-// the column has a regular columnar shadow; falls back to the generic
-// cell walk otherwise. Extracted doubles are identical to AsDouble().
+// The (value, index) pairs of the non-NULL cells of `col` among `tuples`,
+// sorted. Reads the typed arrays (and the null bitmap) directly when the
+// column has a regular columnar shadow; falls back to the generic cell
+// walk otherwise. Extracted doubles are identical to AsDouble().
 Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
     const TableView& view, const std::vector<size_t>& tuples, size_t col,
     const std::string& attribute) {
@@ -729,8 +641,8 @@ NumericBucketPlan PlanNumericBuckets(
   return plan;
 }
 
-// Section 5.1.3 over pre-sorted (value, index) pairs; shared by the Table
-// and TableView overloads.
+// Section 5.1.3 over pre-sorted (value, index) pairs, scanned or taken
+// from the attribute index.
 std::vector<PartitionCategory> PartitionNumericCore(
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
@@ -824,32 +736,12 @@ std::vector<PartitionCategory> EquiWidthCore(
 }  // namespace
 
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  // Index entries exist only for numeric-kind columns, so the reuse path
-  // cannot skip the kind check SortedNumericValues performs.
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return PartitionNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return PartitionNumericCore(attribute, stats, options, query_range,
-                              values);
-}
-
-Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_sorted_values) {
     return PartitionNumericCore(attribute, stats, options, query_range,
@@ -862,30 +754,12 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 }
 
 Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return SummarizeNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return SummarizeNumericCore(attribute, stats, options, query_range,
-                              values);
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_sorted_values) {
     return SummarizeNumericCore(attribute, stats, options, query_range,
@@ -898,38 +772,15 @@ Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
 }
 
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, Random* rng) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  return ArbitraryCategoricalFromGroups(attribute, rng,
-                                        GroupsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   return ArbitraryCategoricalFromGroups(attribute, rng,
                                         GroupsOf(view, tuples, col));
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, double width,
-    const NumericRange* query_range) {
-  if (width <= 0) {
-    return Status::InvalidArgument("bucket width must be positive");
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return EquiWidthCore(attribute, width, query_range, values);
-}
-
-Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,
     const NumericRange* query_range) {
@@ -937,7 +788,7 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     return Status::InvalidArgument("bucket width must be positive");
   }
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   AUTOCAT_ASSIGN_OR_RETURN(
       const auto values, SortedNumericValues(view, tuples, col, attribute));
   return EquiWidthCore(attribute, width, query_range, values);

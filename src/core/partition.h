@@ -51,11 +51,15 @@ struct NumericPartitionOptions {
   double goodness_fraction = 0.3;
 };
 
-/// Cost-based categorical partitioning (Section 5.1.2): one single-value
-/// category per distinct value of `attribute` among `tuples`, presented in
-/// decreasing occurrence count occ(v) (ties in value order). Tuples with a
-/// NULL cell are not placed in any category.
-/// All four cost-based entry points accept an optional
+/// Every partitioner reads its input relation through a `TableView`;
+/// `tuples` index view rows (== rows of the materialized result, which
+/// the category tree references). Regular columns of an attached columnar
+/// shadow are read through their dictionary codes / typed arrays (the
+/// dictionary is sorted, so code order is value order); a view without a
+/// shadow — `TableView::All(table, nullptr)` for an owned table — walks
+/// the cells as `Value`s. Both walks produce the identical partition.
+///
+/// The four cost-based entry points accept an optional
 /// `ResultAttributeIndex` built over the same result relation (by the
 /// cold pipeline's StatsAccumulate sink). When `tuples` is the identity
 /// set over the indexed rows — the tree root's tset — the precomputed
@@ -63,16 +67,11 @@ struct NumericPartitionOptions {
 /// re-sorting the column; the index holds exactly the shapes these
 /// functions would build, so the output is bit-identical. Any other
 /// tuple set (or a null/absent entry) falls back to the scan.
-Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index = nullptr);
 
-/// TableView overload. `tuples` index view rows (== rows of the
-/// materialized result, so the output is interchangeable with the Table
-/// overload's). Dictionary-encoded string columns group by code instead of
-/// by `Value` comparisons; dictionary order is value order, so the
-/// partitioning is bit-identical.
+/// Cost-based categorical partitioning (Section 5.1.2): one single-value
+/// category per distinct value of `attribute` among `tuples`, presented in
+/// decreasing occurrence count occ(v) (ties in value order). Tuples with a
+/// NULL cell are not placed in any category.
 Result<std::vector<PartitionCategory>> PartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
@@ -85,13 +84,6 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 /// query's selection condition; otherwise the tuple values define the
 /// range. Empty buckets are dropped.
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (typed-array value extraction, identical output).
-Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
@@ -102,12 +94,6 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 /// order, NULL cells dropped), computed without building any per-category
 /// tuple vector. Two-phase candidate scoring runs on these.
 Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (dictionary-code counting, identical output).
-Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index = nullptr);
@@ -115,13 +101,6 @@ Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
 /// Summary flavor of `PartitionNumeric`: identical split-point selection
 /// and bucket boundaries (empties dropped the same way), with per-bucket
 /// counts taken by the same binary searches that would slice the tuples.
-Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (typed-array value extraction, identical output).
 Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
@@ -132,22 +111,11 @@ Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
 /// single-value categories in arbitrary order — value order, shuffled when
 /// `rng` is provided.
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, Random* rng);
-
-/// TableView overload (identical output, including the shuffle order).
-Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng);
 
 /// Baseline numeric partitioning (Section 6.1): equi-width buckets of the
 /// given width aligned to multiples of the width, empty buckets removed.
-Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, double width,
-    const NumericRange* query_range);
-
-/// TableView overload (typed-array value extraction, identical output).
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,

@@ -6,22 +6,17 @@
 
 namespace autocat {
 
-namespace {
-
-// Shared scoring body: `rows` and `cell` abstract over Table and
-// TableView so both overloads stay line-for-line identical in semantics.
-template <typename Source>
-Result<double> TupleScoreImpl(const Source& source, size_t row,
-                              const std::vector<std::string>& attributes,
-                              const WorkloadStats& stats) {
-  if (row >= source.num_rows()) {
+Result<double> TupleScore(const Table& table, size_t row,
+                          const std::vector<std::string>& attributes,
+                          const WorkloadStats& stats) {
+  if (row >= table.num_rows()) {
     return Status::OutOfRange("row index out of range");
   }
   double score = 0;
   for (const std::string& attr : attributes) {
     AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             source.schema().ColumnIndex(attr));
-    const Value& v = source.ValueAt(row, col);
+                             table.schema().ColumnIndex(attr));
+    const Value& v = table.ValueAt(row, col);
     if (v.is_null()) {
       continue;
     }
@@ -35,16 +30,16 @@ Result<double> TupleScoreImpl(const Source& source, size_t row,
   return score;
 }
 
-template <typename Source>
-Result<std::vector<size_t>> RankTuplesImpl(
-    const Source& source, const std::vector<size_t>& tuples,
-    const std::vector<std::string>& attributes, const WorkloadStats& stats) {
+Result<std::vector<size_t>> RankTuples(
+    const Table& table, const std::vector<size_t>& tuples,
+    const std::vector<std::string>& attributes,
+    const WorkloadStats& stats) {
   std::vector<std::pair<double, size_t>> scored;
   scored.reserve(tuples.size());
   for (size_t position = 0; position < tuples.size(); ++position) {
     AUTOCAT_ASSIGN_OR_RETURN(
         const double score,
-        TupleScoreImpl(source, tuples[position], attributes, stats));
+        TupleScore(table, tuples[position], attributes, stats));
     scored.emplace_back(score, position);
   }
   std::stable_sort(scored.begin(), scored.end(),
@@ -58,34 +53,6 @@ Result<std::vector<size_t>> RankTuplesImpl(
     out.push_back(tuples[position]);
   }
   return out;
-}
-
-}  // namespace
-
-Result<double> TupleScore(const Table& table, size_t row,
-                          const std::vector<std::string>& attributes,
-                          const WorkloadStats& stats) {
-  return TupleScoreImpl(table, row, attributes, stats);
-}
-
-Result<double> TupleScore(const TableView& view, size_t row,
-                          const std::vector<std::string>& attributes,
-                          const WorkloadStats& stats) {
-  return TupleScoreImpl(view, row, attributes, stats);
-}
-
-Result<std::vector<size_t>> RankTuples(
-    const Table& table, const std::vector<size_t>& tuples,
-    const std::vector<std::string>& attributes,
-    const WorkloadStats& stats) {
-  return RankTuplesImpl(table, tuples, attributes, stats);
-}
-
-Result<std::vector<size_t>> RankTuples(
-    const TableView& view, const std::vector<size_t>& tuples,
-    const std::vector<std::string>& attributes,
-    const WorkloadStats& stats) {
-  return RankTuplesImpl(view, tuples, attributes, stats);
 }
 
 Status ApplyLeafRanking(CategoryTree& tree,

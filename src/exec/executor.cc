@@ -174,14 +174,12 @@ Result<Table> ExecuteQueryColumnar(const SelectQuery& query,
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db,
                            const ExecOptions& options) {
   AUTOCAT_ASSIGN_OR_RETURN(const Table* table, db.GetTable(query.table_name));
-  if (options.use_columnar) {
-    Result<Table> columnar = ExecuteQueryColumnar(query, db, *table, options);
-    if (columnar.ok() ||
-        columnar.status().code() != StatusCode::kNotSupported) {
-      return columnar;
-    }
-    // Compilation refused: fall back to the exact row-at-a-time path.
+  Result<Table> columnar = ExecuteQueryColumnar(query, db, *table, options);
+  if (columnar.ok() ||
+      columnar.status().code() != StatusCode::kNotSupported) {
+    return columnar;
   }
+  // Compilation refused: fall back to the exact row-at-a-time path.
   AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
                            FilterTable(*table, query.where.get()));
   AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));

@@ -54,8 +54,9 @@ class Database {
   /// building and caching it on first use. The shared_ptr keeps the shadow
   /// alive across a concurrent PutTable, which only drops the cache entry.
   /// Errors: kNotFound for an unknown table; kNotSupported when the table
-  /// has more rows than a uint32_t selection vector can address (callers
-  /// fall back to the row path).
+  /// has more rows than a uint32_t selection vector can address
+  /// (ExecuteQuery falls back to the row path; the serving layer returns
+  /// the error).
   ///
   /// Thread-safe against concurrent ColumnarFor/PutTable on *other*
   /// threads only under the same external synchronization GetTable
@@ -88,14 +89,9 @@ class Database {
 };
 
 /// Knobs for ExecuteQuery/ExecuteSql. Defaults favor the serving layer:
-/// columnar kernels on, single-threaded filter.
+/// single-threaded filter.
 struct ExecOptions {
   ExecOptions() { parallel.threads = 1; }
-
-  /// Try the columnar path first (vectorized kernels + zero-copy view);
-  /// fall back to the row path whenever compilation refuses. Results are
-  /// bit-identical either way.
-  bool use_columnar = true;
 
   /// Threading for the columnar filter (chunk-order merge keeps the
   /// result deterministic at any thread count).
@@ -104,7 +100,10 @@ struct ExecOptions {
 
 /// Executes a parsed selection/projection query against `db`: scans the
 /// FROM table, keeps rows matching the WHERE clause, then projects the
-/// select list. Returns the result relation.
+/// select list. Returns the result relation. The scan runs the columnar
+/// kernels over a zero-copy view; when they refuse the WHERE clause (or
+/// the table is too large for a columnar shadow) it falls back to the
+/// exact row-at-a-time evaluator. Results are bit-identical either way.
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db,
                            const ExecOptions& options);
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db);

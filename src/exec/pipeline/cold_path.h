@@ -17,9 +17,6 @@ namespace autocat {
 struct ColdPipelineOptions {
   /// Threads for the morsel scheduler (output is identical at any count).
   ParallelOptions parallel;
-  /// Whether to run the StatsAccumulate sink (skip when the caller has no
-  /// use for the attribute index, e.g. when categorization is bypassed).
-  bool build_attr_index = true;
   /// Result columns the StatsAccumulate sink should index, by name
   /// (null = every supported column). Borrowed; must outlive the call.
   const std::vector<std::string>* stats_attributes = nullptr;
@@ -63,8 +60,8 @@ struct ColdPipelineResult {
 /// the per-attribute index come out of a single scan with no inter-stage
 /// barrier or full-selection materialization in between. Sinks key their
 /// partials by morsel index and merge in index order, so every output is
-/// bit-identical to the legacy Filter -> Materialize -> rescan chain at
-/// any thread count.
+/// bit-identical to a Filter -> Materialize -> rescan over the same
+/// selection at any thread count.
 ///
 /// `columns` is the projection (empty = all base columns); errors mirror
 /// `TableView::Create` (unknown projection column).

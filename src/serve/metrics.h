@@ -31,8 +31,9 @@ std::string_view ServeOutcomeToString(ServeOutcome outcome);
 /// named after the pipeline operators (DESIGN.md §14). Each operator is
 /// recorded once per request that reaches it — kAttrIndex only on the
 /// pipelined path (the StatsAccumulate sink), kStatsBuild only when the
-/// per-table WorkloadStats had to be built. The legacy (non-pipelined)
-/// cold path records its materialization under kGather.
+/// per-table WorkloadStats had to be built. When the kernels refuse and
+/// the row predicate is the selection source, its materialization is
+/// recorded under kGather.
 enum class ServeOperator {
   kParse = 0,
   kFilter,

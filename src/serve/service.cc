@@ -290,107 +290,74 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   const CostBasedCategorizer categorizer(stats.get(),
                                          options_.categorizer);
 
-  // Columnar fast path: compile the canonical profile against the
-  // table's columnar shadow. Every refusal is kNotSupported and falls
-  // back to the row path below, which is bit-identical by the kernels'
-  // refuse-or-exact contract; any other status is a real error. With the
-  // pipeline on, filtering, gathering, byte accounting, and the
-  // attribute index come out of one morsel-driven scan (DESIGN.md §14);
-  // off, the pre-pipeline filter-then-materialize chain runs instead.
+  // One cold path (DESIGN.md §14). The canonical profile compiles against
+  // the table's columnar shadow and drives the push pipeline: filtering,
+  // gathering, byte accounting, and the attribute index come out of one
+  // morsel-driven scan. A kernel refusal (kNotSupported) makes the row
+  // predicate the selection source instead — bit-identical by the
+  // kernels' refuse-or-exact contract — feeding the same view ->
+  // materialize -> categorize tail without an attribute index. Any other
+  // status, including ColumnarFor's refusal of a table too large for a
+  // 32-bit selection, is a real error.
   const double filter_start = WallMs();
-  TableView view;
-  bool columnar_ok = false;
-  Table result;
-  size_t result_bytes = 0;
-  bool have_result_bytes = false;
-  ResultAttributeIndex attr_index;
-  bool have_attr_index = false;
-  {
-    const auto attempt = [&]() -> Result<TableView> {
-      AUTOCAT_ASSIGN_OR_RETURN(
-          std::shared_ptr<const ColumnarTable> shadow,
-          db_.ColumnarFor(table_key));
-      AUTOCAT_ASSIGN_OR_RETURN(
-          const CompiledPredicate compiled,
-          CompiledPredicate::CompileProfile(canonical.profile,
-                                            table->schema(), shadow));
-      // Request tasks stay sequential (same policy as StatsFor); the
-      // pipeline's output is identical at any thread count.
-      ParallelOptions sequential;
-      sequential.threads = 1;
-      if (options_.use_pipeline) {
-        ColdPipelineOptions pipe_options;
-        pipe_options.parallel = sequential;
-        // Only the categorizer's retained candidates get index entries:
-        // candidate elimination is per-attribute, so the base schema's
-        // retained set intersected with the projection (which the sink
-        // does by name) equals the result schema's retained set.
-        const std::vector<std::string> retained =
-            categorizer.RetainedAttributes(table->schema());
-        pipe_options.stats_attributes = &retained;
-        AUTOCAT_ASSIGN_OR_RETURN(
-            ColdPipelineResult piped,
-            RunColdPipeline(compiled, *table, shadow.get(),
-                            canonical.columns, pipe_options));
-        metrics_.RecordOperator(ServeOperator::kFilter,
-                                piped.timings.filter_ms);
-        metrics_.RecordOperator(ServeOperator::kGather,
-                                piped.timings.project_ms);
-        metrics_.RecordOperator(ServeOperator::kAttrIndex,
-                                piped.timings.stats_ms);
-        metrics_.RecordPipeline(piped.timings.morsels,
-                                piped.timings.morsels_pruned,
-                                piped.timings.morsels_all_pass,
-                                piped.timings.simd_morsels);
-        result = std::move(piped.result);
-        result_bytes = piped.result_bytes;
-        have_result_bytes = true;
-        attr_index = std::move(piped.attr_index);
-        have_attr_index = true;
-        return TableView::Create(*table, std::move(shadow),
-                                 std::move(piped.selection),
-                                 canonical.columns);
-      }
-      AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> selection,
-                               compiled.Filter(sequential));
-      return TableView::Create(*table, std::move(shadow),
-                               std::move(selection), canonical.columns);
-    };
-    Result<TableView> attempted = attempt();
-    if (attempted.ok()) {
-      view = std::move(attempted).value();
-      columnar_ok = true;
-    } else if (attempted.status().code() != StatusCode::kNotSupported) {
-      return attempted.status();
-    }
+  AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
+                           db_.ColumnarFor(table_key));
+  Result<CompiledPredicate> compiled = CompiledPredicate::CompileProfile(
+      canonical.profile, table->schema(), shadow);
+  if (!compiled.ok() &&
+      compiled.status().code() != StatusCode::kNotSupported) {
+    return compiled.status();
   }
-
-  if (columnar_ok) {
-    if (!have_result_bytes) {
-      metrics_.RecordOperator(ServeOperator::kFilter,
-                              WallMs() - filter_start);
-      const double mat_start = WallMs();
-      result = view.Materialize();
-      metrics_.RecordOperator(ServeOperator::kGather,
-                              WallMs() - mat_start);
-    }
+  const bool pipelined = compiled.ok();
+  ColdPipelineResult scan;
+  if (pipelined) {
+    ColdPipelineOptions pipe_options;
+    // Request tasks stay sequential (same policy as StatsFor); the
+    // pipeline's output is identical at any thread count.
+    pipe_options.parallel.threads = 1;
+    // Only the categorizer's retained candidates get index entries:
+    // candidate elimination is per-attribute, so the base schema's
+    // retained set intersected with the projection (which the sink does
+    // by name) equals the result schema's retained set.
+    const std::vector<std::string> retained =
+        categorizer.RetainedAttributes(table->schema());
+    pipe_options.stats_attributes = &retained;
+    AUTOCAT_ASSIGN_OR_RETURN(
+        scan, RunColdPipeline(compiled.value(), *table, shadow.get(),
+                               canonical.columns, pipe_options));
+    metrics_.RecordOperator(ServeOperator::kFilter, scan.timings.filter_ms);
+    metrics_.RecordOperator(ServeOperator::kGather,
+                            scan.timings.project_ms);
+    metrics_.RecordOperator(ServeOperator::kAttrIndex,
+                            scan.timings.stats_ms);
+    metrics_.RecordPipeline(scan.timings.morsels,
+                            scan.timings.morsels_pruned,
+                            scan.timings.morsels_all_pass,
+                            scan.timings.simd_morsels);
   } else {
-    // Row fallback keeps size_t indices, so a table too large for a
-    // columnar shadow is still servable.
-    have_result_bytes = false;
-    have_attr_index = false;
     const Schema& schema = table->schema();
     const SelectionProfile& profile = canonical.profile;
-    const std::vector<size_t> indices = table->FilterIndices(
+    const std::vector<size_t> matched = table->FilterIndices(
         [&](const Row& row) { return profile.MatchesRow(row, schema); });
+    // ColumnarFor succeeded, so every row index fits the 32-bit selection.
+    scan.selection.reserve(matched.size());
+    for (const size_t row : matched) {
+      scan.selection.push_back(static_cast<uint32_t>(row));
+    }
     metrics_.RecordOperator(ServeOperator::kFilter,
                             WallMs() - filter_start);
-    const double mat_start = WallMs();
-    AUTOCAT_ASSIGN_OR_RETURN(result, table->SelectRows(indices));
-    if (!canonical.columns.empty()) {
-      AUTOCAT_ASSIGN_OR_RETURN(result, result.Project(canonical.columns));
-    }
-    metrics_.RecordOperator(ServeOperator::kGather, WallMs() - mat_start);
+  }
+  // The view borrows the database's base table and shadow (not the
+  // result), so it stays valid across the move into the payload.
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(*table, std::move(shadow), std::move(scan.selection),
+                        canonical.columns));
+  if (!pipelined) {
+    const double gather_start = WallMs();
+    scan.result = view.Materialize();
+    metrics_.RecordOperator(ServeOperator::kGather,
+                            WallMs() - gather_start);
   }
 
   if (deadline.ExpiredAt(NowMs())) {
@@ -399,22 +366,16 @@ CategorizationService::AttemptServe(const SelectQuery& query,
         "deadline passed before categorization");
   }
 
-  // The view borrows the database's base table and shadow (not
-  // `result`), so it stays valid across the move into the payload.
   const double categorize_start = WallMs();
   const auto build_tree = [&](const Table& owned) -> Result<CategoryTree> {
-    if (columnar_ok) {
-      return categorizer.Categorize(
-          view, owned, &canonical.profile,
-          have_attr_index ? &attr_index : nullptr);
-    }
-    return categorizer.Categorize(owned, &canonical.profile);
+    return categorizer.Categorize(view, owned, &canonical.profile,
+                                  pipelined ? &scan.attr_index : nullptr);
   };
   Result<std::shared_ptr<const CachedCategorization>> built =
-      have_result_bytes
-          ? CachedCategorization::Build(std::move(result), result_bytes,
-                                        build_tree)
-          : CachedCategorization::Build(std::move(result), build_tree);
+      pipelined ? CachedCategorization::Build(std::move(scan.result),
+                                              scan.result_bytes, build_tree)
+                : CachedCategorization::Build(std::move(scan.result),
+                                              build_tree);
   AUTOCAT_ASSIGN_OR_RETURN(auto payload, std::move(built));
   metrics_.RecordOperator(ServeOperator::kCategorize,
                           WallMs() - categorize_start);

@@ -70,12 +70,6 @@ struct ServiceOptions {
   /// and TTL tests. Null uses the steady clock. Also used by the cache
   /// and admission controller unless their own clocks are set.
   std::function<int64_t()> now_ms;
-  /// Cold requests run the push-based operator pipeline (DESIGN.md §14):
-  /// WHERE-kernel survivors flow morsel-by-morsel into the gather and
-  /// stats-accumulate sinks, and the categorizer reuses the accumulated
-  /// attribute index. Off = the pre-pipeline filter-then-materialize
-  /// path; both produce bit-identical responses.
-  bool use_pipeline = true;
   /// Coalesce concurrent cold requests with identical canonical
   /// signatures onto one execution (see serve/coalesce.h). Cache-bypass
   /// requests never coalesce.
@@ -166,9 +160,9 @@ class CategorizationService {
       AUTOCAT_EXCLUDES(state_mu_);
 
   /// One full serve attempt under a single fresh shared-lock section:
-  /// canonicalize, probe the cache, execute the cold path (pipelined or
-  /// legacy), and insert. `need_stats` asks the caller to build the
-  /// per-table WorkloadStats and retry.
+  /// canonicalize, probe the cache, execute the cold path, and insert.
+  /// `need_stats` asks the caller to build the per-table WorkloadStats
+  /// and retry.
   struct ColdAttempt {
     bool need_stats = false;
     ServeResponse response;

@@ -2,13 +2,14 @@
 //
 // The columnar kernels promise *refuse-or-exact* compilation: whatever
 // `ExecuteQuery` / `CompiledPredicate::Filter` produce must be
-// bit-identical to the row-at-a-time path — same cells (doubles compared
-// by bit pattern), same row order, same error Status — at every tested
-// thread count. These tests replay the checked-in SQL fuzz corpus, sweep
-// randomized queries over a deterministic table seeded with edge values
-// (NaN, -0.0, 2^53+1, INT64_MIN/MAX, NULLs), and pin the view-based
-// overloads (ColumnStats / partitioners / ranking / cost-based
-// categorizer) to their row-store twins.
+// bit-identical to the row-at-a-time oracle (equiv::ExecuteRows) — same
+// cells (doubles compared by bit pattern), same row order, same error
+// Status — at every tested thread count. These tests replay the
+// checked-in SQL fuzz corpus, sweep randomized queries over a
+// deterministic table seeded with edge values (NaN, -0.0, 2^53+1,
+// INT64_MIN/MAX, NULLs), and pin the partitioners and the cost-based
+// categorizer reading a columnar shadow through a view to the generic
+// per-Value walk over the materialized result.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +25,10 @@
 #include "common/random.h"
 #include "core/categorizer.h"
 #include "core/partition.h"
-#include "core/ranking.h"
 #include "exec/executor.h"
 #include "exec/kernels.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
-#include "storage/column_stats.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
 #include "workload/counts.h"
@@ -40,23 +39,20 @@
 namespace autocat {
 namespace {
 
-// Schema, table builder, bit-exact comparison, and the randomized
-// query generator live in the shared fixture (also used by the
-// legacy-vs-pipeline gate in pipeline_test.cc).
+// Schema, table builder, bit-exact comparison, the randomized query
+// generator, and the row oracle live in the shared fixture (also used by
+// the legacy-vs-pipeline gate in pipeline_test.cc).
 using namespace equiv;  // NOLINT
 
-// Runs `sql` through the row path and through the columnar path at the
-// given thread count; success results must be bit-identical tables and
-// failures must carry the same Status.
+// Runs `sql` through the row oracle and through ExecuteSql (columnar
+// first) at the given thread count; success results must be
+// bit-identical tables and failures must carry the same Status.
 void ExpectSqlEquivalent(const Database& db, const std::string& sql,
                          size_t threads) {
-  ExecOptions row_opts;
-  row_opts.use_columnar = false;
   ExecOptions col_opts;
-  col_opts.use_columnar = true;
   col_opts.parallel.threads = threads;
 
-  const Result<Table> row_result = ExecuteSql(sql, db, row_opts);
+  const Result<Table> row_result = ExecuteRowsSql(sql, db);
   const Result<Table> col_result = ExecuteSql(sql, db, col_opts);
   ASSERT_EQ(row_result.ok(), col_result.ok())
       << sql << " (threads=" << threads
@@ -196,7 +192,7 @@ TEST(ColumnarEquivalenceTest, EmptyTableAndAllNullColumn) {
 
 TEST(ColumnarEquivalenceTest, PutTableInvalidatesShadow) {
   Database db = HomesDb(MakeHomes(50, 11, 0.0, false));
-  ExecOptions opts;  // columnar on
+  const ExecOptions opts;
   const std::string sql = "SELECT * FROM homes WHERE bedroomcount >= 0";
   AUTOCAT_ASSERT_OK_AND_MOVE(Table before, ExecuteSql(sql, db, opts));
   EXPECT_EQ(before.num_rows(), 50u);
@@ -310,35 +306,6 @@ TEST(ColumnarEquivalenceTest, ViewMaterializeMatchesSelectRowsProject) {
   }
 }
 
-TEST(ColumnarEquivalenceTest, ColumnStatsViewVsMaterialized) {
-  for (const bool projected : {false, true}) {
-    const ViewFixture f(projected);
-    for (size_t c = 0; c < f.view.num_columns(); ++c) {
-      AUTOCAT_ASSERT_OK_AND_MOVE(ColumnStats from_view,
-                                 ColumnStats::Compute(f.view, c));
-      AUTOCAT_ASSERT_OK_AND_MOVE(ColumnStats from_table,
-                                 ColumnStats::Compute(f.materialized, c));
-      EXPECT_EQ(from_view.column_name, from_table.column_name);
-      EXPECT_EQ(from_view.row_count, from_table.row_count);
-      EXPECT_EQ(from_view.null_count, from_table.null_count);
-      ASSERT_EQ(from_view.value_counts.size(),
-                from_table.value_counts.size())
-          << from_view.column_name;
-      auto it_v = from_view.value_counts.begin();
-      auto it_t = from_table.value_counts.begin();
-      for (; it_t != from_table.value_counts.end(); ++it_v, ++it_t) {
-        EXPECT_TRUE(BitIdentical(it_v->first, it_t->first))
-            << from_view.column_name;
-        EXPECT_EQ(it_v->second, it_t->second) << from_view.column_name;
-      }
-      EXPECT_TRUE(BitIdentical(from_view.min, from_table.min))
-          << from_view.column_name;
-      EXPECT_TRUE(BitIdentical(from_view.max, from_table.max))
-          << from_view.column_name;
-    }
-  }
-}
-
 WorkloadStats FuzzStats() {
   const std::vector<std::string> sqls = {
       "SELECT * FROM homes WHERE price BETWEEN 100000 AND 200000",
@@ -396,6 +363,9 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
   for (const bool projected : {false, true}) {
     const ViewFixture f(projected);
     const std::string tag = projected ? " (projected)" : " (all columns)";
+    // The reference: no shadow attached, so every partitioner takes the
+    // generic per-Value walk over the materialized cells.
+    const TableView generic = TableView::All(f.materialized, nullptr);
 
     for (const std::string attr : {"neighborhood", "price"}) {
       const bool numeric = attr == "price";
@@ -403,7 +373,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
         NumericPartitionOptions options;
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_table,
-            PartitionNumeric(f.materialized, f.all_tuples, attr, stats,
+            PartitionNumeric(generic, f.all_tuples, attr, stats,
                              options, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
@@ -414,7 +384,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
 
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto ew_table,
-            PartitionNumericEquiWidth(f.materialized, f.all_tuples, attr,
+            PartitionNumericEquiWidth(generic, f.all_tuples, attr,
                                       25000, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto ew_view,
@@ -426,7 +396,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
       } else {
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_table,
-            PartitionCategorical(f.materialized, f.all_tuples, attr,
+            PartitionCategorical(generic, f.all_tuples, attr,
                                  stats));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
@@ -439,7 +409,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
         Random rng_view(7);
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto arb_table,
-            PartitionCategoricalArbitrary(f.materialized, f.all_tuples,
+            PartitionCategoricalArbitrary(generic, f.all_tuples,
                                           attr, &rng_table));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto arb_view,
@@ -450,28 +420,6 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                                       tag);
       }
     }
-  }
-}
-
-TEST(ColumnarEquivalenceTest, RankingViewVsTable) {
-  const WorkloadStats stats = FuzzStats();
-  const ViewFixture f(false);
-  const std::vector<std::string> attributes = {"neighborhood", "price",
-                                               "bedroomcount"};
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      std::vector<size_t> from_table,
-      RankTuples(f.materialized, f.all_tuples, attributes, stats));
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      std::vector<size_t> from_view,
-      RankTuples(f.view, f.all_tuples, attributes, stats));
-  EXPECT_EQ(from_table, from_view);
-  for (size_t r = 0; r < f.view.num_rows(); r += 13) {
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const double score_table,
-        TupleScore(f.materialized, r, attributes, stats));
-    AUTOCAT_ASSERT_OK_AND_MOVE(const double score_view,
-                               TupleScore(f.view, r, attributes, stats));
-    EXPECT_EQ(score_table, score_view) << "row " << r;
   }
 }
 
@@ -489,9 +437,11 @@ TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   auto profile = SelectionProfile::FromQuery(query.value(), FuzzSchema());
   ASSERT_TRUE(profile.ok());
 
+  // The reference reads the materialized cells with no shadow attached.
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const CategoryTree from_table,
-      categorizer.Categorize(f.materialized, &profile.value()));
+      categorizer.Categorize(TableView::All(f.materialized, nullptr),
+                             f.materialized, &profile.value()));
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const CategoryTree from_view,
       categorizer.Categorize(f.view, f.materialized, &profile.value()));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <utility>
+
 namespace autocat {
 namespace {
 
@@ -144,15 +147,43 @@ TEST_P(ValueCompareSymmetryTest, CompareIsAntisymmetric) {
   EXPECT_EQ(a.Compare(b), -b.Compare(a));
 }
 
+// gtest prints a pair<Value, Value> as raw object bytes, and ctest names
+// each case after that print. Keep here only pairs whose leading bytes are
+// fixed (a numeric first value); null and string first values expose
+// uninitialised storage or a heap address, so those pairs live in
+// LabeledValueCompareSymmetryTest below, which names each case explicitly.
 INSTANTIATE_TEST_SUITE_P(
     Pairs, ValueCompareSymmetryTest,
     ::testing::Values(std::make_pair(Value(1), Value(2)),
                       std::make_pair(Value(1), Value(1.0)),
-                      std::make_pair(Value("a"), Value("b")),
-                      std::make_pair(Value(), Value(3)),
                       std::make_pair(Value(3), Value("3")),
-                      std::make_pair(Value(), Value("x")),
                       std::make_pair(Value(-1.5), Value(-1))));
+
+struct LabeledValuePair {
+  const char* label;
+  Value a;
+  Value b;
+};
+
+// Makes the ctest case name the label instead of the object bytes.
+void PrintTo(const LabeledValuePair& pair, std::ostream* os) {
+  *os << pair.label;
+}
+
+class LabeledValueCompareSymmetryTest
+    : public ::testing::TestWithParam<LabeledValuePair> {};
+
+TEST_P(LabeledValueCompareSymmetryTest, CompareIsAntisymmetric) {
+  const LabeledValuePair& pair = GetParam();
+  EXPECT_EQ(pair.a.Compare(pair.b), -pair.b.Compare(pair.a));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, LabeledValueCompareSymmetryTest,
+    ::testing::Values(
+        LabeledValuePair{"StringVsString", Value("a"), Value("b")},
+        LabeledValuePair{"NullVsInt", Value(), Value(3)},
+        LabeledValuePair{"NullVsString", Value(), Value("x")}));
 
 }  // namespace
 }  // namespace autocat

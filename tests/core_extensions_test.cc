@@ -415,12 +415,13 @@ TEST(AutoBucketsTest, GoodnessFloorLimitsSplitPoints) {
                                   {"a", 6000, 1},
                                   {"a", 9000, 1}});
   std::vector<size_t> all = {0, 1, 2, 3, 4};
+  const TableView view = TableView::All(table, nullptr);
 
   NumericPartitionOptions with_floor;
   with_floor.auto_buckets = true;
   with_floor.goodness_fraction = 0.3;
   const auto narrow =
-      PartitionNumeric(table, all, "price", stats, with_floor, nullptr);
+      PartitionNumeric(view, all, "price", stats, with_floor, nullptr);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow->size(), 2u);  // single split at 5000
 
@@ -428,7 +429,7 @@ TEST(AutoBucketsTest, GoodnessFloorLimitsSplitPoints) {
   no_floor.auto_buckets = true;
   no_floor.goodness_fraction = 0.0;
   const auto wide =
-      PartitionNumeric(table, all, "price", stats, no_floor, nullptr);
+      PartitionNumeric(view, all, "price", stats, no_floor, nullptr);
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ(wide->size(), 3u);  // splits at 5000 and 2000
 }

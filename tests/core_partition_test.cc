@@ -15,6 +15,9 @@ namespace {
 using test::HomesTable;
 using test::StatsFromSql;
 
+// The partitioners read through a view; no shadow = the generic walk.
+TableView View(const Table& table) { return TableView::All(table, nullptr); }
+
 std::vector<size_t> AllRows(const Table& table) {
   std::vector<size_t> rows(table.num_rows());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -61,7 +64,7 @@ TEST(PartitionCategoricalTest, SingleValueCategoriesByOccurrence) {
   const Table table =
       HomesTable({{"a", 1, 1}, {"b", 2, 2}, {"b", 3, 3}, {"c", 4, 4}});
   const auto parts =
-      PartitionCategorical(table, AllRows(table), "neighborhood", stats);
+      PartitionCategorical(View(table), AllRows(table), "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   // occ(b)=3 > occ(a)=1 = occ(c)=1; value order breaks the a/c tie.
@@ -78,7 +81,7 @@ TEST(PartitionCategoricalTest, SubsetOfRows) {
   const Table table =
       HomesTable({{"a", 1, 1}, {"b", 2, 2}, {"a", 3, 3}, {"c", 4, 4}});
   const auto parts =
-      PartitionCategorical(table, {0, 1}, "neighborhood", stats);
+      PartitionCategorical(View(table), {0, 1}, "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 2u);
   ExpectDisjointCover(parts.value(), table, {0, 1}, "neighborhood");
@@ -89,7 +92,7 @@ TEST(PartitionCategoricalTest, UnknownAttributeErrors) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   EXPECT_FALSE(
-      PartitionCategorical(table, AllRows(table), "bogus", stats).ok());
+      PartitionCategorical(View(table), AllRows(table), "bogus", stats).ok());
 }
 
 TEST(PartitionCategoricalTest, EmptyInputYieldsNoCategories) {
@@ -97,7 +100,7 @@ TEST(PartitionCategoricalTest, EmptyInputYieldsNoCategories) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   const auto parts =
-      PartitionCategorical(table, {}, "neighborhood", stats);
+      PartitionCategorical(View(table), {}, "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   EXPECT_TRUE(parts->empty());
 }
@@ -122,8 +125,8 @@ TEST(PartitionNumericTest, PicksTopGoodnessSplitPoints) {
                                   {"a", 9500, 1}});
   NumericPartitionOptions options;
   options.num_buckets = 3;  // pick 2 split points: 5000 and 8000
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, nullptr);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_DOUBLE_EQ((*parts)[0].label.lo(), 1000);
@@ -153,8 +156,8 @@ TEST(PartitionNumericTest, SkipsUnnecessarySplitPoints) {
   NumericPartitionOptions options;
   options.num_buckets = 2;
   options.min_bucket_tuples = 2;
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, nullptr);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 2u);
   // 5000 was skipped (its upper bucket [5000, 9000] would hold a single
@@ -174,8 +177,8 @@ TEST(PartitionNumericTest, QueryRangeSuppliesBounds) {
   query_range.hi = 10000;
   NumericPartitionOptions options;
   options.num_buckets = 3;
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, &query_range);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, &query_range);
   ASSERT_TRUE(parts.ok());
   ASSERT_FALSE(parts->empty());
   // Buckets span the query range, not just the data range.
@@ -190,8 +193,8 @@ TEST(PartitionNumericTest, NoSplitPointsYieldsSingleBucket) {
   });
   const Table table = HomesTable({{"a", 1000, 1}, {"a", 2000, 1}});
   NumericPartitionOptions options;
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, nullptr);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ(parts->front().tuples.size(), 2u);
@@ -203,8 +206,8 @@ TEST(PartitionNumericTest, SingleValueDomain) {
   });
   const Table table = HomesTable({{"a", 1500, 1}, {"b", 1500, 2}});
   NumericPartitionOptions options;
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, nullptr);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ(parts->front().tuples.size(), 2u);
@@ -228,8 +231,8 @@ TEST(PartitionNumericTest, DerivesBucketCountFromM) {
   NumericPartitionOptions options;
   options.max_tuples_per_category = 10;
   options.max_buckets = 6;
-  const auto parts = PartitionNumeric(table, AllRows(table), "price", stats,
-                                      options, nullptr);
+  const auto parts = PartitionNumeric(
+      View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 6u);  // capped at max_buckets
   ExpectDisjointCover(parts.value(), table, AllRows(table), "price");
@@ -240,7 +243,7 @@ TEST(PartitionNumericTest, CategoricalAttributeErrors) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   NumericPartitionOptions options;
-  EXPECT_FALSE(PartitionNumeric(table, AllRows(table), "neighborhood",
+  EXPECT_FALSE(PartitionNumeric(View(table), AllRows(table), "neighborhood",
                                 stats, options, nullptr)
                    .ok());
 }
@@ -253,7 +256,7 @@ TEST(PartitionArbitraryTest, ValueOrderWithoutRng) {
   const Table table =
       HomesTable({{"c", 1, 1}, {"a", 2, 2}, {"b", 3, 3}});
   const auto parts = PartitionCategoricalArbitrary(
-      table, AllRows(table), "neighborhood", nullptr);
+      View(table), AllRows(table), "neighborhood", nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_EQ((*parts)[0].label.values()[0], Value("a"));
@@ -266,7 +269,7 @@ TEST(PartitionArbitraryTest, ShuffledWithRngButStillAPartition) {
       {{"c", 1, 1}, {"a", 2, 2}, {"b", 3, 3}, {"a", 4, 4}, {"d", 5, 5}});
   Random rng(99);
   const auto parts = PartitionCategoricalArbitrary(
-      table, AllRows(table), "neighborhood", &rng);
+      View(table), AllRows(table), "neighborhood", &rng);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 4u);
   ExpectDisjointCover(parts.value(), table, AllRows(table), "neighborhood");
@@ -277,7 +280,7 @@ TEST(PartitionEquiWidthTest, BucketsAlignedToWidthMultiples) {
                                   {"a", 230000, 1},
                                   {"a", 260000, 1},
                                   {"a", 299000, 1}});
-  const auto parts = PartitionNumericEquiWidth(table, AllRows(table),
+  const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
                                                "price", 25000, nullptr);
   ASSERT_TRUE(parts.ok());
   // Aligned buckets: [200K,225K) {210K}, [225K,250K) {230K},
@@ -290,7 +293,7 @@ TEST(PartitionEquiWidthTest, BucketsAlignedToWidthMultiples) {
 
 TEST(PartitionEquiWidthTest, EmptyBucketsRemoved) {
   const Table table = HomesTable({{"a", 0, 1}, {"a", 100000, 1}});
-  const auto parts = PartitionNumericEquiWidth(table, AllRows(table),
+  const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
                                                "price", 10000, nullptr);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 2u);  // the 9 empty middles are dropped
@@ -298,10 +301,10 @@ TEST(PartitionEquiWidthTest, EmptyBucketsRemoved) {
 
 TEST(PartitionEquiWidthTest, InvalidWidthErrors) {
   const Table table = HomesTable({{"a", 1, 1}});
-  EXPECT_FALSE(
-      PartitionNumericEquiWidth(table, AllRows(table), "price", 0, nullptr)
-          .ok());
-  EXPECT_FALSE(PartitionNumericEquiWidth(table, AllRows(table), "price",
+  EXPECT_FALSE(PartitionNumericEquiWidth(View(table), AllRows(table), "price",
+                                         0, nullptr)
+                   .ok());
+  EXPECT_FALSE(PartitionNumericEquiWidth(View(table), AllRows(table), "price",
                                          -10, nullptr)
                    .ok());
 }
@@ -330,7 +333,7 @@ TEST_P(NumericPartitionPropertyTest, DisjointCoverAscending) {
   NumericPartitionOptions options;
   options.max_tuples_per_category =
       static_cast<size_t>(rng.Uniform(5, 30));
-  const auto cost_based = PartitionNumeric(table, AllRows(table), "price",
+  const auto cost_based = PartitionNumeric(View(table), AllRows(table), "price",
                                            stats, options, nullptr);
   ASSERT_TRUE(cost_based.ok());
   ExpectDisjointCover(cost_based.value(), table, AllRows(table), "price");
@@ -338,7 +341,7 @@ TEST_P(NumericPartitionPropertyTest, DisjointCoverAscending) {
     EXPECT_LE((*cost_based)[i - 1].label.hi(), (*cost_based)[i].label.lo());
   }
 
-  const auto equi = PartitionNumericEquiWidth(table, AllRows(table),
+  const auto equi = PartitionNumericEquiWidth(View(table), AllRows(table),
                                               "price", 2500, nullptr);
   ASSERT_TRUE(equi.ok());
   ExpectDisjointCover(equi.value(), table, AllRows(table), "price");

@@ -1,10 +1,11 @@
 #ifndef AUTOCAT_TESTS_EQUIVALENCE_FIXTURE_H_
 #define AUTOCAT_TESTS_EQUIVALENCE_FIXTURE_H_
 
-// Shared fixture for the equivalence gates (row-vs-columnar and
-// legacy-vs-pipeline): the SQL fuzz harness's homes schema, a
-// deterministic table seeded with hostile edge values, bit-exact
-// value/table comparison, and the randomized query generator. Everything
+// Shared fixture for the equivalence gates: the SQL fuzz harness's homes
+// schema, a deterministic table seeded with hostile edge values, bit-exact
+// value/table comparison, the randomized query generator, and the row
+// oracles the compiled paths are compared against — `ExecuteRows` for
+// query execution and `ServeRows` for a served categorization. Everything
 // is inline so each test binary keeps internal copies.
 
 #include <gtest/gtest.h>
@@ -12,11 +13,20 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
+#include "core/categorizer.h"
+#include "exec/executor.h"
+#include "serve/cache.h"
+#include "serve/service.h"
+#include "serve/signature.h"
+#include "sql/parser.h"
 #include "storage/table.h"
+#include "workload/counts.h"
 
 // ASSERT that `rexpr` (a Result) is ok and move its value into `decl`.
 // Usable only where ASSERT_* is (void-returning test bodies).
@@ -169,6 +179,85 @@ inline void ExpectTablesBitIdentical(const Table& row_result,
           << col_result.ValueAt(r, c).ToString();
     }
   }
+}
+
+// The row-at-a-time reference executor: FilterTable -> SelectRows ->
+// Project, the same steps ExecuteQuery falls back to when the kernels
+// refuse a WHERE clause.
+inline Result<Table> ExecuteRows(const SelectQuery& query,
+                                 const Database& db) {
+  AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
+                           db.GetTable(query.table_name));
+  AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
+                           FilterTable(*table, query.where.get()));
+  AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
+  if (query.select_all()) {
+    return selected;
+  }
+  return selected.Project(query.columns);
+}
+
+inline Result<Table> ExecuteRowsSql(std::string_view sql,
+                                    const Database& db) {
+  AUTOCAT_ASSIGN_OR_RETURN(const SelectQuery query, ParseQuery(sql));
+  return ExecuteRows(query, db);
+}
+
+// What the serve oracle answers: the payload and its canonical key.
+struct OracleResponse {
+  std::shared_ptr<const CachedCategorization> payload;
+  std::string signature;
+};
+
+// The serve-path reference: one cold request through the row chain —
+// CanonicalizeQuery -> MatchesRow -> SelectRows -> Project ->
+// CostBasedCategorizer::Categorize(Table) -> CachedCategorization::Build —
+// with a service's effective `options` (see CategorizationService::
+// options()) and the service's `workload`. A served response must match
+// it bit for bit.
+inline Result<OracleResponse> ServeRows(std::string_view sql,
+                                        const Table& table,
+                                        const Workload& workload,
+                                        const ServiceOptions& options) {
+  AUTOCAT_ASSIGN_OR_RETURN(const SelectQuery query, ParseQuery(sql));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      CanonicalQuery canonical,
+      CanonicalizeQuery(query, table.schema(), options.signature));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const WorkloadStats stats,
+      WorkloadStats::Build(workload, table.schema(), options.stats));
+  const Schema& schema = table.schema();
+  const std::vector<size_t> indices =
+      table.FilterIndices([&](const Row& row) {
+        return canonical.profile.MatchesRow(row, schema);
+      });
+  AUTOCAT_ASSIGN_OR_RETURN(Table result, table.SelectRows(indices));
+  if (!canonical.columns.empty()) {
+    AUTOCAT_ASSIGN_OR_RETURN(result, result.Project(canonical.columns));
+  }
+  const CostBasedCategorizer categorizer(&stats, options.categorizer);
+  AUTOCAT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CachedCategorization> payload,
+      CachedCategorization::Build(
+          std::move(result), [&](const Table& owned) {
+            return categorizer.Categorize(owned, &canonical.profile);
+          }));
+  return OracleResponse{std::move(payload), std::move(canonical.key)};
+}
+
+// A served payload against the oracle's: the result table bit for bit,
+// the rendered tree, the signature, and the cache byte accounting.
+inline void ExpectServedMatchesOracle(const ServeResponse& served,
+                                      const OracleResponse& oracle,
+                                      const std::string& context) {
+  EXPECT_EQ(served.signature, oracle.signature) << context;
+  ExpectTablesBitIdentical(oracle.payload->result(),
+                           served.payload->result(), context);
+  EXPECT_EQ(served.payload->tree().Render(1000, 0),
+            oracle.payload->tree().Render(1000, 0))
+      << context;
+  EXPECT_EQ(served.payload->approx_bytes(), oracle.payload->approx_bytes())
+      << context;
 }
 
 inline std::string RandomLiteral(Random& rng, size_t col) {

@@ -2,8 +2,9 @@
 // registry unit tests for the epoch-versioned flight slot, a
 // burst-of-identical-requests stress run driven through the service's
 // on_cold_execute hook (run under TSan in CI's serve leg), the
-// PutTable-races-a-flight regression, and the serve-level
-// pipeline-vs-legacy bit-identical-responses gate.
+// PutTable-races-a-flight regression, and the serve-level gates that pin
+// cold responses — pipelined and row-selection-sourced — to the row
+// oracle bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -343,15 +344,14 @@ TEST(ServiceCoalescingTest, BypassCacheNeverCoalesces) {
   EXPECT_EQ(snapshot.coalesced_hits - before.coalesced_hits, 0u);
 }
 
-// ------------------------------------- pipeline-vs-legacy serve responses
+// ------------------------------------------- served responses vs oracle
 
+// Replays each request through the legacy row chain (equiv::ServeRows)
+// and requires the pipelined response to match it bit for bit.
 TEST(ServiceCoalescingTest, PipelineAndLegacyServeBitIdenticalResponses) {
-  ServiceOptions pipelined;
-  pipelined.use_pipeline = true;
-  ServiceOptions legacy;
-  legacy.use_pipeline = false;
-  auto a = MakeService(std::move(pipelined), /*rows=*/150);
-  auto b = MakeService(std::move(legacy), /*rows=*/150);
+  auto service = MakeService(ServiceOptions(), /*rows=*/150);
+  const Table table = HomesTable(150);
+  const Workload workload = HomesWorkload();
 
   const std::vector<std::string> sqls = {
       "SELECT * FROM Homes WHERE neighborhood = 'Redmond'",
@@ -363,26 +363,69 @@ TEST(ServiceCoalescingTest, PipelineAndLegacyServeBitIdenticalResponses) {
   for (const std::string& sql : sqls) {
     ServeRequest request;
     request.sql = sql;
-    auto pa = a->Handle(request);
-    auto pb = b->Handle(request);
-    ASSERT_TRUE(pa.ok()) << sql << ": " << pa.status().ToString();
-    ASSERT_TRUE(pb.ok()) << sql << ": " << pb.status().ToString();
-    EXPECT_EQ(pa->signature, pb->signature) << sql;
-    equiv::ExpectTablesBitIdentical(pb->payload->result(),
-                                    pa->payload->result(), sql);
-    EXPECT_EQ(pa->payload->tree().Render(1000, 0),
-              pb->payload->tree().Render(1000, 0))
-        << sql;
-    // The sink's incremental byte accounting must agree with the scan
-    // the legacy path runs over the finished table.
-    EXPECT_EQ(pa->payload->approx_bytes(), pb->payload->approx_bytes())
-        << sql;
+    auto served = service->Handle(request);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status().ToString();
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const equiv::OracleResponse oracle,
+        equiv::ServeRows(sql, table, workload, service->options()));
+    equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
   }
-  const ServiceMetricsSnapshot sa = a->SnapshotMetrics();
-  const ServiceMetricsSnapshot sb = b->SnapshotMetrics();
-  EXPECT_GT(sa.pipeline_requests, 0u);
-  EXPECT_GT(sa.pipeline_morsels, 0u);
-  EXPECT_EQ(sb.pipeline_requests, 0u);
+  const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
+  EXPECT_EQ(snapshot.pipeline_requests, sqls.size());
+  EXPECT_GT(snapshot.pipeline_morsels, 0u);
+}
+
+// An int64 cell in the string column `neighborhood` makes that column
+// irregular in the columnar shadow, so the kernels refuse any profile
+// constraining it and the row predicate becomes the selection source.
+TEST(ServiceCoalescingTest, KernelRefusalServesFromRowSelectionSource) {
+  std::vector<Row> rows;
+  const Table regular = HomesTable(150);
+  for (size_t r = 0; r < regular.num_rows(); ++r) {
+    rows.push_back(regular.row(r));
+  }
+  rows[5][0] = Value(int64_t{7});
+  rows[9][0] = Value(int64_t{7});
+  const Table table = Table::FromValidatedRows(HomesSchema(), std::move(rows));
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("Homes", Table(table)).ok());
+  ServiceOptions options;
+  options.stats.split_intervals["price"] = 5000;
+  CategorizationService service(std::move(db), HomesWorkload(),
+                                std::move(options));
+  const Workload workload = HomesWorkload();
+
+  const std::vector<std::string> refused = {
+      "SELECT * FROM Homes WHERE neighborhood = 'Redmond'",
+      "SELECT neighborhood, price FROM Homes WHERE neighborhood IN "
+      "('Redmond', 'Bellevue') AND price <= 300000",
+  };
+  for (const std::string& sql : refused) {
+    ServeRequest request;
+    request.sql = sql;
+    auto served = service.Handle(request);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status().ToString();
+    EXPECT_GT(served->payload->result_rows(), 0u) << sql;
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const equiv::OracleResponse oracle,
+        equiv::ServeRows(sql, table, workload, service.options()));
+    equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
+  }
+  EXPECT_EQ(service.SnapshotMetrics().pipeline_requests, 0u);
+
+  // A profile on regular columns still compiles; its result carries the
+  // irregular neighborhood cells into the categorizer.
+  const std::string sql =
+      "SELECT * FROM Homes WHERE price BETWEEN 150000 AND 250000";
+  ServeRequest request;
+  request.sql = sql;
+  auto served = service.Handle(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const equiv::OracleResponse oracle,
+      equiv::ServeRows(sql, table, workload, service.options()));
+  equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
+  EXPECT_EQ(service.SnapshotMetrics().pipeline_requests, 1u);
 }
 
 }  // namespace

@@ -237,7 +237,6 @@ TEST(SimdKernelTest, ForceScalarDisablesKernels) {
 void ExpectSimdScalarIdentical(const Database& db, const std::string& sql,
                                size_t threads) {
   ExecOptions opts;
-  opts.use_columnar = true;
   opts.parallel.threads = threads;
   const Result<Table> simd_result = ExecuteSql(sql, db, opts);
   ScalarForceGuard guard(true);

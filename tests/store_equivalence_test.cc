@@ -26,6 +26,8 @@
 #include "store/writer.h"
 #include "workload/workload.h"
 
+#include "equivalence_fixture.h"
+
 namespace autocat {
 namespace {
 
@@ -184,19 +186,16 @@ class StoreEquivalenceFixture {
     fs::remove(store_path_, ec);
   }
 
-  // Runs `sql` through four paths — memory/store x row-interpreter/
-  // columnar kernels — and requires one shared outcome.
+  // Runs `sql` through four paths — memory/store x row oracle/
+  // ExecuteSql (columnar kernels first) — and requires one shared outcome.
   void ExpectEquivalent(const std::string& sql, size_t threads) const {
-    ExecOptions row_opts;
-    row_opts.use_columnar = false;
     ExecOptions col_opts;
-    col_opts.use_columnar = true;
     col_opts.parallel.threads = threads;
 
-    const Result<Table> baseline = ExecuteSql(sql, mem_db_, row_opts);
+    const Result<Table> baseline = equiv::ExecuteRowsSql(sql, mem_db_);
     const Result<Table> candidates[] = {
         ExecuteSql(sql, mem_db_, col_opts),
-        ExecuteSql(sql, store_db_, row_opts),
+        equiv::ExecuteRowsSql(sql, store_db_),
         ExecuteSql(sql, store_db_, col_opts),
     };
     const char* const names[] = {"mem-columnar", "store-row",

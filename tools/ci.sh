@@ -22,10 +22,11 @@
 #            concurrency work
 #   --pipeline
 #            run the push-based cold-path pipeline and request-coalescing
-#            suites (legacy-vs-pipeline equivalence at several thread
-#            counts, the morsel scheduler's determinism, the coalescing
-#            registry, and the service burst tests) in Release and under
-#            ASan and TSan, plus bench_pipeline at --smoke sizes — the
+#            suites (pipeline-vs-row-reference equivalence at several
+#            thread counts, served responses against the row oracle, the
+#            morsel scheduler's determinism, the coalescing registry, and
+#            the service burst tests) in Release and under ASan and TSan,
+#            plus bench_pipeline (cold ms/op) at --smoke sizes — the
 #            targeted gate for operator/scheduler/coalescing work. The
 #            TSan pass of this leg also runs in the default matrix.
 #   --bench-smoke
@@ -109,10 +110,11 @@ serve_leg() {
     -R "$SERVE_FILTER")
 }
 
-# The pipeline/coalescing gate: the push-based cold path's
-# legacy-vs-pipeline equivalence suite (bit-identical results and
-# attribute indexes at thread counts 1/2/7/16), the coalescing registry
-# units, and the service-level burst/epoch-invalidation tests.
+# The pipeline/coalescing gate: the push-based cold path's equivalence
+# suite against the Filter -> Materialize -> rescan reference
+# (bit-identical results and attribute indexes at thread counts
+# 1/2/7/16), the coalescing registry units, and the service-level
+# oracle, refusal-source, and burst/epoch-invalidation tests.
 PIPELINE_FILTER='^(PipelineEquivalenceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
 
 pipeline_leg() {
