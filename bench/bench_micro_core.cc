@@ -10,7 +10,8 @@
 #include "core/cost_model.h"
 #include "core/partition.h"
 #include "core/probability.h"
-#include "exec/index_scan.h"
+#include "exec/kernels.h"
+#include "storage/columnar.h"
 #include "workload/counts.h"
 
 namespace {
@@ -23,6 +24,7 @@ struct MicroFixture {
   std::unique_ptr<WorkloadStats> stats;
   Table result;  // a large region-broadened result set
   SelectionProfile query;
+  std::shared_ptr<const ColumnarTable> shadow;  // of env->homes()
 
   static MicroFixture& Get() {
     static MicroFixture* fixture = [] {
@@ -46,6 +48,8 @@ struct MicroFixture {
       auto result = f->env->ExecuteProfile(f->query);
       AUTOCAT_CHECK(result.ok());
       f->result = std::move(result).value();
+      f->shadow = std::make_shared<const ColumnarTable>(
+          ColumnarTable::Build(f->env->homes()));
       return f;
     }();
     return *fixture;
@@ -155,18 +159,20 @@ void BM_SelectFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectFullScan)->Unit(benchmark::kMillisecond);
 
-void BM_SelectIndexed(benchmark::State& state) {
+void BM_SelectCompiled(benchmark::State& state) {
   MicroFixture& fixture = MicroFixture::Get();
   const Table& homes = fixture.env->homes();
-  auto indexed = IndexedTable::Build(&homes, {"neighborhood", "price"});
-  AUTOCAT_CHECK(indexed.ok());
   for (auto _ : state) {
-    const auto rows = indexed->Select(fixture.query);
-    benchmark::DoNotOptimize(rows.size());
+    auto compiled = CompiledPredicate::CompileProfile(
+        fixture.query, homes.schema(), fixture.shadow);
+    AUTOCAT_CHECK(compiled.ok());
+    const auto rows = compiled->Filter({.threads = 1});
+    AUTOCAT_CHECK(rows.ok());
+    benchmark::DoNotOptimize(rows->size());
   }
   state.counters["table_rows"] = static_cast<double>(homes.num_rows());
 }
-BENCHMARK(BM_SelectIndexed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelectCompiled)->Unit(benchmark::kMillisecond);
 
 void BM_CategorizeBySize(benchmark::State& state) {
   MicroFixture& fixture = MicroFixture::Get();

@@ -132,7 +132,7 @@ Result<ServeResponse> CategorizationService::HandleAdmitted(
   metrics_.RecordOperator(ServeOperator::kParse, WallMs() - parse_start);
   const std::string table_key = ToLower(query.table_name);
 
-  bool allow_follow = options_.coalesce_inflight && !request.bypass_cache;
+  bool allow_follow = !request.bypass_cache;
   // Up to four passes: a pass may be spent building missing per-table
   // WorkloadStats, another following a flight that fails or races a
   // PutTable (retried solo), with slack for one more stats rebuild after
@@ -146,36 +146,38 @@ Result<ServeResponse> CategorizationService::HandleAdmitted(
     SelectionProfile probe_profile;
     bool need_stats = false;
     if (allow_follow) {
-      // Probe pass: resolve the canonical signature and the cache under
-      // the shared lock, then take or join the coalescing slot for the
-      // cold execution. The slot is keyed on the epoch observed in this
-      // same section (serve/coalesce.h explains why).
+      // Probe pass, the request's only cache probe: resolve the canonical
+      // signature and the cache under the shared lock, then take or join
+      // the coalescing slot for the cold execution. The slot is keyed on
+      // the epoch observed in this same section (serve/coalesce.h
+      // explains why). Missing stats send the request back before the
+      // probe, so a stats-building pass counts no cache miss.
       ReaderLock lock(state_mu_);
       AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
                                db_.GetTable(table_key));
-      AUTOCAT_ASSIGN_OR_RETURN(
-          CanonicalQuery canonical,
-          CanonicalizeQuery(query, table->schema(), signature_));
-      if (auto payload = cache_.Get(canonical.key, canonical.hash)) {
-        *outcome = ServeOutcome::kHit;
-        traffic_.Record(true, canonical.profile);
-        ServeResponse response;
-        response.payload = std::move(payload);
-        response.cache_hit = true;
-        response.signature = std::move(canonical.key);
-        return response;
-      }
-      if (deadline.ExpiredAt(NowMs())) {
-        *outcome = ServeOutcome::kDeadlineExceeded;
-        return Status::DeadlineExceeded(
-            "deadline passed before query execution");
-      }
       // as_const: the const overload of find() — under a shared (reader)
       // lock the analysis only permits const access to guarded members.
       if (std::as_const(stats_by_table_).find(table_key) ==
           stats_by_table_.cend()) {
         need_stats = true;
       } else {
+        AUTOCAT_ASSIGN_OR_RETURN(
+            CanonicalQuery canonical,
+            CanonicalizeQuery(query, table->schema(), signature_));
+        if (auto payload = cache_.Get(canonical.key, canonical.hash)) {
+          *outcome = ServeOutcome::kHit;
+          traffic_.Record(true, canonical.profile);
+          ServeResponse response;
+          response.payload = std::move(payload);
+          response.cache_hit = true;
+          response.signature = std::move(canonical.key);
+          return response;
+        }
+        if (deadline.ExpiredAt(NowMs())) {
+          *outcome = ServeOutcome::kDeadlineExceeded;
+          return Status::DeadlineExceeded(
+              "deadline passed before query execution");
+        }
         ticket = coalescing_.JoinOrLead(canonical.key, cache_.epoch());
         probe_key = std::move(canonical.key);
         probe_profile = canonical.profile;
@@ -257,20 +259,6 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   AUTOCAT_ASSIGN_OR_RETURN(
       CanonicalQuery canonical,
       CanonicalizeQuery(query, table->schema(), signature_));
-
-  if (!request.bypass_cache) {
-    if (auto payload = cache_.Get(canonical.key, canonical.hash)) {
-      *outcome = ServeOutcome::kHit;
-      traffic_.Record(true, canonical.profile);
-      served.response.payload = payload;
-      served.response.cache_hit = true;
-      served.response.signature = canonical.key;
-      served.payload = std::move(payload);
-      served.epoch = cache_.epoch();
-      served.key = std::move(canonical.key);
-      return served;
-    }
-  }
 
   if (deadline.ExpiredAt(NowMs())) {
     *outcome = ServeOutcome::kDeadlineExceeded;

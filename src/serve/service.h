@@ -70,10 +70,6 @@ struct ServiceOptions {
   /// and TTL tests. Null uses the steady clock. Also used by the cache
   /// and admission controller unless their own clocks are set.
   std::function<int64_t()> now_ms;
-  /// Coalesce concurrent cold requests with identical canonical
-  /// signatures onto one execution (see serve/coalesce.h). Cache-bypass
-  /// requests never coalesce.
-  bool coalesce_inflight = true;
   /// Test hook: called with the canonical key right before a leader/solo
   /// cold execution starts, with no service locks held — a test can
   /// interleave PutTable here to exercise the epoch-versioned coalescing
@@ -159,8 +155,9 @@ class CategorizationService {
                                        ServeOutcome* outcome)
       AUTOCAT_EXCLUDES(state_mu_);
 
-  /// One full serve attempt under a single fresh shared-lock section:
-  /// canonicalize, probe the cache, execute the cold path, and insert.
+  /// One cold execution under a single fresh shared-lock section:
+  /// canonicalize, execute the cold path, and insert. The cache was
+  /// already probed by HandleAdmitted's probe pass (or is bypassed).
   /// `need_stats` asks the caller to build the per-table WorkloadStats
   /// and retry.
   struct ColdAttempt {

@@ -7,6 +7,7 @@
 #include "common/statistics.h"
 #include "core/cost_model.h"
 #include "core/probability.h"
+#include "exec/kernels.h"
 #include "explore/metrics.h"
 
 namespace autocat {
@@ -29,12 +30,13 @@ StudyConfig DefaultStudyConfig() {
 }
 
 StudyEnvironment::StudyEnvironment(StudyConfig config, Geography geo,
-                                   std::unique_ptr<Table> homes,
-                                   IndexedTable indexed, Workload workload)
+                                   Table homes,
+                                   std::shared_ptr<const ColumnarTable> shadow,
+                                   Workload workload)
     : config_(std::move(config)),
       geo_(std::move(geo)),
       homes_(std::move(homes)),
-      indexed_(std::move(indexed)),
+      shadow_(std::move(shadow)),
       workload_(std::move(workload)) {}
 
 Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
@@ -44,16 +46,9 @@ Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
   homes_config.seed = config.seed * 2 + 1;
   homes_config.parallel = config.parallel;
   HomesGenerator homes_generator(&geo, homes_config);
-  AUTOCAT_ASSIGN_OR_RETURN(Table generated, homes_generator.Generate());
-  auto homes = std::make_unique<Table>(std::move(generated));
-
-  // Index the attributes queries actually filter on.
-  AUTOCAT_ASSIGN_OR_RETURN(
-      IndexedTable indexed,
-      IndexedTable::Build(homes.get(),
-                          {"neighborhood", "price", "bedroomcount",
-                           "bathcount", "propertytype", "squarefootage",
-                           "yearbuilt"}));
+  AUTOCAT_ASSIGN_OR_RETURN(Table homes, homes_generator.Generate());
+  auto shadow =
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(homes));
 
   WorkloadGeneratorConfig workload_config;
   workload_config.num_queries = config.num_workload_queries;
@@ -62,15 +57,35 @@ Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
   WorkloadGenerator workload_generator(&geo, workload_config);
   AUTOCAT_ASSIGN_OR_RETURN(
       Workload workload,
-      workload_generator.Generate(homes->schema(), nullptr));
+      workload_generator.Generate(homes.schema(), nullptr));
 
   return StudyEnvironment(config, std::move(geo), std::move(homes),
-                          std::move(indexed), std::move(workload));
+                          std::move(shadow), std::move(workload));
 }
 
 Result<Table> StudyEnvironment::ExecuteProfile(
     const SelectionProfile& profile) const {
-  return homes_->SelectRows(indexed_.Select(profile));
+  // Same selection as the cold serve path: compiled kernels, with the
+  // row predicate as the source when compilation refuses.
+  std::vector<uint32_t> rows;
+  Result<CompiledPredicate> compiled =
+      CompiledPredicate::CompileProfile(profile, homes_.schema(), shadow_);
+  if (compiled.ok()) {
+    AUTOCAT_ASSIGN_OR_RETURN(rows, compiled->Filter({.threads = 1}));
+  } else if (compiled.status().code() == StatusCode::kNotSupported) {
+    const Schema& schema = homes_.schema();
+    for (const size_t row : homes_.FilterIndices([&](const Row& r) {
+           return profile.MatchesRow(r, schema);
+         })) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+  } else {
+    return compiled.status();
+  }
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(homes_, shadow_, std::move(rows), {}));
+  return view.Materialize();
 }
 
 Result<SelectionProfile> BroadenToRegion(const SelectionProfile& w,

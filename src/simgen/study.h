@@ -8,12 +8,14 @@
 
 #include "common/result.h"
 #include "core/categorizer.h"
-#include "exec/index_scan.h"
 #include "explore/exploration.h"
 #include "simgen/geo.h"
 #include "simgen/homes_generator.h"
 #include "simgen/user_simulator.h"
 #include "simgen/workload_generator.h"
+#include "sql/selection.h"
+#include "storage/columnar.h"
+#include "storage/table.h"
 #include "workload/counts.h"
 #include "workload/workload.h"
 
@@ -55,25 +57,28 @@ class StudyEnvironment {
 
   const StudyConfig& config() const { return config_; }
   const Geography& geo() const { return geo_; }
-  const Schema& schema() const { return homes_->schema(); }
-  const Table& homes() const { return *homes_; }
+  const Schema& schema() const { return homes_.schema(); }
+  const Table& homes() const { return homes_; }
   const Workload& workload() const { return workload_; }
 
-  /// Rows of `homes` matching `profile`, as a new table. Served by
-  /// secondary indexes on the searchable attributes (exec/index_scan.h).
+  /// Rows of `homes` matching `profile` (`MatchesRow` semantics), as a
+  /// new table in ascending row order. Selected by the compiled kernels
+  /// over the homes table's columnar shadow (exec/kernels.h); a profile
+  /// the kernels refuse (kNotSupported) falls back to a `MatchesRow`
+  /// scan, which selects the same rows.
   Result<Table> ExecuteProfile(const SelectionProfile& profile) const;
 
  private:
-  StudyEnvironment(StudyConfig config, Geography geo,
-                   std::unique_ptr<Table> homes, IndexedTable indexed,
+  StudyEnvironment(StudyConfig config, Geography geo, Table homes,
+                   std::shared_ptr<const ColumnarTable> shadow,
                    Workload workload);
 
   StudyConfig config_;
   Geography geo_;
-  // Heap-allocated so the IndexedTable's pointer survives moves of the
-  // environment.
-  std::unique_ptr<Table> homes_;
-  IndexedTable indexed_;
+  Table homes_;
+  // Built once from `homes_`; shared (not pointing into it), so moves of
+  // the environment leave it valid.
+  std::shared_ptr<const ColumnarTable> shadow_;
   Workload workload_;
 };
 

@@ -98,6 +98,23 @@ TEST(ServiceTest, MissThenHitSharesOnePayload) {
             1u);
 }
 
+TEST(ServiceTest, OneCacheProbePerRequest) {
+  // The first request builds the table's stats and then runs cold; only
+  // its probe pass may consult the cache. So one request pair reads as
+  // exactly one miss and one hit.
+  auto service = MakeService();
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  ASSERT_TRUE(service->Handle(request).ok());
+  auto hit = service->Handle(request);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+
+  const CacheStats stats = service->SnapshotMetrics().cache;
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
 TEST(ServiceTest, EquivalentSqlFormsHitTheSameEntry) {
   auto service = MakeService();
   ServeRequest a;

@@ -1,8 +1,7 @@
-// Tests for the storage substrate: Schema, Table, column stats, CSV.
+// Tests for the storage substrate: Schema, Table, CSV.
 
 #include <gtest/gtest.h>
 
-#include "storage/column_stats.h"
 #include "storage/csv.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -173,66 +172,6 @@ TEST(TableTest, ToStringTruncates) {
   const std::string rendered = table.ToString(2);
   EXPECT_NE(rendered.find("2 more rows"), std::string::npos);
   EXPECT_NE(rendered.find("price"), std::string::npos);
-}
-
-// ------------------------------------------------------------ column stats
-
-TEST(ColumnStatsTest, ComputesCountsAndBounds) {
-  const Table table = TestTable();
-  const auto stats = ColumnStats::Compute(table, 0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->row_count, 4u);
-  EXPECT_EQ(stats->null_count, 0u);
-  EXPECT_EQ(stats->num_distinct(), 3u);
-  EXPECT_EQ(stats->value_counts.at(Value("a")), 2u);
-  EXPECT_EQ(stats->min, Value("a"));
-  EXPECT_EQ(stats->max, Value("c"));
-}
-
-TEST(ColumnStatsTest, CountsNulls) {
-  const Table table = TestTable();
-  const auto stats = ColumnStats::Compute(table, 2);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->null_count, 1u);
-  EXPECT_EQ(stats->non_null_count(), 3u);
-}
-
-TEST(ColumnStatsTest, OutOfRangeColumn) {
-  EXPECT_FALSE(ColumnStats::Compute(TestTable(), 7).ok());
-}
-
-TEST(HistogramTest, EquiWidthCoversAllValues) {
-  const Table table = TestTable();
-  const auto buckets = EquiWidthHistogram(table, 1, 4);
-  ASSERT_TRUE(buckets.ok());
-  EXPECT_EQ(buckets->size(), 4u);
-  size_t total = 0;
-  for (const HistogramBucket& bucket : buckets.value()) {
-    total += bucket.count;
-  }
-  EXPECT_EQ(total, 4u);
-  EXPECT_DOUBLE_EQ(buckets->front().lo, 100);
-  EXPECT_DOUBLE_EQ(buckets->back().hi, 300);
-}
-
-TEST(HistogramTest, Rejections) {
-  const Table table = TestTable();
-  EXPECT_FALSE(EquiWidthHistogram(table, 1, 0).ok());   // zero buckets
-  EXPECT_FALSE(EquiWidthHistogram(table, 0, 2).ok());   // categorical
-  EXPECT_FALSE(EquiWidthHistogram(table, 10, 2).ok());  // out of range
-}
-
-TEST(HistogramTest, SingleValueColumn) {
-  Table table(TestSchema());
-  ASSERT_TRUE(table.AppendRow({Value("x"), Value(5), Value(1.0)}).ok());
-  ASSERT_TRUE(table.AppendRow({Value("y"), Value(5), Value(1.0)}).ok());
-  const auto buckets = EquiWidthHistogram(table, 1, 3);
-  ASSERT_TRUE(buckets.ok());
-  size_t total = 0;
-  for (const HistogramBucket& bucket : buckets.value()) {
-    total += bucket.count;
-  }
-  EXPECT_EQ(total, 2u);
 }
 
 // -------------------------------------------------------------------- csv

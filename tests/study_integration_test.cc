@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/cost_model.h"
 #include "core/probability.h"
 
@@ -55,6 +58,58 @@ TEST(StudyEnvironmentTest, ExecuteProfileFiltersRows) {
     EXPECT_GE(b, 3);
     EXPECT_LE(b, 4);
   }
+}
+
+// ExecuteProfile selects through the compiled kernels; its output must be
+// exactly the MatchesRow scan's rows, in order, cell for cell.
+void ExpectMatchesRowScan(const StudyEnvironment& env,
+                          const SelectionProfile& profile,
+                          const std::string& context) {
+  const auto selected = env.ExecuteProfile(profile);
+  ASSERT_TRUE(selected.ok())
+      << context << ": " << selected.status().ToString();
+  const Schema& schema = env.schema();
+  const auto scanned = env.homes().SelectRows(env.homes().FilterIndices(
+      [&](const Row& row) { return profile.MatchesRow(row, schema); }));
+  ASSERT_TRUE(scanned.ok()) << context;
+  ASSERT_EQ(selected->num_rows(), scanned->num_rows()) << context;
+  ASSERT_EQ(selected->num_columns(), scanned->num_columns()) << context;
+  for (size_t r = 0; r < scanned->num_rows(); ++r) {
+    for (size_t c = 0; c < scanned->num_columns(); ++c) {
+      const Value& got = selected->ValueAt(r, c);
+      const Value& want = scanned->ValueAt(r, c);
+      ASSERT_TRUE(got.type() == want.type() && got == want)
+          << context << " differs at row " << r << " col " << c << ": "
+          << got.ToString() << " vs " << want.ToString();
+    }
+  }
+}
+
+TEST(StudyEnvironmentTest, ExecuteProfileMatchesRowScan) {
+  const StudyEnvironment& env = SharedEnv();
+  ExpectMatchesRowScan(env, SelectionProfile(), "empty profile");
+  // A NaN set member makes the kernels refuse, so this one is selected
+  // by the MatchesRow fallback.
+  SelectionProfile refused;
+  refused.Set("bedroomcount",
+              AttributeCondition::ValueSet(
+                  {Value(std::numeric_limits<double>::quiet_NaN())}));
+  ExpectMatchesRowScan(env, refused, "NaN set member");
+  size_t checked = 0;
+  for (size_t i = 0; i < env.workload().size() && checked < 200; ++i) {
+    const SelectionProfile& w = env.workload().entry(i).profile;
+    if (w.Find("neighborhood") == nullptr) {
+      continue;
+    }
+    ++checked;
+    const std::string context = "workload query " + std::to_string(i);
+    ExpectMatchesRowScan(env, w, context);
+    const auto broadened = BroadenToRegion(w, env.geo());
+    ASSERT_TRUE(broadened.ok())
+        << context << ": " << broadened.status().ToString();
+    ExpectMatchesRowScan(env, *broadened, context + " broadened");
+  }
+  EXPECT_EQ(checked, 200u);
 }
 
 TEST(BroadenTest, ExpandsToWholeRegionAndDropsOtherConditions) {
