@@ -93,7 +93,10 @@ double Histogram::PercentileEstimate(double p) const {
       const double frac =
           (target - static_cast<double>(seen)) /
           static_cast<double>(counts_[i]);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      // A bucket's bounds may lie outside the observed range; no sample
+      // does, so neither may the estimate.
+      return std::clamp(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0), min_,
+                        max_);
     }
     seen = next;
   }

@@ -49,8 +49,8 @@ class Histogram {
   const std::vector<size_t>& bucket_counts() const { return counts_; }
 
   /// Percentile estimate for `p` in [0, 100]: linear interpolation inside
-  /// the containing bucket (the overflow bucket reports the observed max).
-  /// Returns 0 when empty.
+  /// the containing bucket (the overflow bucket reports the observed max),
+  /// clamped to [min(), max()]. Returns 0 when empty.
   double PercentileEstimate(double p) const;
 
   /// Deterministic JSON object:

@@ -111,7 +111,7 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
       view.columnar() == nullptr
           ? nullptr
           : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kString) {
+  if (cc != nullptr && cc->type == ValueType::kString) {
     std::vector<std::vector<size_t>> buckets(cc->dict.size());
     std::vector<uint32_t> touched;
     for (size_t idx : tuples) {
@@ -133,11 +133,10 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
     }
     return out;
   }
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
-    // Regular int64 column: int64 order equals Value order when every
-    // non-NULL cell is an int64, so grouping by the raw value reproduces
-    // the Value-map walk (and reads mapped segments without synthesizing
-    // cells).
+  if (cc != nullptr && cc->type == ValueType::kInt64) {
+    // int64 column: int64 order equals Value order among int64 cells, so
+    // grouping by the raw value reproduces the Value-map walk (and reads
+    // mapped segments without synthesizing cells).
     std::map<int64_t, std::vector<size_t>> groups;
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
@@ -153,8 +152,8 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
     return out;
   }
   std::map<Value, std::vector<size_t>> groups;
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kDouble) {
-    // Regular double column: wrap the raw bits in a Value so ordering
+  if (cc != nullptr && cc->type == ValueType::kDouble) {
+    // Double column: wrap the raw bits in a Value so ordering
     // (including any NaN handling) matches the generic walk exactly.
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
@@ -225,7 +224,7 @@ ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
       view.columnar() == nullptr
           ? nullptr
           : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kString) {
+  if (cc != nullptr && cc->type == ValueType::kString) {
     std::vector<size_t> per_code(cc->dict.size(), 0);
     std::vector<uint32_t> touched;
     for (size_t idx : tuples) {
@@ -247,7 +246,7 @@ ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
     }
     return out;
   }
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
+  if (cc != nullptr && cc->type == ValueType::kInt64) {
     std::map<int64_t, size_t> counts;
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
@@ -263,7 +262,7 @@ ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
     return out;
   }
   std::map<Value, size_t> counts;
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kDouble) {
+  if (cc != nullptr && cc->type == ValueType::kDouble) {
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
@@ -455,8 +454,8 @@ std::vector<PartitionCategory> MaterializeBuckets(
 
 // The (value, index) pairs of the non-NULL cells of `col` among `tuples`,
 // sorted. Reads the typed arrays (and the null bitmap) directly when the
-// column has a regular columnar shadow; falls back to the generic cell
-// walk otherwise. Extracted doubles are identical to AsDouble().
+// view has a columnar shadow; falls back to the generic cell walk
+// otherwise. Extracted doubles are identical to AsDouble().
 Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
     const TableView& view, const std::vector<size_t>& tuples, size_t col,
     const std::string& attribute) {
@@ -470,15 +469,14 @@ Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
       view.columnar() == nullptr
           ? nullptr
           : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
+  if (cc != nullptr && cc->type == ValueType::kInt64) {
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
         values.emplace_back(static_cast<double>(cc->i64[row]), idx);
       }
     }
-  } else if (cc != nullptr && cc->regular &&
-             cc->type == ValueType::kDouble) {
+  } else if (cc != nullptr && cc->type == ValueType::kDouble) {
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {

@@ -326,6 +326,24 @@ SimdFill DictSimd(const Column* col, const std::vector<uint8_t>& accept) {
   };
 }
 
+// A dictionary-code membership leaf: row r passes iff accept[codes[r]].
+// `accept` has one entry per dictionary code plus a trailing 0, so data()
+// stays valid for an empty dictionary (NULL rows carry code 0 and are
+// masked). Every string predicate reduces to this shape because the
+// dictionary is sorted: its verdict depends only on the code.
+Node DictLeaf(const Column* col, std::vector<uint8_t> accept) {
+  ZoneFn zone = DictZone(col, accept);
+  SimdFill fill = DictSimd(col, accept);
+  Node node = MaskedLeafSimd(col,
+                             [codes = col->codes.data(),
+                              accept = std::move(accept)](size_t r) {
+                               return accept[codes[r]] != 0;
+                             },
+                             std::move(fill));
+  node.zone = std::move(zone);
+  return node;
+}
+
 // ---- comparison kernels ----------------------------------------------
 
 Node NumericCompareLeaf(const Column* col, const Value& lit, uint8_t table) {
@@ -399,9 +417,7 @@ Node StringCompareLeaf(const Column* col, const std::string& s,
                        uint8_t table) {
   // p = first dictionary code with dict[code] >= s. Because the dictionary
   // is sorted, cell < s <=> code < p; when s is present, cell == s <=>
-  // code == p; when absent, no cell equals s (c never 0 below). The
-  // verdict depends only on the code, so it is precomputed per code and
-  // the per-row loop is a single table lookup.
+  // code == p; when absent, no cell equals s (c never 0 below).
   const auto it = std::lower_bound(col->dict.begin(), col->dict.end(), s);
   const uint32_t p = static_cast<uint32_t>(it - col->dict.begin());
   const bool present = it != col->dict.end() && *it == s;
@@ -410,16 +426,7 @@ Node StringCompareLeaf(const Column* col, const std::string& s,
     const int c = present ? Cmp3(code, p) : (code < p ? -1 : 1);
     accept[code] = static_cast<uint8_t>((table >> (c + 1)) & 1);
   }
-  ZoneFn zone = DictZone(col, accept);
-  SimdFill fill = DictSimd(col, accept);
-  Node node = MaskedLeafSimd(col,
-                             [codes = col->codes.data(),
-                              accept = std::move(accept)](size_t r) {
-                               return accept[codes[r]] != 0;
-                             },
-                             std::move(fill));
-  node.zone = std::move(zone);
-  return node;
+  return DictLeaf(col, std::move(accept));
 }
 
 Result<Node> CompileComparison(const ComparisonExpr& cmp,
@@ -432,9 +439,6 @@ Result<Node> CompileComparison(const ComparisonExpr& cmp,
     return NotCovered("unknown column '" + cmp.column() + "'");
   }
   const Column& col = ct.column(col_idx.value());
-  if (!col.regular) {
-    return NotCovered("irregular column '" + cmp.column() + "'");
-  }
   const Value& lit = cmp.literal();
   if (lit.is_null()) {
     return ConstNode(false);  // comparison with NULL never matches
@@ -460,88 +464,42 @@ Result<Node> CompileComparison(const ComparisonExpr& cmp,
 
 // ---- IN (...) kernels ------------------------------------------------
 
-Result<Node> CompileInList(const InListExpr& in, const Schema& schema,
-                           const ColumnarTable& ct) {
-  const auto col_idx = schema.ColumnIndex(in.column());
-  if (!col_idx.ok()) {
-    return NotCovered("unknown column '" + in.column() + "'");
+// Files one numeric IN-list literal or value-set member: an int64 member
+// of an int64 column stays exact in `vi`; any other widens to double in
+// `vd`. A NaN member compares "equal" to every numeric cell under
+// Value::Compare, so it sets `match_all` instead.
+void AddNumericMember(const Column& col, const Value& v,
+                      std::vector<int64_t>* vi, std::vector<double>* vd,
+                      bool* match_all) {
+  if (col.type == ValueType::kInt64 && v.is_int64()) {
+    vi->push_back(v.int64_value());
+    return;
   }
-  const Column& col = ct.column(col_idx.value());
-  if (!col.regular) {
-    return NotCovered("irregular column '" + in.column() + "'");
+  const double d = v.AsDouble();
+  if (std::isnan(d)) {
+    *match_all = true;
+  } else {
+    vd->push_back(d);
   }
-  const int cc = ClassOfColumn(col.type);
-  if (cc == 0 || col.null_count == ct.num_rows()) {
-    // NULL cells return false *before* negation applies.
-    return ConstNode(false);
-  }
-  for (const Value& v : in.values()) {
-    if (!v.is_null() && ClassOf(v) != cc) {
-      // Row path: error on the first cell that actually reaches this
-      // literal (the scan breaks as soon as an earlier literal matches).
-      return NotCovered("class mismatch in IN list on '" + in.column() +
-                        "'");
-    }
-  }
-  const bool negated = in.negated();
-  if (cc == 2) {
-    // Dictionary-code membership bitset (size + 1 so data() stays valid
-    // for an empty dictionary; NULL rows carry code 0 and are masked).
-    // NOT IN flips the bits up front so the loop stays a plain lookup.
-    std::vector<uint8_t> member(col.dict.size() + 1, 0);
-    for (const Value& v : in.values()) {
-      if (v.is_null()) {
-        continue;
-      }
-      const auto it = std::lower_bound(col.dict.begin(), col.dict.end(),
-                                       v.string_value());
-      if (it != col.dict.end() && *it == v.string_value()) {
-        member[static_cast<size_t>(it - col.dict.begin())] = 1;
-      }
-    }
-    if (negated) {
-      for (size_t code = 0; code < col.dict.size(); ++code) {
-        member[code] ^= 1;
-      }
-    }
-    ZoneFn zone = DictZone(&col, member);
-    SimdFill fill = DictSimd(&col, member);
-    Node node = MaskedLeafSimd(&col,
-                               [codes = col.codes.data(),
-                                member = std::move(member)](size_t r) {
-                                 return member[codes[r]] != 0;
-                               },
-                               std::move(fill));
-    node.zone = std::move(zone);
-    return node;
-  }
-  // Numeric column. int64 literals are kept exact for int64 columns; a
-  // NaN literal compares "equal" to every numeric cell under
-  // Value::Compare, so it matches every non-NULL row.
-  bool match_all = false;
-  if (col.type == ValueType::kInt64) {
-    std::vector<int64_t> vi;
-    std::vector<double> vd;
-    for (const Value& v : in.values()) {
-      if (v.is_null()) {
-        continue;
-      }
-      if (v.is_int64()) {
-        vi.push_back(v.int64_value());
-      } else if (std::isnan(v.double_value())) {
-        match_all = true;
-      } else {
-        vd.push_back(v.double_value());
-      }
-    }
-    std::sort(vi.begin(), vi.end());
-    std::sort(vd.begin(), vd.end());
-    // Zone prover: a NaN literal matches everything (uniform verdict); a
-    // constant zone evaluates the membership once; a zone whose value
-    // range misses every member (both lists sorted) proves no match.
-    // Overlap proves nothing — membership inside the range stays kMixed.
+}
+
+// Numeric membership leaf shared by IN lists and profile value sets: a
+// non-NULL cell is found when `match_all` is set or it equals a member of
+// `vi` (exactly) or `vd` (widened); `negated` (NOT IN) flips the verdict.
+// On a double column `vi` is empty, and a NaN cell is found iff
+// `any_numeric` (it compares "equal" to the first numeric member).
+Node NumericMemberLeaf(const Column* col, std::vector<int64_t> vi,
+                       std::vector<double> vd, bool match_all,
+                       bool any_numeric, bool negated) {
+  std::sort(vi.begin(), vi.end());
+  std::sort(vd.begin(), vd.end());
+  if (col->type == ValueType::kInt64) {
+    // Zone prover: a match-all member is a uniform verdict; a constant
+    // zone evaluates the membership once; a zone whose value range misses
+    // every member (both lists sorted) proves no match. Overlap proves
+    // nothing — membership inside the range stays kMixed.
     ZoneFn zone = MaskedZone(
-        &col, /*nan_pass=*/false,
+        col, /*nan_pass=*/false,
         [vi, vd, match_all, negated](const ZoneEntry& z) {
           const int64_t zmin = static_cast<int64_t>(z.min_bits);
           const int64_t zmax = static_cast<int64_t>(z.max_bits);
@@ -564,9 +522,9 @@ Result<Node> CompileInList(const InListExpr& in, const Schema& schema,
           }
           return ZV::kMixed;
         });
-    Node node = MaskedLeaf(&col, [vals = col.i64.data(), vi = std::move(vi),
-                                  vd = std::move(vd), match_all,
-                                  negated](size_t r) {
+    Node node = MaskedLeaf(col, [vals = col->i64.data(), vi = std::move(vi),
+                                 vd = std::move(vd), match_all,
+                                 negated](size_t r) {
       const int64_t a = vals[r];
       const bool found =
           match_all || MemberOf(vi, a) ||
@@ -576,27 +534,12 @@ Result<Node> CompileInList(const InListExpr& in, const Schema& schema,
     node.zone = std::move(zone);
     return node;
   }
-  bool any_numeric = false;
-  std::vector<double> vd;
-  for (const Value& v : in.values()) {
-    if (v.is_null()) {
-      continue;
-    }
-    any_numeric = true;
-    const double d = v.AsDouble();
-    if (std::isnan(d)) {
-      match_all = true;
-    } else {
-      vd.push_back(d);
-    }
-  }
-  std::sort(vd.begin(), vd.end());
-  // nan_pass: a NaN cell matches iff the list has a numeric entry, then
+  // nan_pass: a NaN cell matches iff there is a numeric member, then
   // negation flips. A bit-constant zone (min_bits == max_bits) evaluates
   // once — sound even across ±0.0, which compare equal everywhere the
   // predicate looks.
   ZoneFn zone = MaskedZone(
-      &col, /*nan_pass=*/any_numeric != negated,
+      col, /*nan_pass=*/any_numeric != negated,
       [vd, match_all, negated](const ZoneEntry& z) {
         const double zmin = DoubleFromBits(z.min_bits);
         const double zmax = DoubleFromBits(z.max_bits);
@@ -612,17 +555,71 @@ Result<Node> CompileInList(const InListExpr& in, const Schema& schema,
         }
         return ZV::kMixed;
       });
-  Node node = MaskedLeaf(&col, [vals = col.f64.data(), vd = std::move(vd),
-                                match_all, any_numeric, negated](size_t r) {
+  Node node = MaskedLeaf(col, [vals = col->f64.data(), vd = std::move(vd),
+                               match_all, any_numeric, negated](size_t r) {
     const double a = vals[r];
-    // A NaN cell compares "equal" to the first numeric literal the row
-    // scan reaches, so it matches iff the list has any numeric entry.
     const bool found =
         std::isnan(a) ? any_numeric : (match_all || MemberOf(vd, a));
     return found != negated;
   });
   node.zone = std::move(zone);
   return node;
+}
+
+Result<Node> CompileInList(const InListExpr& in, const Schema& schema,
+                           const ColumnarTable& ct) {
+  const auto col_idx = schema.ColumnIndex(in.column());
+  if (!col_idx.ok()) {
+    return NotCovered("unknown column '" + in.column() + "'");
+  }
+  const Column& col = ct.column(col_idx.value());
+  const int cc = ClassOfColumn(col.type);
+  if (cc == 0 || col.null_count == ct.num_rows()) {
+    // NULL cells return false *before* negation applies.
+    return ConstNode(false);
+  }
+  for (const Value& v : in.values()) {
+    if (!v.is_null() && ClassOf(v) != cc) {
+      // Row path: error on the first cell that actually reaches this
+      // literal (the scan breaks as soon as an earlier literal matches).
+      return NotCovered("class mismatch in IN list on '" + in.column() +
+                        "'");
+    }
+  }
+  const bool negated = in.negated();
+  if (cc == 2) {
+    // NOT IN flips the bits up front so the loop stays a plain lookup.
+    std::vector<uint8_t> member(col.dict.size() + 1, 0);
+    for (const Value& v : in.values()) {
+      if (v.is_null()) {
+        continue;
+      }
+      const auto it = std::lower_bound(col.dict.begin(), col.dict.end(),
+                                       v.string_value());
+      if (it != col.dict.end() && *it == v.string_value()) {
+        member[static_cast<size_t>(it - col.dict.begin())] = 1;
+      }
+    }
+    if (negated) {
+      for (size_t code = 0; code < col.dict.size(); ++code) {
+        member[code] ^= 1;
+      }
+    }
+    return DictLeaf(&col, std::move(member));
+  }
+  // Numeric column: int64 literals stay exact for int64 columns.
+  bool match_all = false;
+  bool any_numeric = false;
+  std::vector<int64_t> vi;
+  std::vector<double> vd;
+  for (const Value& v : in.values()) {
+    if (!v.is_null()) {
+      any_numeric = true;
+      AddNumericMember(col, v, &vi, &vd, &match_all);
+    }
+  }
+  return NumericMemberLeaf(&col, std::move(vi), std::move(vd), match_all,
+                           any_numeric, negated);
 }
 
 // ---- BETWEEN kernels -------------------------------------------------
@@ -654,9 +651,6 @@ Result<Node> CompileBetween(const BetweenExpr& bt, const Schema& schema,
     return NotCovered("unknown column '" + bt.column() + "'");
   }
   const Column& col = ct.column(col_idx.value());
-  if (!col.regular) {
-    return NotCovered("irregular column '" + bt.column() + "'");
-  }
   if (bt.lo().is_null() || bt.hi().is_null()) {
     // Row path returns false (before negation) for every row.
     return ConstNode(false);
@@ -683,16 +677,7 @@ Result<Node> CompileBetween(const BetweenExpr& bt, const Schema& schema,
       const bool inside = code >= lo_code && code < hi_code;
       accept[code] = static_cast<uint8_t>(inside != negated);
     }
-    ZoneFn zone = DictZone(&col, accept);
-    SimdFill fill = DictSimd(&col, accept);
-    Node node = MaskedLeafSimd(&col,
-                               [codes = col.codes.data(),
-                                accept = std::move(accept)](size_t r) {
-                                 return accept[codes[r]] != 0;
-                               },
-                               std::move(fill));
-    node.zone = std::move(zone);
-    return node;
+    return DictLeaf(&col, std::move(accept));
   }
   const NumBound lo = MakeBound(bt.lo());
   const NumBound hi = MakeBound(bt.hi());
@@ -887,8 +872,7 @@ Result<Node> CompileExpr(const Expr& expr, const Schema& schema,
 
 // ---- profile conditions ----------------------------------------------
 
-Result<Node> CompileCondition(const AttributeCondition& cond,
-                              const Column& col, const std::string& attr) {
+Node CompileCondition(const AttributeCondition& cond, const Column& col) {
   const int cc = ClassOfColumn(col.type);
   if (cond.is_range()) {
     if (cc != 1) {
@@ -963,9 +947,11 @@ Result<Node> CompileCondition(const AttributeCondition& cond,
   }
   // Value set: only members of the column's comparison class can be equal
   // to a cell; mixed-class members are simply never matched by the
-  // std::set<Value>::count tree walk (the value order is total), so they
-  // are dropped here — except NaN members, which break the set's strict
-  // weak ordering and make count() layout-dependent: refuse those.
+  // std::set<Value>::count tree walk (classes order totally), so they are
+  // dropped here. A NaN member compares "equal" to every numeric, so the
+  // set keeps one only when it holds no other numeric member, and count()
+  // then matches every non-NULL numeric cell: the IN list's match-all
+  // literal.
   if (cc == 0) {
     return ConstNode(false);
   }
@@ -986,94 +972,23 @@ Result<Node> CompileCondition(const AttributeCondition& cond,
     if (!any) {
       return ConstNode(false);
     }
-    ZoneFn zone = DictZone(&col, member);
-    SimdFill fill = DictSimd(&col, member);
-    Node node = MaskedLeafSimd(&col,
-                               [codes = col.codes.data(),
-                                member = std::move(member)](size_t r) {
-                                 return member[codes[r]] != 0;
-                               },
-                               std::move(fill));
-    node.zone = std::move(zone);
-    return node;
+    return DictLeaf(&col, std::move(member));
   }
+  bool match_all = false;
   bool any_numeric = false;
   std::vector<int64_t> vi;
   std::vector<double> vd;
   for (const Value& v : cond.values) {
-    if (!v.is_numeric()) {
-      continue;
-    }
-    any_numeric = true;
-    if (v.is_double() && std::isnan(v.double_value())) {
-      return NotCovered("NaN member in value set on '" + attr + "'");
-    }
-    if (col.type == ValueType::kInt64 && v.is_int64()) {
-      vi.push_back(v.int64_value());
-    } else {
-      vd.push_back(v.AsDouble());
+    if (v.is_numeric()) {
+      any_numeric = true;
+      AddNumericMember(col, v, &vi, &vd, &match_all);
     }
   }
   if (!any_numeric) {
     return ConstNode(false);
   }
-  std::sort(vi.begin(), vi.end());
-  std::sort(vd.begin(), vd.end());
-  if (col.type == ValueType::kInt64) {
-    // Same zone shape as the IN-list prover: constant zones evaluate
-    // once, member-disjoint ranges prove no match, overlap stays kMixed.
-    ZoneFn zone = MaskedZone(
-        &col, /*nan_pass=*/false, [vi, vd](const ZoneEntry& z) {
-          const int64_t zmin = static_cast<int64_t>(z.min_bits);
-          const int64_t zmax = static_cast<int64_t>(z.max_bits);
-          if (zmin == zmax) {
-            const bool found =
-                MemberOf(vi, zmin) ||
-                (!vd.empty() && MemberOf(vd, static_cast<double>(zmin)));
-            return found ? ZV::kAllPass : ZV::kAllFail;
-          }
-          const bool vi_overlap =
-              !vi.empty() && vi.back() >= zmin && vi.front() <= zmax;
-          const bool vd_overlap = !vd.empty() &&
-                                  vd.back() >= static_cast<double>(zmin) &&
-                                  vd.front() <= static_cast<double>(zmax);
-          if (!vi_overlap && !vd_overlap) {
-            return ZV::kAllFail;
-          }
-          return ZV::kMixed;
-        });
-    Node node = MaskedLeaf(&col, [vals = col.i64.data(), vi = std::move(vi),
-                                  vd = std::move(vd)](size_t r) {
-      const int64_t a = vals[r];
-      return MemberOf(vi, a) ||
-             (!vd.empty() && MemberOf(vd, static_cast<double>(a)));
-    });
-    node.zone = std::move(zone);
-    return node;
-  }
-  // any_numeric is true here (the empty set folded to const-false), so a
-  // NaN cell always matches: nan_pass.
-  ZoneFn zone = MaskedZone(
-      &col, /*nan_pass=*/true, [vd](const ZoneEntry& z) {
-        const double zmin = DoubleFromBits(z.min_bits);
-        const double zmax = DoubleFromBits(z.max_bits);
-        if (z.min_bits == z.max_bits) {
-          return MemberOf(vd, zmin) ? ZV::kAllPass : ZV::kAllFail;
-        }
-        if (vd.empty() || vd.back() < zmin || vd.front() > zmax) {
-          return ZV::kAllFail;
-        }
-        return ZV::kMixed;
-      });
-  Node node = MaskedLeaf(&col, [vals = col.f64.data(), vd = std::move(vd),
-                                any_numeric](size_t r) {
-    const double a = vals[r];
-    // A NaN cell is "equivalent" to any numeric member under the set's
-    // comparator, so count() finds one iff a numeric member exists.
-    return std::isnan(a) ? any_numeric : MemberOf(vd, a);
-  });
-  node.zone = std::move(zone);
-  return node;
+  return NumericMemberLeaf(&col, std::move(vi), std::move(vd), match_all,
+                           any_numeric, /*negated=*/false);
 }
 
 // ---- evaluation ------------------------------------------------------
@@ -1232,7 +1147,7 @@ Result<CompiledPredicate> CompiledPredicate::CompileProfile(
     const SelectionProfile& profile, const Schema& schema,
     std::shared_ptr<const ColumnarTable> columnar) {
   if (columnar == nullptr) {
-    return Status::NotSupported("no columnar shadow");
+    return Status::InvalidArgument("no columnar shadow");
   }
   std::vector<Node> kids;
   bool const_false = false;
@@ -1243,11 +1158,7 @@ Result<CompiledPredicate> CompiledPredicate::CompileProfile(
       const_false = true;
       break;
     }
-    const Column& col = columnar->column(col_idx.value());
-    if (!col.regular) {
-      return NotCovered("irregular column '" + attr + "'");
-    }
-    AUTOCAT_ASSIGN_OR_RETURN(Node node, CompileCondition(cond, col, attr));
+    Node node = CompileCondition(cond, columnar->column(col_idx.value()));
     if (node.kind == Node::Kind::kConstFalse) {
       const_false = true;
       break;

@@ -18,17 +18,17 @@ namespace autocat {
 /// A WHERE clause (or serving-layer SelectionProfile) compiled into
 /// vectorized per-column kernels over a `ColumnarTable`.
 ///
-/// Compilation is *refuse-or-exact*: `Compile`/`CompileProfile` either
-/// return a predicate whose `Filter` output is bit-identical to the
+/// A compiled predicate's `Filter` output is bit-identical to the
 /// row-at-a-time path (`EvaluatePredicate` / `MatchesRow` over every row,
-/// ascending), or they return `kNotSupported` and the caller falls back to
-/// the row path. Compilation itself never surfaces data errors; in
-/// particular it refuses whenever the row path *could* error (the
-/// string-vs-numeric comparison error is data- and order-dependent, so any
-/// literal whose comparison class differs from the column's storage class
-/// forces a fallback unless the column is all-NULL, where no row-path
-/// error can occur). The semantics-preservation argument is spelled out
-/// in DESIGN.md §10.
+/// ascending). `Compile` is *refuse-or-exact*: it returns `kNotSupported`
+/// whenever the row path *could* error, and the caller falls back to the
+/// row path (an unknown column errors per evaluated row, and the
+/// string-vs-numeric comparison error is data- and order-dependent, so
+/// any literal whose comparison class differs from the column's storage
+/// class refuses unless the column is all-NULL, where no row-path error
+/// can occur). `CompileProfile` is *total*: `MatchesRow` never errors,
+/// and every profile shape has an exact kernel. The
+/// semantics-preservation argument is spelled out in DESIGN.md §10.
 ///
 /// `Filter` runs chunked through `ParallelFor` with per-chunk selection
 /// shards merged in chunk order, so the selection vector is bit-identical
@@ -73,7 +73,8 @@ class CompiledPredicate {
 
   /// Compiles a serving-layer selection profile (conjunction of
   /// per-attribute conditions, `MatchesRow` semantics: an unknown
-  /// attribute makes every row non-matching rather than erroring).
+  /// attribute makes every row non-matching rather than erroring). Never
+  /// refuses; the only error is a null `columnar` (kInvalidArgument).
   static Result<CompiledPredicate> CompileProfile(
       const SelectionProfile& profile, const Schema& schema,
       std::shared_ptr<const ColumnarTable> columnar);

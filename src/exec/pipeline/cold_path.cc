@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "common/check.h"
 #include "exec/pipeline/scheduler.h"
 #include "exec/simd_kernels.h"
 #include "storage/schema.h"
@@ -26,6 +27,7 @@ Result<ColdPipelineResult> RunColdPipeline(
     const CompiledPredicate& predicate, const Table& base,
     const ColumnarTable* columnar, const std::vector<std::string>& columns,
     const ColdPipelineOptions& options) {
+  AUTOCAT_CHECK(columnar != nullptr);
   // Resolve the projection exactly as TableView::Create does.
   PipelineInput input;
   input.base = &base;

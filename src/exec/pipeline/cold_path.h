@@ -63,7 +63,8 @@ struct ColdPipelineResult {
 /// bit-identical to a Filter -> Materialize -> rescan over the same
 /// selection at any thread count.
 ///
-/// `columns` is the projection (empty = all base columns); errors mirror
+/// `columnar` is the base table's shadow and must be non-null. `columns`
+/// is the projection (empty = all base columns); errors mirror
 /// `TableView::Create` (unknown projection column).
 Result<ColdPipelineResult> RunColdPipeline(const CompiledPredicate& predicate,
                                            const Table& base,

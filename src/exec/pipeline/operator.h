@@ -15,7 +15,7 @@
 namespace autocat {
 
 /// What every pipeline operator sees at Open: the base relation, its
-/// columnar shadow, and the projected result shape. Borrowed pointers —
+/// columnar shadow (never null), and the projected result shape. Borrowed pointers —
 /// the caller keeps them alive for the pipeline's duration.
 struct PipelineInput {
   const Table* base = nullptr;
@@ -129,11 +129,10 @@ class StatsAccumulateSink final : public MorselSink {
   // partitioners' typed fast paths exactly, so the accumulated values are
   // the ones a direct scan would have produced.
   enum class Mode {
-    kSkip,          ///< No entry for this column.
-    kNumericI64,    ///< regular int64 -> static_cast<double>
-    kNumericF64,    ///< regular double -> raw
-    kNumericValue,  ///< generic cell walk -> AsDouble()
-    kStringDict,    ///< regular string -> group by dictionary code
+    kSkip,        ///< No entry for this column.
+    kNumericI64,  ///< int64 -> static_cast<double>
+    kNumericF64,  ///< double -> raw
+    kStringDict,  ///< string -> group by dictionary code
   };
 
   const PipelineInput* input_ = nullptr;

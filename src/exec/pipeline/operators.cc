@@ -153,22 +153,14 @@ void StatsAccumulateSink::Open(const PipelineInput& input) {
                   schema.column(c).name) == input.stats_attributes->end()) {
       continue;  // the partitioners will never touch this column
     }
-    const size_t base_col = (*input.projection)[c];
-    const ColumnarTable::Column* cc =
-        input.columnar == nullptr ? nullptr
-                                  : &input.columnar->column(base_col);
+    const ValueType type =
+        input.columnar->column((*input.projection)[c]).type;
     if (schema.column(c).kind == ColumnKind::kNumeric) {
-      if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
-        modes_[c] = Mode::kNumericI64;
-      } else if (cc != nullptr && cc->regular &&
-                 cc->type == ValueType::kDouble) {
-        modes_[c] = Mode::kNumericF64;
-      } else {
-        modes_[c] = Mode::kNumericValue;
-      }
+      // Schema::Create admits only int64/double numeric columns.
+      modes_[c] = type == ValueType::kInt64 ? Mode::kNumericI64
+                                            : Mode::kNumericF64;
       any = true;
-    } else if (cc != nullptr && cc->regular &&
-               cc->type == ValueType::kString) {
+    } else if (type == ValueType::kString) {
       modes_[c] = Mode::kStringDict;
       any = true;
     }
@@ -231,23 +223,19 @@ Status StatsAccumulateSink::Finish(
   std::vector<size_t> word_rank;
   for (size_t c = 0; c < modes_.size(); ++c) {
     AttributeIndexEntry& entry = index_.columns[c];
-    const size_t base_col = (*input_->projection)[c];
-    const ColumnarTable::Column* cc =
-        input_->columnar == nullptr ? nullptr
-                                    : &input_->columnar->column(base_col);
+    const ColumnarTable::Column& cc =
+        input_->columnar->column((*input_->projection)[c]);
     switch (modes_[c]) {
       case Mode::kSkip:
         break;
       case Mode::kNumericI64:
-      case Mode::kNumericF64:
-      case Mode::kNumericValue: {
+      case Mode::kNumericF64: {
         // Dense selections rank-filter the per-table sorted order — one
         // sequential walk over the base rows — instead of sorting the
         // survivors' values again. Both orders are (value asc, position
         // asc), so the output is element-identical; the 1/16 cutoff is
         // roughly where the walk and the O(k log k) sort cross over.
-        if (modes_[c] != Mode::kNumericValue && cc != nullptr &&
-            !cc->sorted_order.empty() &&
+        if (!cc.sorted_order.empty() &&
             index_.num_rows * 16 >= input_->base->num_rows()) {
           if (word_rank.empty()) {
             word_rank.resize(survivor_words_.size());
@@ -259,12 +247,12 @@ Status StatsAccumulateSink::Finish(
             }
           }
           entry.sorted_values.reserve(index_.num_rows);
-          for (const uint32_t row : cc->sorted_order) {
+          for (const uint32_t row : cc.sorted_order) {
             const uint64_t word = survivor_words_[row >> 6];
             if ((word >> (row & 63)) & 1) {
               const double value = modes_[c] == Mode::kNumericI64
-                                       ? static_cast<double>(cc->i64[row])
-                                       : cc->f64[row];
+                                       ? static_cast<double>(cc.i64[row])
+                                       : cc.f64[row];
               const size_t pos =
                   word_rank[row >> 6] +
                   static_cast<size_t>(std::popcount(
@@ -278,16 +266,11 @@ Status StatsAccumulateSink::Finish(
         entry.sorted_values.reserve(rows.size());
         for (size_t k = 0; k < rows.size(); ++k) {
           const uint32_t row = rows[k];
-          if (modes_[c] == Mode::kNumericValue) {
-            const Value v = input_->base->CellValue(row, base_col);
-            if (!v.is_null()) {
-              entry.sorted_values.emplace_back(v.AsDouble(), k);
-            }
-          } else if (!cc->IsNull(row)) {
+          if (!cc.IsNull(row)) {
             entry.sorted_values.emplace_back(
                 modes_[c] == Mode::kNumericI64
-                    ? static_cast<double>(cc->i64[row])
-                    : cc->f64[row],
+                    ? static_cast<double>(cc.i64[row])
+                    : cc.f64[row],
                 k);
           }
         }
@@ -299,15 +282,15 @@ Status StatsAccumulateSink::Finish(
         break;
       }
       case Mode::kStringDict: {
-        std::vector<std::vector<size_t>> buckets(cc->dict.size());
+        std::vector<std::vector<size_t>> buckets(cc.dict.size());
         std::vector<uint32_t> touched;
         // Ascending rows = ascending result-row indices per bucket.
         for (size_t k = 0; k < rows.size(); ++k) {
           const uint32_t row = rows[k];
-          if (cc->IsNull(row)) {
+          if (cc.IsNull(row)) {
             continue;
           }
-          const uint32_t code = cc->codes[row];
+          const uint32_t code = cc.codes[row];
           if (buckets[code].empty()) {
             touched.push_back(code);
           }
@@ -316,7 +299,7 @@ Status StatsAccumulateSink::Finish(
         std::sort(touched.begin(), touched.end());
         entry.groups.reserve(touched.size());
         for (const uint32_t code : touched) {
-          entry.groups.emplace_back(Value(cc->dict[code]),
+          entry.groups.emplace_back(Value(cc.dict[code]),
                                     std::move(buckets[code]));
         }
         entry.has_groups = true;

@@ -29,11 +29,8 @@ std::string_view ServeOutcomeToString(ServeOutcome outcome);
 
 /// Cold-path operator breakdown: where a cache miss spends its time,
 /// named after the pipeline operators (DESIGN.md §14). Each operator is
-/// recorded once per request that reaches it — kAttrIndex only on the
-/// pipelined path (the StatsAccumulate sink), kStatsBuild only when the
-/// per-table WorkloadStats had to be built. When the kernels refuse and
-/// the row predicate is the selection source, its materialization is
-/// recorded under kGather.
+/// recorded once per request that reaches it — kStatsBuild only when the
+/// per-table WorkloadStats had to be built.
 enum class ServeOperator {
   kParse = 0,
   kFilter,

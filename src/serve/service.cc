@@ -281,72 +281,41 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   // One cold path (DESIGN.md §14). The canonical profile compiles against
   // the table's columnar shadow and drives the push pipeline: filtering,
   // gathering, byte accounting, and the attribute index come out of one
-  // morsel-driven scan. A kernel refusal (kNotSupported) makes the row
-  // predicate the selection source instead — bit-identical by the
-  // kernels' refuse-or-exact contract — feeding the same view ->
-  // materialize -> categorize tail without an attribute index. Any other
-  // status, including ColumnarFor's refusal of a table too large for a
-  // 32-bit selection, is a real error.
-  const double filter_start = WallMs();
+  // morsel-driven scan. ColumnarFor's refusal of a table too large for a
+  // 32-bit selection is a real error.
   AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
                            db_.ColumnarFor(table_key));
-  Result<CompiledPredicate> compiled = CompiledPredicate::CompileProfile(
-      canonical.profile, table->schema(), shadow);
-  if (!compiled.ok() &&
-      compiled.status().code() != StatusCode::kNotSupported) {
-    return compiled.status();
-  }
-  const bool pipelined = compiled.ok();
-  ColdPipelineResult scan;
-  if (pipelined) {
-    ColdPipelineOptions pipe_options;
-    // Request tasks stay sequential (same policy as StatsFor); the
-    // pipeline's output is identical at any thread count.
-    pipe_options.parallel.threads = 1;
-    // Only the categorizer's retained candidates get index entries:
-    // candidate elimination is per-attribute, so the base schema's
-    // retained set intersected with the projection (which the sink does
-    // by name) equals the result schema's retained set.
-    const std::vector<std::string> retained =
-        categorizer.RetainedAttributes(table->schema());
-    pipe_options.stats_attributes = &retained;
-    AUTOCAT_ASSIGN_OR_RETURN(
-        scan, RunColdPipeline(compiled.value(), *table, shadow.get(),
-                               canonical.columns, pipe_options));
-    metrics_.RecordOperator(ServeOperator::kFilter, scan.timings.filter_ms);
-    metrics_.RecordOperator(ServeOperator::kGather,
-                            scan.timings.project_ms);
-    metrics_.RecordOperator(ServeOperator::kAttrIndex,
-                            scan.timings.stats_ms);
-    metrics_.RecordPipeline(scan.timings.morsels,
-                            scan.timings.morsels_pruned,
-                            scan.timings.morsels_all_pass,
-                            scan.timings.simd_morsels);
-  } else {
-    const Schema& schema = table->schema();
-    const SelectionProfile& profile = canonical.profile;
-    const std::vector<size_t> matched = table->FilterIndices(
-        [&](const Row& row) { return profile.MatchesRow(row, schema); });
-    // ColumnarFor succeeded, so every row index fits the 32-bit selection.
-    scan.selection.reserve(matched.size());
-    for (const size_t row : matched) {
-      scan.selection.push_back(static_cast<uint32_t>(row));
-    }
-    metrics_.RecordOperator(ServeOperator::kFilter,
-                            WallMs() - filter_start);
-  }
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const CompiledPredicate compiled,
+      CompiledPredicate::CompileProfile(canonical.profile, table->schema(),
+                                        shadow));
+  ColdPipelineOptions pipe_options;
+  // Request tasks stay sequential (same policy as StatsFor); the
+  // pipeline's output is identical at any thread count.
+  pipe_options.parallel.threads = 1;
+  // Only the categorizer's retained candidates get index entries:
+  // candidate elimination is per-attribute, so the base schema's
+  // retained set intersected with the projection (which the sink does
+  // by name) equals the result schema's retained set.
+  const std::vector<std::string> retained =
+      categorizer.RetainedAttributes(table->schema());
+  pipe_options.stats_attributes = &retained;
+  AUTOCAT_ASSIGN_OR_RETURN(
+      ColdPipelineResult scan,
+      RunColdPipeline(compiled, *table, shadow.get(), canonical.columns,
+                      pipe_options));
+  metrics_.RecordOperator(ServeOperator::kFilter, scan.timings.filter_ms);
+  metrics_.RecordOperator(ServeOperator::kGather, scan.timings.project_ms);
+  metrics_.RecordOperator(ServeOperator::kAttrIndex, scan.timings.stats_ms);
+  metrics_.RecordPipeline(scan.timings.morsels, scan.timings.morsels_pruned,
+                          scan.timings.morsels_all_pass,
+                          scan.timings.simd_morsels);
   // The view borrows the database's base table and shadow (not the
   // result), so it stays valid across the move into the payload.
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
       TableView::Create(*table, std::move(shadow), std::move(scan.selection),
                         canonical.columns));
-  if (!pipelined) {
-    const double gather_start = WallMs();
-    scan.result = view.Materialize();
-    metrics_.RecordOperator(ServeOperator::kGather,
-                            WallMs() - gather_start);
-  }
 
   if (deadline.ExpiredAt(NowMs())) {
     *outcome = ServeOutcome::kDeadlineExceeded;
@@ -357,14 +326,12 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   const double categorize_start = WallMs();
   const auto build_tree = [&](const Table& owned) -> Result<CategoryTree> {
     return categorizer.Categorize(view, owned, &canonical.profile,
-                                  pipelined ? &scan.attr_index : nullptr);
+                                  &scan.attr_index);
   };
-  Result<std::shared_ptr<const CachedCategorization>> built =
-      pipelined ? CachedCategorization::Build(std::move(scan.result),
-                                              scan.result_bytes, build_tree)
-                : CachedCategorization::Build(std::move(scan.result),
-                                              build_tree);
-  AUTOCAT_ASSIGN_OR_RETURN(auto payload, std::move(built));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      auto payload,
+      CachedCategorization::Build(std::move(scan.result), scan.result_bytes,
+                                  build_tree));
   metrics_.RecordOperator(ServeOperator::kCategorize,
                           WallMs() - categorize_start);
   if (!request.bypass_cache) {

@@ -156,7 +156,8 @@ class CategorizationService {
       AUTOCAT_EXCLUDES(state_mu_);
 
   /// One cold execution under a single fresh shared-lock section:
-  /// canonicalize, execute the cold path, and insert. The cache was
+  /// canonicalize, compile the profile against the table's columnar
+  /// shadow, run the push pipeline, categorize, and insert. The cache was
   /// already probed by HandleAdmitted's probe pass (or is bypassed).
   /// `need_stats` asks the caller to build the per-table WorkloadStats
   /// and retry.

@@ -65,23 +65,12 @@ Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
 
 Result<Table> StudyEnvironment::ExecuteProfile(
     const SelectionProfile& profile) const {
-  // Same selection as the cold serve path: compiled kernels, with the
-  // row predicate as the source when compilation refuses.
-  std::vector<uint32_t> rows;
-  Result<CompiledPredicate> compiled =
-      CompiledPredicate::CompileProfile(profile, homes_.schema(), shadow_);
-  if (compiled.ok()) {
-    AUTOCAT_ASSIGN_OR_RETURN(rows, compiled->Filter({.threads = 1}));
-  } else if (compiled.status().code() == StatusCode::kNotSupported) {
-    const Schema& schema = homes_.schema();
-    for (const size_t row : homes_.FilterIndices([&](const Row& r) {
-           return profile.MatchesRow(r, schema);
-         })) {
-      rows.push_back(static_cast<uint32_t>(row));
-    }
-  } else {
-    return compiled.status();
-  }
+  // Same selection as the cold serve path: the compiled kernels.
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const CompiledPredicate compiled,
+      CompiledPredicate::CompileProfile(profile, homes_.schema(), shadow_));
+  AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                           compiled.Filter({.threads = 1}));
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
       TableView::Create(homes_, shadow_, std::move(rows), {}));

@@ -63,9 +63,7 @@ class StudyEnvironment {
 
   /// Rows of `homes` matching `profile` (`MatchesRow` semantics), as a
   /// new table in ascending row order. Selected by the compiled kernels
-  /// over the homes table's columnar shadow (exec/kernels.h); a profile
-  /// the kernels refuse (kNotSupported) falls back to a `MatchesRow`
-  /// scan, which selects the same rows.
+  /// over the homes table's columnar shadow (exec/kernels.h).
   Result<Table> ExecuteProfile(const SelectionProfile& profile) const;
 
  private:

@@ -26,9 +26,8 @@ namespace autocat {
 ///     distinct value in ascending value order (== ascending dictionary
 ///     code order), each group's row indices ascending (the `GroupsOf`
 ///     shape).
-/// Columns that fit neither shape (irregular columns, non-string
-/// categoricals) simply have no entry and consumers fall back to their
-/// generic scan.
+/// Columns that fit neither shape (non-string categoricals) simply have
+/// no entry and consumers fall back to their generic scan.
 struct AttributeIndexEntry {
   /// Sorted non-NULL (value, row) pairs of a numeric column.
   bool has_sorted_values = false;

@@ -8,6 +8,8 @@
 #include <string_view>
 #include <utility>
 
+#include "common/check.h"
+
 namespace autocat {
 
 namespace {
@@ -18,13 +20,13 @@ uint64_t DoubleBits(double d) {
   return bits;
 }
 
-// Exact per-zone metadata for a filled regular column: one pass per zone
+// Exact per-zone metadata for a filled column: one pass per zone
 // over the typed array and the owned null bitmap (zone bounds are
 // multiples of 64, so each zone owns whole bitmap words). Extrema follow
 // the SegmentMeta physical-domain convention; double extrema exclude NaN
 // and record its presence in has_nan instead.
 void ComputeZones(ColumnarTable::Column* col, size_t n) {
-  if (n == 0 || !col->regular || col->type == ValueType::kNull) {
+  if (n == 0 || col->type == ValueType::kNull) {
     return;
   }
   const size_t num_zones = (n + kZoneRows - 1) / kZoneRows;
@@ -145,14 +147,10 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
         if (v.is_null()) {
           col.owned_null_words[r >> 6] |= uint64_t{1} << (r & 63);
           ++col.null_count;
-        } else if (v.is_string()) {
-          dict_map.emplace(v.string_value(), 0);
         } else {
-          col.regular = false;
+          AUTOCAT_CHECK(v.is_string());
+          dict_map.emplace(v.string_value(), 0);
         }
-      }
-      if (!col.regular) {
-        continue;
       }
       col.dict.reserve(dict_map.size());
       for (auto& [sv, code] : dict_map) {
@@ -176,10 +174,7 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
         ++col.null_count;
         continue;
       }
-      if (v.type() != col.type) {
-        col.regular = false;
-        continue;
-      }
+      AUTOCAT_CHECK(v.type() == col.type);
       if (col.type == ValueType::kInt64) {
         col.owned_i64[r] = v.int64_value();
       } else if (col.type == ValueType::kDouble) {
@@ -187,8 +182,7 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
       }
     }
     ComputeZones(&col, n);
-    if (col.regular &&
-        (col.type == ValueType::kInt64 || col.type == ValueType::kDouble)) {
+    if (col.type == ValueType::kInt64 || col.type == ValueType::kDouble) {
       // One (double, row) sort per table lifetime. Keys are the same
       // doubles the partitioners read (int64 cells through the same
       // static_cast), so rank-filtering this order reproduces a per-query

@@ -79,16 +79,13 @@ class ColumnSpan {
 ///    decompressed-or-raw column segments zero-copy, with `owner` keeping
 ///    the mapping alive for the table's lifetime.
 ///
-/// Either way the table is immutable after construction. Columns whose
-/// cells do not all match the declared type (impossible through
-/// `Table::AppendRow`, which coerces) are marked `regular = false` and
-/// consumers fall back to the row representation.
+/// Either way the table is immutable after construction, and every
+/// column is typed: each cell is the declared type or NULL (see `Build`).
 class ColumnarTable {
  public:
   struct Column {
-    /// Declared storage type. Cells are this type or NULL when `regular`.
+    /// Declared storage type. Every cell is this type or NULL.
     ValueType type = ValueType::kNull;
-    bool regular = true;
     size_t null_count = 0;
     /// Bit r set <=> row r is NULL. size = ceil(num_rows / 64).
     ColumnSpan<uint64_t> null_words;
@@ -100,19 +97,18 @@ class ColumnarTable {
     ColumnSpan<uint32_t> codes;
     /// type == kString: sorted distinct non-NULL strings.
     std::vector<std::string> dict;
-    /// Regular kInt64/kDouble columns built by `Build`: the non-NULL row
+    /// kInt64/kDouble columns built by `Build`: the non-NULL row
     /// indices ordered by (value as double ascending, row ascending) —
     /// the same total order sorting per-query (value, position) pairs
     /// produces. Computed once per table so the stats-accumulate sink can
     /// rank-filter a selection against it instead of re-sorting survivors
-    /// on every cold request. Empty when unavailable (irregular columns,
-    /// segment-store wrapped columns), and consumers must fall back.
+    /// on every cold request. Empty for segment-store wrapped columns, and
+    /// consumers must fall back.
     std::vector<uint32_t> sorted_order;
     /// Per-zone (kZoneRows-row) metadata: ceil(num_rows / kZoneRows)
-    /// entries for regular typed columns — exact for `Build` shadows,
-    /// segment-replicated extrema with exact per-zone counts for
-    /// store-mapped columns. Empty when unavailable (irregular columns);
-    /// the zone prover then treats every zone as unprovable.
+    /// entries — exact for `Build` shadows, segment-replicated extrema
+    /// with exact per-zone counts for store-mapped columns. Empty for a
+    /// zero-row table or a kNull-typed column.
     std::vector<ZoneEntry> zones;
 
     /// Owned backing arrays. `Build` fills these and points the spans at
@@ -153,7 +149,10 @@ class ColumnarTable {
 
   /// Builds an in-memory shadow in one pass per column (two for strings:
   /// dictionary then codes). Requires `table.num_rows() <= UINT32_MAX`
-  /// (callers gate; selection vectors are 32-bit).
+  /// (callers gate; selection vectors are 32-bit). Aborts on a cell that
+  /// is neither NULL nor the column's declared type: `Table::AppendRow`
+  /// coerces, so only rows handed to `Table::FromValidatedRows` in breach
+  /// of its precondition can carry one.
   static ColumnarTable Build(const Table& table);
 
   /// Wraps externally built columns (the segment store's open path).
@@ -220,7 +219,7 @@ class TableView {
   /// Cell accessor in view coordinates; bounds unchecked in release.
   /// Valid only when the base table stores rows (see Table::has_rows);
   /// consumers reading a column-backed base go through the columnar
-  /// fast paths, which cover every regular column.
+  /// fast paths, which cover every column.
   const Value& ValueAt(size_t row, size_t col) const {
     return base_->ValueAt(rows_[row], projection_[col]);
   }

@@ -232,7 +232,7 @@ Result<std::vector<Value>> Table::DistinctValues(size_t col) const {
   }
   if (columnar_ != nullptr) {
     const ColumnarTable::Column& cc = columnar_->column(col);
-    if (cc.type == ValueType::kString && cc.regular) {
+    if (cc.type == ValueType::kString) {
       // The dictionary IS the sorted distinct non-NULL value set.
       std::vector<Value> out;
       out.reserve(cc.dict.size());

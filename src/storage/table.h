@@ -57,8 +57,8 @@ class Table {
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
 
-  /// Wraps an already-built columnar relation (every column regular — the
-  /// segment store guarantees this) as an immutable column-backed table.
+  /// Wraps an already-built columnar relation as an immutable
+  /// column-backed table.
   /// `columnar.num_columns()` must equal `schema.num_columns()` with
   /// matching types.
   static Table FromColumnar(Schema schema,
@@ -69,7 +69,7 @@ class Table {
   /// column types (the pipeline gather sink's case). Skips the per-cell
   /// validation/coercion of `AppendRows`; passing rows that were not
   /// gathered from a schema-matching table breaks the homogeneity
-  /// invariant.
+  /// invariant, and `ColumnarTable::Build` aborts on the result.
   static Table FromValidatedRows(Schema schema, std::vector<Row> rows);
 
   const Schema& schema() const { return schema_; }

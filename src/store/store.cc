@@ -178,7 +178,6 @@ Result<Table> SegmentStore::OpenTable(const std::string& name) const {
     AUTOCAT_RETURN_IF_ERROR(ValidateSegments(cm, n));
     ColumnarTable::Column col;
     col.type = static_cast<ValueType>(cm.value_type);
-    col.regular = true;
     col.null_count = static_cast<size_t>(cm.null_count);
     AUTOCAT_ASSIGN_OR_RETURN(
         col.null_words, buffers_->Region<uint64_t>(cm.null_words, words));

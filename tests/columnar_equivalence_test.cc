@@ -19,7 +19,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -212,7 +214,7 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
                              db.ColumnarFor("homes"));
 
   Random rng(555);
-  size_t compiled_profiles = 0;
+  size_t profiles = 0;
   for (int i = 0; i < 500; ++i) {
     const std::string sql = RandomQuery(rng, schema);
     auto query = ParseQuery(sql);
@@ -223,13 +225,11 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
     if (!profile.ok()) {
       continue;
     }
+    // The profile compiler is total: every profile compiles.
     auto compiled =
         CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
-    if (!compiled.ok()) {
-      ASSERT_EQ(compiled.status().code(), StatusCode::kNotSupported) << sql;
-      continue;
-    }
-    ++compiled_profiles;
+    ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
+    ++profiles;
     std::vector<uint32_t> expected;
     for (size_t r = 0; r < table.num_rows(); ++r) {
       if (profile.value().MatchesRow(table.row(r), schema)) {
@@ -244,8 +244,71 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
       EXPECT_EQ(got, expected) << sql << " (threads=" << threads << ")";
     }
   }
-  EXPECT_GE(compiled_profiles, 50u)
-      << "profile compiler refused too often to be a meaningful gate";
+  EXPECT_GE(profiles, 50u)
+      << "too few queries normalized to a profile to be a meaningful gate";
+}
+
+// A NaN member compares "equal" to every numeric, so a std::set<Value>
+// keeps one only when it holds no other numeric member, and count() then
+// matches every non-NULL numeric cell. The kernels compile that as the IN
+// list's match-all literal; a string column ignores the NaN member.
+TEST(ColumnarEquivalenceTest, NanValueSetMemberCompilesAsMatchAll) {
+  const Schema schema = FuzzSchema();
+  const Table table = MakeHomes(5000, 404, 0.1, true);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
+                             db.ColumnarFor("homes"));
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  const Value three(int64_t{3});
+  const Value redmond("Redmond");
+  const std::vector<std::pair<std::string, std::set<Value>>> sets = {
+      {"{NaN}", {nan}},
+      {"{NaN,3}", {nan, three}},
+      {"{3,NaN}", {three, nan}},
+      {"{NaN,'Redmond'}", {nan, redmond}},
+      {"{'Redmond',NaN,2.0}", {redmond, nan, Value(2.0)}},
+  };
+  for (const char* attr : {"price", "bedroomcount", "neighborhood"}) {
+    for (const auto& [name, values] : sets) {
+      const std::string context = std::string(attr) + " in " + name;
+      SelectionProfile profile;
+      profile.Set(attr, AttributeCondition::ValueSet(values));
+      auto compiled =
+          CompiledPredicate::CompileProfile(profile, schema, shadow);
+      ASSERT_TRUE(compiled.ok())
+          << context << ": " << compiled.status().ToString();
+      std::vector<uint32_t> expected;
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (profile.MatchesRow(table.row(r), schema)) {
+          expected.push_back(static_cast<uint32_t>(r));
+        }
+      }
+      for (const size_t threads : {size_t{1}, size_t{7}}) {
+        ParallelOptions parallel;
+        parallel.threads = threads;
+        AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> got,
+                                   compiled.value().Filter(parallel));
+        EXPECT_EQ(got, expected)
+            << context << " (threads=" << threads << ")";
+      }
+    }
+  }
+}
+
+// Columns are typed by construction; only a caller breaking
+// Table::FromValidatedRows's precondition can hand ColumnarTable::Build a
+// mixed-type column, and Build refuses to shadow it.
+TEST(ColumnarEquivalenceDeathTest, MixedTypeColumnDiesInBuild) {
+  const Table typed = MakeHomes(40, 9, 0.0, false);
+  std::vector<Row> rows;
+  for (size_t r = 0; r < typed.num_rows(); ++r) {
+    rows.push_back(typed.row(r));
+  }
+  rows[5][0] = Value(int64_t{7});  // an int64 cell in `neighborhood`
+  const Table mixed = Table::FromValidatedRows(FuzzSchema(), std::move(rows));
+  EXPECT_DEATH((void)ColumnarTable::Build(mixed),
+               "columnar\\.cc.*AUTOCAT_CHECK failed");
 }
 
 // ------------------------------------------------- view-based consumers

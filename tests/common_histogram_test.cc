@@ -74,6 +74,21 @@ TEST(HistogramTest, PercentilesAreMonotonicAndBounded) {
   EXPECT_LE(p99, h.upper_bounds().back());
 }
 
+TEST(HistogramTest, PercentilesStayWithinObservedRange) {
+  Histogram same = Histogram::LatencyMs();
+  for (int i = 0; i < 10; ++i) {
+    same.Add(3.0);
+  }
+  for (const double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(same.PercentileEstimate(p), 3.0) << "p" << p;
+  }
+  Histogram one = Histogram::LatencyMs();
+  one.Add(0.011);
+  for (const double p : {0.0, 50.0, 99.0}) {
+    EXPECT_DOUBLE_EQ(one.PercentileEstimate(p), 0.011) << "p" << p;
+  }
+}
+
 TEST(HistogramTest, OverflowPercentileReportsObservedMax) {
   Histogram h({1.0});
   h.Add(500.0);

@@ -118,8 +118,9 @@ void ExpectIndexesIdentical(const ResultAttributeIndex& a,
   }
 }
 
-// Parses and compiles `sql`; a kNotSupported refusal (the row-fallback
-// contract) skips the query and leaves `*compiled_out` empty.
+// Parses and compiles `sql`; a query that does not parse or normalize to
+// a profile is skipped and leaves `*compiled_out` empty. The profile
+// compiler is total, so every profile must compile.
 void CompileOrSkip(const std::string& sql, const Schema& schema,
                    const std::shared_ptr<const ColumnarTable>& shadow,
                    std::optional<CompiledPredicate>* compiled_out,
@@ -135,10 +136,7 @@ void CompileOrSkip(const std::string& sql, const Schema& schema,
   }
   auto compiled =
       CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
-  if (!compiled.ok()) {
-    ASSERT_EQ(compiled.status().code(), StatusCode::kNotSupported) << sql;
-    return;
-  }
+  ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
   *columns_out = query.value().columns;
   compiled_out->emplace(std::move(compiled).value());
 }
@@ -229,8 +227,8 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
 
   Random rng(777);
   size_t compiled_queries = 0;
-  // Roughly half the generated queries use OR and refuse profile
-  // compilation; 400 draws leave ~70 compiled conjunctions.
+  // Roughly half the generated queries use OR and do not normalize to a
+  // profile; 400 draws leave ~70 compiled conjunctions.
   for (int i = 0; i < 400; ++i) {
     std::string sql = RandomQuery(rng, schema);
     if (rng.Bernoulli(0.3)) {
@@ -250,7 +248,7 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
     ExpectPipelineMatchesLegacy(table, shadow, sql, &compiled_queries);
   }
   EXPECT_GE(compiled_queries, 30u)
-      << "profile compiler refused too often to be a meaningful gate";
+      << "too few queries normalized to a profile to be a meaningful gate";
 }
 
 // -------------------------------------------------- attribute-index shape

@@ -375,58 +375,5 @@ TEST(ServiceCoalescingTest, PipelineAndLegacyServeBitIdenticalResponses) {
   EXPECT_GT(snapshot.pipeline_morsels, 0u);
 }
 
-// An int64 cell in the string column `neighborhood` makes that column
-// irregular in the columnar shadow, so the kernels refuse any profile
-// constraining it and the row predicate becomes the selection source.
-TEST(ServiceCoalescingTest, KernelRefusalServesFromRowSelectionSource) {
-  std::vector<Row> rows;
-  const Table regular = HomesTable(150);
-  for (size_t r = 0; r < regular.num_rows(); ++r) {
-    rows.push_back(regular.row(r));
-  }
-  rows[5][0] = Value(int64_t{7});
-  rows[9][0] = Value(int64_t{7});
-  const Table table = Table::FromValidatedRows(HomesSchema(), std::move(rows));
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("Homes", Table(table)).ok());
-  ServiceOptions options;
-  options.stats.split_intervals["price"] = 5000;
-  CategorizationService service(std::move(db), HomesWorkload(),
-                                std::move(options));
-  const Workload workload = HomesWorkload();
-
-  const std::vector<std::string> refused = {
-      "SELECT * FROM Homes WHERE neighborhood = 'Redmond'",
-      "SELECT neighborhood, price FROM Homes WHERE neighborhood IN "
-      "('Redmond', 'Bellevue') AND price <= 300000",
-  };
-  for (const std::string& sql : refused) {
-    ServeRequest request;
-    request.sql = sql;
-    auto served = service.Handle(request);
-    ASSERT_TRUE(served.ok()) << sql << ": " << served.status().ToString();
-    EXPECT_GT(served->payload->result_rows(), 0u) << sql;
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const equiv::OracleResponse oracle,
-        equiv::ServeRows(sql, table, workload, service.options()));
-    equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
-  }
-  EXPECT_EQ(service.SnapshotMetrics().pipeline_requests, 0u);
-
-  // A profile on regular columns still compiles; its result carries the
-  // irregular neighborhood cells into the categorizer.
-  const std::string sql =
-      "SELECT * FROM Homes WHERE price BETWEEN 150000 AND 250000";
-  ServeRequest request;
-  request.sql = sql;
-  auto served = service.Handle(request);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const equiv::OracleResponse oracle,
-      equiv::ServeRows(sql, table, workload, service.options()));
-  equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
-  EXPECT_EQ(service.SnapshotMetrics().pipeline_requests, 1u);
-}
-
 }  // namespace
 }  // namespace autocat

@@ -700,9 +700,6 @@ TEST(StoreRoundTripTest, OpenTableSurfacesZoneMetadata) {
   const size_t num_zones = (n + kZoneRows - 1) / kZoneRows;
   for (size_t c = 0; c < shadow->num_columns(); ++c) {
     const ColumnarTable::Column& col = shadow->column(c);
-    if (!col.regular) {
-      continue;
-    }
     ASSERT_EQ(col.zones.size(), num_zones) << "col " << c;
     ASSERT_EQ(meta.columns[c].segments.size(), 1u) << "col " << c;
     const SegmentMeta& segment = meta.columns[c].segments[0];
@@ -768,7 +765,6 @@ TEST(StoreRoundTripTest, SortedStoreZonesPruneCompiledPredicates) {
       table.value().columnar_backing();
   ASSERT_NE(shadow, nullptr);
   const ColumnarTable::Column& price = shadow->column(1);
-  ASSERT_TRUE(price.regular);
 
   // Threshold just above the first segment's maximum price: only rows of
   // the second segment can match, so the first segment's 32 morsels are

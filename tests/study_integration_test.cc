@@ -88,13 +88,12 @@ void ExpectMatchesRowScan(const StudyEnvironment& env,
 TEST(StudyEnvironmentTest, ExecuteProfileMatchesRowScan) {
   const StudyEnvironment& env = SharedEnv();
   ExpectMatchesRowScan(env, SelectionProfile(), "empty profile");
-  // A NaN set member makes the kernels refuse, so this one is selected
-  // by the MatchesRow fallback.
-  SelectionProfile refused;
-  refused.Set("bedroomcount",
-              AttributeCondition::ValueSet(
-                  {Value(std::numeric_limits<double>::quiet_NaN())}));
-  ExpectMatchesRowScan(env, refused, "NaN set member");
+  // A NaN set member compiles as the kernels' match-all literal.
+  SelectionProfile nan_member;
+  nan_member.Set("bedroomcount",
+                 AttributeCondition::ValueSet(
+                     {Value(std::numeric_limits<double>::quiet_NaN())}));
+  ExpectMatchesRowScan(env, nan_member, "NaN set member");
   size_t checked = 0;
   for (size_t i = 0; i < env.workload().size() && checked < 200; ++i) {
     const SelectionProfile& w = env.workload().entry(i).profile;

@@ -114,7 +114,7 @@ serve_leg() {
 # suite against the Filter -> Materialize -> rescan reference
 # (bit-identical results and attribute indexes at thread counts
 # 1/2/7/16), the coalescing registry units, and the service-level
-# oracle, refusal-source, and burst/epoch-invalidation tests.
+# oracle and burst/epoch-invalidation tests.
 PIPELINE_FILTER='^(PipelineEquivalenceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
 
 pipeline_leg() {
@@ -178,9 +178,11 @@ store_leg() {
 # The zone-map + SIMD kernel gate: zone metadata construction, the zone
 # prover's refuse-or-exact verdicts (randomized, NULL/NaN edges,
 # clustered pruning bite, cold-pipeline counters), the kernel-vs-scalar
-# unit comparisons, and the end-to-end SIMD-vs-scalar equivalence gate
-# (fuzz corpus + randomized queries, bit-identical at threads 1/2/7/16).
-KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest)\.'
+# unit comparisons, the end-to-end SIMD-vs-scalar equivalence gate
+# (fuzz corpus + randomized queries, bit-identical at threads 1/2/7/16),
+# and the row-vs-columnar gate, where the profile compiler is held total
+# and exact against MatchesRow and a mixed-type column dies in Build.
+KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
 
 kernels_leg() {
   local name="$1" dir="$2"
@@ -189,7 +191,8 @@ kernels_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [kernels/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target autocat_kernel_tests autocat_store_tests bench_exec_filter
+    --target autocat_kernel_tests autocat_store_tests \
+    autocat_columnar_tests bench_exec_filter
   echo "==== [kernels/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$KERNELS_FILTER")
