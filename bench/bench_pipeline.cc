@@ -105,13 +105,6 @@ struct PipelineFixture {
         f->mix_sqls.push_back(f->env->workload().entry(i).sql);
       }
       AUTOCAT_CHECK(!f->mix_sqls.empty());
-
-      // Warm the per-table WorkloadStats so the timed iterations measure
-      // execution, not preprocessing.
-      ServeRequest warm;
-      warm.sql = f->queries.front().sql;
-      warm.bypass_cache = true;
-      AUTOCAT_CHECK(f->service->Handle(warm).ok());
       return f;
     }();
     return *fixture;

@@ -87,12 +87,6 @@ struct ServeFixture {
         f->sqls.push_back(f->env->workload().entry(i).sql);
       }
       AUTOCAT_CHECK(!f->sqls.empty());
-      // One warm-up request builds the per-table WorkloadStats so the
-      // cold benchmark times categorization, not preprocessing.
-      ServeRequest warm;
-      warm.sql = f->sqls[0];
-      warm.bypass_cache = true;
-      AUTOCAT_CHECK(f->service->Handle(warm).ok());
       return f;
     }();
     return *fixture;

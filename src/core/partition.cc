@@ -161,15 +161,6 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
         groups[Value(cc->f64[row])].push_back(idx);
       }
     }
-  } else if (!view.base().has_rows()) {
-    // Column-backed base without a typed path: synthesize owned cells.
-    for (size_t idx : tuples) {
-      Value v = view.base().CellValue(view.base_row(idx),
-                                      view.base_column(col));
-      if (!v.is_null()) {
-        groups[std::move(v)].push_back(idx);
-      }
-    }
   } else {
     for (size_t idx : tuples) {
       const Value& v = view.ValueAt(idx, col);
@@ -267,14 +258,6 @@ ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
         ++counts[Value(cc->f64[row])];
-      }
-    }
-  } else if (!view.base().has_rows()) {
-    for (size_t idx : tuples) {
-      Value v = view.base().CellValue(view.base_row(idx),
-                                      view.base_column(col));
-      if (!v.is_null()) {
-        ++counts[std::move(v)];
       }
     }
   } else {
@@ -481,15 +464,6 @@ Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
         values.emplace_back(cc->f64[row], idx);
-      }
-    }
-  } else if (!view.base().has_rows()) {
-    // Column-backed base without a typed path: synthesize owned cells.
-    for (size_t idx : tuples) {
-      const Value v = view.base().CellValue(view.base_row(idx),
-                                            view.base_column(col));
-      if (!v.is_null()) {
-        values.emplace_back(v.AsDouble(), idx);
       }
     }
   } else {

@@ -53,11 +53,13 @@ struct NumericPartitionOptions {
 
 /// Every partitioner reads its input relation through a `TableView`;
 /// `tuples` index view rows (== rows of the materialized result, which
-/// the category tree references). Regular columns of an attached columnar
+/// the category tree references). The columns of an attached columnar
 /// shadow are read through their dictionary codes / typed arrays (the
-/// dictionary is sorted, so code order is value order); a view without a
-/// shadow — `TableView::All(table, nullptr)` for an owned table — walks
-/// the cells as `Value`s. Both walks produce the identical partition.
+/// dictionary is sorted, so code order is value order); a view of a
+/// column-backed table always has one (its backing). A view of a
+/// row-store table without a shadow — `TableView::All(table, nullptr)`
+/// for an owned table — walks the cells as `Value`s. Both walks produce
+/// the identical partition.
 ///
 /// The four cost-based entry points accept an optional
 /// `ResultAttributeIndex` built over the same result relation (by the

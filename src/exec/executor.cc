@@ -13,27 +13,16 @@
 
 namespace autocat {
 
-Database::Database(const Database& other) : tables_(other.tables_) {}
-
-Database& Database::operator=(const Database& other) {
-  if (this != &other) {
-    tables_ = other.tables_;
-    const MutexLock lock(columnar_mu_);
-    columnar_.clear();
+std::shared_ptr<const ColumnarTable> Database::ShadowOf(const Table& table) {
+  if (table.num_rows() > std::numeric_limits<uint32_t>::max()) {
+    return nullptr;
   }
-  return *this;
-}
-
-Database::Database(Database&& other) noexcept
-    : tables_(std::move(other.tables_)) {}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    tables_ = std::move(other.tables_);
-    const MutexLock lock(columnar_mu_);
-    columnar_.clear();
+  if (!table.has_rows()) {
+    // Column-backed tables (segment-store mode) carry their columnar
+    // representation already.
+    return table.columnar_backing();
   }
-  return *this;
+  return std::make_shared<const ColumnarTable>(ColumnarTable::Build(table));
 }
 
 Status Database::RegisterTable(std::string_view name, Table table) {
@@ -42,15 +31,16 @@ Status Database::RegisterTable(std::string_view name, Table table) {
     return Status::AlreadyExists("table '" + std::string(name) +
                                  "' already registered");
   }
-  tables_.emplace(key, std::move(table));
+  auto shadow = ShadowOf(table);
+  tables_.emplace(key, Entry{std::move(table), std::move(shadow)});
   return Status::OK();
 }
 
 void Database::PutTable(std::string_view name, Table table) {
-  const std::string key = ToLower(name);
-  tables_[key] = std::move(table);
-  const MutexLock lock(columnar_mu_);
-  columnar_.erase(key);
+  auto shadow = ShadowOf(table);
+  Entry& entry = tables_[ToLower(name)];
+  entry.table = std::move(table);
+  entry.shadow = std::move(shadow);
 }
 
 Result<const Table*> Database::GetTable(std::string_view name) const {
@@ -58,54 +48,33 @@ Result<const Table*> Database::GetTable(std::string_view name) const {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
-  return &it->second;
+  return &it->second.table;
 }
 
 Result<std::shared_ptr<const ColumnarTable>> Database::ColumnarFor(
     std::string_view name) const {
-  const std::string key = ToLower(name);
-  const auto it = tables_.find(key);
+  const auto it = tables_.find(ToLower(name));
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
-  if (it->second.num_rows() > std::numeric_limits<uint32_t>::max()) {
+  if (it->second.shadow == nullptr) {
     return Status::NotSupported("table '" + std::string(name) +
                                 "' too large for a columnar shadow");
   }
-  if (!it->second.has_rows()) {
-    // Column-backed tables (segment-store mode) carry their columnar
-    // representation already — no shadow to build or cache.
-    return it->second.columnar_backing();
-  }
-  {
-    const MutexLock lock(columnar_mu_);
-    if (auto cached = LookupColumnarLocked(key)) {
-      return cached;
-    }
-  }
-  // Build outside the lock; if two threads race here the second insert is
-  // a no-op and both return an equivalent shadow.
-  auto shadow =
-      std::make_shared<const ColumnarTable>(ColumnarTable::Build(it->second));
-  const MutexLock lock(columnar_mu_);
-  return InsertColumnarLocked(key, std::move(shadow));
-}
-
-std::shared_ptr<const ColumnarTable> Database::LookupColumnarLocked(
-    const std::string& key) const AUTOCAT_REQUIRES(columnar_mu_) {
-  const auto cached = columnar_.find(key);
-  return cached != columnar_.end() ? cached->second : nullptr;
-}
-
-std::shared_ptr<const ColumnarTable> Database::InsertColumnarLocked(
-    const std::string& key,
-    std::shared_ptr<const ColumnarTable> shadow) const
-    AUTOCAT_REQUIRES(columnar_mu_) {
-  return columnar_.emplace(key, std::move(shadow)).first->second;
+  return it->second.shadow;
 }
 
 bool Database::HasTable(std::string_view name) const {
   return tables_.count(ToLower(name)) > 0;
+}
+
+std::vector<std::string> Database::TableNames() const {
+  std::vector<std::string> names;
+  names.reserve(tables_.size());
+  for (const auto& [key, entry] : tables_) {
+    names.push_back(key);
+  }
+  return names;
 }
 
 Result<std::vector<size_t>> FilterTable(const Table& table,

@@ -5,9 +5,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "sql/ast.h"
@@ -17,26 +16,20 @@
 namespace autocat {
 
 /// A minimal named-table catalog: the "database" queries run against.
+/// Each table is stored with its columnar shadow (storage/columnar.h),
+/// built when the table is registered or put, so a table never exists
+/// without its derived state. Copies share the immutable shadows. (As
+/// with the rest of the class, copying a Database that another thread is
+/// mutating requires external synchronization.)
 class Database {
  public:
-  Database() = default;
-
-  // Copy/move transfer only the row-store tables; columnar shadows are
-  // dropped and rebuilt lazily on first use. (As with the rest of the
-  // class, copying or moving a Database that another thread is mutating
-  // requires external synchronization.)
-  Database(const Database& other);
-  Database& operator=(const Database& other);
-  Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
-
-  /// Registers `table` under `name` (case-insensitive). Errors when a table
-  /// with that name already exists.
+  /// Registers `table` under `name` (case-insensitive) and builds its
+  /// shadow. Errors when a table with that name already exists.
   Status RegisterTable(std::string_view name, Table table);
 
   /// Replaces or creates the table under `name`. Replacement happens in
   /// place: the `Table` object keeps its address (see GetTable), only its
-  /// contents change. Invalidates the table's columnar shadow.
+  /// contents change. The new shadow is built before the swap.
   void PutTable(std::string_view name, Table table);
 
   /// Looks up a table by name.
@@ -50,42 +43,29 @@ class Database {
   /// synchronization — the contract is about the address, not the data.
   Result<const Table*> GetTable(std::string_view name) const;
 
-  /// Returns the table's columnar shadow (see storage/columnar.h),
-  /// building and caching it on first use. The shared_ptr keeps the shadow
-  /// alive across a concurrent PutTable, which only drops the cache entry.
-  /// Errors: kNotFound for an unknown table; kNotSupported when the table
-  /// has more rows than a uint32_t selection vector can address
-  /// (ExecuteQuery falls back to the row path; the serving layer returns
-  /// the error).
-  ///
-  /// Thread-safe against concurrent ColumnarFor/PutTable on *other*
-  /// threads only under the same external synchronization GetTable
-  /// requires for the row data itself.
+  /// Returns the table's columnar shadow: `ColumnarTable::Build` of a
+  /// row-store table, the backing of a column-backed one. The shared_ptr
+  /// keeps the shadow alive across a later PutTable. Errors: kNotFound
+  /// for an unknown table; kNotSupported when the table has more rows
+  /// than a uint32_t selection vector can address (ExecuteQuery falls
+  /// back to the row path; the serving layer returns the error).
   Result<std::shared_ptr<const ColumnarTable>> ColumnarFor(
-      std::string_view name) const AUTOCAT_EXCLUDES(columnar_mu_);
+      std::string_view name) const;
 
   bool HasTable(std::string_view name) const;
   size_t num_tables() const { return tables_.size(); }
+  /// The registered table names (lowercase), in ascending order.
+  std::vector<std::string> TableNames() const;
 
  private:
-  /// The cached shadow for `key`, or nullptr when none is cached yet.
-  std::shared_ptr<const ColumnarTable> LookupColumnarLocked(
-      const std::string& key) const AUTOCAT_REQUIRES(columnar_mu_);
-  /// Caches `shadow` under `key` (first writer wins on a race) and
-  /// returns the cached entry.
-  std::shared_ptr<const ColumnarTable> InsertColumnarLocked(
-      const std::string& key,
-      std::shared_ptr<const ColumnarTable> shadow) const
-      AUTOCAT_REQUIRES(columnar_mu_);
+  struct Entry {
+    Table table;
+    /// Null when the table is too large for a columnar shadow.
+    std::shared_ptr<const ColumnarTable> shadow;
+  };
+  static std::shared_ptr<const ColumnarTable> ShadowOf(const Table& table);
 
-  std::map<std::string, Table> tables_;  // keyed by lowercase name
-
-  // Lazily built columnar shadows, keyed like tables_. Guarded by
-  // columnar_mu_ so read-only callers (ColumnarFor is const) can share a
-  // cache without racing on the map itself.
-  mutable Mutex columnar_mu_;
-  mutable std::map<std::string, std::shared_ptr<const ColumnarTable>>
-      columnar_ AUTOCAT_GUARDED_BY(columnar_mu_);
+  std::map<std::string, Entry> tables_;  // keyed by lowercase name
 };
 
 /// Knobs for ExecuteQuery/ExecuteSql. Defaults favor the serving layer:

@@ -29,8 +29,9 @@ std::string_view ServeOutcomeToString(ServeOutcome outcome);
 
 /// Cold-path operator breakdown: where a cache miss spends its time,
 /// named after the pipeline operators (DESIGN.md §14). Each operator is
-/// recorded once per request that reaches it — kStatsBuild only when the
-/// per-table WorkloadStats had to be built.
+/// recorded once per request that reaches it, except kStatsBuild, which
+/// is recorded once per per-table WorkloadStats build: when a table is
+/// installed, its schema changes, or the workload is rebuilt.
 enum class ServeOperator {
   kParse = 0,
   kFilter,

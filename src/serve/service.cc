@@ -72,6 +72,9 @@ CategorizationService::CategorizationService(Database db, Workload workload,
   {
     WriterLock lock(state_mu_);
     signature_ = base_signature_;
+    for (const std::string& key : db_.TableNames()) {
+      BuildStatsLocked(key);
+    }
   }
   // The serving layer takes its parallelism across requests; an
   // unconfigured categorizer (threads = 0 elsewhere means "hardware")
@@ -132,60 +135,47 @@ Result<ServeResponse> CategorizationService::HandleAdmitted(
   metrics_.RecordOperator(ServeOperator::kParse, WallMs() - parse_start);
   const std::string table_key = ToLower(query.table_name);
 
-  bool allow_follow = !request.bypass_cache;
-  // Up to four passes: a pass may be spent building missing per-table
-  // WorkloadStats, another following a flight that fails or races a
-  // PutTable (retried solo), with slack for one more stats rebuild after
-  // a concurrent table swap. Everything that reads table contents stays
-  // inside one shared-lock section, paired with the cache epoch observed
-  // in that same section, so a concurrent PutTable can never leak
-  // mixed-state entries into the cache or across a coalesced flight.
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    CoalesceTicket ticket;
-    std::string probe_key;
+  // At most two passes: follow a coalescing flight, then run solo when
+  // that flight fails or races a PutTable. Everything that reads table
+  // contents stays inside one shared-lock section, paired with the cache
+  // epoch observed in that same section, so a concurrent PutTable can
+  // never leak mixed-state entries into the cache or across a coalesced
+  // flight.
+  CoalesceTicket ticket;
+  std::string probe_key;
+  if (!request.bypass_cache) {
     SelectionProfile probe_profile;
-    bool need_stats = false;
-    if (allow_follow) {
+    {
       // Probe pass, the request's only cache probe: resolve the canonical
       // signature and the cache under the shared lock, then take or join
       // the coalescing slot for the cold execution. The slot is keyed on
       // the epoch observed in this same section (serve/coalesce.h
-      // explains why). Missing stats send the request back before the
-      // probe, so a stats-building pass counts no cache miss.
+      // explains why). A table whose stats failed to build answers with
+      // that error before the probe, so it counts no cache miss.
       ReaderLock lock(state_mu_);
       AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
                                db_.GetTable(table_key));
-      // as_const: the const overload of find() — under a shared (reader)
-      // lock the analysis only permits const access to guarded members.
-      if (std::as_const(stats_by_table_).find(table_key) ==
-          stats_by_table_.cend()) {
-        need_stats = true;
-      } else {
-        AUTOCAT_ASSIGN_OR_RETURN(
-            CanonicalQuery canonical,
-            CanonicalizeQuery(query, table->schema(), signature_));
-        if (auto payload = cache_.Get(canonical.key, canonical.hash)) {
-          *outcome = ServeOutcome::kHit;
-          traffic_.Record(true, canonical.profile);
-          ServeResponse response;
-          response.payload = std::move(payload);
-          response.cache_hit = true;
-          response.signature = std::move(canonical.key);
-          return response;
-        }
-        if (deadline.ExpiredAt(NowMs())) {
-          *outcome = ServeOutcome::kDeadlineExceeded;
-          return Status::DeadlineExceeded(
-              "deadline passed before query execution");
-        }
-        ticket = coalescing_.JoinOrLead(canonical.key, cache_.epoch());
-        probe_key = std::move(canonical.key);
-        probe_profile = canonical.profile;
+      AUTOCAT_RETURN_IF_ERROR(StatsLocked(table_key).status());
+      AUTOCAT_ASSIGN_OR_RETURN(
+          CanonicalQuery canonical,
+          CanonicalizeQuery(query, table->schema(), signature_));
+      if (auto payload = cache_.Get(canonical.key, canonical.hash)) {
+        *outcome = ServeOutcome::kHit;
+        traffic_.Record(true, canonical.profile);
+        ServeResponse response;
+        response.payload = std::move(payload);
+        response.cache_hit = true;
+        response.signature = std::move(canonical.key);
+        return response;
       }
-    }
-    if (need_stats) {
-      AUTOCAT_RETURN_IF_ERROR(StatsFor(table_key).status());
-      continue;
+      if (deadline.ExpiredAt(NowMs())) {
+        *outcome = ServeOutcome::kDeadlineExceeded;
+        return Status::DeadlineExceeded(
+            "deadline passed before query execution");
+      }
+      ticket = coalescing_.JoinOrLead(canonical.key, cache_.epoch());
+      probe_key = std::move(canonical.key);
+      probe_profile = canonical.profile;
     }
 
     if (ticket.kind == CoalesceTicket::Kind::kFollower) {
@@ -213,38 +203,31 @@ Result<ServeResponse> CategorizationService::HandleAdmitted(
       }
       // The leader failed, raced a PutTable (computed epoch moved), or
       // outlived our budget; run the cold path ourselves, uncoalesced.
-      allow_follow = false;
-      continue;
+      ticket = CoalesceTicket();
     }
-
-    // Leader or solo: run the cold path. The guard publishes a failure
-    // from its destructor on every non-publishing exit, so followers
-    // never block on a leader that errored out or went back for stats.
-    std::optional<PublishGuard> guard;
-    if (ticket.kind == CoalesceTicket::Kind::kLeader) {
-      metrics_.RecordCoalescedLeader();
-      guard.emplace(&coalescing_, probe_key, ticket.flight);
-    }
-    if (options_.on_cold_execute) {
-      options_.on_cold_execute(probe_key);
-    }
-    AUTOCAT_ASSIGN_OR_RETURN(
-        ColdAttempt served,
-        AttemptServe(query, table_key, request, deadline, outcome));
-    if (served.need_stats) {
-      AUTOCAT_RETURN_IF_ERROR(StatsFor(table_key).status());
-      continue;
-    }
-    // A signature drift between the probe and the attempt (Adapt resnapped
-    // the widths) means the flight's key no longer describes what ran;
-    // let the guard publish the failure so followers retry solo.
-    if (guard && served.key == probe_key) {
-      guard->Publish(Status::OK(), served.payload, served.epoch);
-    }
-    return std::move(served.response);
   }
-  return Status::Internal("workload stats kept disappearing for table '" +
-                          table_key + "'");
+
+  // Leader or solo: run the cold path. The guard publishes a failure
+  // from its destructor on every non-publishing exit, so followers never
+  // block on a leader that errored out.
+  std::optional<PublishGuard> guard;
+  if (ticket.kind == CoalesceTicket::Kind::kLeader) {
+    metrics_.RecordCoalescedLeader();
+    guard.emplace(&coalescing_, probe_key, ticket.flight);
+  }
+  if (options_.on_cold_execute) {
+    options_.on_cold_execute(probe_key);
+  }
+  AUTOCAT_ASSIGN_OR_RETURN(
+      ColdAttempt served,
+      AttemptServe(query, table_key, request, deadline, outcome));
+  // A signature drift between the probe and the attempt (Adapt resnapped
+  // the widths) means the flight's key no longer describes what ran; let
+  // the guard publish the failure so followers retry solo.
+  if (guard && served.key == probe_key) {
+    guard->Publish(Status::OK(), served.payload, served.epoch);
+  }
+  return std::move(served.response);
 }
 
 Result<CategorizationService::ColdAttempt>
@@ -266,14 +249,8 @@ CategorizationService::AttemptServe(const SelectQuery& query,
         "deadline passed before query execution");
   }
 
-  // as_const: the const overload of find() — under a shared (reader)
-  // lock the analysis only permits const access to guarded members.
-  const auto stats_it = std::as_const(stats_by_table_).find(table_key);
-  if (stats_it == stats_by_table_.cend()) {
-    served.need_stats = true;
-    return served;
-  }
-  const std::shared_ptr<const WorkloadStats> stats = stats_it->second;
+  AUTOCAT_ASSIGN_OR_RETURN(const std::shared_ptr<const WorkloadStats> stats,
+                           StatsLocked(table_key));
   const uint64_t observed_epoch = cache_.epoch();
   const CostBasedCategorizer categorizer(stats.get(),
                                          options_.categorizer);
@@ -290,7 +267,7 @@ CategorizationService::AttemptServe(const SelectQuery& query,
       CompiledPredicate::CompileProfile(canonical.profile, table->schema(),
                                         shadow));
   ColdPipelineOptions pipe_options;
-  // Request tasks stay sequential (same policy as StatsFor); the
+  // Request tasks stay sequential (same policy as the stats build); the
   // pipeline's output is identical at any thread count.
   pipe_options.parallel.threads = 1;
   // Only the categorizer's retained candidates get index entries:
@@ -348,43 +325,46 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   return served;
 }
 
-Result<std::shared_ptr<const WorkloadStats>> CategorizationService::StatsFor(
-    const std::string& table_key) {
-  WriterLock lock(state_mu_);
-  return StatsForLocked(table_key);
-}
-
-Result<std::shared_ptr<const WorkloadStats>>
-CategorizationService::StatsForLocked(const std::string& table_key)
+void CategorizationService::BuildStatsLocked(const std::string& table_key)
     AUTOCAT_REQUIRES(state_mu_) {
-  const auto it = stats_by_table_.find(table_key);
-  if (it != stats_by_table_.end()) {
-    return it->second;
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(const Table* table, db_.GetTable(table_key));
-  // Sequential build: serving-path determinism and no pool interaction
-  // from inside request tasks; this is a once-per-table warmup cost.
+  const Table* table = db_.GetTable(table_key).value();
+  // Sequential build: serving-path determinism and no pool interaction;
+  // this runs once per table install, schema change, or workload rebuild.
   ParallelOptions sequential;
   sequential.threads = 1;
   const double stats_start = WallMs();
-  AUTOCAT_ASSIGN_OR_RETURN(
-      WorkloadStats built,
-      WorkloadStats::Build(workload_, table->schema(), options_.stats,
-                           sequential));
+  Result<WorkloadStats> built = WorkloadStats::Build(
+      workload_, table->schema(), options_.stats, sequential);
   metrics_.RecordOperator(ServeOperator::kStatsBuild,
                           WallMs() - stats_start);
-  auto stats = std::make_shared<const WorkloadStats>(std::move(built));
-  stats_by_table_[table_key] = stats;
-  return stats;
+  if (built.ok()) {
+    stats_by_table_.insert_or_assign(
+        table_key,
+        std::make_shared<const WorkloadStats>(std::move(built).value()));
+  } else {
+    stats_by_table_.insert_or_assign(table_key, built.status());
+  }
+}
+
+const Result<std::shared_ptr<const WorkloadStats>>&
+CategorizationService::StatsLocked(const std::string& table_key) const
+    AUTOCAT_REQUIRES_SHARED(state_mu_) {
+  return stats_by_table_.at(table_key);
 }
 
 void CategorizationService::PutTable(std::string_view name, Table table) {
+  const std::string key = ToLower(name);
   {
     WriterLock lock(state_mu_);
-    db_.PutTable(name, std::move(table));
-    // The schema (hence the stats' numeric/categorical view) may have
-    // changed; rebuild lazily on next use.
-    stats_by_table_.erase(ToLower(name));
+    const Result<const Table*> old = db_.GetTable(key);
+    const bool same_schema =
+        old.ok() && old.value()->schema() == table.schema();
+    db_.PutTable(key, std::move(table));
+    // WorkloadStats::Build reads only the workload and the schema, so the
+    // stats of an unchanged schema are exactly the ones already stored.
+    if (!same_schema) {
+      BuildStatsLocked(key);
+    }
   }
   cache_.BumpEpoch();
 }
@@ -394,14 +374,18 @@ Status CategorizationService::RegisterTable(std::string_view name,
   WriterLock lock(state_mu_);
   // A brand-new table cannot be referenced by any cached entry, so the
   // epoch is deliberately kept.
-  return db_.RegisterTable(name, std::move(table));
+  AUTOCAT_RETURN_IF_ERROR(db_.RegisterTable(name, std::move(table)));
+  BuildStatsLocked(ToLower(name));
+  return Status::OK();
 }
 
 void CategorizationService::RebuildWorkload(Workload workload) {
   {
     WriterLock lock(state_mu_);
     workload_ = std::move(workload);
-    stats_by_table_.clear();
+    for (const std::string& key : db_.TableNames()) {
+      BuildStatsLocked(key);
+    }
   }
   cache_.BumpEpoch();
 }

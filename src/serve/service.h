@@ -81,6 +81,9 @@ struct ServiceOptions {
 /// service (DESIGN.md §9): it owns the Database, the query log, the
 /// preprocessed per-table WorkloadStats, a signature-keyed result cache,
 /// and an admission controller, and answers a stream of SQL requests.
+/// A table is installed whole: its columnar shadow (built by Database)
+/// and its WorkloadStats exist from the moment the table does, so no
+/// request ever builds either.
 ///
 /// Handle() is thread-safe and blocking; drive concurrency by submitting
 /// Handle calls onto the shared ThreadPool (tools/loadgen does). Table
@@ -106,16 +109,19 @@ class CategorizationService {
       AUTOCAT_EXCLUDES(state_mu_);
 
   /// Replaces or creates a table and invalidates every cached entry (the
-  /// epoch bump). Blocks until in-flight requests finish.
+  /// epoch bump). Blocks until in-flight requests finish. The table's
+  /// WorkloadStats are rebuilt only when its schema changes: they read
+  /// nothing else of the table.
   void PutTable(std::string_view name, Table table)
       AUTOCAT_EXCLUDES(state_mu_);
 
-  /// Registers a new table (kAlreadyExists if the name is taken). New
-  /// tables cannot affect cached entries, so the epoch is kept.
+  /// Registers a new table (kAlreadyExists if the name is taken) and
+  /// builds its WorkloadStats. New tables cannot affect cached entries, so
+  /// the epoch is kept.
   Status RegisterTable(std::string_view name, Table table)
       AUTOCAT_EXCLUDES(state_mu_);
 
-  /// Replaces the query log, drops every preprocessed WorkloadStats, and
+  /// Replaces the query log, rebuilds every table's WorkloadStats, and
   /// invalidates the cache (trees depend on workload counts).
   void RebuildWorkload(Workload workload) AUTOCAT_EXCLUDES(state_mu_);
 
@@ -141,14 +147,15 @@ class CategorizationService {
 
  private:
   int64_t NowMs() const;
-  /// The preprocessed stats for `table_key`, built on first use under the
-  /// write lock (the table's schema is re-fetched there, so a concurrent
-  /// PutTable cannot leave the stats keyed to a stale schema). The public
-  /// wrapper takes the write lock once; StatsForLocked assumes it.
-  Result<std::shared_ptr<const WorkloadStats>> StatsFor(
-      const std::string& table_key) AUTOCAT_EXCLUDES(state_mu_);
-  Result<std::shared_ptr<const WorkloadStats>> StatsForLocked(
-      const std::string& table_key) AUTOCAT_REQUIRES(state_mu_);
+  /// Builds the WorkloadStats of the table under `table_key` from the
+  /// current workload and the table's schema, sequentially, and stores
+  /// the result — a build error included, which every request to that
+  /// table then returns.
+  void BuildStatsLocked(const std::string& table_key)
+      AUTOCAT_REQUIRES(state_mu_);
+  /// The stored stats build of an installed table.
+  const Result<std::shared_ptr<const WorkloadStats>>& StatsLocked(
+      const std::string& table_key) const AUTOCAT_REQUIRES_SHARED(state_mu_);
   /// The post-admission pipeline; sets `outcome` for metrics.
   Result<ServeResponse> HandleAdmitted(const ServeRequest& request,
                                        const Deadline& deadline,
@@ -159,10 +166,7 @@ class CategorizationService {
   /// canonicalize, compile the profile against the table's columnar
   /// shadow, run the push pipeline, categorize, and insert. The cache was
   /// already probed by HandleAdmitted's probe pass (or is bypassed).
-  /// `need_stats` asks the caller to build the per-table WorkloadStats
-  /// and retry.
   struct ColdAttempt {
-    bool need_stats = false;
     ServeResponse response;
     /// For publishing to a coalescing flight: the payload, the cache
     /// epoch the attempt ran under, and the canonical key it used.
@@ -187,7 +191,8 @@ class CategorizationService {
   mutable SharedMutex state_mu_;
   Database db_ AUTOCAT_GUARDED_BY(state_mu_);
   Workload workload_ AUTOCAT_GUARDED_BY(state_mu_);
-  std::map<std::string, std::shared_ptr<const WorkloadStats>>
+  // Exactly one stats build per table in db_, keyed by lowercase name.
+  std::map<std::string, Result<std::shared_ptr<const WorkloadStats>>>
       stats_by_table_ AUTOCAT_GUARDED_BY(state_mu_);
   // The signature options requests canonicalize with. `base_signature_`
   // is the seeded configuration, immutable after the constructor;

@@ -222,7 +222,7 @@ TableView TableView::All(const Table& base,
                          std::shared_ptr<const ColumnarTable> columnar) {
   TableView view;
   view.base_ = &base;
-  view.columnar_ = std::move(columnar);
+  view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
   view.rows_.resize(base.num_rows());
   std::iota(view.rows_.begin(), view.rows_.end(), uint32_t{0});
   view.projection_.resize(base.num_columns());
@@ -242,7 +242,7 @@ Result<TableView> TableView::Create(
   }
   TableView view;
   view.base_ = &base;
-  view.columnar_ = std::move(columnar);
+  view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
   view.rows_ = std::move(rows);
   if (columns.empty()) {
     view.projection_.resize(base.num_columns());

@@ -72,8 +72,8 @@ class ColumnSpan {
 ///
 /// Two constructions exist:
 ///  - `Build` derives an in-memory shadow of a row-store `Table`
-///    (`Database::ColumnarFor` caches one per table and drops it when
-///    `PutTable` replaces the contents);
+///    (`Database` builds one with each table it registers or puts, and
+///    `ColumnarFor` returns it);
 ///  - `FromColumns` wraps columns whose spans point at externally owned
 ///    memory — the segment store (src/store/) uses it to expose mapped,
 ///    decompressed-or-raw column segments zero-copy, with `owner` keeping
@@ -189,15 +189,17 @@ class TableView {
  public:
   TableView() = default;
 
-  /// A view of every row and column of `base`. `columnar` may be null
-  /// (consumers then use the generic per-Value path).
+  /// A view of every row and column of `base`. A null `columnar` means
+  /// the base's own backing: a column-backed base is always read through
+  /// it, and a row-store base without a shadow takes the generic
+  /// per-Value path.
   static TableView All(const Table& base,
                        std::shared_ptr<const ColumnarTable> columnar);
 
   /// A view of the base rows listed in `rows` (in that order) projected to
   /// `columns` (in that order; empty = all columns). Errors mirror
   /// `Table::Project` (unknown / duplicate column) and `Table::SelectRows`
-  /// (row index out of range).
+  /// (row index out of range). A null `columnar` is treated as in `All`.
   static Result<TableView> Create(
       const Table& base, std::shared_ptr<const ColumnarTable> columnar,
       std::vector<uint32_t> rows, const std::vector<std::string>& columns);

@@ -396,31 +396,6 @@ WorkloadStats FuzzStats() {
   return std::move(stats).value();
 }
 
-void ExpectPartitionsIdentical(
-    const std::vector<PartitionCategory>& from_table,
-    const std::vector<PartitionCategory>& from_view,
-    const std::string& context) {
-  ASSERT_EQ(from_table.size(), from_view.size()) << context;
-  for (size_t i = 0; i < from_table.size(); ++i) {
-    const CategoryLabel& a = from_table[i].label;
-    const CategoryLabel& b = from_view[i].label;
-    EXPECT_EQ(a.attribute(), b.attribute()) << context;
-    ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
-    if (a.is_categorical()) {
-      ASSERT_EQ(a.values().size(), b.values().size()) << context;
-      for (size_t v = 0; v < a.values().size(); ++v) {
-        EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v])) << context;
-      }
-    } else {
-      EXPECT_TRUE(BitIdentical(Value(a.lo()), Value(b.lo()))) << context;
-      EXPECT_TRUE(BitIdentical(Value(a.hi()), Value(b.hi()))) << context;
-      EXPECT_EQ(a.hi_inclusive(), b.hi_inclusive()) << context;
-    }
-    EXPECT_EQ(from_table[i].tuples, from_view[i].tuples)
-        << context << " category " << i;
-  }
-}
-
 TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
   const WorkloadStats stats = FuzzStats();
   for (const bool projected : {false, true}) {

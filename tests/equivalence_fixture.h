@@ -20,6 +20,7 @@
 
 #include "common/random.h"
 #include "core/categorizer.h"
+#include "core/partition.h"
 #include "exec/executor.h"
 #include "serve/cache.h"
 #include "serve/service.h"
@@ -178,6 +179,32 @@ inline void ExpectTablesBitIdentical(const Table& row_result,
           << row_result.ValueAt(r, c).ToString() << " vs "
           << col_result.ValueAt(r, c).ToString();
     }
+  }
+}
+
+// Same labels (bit-identical bounds and values) and same tuple lists, in
+// the same order.
+inline void ExpectPartitionsIdentical(
+    const std::vector<PartitionCategory>& expected,
+    const std::vector<PartitionCategory>& actual, const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const CategoryLabel& a = expected[i].label;
+    const CategoryLabel& b = actual[i].label;
+    EXPECT_EQ(a.attribute(), b.attribute()) << context;
+    ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
+    if (a.is_categorical()) {
+      ASSERT_EQ(a.values().size(), b.values().size()) << context;
+      for (size_t v = 0; v < a.values().size(); ++v) {
+        EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v])) << context;
+      }
+    } else {
+      EXPECT_TRUE(BitIdentical(Value(a.lo()), Value(b.lo()))) << context;
+      EXPECT_TRUE(BitIdentical(Value(a.hi()), Value(b.hi()))) << context;
+      EXPECT_EQ(a.hi_inclusive(), b.hi_inclusive()) << context;
+    }
+    EXPECT_EQ(expected[i].tuples, actual[i].tuples)
+        << context << " category " << i;
   }
 }
 

@@ -116,6 +116,33 @@ TEST(DatabaseTest, RegisterAndLookup) {
   db.PutTable("homes", Table(HomesSchema()));  // replace allowed
   EXPECT_EQ(db.GetTable("homes").value()->num_rows(), 0u);
   EXPECT_EQ(db.num_tables(), 1u);
+  EXPECT_EQ(db.TableNames(), std::vector<std::string>{"homes"});
+}
+
+// Each table's columnar shadow is built with the table: ColumnarFor is a
+// lookup, a copy shares the immutable shadow, and PutTable swaps in the
+// shadow of the new contents.
+TEST(DatabaseTest, ShadowIsBuiltWithTheTable) {
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("Homes", HomesTable()).ok());
+  const auto shadow = db.ColumnarFor("homes");
+  ASSERT_TRUE(shadow.ok());
+  ASSERT_NE(shadow.value(), nullptr);
+  EXPECT_EQ(shadow.value()->num_rows(), 4u);
+  EXPECT_EQ(db.ColumnarFor("homes").value(), shadow.value());
+  EXPECT_EQ(db.ColumnarFor("HOMES").value(), shadow.value());
+
+  const Database copy = db;
+  EXPECT_EQ(copy.ColumnarFor("Homes").value(), shadow.value());
+
+  db.PutTable("Homes", Table(HomesSchema()));
+  const auto replaced = db.ColumnarFor("homes");
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_NE(replaced.value(), shadow.value());
+  EXPECT_EQ(replaced.value()->num_rows(), 0u);
+  EXPECT_EQ(copy.ColumnarFor("homes").value(), shadow.value());
+
+  EXPECT_EQ(db.ColumnarFor("other").status().code(), StatusCode::kNotFound);
 }
 
 // The pointer-stability contract documented on Database::GetTable: the

@@ -595,6 +595,10 @@ TEST(GuardedReadRuleTest, AnnotatedFunctionsAreProtected) {
       "    AUTOCAT_REQUIRES(q.mu)\n"
       "{\n"
       "  return q.depth_;\n"
+      "}\n"
+      // A shared (reader) requirement protects the body too.
+      "int PeekShared(const Q& q) AUTOCAT_REQUIRES_SHARED(q.mu) {\n"
+      "  return q.depth_;\n"
       "}\n";
   EXPECT_TRUE(
       CheckGuardedRead("src/serve/foo.cc", content, {"depth_"}).empty());

@@ -190,14 +190,10 @@ std::unique_ptr<CategorizationService> MakeService(ServiceOptions options,
 TEST(ServiceCoalescingTest, BurstOfIdenticalRequestsCoalesces) {
   constexpr size_t kBurst = 8;
   CategorizationService* service_ptr = nullptr;
-  std::atomic<bool> armed{false};
   std::atomic<int> cold_calls{0};
   ServiceOptions options;
   options.max_concurrent = kBurst;
   options.on_cold_execute = [&](const std::string&) {
-    if (!armed.load()) {
-      return;
-    }
     if (cold_calls.fetch_add(1) == 0) {
       // Leader: hold the execution open until every follower is parked
       // on the flight, so the burst coalesces deterministically.
@@ -212,15 +208,6 @@ TEST(ServiceCoalescingTest, BurstOfIdenticalRequestsCoalesces) {
   };
   auto service = MakeService(std::move(options));
   service_ptr = service.get();
-
-  // Pre-warm the per-table workload stats so every burst thread reaches
-  // the coalescing slot on its first pass.
-  ServeRequest warm;
-  warm.sql = "SELECT * FROM Homes WHERE price <= 160000";
-  ASSERT_TRUE(service->Handle(warm).ok());
-  armed.store(true);
-  // The warm-up led its own (uncontended) flight; count from here.
-  const ServiceMetricsSnapshot before = service->SnapshotMetrics();
 
   ServeRequest request;
   request.sql = "SELECT * FROM Homes WHERE price <= 300000";
@@ -246,8 +233,8 @@ TEST(ServiceCoalescingTest, BurstOfIdenticalRequestsCoalesces) {
     EXPECT_EQ(response.signature, responses.front().signature);
   }
   const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
-  EXPECT_EQ(snapshot.coalesced_leaders - before.coalesced_leaders, 1u);
-  EXPECT_EQ(snapshot.coalesced_hits - before.coalesced_hits, kBurst - 1);
+  EXPECT_EQ(snapshot.coalesced_leaders, 1u);
+  EXPECT_EQ(snapshot.coalesced_hits, kBurst - 1);
   EXPECT_EQ(snapshot.coalescing_waiting, 0u);
 
   // The leader inserted the entry: the next identical request plain-hits.
@@ -309,11 +296,9 @@ TEST(ServiceCoalescingTest, PutTableMidFlightForcesSoloRetry) {
   const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
   EXPECT_EQ(snapshot.coalesced_hits - before.coalesced_hits, 0u)
       << "a follower accepted a payload computed under a different epoch";
-  // At least the burst's first flight; the PutTable also drops the
-  // per-table stats, so the leader may re-lead a fresh flight after the
-  // rebuild pass.
-  EXPECT_GE(snapshot.coalesced_leaders - before.coalesced_leaders, 1u);
-  EXPECT_GE(cold_calls.load(), 2);
+  // One flight, led once; its follower then ran solo.
+  EXPECT_EQ(snapshot.coalesced_leaders - before.coalesced_leaders, 1u);
+  EXPECT_EQ(cold_calls.load(), 2);
 }
 
 TEST(ServiceCoalescingTest, BypassCacheNeverCoalesces) {
@@ -324,24 +309,16 @@ TEST(ServiceCoalescingTest, BypassCacheNeverCoalesces) {
   };
   auto service = MakeService(std::move(options));
 
-  // Warm the per-table stats (a stats-rebuild pass re-enters the hook,
-  // which would skew the bypass count below).
-  ServeRequest warm;
-  warm.sql = "SELECT * FROM Homes WHERE price <= 160000";
-  ASSERT_TRUE(service->Handle(warm).ok());
-  const int base = cold_calls.load();
-  const ServiceMetricsSnapshot before = service->SnapshotMetrics();
-
   ServeRequest request;
   request.sql = "SELECT * FROM Homes WHERE price <= 300000";
   request.bypass_cache = true;
   ASSERT_TRUE(service->Handle(request).ok());
   ASSERT_TRUE(service->Handle(request).ok());
 
-  EXPECT_EQ(cold_calls.load() - base, 2);
+  EXPECT_EQ(cold_calls.load(), 2);
   const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
-  EXPECT_EQ(snapshot.coalesced_leaders - before.coalesced_leaders, 0u);
-  EXPECT_EQ(snapshot.coalesced_hits - before.coalesced_hits, 0u);
+  EXPECT_EQ(snapshot.coalesced_leaders, 0u);
+  EXPECT_EQ(snapshot.coalesced_hits, 0u);
 }
 
 // ------------------------------------------- served responses vs oracle

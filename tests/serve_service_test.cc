@@ -99,9 +99,8 @@ TEST(ServiceTest, MissThenHitSharesOnePayload) {
 }
 
 TEST(ServiceTest, OneCacheProbePerRequest) {
-  // The first request builds the table's stats and then runs cold; only
-  // its probe pass may consult the cache. So one request pair reads as
-  // exactly one miss and one hit.
+  // The first request runs cold, and only its probe pass may consult the
+  // cache. So one request pair reads as exactly one miss and one hit.
   auto service = MakeService();
   ServeRequest request;
   request.sql = "SELECT * FROM Homes WHERE price <= 300000";
@@ -209,6 +208,90 @@ TEST(ServiceTest, RegisterTableRejectsDuplicatesAndKeepsCache) {
   auto response = service->Handle(condos);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_FALSE(response->cache_hit);
+}
+
+size_t StatsBuilds(const CategorizationService& service) {
+  return service.SnapshotMetrics()
+      .operator_ms[static_cast<size_t>(ServeOperator::kStatsBuild)]
+      .count();
+}
+
+// A table's WorkloadStats are built when it is installed and rebuilt only
+// when its schema or the workload changes, never by a request.
+TEST(ServiceTest, StatsAreBuiltWithTheTable) {
+  auto service = MakeService();
+  EXPECT_EQ(StatsBuilds(*service), 1u);
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  ASSERT_TRUE(service->Handle(request).ok());
+  EXPECT_EQ(StatsBuilds(*service), 1u);
+
+  // Same schema, new contents: the stats are reused.
+  service->PutTable("Homes", HomesTable(80));
+  ASSERT_TRUE(service->Handle(request).ok());
+  EXPECT_EQ(StatsBuilds(*service), 1u);
+
+  ASSERT_TRUE(service->RegisterTable("Condos", HomesTable()).ok());
+  EXPECT_EQ(StatsBuilds(*service), 2u);
+
+  service->RebuildWorkload(HomesWorkload());
+  EXPECT_EQ(StatsBuilds(*service), 4u);
+
+  // A schema with one more column: the stats are rebuilt.
+  auto wider = Schema::Create({
+      ColumnDef("neighborhood", ValueType::kString,
+                ColumnKind::kCategorical),
+      ColumnDef("price", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("bedroomcount", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("garages", ValueType::kInt64, ColumnKind::kNumeric),
+  });
+  ASSERT_TRUE(wider.ok());
+  Table homes(std::move(wider).value());
+  ASSERT_TRUE(homes
+                  .AppendRow({Value("Redmond"), Value(int64_t{210000}),
+                              Value(int64_t{3}), Value(int64_t{1})})
+                  .ok());
+  service->PutTable("Homes", std::move(homes));
+  EXPECT_EQ(StatsBuilds(*service), 5u);
+  auto response = service->Handle(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->payload->result_rows(), 1u);
+  EXPECT_EQ(StatsBuilds(*service), 5u);
+}
+
+// A stats build error is stored with the table: every request to that
+// table returns it before the cache is probed, and other tables serve on.
+TEST(ServiceTest, StatsBuildErrorAnswersEveryRequestToThatTable) {
+  auto service = MakeService();
+  // The workload's range conditions on price cannot be counted against a
+  // table that declares price categorical.
+  auto schema = Schema::Create({
+      ColumnDef("neighborhood", ValueType::kString,
+                ColumnKind::kCategorical),
+      ColumnDef("price", ValueType::kInt64, ColumnKind::kCategorical),
+      ColumnDef("bedroomcount", ValueType::kInt64, ColumnKind::kNumeric),
+  });
+  ASSERT_TRUE(schema.ok());
+  Table listings(std::move(schema).value());
+  ASSERT_TRUE(listings
+                  .AppendRow({Value("Redmond"), Value(int64_t{210000}),
+                              Value(int64_t{3})})
+                  .ok());
+  ASSERT_TRUE(service->RegisterTable("Listings", std::move(listings)).ok());
+
+  ServeRequest request;
+  request.sql = "SELECT * FROM Listings WHERE neighborhood = 'Redmond'";
+  for (int i = 0; i < 2; ++i) {
+    const auto response = service->Handle(request);
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+        << response.status().ToString();
+  }
+  EXPECT_EQ(service->SnapshotMetrics().cache.misses, 0u);
+
+  ServeRequest homes;
+  homes.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  EXPECT_TRUE(service->Handle(homes).ok());
 }
 
 TEST(ServiceTest, DeadlineExceededWithInjectedClock) {

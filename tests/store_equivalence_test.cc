@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/partition.h"
 #include "exec/executor.h"
 #include "serve/service.h"
+#include "storage/columnar.h"
 #include "storage/table.h"
 #include "store/store.h"
 #include "store/writer.h"
@@ -369,6 +371,29 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
           BitIdentical(m_mem.value().second, m_map.value().second));
     }
   }
+
+  // A view of the mapped table reads its backing even when no shadow is
+  // passed, so the partitioners take their typed paths on it and agree
+  // with the in-memory view.
+  const TableView mem_view = TableView::All(mem, nullptr);
+  const TableView mapped_view = TableView::All(mapped, nullptr);
+  EXPECT_EQ(mapped_view.columnar(), mapped.columnar_backing().get());
+  std::vector<size_t> all_rows(mem.num_rows());
+  for (size_t r = 0; r < all_rows.size(); ++r) {
+    all_rows[r] = r;
+  }
+  auto c_mem = PartitionCategoricalArbitrary(mem_view, all_rows,
+                                             "neighborhood", nullptr);
+  auto c_map = PartitionCategoricalArbitrary(mapped_view, all_rows,
+                                             "neighborhood", nullptr);
+  ASSERT_TRUE(c_mem.ok() && c_map.ok());
+  equiv::ExpectPartitionsIdentical(c_mem.value(), c_map.value(), "neighborhood");
+  auto n_mem = PartitionNumericEquiWidth(mem_view, all_rows, "price",
+                                         50000, nullptr);
+  auto n_map = PartitionNumericEquiWidth(mapped_view, all_rows, "price",
+                                         50000, nullptr);
+  ASSERT_TRUE(n_mem.ok() && n_map.ok());
+  equiv::ExpectPartitionsIdentical(n_mem.value(), n_map.value(), "price");
 
   // Appends are refused on the mapped table.
   Table& mutable_mapped = const_cast<Table&>(mapped);

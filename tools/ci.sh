@@ -17,8 +17,8 @@
 #
 # Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
-#   --serve  run only the serving-layer suite (src/serve/ + histogram)
-#            under ASan and TSan — the targeted gate for cache/admission
+#   --serve  run only the serving-layer suite (src/serve/ + histogram +
+#            Database) under ASan and TSan — the targeted gate for cache/admission
 #            concurrency work
 #   --pipeline
 #            run the push-based cold-path pipeline and request-coalescing
@@ -94,8 +94,9 @@ elif [[ "${1:-}" == "--analyze" ]]; then
   ANALYZE=1
 fi
 
-# Every serving-layer test suite, plus the histogram the metrics build on.
-SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest)\.'
+# Every serving-layer test suite, plus the histogram the metrics build on
+# and the Database whose shadows requests read under the shared lock.
+SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest)\.'
 
 serve_leg() {
   local name="$1" dir="$2"
@@ -104,7 +105,7 @@ serve_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [serve/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target autocat_serve_tests autocat_common_tests
+    --target autocat_serve_tests autocat_common_tests autocat_sql_tests
   echo "==== [serve/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$SERVE_FILTER")

@@ -743,11 +743,10 @@ std::vector<LintIssue> CheckGuardedRead(
     return issues;
   }
   // An annotation that proves the lock is held for the whole function
-  // body it opens (REQUIRES also matches REQUIRES_SHARED, ACQUIRE also
-  // matches ACQUIRE_SHARED; RELEASE-annotated functions hold the lock on
-  // entry).
+  // body it opens (REQUIRES and ACQUIRE in their exclusive and _SHARED
+  // forms; RELEASE-annotated functions hold the lock on entry).
   static const std::regex kProtection(
-      R"(AUTOCAT_(?:REQUIRES|ACQUIRE|RELEASE|ASSERT_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS)\b)");
+      R"(AUTOCAT_(?:REQUIRES(?:_SHARED)?|ACQUIRE(?:_SHARED)?|RELEASE|ASSERT_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS)\b)");
   const std::vector<std::string> lines = SplitLines(content);
   bool in_block_comment = false;
   BraceState braces;
