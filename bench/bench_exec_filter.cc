@@ -1,23 +1,25 @@
-// Columnar execution engine microbenchmark: row-at-a-time filtering vs
-// the vectorized predicate kernels vs the kernels with a threaded
+// Profile filtering microbenchmark: the row-at-a-time WHERE evaluator
+// (ExecuteQuery) vs the compiled selection-profile kernels
+// (CompileProfile -> Filter -> TableView::Create -> Materialize, the
+// selection step of the serving cold path) vs the kernels with a threaded
 // chunk-order merge, swept across selectivities {0.1%, 1%, 10%, 90%} of
-// the synthetic ListProperty table (price-quantile range predicates).
+// the synthetic ListProperty table (price-quantile range queries and
+// their equivalent range profiles).
 //
 // The same queries also run over a price-clustered copy (rows sorted by
 // price, the simgen --sort-by emission) and an explicitly shuffled copy,
-// with and without the SIMD kernels, to isolate the two zone-map
-// effects: morsel pruning (clustered zones rule most morsels all-fail
-// or all-pass) and the AVX2 mask kernels (mixed morsels). Each layout
-// run reports the pruned / all-pass morsel fractions as counters.
+// to isolate zone-map morsel pruning: clustered zones rule most morsels
+// all-fail or all-pass. Each layout run reports the pruned / all-pass
+// morsel fractions as counters.
 //
 // Flags:
 //   --threads=N   restrict the parallel sweep to one thread count
 //   --smoke       tiny table (4K rows) and a {1, 2} sweep, for running
 //                 under sanitizers in CI (tools/ci.sh --bench-smoke)
 //
-// Startup cross-checks every (layout, selectivity) query on both paths
+// Startup cross-checks every (layout, selectivity) case on both paths
 // and aborts on any divergence, so the timings below are only ever
-// reported for bit-identical results.
+// reported for identical results.
 
 #include <benchmark/benchmark.h>
 
@@ -35,10 +37,11 @@
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/kernels.h"
-#include "exec/simd_kernels.h"
 #include "simgen/geo.h"
 #include "simgen/homes_generator.h"
 #include "sql/parser.h"
+#include "sql/selection.h"
+#include "storage/columnar.h"
 
 namespace {
 
@@ -47,20 +50,6 @@ using namespace autocat;  // NOLINT
 bool& SmokeMode() {
   static bool smoke = false;
   return smoke;
-}
-
-// The row-at-a-time arm: the executor's exact evaluator, called through
-// its public pieces (FilterTable -> SelectRows -> Project).
-Result<Table> ExecuteRows(const SelectQuery& query, const Database& db) {
-  AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
-                           db.GetTable(query.table_name));
-  AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
-                           FilterTable(*table, query.where.get()));
-  AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
-  if (query.select_all()) {
-    return selected;
-  }
-  return selected.Project(query.columns);
 }
 
 bench::ThreadScalingReporter& Reporter() {
@@ -76,16 +65,37 @@ inline constexpr const char* kLayoutTables[] = {
     "ListProperty", "ListPropertyClustered", "ListPropertyShuffled"};
 
 struct SelectivityCase {
-  std::string label;    // e.g. "sel=1%"
-  SelectQuery query;    // SELECT * FROM <layout table> WHERE price <= X
-  size_t matching = 0;  // rows the predicate keeps (both paths agree)
+  std::string label;  // e.g. "sel=1%"
+  // SELECT * FROM <layout table> WHERE price <= X, and its range profile.
+  SelectQuery query;
+  SelectionProfile profile;
+  size_t matching = 0;  // rows both arms keep
   double pruned_frac = 0.0;    // morsels the zone prover ruled all-fail
   double all_pass_frac = 0.0;  // morsels it ruled all-pass
 };
 
+// The columnar arm: the case's range profile compiled against the
+// table's shadow, filtered, and materialized through a zero-copy view.
+Result<Table> ExecuteProfile(const SelectivityCase& c, const Database& db,
+                             const ParallelOptions& parallel) {
+  AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
+                           db.GetTable(c.query.table_name));
+  AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
+                           db.ColumnarFor(c.query.table_name));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const CompiledPredicate compiled,
+      CompiledPredicate::CompileProfile(c.profile, table->schema(), shadow));
+  AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                           compiled.Filter(parallel));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(*table, std::move(shadow), std::move(rows), {}));
+  return view.Materialize();
+}
+
 // The homes table in each layout, their shared database, and one
-// pre-parsed query per (layout, selectivity). Built once, after flag
-// parsing.
+// pre-parsed query and its profile per (layout, selectivity). Built once,
+// after flag parsing.
 struct FilterFixture {
   Database db;
   size_t num_rows = 0;
@@ -172,18 +182,21 @@ struct FilterFixture {
               prices.size() - 1,
               static_cast<size_t>(target.quantile *
                                   static_cast<double>(prices.size())));
-          // price is an int64 column; an integer literal keeps the
-          // predicate on the exact int64 compare (and its SIMD kernel)
-          // instead of the widening scalar-only mixed-numeric branch.
+          // price is an int64 column: its range leaf widens each cell
+          // to double and has no vector kernel, so the columnar arms
+          // measure zone pruning and the scalar leaf.
           const std::string sql =
               std::string("SELECT * FROM ") + kLayoutTables[layout] +
               " WHERE price <= " +
               std::to_string(static_cast<int64_t>(prices[rank]));
           auto query = ParseQuery(sql);
           AUTOCAT_CHECK(query.ok());
+          auto profile = SelectionProfile::FromQuery(query.value(), schema);
+          AUTOCAT_CHECK(profile.ok());
           SelectivityCase c;
           c.label = target.label;
           c.query = std::move(query).value();
+          c.profile = std::move(profile).value();
           f->cases[layout].push_back(std::move(c));
         }
       }
@@ -191,12 +204,14 @@ struct FilterFixture {
       // Equality gate: both paths must agree cell-for-cell before any
       // timing is trusted; the zone stats come from the same compiled
       // predicates the columnar path runs.
+      ParallelOptions sequential;
+      sequential.threads = 1;
       for (int layout = 0; layout < 3; ++layout) {
         auto shadow = f->db.ColumnarFor(kLayoutTables[layout]);
         AUTOCAT_CHECK(shadow.ok());
         for (SelectivityCase& c : f->cases[layout]) {
-          auto by_rows = ExecuteRows(c.query, f->db);
-          auto by_cols = ExecuteQuery(c.query, f->db);
+          auto by_rows = ExecuteQuery(c.query, f->db);
+          auto by_cols = ExecuteProfile(c, f->db, sequential);
           AUTOCAT_CHECK(by_rows.ok() && by_cols.ok());
           AUTOCAT_CHECK(by_rows.value().num_rows() ==
                         by_cols.value().num_rows());
@@ -209,9 +224,8 @@ struct FilterFixture {
           }
           c.matching = by_rows.value().num_rows();
 
-          AUTOCAT_CHECK(c.query.where != nullptr);
-          auto compiled = CompiledPredicate::Compile(
-              *c.query.where, schema, shadow.value());
+          auto compiled = CompiledPredicate::CompileProfile(
+              c.profile, schema, shadow.value());
           AUTOCAT_CHECK(compiled.ok());
           size_t pruned = 0;
           size_t all_pass = 0;
@@ -242,26 +256,21 @@ struct FilterFixture {
   }
 };
 
-// One benchmark body: execute the case's query end to end (filter +
-// materialize) with the given options, reporting ms/op, selectivity, and
-// the layout's zone-verdict fractions. `force_scalar` turns the SIMD
-// kernels off for the duration (zone pruning stays on — the two effects
-// are separable).
+// One benchmark body: execute the case end to end (filter + materialize)
+// on the row or the columnar arm, reporting ms/op, selectivity, and the
+// layout's zone-verdict fractions.
 void BM_Filter(benchmark::State& state, const std::string& mode,
                int layout, size_t case_index, bool columnar,
-               size_t threads, bool force_scalar = false) {
+               size_t threads) {
   FilterFixture& fixture = FilterFixture::Get();
   const SelectivityCase& c = fixture.cases[layout][case_index];
-  ExecOptions options;
-  options.parallel.threads = threads;
-  if (force_scalar) {
-    simd::ForceScalarForTest(true);
-  }
+  ParallelOptions parallel;
+  parallel.threads = threads;
   size_t ops = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    auto result = columnar ? ExecuteQuery(c.query, fixture.db, options)
-                           : ExecuteRows(c.query, fixture.db);
+    auto result = columnar ? ExecuteProfile(c, fixture.db, parallel)
+                           : ExecuteQuery(c.query, fixture.db);
     AUTOCAT_CHECK(result.ok());
     benchmark::DoNotOptimize(result.value());
     ++ops;
@@ -269,9 +278,6 @@ void BM_Filter(benchmark::State& state, const std::string& mode,
   const double elapsed_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
-  if (force_scalar) {
-    simd::ForceScalarForTest(false);
-  }
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["rows"] = static_cast<double>(fixture.num_rows);
   state.counters["selected"] = static_cast<double>(c.matching);
@@ -333,28 +339,21 @@ int main(int argc, char** argv) {
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();
     }
-    // Layout sweep: zone pruning (clustered vs shuffled) and the SIMD
-    // kernels (on vs forced-scalar), single-threaded so the per-morsel
-    // work is what's measured.
+    // Layout sweep: zone pruning (clustered vs shuffled), single-threaded
+    // so the per-morsel work is what's measured.
     const struct {
       const char* name;
+      const char* mode;
       int layout;
-      bool force_scalar;
     } layout_runs[] = {
-        {"BM_FilterClustered", kClustered, false},
-        {"BM_FilterClusteredScalar", kClustered, true},
-        {"BM_FilterShuffled", kShuffled, false},
-        {"BM_FilterShuffledScalar", kShuffled, true},
+        {"BM_FilterClustered", "clustered", kClustered},
+        {"BM_FilterShuffled", "shuffled", kShuffled},
     };
     for (const auto& run : layout_runs) {
-      const std::string mode =
-          std::string(run.layout == kClustered ? "clustered" : "shuffled") +
-          (run.force_scalar ? "-scalar" : "");
       benchmark::RegisterBenchmark(
           (run.name + suffix).c_str(),
-          [i, run, mode](benchmark::State& state) {
-            BM_Filter(state, mode, run.layout, i, true, 1,
-                      run.force_scalar);
+          [i, run](benchmark::State& state) {
+            BM_Filter(state, run.mode, run.layout, i, true, 1);
           })
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "exec/kernels.h"
 #include "exec/predicate.h"
 #include "sql/parser.h"
 
@@ -87,8 +86,7 @@ Result<std::vector<size_t>> FilterTable(const Table& table,
   }
   if (!table.has_rows()) {
     // Column-backed base: synthesize each candidate row for the exact
-    // row-at-a-time evaluator (reached only when kernel compilation
-    // refuses the WHERE clause).
+    // row-at-a-time evaluator.
     for (size_t r = 0; r < table.num_rows(); ++r) {
       AUTOCAT_ASSIGN_OR_RETURN(
           const bool keep,
@@ -110,45 +108,8 @@ Result<std::vector<size_t>> FilterTable(const Table& table,
   return indices;
 }
 
-namespace {
-
-// Columnar execution of `query` over `table`. Returns kNotSupported when
-// the WHERE clause is not covered by the kernels (or the shadow cannot be
-// built); any other error is final and matches the row path's error.
-Result<Table> ExecuteQueryColumnar(const SelectQuery& query,
-                                   const Database& db, const Table& table,
-                                   const ExecOptions& options) {
-  AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> columnar,
-                           db.ColumnarFor(query.table_name));
-  std::vector<uint32_t> rows;
-  if (query.where == nullptr) {
-    rows.resize(table.num_rows());
-    std::iota(rows.begin(), rows.end(), uint32_t{0});
-  } else {
-    AUTOCAT_ASSIGN_OR_RETURN(
-        const CompiledPredicate pred,
-        CompiledPredicate::Compile(*query.where, table.schema(), columnar));
-    AUTOCAT_ASSIGN_OR_RETURN(rows, pred.Filter(options.parallel));
-  }
-  static const std::vector<std::string> kAllColumns;
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(table, std::move(columnar), std::move(rows),
-                        query.select_all() ? kAllColumns : query.columns));
-  return view.Materialize();
-}
-
-}  // namespace
-
-Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db,
-                           const ExecOptions& options) {
+Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db) {
   AUTOCAT_ASSIGN_OR_RETURN(const Table* table, db.GetTable(query.table_name));
-  Result<Table> columnar = ExecuteQueryColumnar(query, db, *table, options);
-  if (columnar.ok() ||
-      columnar.status().code() != StatusCode::kNotSupported) {
-    return columnar;
-  }
-  // Compilation refused: fall back to the exact row-at-a-time path.
   AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
                            FilterTable(*table, query.where.get()));
   AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
@@ -158,18 +119,9 @@ Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db,
   return selected.Project(query.columns);
 }
 
-Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db) {
-  return ExecuteQuery(query, db, ExecOptions());
-}
-
-Result<Table> ExecuteSql(std::string_view sql, const Database& db,
-                         const ExecOptions& options) {
-  AUTOCAT_ASSIGN_OR_RETURN(const SelectQuery query, ParseQuery(sql));
-  return ExecuteQuery(query, db, options);
-}
-
 Result<Table> ExecuteSql(std::string_view sql, const Database& db) {
-  return ExecuteSql(sql, db, ExecOptions());
+  AUTOCAT_ASSIGN_OR_RETURN(const SelectQuery query, ParseQuery(sql));
+  return ExecuteQuery(query, db);
 }
 
 }  // namespace autocat

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "sql/ast.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
@@ -47,8 +46,8 @@ class Database {
   /// row-store table, the backing of a column-backed one. The shared_ptr
   /// keeps the shadow alive across a later PutTable. Errors: kNotFound
   /// for an unknown table; kNotSupported when the table has more rows
-  /// than a uint32_t selection vector can address (ExecuteQuery falls
-  /// back to the row path; the serving layer returns the error).
+  /// than a uint32_t selection vector can address (the serving layer
+  /// returns the error).
   Result<std::shared_ptr<const ColumnarTable>> ColumnarFor(
       std::string_view name) const;
 
@@ -68,29 +67,15 @@ class Database {
   std::map<std::string, Entry> tables_;  // keyed by lowercase name
 };
 
-/// Knobs for ExecuteQuery/ExecuteSql. Defaults favor the serving layer:
-/// single-threaded filter.
-struct ExecOptions {
-  ExecOptions() { parallel.threads = 1; }
-
-  /// Threading for the columnar filter (chunk-order merge keeps the
-  /// result deterministic at any thread count).
-  ParallelOptions parallel;
-};
-
 /// Executes a parsed selection/projection query against `db`: scans the
-/// FROM table, keeps rows matching the WHERE clause, then projects the
-/// select list. Returns the result relation. The scan runs the columnar
-/// kernels over a zero-copy view; when they refuse the WHERE clause (or
-/// the table is too large for a columnar shadow) it falls back to the
-/// exact row-at-a-time evaluator. Results are bit-identical either way.
-Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db,
-                           const ExecOptions& options);
+/// FROM table, keeps rows matching the WHERE clause with the exact
+/// row-at-a-time evaluator (FilterTable), then projects the select list
+/// (SelectRows -> Project). Returns the result relation, or the first
+/// error a row's evaluation raises (an unknown column, or a string
+/// compared with a number).
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db);
 
 /// Parses and executes an SQL string.
-Result<Table> ExecuteSql(std::string_view sql, const Database& db,
-                         const ExecOptions& options);
 Result<Table> ExecuteSql(std::string_view sql, const Database& db);
 
 /// Returns the indices of the rows of `table` matched by `where`

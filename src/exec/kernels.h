@@ -2,32 +2,28 @@
 #define AUTOCAT_EXEC_KERNELS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "sql/ast.h"
 #include "sql/selection.h"
 #include "storage/columnar.h"
 #include "storage/schema.h"
 
 namespace autocat {
 
-/// A WHERE clause (or serving-layer SelectionProfile) compiled into
-/// vectorized per-column kernels over a `ColumnarTable`.
+/// One compiled per-attribute condition of a CompiledPredicate. Defined
+/// and built only in kernels.cc.
+struct PredicateLeaf;
+
+/// A serving-layer SelectionProfile compiled into vectorized per-column
+/// kernels over a `ColumnarTable`: a flat conjunction of one leaf per
+/// constrained attribute, a never-matches flag, or (no leaves) every row.
 ///
-/// A compiled predicate's `Filter` output is bit-identical to the
-/// row-at-a-time path (`EvaluatePredicate` / `MatchesRow` over every row,
-/// ascending). `Compile` is *refuse-or-exact*: it returns `kNotSupported`
-/// whenever the row path *could* error, and the caller falls back to the
-/// row path (an unknown column errors per evaluated row, and the
-/// string-vs-numeric comparison error is data- and order-dependent, so
-/// any literal whose comparison class differs from the column's storage
-/// class refuses unless the column is all-NULL, where no row-path error
-/// can occur). `CompileProfile` is *total*: `MatchesRow` never errors,
-/// and every profile shape has an exact kernel. The
+/// `Filter` output is bit-identical to `MatchesRow` over every row,
+/// ascending. `CompileProfile` is *total and exact*: `MatchesRow` never
+/// errors, and every profile shape has an exact kernel. The
 /// semantics-preservation argument is spelled out in DESIGN.md §10.
 ///
 /// `Filter` runs chunked through `ParallelFor` with per-chunk selection
@@ -42,35 +38,6 @@ class CompiledPredicate {
   /// bit-identical to evaluating.
   enum class ZoneVerdict : uint8_t { kAllFail, kAllPass, kMixed };
 
-  /// Implementation detail, public only so the compiler helpers in
-  /// kernels.cc can build trees: a predicate node. Leaves fill a 0/1 mask
-  /// for base rows [begin, end); And/Or combine child masks bitwise
-  /// (valid because a compiled predicate is statically error-free, so
-  /// short-circuit order cannot be observed).
-  struct Node {
-    enum class Kind { kConstFalse, kConstTrue, kAnd, kOr, kLeaf };
-    Kind kind = Kind::kConstFalse;
-    std::vector<Node> children;
-    std::function<void(size_t begin, size_t end, uint8_t* mask)> leaf;
-    /// Single-row form of `leaf` (same verdict for every row, including
-    /// the null mask). Lets an all-leaf conjunction evaluate its first
-    /// child densely and test later children only on surviving rows.
-    std::function<bool(size_t row)> row_pred;
-    /// Optional zone prover: a per-morsel verdict derived from the
-    /// column's zone map, never contradicting `leaf`. Missing means every
-    /// morsel is unprovable (kMixed).
-    std::function<ZoneVerdict(size_t m)> zone;
-    /// True when `leaf` routes dense morsels through the SIMD kernels.
-    bool simd = false;
-  };
-
-  /// Compiles a WHERE expression against the table's schema and columnar
-  /// shadow. Returns kNotSupported when any sub-expression is not covered
-  /// exactly (caller falls back to the row path).
-  static Result<CompiledPredicate> Compile(
-      const Expr& expr, const Schema& schema,
-      std::shared_ptr<const ColumnarTable> columnar);
-
   /// Compiles a serving-layer selection profile (conjunction of
   /// per-attribute conditions, `MatchesRow` semantics: an unknown
   /// attribute makes every row non-matching rather than erroring). Never
@@ -78,6 +45,11 @@ class CompiledPredicate {
   static Result<CompiledPredicate> CompileProfile(
       const SelectionProfile& profile, const Schema& schema,
       std::shared_ptr<const ColumnarTable> columnar);
+
+  // Defined in kernels.cc, where PredicateLeaf is complete.
+  CompiledPredicate(CompiledPredicate&&) noexcept;
+  CompiledPredicate& operator=(CompiledPredicate&&) noexcept;
+  ~CompiledPredicate();
 
   /// Evaluates the predicate over every base row and returns the matching
   /// row indices in ascending order. Deterministic at any thread count.
@@ -92,10 +64,10 @@ class CompiledPredicate {
   /// single cell.
   void AppendMorselSurvivors(size_t m, std::vector<uint32_t>* out) const;
 
-  /// Zone-prover verdict for morsel `m`, composed over the predicate tree
-  /// (AND: any all-fail child zeroes it, all all-pass children keep it
-  /// full; OR is the dual; anything else is kMixed). Schedulers use this
-  /// to avoid dispatching kAllFail morsels at all.
+  /// Zone-prover verdict for morsel `m`, the AND of the leaves' verdicts:
+  /// any all-fail leaf zeroes it, all all-pass leaves keep it full, and
+  /// anything else is kMixed. Schedulers use this to avoid dispatching
+  /// kAllFail morsels at all.
   ZoneVerdict MorselVerdict(size_t m) const;
 
   /// True when some leaf routes dense morsels through the SIMD kernels
@@ -111,10 +83,13 @@ class CompiledPredicate {
   size_t num_morsels() const;
 
  private:
-  CompiledPredicate(std::shared_ptr<const ColumnarTable> columnar, Node root);
+  CompiledPredicate(std::shared_ptr<const ColumnarTable> columnar,
+                    std::vector<PredicateLeaf> leaves, bool never_matches);
 
   std::shared_ptr<const ColumnarTable> columnar_;
-  Node root_;
+  /// ANDed; empty matches every row (unless `never_matches_`).
+  std::vector<PredicateLeaf> leaves_;
+  bool never_matches_ = false;
   bool uses_simd_ = false;
 };
 

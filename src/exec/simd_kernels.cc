@@ -5,7 +5,7 @@
 // loops in exec/kernels.cc take over. On other architectures the AVX2
 // block compiles out and the stubs below always decline.
 //
-// Bitmask layout: 4-lane (double/int64) compares emit their verdicts via
+// Bitmask layout: 4-lane double compares emit their verdicts via
 // movemask into 4 bits, accumulated 16 iterations per output word;
 // 8-lane code gathers emit 8 bits, 8 iterations per word. Tails shorter
 // than a word run the exact scalar expression into the final word, so a
@@ -51,94 +51,11 @@ void ForceScalarForTest(bool force_scalar) {
 namespace {
 
 // All-ones / all-zero lane mask from a scalar condition.
-__m256i BoolMaskI(bool b) { return _mm256_set1_epi64x(b ? -1 : 0); }
 __m256d BoolMaskD(bool b) {
   return _mm256_castsi256_pd(_mm256_set1_epi64x(b ? -1 : 0));
 }
 
 }  // namespace
-
-bool CompareI64(const int64_t* vals, size_t n, int64_t b, uint8_t table,
-                uint64_t* bits) {
-  if (!Enabled()) {
-    return false;
-  }
-  const __m256i vb = _mm256_set1_epi64x(b);
-  const __m256i want_lt = BoolMaskI((table & 0b001) != 0);
-  const __m256i want_eq = BoolMaskI((table & 0b010) != 0);
-  const __m256i want_gt = BoolMaskI((table & 0b100) != 0);
-  size_t i = 0;
-  const size_t words = n >> 6;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t word = 0;
-    for (int k = 0; k < 16; ++k, i += 4) {
-      const __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(vals + i));
-      const __m256i lt = _mm256_cmpgt_epi64(vb, x);
-      const __m256i gt = _mm256_cmpgt_epi64(x, vb);
-      const __m256i eq = _mm256_cmpeq_epi64(x, vb);
-      const __m256i accept = _mm256_or_si256(
-          _mm256_or_si256(_mm256_and_si256(lt, want_lt),
-                          _mm256_and_si256(gt, want_gt)),
-          _mm256_and_si256(eq, want_eq));
-      const auto m = static_cast<uint64_t>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(accept)));
-      word |= m << (k * 4);
-    }
-    bits[w] = word;
-  }
-  if (i < n) {
-    uint64_t word = 0;
-    for (size_t r = i; r < n; ++r) {
-      const int c = static_cast<int>(vals[r] > b) -
-                    static_cast<int>(vals[r] < b);
-      word |= static_cast<uint64_t>((table >> (c + 1)) & 1) << (r - i);
-    }
-    bits[words] = word;
-  }
-  return true;
-}
-
-bool CompareF64(const double* vals, size_t n, double b, uint8_t table,
-                uint64_t* bits) {
-  if (!Enabled()) {
-    return false;
-  }
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d want_lt = BoolMaskD((table & 0b001) != 0);
-  const __m256d want_eq = BoolMaskD((table & 0b010) != 0);
-  const __m256d want_gt = BoolMaskD((table & 0b100) != 0);
-  size_t i = 0;
-  const size_t words = n >> 6;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t word = 0;
-    for (int k = 0; k < 16; ++k, i += 4) {
-      const __m256d x = _mm256_loadu_pd(vals + i);
-      const __m256d lt = _mm256_cmp_pd(x, vb, _CMP_LT_OQ);
-      const __m256d gt = _mm256_cmp_pd(x, vb, _CMP_GT_OQ);
-      // The "equal" class is everything neither less nor greater — which
-      // sweeps NaN-unordered lanes onto c == 0 exactly like Cmp3.
-      const __m256d eq = _mm256_andnot_pd(_mm256_or_pd(lt, gt), want_eq);
-      const __m256d accept = _mm256_or_pd(
-          _mm256_or_pd(_mm256_and_pd(lt, want_lt),
-                       _mm256_and_pd(gt, want_gt)),
-          eq);
-      const auto m = static_cast<uint64_t>(_mm256_movemask_pd(accept));
-      word |= m << (k * 4);
-    }
-    bits[w] = word;
-  }
-  if (i < n) {
-    uint64_t word = 0;
-    for (size_t r = i; r < n; ++r) {
-      const int c = static_cast<int>(vals[r] > b) -
-                    static_cast<int>(vals[r] < b);
-      word |= static_cast<uint64_t>((table >> (c + 1)) & 1) << (r - i);
-    }
-    bits[words] = word;
-  }
-  return true;
-}
 
 bool AcceptCodes(const uint32_t* codes, size_t n, const uint32_t* accept,
                  size_t accept_size, uint64_t* bits) {
@@ -221,12 +138,6 @@ bool RangeF64(const double* vals, size_t n, double lo, bool lo_inclusive,
 
 #else  // !AUTOCAT_SIMD_AVX2
 
-bool CompareI64(const int64_t*, size_t, int64_t, uint8_t, uint64_t*) {
-  return false;
-}
-bool CompareF64(const double*, size_t, double, uint8_t, uint64_t*) {
-  return false;
-}
 bool AcceptCodes(const uint32_t*, size_t, const uint32_t*, size_t,
                  uint64_t*) {
   return false;

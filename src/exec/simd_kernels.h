@@ -7,8 +7,11 @@
 namespace autocat {
 namespace simd {
 
-/// AVX2 inner loops for the filter kernels (exec/kernels.cc). This header
-/// is intrinsic-free by design: the `raw-simd` lint rule confines
+/// AVX2 inner loops for two of the profile filter leaves in
+/// exec/kernels.cc: the dictionary-code accept table (string value sets)
+/// and the range test over doubles (double ranges). The other leaves,
+/// int64 ranges and numeric value sets, stay scalar. This header is
+/// intrinsic-free by design: the `raw-simd` lint rule confines
 /// immintrin.h and every `_mm*` spelling to src/exec/simd_kernels.cc, the
 /// one TU built with -mavx2, so vector code cannot leak into TUs whose
 /// codegen flags would make it illegal on a baseline machine.
@@ -31,18 +34,6 @@ bool Enabled();
 /// fallback path), or restore runtime detection. Not thread-safe against
 /// concurrent kernel execution — flip it only between queries.
 void ForceScalarForTest(bool force_scalar);
-
-/// int64 three-way compare against literal `b` through the truth table
-/// `table` (bit c+1 accepts Cmp3 result c), exactly as
-/// NumericCompareLeaf's int64/int64 path.
-bool CompareI64(const int64_t* vals, size_t n, int64_t b, uint8_t table,
-                uint64_t* bits);
-
-/// double three-way compare against literal `b` through `table`. The
-/// equal class is computed as "neither less nor greater", so NaN cells
-/// (and a NaN literal) land on c == 0 exactly like Cmp3.
-bool CompareF64(const double* vals, size_t n, double b, uint8_t table,
-                uint64_t* bits);
 
 /// Dictionary-code accept table: bit i = accept[codes[i]] != 0. `accept`
 /// must have `accept_size` entries, each 0 or 1 (a uint32 copy of the

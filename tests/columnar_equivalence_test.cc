@@ -1,24 +1,22 @@
-// Row-vs-columnar equivalence gate for the columnar execution engine.
+// Equivalence gate for the columnar engine's row-selection and view
+// consumers.
 //
-// The columnar kernels promise *refuse-or-exact* compilation: whatever
-// `ExecuteQuery` / `CompiledPredicate::Filter` produce must be
-// bit-identical to the row-at-a-time oracle (equiv::ExecuteRows) — same
-// cells (doubles compared by bit pattern), same row order, same error
-// Status — at every tested thread count. These tests replay the
-// checked-in SQL fuzz corpus, sweep randomized queries over a
-// deterministic table seeded with edge values (NaN, -0.0, 2^53+1,
-// INT64_MIN/MAX, NULLs), and pin the partitioners and the cost-based
-// categorizer reading a columnar shadow through a view to the generic
-// per-Value walk over the materialized result.
+// The profile compiler is total and exact: `CompiledPredicate::Filter`
+// must select exactly the rows `SelectionProfile::MatchesRow` keeps, in
+// ascending order, at every tested thread count. These tests sweep
+// randomized profiles and edge values (NaN cells, -0.0, 2^53 +- 1,
+// INT64_MIN/MAX, an empty table, all-NULL columns) over deterministic
+// tables, and pin the partitioners and the cost-based categorizer
+// reading a columnar shadow through a view to the generic per-Value walk
+// over the materialized result.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -41,177 +39,57 @@
 namespace autocat {
 namespace {
 
-// Schema, table builder, bit-exact comparison, the randomized query
-// generator, and the row oracle live in the shared fixture (also used by
-// the legacy-vs-pipeline gate in pipeline_test.cc).
+// Schema, table builder, bit-exact comparison and the randomized query
+// generator live in the shared fixture.
 using namespace equiv;  // NOLINT
 
-// Runs `sql` through the row oracle and through ExecuteSql (columnar
-// first) at the given thread count; success results must be
-// bit-identical tables and failures must carry the same Status.
-void ExpectSqlEquivalent(const Database& db, const std::string& sql,
-                         size_t threads) {
-  ExecOptions col_opts;
-  col_opts.parallel.threads = threads;
-
-  const Result<Table> row_result = ExecuteRowsSql(sql, db);
-  const Result<Table> col_result = ExecuteSql(sql, db, col_opts);
-  ASSERT_EQ(row_result.ok(), col_result.ok())
-      << sql << " (threads=" << threads
-      << "): " << (row_result.ok() ? col_result : row_result)
-                      .status()
-                      .ToString();
-  if (!row_result.ok()) {
-    EXPECT_EQ(row_result.status().ToString(), col_result.status().ToString())
-        << sql;
-    return;
-  }
-  ExpectTablesBitIdentical(row_result.value(), col_result.value(),
-                           sql + " (threads=" + std::to_string(threads) +
-                               ")");
-}
-
-Database HomesDb(Table table) {
-  Database db;
-  EXPECT_TRUE(db.RegisterTable("homes", std::move(table)).ok());
-  return db;
-}
-
-// ----------------------------------------------------------- corpus replay
-
-TEST(ColumnarEquivalenceTest, FuzzCorpusRowVsColumnar) {
-  const Database db = HomesDb(MakeHomes(500, 101, 0.08, true));
-  const std::filesystem::path corpus(AUTOCAT_FUZZ_CORPUS_DIR);
-  ASSERT_TRUE(std::filesystem::is_directory(corpus));
-  size_t replayed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string sql((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      ExpectSqlEquivalent(db, sql, threads);
-    }
-    ++replayed;
-  }
-  EXPECT_GE(replayed, 10u) << "corpus directory looks truncated";
-}
-
-// ------------------------------------------------------ randomized queries
-
-TEST(ColumnarEquivalenceTest, RandomizedQueriesRowVsColumnar) {
-  const Schema schema = FuzzSchema();
-  const Database db = HomesDb(MakeHomes(600, 202, 0.1, true));
-  Random rng(777);
-  for (int i = 0; i < 250; ++i) {
-    const std::string sql = RandomQuery(rng, schema);
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      ExpectSqlEquivalent(db, sql, threads);
-    }
-  }
-}
-
-TEST(ColumnarEquivalenceTest, EdgeCaseQueries) {
-  const Database db = HomesDb(MakeHomes(300, 303, 0.12, true));
-  const std::vector<std::string> queries = {
-      // NaN cells meet every comparison shape.
-      "SELECT * FROM homes WHERE price > 0",
-      "SELECT * FROM homes WHERE price = 100000",
-      "SELECT * FROM homes WHERE price <> 100000",
-      "SELECT * FROM homes WHERE price BETWEEN 0 AND 1000000",
-      "SELECT * FROM homes WHERE price IN (100000, 200000)",
-      "SELECT * FROM homes WHERE price NOT IN (100000)",
-      // Signed zero: -0.0 == 0.0 numerically on both paths.
-      "SELECT * FROM homes WHERE price = 0",
-      "SELECT * FROM homes WHERE price < 0",
-      // 2^53 + 1: exact on the int64 path, rounds on the double path.
-      "SELECT * FROM homes WHERE yearbuilt = 9007199254740993",
-      "SELECT * FROM homes WHERE yearbuilt = 9007199254740992",
-      "SELECT * FROM homes WHERE bedroomcount = 9223372036854775807",
-      "SELECT * FROM homes WHERE bedroomcount >= -9223372036854775807",
-      // NULL handling.
-      "SELECT * FROM homes WHERE price IS NULL",
-      "SELECT * FROM homes WHERE price IS NOT NULL",
-      "SELECT * FROM homes WHERE neighborhood IS NULL OR price > 500000",
-      // String-vs-numeric class mismatches: the row path errors on the
-      // first matching row; the columnar path must refuse and fall back.
-      "SELECT * FROM homes WHERE price = 'expensive'",
-      "SELECT * FROM homes WHERE neighborhood < 5",
-      "SELECT * FROM homes WHERE neighborhood IN (1, 2)",
-      "SELECT * FROM homes WHERE bedroomcount BETWEEN 'a' AND 'b'",
-      // Unknown column errors identically.
-      "SELECT * FROM homes WHERE bogus = 1",
-      // Projection through the zero-copy view.
-      "SELECT neighborhood, price FROM homes WHERE bedroomcount >= 3",
-      "SELECT price FROM homes WHERE neighborhood = 'Redmond'",
-  };
-  for (const std::string& sql : queries) {
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      ExpectSqlEquivalent(db, sql, threads);
-    }
-  }
-}
-
-TEST(ColumnarEquivalenceTest, EmptyTableAndAllNullColumn) {
-  // Empty table: every query returns an empty result on both paths (the
-  // row path does not even surface type errors — no rows to evaluate).
-  {
-    const Database db = HomesDb(Table(FuzzSchema()));
-    for (const std::string sql :
-         {"SELECT * FROM homes WHERE price > 0",
-          "SELECT * FROM homes WHERE price = 'expensive'",
-          "SELECT * FROM homes WHERE bogus = 1"}) {
-      ExpectSqlEquivalent(db, sql, 1);
-    }
-  }
-  // All-NULL column: comparisons never match, IS NULL matches everything,
-  // and even class-mismatched literals cannot error on the row path.
-  {
-    Table table(FuzzSchema());
-    Random rng(9);
-    for (int i = 0; i < 64; ++i) {
-      ASSERT_TRUE(table
-                      .AppendRow({Value(kNeighborhoods[i % 6]), Value(),
-                                  Value(kTypes[i % 3]), Value(),
-                                  Value(rng.Uniform(0, 8)), Value(1.5),
-                                  Value(rng.UniformReal(300, 5000)),
-                                  Value(rng.Uniform(1900, 2026))})
-                      .ok());
-    }
-    const Database db = HomesDb(std::move(table));
-    for (const std::string sql :
-         {"SELECT * FROM homes WHERE price > 0",
-          "SELECT * FROM homes WHERE price = 'expensive'",
-          "SELECT * FROM homes WHERE price IS NULL",
-          "SELECT * FROM homes WHERE city IS NOT NULL",
-          "SELECT * FROM homes WHERE city = 'Seattle'"}) {
-      ExpectSqlEquivalent(db, sql, 1);
-    }
-  }
-}
-
-TEST(ColumnarEquivalenceTest, PutTableInvalidatesShadow) {
-  Database db = HomesDb(MakeHomes(50, 11, 0.0, false));
-  const ExecOptions opts;
-  const std::string sql = "SELECT * FROM homes WHERE bedroomcount >= 0";
-  AUTOCAT_ASSERT_OK_AND_MOVE(Table before, ExecuteSql(sql, db, opts));
-  EXPECT_EQ(before.num_rows(), 50u);
-  db.PutTable("homes", MakeHomes(20, 12, 0.0, false));
-  AUTOCAT_ASSERT_OK_AND_MOVE(Table after, ExecuteSql(sql, db, opts));
-  EXPECT_EQ(after.num_rows(), 20u);
-}
-
 // -------------------------------------------- profile (serving-path) filter
+
+// Compiles `profile` against `shadow` (the shadow of `table`) and
+// requires Filter at threads 1 and 7 to select exactly the rows
+// MatchesRow keeps.
+void ExpectProfileMatchesRows(const Table& table,
+                              std::shared_ptr<const ColumnarTable> shadow,
+                              const SelectionProfile& profile,
+                              const std::string& context) {
+  // The profile compiler is total: every profile compiles.
+  auto compiled = CompiledPredicate::CompileProfile(profile, table.schema(),
+                                                    std::move(shadow));
+  ASSERT_TRUE(compiled.ok()) << context << ": "
+                             << compiled.status().ToString();
+  std::vector<uint32_t> expected;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (profile.MatchesRow(table.row(r), table.schema())) {
+      expected.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  for (const size_t threads : {size_t{1}, size_t{7}}) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> got,
+                               compiled.value().Filter(parallel));
+    EXPECT_EQ(got, expected) << context << " (threads=" << threads << ")";
+  }
+}
+
+std::shared_ptr<const ColumnarTable> ShadowOf(const Table& table) {
+  return std::make_shared<const ColumnarTable>(ColumnarTable::Build(table));
+}
+
+AttributeCondition Range(double lo, bool lo_inclusive, double hi,
+                         bool hi_inclusive) {
+  NumericRange range;
+  range.lo = lo;
+  range.lo_inclusive = lo_inclusive;
+  range.hi = hi;
+  range.hi_inclusive = hi_inclusive;
+  return AttributeCondition::Range(range);
+}
 
 TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
   const Schema schema = FuzzSchema();
   const Table table = MakeHomes(400, 404, 0.1, true);
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
-                             db.ColumnarFor("homes"));
+  const auto shadow = ShadowOf(table);
 
   Random rng(555);
   size_t profiles = 0;
@@ -225,27 +103,78 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
     if (!profile.ok()) {
       continue;
     }
-    // The profile compiler is total: every profile compiles.
-    auto compiled =
-        CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
-    ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
     ++profiles;
-    std::vector<uint32_t> expected;
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (profile.value().MatchesRow(table.row(r), schema)) {
-        expected.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      ParallelOptions parallel;
-      parallel.threads = threads;
-      AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> got,
-                                 compiled.value().Filter(parallel));
-      EXPECT_EQ(got, expected) << sql << " (threads=" << threads << ")";
-    }
+    ExpectProfileMatchesRows(table, shadow, profile.value(), sql);
   }
   EXPECT_GE(profiles, 50u)
       << "too few queries normalized to a profile to be a meaningful gate";
+
+  // Edge values a profile can express, over the hostile cells of `table`
+  // (NaN and signed-zero prices, int64-extreme bedroom counts, a
+  // 2^53 + 1 year), an empty table, and a table whose price and city
+  // columns are all NULL.
+  Table empty(schema);
+  Table all_null(schema);
+  Random null_rng(9);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(all_null
+                    .AppendRow({Value(kNeighborhoods[i % 6]), Value(),
+                                Value(kTypes[i % 3]), Value(),
+                                Value(null_rng.Uniform(0, 8)), Value(1.5),
+                                Value(null_rng.UniformReal(300, 5000)),
+                                Value(null_rng.Uniform(1900, 2026))})
+                    .ok());
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t two53 = int64_t{1} << 53;
+  const int64_t i64max = std::numeric_limits<int64_t>::max();
+  const int64_t i64min = std::numeric_limits<int64_t>::min();
+  const std::vector<std::pair<std::string, AttributeCondition>> edges = {
+      // NaN cells lie inside every range; -0.0 and 0.0 compare equal.
+      {"price", Range(0, false, inf, true)},
+      {"price", Range(-inf, true, 0, false)},
+      {"price", Range(0, true, 0, true)},
+      {"price", Range(-0.0, true, 0, true)},
+      {"price", Range(0, true, 1000000, true)},
+      {"price", AttributeCondition::ValueSet({Value(0.0)})},
+      {"price", AttributeCondition::ValueSet({Value(-0.0)})},
+      {"price", AttributeCondition::ValueSet({Value(int64_t{0})})},
+      {"price",
+       AttributeCondition::ValueSet({Value(100000.0), Value(200000.0)})},
+      // 2^53 +- 1: int64 members compare exactly, double ones widen the
+      // cell (2^53 + 1 rounds to 2^53).
+      {"yearbuilt", AttributeCondition::ValueSet({Value(two53 + 1)})},
+      {"yearbuilt", AttributeCondition::ValueSet({Value(two53)})},
+      {"yearbuilt", AttributeCondition::ValueSet({Value(two53 - 1)})},
+      {"yearbuilt", AttributeCondition::ValueSet(
+                        {Value(static_cast<double>(two53))})},
+      {"yearbuilt", Range(static_cast<double>(two53), true, inf, true)},
+      {"yearbuilt",
+       Range(-inf, true, static_cast<double>(two53 - 1), true)},
+      // int64 extremes.
+      {"bedroomcount", AttributeCondition::ValueSet({Value(i64max)})},
+      {"bedroomcount", AttributeCondition::ValueSet({Value(i64min)})},
+      {"bedroomcount",
+       Range(static_cast<double>(-i64max), true, inf, true)},
+      {"bedroomcount", Range(static_cast<double>(i64min), false,
+                             static_cast<double>(i64max), false)},
+      // All-NULL columns match nothing; unknown attributes never match.
+      {"city", AttributeCondition::ValueSet({Value("Seattle")})},
+      {"city", AttributeCondition::ValueSet({Value(int64_t{1})})},
+      {"bogus", AttributeCondition::ValueSet({Value(int64_t{1})})},
+  };
+  const std::pair<const char*, const Table*> tables[] = {
+      {"hostile", &table}, {"empty", &empty}, {"all-null", &all_null}};
+  for (const auto& [name, t] : tables) {
+    const auto t_shadow = ShadowOf(*t);
+    for (const auto& [attr, cond] : edges) {
+      SelectionProfile profile;
+      profile.Set(attr, cond);
+      ExpectProfileMatchesRows(*t, t_shadow, profile,
+                               std::string(name) + ": " + attr + " " +
+                                   cond.ToString());
+    }
+  }
 }
 
 // A NaN member compares "equal" to every numeric, so a std::set<Value>

@@ -4,9 +4,8 @@
 // Shared fixture for the equivalence gates: the SQL fuzz harness's homes
 // schema, a deterministic table seeded with hostile edge values, bit-exact
 // value/table comparison, the randomized query generator, and the row
-// oracles the compiled paths are compared against — `ExecuteRows` for
-// query execution and `ServeRows` for a served categorization. Everything
-// is inline so each test binary keeps internal copies.
+// oracle a served categorization is compared against (`ServeRows`).
+// Everything is inline so each test binary keeps internal copies.
 
 #include <gtest/gtest.h>
 
@@ -208,28 +207,6 @@ inline void ExpectPartitionsIdentical(
   }
 }
 
-// The row-at-a-time reference executor: FilterTable -> SelectRows ->
-// Project, the same steps ExecuteQuery falls back to when the kernels
-// refuse a WHERE clause.
-inline Result<Table> ExecuteRows(const SelectQuery& query,
-                                 const Database& db) {
-  AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
-                           db.GetTable(query.table_name));
-  AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
-                           FilterTable(*table, query.where.get()));
-  AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
-  if (query.select_all()) {
-    return selected;
-  }
-  return selected.Project(query.columns);
-}
-
-inline Result<Table> ExecuteRowsSql(std::string_view sql,
-                                    const Database& db) {
-  AUTOCAT_ASSIGN_OR_RETURN(const SelectQuery query, ParseQuery(sql));
-  return ExecuteRows(query, db);
-}
-
 // What the serve oracle answers: the payload and its canonical key.
 struct OracleResponse {
   std::shared_ptr<const CachedCategorization> payload;
@@ -308,9 +285,9 @@ inline std::string RandomLiteral(Random& rng, size_t col) {
 
 inline std::string RandomCondition(Random& rng, const Schema& schema) {
   // Occasionally target an unknown column or cross the string/numeric
-  // class boundary: the columnar path must then reproduce the row path's
-  // behavior (error or empty result) exactly, not merely "do something
-  // reasonable".
+  // class boundary: every consumer must then handle the query exactly
+  // (the same error Status, an empty result, a member no cell can equal),
+  // not merely "do something reasonable".
   const bool hostile = rng.Bernoulli(0.15);
   const size_t col = static_cast<size_t>(rng.Uniform(0, 7));
   std::string name =

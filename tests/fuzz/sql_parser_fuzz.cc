@@ -10,12 +10,9 @@
 //      unbounded range and are omitted from the WHERE text), but a second
 //      pass must reach a fixed point — and the canonical text must always
 //      re-parse and re-normalize without error.
-//   3. The columnar predicate kernels are refuse-or-exact (stage 5): over
-//      a fixed table seeded with hostile cells, a WHERE clause that
-//      compiles filters bit-identically to row-at-a-time evaluation at
-//      multiple thread counts, and any clause the row path errors on is
-//      refused with kNotSupported. The profile compiler is total: every
-//      selection profile compiles and filters exactly like MatchesRow.
+//   3. The profile compiler is total and exact (stage 5): over a fixed
+//      table seeded with hostile cells, every selection profile compiles
+//      and filters exactly like MatchesRow.
 //
 // Built as a libFuzzer target (autocat_sql_fuzzer) only when the compiler
 // supports -fsanitize=fuzzer (clang); in every configuration the same
@@ -34,7 +31,6 @@
 
 #include "common/thread_pool.h"
 #include "exec/kernels.h"
-#include "exec/predicate.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
@@ -169,81 +165,34 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // columns and unsupported shapes surface as Status; anything else must
   // produce a profile.
   auto profile = SelectionProfile::FromQuery(query.value(), FuzzSchema());
-
-  // Stage 5 (runs regardless of stage 3/4's outcome): columnar kernels
-  // must be refuse-or-exact against the row path over the fixed hostile
-  // table. If Compile accepts a WHERE clause, the row path must evaluate
-  // every row without error and the selection vectors must match exactly
-  // (threads 1 and 3); if the row path errors, Compile must have refused.
-  if (query.value().where != nullptr) {
-    const Table& table = FuzzTable();
-    const autocat::Expr& where = *query.value().where;
-    auto compiled =
-        CompiledPredicate::Compile(where, FuzzSchema(), FuzzShadow());
-    std::vector<uint32_t> expected;
-    bool row_error = false;
-    for (size_t r = 0; r < table.num_rows() && !row_error; ++r) {
-      auto match =
-          autocat::EvaluatePredicate(where, table.row(r), FuzzSchema());
-      if (!match.ok()) {
-        row_error = true;
-      } else if (match.value()) {
-        expected.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    if (!compiled.ok()) {
-      if (compiled.status().code() !=
-          autocat::StatusCode::kNotSupported) {
-        FailRoundTrip("kernel compile surfaced a non-refusal error",
-                      compiled.status().ToString(), sql);
-      }
-    } else if (row_error) {
-      FailRoundTrip("kernel compiled a predicate the row path errors on",
-                    "refuse-or-exact contract violated", sql);
-    } else {
-      for (const size_t threads : {size_t{1}, size_t{3}}) {
-        ParallelOptions parallel;
-        parallel.threads = threads;
-        auto selection = compiled.value().Filter(parallel);
-        if (!selection.ok()) {
-          FailRoundTrip("kernel filter errored",
-                        selection.status().ToString(), sql);
-        }
-        if (selection.value() != expected) {
-          FailRoundTrip("kernel selection != row selection", sql, sql);
-        }
-      }
-    }
-    // Profile flavor: MatchesRow never errors and the profile compiler is
-    // total, so every profile compiles and has a row-path twin.
-    if (profile.ok()) {
-      auto compiled_profile = CompiledPredicate::CompileProfile(
-          profile.value(), FuzzSchema(), FuzzShadow());
-      if (compiled_profile.ok()) {
-        std::vector<uint32_t> matched;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (profile.value().MatchesRow(table.row(r), FuzzSchema())) {
-            matched.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        ParallelOptions parallel;
-        parallel.threads = 1;
-        auto selection = compiled_profile.value().Filter(parallel);
-        if (!selection.ok() || selection.value() != matched) {
-          FailRoundTrip("profile kernel selection != MatchesRow",
-                        selection.ok() ? "selection mismatch"
-                                       : selection.status().ToString(),
-                        sql);
-        }
-      } else {
-        FailRoundTrip("profile kernel compile failed",
-                      compiled_profile.status().ToString(), sql);
-      }
-    }
-  }
-
   if (!profile.ok()) {
     return 0;
+  }
+
+  // Stage 5: the compiled profile kernels over the fixed hostile table.
+  // MatchesRow never errors and the profile compiler is total, so every
+  // profile compiles and selects exactly the rows MatchesRow keeps.
+  const Table& table = FuzzTable();
+  auto compiled = CompiledPredicate::CompileProfile(
+      profile.value(), FuzzSchema(), FuzzShadow());
+  if (!compiled.ok()) {
+    FailRoundTrip("profile kernel compile failed",
+                  compiled.status().ToString(), sql);
+  }
+  std::vector<uint32_t> matched;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (profile.value().MatchesRow(table.row(r), FuzzSchema())) {
+      matched.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  ParallelOptions parallel;
+  parallel.threads = 1;
+  auto selection = compiled.value().Filter(parallel);
+  if (!selection.ok() || selection.value() != matched) {
+    FailRoundTrip("profile kernel selection != MatchesRow",
+                  selection.ok() ? "selection mismatch"
+                                 : selection.status().ToString(),
+                  sql);
   }
 
   // Stage 4: canonical SQL text must re-parse and re-normalize cleanly,

@@ -5,9 +5,9 @@
 // predicate it mirrors — NaN semantics, signed zeros, int64 extremes, and
 // NULL masking included. These tests compare the kernels directly against
 // scalar references over hostile arrays with ragged lengths, then force
-// the scalar fallback (simd::ForceScalarForTest) and replay the SQL fuzz
-// corpus plus randomized queries and profiles through both configurations
-// at threads {1, 2, 7, 16}: selections and result tables must be
+// the scalar fallback (simd::ForceScalarForTest) and run the selection
+// profiles of the SQL fuzz corpus and of randomized queries through both
+// configurations at threads {1, 2, 7, 16}: selections must be
 // bit-identical. On machines without AVX2 both sides run scalar and the
 // gate degenerates to a no-op rather than failing.
 
@@ -19,12 +19,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "exec/executor.h"
 #include "exec/kernels.h"
 #include "exec/simd_kernels.h"
 #include "sql/parser.h"
@@ -52,15 +53,6 @@ struct ScalarForceGuard {
 
 // ------------------------------------------------------- kernel unit tests
 
-// Scalar mirror of Value::Compare's numeric three-way: NaN compares equal
-// to everything (all orderings false).
-int Cmp3(double a, double b) {
-  return static_cast<int>(a > b) - static_cast<int>(a < b);
-}
-int Cmp3(int64_t a, int64_t b) {
-  return static_cast<int>(a > b) - static_cast<int>(a < b);
-}
-
 bool BitAt(const std::vector<uint64_t>& bits, size_t i) {
   return (bits[i >> 6] >> (i & 63)) & 1;
 }
@@ -68,78 +60,6 @@ bool BitAt(const std::vector<uint64_t>& bits, size_t i) {
 // Lengths that exercise empty input, single lanes, word boundaries, the
 // vector/tail split, and a full morsel.
 const size_t kLengths[] = {0, 1, 3, 63, 64, 65, 100, 255, 256, 1000, 2048};
-
-TEST(SimdKernelTest, CompareI64MatchesScalar) {
-  if (!simd::Enabled()) {
-    GTEST_SKIP() << "AVX2 unavailable; scalar fallback covers this build";
-  }
-  Random rng(11);
-  const int64_t hostile[] = {0, -1, 1,
-                             std::numeric_limits<int64_t>::min(),
-                             std::numeric_limits<int64_t>::max(),
-                             int64_t{9007199254740993}};
-  for (const size_t n : kLengths) {
-    std::vector<int64_t> vals(n);
-    for (size_t i = 0; i < n; ++i) {
-      vals[i] = i % 7 == 0 ? hostile[i / 7 % 6]
-                           : rng.Uniform(-1000000, 1000000);
-    }
-    for (const int64_t b : {int64_t{0}, int64_t{42},
-                            std::numeric_limits<int64_t>::min(),
-                            std::numeric_limits<int64_t>::max()}) {
-      for (uint8_t table = 0; table < 8; ++table) {
-        std::vector<uint64_t> bits((n + 63) / 64 + 1, ~uint64_t{0});
-        ASSERT_TRUE(
-            simd::CompareI64(vals.data(), n, b, table, bits.data()));
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(BitAt(bits, i),
-                    ((table >> (Cmp3(vals[i], b) + 1)) & 1) != 0)
-              << "n=" << n << " b=" << b << " table=" << int(table)
-              << " i=" << i;
-        }
-        // Trailing bits of the last word are zeroed.
-        for (size_t i = n; i < ((n + 63) / 64) * 64; ++i) {
-          ASSERT_FALSE(BitAt(bits, i)) << "n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, CompareF64MatchesScalar) {
-  if (!simd::Enabled()) {
-    GTEST_SKIP() << "AVX2 unavailable; scalar fallback covers this build";
-  }
-  Random rng(13);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double hostile[] = {0.0, -0.0, nan,
-                            std::numeric_limits<double>::infinity(),
-                            -std::numeric_limits<double>::infinity(),
-                            1e-300};
-  for (const size_t n : kLengths) {
-    std::vector<double> vals(n);
-    for (size_t i = 0; i < n; ++i) {
-      vals[i] = i % 5 == 0 ? hostile[i / 5 % 6]
-                           : rng.UniformReal(-1e6, 1e6);
-    }
-    for (const double b : {0.0, -0.0, 42.5, nan}) {
-      for (uint8_t table = 0; table < 8; ++table) {
-        std::vector<uint64_t> bits((n + 63) / 64 + 1, ~uint64_t{0});
-        ASSERT_TRUE(
-            simd::CompareF64(vals.data(), n, b, table, bits.data()));
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(BitAt(bits, i),
-                    ((table >> (Cmp3(vals[i], b) + 1)) & 1) != 0)
-              << "n=" << n << " b=" << b << " table=" << int(table)
-              << " i=" << i;
-        }
-        for (size_t i = n; i < ((n + 63) / 64) * 64; ++i) {
-          ASSERT_FALSE(BitAt(bits, i)) << "n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
 
 TEST(SimdKernelTest, AcceptCodesMatchesScalar) {
   if (!simd::Enabled()) {
@@ -222,51 +142,70 @@ TEST(SimdKernelTest, ForceScalarDisablesKernels) {
   {
     ScalarForceGuard guard(true);
     EXPECT_FALSE(simd::Enabled());
-    int64_t vals[4] = {1, 2, 3, 4};
+    const double vals[4] = {1, 2, 3, 4};
     uint64_t bits[1] = {0};
-    EXPECT_FALSE(simd::CompareI64(vals, 4, 2, 0b010, bits));
+    EXPECT_FALSE(simd::RangeF64(vals, 4, 2, true, 3, true, bits));
   }
   EXPECT_EQ(simd::Enabled(), had_simd);
 }
 
 // ---------------------------------------------- end-to-end SIMD vs scalar
 
-// Runs `sql` through the columnar engine twice — SIMD allowed, then
-// forced-scalar — at the given thread count; results must be
-// bit-identical tables (or the same error Status).
-void ExpectSimdScalarIdentical(const Database& db, const std::string& sql,
-                               size_t threads) {
-  ExecOptions opts;
-  opts.parallel.threads = threads;
-  const Result<Table> simd_result = ExecuteSql(sql, db, opts);
-  ScalarForceGuard guard(true);
-  const Result<Table> scalar_result = ExecuteSql(sql, db, opts);
-  ASSERT_EQ(simd_result.ok(), scalar_result.ok())
-      << sql << " (threads=" << threads << ")";
-  if (!simd_result.ok()) {
-    EXPECT_EQ(simd_result.status().ToString(),
-              scalar_result.status().ToString())
-        << sql;
-    return;
+// Compiles `profile` against `shadow` and runs Filter twice — SIMD
+// allowed, then forced-scalar — at every thread count; the selections must
+// be identical.
+void ExpectProfileSimdScalarIdentical(
+    const SelectionProfile& profile, const Schema& schema,
+    const std::shared_ptr<const ColumnarTable>& shadow,
+    const std::string& context) {
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const CompiledPredicate compiled,
+      CompiledPredicate::CompileProfile(profile, schema, shadow));
+  for (const size_t threads : kThreadCounts) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> with_simd,
+                               compiled.Filter(parallel));
+    std::vector<uint32_t> scalar;
+    {
+      ScalarForceGuard guard(true);
+      AUTOCAT_ASSERT_OK_AND_MOVE(scalar, compiled.Filter(parallel));
+    }
+    EXPECT_EQ(with_simd, scalar)
+        << context << " (threads=" << threads << ")";
   }
-  ExpectTablesBitIdentical(simd_result.value(), scalar_result.value(),
-                           sql + " (threads=" + std::to_string(threads) +
-                               ", simd-vs-scalar)");
 }
 
-Database HomesDb(Table table) {
-  Database db;
-  EXPECT_TRUE(db.RegisterTable("homes", std::move(table)).ok());
-  return db;
+// The selection profile of `sql`, or nullopt when it does not parse or
+// normalize to one (a profile refuses e.g. cross-attribute ORs, NOT IN
+// and IS NULL with kNotSupported).
+std::optional<SelectionProfile> ProfileOf(const std::string& sql,
+                                          const Schema& schema) {
+  auto query = ParseQuery(sql);
+  if (!query.ok()) {
+    return std::nullopt;
+  }
+  auto profile = SelectionProfile::FromQuery(query.value(), schema);
+  if (!profile.ok()) {
+    return std::nullopt;
+  }
+  return std::move(profile).value();
+}
+
+// 6000 rows = 3 morsels: multiple bitmap words per morsel plus a partial
+// tail, so the kernels' vector/tail split is on the line.
+std::shared_ptr<const ColumnarTable> HomesShadow(uint64_t seed) {
+  return std::make_shared<const ColumnarTable>(
+      ColumnarTable::Build(MakeHomes(6000, seed, 0.1, true)));
 }
 
 TEST(SimdEquivalenceTest, FuzzCorpusSimdVsScalar) {
-  // 6000 rows = 3 morsels: multiple bitmap words per morsel plus a
-  // partial tail, so the kernels' vector/tail split is on the line.
-  const Database db = HomesDb(MakeHomes(6000, 101, 0.08, true));
+  const Schema schema = FuzzSchema();
+  const auto shadow = HomesShadow(101);
   const std::filesystem::path corpus(AUTOCAT_FUZZ_CORPUS_DIR);
   ASSERT_TRUE(std::filesystem::is_directory(corpus));
   size_t replayed = 0;
+  size_t profiles = 0;
   for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
     if (!entry.is_regular_file()) {
       continue;
@@ -274,70 +213,69 @@ TEST(SimdEquivalenceTest, FuzzCorpusSimdVsScalar) {
     std::ifstream in(entry.path(), std::ios::binary);
     std::string sql((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-    for (const size_t threads : kThreadCounts) {
-      ExpectSimdScalarIdentical(db, sql, threads);
-    }
     ++replayed;
+    if (const auto profile = ProfileOf(sql, schema)) {
+      ++profiles;
+      ExpectProfileSimdScalarIdentical(*profile, schema, shadow, sql);
+    }
   }
   EXPECT_GE(replayed, 10u) << "corpus directory looks truncated";
+  EXPECT_GE(profiles, 1u) << "no corpus query normalized to a profile";
 }
 
 TEST(SimdEquivalenceTest, RandomizedQueriesSimdVsScalar) {
   const Schema schema = FuzzSchema();
-  const Database db = HomesDb(MakeHomes(6000, 202, 0.1, true));
+  const auto shadow = HomesShadow(202);
   Random rng(31337);
+  size_t profiles = 0;
   for (int i = 0; i < 400; ++i) {
     const std::string sql = RandomQuery(rng, schema);
-    for (const size_t threads : kThreadCounts) {
-      ExpectSimdScalarIdentical(db, sql, threads);
+    if (const auto profile = ProfileOf(sql, schema)) {
+      ++profiles;
+      ExpectProfileSimdScalarIdentical(*profile, schema, shadow, sql);
     }
   }
+  EXPECT_GE(profiles, 50u)
+      << "too few queries normalized to a profile to be a meaningful gate";
 }
 
-// Profile compilation reaches kernel shapes SQL cannot (half-open range
-// conditions, value sets): pin Filter's selection vector across the two
-// configurations there too.
+// Profiles built directly, aimed at the two vector kernels: double ranges
+// with hostile bounds (NaN, signed zeros, infinities) and random
+// inclusivity over NaN and signed-zero cells (RangeF64), alone or
+// conjoined with a string value set (AcceptCodes).
 TEST(SimdEquivalenceTest, ProfileFiltersSimdVsScalar) {
   const Schema schema = FuzzSchema();
-  const Table table = MakeHomes(6000, 404, 0.1, true);
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
-                             db.ColumnarFor("homes"));
-
+  const auto shadow = HomesShadow(404);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bounds[] = {std::numeric_limits<double>::quiet_NaN(),
+                           -inf,
+                           -0.0,
+                           0.0,
+                           100000.0,
+                           250000.0,
+                           500000.0,
+                           inf};
   Random rng(555);
-  size_t compiled_profiles = 0;
   for (int i = 0; i < 200; ++i) {
-    const std::string sql = RandomQuery(rng, schema);
-    auto query = ParseQuery(sql);
-    if (!query.ok()) {
-      continue;
-    }
-    auto profile = SelectionProfile::FromQuery(query.value(), schema);
-    if (!profile.ok()) {
-      continue;
-    }
-    auto compiled =
-        CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
-    ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
-    ++compiled_profiles;
-    for (const size_t threads : kThreadCounts) {
-      ParallelOptions parallel;
-      parallel.threads = threads;
-      AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> with_simd,
-                                 compiled.value().Filter(parallel));
-      std::vector<uint32_t> scalar;
-      {
-        ScalarForceGuard guard(true);
-        AUTOCAT_ASSERT_OK_AND_MOVE(scalar,
-                                   compiled.value().Filter(parallel));
+    NumericRange range;
+    range.lo = bounds[rng.Uniform(0, 7)];
+    range.hi = bounds[rng.Uniform(0, 7)];
+    range.lo_inclusive = rng.Bernoulli(0.5);
+    range.hi_inclusive = rng.Bernoulli(0.5);
+    SelectionProfile profile;
+    profile.Set(rng.Bernoulli(0.5) ? "price" : "squarefootage",
+                AttributeCondition::Range(range));
+    if (rng.Bernoulli(0.5)) {
+      std::set<Value> names;
+      for (int64_t k = rng.Uniform(1, 3); k > 0; --k) {
+        names.insert(Value(kNeighborhoods[rng.Uniform(0, 5)]));
       }
-      EXPECT_EQ(with_simd, scalar)
-          << sql << " (threads=" << threads << ")";
+      profile.Set("neighborhood",
+                  AttributeCondition::ValueSet(std::move(names)));
     }
+    ExpectProfileSimdScalarIdentical(profile, schema, shadow,
+                                     profile.ToString());
   }
-  EXPECT_GE(compiled_profiles, 30u)
-      << "too few queries normalized to a profile to be a meaningful gate";
 }
 
 }  // namespace

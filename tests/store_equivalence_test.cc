@@ -1,10 +1,11 @@
 // Store-vs-memory equivalence gate: a table served zero-copy out of a
 // mapped segment store must behave bit-identically to its in-memory twin
 // — same result cells (doubles by bit pattern), same row order, same
-// error Statuses — through every execution path: the row-at-a-time
-// interpreter, the columnar kernels at threads 1 and 7, and a cold
-// CategorizationService request. Replays the checked-in SQL fuzz corpus
-// plus randomized queries over a table seeded with hostile cells.
+// error Statuses — through every execution path: ExecuteSql's
+// row-at-a-time evaluator, the compiled profile kernels at threads 1 and
+// 7, and a cold CategorizationService request. Replays the checked-in SQL
+// fuzz corpus plus randomized queries over a table seeded with hostile
+// cells.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,7 +22,10 @@
 #include "common/random.h"
 #include "core/partition.h"
 #include "exec/executor.h"
+#include "exec/kernels.h"
 #include "serve/service.h"
+#include "sql/parser.h"
+#include "sql/selection.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
 #include "store/store.h"
@@ -188,37 +192,49 @@ class StoreEquivalenceFixture {
     fs::remove(store_path_, ec);
   }
 
-  // Runs `sql` through four paths — memory/store x row oracle/
-  // ExecuteSql (columnar kernels first) — and requires one shared outcome.
-  void ExpectEquivalent(const std::string& sql, size_t threads) const {
-    ExecOptions col_opts;
-    col_opts.parallel.threads = threads;
+  // Runs `sql` through ExecuteSql over the memory and the store table
+  // and requires one shared outcome. When the query normalizes to a
+  // selection profile, also compiles it against both shadows and requires
+  // identical Filter selections at threads 1 and 7: the store shadow's
+  // zones repeat each segment's extrema, the memory shadow's are computed
+  // per zone, and the zone prover must not tell them apart.
+  void ExpectEquivalent(const std::string& sql) const {
+    const Result<Table> mem = ExecuteSql(sql, mem_db_);
+    const Result<Table> store = ExecuteSql(sql, store_db_);
+    ASSERT_EQ(mem.ok(), store.ok())
+        << sql << ": " << (mem.ok() ? store : mem).status().ToString();
+    if (mem.ok()) {
+      ExpectTablesBitIdentical(mem.value(), store.value(), sql);
+    } else {
+      EXPECT_EQ(mem.status().ToString(), store.status().ToString()) << sql;
+    }
 
-    const Result<Table> baseline = equiv::ExecuteRowsSql(sql, mem_db_);
-    const Result<Table> candidates[] = {
-        ExecuteSql(sql, mem_db_, col_opts),
-        equiv::ExecuteRowsSql(sql, store_db_),
-        ExecuteSql(sql, store_db_, col_opts),
-    };
-    const char* const names[] = {"mem-columnar", "store-row",
-                                 "store-columnar"};
-    for (size_t i = 0; i < 3; ++i) {
-      const std::string context = sql + " [" + names[i] +
-                                  ", threads=" + std::to_string(threads) +
-                                  "]";
-      ASSERT_EQ(baseline.ok(), candidates[i].ok())
-          << context << ": "
-          << (baseline.ok() ? candidates[i] : baseline)
-                 .status()
-                 .ToString();
-      if (!baseline.ok()) {
-        EXPECT_EQ(baseline.status().ToString(),
-                  candidates[i].status().ToString())
-            << context;
-        continue;
-      }
-      ExpectTablesBitIdentical(baseline.value(), candidates[i].value(),
-                               context);
+    auto query = ParseQuery(sql);
+    if (!query.ok()) {
+      return;
+    }
+    const Schema schema = FuzzSchema();
+    auto profile = SelectionProfile::FromQuery(query.value(), schema);
+    if (!profile.ok()) {
+      return;
+    }
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CompiledPredicate on_mem,
+        CompiledPredicate::CompileProfile(
+            profile.value(), schema, mem_db_.ColumnarFor("homes").value()));
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CompiledPredicate on_store,
+        CompiledPredicate::CompileProfile(
+            profile.value(), schema, store_db_.ColumnarFor("homes").value()));
+    for (const size_t threads : {size_t{1}, size_t{7}}) {
+      ParallelOptions parallel;
+      parallel.threads = threads;
+      AUTOCAT_ASSERT_OK_AND_MOVE(const std::vector<uint32_t> mem_rows,
+                                 on_mem.Filter(parallel));
+      AUTOCAT_ASSERT_OK_AND_MOVE(const std::vector<uint32_t> store_rows,
+                                 on_store.Filter(parallel));
+      EXPECT_EQ(mem_rows, store_rows)
+          << sql << " (threads=" << threads << ")";
     }
   }
 
@@ -244,9 +260,7 @@ TEST(StoreEquivalenceTest, FuzzCorpusStoreVsMemory) {
     std::ifstream in(entry.path(), std::ios::binary);
     std::string sql((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      f.ExpectEquivalent(sql, threads);
-    }
+    f.ExpectEquivalent(sql);
     ++replayed;
   }
   EXPECT_GE(replayed, 10u) << "corpus directory looks truncated";
@@ -319,9 +333,7 @@ TEST(StoreEquivalenceTest, RandomizedQueriesStoreVsMemory) {
       }
       sql += RandomCondition(rng, schema);
     }
-    for (const size_t threads : {size_t{1}, size_t{7}}) {
-      f.ExpectEquivalent(sql, threads);
-    }
+    f.ExpectEquivalent(sql);
   }
 }
 

@@ -2,9 +2,9 @@
 // CSV table, guided by an SQL query-log file.
 //
 // Usage:
-//   autocat_cli --data listing.csv --schema "name:type:kind,..." \
-//               --workload log.sql --query "SELECT * FROM t WHERE ..." \
-//               [--output tree|json|sql] [--max-tuples 20] [--threshold 0.4] \
+//   autocat_cli --data listing.csv --schema "name:type:kind,..."
+//               --workload log.sql --query "SELECT * FROM t WHERE ..."
+//               [--output tree|json|sql] [--max-tuples 20] [--threshold 0.4]
 //               [--technique cost|attr|nocost] [--rank] [--node N]
 //
 // Schema entries: <column>:<string|int64|double>:<categorical|numeric>.

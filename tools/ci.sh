@@ -54,12 +54,12 @@
 #            run the zone-map + SIMD kernel suites (exact zone metadata,
 #            the zone prover's refuse-or-exact verdicts against row
 #            truth, cold-pipeline pruning counters, and the
-#            SIMD-vs-scalar equivalence gate over the fuzz corpus and
-#            randomized queries at threads 1/2/7/16) in Release and
-#            under ASan and UBSan, plus bench_exec_filter at --smoke
-#            sizes — the targeted gate for filter-kernel and zone-map
-#            work (DESIGN.md section 15). The ASan and UBSan passes of
-#            this leg also run in the default matrix.
+#            SIMD-vs-scalar equivalence gate over the profiles of the
+#            fuzz corpus and randomized queries at threads 1/2/7/16) in
+#            Release and under ASan and UBSan, plus bench_exec_filter at
+#            --smoke sizes — the targeted gate for filter-kernel and
+#            zone-map work (DESIGN.md section 15). The ASan and UBSan
+#            passes of this leg also run in the default matrix.
 #   --analyze
 #            run only the static-analysis leg — the targeted gate for
 #            concurrency-discipline work (DESIGN.md section 11)
@@ -180,9 +180,11 @@ store_leg() {
 # prover's refuse-or-exact verdicts (randomized, NULL/NaN edges,
 # clustered pruning bite, cold-pipeline counters), the kernel-vs-scalar
 # unit comparisons, the end-to-end SIMD-vs-scalar equivalence gate
-# (fuzz corpus + randomized queries, bit-identical at threads 1/2/7/16),
-# and the row-vs-columnar gate, where the profile compiler is held total
-# and exact against MatchesRow and a mixed-type column dies in Build.
+# (profiles of the fuzz corpus and of randomized queries, identical
+# selections at threads 1/2/7/16), and the columnar equivalence suite,
+# where the profile compiler is held total and exact against MatchesRow
+# (randomized profiles and edge values) and a mixed-type column dies in
+# Build.
 KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
 
 kernels_leg() {
