@@ -1,4 +1,4 @@
-// Cold-serve cost of the push-based morsel pipeline (DESIGN.md §14) at
+// Cold-serve cost of the cold pipeline (DESIGN.md §14) at
 // WHERE selectivities from ~1% to the whole table, plus the workload
 // query mix. The service runs over generated ListProperty data with
 // bypass_cache requests, so every iteration is a full cold execution;

@@ -99,8 +99,8 @@ class CostBasedCategorizer final : public Categorizer {
   /// arrays through `view`, which describes the same rows as `result`
   /// (view row i == result row i; `result` is the view materialized and
   /// owns the tuples the tree references). `index`, when non-null, is a
-  /// precomputed `ResultAttributeIndex` over `result` (built by the cold
-  /// pipeline's StatsAccumulate sink): the root-level partitioners reuse
+  /// precomputed `ResultAttributeIndex` over `result` (built by
+  /// `RunColdPipeline`): the root-level partitioners reuse
   /// its sorted values / value groups instead of rescanning, producing the
   /// identical tree. Errors InvalidArgument when `view`, `index`, and
   /// `result` disagree on shape.

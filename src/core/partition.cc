@@ -435,10 +435,13 @@ std::vector<PartitionCategory> MaterializeBuckets(
   return out;
 }
 
-// The (value, index) pairs of the non-NULL cells of `col` among `tuples`,
-// sorted. Reads the typed arrays (and the null bitmap) directly when the
-// view has a columnar shadow; falls back to the generic cell walk
-// otherwise. Extracted doubles are identical to AsDouble().
+// The (value, index) pairs of the non-NULL, non-NaN cells of `col` among
+// `tuples`, sorted. A NaN cell joins no numeric bucket, as NULL does not
+// (and as CategoryLabel::Matches answers); it would also break
+// std::sort's strict weak order. Reads the typed arrays (and the null
+// bitmap) directly when the view has a columnar shadow; falls back to the
+// generic cell walk otherwise. Extracted doubles are identical to
+// AsDouble().
 Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
     const TableView& view, const std::vector<size_t>& tuples, size_t col,
     const std::string& attribute) {
@@ -462,15 +465,19 @@ Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
   } else if (cc != nullptr && cc->type == ValueType::kDouble) {
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
+      if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
         values.emplace_back(cc->f64[row], idx);
       }
     }
   } else {
     for (size_t idx : tuples) {
       const Value& v = view.ValueAt(idx, col);
-      if (!v.is_null()) {
-        values.emplace_back(v.AsDouble(), idx);
+      if (v.is_null()) {
+        continue;
+      }
+      const double x = v.AsDouble();
+      if (!std::isnan(x)) {
+        values.emplace_back(x, idx);
       }
     }
   }

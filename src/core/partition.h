@@ -62,8 +62,8 @@ struct NumericPartitionOptions {
 /// the identical partition.
 ///
 /// The four cost-based entry points accept an optional
-/// `ResultAttributeIndex` built over the same result relation (by the
-/// cold pipeline's StatsAccumulate sink). When `tuples` is the identity
+/// `ResultAttributeIndex` built over the same result relation (by
+/// `RunColdPipeline`). When `tuples` is the identity
 /// set over the indexed rows — the tree root's tset — the precomputed
 /// sorted values / value groups are reused instead of rescanning and
 /// re-sorting the column; the index holds exactly the shapes these
@@ -84,7 +84,8 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 /// workload's SplitPoints store, producing buckets in ascending value
 /// order. `query_range`, when non-null, supplies vmin/vmax from the user
 /// query's selection condition; otherwise the tuple values define the
-/// range. Empty buckets are dropped.
+/// range. Empty buckets are dropped. Tuples with a NULL or NaN cell are
+/// not placed in any bucket.
 Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
@@ -118,6 +119,7 @@ Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
 
 /// Baseline numeric partitioning (Section 6.1): equi-width buckets of the
 /// given width aligned to multiples of the width, empty buckets removed.
+/// NULL and NaN cells are not placed, as in `PartitionNumeric`.
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,

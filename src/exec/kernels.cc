@@ -503,8 +503,8 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
 
 // ---- evaluation ------------------------------------------------------
 
-// A kernel chunk and a pipeline morsel are the same unit, so survivors
-// flow from AppendMorselSurvivors straight into the pipeline sinks.
+// A kernel chunk and a morsel are the same unit, so the zone prover's
+// per-morsel verdicts apply to whole chunks.
 constexpr size_t kChunkRows = kMorselRows;
 
 // Evaluates a non-empty conjunction over base rows [begin, end) (at most

@@ -26,9 +26,9 @@ struct PredicateLeaf;
 /// errors, and every profile shape has an exact kernel. The
 /// semantics-preservation argument is spelled out in DESIGN.md §10.
 ///
-/// `Filter` runs chunked through `ParallelFor` with per-chunk selection
-/// shards merged in chunk order, so the selection vector is bit-identical
-/// at any thread count.
+/// `Filter` runs chunked through the morsel scheduler with per-chunk
+/// selection shards merged in chunk order, so the selection vector is
+/// bit-identical at any thread count.
 class CompiledPredicate {
  public:
   /// Tri-state zone-prover verdict for one morsel: no row can match,
@@ -55,8 +55,8 @@ class CompiledPredicate {
   /// row indices in ascending order. Deterministic at any thread count.
   Result<std::vector<uint32_t>> Filter(const ParallelOptions& parallel) const;
 
-  /// Morsel-granular evaluation for the push pipeline: appends the
-  /// surviving base-row indices of morsel `m` (rows
+  /// Morsel-granular evaluation, the unit `Filter` dispatches: appends
+  /// the surviving base-row indices of morsel `m` (rows
   /// [m*kMorselRows, min(n, (m+1)*kMorselRows))) to `out`, ascending.
   /// Evaluating every morsel in index order reproduces `Filter` exactly.
   /// Consults the zone prover first: kAllFail morsels append nothing and
@@ -66,8 +66,8 @@ class CompiledPredicate {
 
   /// Zone-prover verdict for morsel `m`, the AND of the leaves' verdicts:
   /// any all-fail leaf zeroes it, all all-pass leaves keep it full, and
-  /// anything else is kMixed. Schedulers use this to avoid dispatching
-  /// kAllFail morsels at all.
+  /// anything else is kMixed. The cold path counts these verdicts for its
+  /// zone-pruning metrics.
   ZoneVerdict MorselVerdict(size_t m) const;
 
   /// True when some leaf routes dense morsels through the SIMD kernels

@@ -1,24 +1,130 @@
 #include "exec/pipeline/cold_path.h"
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <chrono>
-#include <numeric>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
-#include "exec/pipeline/scheduler.h"
 #include "exec/simd_kernels.h"
+#include "storage/columnar.h"
 #include "storage/schema.h"
 
 namespace autocat {
 
 namespace {
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+double NowMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// The root-level attribute index over the view's rows (see
+// storage/attr_index.h): sorted non-NULL, non-NaN (value, position) pairs
+// for numeric columns and ascending dictionary groups for string columns.
+// Values are read exactly as the partitioners' typed fast paths read
+// them, so an entry equals what a direct scan would have produced.
+ResultAttributeIndex BuildAttributeIndex(
+    const TableView& view, const ColumnarTable& columnar,
+    const std::vector<std::string>* stats_attributes) {
+  const Schema& schema = view.schema();
+  const std::vector<uint32_t>& selection = view.selection();
+  ResultAttributeIndex index;
+  index.num_rows = selection.size();
+  index.columns.assign(schema.num_columns(), {});
+  // Survivor bitmap over base rows and the survivor count before each
+  // word, built for the first column that rank-filters: the selection
+  // ascends, so the position of base row r is its rank in the bitmap.
+  std::vector<uint64_t> words;
+  std::vector<size_t> word_rank;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (stats_attributes != nullptr &&
+        std::find(stats_attributes->begin(), stats_attributes->end(),
+                  schema.column(c).name) == stats_attributes->end()) {
+      continue;  // the partitioners will never touch this column
+    }
+    AttributeIndexEntry& entry = index.columns[c];
+    const ColumnarTable::Column& cc = columnar.column(view.base_column(c));
+    if (schema.column(c).kind == ColumnKind::kNumeric) {
+      // Schema::Create admits only int64/double numeric columns.
+      const bool i64 = cc.type == ValueType::kInt64;
+      entry.has_sorted_values = true;
+      entry.sorted_values.reserve(selection.size());
+      // Dense selections rank-filter the per-table sorted order (one
+      // sequential walk over the base rows) instead of sorting the
+      // survivors' values again. Both orders are (value asc, position
+      // asc), so the output is element-identical; the 1/16 cutoff is
+      // roughly where the walk and the O(k log k) sort cross over.
+      if (!cc.sorted_order.empty() &&
+          selection.size() * 16 >= columnar.num_rows()) {
+        if (words.empty()) {
+          words.assign((columnar.num_rows() + 63) / 64, 0);
+          for (const uint32_t row : selection) {
+            words[row >> 6] |= uint64_t{1} << (row & 63);
+          }
+          word_rank.resize(words.size());
+          size_t running = 0;
+          for (size_t w = 0; w < words.size(); ++w) {
+            word_rank[w] = running;
+            running += static_cast<size_t>(std::popcount(words[w]));
+          }
+        }
+        // `sorted_order` holds no NULL or NaN row.
+        for (const uint32_t row : cc.sorted_order) {
+          const uint64_t word = words[row >> 6];
+          if ((word >> (row & 63)) & 1) {
+            const size_t pos =
+                word_rank[row >> 6] +
+                static_cast<size_t>(std::popcount(
+                    word & ((uint64_t{1} << (row & 63)) - 1)));
+            entry.sorted_values.emplace_back(
+                i64 ? static_cast<double>(cc.i64[row]) : cc.f64[row], pos);
+          }
+        }
+        continue;
+      }
+      for (size_t k = 0; k < selection.size(); ++k) {
+        const uint32_t row = selection[k];
+        if (cc.IsNull(row)) {
+          continue;
+        }
+        const double value =
+            i64 ? static_cast<double>(cc.i64[row]) : cc.f64[row];
+        if (!std::isnan(value)) {
+          entry.sorted_values.emplace_back(value, k);
+        }
+      }
+      // Pairs are distinct (the position is unique) and NaN-free, so the
+      // sorted vector is the unique total order — identical to sorting
+      // the same pairs collected any other way.
+      std::sort(entry.sorted_values.begin(), entry.sorted_values.end());
+    } else if (cc.type == ValueType::kString) {
+      std::vector<std::vector<size_t>> buckets(cc.dict.size());
+      std::vector<uint32_t> touched;
+      // Ascending positions per bucket.
+      for (size_t k = 0; k < selection.size(); ++k) {
+        const uint32_t row = selection[k];
+        if (cc.IsNull(row)) {
+          continue;
+        }
+        const uint32_t code = cc.codes[row];
+        if (buckets[code].empty()) {
+          touched.push_back(code);
+        }
+        buckets[code].push_back(k);
+      }
+      std::sort(touched.begin(), touched.end());
+      entry.has_groups = true;
+      entry.groups.reserve(touched.size());
+      for (const uint32_t code : touched) {
+        entry.groups.emplace_back(Value(cc.dict[code]),
+                                  std::move(buckets[code]));
+      }
+    }
+  }
+  return index;
 }
 
 }  // namespace
@@ -28,121 +134,47 @@ Result<ColdPipelineResult> RunColdPipeline(
     const ColumnarTable* columnar, const std::vector<std::string>& columns,
     const ColdPipelineOptions& options) {
   AUTOCAT_CHECK(columnar != nullptr);
-  // Resolve the projection exactly as TableView::Create does.
-  PipelineInput input;
-  input.base = &base;
-  input.columnar = columnar;
-  std::vector<size_t> projection;
-  Schema schema;
-  if (columns.empty()) {
-    projection.resize(base.num_columns());
-    std::iota(projection.begin(), projection.end(), size_t{0});
-    schema = base.schema();
-  } else {
-    std::vector<ColumnDef> defs;
-    defs.reserve(columns.size());
-    projection.reserve(columns.size());
-    for (const std::string& name : columns) {
-      AUTOCAT_ASSIGN_OR_RETURN(const size_t idx,
-                               base.schema().ColumnIndex(name));
-      defs.push_back(base.schema().column(idx));
-      projection.push_back(idx);
-    }
-    AUTOCAT_ASSIGN_OR_RETURN(schema, Schema::Create(std::move(defs)));
-  }
-  input.schema = &schema;
-  input.projection = &projection;
-  input.stats_attributes = options.stats_attributes;
-  input.num_morsels = predicate.num_morsels();
-
-  SelectionSink selection_sink;
-  ProjectSink project_sink;
-  StatsAccumulateSink stats_sink;
-  // The sinks' Open returns void. autocat-lint: allow(dropped-status)
-  selection_sink.Open(input);  // autocat-lint: allow(dropped-status)
-  project_sink.Open(input);    // autocat-lint: allow(dropped-status)
-  stats_sink.Open(input);      // autocat-lint: allow(dropped-status)
-
-  const size_t n = predicate.num_rows();
-
-  // Zone-prove every morsel up front. All-fail morsels are never
-  // dispatched at all — the sinks tolerate un-pushed morsels (zero
-  // survivors), so pruning drops both the kernel work and the scheduling
-  // overhead. All-pass morsels still dispatch (their dense survivors must
-  // flow into the sinks) but skip per-row evaluation inside
-  // AppendMorselSurvivors; only the mixed remainder does real work.
-  std::vector<size_t> worklist;
-  worklist.reserve(input.num_morsels);
-  size_t all_pass_morsels = 0;
-  for (size_t m = 0; m < input.num_morsels; ++m) {
-    const auto verdict = predicate.MorselVerdict(m);
-    if (verdict == CompiledPredicate::ZoneVerdict::kAllFail) {
-      continue;
-    }
-    if (verdict == CompiledPredicate::ZoneVerdict::kAllPass) {
-      ++all_pass_morsels;
-    }
-    worklist.push_back(m);
-  }
-
-  std::vector<size_t> counts(input.num_morsels, 0);
-  // atomic-order: relaxed — pure accumulators; MorselScheduler::Run's
-  // join is the synchronization point before they are read.
-  std::atomic<uint64_t> filter_ns{0};   // atomic-order: relaxed (above)
-  std::atomic<uint64_t> project_ns{0};  // atomic-order: relaxed (above)
-  std::atomic<uint64_t> stats_ns{0};    // atomic-order: relaxed (above)
-  AUTOCAT_RETURN_IF_ERROR(MorselScheduler::Run(
-      options.parallel, worklist.size(), [&](size_t w) -> Status {
-        const size_t m = worklist[w];
-        const Morsel morsel = MorselAt(m, n);
-        std::vector<uint32_t> survivors;
-        uint64_t t0 = NowNs();
-        predicate.AppendMorselSurvivors(m, &survivors);
-        const uint64_t t1 = NowNs();
-        filter_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-        counts[m] = survivors.size();
-        selection_sink.Push(morsel, survivors.data(), survivors.size());
-        project_sink.Push(morsel, survivors.data(), survivors.size());
-        const uint64_t t2 = NowNs();
-        project_ns.fetch_add(t2 - t1, std::memory_order_relaxed);
-        stats_sink.Push(morsel, survivors.data(), survivors.size());
-        stats_ns.fetch_add(NowNs() - t2, std::memory_order_relaxed);
-        return Status::OK();
-      }));
-
-  std::vector<size_t> offsets(input.num_morsels + 1, 0);
-  for (size_t m = 0; m < input.num_morsels; ++m) {
-    offsets[m + 1] = offsets[m] + counts[m];
-  }
-
   ColdPipelineResult out;
-  uint64_t t0 = NowNs();
-  AUTOCAT_RETURN_IF_ERROR(selection_sink.Finish(offsets));
-  AUTOCAT_RETURN_IF_ERROR(project_sink.Finish(offsets));
-  const uint64_t t1 = NowNs();
-  project_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-  AUTOCAT_RETURN_IF_ERROR(stats_sink.Finish(offsets));
-  stats_ns.fetch_add(NowNs() - t1, std::memory_order_relaxed);
-  out.attr_index = std::move(stats_sink.index());
+  ColdPipelineTimings& timings = out.timings;
 
-  out.selection = std::move(selection_sink.selection());
-  out.result = std::move(project_sink.result());
-  out.result_bytes = project_sink.result_bytes();
-  out.timings.morsels = input.num_morsels;
-  out.timings.morsels_pruned = input.num_morsels - worklist.size();
-  out.timings.morsels_all_pass = all_pass_morsels;
-  if (predicate.uses_simd() && simd::Enabled()) {
-    // Mixed morsels are the ones whose leaf masks actually ran; with a
-    // vectorizable predicate and AVX2 live, those went through the SIMD
-    // kernels.
-    out.timings.simd_morsels = worklist.size() - all_pass_morsels;
+  // Zone verdicts: Filter skips all-fail morsels and appends all-pass
+  // ones densely; only the mixed remainder evaluates rows.
+  timings.morsels = predicate.num_morsels();
+  for (size_t m = 0; m < timings.morsels; ++m) {
+    switch (predicate.MorselVerdict(m)) {
+      case CompiledPredicate::ZoneVerdict::kAllFail:
+        ++timings.morsels_pruned;
+        break;
+      case CompiledPredicate::ZoneVerdict::kAllPass:
+        ++timings.morsels_all_pass;
+        break;
+      case CompiledPredicate::ZoneVerdict::kMixed:
+        break;
+    }
   }
-  out.timings.filter_ms =
-      static_cast<double>(filter_ns.load(std::memory_order_relaxed)) / 1e6;
-  out.timings.project_ms =
-      static_cast<double>(project_ns.load(std::memory_order_relaxed)) / 1e6;
-  out.timings.stats_ms =
-      static_cast<double>(stats_ns.load(std::memory_order_relaxed)) / 1e6;
+  if (predicate.uses_simd() && simd::Enabled()) {
+    // With a vectorizable predicate and AVX2 live, the mixed morsels'
+    // leaf masks go through the SIMD kernels.
+    timings.simd_morsels =
+        timings.morsels - timings.morsels_pruned - timings.morsels_all_pass;
+  }
+
+  const double t0 = NowMs();
+  AUTOCAT_ASSIGN_OR_RETURN(out.selection, predicate.Filter(options.parallel));
+  const double t1 = NowMs();
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(base, nullptr, out.selection, columns));
+  out.result = view.Materialize();
+  out.result_bytes = ApproxTableBytes(out.result);
+  const double t2 = NowMs();
+  out.attr_index =
+      BuildAttributeIndex(view, *columnar, options.stats_attributes);
+  const double t3 = NowMs();
+
+  timings.filter_ms = t1 - t0;
+  timings.project_ms = t2 - t1;
+  timings.stats_ms = t3 - t2;
   return out;
 }
 

@@ -2,17 +2,16 @@
 #define AUTOCAT_EXEC_PIPELINE_MORSEL_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "storage/columnar.h"
 
 namespace autocat {
 
-/// The pipeline work unit: a fixed-width span of base rows. 2048 rows is
+/// The scan work unit: a fixed-width span of base rows. 2048 rows is
 /// the WHERE-kernel chunk width (masks and survivor arrays fit on the
 /// stack, see exec/kernels.cc), so a morsel and a kernel chunk are the
-/// same thing and survivors flow from the filter into the sinks without
-/// re-chunking.
+/// same thing, and `CompiledPredicate::Filter` keys its per-chunk shards
+/// by morsel index.
 inline constexpr size_t kMorselRows = 2048;
 
 // Zone-map entries (storage/columnar.h) are keyed by the same row span:
@@ -21,30 +20,9 @@ inline constexpr size_t kMorselRows = 2048;
 static_assert(kMorselRows == kZoneRows,
               "morsel width and zone-map width must match");
 
-/// One morsel: rows [begin, end) of the base relation, the `index`-th of
-/// its table. Operators key their partials by `index` and merge them in
-/// index order, which is what makes the pipeline's output independent of
-/// the number of worker threads.
-struct Morsel {
-  size_t index = 0;
-  size_t begin = 0;
-  size_t end = 0;
-
-  size_t num_rows() const { return end - begin; }
-};
-
 /// Number of morsels covering an `n`-row relation.
 inline size_t NumMorsels(size_t n) {
   return (n + kMorselRows - 1) / kMorselRows;
-}
-
-/// The `index`-th morsel of an `n`-row relation.
-inline Morsel MorselAt(size_t index, size_t n) {
-  Morsel m;
-  m.index = index;
-  m.begin = index * kMorselRows;
-  m.end = m.begin + kMorselRows < n ? m.begin + kMorselRows : n;
-  return m;
 }
 
 }  // namespace autocat

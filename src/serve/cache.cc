@@ -10,31 +10,6 @@ namespace autocat {
 
 namespace {
 
-size_t ApproxValueBytes(const Value& v) {
-  size_t bytes = sizeof(Value);
-  if (v.is_string()) {
-    bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
-size_t ApproxTableBytes(const Table& table) {
-  size_t bytes = sizeof(Table);
-  if (!table.has_rows()) {
-    // Column-backed tables are shared views of a mapped store; only the
-    // handle itself is attributable to the cache entry. (In practice only
-    // materialized result tables are cached.)
-    return bytes;
-  }
-  for (const Row& row : table.rows()) {
-    bytes += sizeof(Row);
-    for (const Value& v : row) {
-      bytes += ApproxValueBytes(v);
-    }
-  }
-  return bytes;
-}
-
 size_t ApproxTreeBytes(const CategoryTree& tree) {
   size_t bytes = sizeof(CategoryTree);
   for (size_t id = 0; id < tree.num_nodes(); ++id) {

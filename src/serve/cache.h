@@ -32,11 +32,11 @@ class CachedCategorization {
       Table result,
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);
 
-  /// Build with a precomputed table-byte estimate. The pipeline's gather
-  /// sink accounts every row as it copies it (the same per-cell formula
-  /// as the internal scan, over the same stored Values), so the scan over
-  /// the finished table is redundant there. `table_bytes` must equal what
-  /// that scan would report.
+  /// Build with a precomputed table-byte estimate: the cold pipeline
+  /// already counts `ApproxTableBytes(result)` as its `result_bytes`, so
+  /// the payload takes that figure instead of counting again.
+  /// `table_bytes` must equal `ApproxTableBytes(result)` (checked in
+  /// debug builds).
   static Result<std::shared_ptr<const CachedCategorization>> Build(
       Table result, size_t table_bytes,
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);

@@ -61,8 +61,8 @@ struct ServiceMetricsSnapshot {
   std::vector<Histogram> operator_ms =
       std::vector<Histogram>(kNumServeOperators, Histogram::LatencyMs());
   /// Pipelined cold executions and the morsels they scheduled, plus the
-  /// zone-map accounting: morsels the prover ruled all-fail (never
-  /// dispatched), morsels it ruled all-pass (dense survivors, no per-row
+  /// zone-map accounting: morsels the prover ruled all-fail (no cell
+  /// touched), morsels it ruled all-pass (dense survivors, no per-row
   /// evaluation), and mixed morsels whose masks ran on the SIMD kernels.
   uint64_t pipeline_requests = 0;
   uint64_t pipeline_morsels = 0;

@@ -256,10 +256,10 @@ CategorizationService::AttemptServe(const SelectQuery& query,
                                          options_.categorizer);
 
   // One cold path (DESIGN.md §14). The canonical profile compiles against
-  // the table's columnar shadow and drives the push pipeline: filtering,
-  // gathering, byte accounting, and the attribute index come out of one
-  // morsel-driven scan. ColumnarFor's refusal of a table too large for a
-  // 32-bit selection is a real error.
+  // the table's columnar shadow, and the cold pipeline filters, gathers
+  // the projected result, counts its bytes, and builds the attribute
+  // index over the selection. ColumnarFor's refusal of a table too large
+  // for a 32-bit selection is a real error.
   AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
                            db_.ColumnarFor(table_key));
   AUTOCAT_ASSIGN_OR_RETURN(
@@ -272,7 +272,7 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   pipe_options.parallel.threads = 1;
   // Only the categorizer's retained candidates get index entries:
   // candidate elimination is per-attribute, so the base schema's
-  // retained set intersected with the projection (which the sink does
+  // retained set intersected with the projection (which the index does
   // by name) equals the result schema's retained set.
   const std::vector<std::string> retained =
       categorizer.RetainedAttributes(table->schema());

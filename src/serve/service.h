@@ -164,7 +164,7 @@ class CategorizationService {
 
   /// One cold execution under a single fresh shared-lock section:
   /// canonicalize, compile the profile against the table's columnar
-  /// shadow, run the push pipeline, categorize, and insert. The cache was
+  /// shadow, run the cold pipeline, categorize, and insert. The cache was
   /// already probed by HandleAdmitted's probe pass (or is bypassed).
   struct ColdAttempt {
     ServeResponse response;

@@ -11,14 +11,14 @@
 namespace autocat {
 
 /// Per-attribute access structure over one materialized query result,
-/// built as a by-product of the push-based cold pipeline (the
-/// StatsAccumulate sink gathers per-morsel partials and merges them in
-/// morsel order, see exec/pipeline/).
+/// built by the cold path's last step from the selection (see
+/// exec/pipeline/cold_path.h).
 ///
 /// An entry describes the *root-level* tuple set — every row of the
 /// result, i.e. the identity tuple list 0..n-1 — in exactly the shape the
 /// partitioners consume:
-///   - numeric columns: the non-NULL (value, row) pairs sorted ascending
+///   - numeric columns: the non-NULL, non-NaN (value, row) pairs sorted
+///     ascending
 ///     (the `SortedNumericValues` shape; pairs are distinct because the
 ///     row index is unique, so the sorted order is a total order and any
 ///     correct sort produces the identical vector);

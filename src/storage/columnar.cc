@@ -186,7 +186,9 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
       // One (double, row) sort per table lifetime. Keys are the same
       // doubles the partitioners read (int64 cells through the same
       // static_cast), so rank-filtering this order reproduces a per-query
-      // survivor sort bit for bit, ties included.
+      // survivor sort bit for bit, ties included. NaN cells join no
+      // numeric bucket and would break the sort's ordering, so they are
+      // left out like NULLs.
       std::vector<std::pair<double, uint32_t>> keyed;
       keyed.reserve(n - col.null_count);
       for (size_t r = 0; r < n; ++r) {
@@ -196,7 +198,9 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
         const double key = col.type == ValueType::kInt64
                                ? static_cast<double>(col.owned_i64[r])
                                : col.owned_f64[r];
-        keyed.emplace_back(key, static_cast<uint32_t>(r));
+        if (!std::isnan(key)) {
+          keyed.emplace_back(key, static_cast<uint32_t>(r));
+        }
       }
       std::sort(keyed.begin(), keyed.end());
       col.sorted_order.reserve(keyed.size());

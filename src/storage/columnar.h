@@ -97,13 +97,13 @@ class ColumnarTable {
     ColumnSpan<uint32_t> codes;
     /// type == kString: sorted distinct non-NULL strings.
     std::vector<std::string> dict;
-    /// kInt64/kDouble columns built by `Build`: the non-NULL row
-    /// indices ordered by (value as double ascending, row ascending) —
-    /// the same total order sorting per-query (value, position) pairs
-    /// produces. Computed once per table so the stats-accumulate sink can
-    /// rank-filter a selection against it instead of re-sorting survivors
-    /// on every cold request. Empty for segment-store wrapped columns, and
-    /// consumers must fall back.
+    /// kInt64/kDouble columns built by `Build`: the row indices of the
+    /// non-NULL, non-NaN cells ordered by (value as double ascending, row
+    /// ascending) — the same total order sorting per-query (value,
+    /// position) pairs produces. Computed once per table so the cold
+    /// path's attribute index can rank-filter a selection against it
+    /// instead of re-sorting survivors on every cold request. Empty for
+    /// segment-store wrapped columns, and consumers must fall back.
     std::vector<uint32_t> sorted_order;
     /// Per-zone (kZoneRows-row) metadata: ceil(num_rows / kZoneRows)
     /// entries — exact for `Build` shadows, segment-replicated extrema

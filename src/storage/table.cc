@@ -342,4 +342,26 @@ std::string Table::ToString(size_t max_rows) const {
   return out;
 }
 
+size_t ApproxValueBytes(const Value& v) {
+  size_t bytes = sizeof(Value);
+  if (v.is_string()) {
+    bytes += v.string_value().capacity();
+  }
+  return bytes;
+}
+
+size_t ApproxTableBytes(const Table& table) {
+  size_t bytes = sizeof(Table);
+  if (!table.has_rows()) {
+    return bytes;
+  }
+  for (const Row& row : table.rows()) {
+    bytes += sizeof(Row);
+    for (const Value& v : row) {
+      bytes += ApproxValueBytes(v);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace autocat

@@ -66,10 +66,10 @@ class Table {
 
   /// Builds a row-backed table from rows that already conform to `schema`
   /// — every cell a copy of a cell validated against the same declared
-  /// column types (the pipeline gather sink's case). Skips the per-cell
-  /// validation/coercion of `AppendRows`; passing rows that were not
-  /// gathered from a schema-matching table breaks the homogeneity
-  /// invariant, and `ColumnarTable::Build` aborts on the result.
+  /// column types. Skips the per-cell validation/coercion of
+  /// `AppendRows`; passing rows that were not gathered from a
+  /// schema-matching table breaks the homogeneity invariant, and
+  /// `ColumnarTable::Build` aborts on the result.
   static Table FromValidatedRows(Schema schema, std::vector<Row> rows);
 
   const Schema& schema() const { return schema_; }
@@ -163,6 +163,17 @@ class Table {
   std::shared_ptr<const ColumnarTable> columnar_;
   size_t columnar_rows_ = 0;
 };
+
+/// Approximate heap footprint of one cell: sizeof(Value) plus the string
+/// payload's capacity.
+size_t ApproxValueBytes(const Value& v);
+
+/// Approximate heap footprint of a row-backed table: sizeof(Table), plus
+/// sizeof(Row) and ApproxValueBytes of every cell per row. A
+/// column-backed table counts as sizeof(Table) alone, since its cells
+/// belong to the shared backing. The result cache accounts its entries
+/// with this.
+size_t ApproxTableBytes(const Table& table);
 
 }  // namespace autocat
 

@@ -250,8 +250,8 @@ struct ViewFixture {
   Table materialized;   // view.Materialize()
   std::vector<size_t> all_tuples;
 
-  explicit ViewFixture(bool projected) : table(MakeHomes(350, 42, 0.07,
-                                                         false)) {
+  explicit ViewFixture(bool projected)
+      : table(MakeHomes(350, 42, 0.07, true)) {
     EXPECT_TRUE(db.RegisterTable("homes", Table(table)).ok());
     auto shadow_or = db.ColumnarFor("homes");
     EXPECT_TRUE(shadow_or.ok());
@@ -387,6 +387,66 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                                       tag);
       }
     }
+  }
+}
+
+// A NaN cell joins no numeric bucket, exactly as a NULL does not and as
+// CategoryLabel::Matches answers. Both numeric partitioners, read through
+// the generic per-Value walk and through the columnar shadow, must return
+// a valid partition whose every placed tuple matches its label, and the
+// two walks must agree.
+TEST(ColumnarEquivalenceTest, NumericPartitionsPlaceNoNaNCell) {
+  const WorkloadStats stats = FuzzStats();
+  const Table table = MakeHomes(3000, 909, 0.05, true);
+  const auto shadow = ShadowOf(table);
+  const TableView generic = TableView::All(table, nullptr);
+  const TableView columnar = TableView::All(table, shadow);
+  std::vector<size_t> all_tuples(table.num_rows());
+  for (size_t i = 0; i < all_tuples.size(); ++i) {
+    all_tuples[i] = i;
+  }
+
+  const std::pair<std::string, double> kAttrs[] = {
+      {"price", 25000}, {"bathcount", 0.5}, {"squarefootage", 500}};
+  for (const auto& [attr, width] : kAttrs) {
+    const size_t col = table.schema().ColumnIndex(attr).value();
+    auto expect_valid = [&](const std::vector<PartitionCategory>& parts,
+                            const std::string& context) {
+      const Status valid = ValidateNumericPartition(parts);
+      EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
+      for (const PartitionCategory& part : parts) {
+        for (const size_t t : part.tuples) {
+          EXPECT_TRUE(part.label.Matches(table.ValueAt(t, col)))
+              << context << ": tuple " << t << " ("
+              << table.ValueAt(t, col).ToString() << ") outside "
+              << part.label.ToString();
+        }
+      }
+    };
+    NumericPartitionOptions options;
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        auto cost_generic,
+        PartitionNumeric(generic, all_tuples, attr, stats, options, nullptr));
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        auto cost_columnar,
+        PartitionNumeric(columnar, all_tuples, attr, stats, options,
+                         nullptr));
+    expect_valid(cost_generic, "PartitionNumeric generic " + attr);
+    expect_valid(cost_columnar, "PartitionNumeric columnar " + attr);
+    ExpectPartitionsIdentical(cost_generic, cost_columnar,
+                              "PartitionNumeric " + attr);
+
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        auto ew_generic,
+        PartitionNumericEquiWidth(generic, all_tuples, attr, width, nullptr));
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        auto ew_columnar,
+        PartitionNumericEquiWidth(columnar, all_tuples, attr, width,
+                                  nullptr));
+    expect_valid(ew_generic, "PartitionNumericEquiWidth generic " + attr);
+    expect_valid(ew_columnar, "PartitionNumericEquiWidth columnar " + attr);
+    ExpectPartitionsIdentical(ew_generic, ew_columnar,
+                              "PartitionNumericEquiWidth " + attr);
   }
 }
 

@@ -71,9 +71,6 @@ inline constexpr const char* const kTypes[] = {"Single Family", "Condo",
 // `with_hostile_cells` plants values with sharp comparison semantics:
 // NaN (Value::Compare treats it as equal to everything), signed zeros,
 // 2^53 + 1 (not representable as double), and the int64 extremes.
-// Partition/sort-based tests pass with_hostile_cells = false because the
-// row path itself feeds values into std::sort / std::map, whose ordering
-// contracts NaN would break on either path.
 inline Table MakeHomes(size_t n, uint64_t seed, double null_p,
                        bool with_hostile_cells) {
   Table table(FuzzSchema());

@@ -1,20 +1,22 @@
-// Legacy-vs-pipeline equivalence gate for the push-based cold pipeline
+// Reference-vs-pipeline equivalence gate for the cold pipeline
 // (DESIGN.md §14).
 //
 // RunColdPipeline promises that its selection, materialized result, and
-// byte accounting are bit-identical to the pre-pipeline chain
-// (CompiledPredicate::Filter -> TableView::Create -> Materialize) at
-// every thread count, and that the attribute index it accumulates as a
-// by-product matches a from-scratch rescan of the result. These tests
-// replay the checked-in SQL fuzz corpus and randomized queries over a
-// deterministic table seeded with edge values (NaN, -0.0, 2^53+1,
-// int64 extremes, NULLs) at threads {1, 2, 7, 16}, and pin both
-// StatsAccumulate strategies (the dense rank-filter over the per-table
-// presorted order and the sparse gather-and-sort) to the same reference.
+// byte accounting are bit-identical to a sequential reference chain
+// (CompiledPredicate::Filter at one thread -> TableView::Create ->
+// Materialize, bytes counted by an independent copy of the cache's
+// formula) at every thread count, and that its attribute index matches a
+// from-scratch rescan of the result. These tests replay the checked-in
+// SQL fuzz corpus and randomized queries over a deterministic table
+// seeded with edge values (NaN, -0.0, 2^53+1, int64 extremes, NULLs) at
+// threads {1, 2, 7, 16}, and pin both attribute-index strategies (the
+// dense rank-filter over the per-table presorted order and the sparse
+// gather-and-sort) to the same reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -44,22 +46,22 @@ using namespace equiv;  // NOLINT
 
 const size_t kThreadCounts[] = {1, 2, 7, 16};
 
-// The pre-pipeline cold chain the service ran before DESIGN.md §14:
-// filter to a full selection, wrap it in a view, materialize.
-struct LegacyCold {
+// The sequential reference chain: filter to a full selection at one
+// thread, wrap it in a view, materialize.
+struct ReferenceCold {
   std::vector<uint32_t> selection;
   Table result;
 };
 
-Result<LegacyCold> RunLegacy(const Table& table,
-                             std::shared_ptr<const ColumnarTable> shadow,
-                             const CompiledPredicate& compiled,
-                             const std::vector<std::string>& columns) {
+Result<ReferenceCold> RunReference(
+    const Table& table, std::shared_ptr<const ColumnarTable> shadow,
+    const CompiledPredicate& compiled,
+    const std::vector<std::string>& columns) {
   ParallelOptions sequential;
   sequential.threads = 1;
   AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> selection,
                            compiled.Filter(sequential));
-  LegacyCold out;
+  ReferenceCold out;
   out.selection = selection;
   AUTOCAT_ASSIGN_OR_RETURN(
       TableView view,
@@ -69,9 +71,9 @@ Result<LegacyCold> RunLegacy(const Table& table,
   return out;
 }
 
-// Mirror of the cache's byte accounting (serve/cache.cc ApproxValueBytes)
-// over the stored result rows: the pipeline's result_bytes must equal
-// what a scan over the finished table would report.
+// Independent copy of the cache's byte accounting (ApproxTableBytes in
+// storage/table.cc) over the stored result rows: the pipeline's
+// result_bytes must equal what it reports for the finished table.
 size_t CacheBytes(const Table& table) {
   size_t bytes = sizeof(Table);
   for (size_t r = 0; r < table.num_rows(); ++r) {
@@ -141,10 +143,10 @@ void CompileOrSkip(const std::string& sql, const Schema& schema,
   compiled_out->emplace(std::move(compiled).value());
 }
 
-// Runs the legacy chain once and the pipeline at every thread count:
+// Runs the reference chain once and the pipeline at every thread count:
 // selections, result tables, and byte accounting must be bit-identical,
 // and the attribute index must not depend on the thread count.
-void ExpectPipelineMatchesLegacy(
+void ExpectPipelineMatchesReference(
     const Table& table, const std::shared_ptr<const ColumnarTable>& shadow,
     const std::string& sql, size_t* compiled_queries) {
   std::optional<CompiledPredicate> compiled;
@@ -156,9 +158,9 @@ void ExpectPipelineMatchesLegacy(
   ++*compiled_queries;
 
   AUTOCAT_ASSERT_OK_AND_MOVE(
-      const LegacyCold legacy,
-      RunLegacy(table, shadow, compiled.value(), columns));
-  const size_t expected_bytes = CacheBytes(legacy.result);
+      const ReferenceCold reference,
+      RunReference(table, shadow, compiled.value(), columns));
+  const size_t expected_bytes = CacheBytes(reference.result);
 
   std::optional<ResultAttributeIndex> reference_index;
   for (const size_t threads : kThreadCounts) {
@@ -170,8 +172,8 @@ void ExpectPipelineMatchesLegacy(
                         options));
     const std::string context =
         sql + " (threads=" + std::to_string(threads) + ")";
-    EXPECT_EQ(piped.selection, legacy.selection) << context;
-    ExpectTablesBitIdentical(legacy.result, piped.result, context);
+    EXPECT_EQ(piped.selection, reference.selection) << context;
+    ExpectTablesBitIdentical(reference.result, piped.result, context);
     EXPECT_EQ(piped.result_bytes, expected_bytes) << context;
     EXPECT_EQ(piped.timings.morsels,
               (table.num_rows() + kMorselRows - 1) / kMorselRows)
@@ -205,7 +207,7 @@ TEST(PipelineEquivalenceTest, FuzzCorpusLegacyVsPipeline) {
     std::ifstream in(entry.path(), std::ios::binary);
     std::string sql((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-    ExpectPipelineMatchesLegacy(table, shadow, sql, &compiled_queries);
+    ExpectPipelineMatchesReference(table, shadow, sql, &compiled_queries);
     ++replayed;
   }
   EXPECT_GE(replayed, 10u) << "corpus directory looks truncated";
@@ -245,7 +247,7 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
         sql = "SELECT " + cols + sql.substr(from);
       }
     }
-    ExpectPipelineMatchesLegacy(table, shadow, sql, &compiled_queries);
+    ExpectPipelineMatchesReference(table, shadow, sql, &compiled_queries);
   }
   EXPECT_GE(compiled_queries, 30u)
       << "too few queries normalized to a profile to be a meaningful gate";
@@ -253,8 +255,9 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
 
 // -------------------------------------------------- attribute-index shape
 
-// From-scratch reference for the StatsAccumulate sink: rescan the
-// materialized result exactly the way the partitioners would.
+// From-scratch reference for the attribute index: rescan the
+// materialized result exactly the way the partitioners would (NULL and
+// NaN cells join no numeric bucket, so they have no pair).
 void ExpectIndexMatchesRescan(const Table& result,
                               const ResultAttributeIndex& index,
                               const std::string& context) {
@@ -268,7 +271,7 @@ void ExpectIndexMatchesRescan(const Table& result,
       std::vector<std::pair<double, size_t>> expected;
       for (size_t r = 0; r < result.num_rows(); ++r) {
         const Value v = result.ValueAt(r, c);
-        if (!v.is_null()) {
+        if (!v.is_null() && !std::isnan(v.AsDouble())) {
           expected.emplace_back(v.AsDouble(), r);
         }
       }
@@ -298,10 +301,7 @@ void ExpectIndexMatchesRescan(const Table& result,
 }
 
 TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
-  // No hostile cells: NaN has no place in a sorted numeric order on
-  // either path (the partitioners never see NaN through the row path's
-  // sort-based summaries either).
-  const Table table = MakeHomes(6000, 303, 0.1, false);
+  const Table table = MakeHomes(6000, 303, 0.1, true);
   Database db;
   ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,

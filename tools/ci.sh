@@ -21,14 +21,16 @@
 #            Database) under ASan and TSan — the targeted gate for cache/admission
 #            concurrency work
 #   --pipeline
-#            run the push-based cold-path pipeline and request-coalescing
-#            suites (pipeline-vs-row-reference equivalence at several
-#            thread counts, served responses against the row oracle, the
-#            morsel scheduler's determinism, the coalescing registry, and
-#            the service burst tests) in Release and under ASan and TSan,
-#            plus bench_pipeline (cold ms/op) at --smoke sizes — the
-#            targeted gate for operator/scheduler/coalescing work. The
-#            TSan pass of this leg also runs in the default matrix.
+#            run the cold-path pipeline and request-coalescing suites
+#            (the filter -> materialize -> attribute-index chain against
+#            its sequential reference at threads 1/2/7/16, the zone
+#            prover's verdicts and the pipeline's pruning counters,
+#            served responses against the row oracle, the coalescing
+#            registry, and the service burst tests) in Release and under
+#            ASan, UBSan and TSan, plus bench_pipeline (cold ms/op) at
+#            --smoke sizes — the targeted gate for cold-path, scheduler
+#            and coalescing work. The TSan pass of this leg also runs in
+#            the default matrix.
 #   --bench-smoke
 #            build and run bench_exec_filter, bench_serve_throughput, and
 #            bench_pipeline at tiny sizes (--smoke) under ASan and TSan —
@@ -111,12 +113,13 @@ serve_leg() {
     -R "$SERVE_FILTER")
 }
 
-# The pipeline/coalescing gate: the push-based cold path's equivalence
-# suite against the Filter -> Materialize -> rescan reference
-# (bit-identical results and attribute indexes at thread counts
-# 1/2/7/16), the coalescing registry units, and the service-level
-# oracle and burst/epoch-invalidation tests.
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
+# The pipeline/coalescing gate: the cold path's equivalence suite
+# against a sequential Filter -> Materialize -> rescan reference
+# (bit-identical results, byte accounting and attribute indexes at
+# thread counts 1/2/7/16), the zone prover with the pipeline's verdict
+# counters, the coalescing registry units, and the service-level oracle
+# and burst/epoch-invalidation tests.
+PIPELINE_FILTER='^(PipelineEquivalenceTest|ZoneProverTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -125,7 +128,8 @@ pipeline_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [pipeline/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target autocat_columnar_tests autocat_serve_tests bench_pipeline
+    --target autocat_columnar_tests autocat_kernel_tests \
+             autocat_serve_tests bench_pipeline
   echo "==== [pipeline/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$PIPELINE_FILTER")
@@ -315,6 +319,8 @@ if [[ "$PIPELINE" == "1" ]]; then
   pipeline_leg release build-ci-release -DCMAKE_BUILD_TYPE=Release
   pipeline_leg asan build-ci-asan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
+  pipeline_leg ubsan build-ci-ubsan \
+    -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=undefined
   pipeline_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   echo "==== pipeline legs passed ===="
@@ -348,8 +354,8 @@ if [[ "$FAST" == "0" ]]; then
   workload_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   # The pipeline/coalescing gate's TSan pass: same build-dir reuse; adds
-  # bench_pipeline --smoke under TSan (morsel fan-out through the real
-  # benchmark driver).
+  # bench_pipeline --smoke under TSan (the filter's morsel fan-out
+  # through the real benchmark driver).
   pipeline_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   # The store gate's sanitizer passes (the full ASan/TSan legs above ran
