@@ -12,6 +12,14 @@
 // all-fail or all-pass. Each layout run reports the pruned / all-pass
 // morsel fractions as counters.
 //
+// A candidate-source sweep (BM_CandidateSource) times compile + Filter
+// of `neighborhood IN (...) AND price <= <median>` on the generator
+// layout with the IN list's posting union at n/64 .. n/2 rows, once with
+// the posting union as the candidate source and once with the dense
+// scan (forced through CompiledPredicate::ForceCandidateSourceForTest).
+// Where the two cross is what CompiledPredicate::kPostingCutoffDivisor
+// is chosen against.
+//
 // Flags:
 //   --threads=N   restrict the parallel sweep to one thread count
 //   --smoke       tiny table (4K rows) and a {1, 2} sweep, for running
@@ -27,7 +35,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,13 +103,44 @@ Result<Table> ExecuteProfile(const SelectivityCase& c, const Database& db,
   return view.Materialize();
 }
 
+// One point of the candidate-source sweep: a neighborhood value set whose
+// posting union holds about num_rows / divisor rows, ANDed with a price
+// range that keeps about half of them.
+struct SourceCase {
+  std::string label;  // e.g. "union=n/8"
+  SelectionProfile profile;
+  size_t candidates = 0;  // rows in the value set's posting union
+  size_t matching = 0;    // rows both sources keep
+};
+inline constexpr size_t kUnionDivisors[] = {64, 32, 16, 8, 4, 2};
+
+// Compiles `profile` under the given candidate-source rule and filters.
+std::vector<uint32_t> FilterWithSource(
+    const SelectionProfile& profile, const Schema& schema,
+    const std::shared_ptr<const ColumnarTable>& shadow,
+    CompiledPredicate::CandidateSource source) {
+  CompiledPredicate::ForceCandidateSourceForTest(source);
+  auto compiled = CompiledPredicate::CompileProfile(profile, schema, shadow);
+  CompiledPredicate::ForceCandidateSourceForTest(
+      CompiledPredicate::CandidateSource::kCutoff);
+  AUTOCAT_CHECK(compiled.ok());
+  AUTOCAT_CHECK(compiled.value().uses_postings() ==
+                (source == CompiledPredicate::CandidateSource::kPostings));
+  ParallelOptions sequential;
+  sequential.threads = 1;
+  auto rows = compiled.value().Filter(sequential);
+  AUTOCAT_CHECK(rows.ok());
+  return std::move(rows).value();
+}
+
 // The homes table in each layout, their shared database, and one
-// pre-parsed query and its profile per (layout, selectivity). Built once,
-// after flag parsing.
+// pre-parsed query and its profile per (layout, selectivity), plus the
+// candidate-source sweep's profiles. Built once, after flag parsing.
 struct FilterFixture {
   Database db;
   size_t num_rows = 0;
   std::vector<SelectivityCase> cases[3];
+  std::vector<SourceCase> source_cases;
 
   static FilterFixture& Get() {
     static FilterFixture* fixture = [] {
@@ -250,9 +291,56 @@ struct FilterFixture {
           }
         }
       }
+      f->BuildSourceCases(schema, prices[prices.size() / 2]);
       return f;
     }();
     return *fixture;
+  }
+
+  // Adds neighborhoods in a seeded order until their posting lists hold
+  // num_rows / divisor rows, for each divisor, and checks that both
+  // candidate sources select the same rows.
+  void BuildSourceCases(const Schema& schema, double median_price) {
+    auto shadow = db.ColumnarFor(kLayoutTables[kGenerator]);
+    AUTOCAT_CHECK(shadow.ok());
+    const auto col = schema.ColumnIndex("neighborhood");
+    AUTOCAT_CHECK(col.ok());
+    const ColumnarTable::Column& hood = shadow.value()->column(col.value());
+    std::vector<uint32_t> order(hood.dict.size());
+    for (size_t c = 0; c < order.size(); ++c) {
+      order[c] = static_cast<uint32_t>(c);
+    }
+    Random rng(53);
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.Uniform(
+                                  0, static_cast<int64_t>(i) - 1))]);
+    }
+    NumericRange price;
+    price.hi = median_price;
+    for (const size_t divisor : kUnionDivisors) {
+      SourceCase c;
+      c.label = "union=n/" + std::to_string(divisor);
+      std::set<Value> names;
+      for (const uint32_t code : order) {
+        if (c.candidates * divisor >= num_rows) {
+          break;
+        }
+        names.insert(Value(hood.dict[code]));
+        c.candidates +=
+            hood.posting_offsets[code + 1] - hood.posting_offsets[code];
+      }
+      c.profile.Set("neighborhood",
+                    AttributeCondition::ValueSet(std::move(names)));
+      c.profile.Set("price", AttributeCondition::Range(price));
+      const std::vector<uint32_t> posted = FilterWithSource(
+          c.profile, schema, shadow.value(),
+          CompiledPredicate::CandidateSource::kPostings);
+      AUTOCAT_CHECK(posted ==
+                    FilterWithSource(c.profile, schema, shadow.value(),
+                                     CompiledPredicate::CandidateSource::kDense));
+      c.matching = posted.size();
+      source_cases.push_back(std::move(c));
+    }
   }
 };
 
@@ -288,6 +376,35 @@ void BM_Filter(benchmark::State& state, const std::string& mode,
     Reporter().Record(mode + " " + c.label, threads,
                       elapsed_ms / static_cast<double>(ops));
   }
+}
+
+// One candidate-source body: compile (which builds the posting bitmap)
+// plus a sequential Filter, the part of the cold path the source changes.
+void BM_CandidateSource(benchmark::State& state, size_t case_index,
+                        CompiledPredicate::CandidateSource source) {
+  FilterFixture& fixture = FilterFixture::Get();
+  const SourceCase& c = fixture.source_cases[case_index];
+  auto table = fixture.db.GetTable(kLayoutTables[kGenerator]);
+  auto shadow = fixture.db.ColumnarFor(kLayoutTables[kGenerator]);
+  AUTOCAT_CHECK(table.ok() && shadow.ok());
+  const Schema& schema = table.value()->schema();
+  ParallelOptions sequential;
+  sequential.threads = 1;
+  CompiledPredicate::ForceCandidateSourceForTest(source);
+  for (auto _ : state) {
+    auto compiled =
+        CompiledPredicate::CompileProfile(c.profile, schema, shadow.value());
+    AUTOCAT_CHECK(compiled.ok());
+    auto rows = compiled.value().Filter(sequential);
+    AUTOCAT_CHECK(rows.ok());
+    benchmark::DoNotOptimize(rows.value());
+  }
+  CompiledPredicate::ForceCandidateSourceForTest(
+      CompiledPredicate::CandidateSource::kCutoff);
+  state.counters["rows"] = static_cast<double>(fixture.num_rows);
+  state.counters["candidates"] = static_cast<double>(c.candidates);
+  state.counters["selected"] = static_cast<double>(c.matching);
+  state.SetLabel(c.label);
 }
 
 }  // namespace
@@ -358,6 +475,27 @@ int main(int argc, char** argv) {
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();
     }
+  }
+
+  for (size_t i = 0; i < std::size(kUnionDivisors); ++i) {
+    const std::string suffix =
+        "/union=n/" + std::to_string(kUnionDivisors[i]);
+    benchmark::RegisterBenchmark(
+        ("BM_CandidateSource" + suffix + "/postings").c_str(),
+        [i](benchmark::State& state) {
+          BM_CandidateSource(state, i,
+                             CompiledPredicate::CandidateSource::kPostings);
+        })
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(
+        ("BM_CandidateSource" + suffix + "/dense").c_str(),
+        [i](benchmark::State& state) {
+          BM_CandidateSource(state, i,
+                             CompiledPredicate::CandidateSource::kDense);
+        })
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
   }
 
   benchmark::Initialize(&filtered_argc, args.data());

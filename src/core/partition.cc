@@ -684,6 +684,10 @@ std::vector<PartitionSummary> SummarizeNumericCore(
   return out;
 }
 
+// Equi-width partitions past this many buckets are not cut (see
+// EquiWidthCore): the boundary walk stays bounded on any input.
+constexpr size_t kMaxEquiWidthBuckets = size_t{1} << 20;
+
 // Section 6.1 equi-width buckets over pre-sorted (value, index) pairs.
 std::vector<PartitionCategory> EquiWidthCore(
     const std::string& attribute, double width,
@@ -696,12 +700,21 @@ std::vector<PartitionCategory> EquiWidthCore(
   double vmax = 0;
   ResolveRange(values, query_range, &vmin, &vmax);
 
-  std::vector<double> boundaries;
-  double b = std::floor(vmin / width) * width;
-  boundaries.push_back(b);
-  while (b < vmax) {
-    b += width;
-    boundaries.push_back(b);
+  // A range the width cannot cut becomes one closed bucket
+  // [first boundary, vmax] holding every value: an unbounded one (an
+  // infinite cell), one whose steps stop advancing (b + width == b near
+  // int64-extreme cells), or one needing more than
+  // kMaxEquiWidthBuckets buckets.
+  std::vector<double> boundaries = {std::floor(vmin / width) * width};
+  bool cut = std::isfinite(vmax - boundaries.front());
+  while (cut && boundaries.back() < vmax) {
+    const double next = boundaries.back() + width;
+    cut = next != boundaries.back() &&
+          boundaries.size() <= kMaxEquiWidthBuckets;
+    boundaries.push_back(next);
+  }
+  if (!cut) {
+    boundaries = {boundaries.front(), vmax};
   }
   if (boundaries.size() < 2) {
     boundaries.push_back(boundaries.front() + width);
@@ -763,8 +776,8 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,
     const NumericRange* query_range) {
-  if (width <= 0) {
-    return Status::InvalidArgument("bucket width must be positive");
+  if (!(width > 0 && std::isfinite(width))) {
+    return Status::InvalidArgument("bucket width must be positive and finite");
   }
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
                            view.schema().ColumnIndex(attribute));

@@ -119,7 +119,10 @@ Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
 
 /// Baseline numeric partitioning (Section 6.1): equi-width buckets of the
 /// given width aligned to multiples of the width, empty buckets removed.
-/// NULL and NaN cells are not placed, as in `PartitionNumeric`.
+/// NULL and NaN cells are not placed, as in `PartitionNumeric`. The width
+/// must be positive and finite. A value range the width cannot cut (an
+/// infinite cell, steps too small to advance near int64-extreme cells, or
+/// more than 2^20 buckets) becomes one closed bucket holding every value.
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,

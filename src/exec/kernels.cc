@@ -1,6 +1,8 @@
 #include "exec/kernels.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -29,6 +31,12 @@ struct PredicateLeaf {
   std::function<CompiledPredicate::ZoneVerdict(size_t m)> zone;
   /// True when `fill` routes dense morsels through the SIMD kernels.
   bool simd = false;
+  /// Dictionary leaves over a column with posting lists: that column and
+  /// the accepted codes, whose lists together hold exactly the rows the
+  /// leaf passes (NULL rows are in no list), and the lists' total length.
+  const ColumnarTable::Column* postings = nullptr;
+  std::vector<uint32_t> accepted_codes;
+  size_t candidates = 0;
 };
 
 namespace {
@@ -273,17 +281,25 @@ SimdFill DictSimd(const Column* col, const std::vector<uint8_t>& accept) {
 // `accept` has one entry per dictionary code plus a trailing 0, so data()
 // stays valid for an empty dictionary (NULL rows carry code 0 and are
 // masked). A string value set reduces to this shape: its verdict depends
-// only on the code.
-Leaf DictLeaf(const Column* col, std::vector<uint8_t> accept) {
-  ZoneFn zone = DictZone(col, accept);
-  SimdFill fill = DictSimd(col, accept);
+// only on the code. On a column with posting lists the leaf also records
+// its accepted codes, the candidate source's raw material.
+Leaf DictLeaf(const Column* col, const std::vector<uint8_t>& accept) {
   Leaf leaf = MaskedLeafSimd(col,
-                             [codes = col->codes.data(),
-                              accept = std::move(accept)](size_t r) {
+                             [codes = col->codes.data(), accept](size_t r) {
                                return accept[codes[r]] != 0;
                              },
-                             std::move(fill));
-  leaf.zone = std::move(zone);
+                             DictSimd(col, accept));
+  leaf.zone = DictZone(col, accept);
+  if (!col->posting_offsets.empty()) {
+    leaf.postings = col;
+    for (size_t c = 0; c < col->dict.size(); ++c) {
+      if (accept[c] != 0) {
+        leaf.accepted_codes.push_back(static_cast<uint32_t>(c));
+        leaf.candidates +=
+            col->posting_offsets[c + 1] - col->posting_offsets[c];
+      }
+    }
+  }
   return leaf;
 }
 
@@ -483,7 +499,7 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
     if (!any) {
       return std::nullopt;
     }
-    return DictLeaf(&col, std::move(member));
+    return DictLeaf(&col, member);
   }
   bool match_all = false;
   bool any_numeric = false;
@@ -508,22 +524,36 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
 constexpr size_t kChunkRows = kMorselRows;
 
 // Evaluates a non-empty conjunction over base rows [begin, end) (at most
-// one chunk) into a 0/1 mask: the first leaf densely, then later leaves
-// only on the rows still alive, compacting the survivor list as it
-// shrinks. Compiled leaves are exact and error-free, so evaluation order
-// cannot be observed.
-void EvalAndOfLeaves(const std::vector<Leaf>& leaves, size_t begin,
-                     size_t end, uint8_t* mask) {
+// one chunk, starting on a multiple of 64) into `idx`, the ascending
+// offsets of the surviving rows within the chunk, and returns their
+// count. The survivor list starts from the candidate source: the set bits
+// of `candidates` (the first leaf's accept set as a bitmap over base
+// rows, so that leaf is not evaluated again) or else the first leaf's
+// dense `fill`. Later leaves run only on the rows still alive,
+// compacting the list as it shrinks. Compiled leaves are exact and
+// error-free, so evaluation order cannot be observed.
+size_t EvalAndOfLeaves(const std::vector<Leaf>& leaves,
+                       const uint64_t* candidates, size_t begin, size_t end,
+                       uint32_t* idx) {
   const size_t n = end - begin;
-  leaves.front().fill(begin, end, mask);
-  if (leaves.size() == 1) {
-    return;
-  }
-  uint32_t idx[kChunkRows];  // surviving offsets within the chunk
   size_t count = 0;
-  for (size_t j = 0; j < n; ++j) {
-    idx[count] = static_cast<uint32_t>(j);
-    count += mask[j];
+  if (candidates != nullptr) {
+    // Bits past the last base row are never set, so the tail word of the
+    // last chunk needs no mask.
+    for (size_t w = 0; w * 64 < n; ++w) {
+      for (uint64_t word = candidates[(begin >> 6) + w]; word != 0;
+           word &= word - 1) {
+        idx[count++] =
+            static_cast<uint32_t>(w * 64 + std::countr_zero(word));
+      }
+    }
+  } else {
+    uint8_t mask[kChunkRows];
+    leaves.front().fill(begin, end, mask);
+    for (size_t j = 0; j < n; ++j) {
+      idx[count] = static_cast<uint32_t>(j);
+      count += mask[j];
+    }
   }
   for (size_t i = 1; i < leaves.size() && count > 0; ++i) {
     const auto& pred = leaves[i].row_pred;
@@ -535,13 +565,56 @@ void EvalAndOfLeaves(const std::vector<Leaf>& leaves, size_t begin,
     }
     count = kept;
   }
-  std::fill_n(mask, n, uint8_t{0});
-  for (size_t k = 0; k < count; ++k) {
-    mask[idx[k]] = 1;
+  return count;
+}
+
+// Test and benchmark override of the candidate-source rule.
+// atomic-order: seq_cst loads and stores; a standalone flag guarding no
+// other data, and every rule yields the same output.
+std::atomic<CompiledPredicate::CandidateSource> g_candidate_source{
+    CompiledPredicate::CandidateSource::kCutoff};
+
+// Picks the filter's candidate source: the dictionary leaf whose posting
+// union names the fewest rows, if that is at most n / kPostingCutoffDivisor
+// rows. That leaf moves to the front of the conjunction (order is
+// unobservable, see EvalAndOfLeaves) and its union comes back as a bitmap
+// over base rows; an empty bitmap means the dense scan. The union is the
+// leaf's exact accept set: each list holds the rows of one accepted code
+// and NULL rows are in none, just as the masked leaf fails them.
+std::vector<uint64_t> TakeCandidateSource(std::vector<Leaf>* leaves,
+                                          size_t n) {
+  using Source = CompiledPredicate::CandidateSource;
+  const Source mode = g_candidate_source.load(std::memory_order_seq_cst);
+  auto best = leaves->end();
+  for (auto it = leaves->begin(); it != leaves->end(); ++it) {
+    if (it->postings != nullptr &&
+        (best == leaves->end() || it->candidates < best->candidates)) {
+      best = it;
+    }
   }
+  if (best == leaves->end() || mode == Source::kDense ||
+      (mode == Source::kCutoff &&
+       best->candidates * CompiledPredicate::kPostingCutoffDivisor > n)) {
+    return {};
+  }
+  std::rotate(leaves->begin(), best, best + 1);
+  const Leaf& source = leaves->front();
+  const std::vector<uint32_t>& offsets = source.postings->posting_offsets;
+  const uint32_t* rows = source.postings->posting_rows.data();
+  std::vector<uint64_t> bits((n + 63) / 64, 0);
+  for (const uint32_t code : source.accepted_codes) {
+    for (uint32_t k = offsets[code]; k < offsets[code + 1]; ++k) {
+      bits[rows[k] >> 6] |= uint64_t{1} << (rows[k] & 63);
+    }
+  }
+  return bits;
 }
 
 }  // namespace
+
+void CompiledPredicate::ForceCandidateSourceForTest(CandidateSource source) {
+  g_candidate_source.store(source, std::memory_order_seq_cst);
+}
 
 CompiledPredicate::CompiledPredicate(
     std::shared_ptr<const ColumnarTable> columnar, std::vector<Leaf> leaves,
@@ -549,8 +622,7 @@ CompiledPredicate::CompiledPredicate(
     : columnar_(std::move(columnar)),
       leaves_(std::move(leaves)),
       never_matches_(never_matches),
-      uses_simd_(std::any_of(leaves_.begin(), leaves_.end(),
-                             [](const Leaf& leaf) { return leaf.simd; })) {}
+      candidates_(TakeCandidateSource(&leaves_, num_rows())) {}
 
 CompiledPredicate::CompiledPredicate(CompiledPredicate&&) noexcept = default;
 CompiledPredicate& CompiledPredicate::operator=(CompiledPredicate&&) noexcept =
@@ -604,6 +676,30 @@ CompiledPredicate::ZoneVerdict CompiledPredicate::MorselVerdict(
   return all_pass ? ZoneVerdict::kAllPass : ZoneVerdict::kMixed;
 }
 
+// Mirrors AppendMorselSurvivors' dispatch: zone-proven morsels touch no
+// cell, and a mixed morsel examines either its candidate rows or all of
+// its rows through the first leaf's fill, whose SIMD kernel runs exactly
+// when the leaf has one and simd::Enabled() (morsels start on a multiple
+// of 64 and span at most kMorselRows rows, as the fill requires).
+CompiledPredicate::MorselWork CompiledPredicate::PlanMorsel(size_t m) const {
+  MorselWork work;
+  work.verdict = MorselVerdict(m);
+  const size_t begin = m * kChunkRows;
+  const size_t end = std::min(num_rows(), begin + kChunkRows);
+  if (work.verdict != ZoneVerdict::kMixed || begin >= end) {
+    return work;
+  }
+  if (candidates_.empty()) {
+    work.rows_examined = end - begin;
+    work.simd = leaves_.front().simd && simd::Enabled();
+    return work;
+  }
+  for (size_t w = begin >> 6; w << 6 < end; ++w) {
+    work.rows_examined += static_cast<size_t>(std::popcount(candidates_[w]));
+  }
+  return work;
+}
+
 void CompiledPredicate::AppendMorselSurvivors(
     size_t m, std::vector<uint32_t>* out) const {
   const size_t n = num_rows();
@@ -627,12 +723,14 @@ void CompiledPredicate::AppendMorselSurvivors(
     case ZoneVerdict::kMixed:
       break;
   }
-  uint8_t mask[kChunkRows];
-  EvalAndOfLeaves(leaves_, begin, end, mask);
-  for (size_t r = begin; r < end; ++r) {
-    if (mask[r - begin] != 0) {
-      out->push_back(static_cast<uint32_t>(r));
-    }
+  uint32_t idx[kChunkRows];
+  const size_t count = EvalAndOfLeaves(
+      leaves_, candidates_.empty() ? nullptr : candidates_.data(), begin,
+      end, idx);
+  const size_t base = out->size();
+  out->resize(base + count);
+  for (size_t k = 0; k < count; ++k) {
+    (*out)[base + k] = static_cast<uint32_t>(begin + idx[k]);
   }
 }
 

@@ -26,6 +26,12 @@ struct PredicateLeaf;
 /// errors, and every profile shape has an exact kernel. The
 /// semantics-preservation argument is spelled out in DESIGN.md §10.
 ///
+/// Rows reach the leaves from one candidate source. When a string value
+/// set's posting union (see `ColumnarTable::Column::posting_rows`) names
+/// at most num_rows / kPostingCutoffDivisor rows, only those rows are
+/// evaluated; otherwise every row of each unproven morsel is. Either way
+/// the zone prover skips proven morsels first.
+///
 /// `Filter` runs chunked through the morsel scheduler with per-chunk
 /// selection shards merged in chunk order, so the selection vector is
 /// bit-identical at any thread count.
@@ -37,6 +43,22 @@ class CompiledPredicate {
   /// wrong definite answer, so honoring kAllFail/kAllPass is always
   /// bit-identical to evaluating.
   enum class ZoneVerdict : uint8_t { kAllFail, kAllPass, kMixed };
+
+  /// A string value set whose posting union names at most
+  /// num_rows / kPostingCutoffDivisor rows becomes the candidate source.
+  /// bench_exec_filter's BM_CandidateSource sweep (compile + Filter on the
+  /// 120K-row homes table) puts the crossover with the dense scan at
+  /// about n/2; at n/4 the posting source is still 20-30% faster, so n/4
+  /// keeps a margin below the crossover (EXPERIMENTS.md).
+  static constexpr size_t kPostingCutoffDivisor = 4;
+
+  /// Candidate-source rule of later `CompileProfile` calls: the cutoff
+  /// above (the default), always the dense scan, or the smallest posting
+  /// union whatever its size. A hook for tests and bench_exec_filter,
+  /// which time and check both sources on one predicate; the output is
+  /// identical under every rule.
+  enum class CandidateSource : uint8_t { kCutoff, kDense, kPostings };
+  static void ForceCandidateSourceForTest(CandidateSource source);
 
   /// Compiles a serving-layer selection profile (conjunction of
   /// per-attribute conditions, `MatchesRow` semantics: an unknown
@@ -51,8 +73,10 @@ class CompiledPredicate {
   CompiledPredicate& operator=(CompiledPredicate&&) noexcept;
   ~CompiledPredicate();
 
-  /// Evaluates the predicate over every base row and returns the matching
-  /// row indices in ascending order. Deterministic at any thread count.
+  /// Returns the indices of the base rows that satisfy the predicate, in
+  /// ascending order: zone-proven morsels are skipped or appended whole,
+  /// and the rest evaluate their candidate rows. Deterministic at any
+  /// thread count.
   Result<std::vector<uint32_t>> Filter(const ParallelOptions& parallel) const;
 
   /// Morsel-granular evaluation, the unit `Filter` dispatches: appends
@@ -64,16 +88,27 @@ class CompiledPredicate {
   /// single cell.
   void AppendMorselSurvivors(size_t m, std::vector<uint32_t>* out) const;
 
+  /// How `AppendMorselSurvivors` evaluates one morsel. The cold path sums
+  /// these into its pruning and work counters.
+  struct MorselWork {
+    ZoneVerdict verdict = ZoneVerdict::kMixed;
+    /// Rows some leaf is evaluated on: none for a zone-proven morsel, the
+    /// candidate rows under a posting source, else every row.
+    size_t rows_examined = 0;
+    /// True when the first leaf's mask for the morsel is filled by a SIMD
+    /// kernel (only a dense-sourced mixed morsel fills one).
+    bool simd = false;
+  };
+  MorselWork PlanMorsel(size_t m) const;
+
   /// Zone-prover verdict for morsel `m`, the AND of the leaves' verdicts:
   /// any all-fail leaf zeroes it, all all-pass leaves keep it full, and
   /// anything else is kMixed. The cold path counts these verdicts for its
   /// zone-pruning metrics.
   ZoneVerdict MorselVerdict(size_t m) const;
 
-  /// True when some leaf routes dense morsels through the SIMD kernels
-  /// (serving metrics attribution; the scalar fallback stays available
-  /// per call).
-  bool uses_simd() const { return uses_simd_; }
+  /// True when a posting union is the candidate source.
+  bool uses_postings() const { return !candidates_.empty(); }
 
   size_t num_rows() const {
     return columnar_ == nullptr ? 0 : columnar_->num_rows();
@@ -90,7 +125,9 @@ class CompiledPredicate {
   /// ANDed; empty matches every row (unless `never_matches_`).
   std::vector<PredicateLeaf> leaves_;
   bool never_matches_ = false;
-  bool uses_simd_ = false;
+  /// The candidate source's rows as a bitmap over base rows (the first
+  /// leaf's accept set); empty for the dense scan.
+  std::vector<uint64_t> candidates_;
 };
 
 }  // namespace autocat

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "exec/simd_kernels.h"
 #include "storage/columnar.h"
 #include "storage/schema.h"
 
@@ -141,7 +140,8 @@ Result<ColdPipelineResult> RunColdPipeline(
   // ones densely; only the mixed remainder evaluates rows.
   timings.morsels = predicate.num_morsels();
   for (size_t m = 0; m < timings.morsels; ++m) {
-    switch (predicate.MorselVerdict(m)) {
+    const CompiledPredicate::MorselWork work = predicate.PlanMorsel(m);
+    switch (work.verdict) {
       case CompiledPredicate::ZoneVerdict::kAllFail:
         ++timings.morsels_pruned;
         break;
@@ -151,12 +151,8 @@ Result<ColdPipelineResult> RunColdPipeline(
       case CompiledPredicate::ZoneVerdict::kMixed:
         break;
     }
-  }
-  if (predicate.uses_simd() && simd::Enabled()) {
-    // With a vectorizable predicate and AVX2 live, the mixed morsels'
-    // leaf masks go through the SIMD kernels.
-    timings.simd_morsels =
-        timings.morsels - timings.morsels_pruned - timings.morsels_all_pass;
+    timings.rows_examined += work.rows_examined;
+    timings.simd_morsels += work.simd ? 1 : 0;
   }
 
   const double t0 = NowMs();

@@ -34,9 +34,14 @@ struct ColdPipelineTimings {
   /// Morsels the zone prover ruled all-pass: dense survivors, no per-row
   /// evaluation.
   size_t morsels_all_pass = 0;
-  /// Mixed morsels whose leaf masks went through the SIMD kernels (zero
-  /// when the predicate has no vectorizable leaf or AVX2 is unavailable).
+  /// Mixed morsels whose first leaf's mask a SIMD kernel filled (zero
+  /// under a posting source, when that leaf has no vector kernel, or when
+  /// AVX2 is unavailable).
   size_t simd_morsels = 0;
+  /// Rows some leaf was evaluated on: the posting candidates, or every
+  /// row of the mixed morsels under the dense scan (zone-proven morsels
+  /// touch none).
+  size_t rows_examined = 0;
   /// `CompiledPredicate::Filter`.
   double filter_ms = 0;
   /// The projected gather (`TableView::Materialize`) and its byte count.
@@ -58,8 +63,9 @@ struct ColdPipelineResult {
 };
 
 /// Runs the cold path for one request as plain sequential steps:
-/// `CompiledPredicate::Filter` (zone-pruned, morsel-parallel, shards
-/// merged in morsel order) -> `TableView::Create` + `Materialize` over the
+/// `CompiledPredicate::Filter` (zone-pruned, posting-sourced when a
+/// string value set is selective, morsel-parallel, shards merged in
+/// morsel order) -> `TableView::Create` + `Materialize` over the
 /// selection -> `ApproxTableBytes` -> the attribute index over the
 /// selection. Every step is deterministic at any thread count, so the
 /// outputs are too.

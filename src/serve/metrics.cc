@@ -55,13 +55,15 @@ void ServiceMetrics::RecordOperator(ServeOperator op, double ms) {
 }
 
 void ServiceMetrics::RecordPipeline(size_t morsels, size_t pruned,
-                                    size_t all_pass, size_t simd) {
+                                    size_t all_pass, size_t simd,
+                                    size_t rows_examined) {
   MutexLock lock(mu_);
   ++pipeline_requests_;
   pipeline_morsels_ += morsels;
   morsels_pruned_ += pruned;
   morsels_all_pass_ += all_pass;
   simd_morsels_ += simd;
+  rows_examined_ += rows_examined;
 }
 
 void ServiceMetrics::RecordCoalescedLeader() {
@@ -90,6 +92,7 @@ void ServiceMetrics::FillSnapshot(ServiceMetricsSnapshot* snapshot) const {
   snapshot->morsels_pruned = morsels_pruned_;
   snapshot->morsels_all_pass = morsels_all_pass_;
   snapshot->simd_morsels = simd_morsels_;
+  snapshot->rows_examined = rows_examined_;
   snapshot->coalesced_leaders = coalesced_leaders_;
   snapshot->coalesced_hits = coalesced_hits_;
 }
@@ -131,6 +134,7 @@ std::string ServiceMetricsSnapshot::ToJson() const {
   out += ",\"morsels_pruned\":" + std::to_string(morsels_pruned);
   out += ",\"morsels_all_pass\":" + std::to_string(morsels_all_pass);
   out += ",\"simd_morsels\":" + std::to_string(simd_morsels);
+  out += ",\"rows_examined\":" + std::to_string(rows_examined);
   out += "},\"coalescing\":{\"leaders\":" +
          std::to_string(coalesced_leaders);
   out += ",\"hits\":" + std::to_string(coalesced_hits);

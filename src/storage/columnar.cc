@@ -157,11 +157,33 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
         code = static_cast<uint32_t>(col.dict.size());
         col.dict.emplace_back(sv);
       }
-      // Pass 2: codes.
+      // Pass 2: codes, counting each code's rows into its offsets slot.
+      const size_t dict_size = col.dict.size();
+      col.posting_offsets.assign(dict_size + 1, 0);
       for (size_t r = 0; r < n; ++r) {
         const Value& v = table.ValueAt(r, c);
         if (!v.is_null()) {
-          col.owned_codes[r] = dict_map.find(v.string_value())->second;
+          const uint32_t code = dict_map.find(v.string_value())->second;
+          col.owned_codes[r] = code;
+          ++col.posting_offsets[code];
+        }
+      }
+      // Pass 3: posting lists, filled in place. An inclusive prefix sum
+      // turns slot c into the end of code c's list; walking the rows
+      // backwards and pre-decrementing the slot writes each list in
+      // ascending row order and leaves slot c at its start, so no second
+      // cursor array is needed.
+      uint32_t total = 0;
+      for (size_t code = 0; code < dict_size; ++code) {
+        total += col.posting_offsets[code];
+        col.posting_offsets[code] = total;
+      }
+      col.posting_offsets[dict_size] = total;
+      col.posting_rows.resize(total);
+      for (size_t r = n; r-- > 0;) {
+        if (!col.IsNull(r)) {
+          col.posting_rows[--col.posting_offsets[col.owned_codes[r]]] =
+              static_cast<uint32_t>(r);
         }
       }
       ComputeZones(&col, n);

@@ -105,6 +105,17 @@ class ColumnarTable {
     /// instead of re-sorting survivors on every cold request. Empty for
     /// segment-store wrapped columns, and consumers must fall back.
     std::vector<uint32_t> sorted_order;
+    /// kString columns built by `Build`: CSR posting lists, one per
+    /// dictionary code. The rows holding code c are
+    /// `posting_rows[posting_offsets[c] .. posting_offsets[c + 1])`, in
+    /// ascending order; NULL rows are in no list. `posting_offsets` has
+    /// dict.size() + 1 entries (`{0}` for an empty dictionary), so
+    /// `posting_rows` holds num_rows - null_count entries. The compiled
+    /// filter unions a value set's lists into its candidate rows instead
+    /// of testing every row. Empty for segment-store wrapped columns, and
+    /// consumers must fall back.
+    std::vector<uint32_t> posting_offsets;
+    std::vector<uint32_t> posting_rows;
     /// Per-zone (kZoneRows-row) metadata: ceil(num_rows / kZoneRows)
     /// entries — exact for `Build` shadows, segment-replicated extrema
     /// with exact per-zone counts for store-mapped columns. Empty for a
@@ -147,8 +158,9 @@ class ColumnarTable {
   ColumnarTable(ColumnarTable&&) = default;
   ColumnarTable& operator=(ColumnarTable&&) = default;
 
-  /// Builds an in-memory shadow in one pass per column (two for strings:
-  /// dictionary then codes). Requires `table.num_rows() <= UINT32_MAX`
+  /// Builds an in-memory shadow in one pass per column (three for
+  /// strings: dictionary, codes with per-code counts, posting lists).
+  /// Requires `table.num_rows() <= UINT32_MAX`
   /// (callers gate; selection vectors are 32-bit). Aborts on a cell that
   /// is neither NULL nor the column's declared type: `Table::AppendRow`
   /// coerces, so only rows handed to `Table::FromValidatedRows` in breach

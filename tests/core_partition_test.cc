@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "test_util.h"
@@ -307,6 +309,59 @@ TEST(PartitionEquiWidthTest, InvalidWidthErrors) {
   EXPECT_FALSE(PartitionNumericEquiWidth(View(table), AllRows(table), "price",
                                          -10, nullptr)
                    .ok());
+  EXPECT_FALSE(PartitionNumericEquiWidth(
+                   View(table), AllRows(table), "price",
+                   std::numeric_limits<double>::infinity(), nullptr)
+                   .ok());
+  EXPECT_FALSE(PartitionNumericEquiWidth(
+                   View(table), AllRows(table), "price",
+                   std::numeric_limits<double>::quiet_NaN(), nullptr)
+                   .ok());
+}
+
+// Ranges the width cannot cut: the boundary walk used to run forever
+// (an infinite cell never lets it reach vmax; near int64-extreme cells
+// b + width == b). Each becomes one closed bucket holding every value.
+// The core test binary's ctest TIMEOUT turns a hang into a failure.
+TEST(PartitionEquiWidthTest, UncuttableRangesBecomeOneBucket) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double big = std::ldexp(1.0, 60);
+  const struct {
+    const char* name;
+    Value a;
+    Value b;
+    double width;
+  } cases[] = {
+      {"+inf cell", Value(100.0), Value(kInf), 50},
+      {"-inf cell", Value(-kInf), Value(100.0), 50},
+      {"both infinities", Value(-kInf), Value(kInf), 50},
+      {"int64 extremes", Value(kMin), Value(kMax), 50},
+      {"steps below one ulp", Value(big),
+       Value(std::nextafter(big, kInf)), 100},
+      {"more than 2^20 buckets", Value(int64_t{0}),
+       Value(int64_t{1000000000000}), 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ValueType type = c.a.is_int64() ? ValueType::kInt64
+                                          : ValueType::kDouble;
+    auto schema =
+        Schema::Create({ColumnDef("x", type, ColumnKind::kNumeric)});
+    ASSERT_TRUE(schema.ok());
+    Table table(schema.value());
+    ASSERT_TRUE(table.AppendRow({c.a}).ok());
+    ASSERT_TRUE(table.AppendRow({c.b}).ok());
+    const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
+                                                 "x", c.width, nullptr);
+    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+    ASSERT_EQ(parts->size(), 1u);
+    EXPECT_EQ(parts->front().tuples, (std::vector<size_t>{0, 1}));
+    EXPECT_TRUE(parts->front().label.hi_inclusive());
+    EXPECT_EQ(parts->front().label.hi(), c.b.AsDouble());
+    EXPECT_TRUE(ValidateNumericPartition(parts.value()).ok());
+  }
 }
 
 // Property: both numeric partitioners produce disjoint covering buckets in

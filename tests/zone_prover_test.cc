@@ -40,6 +40,7 @@ namespace {
 using namespace equiv;  // NOLINT
 
 using ZoneVerdict = CompiledPredicate::ZoneVerdict;
+using CandidateSource = CompiledPredicate::CandidateSource;
 
 std::shared_ptr<const ColumnarTable> Shadow(Database& db) {
   auto shadow = db.ColumnarFor("homes");
@@ -73,7 +74,8 @@ std::optional<CompiledPredicate> CompileSql(
 // Checks every morsel verdict of `compiled` against the per-row truth in
 // `matches` (one bool per base row): kAllFail morsels must contain no
 // matching row, kAllPass morsels only matching rows, and concatenating
-// AppendMorselSurvivors in morsel order must equal the exact match list.
+// AppendMorselSurvivors in morsel order must equal the exact match list
+// and `Filter`'s output.
 void ExpectVerdictsSound(const CompiledPredicate& compiled,
                          const std::vector<bool>& matches,
                          const std::string& context) {
@@ -102,6 +104,11 @@ void ExpectVerdictsSound(const CompiledPredicate& compiled,
     compiled.AppendMorselSurvivors(m, &got);
   }
   EXPECT_EQ(got, expected) << context;
+  ParallelOptions parallel;
+  parallel.threads = 7;
+  const Result<std::vector<uint32_t>> filtered = compiled.Filter(parallel);
+  ASSERT_TRUE(filtered.ok()) << context;
+  EXPECT_EQ(filtered.value(), got) << context;
 }
 
 // ------------------------------------------------------- zone construction
@@ -208,15 +215,25 @@ TEST(ZoneProverTest, RandomizedVerdictsNeverContradictRowTruth) {
     if (!profile.ok()) {
       continue;
     }
-    auto compiled =
-        CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
-    ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
     ++compiled_queries;
     std::vector<bool> matches(n);
     for (size_t r = 0; r < n; ++r) {
       matches[r] = profile.value().MatchesRow(table.row(r), schema);
     }
-    ExpectVerdictsSound(compiled.value(), matches, sql);
+    // Every candidate source: the cutoff rule, the dense scan, and the
+    // posting union of any string value set.
+    for (const CandidateSource source :
+         {CandidateSource::kCutoff, CandidateSource::kDense,
+          CandidateSource::kPostings}) {
+      CompiledPredicate::ForceCandidateSourceForTest(source);
+      auto compiled =
+          CompiledPredicate::CompileProfile(profile.value(), schema, shadow);
+      CompiledPredicate::ForceCandidateSourceForTest(
+          CandidateSource::kCutoff);
+      ASSERT_TRUE(compiled.ok())
+          << sql << ": " << compiled.status().ToString();
+      ExpectVerdictsSound(compiled.value(), matches, sql);
+    }
   }
   EXPECT_GE(compiled_queries, 50u)
       << "too few queries normalized to a profile to be a meaningful gate";

@@ -55,7 +55,8 @@
 #   --kernels
 #            run the zone-map + SIMD kernel suites (exact zone metadata,
 #            the zone prover's refuse-or-exact verdicts against row
-#            truth, cold-pipeline pruning counters, and the
+#            truth, cold-pipeline pruning counters, posting lists and the
+#            posting-sourced filter against the row oracle, and the
 #            SIMD-vs-scalar equivalence gate over the profiles of the
 #            fuzz corpus and randomized queries at threads 1/2/7/16) in
 #            Release and under ASan and UBSan, plus bench_exec_filter at
@@ -117,9 +118,10 @@ serve_leg() {
 # against a sequential Filter -> Materialize -> rescan reference
 # (bit-identical results, byte accounting and attribute indexes at
 # thread counts 1/2/7/16), the zone prover with the pipeline's verdict
-# counters, the coalescing registry units, and the service-level oracle
-# and burst/epoch-invalidation tests.
-PIPELINE_FILTER='^(PipelineEquivalenceTest|ZoneProverTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
+# counters, the posting-list candidate source against MatchesRow at
+# thread counts 1/2/7/16 with its work counters, the coalescing registry
+# units, and the service-level oracle and burst/epoch-invalidation tests.
+PIPELINE_FILTER='^(PipelineEquivalenceTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -182,14 +184,15 @@ store_leg() {
 
 # The zone-map + SIMD kernel gate: zone metadata construction, the zone
 # prover's refuse-or-exact verdicts (randomized, NULL/NaN edges,
-# clustered pruning bite, cold-pipeline counters), the kernel-vs-scalar
+# clustered pruning bite, cold-pipeline counters), the CSR posting lists
+# and the posting-sourced filter against MatchesRow, the kernel-vs-scalar
 # unit comparisons, the end-to-end SIMD-vs-scalar equivalence gate
 # (profiles of the fuzz corpus and of randomized queries, identical
 # selections at threads 1/2/7/16), and the columnar equivalence suite,
 # where the profile compiler is held total and exact against MatchesRow
 # (randomized profiles and edge values) and a mixed-type column dies in
 # Build.
-KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
+KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|PostingListTest|PostingSourceTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
 
 kernels_leg() {
   local name="$1" dir="$2"
