@@ -28,6 +28,15 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
+bool HasAsciiUpper(std::string_view text) {
+  for (const char c : text) {
+    if (c >= 'A' && c <= 'Z') {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string ToUpper(std::string_view text) {
   std::string out(text);
   for (char& c : out) {

@@ -16,6 +16,19 @@ std::string_view TrimWhitespace(std::string_view text);
 /// ASCII-lowercases `text`.
 std::string ToLower(std::string_view text);
 
+/// True if `text` holds an uppercase ASCII letter (ToLower would change
+/// it).
+bool HasAsciiUpper(std::string_view text);
+
+/// Case-insensitive lookup of `name` in a map keyed by lowercase names
+/// with heterogeneous (string_view) lookup: lowercases a copy only when
+/// `name` has an uppercase ASCII letter.
+template <typename Map>
+typename Map::const_iterator FindLowercase(const Map& map,
+                                           std::string_view name) {
+  return HasAsciiUpper(name) ? map.find(ToLower(name)) : map.find(name);
+}
+
 /// ASCII-uppercases `text`.
 std::string ToUpper(std::string_view text);
 

@@ -64,6 +64,19 @@ struct CategorizerOptions {
   ParallelOptions parallel;
 };
 
+/// Wall time of the columnar cost-based construction's three phases,
+/// summed over its levels (milliseconds). Together they cover the whole
+/// level-by-level construction, set-up and the final checks included.
+struct CategorizeTimings {
+  /// Finding each level's oversized categories, and building the
+  /// per-attribute key orders and narrowing them to those categories.
+  double orders_ms = 0;
+  /// Scoring every candidate attribute from its runs, and the reduce.
+  double score_ms = 0;
+  /// Partitioning the winner's runs and attaching the categories.
+  double attach_ms = 0;
+};
+
 /// Common interface of the categorization techniques. `Categorize` builds
 /// a category tree over `result`; `query`, when non-null, is the user
 /// query that produced `result` (its numeric selection bounds supply
@@ -99,15 +112,17 @@ class CostBasedCategorizer final : public Categorizer {
   /// arrays through `view`, which describes the same rows as `result`
   /// (view row i == result row i; `result` is the view materialized and
   /// owns the tuples the tree references). `index`, when non-null, is a
-  /// precomputed `ResultAttributeIndex` over `result` (built by
-  /// `RunColdPipeline`): the root-level partitioners reuse
-  /// its sorted values / value groups instead of rescanning, producing the
-  /// identical tree. Errors InvalidArgument when `view`, `index`, and
-  /// `result` disagree on shape.
+  /// precomputed `ResultAttributeIndex` over `view` (built by
+  /// `RunColdPipeline`): its entries are the level-1 key orders of their
+  /// attributes, taken instead of sorting the columns, producing the
+  /// identical tree. `timings`, when non-null, receives the wall time of
+  /// the construction's phases. Errors InvalidArgument when `view`,
+  /// `index`, and `result` disagree on shape.
   Result<CategoryTree> Categorize(
       const TableView& view, const Table& result,
       const SelectionProfile* query,
-      const ResultAttributeIndex* index = nullptr) const;
+      const ResultAttributeIndex* index = nullptr,
+      CategorizeTimings* timings = nullptr) const;
 
   std::string name() const override { return "Cost-based"; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_set>
@@ -95,403 +96,253 @@ Status ValidateCategoricalPartition(
   return Status::OK();
 }
 
+
 namespace {
 
-// Distinct-value groups over `tuples` in ascending value order, NULL cells
-// dropped — the shape both categorical partitioners consume.
-using ValueGroups = std::vector<std::pair<Value, std::vector<size_t>>>;
-
-// A dictionary-encoded string column groups by code — the dictionary is
-// sorted, so ascending code order *is* ascending value order and the
-// generic Value-map walk at the bottom is reproduced without Value
-// comparisons.
-ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
-                     size_t col) {
-  const ColumnarTable::Column* cc =
-      view.columnar() == nullptr
-          ? nullptr
-          : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->type == ValueType::kString) {
-    std::vector<std::vector<size_t>> buckets(cc->dict.size());
-    std::vector<uint32_t> touched;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (cc->IsNull(row)) {
-        continue;
-      }
-      const uint32_t code = cc->codes[row];
-      if (buckets[code].empty()) {
-        touched.push_back(code);
-      }
-      buckets[code].push_back(idx);
+// Keys (dense ranks) for `cells`, (cell, row) pairs already sorted by
+// (cell under `less`, row): one key per run of equivalent cells, the
+// first (lowest-row) cell of each run giving the key's value.
+template <typename Cell, typename Less, typename ToValue>
+void RankSortedCells(std::span<const std::pair<Cell, uint32_t>> cells,
+                     Less less, ToValue to_value,
+                     std::vector<KeyOrderEntry>* entries,
+                     std::vector<Value>* key_values) {
+  entries->reserve(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (i == 0 || less(cells[i - 1].first, cells[i].first)) {
+      key_values->push_back(to_value(cells[i].first));
     }
-    std::sort(touched.begin(), touched.end());
-    ValueGroups out;
-    out.reserve(touched.size());
-    for (uint32_t code : touched) {
-      out.emplace_back(Value(cc->dict[code]), std::move(buckets[code]));
-    }
-    return out;
+    entries->emplace_back(static_cast<uint32_t>(key_values->size() - 1),
+                          cells[i].second);
   }
-  if (cc != nullptr && cc->type == ValueType::kInt64) {
-    // int64 column: int64 order equals Value order among int64 cells, so
-    // grouping by the raw value reproduces the Value-map walk (and reads
-    // mapped segments without synthesizing cells).
-    std::map<int64_t, std::vector<size_t>> groups;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        groups[cc->i64[row]].push_back(idx);
-      }
-    }
-    ValueGroups out;
-    out.reserve(groups.size());
-    for (auto& [value, group] : groups) {
-      out.emplace_back(Value(value), std::move(group));
-    }
-    return out;
-  }
-  std::map<Value, std::vector<size_t>> groups;
-  if (cc != nullptr && cc->type == ValueType::kDouble) {
-    // Double column: wrap the raw bits in a Value so ordering
-    // (including any NaN handling) matches the generic walk exactly.
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        groups[Value(cc->f64[row])].push_back(idx);
-      }
-    }
-  } else {
-    for (size_t idx : tuples) {
-      const Value& v = view.ValueAt(idx, col);
-      if (!v.is_null()) {
-        groups[v].push_back(idx);
-      }
-    }
-  }
-  ValueGroups out;
-  out.reserve(groups.size());
-  for (auto& [value, group] : groups) {
-    out.emplace_back(value, std::move(group));
-  }
-  return out;
 }
 
-// The index entry usable for (`tuples`, `col`), or nullptr: entries
-// answer only for the identity tuple set over the indexed rows (the tree
-// root's tset; see storage/attr_index.h).
-const AttributeIndexEntry* RootIndexEntry(const ResultAttributeIndex* index,
-                                          size_t col,
-                                          const std::vector<size_t>& tuples) {
-  if (index == nullptr) {
-    return nullptr;
-  }
-  const AttributeIndexEntry* entry = index->entry(col);
-  if (entry == nullptr || !IsIdentityTupleSet(tuples, index->num_rows)) {
-    return nullptr;
-  }
-  return entry;
+// Sorts (cell, row) pairs by (cell under `less`, row) and ranks them.
+template <typename Cell, typename Less, typename ToValue>
+void SortAndRankCells(std::vector<std::pair<Cell, uint32_t>> cells,
+                      Less less, ToValue to_value,
+                      std::vector<KeyOrderEntry>* entries,
+                      std::vector<Value>* key_values) {
+  std::sort(cells.begin(), cells.end(), [&less](const auto& a, const auto& b) {
+    if (less(a.first, b.first)) return true;
+    if (less(b.first, a.first)) return false;
+    return a.second < b.second;
+  });
+  RankSortedCells(std::span<const std::pair<Cell, uint32_t>>(cells), less,
+                  to_value, entries, key_values);
 }
 
-// A copy of the index entry's groups in the GroupsOf shape (the copies
-// become the partition's tuple vectors; the entry stays reusable).
-ValueGroups GroupsFromIndex(const AttributeIndexEntry& entry) {
-  ValueGroups out;
-  out.reserve(entry.groups.size());
-  for (const auto& [value, group] : entry.groups) {
-    out.emplace_back(value, group);
-  }
-  return out;
-}
-
-// Distinct-value counts in ascending value order, NULL cells dropped —
-// the groups' sizes without the groups. Branch structure mirrors
-// GroupsOf so the counted (and ordered) values are identical.
-using ValueCounts = std::vector<std::pair<Value, size_t>>;
-
-ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
-                     size_t col) {
-  const ColumnarTable::Column* cc =
-      view.columnar() == nullptr
-          ? nullptr
-          : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->type == ValueType::kString) {
-    std::vector<size_t> per_code(cc->dict.size(), 0);
-    std::vector<uint32_t> touched;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (cc->IsNull(row)) {
-        continue;
-      }
-      const uint32_t code = cc->codes[row];
-      if (per_code[code] == 0) {
-        touched.push_back(code);
-      }
-      ++per_code[code];
-    }
-    std::sort(touched.begin(), touched.end());
-    ValueCounts out;
-    out.reserve(touched.size());
-    for (uint32_t code : touched) {
-      out.emplace_back(Value(cc->dict[code]), per_code[code]);
-    }
-    return out;
-  }
-  if (cc != nullptr && cc->type == ValueType::kInt64) {
-    std::map<int64_t, size_t> counts;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        ++counts[cc->i64[row]];
-      }
-    }
-    ValueCounts out;
-    out.reserve(counts.size());
-    for (const auto& [value, count] : counts) {
-      out.emplace_back(Value(value), count);
-    }
-    return out;
-  }
-  std::map<Value, size_t> counts;
-  if (cc != nullptr && cc->type == ValueType::kDouble) {
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        ++counts[Value(cc->f64[row])];
-      }
-    }
-  } else {
-    for (size_t idx : tuples) {
-      const Value& v = view.ValueAt(idx, col);
-      if (!v.is_null()) {
-        ++counts[v];
-      }
+// Stable scatter of `src` into `num_runs` runs by the slot of each
+// entry's row; entries whose row has a negative slot are dropped.
+template <typename Entry>
+void DistributeEntries(std::span<const Entry> src,
+                       const std::vector<int32_t>& slot_of_row,
+                       size_t num_runs, std::vector<Entry>* dst,
+                       std::vector<size_t>* offsets) {
+  offsets->assign(num_runs + 1, 0);
+  for (const Entry& e : src) {
+    const int32_t slot = slot_of_row[e.second];
+    if (slot >= 0) {
+      ++(*offsets)[static_cast<size_t>(slot) + 1];
     }
   }
-  return ValueCounts(counts.begin(), counts.end());
-}
-
-// Section 5.1.2 presentation order over pre-grouped values.
-std::vector<PartitionCategory> CostCategoricalFromGroups(
-    const std::string& attribute, const WorkloadStats& stats,
-    ValueGroups groups) {
-  struct Entry {
-    Value value;
-    size_t occ;
-    std::vector<size_t> tuples;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(groups.size());
-  for (auto& [value, group] : groups) {
-    entries.push_back(Entry{value, stats.OccurrenceCount(attribute, value),
-                            std::move(group)});
+  for (size_t r = 0; r < num_runs; ++r) {
+    (*offsets)[r + 1] += (*offsets)[r];
   }
-  // Decreasing occurrence count; group order (ascending value) breaks ties.
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.occ > b.occ;
-                   });
-  std::vector<PartitionCategory> out;
-  out.reserve(entries.size());
-  for (Entry& e : entries) {
-    out.push_back(PartitionCategory{
-        CategoryLabel::Categorical(attribute, {e.value}),
-        std::move(e.tuples)});
+  dst->resize(offsets->back());
+  std::vector<size_t> cursor(offsets->begin(), offsets->end() - 1);
+  for (const Entry& e : src) {
+    const int32_t slot = slot_of_row[e.second];
+    if (slot >= 0) {
+      (*dst)[cursor[static_cast<size_t>(slot)]++] = e;
+    }
   }
-  AUTOCAT_DCHECK(ValidateCategoricalPartition(out).ok());
-  return out;
-}
-
-// The counts in the CountsOf shape taken straight from the index entry's
-// groups (ascending value order, as CountsOf produces).
-ValueCounts CountsFromIndex(const AttributeIndexEntry& entry) {
-  ValueCounts out;
-  out.reserve(entry.groups.size());
-  for (const auto& [value, group] : entry.groups) {
-    out.emplace_back(value, group.size());
-  }
-  return out;
-}
-
-// Summary twin of CostCategoricalFromGroups: identical Entry ordering
-// (stable sort on decreasing occ over ascending-value input), labels
-// built the same way, sizes instead of tuple vectors.
-std::vector<PartitionSummary> CostCategoricalSummaryFromCounts(
-    const std::string& attribute, const WorkloadStats& stats,
-    ValueCounts counts) {
-  struct Entry {
-    Value value;
-    size_t occ;
-    size_t count;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(counts.size());
-  for (auto& [value, count] : counts) {
-    entries.push_back(
-        Entry{value, stats.OccurrenceCount(attribute, value), count});
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.occ > b.occ;
-                   });
-  std::vector<PartitionSummary> out;
-  out.reserve(entries.size());
-  for (Entry& e : entries) {
-    out.push_back(PartitionSummary{
-        CategoryLabel::Categorical(attribute, {e.value}), e.count});
-  }
-  return out;
-}
-
-// Section 6.1 'No cost' order over pre-grouped values.
-std::vector<PartitionCategory> ArbitraryCategoricalFromGroups(
-    const std::string& attribute, Random* rng, ValueGroups groups) {
-  std::vector<PartitionCategory> out;
-  out.reserve(groups.size());
-  for (auto& [value, group] : groups) {
-    out.push_back(PartitionCategory{
-        CategoryLabel::Categorical(attribute, {value}), std::move(group)});
-  }
-  if (rng != nullptr) {
-    rng->Shuffle(out);
-  }
-  AUTOCAT_DCHECK(ValidateCategoricalPartition(out).ok());
-  return out;
 }
 
 }  // namespace
 
-Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const TableView& view, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalFromGroups(attribute, stats,
-                                     GroupsFromIndex(*entry));
+Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
+                                             size_t col, ColumnKind kind,
+                                             const std::vector<size_t>* rows,
+                                             const AttributeIndexEntry* entry) {
+  if (view.num_rows() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "too many rows for a categorization order");
   }
-  return CostCategoricalFromGroups(attribute, stats,
-                                   GroupsOf(view, tuples, col));
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
-    const TableView& view, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalSummaryFromCounts(attribute, stats,
-                                            CountsFromIndex(*entry));
+  if (rows != nullptr) {
+    entry = nullptr;  // an entry covers every view row
   }
-  return CostCategoricalSummaryFromCounts(attribute, stats,
-                                          CountsOf(view, tuples, col));
-}
-
-namespace {
-
-// Shared bucket-materialization for both numeric partitioners: given
-// ascending boundaries b0 < b1 < ... < bk, produce buckets [b_i, b_{i+1})
-// (last bucket closed) over the value-sorted tuples, dropping empties.
-std::vector<PartitionCategory> MaterializeBuckets(
-    const std::string& attribute,
-    const std::vector<std::pair<double, size_t>>& sorted_values,
-    const std::vector<double>& boundaries) {
-  std::vector<PartitionCategory> out;
-  if (boundaries.size() < 2) {
-    return out;
-  }
-  for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
-    const double lo = boundaries[b];
-    const double hi = boundaries[b + 1];
-    const bool last = (b + 2 == boundaries.size());
-    const auto begin = std::lower_bound(
-        sorted_values.begin(), sorted_values.end(), lo,
-        [](const auto& pair, double x) { return pair.first < x; });
-    const auto end =
-        last ? std::upper_bound(sorted_values.begin(), sorted_values.end(),
-                                hi,
-                                [](double x, const auto& pair) {
-                                  return x < pair.first;
-                                })
-             : std::lower_bound(sorted_values.begin(), sorted_values.end(),
-                                hi, [](const auto& pair, double x) {
-                                  return pair.first < x;
-                                });
-    if (begin == end) {
-      continue;  // drop empty bucket
-    }
-    PartitionCategory category;
-    category.label = CategoryLabel::Numeric(attribute, lo, hi, last);
-    category.tuples.reserve(static_cast<size_t>(end - begin));
-    for (auto it = begin; it != end; ++it) {
-      category.tuples.push_back(it->second);
-    }
-    out.push_back(std::move(category));
-  }
-  return out;
-}
-
-// The (value, index) pairs of the non-NULL, non-NaN cells of `col` among
-// `tuples`, sorted. A NaN cell joins no numeric bucket, as NULL does not
-// (and as CategoryLabel::Matches answers); it would also break
-// std::sort's strict weak order. Reads the typed arrays (and the null
-// bitmap) directly when the view has a columnar shadow; falls back to the
-// generic cell walk otherwise. Extracted doubles are identical to
-// AsDouble().
-Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
-    const TableView& view, const std::vector<size_t>& tuples, size_t col,
-    const std::string& attribute) {
-  if (view.schema().column(col).kind != ColumnKind::kNumeric) {
-    return Status::InvalidArgument("attribute '" + attribute +
-                                   "' is not numeric");
-  }
-  std::vector<std::pair<double, size_t>> values;
-  values.reserve(tuples.size());
+  const size_t n = rows == nullptr ? view.num_rows() : rows->size();
+  const auto row_at = [rows](size_t i) -> uint32_t {
+    return static_cast<uint32_t>(rows == nullptr ? i : (*rows)[i]);
+  };
   const ColumnarTable::Column* cc =
       view.columnar() == nullptr
           ? nullptr
           : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->type == ValueType::kInt64) {
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        values.emplace_back(static_cast<double>(cc->i64[row]), idx);
+
+  AttributeOrder order;
+  order.numeric_ = kind == ColumnKind::kNumeric;
+  if (order.numeric_) {
+    if (entry != nullptr && entry->has_sorted_values) {
+      order.borrowed_ = entry->sorted_values;
+      order.offsets_ = {0, entry->sorted_values.size()};
+      return order;
+    }
+    // Reads the typed arrays (and the null bitmap) directly when the view
+    // has a columnar shadow, the cells otherwise; extracted doubles are
+    // identical to AsDouble().
+    std::vector<NumericOrderEntry>& values = order.numeric_entries_;
+    values.reserve(n);
+    if (cc != nullptr && cc->type == ValueType::kInt64) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = row_at(i);
+        const uint32_t row = view.base_row(r);
+        if (!cc->IsNull(row)) {
+          values.emplace_back(static_cast<double>(cc->i64[row]), r);
+        }
+      }
+    } else if (cc != nullptr && cc->type == ValueType::kDouble) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = row_at(i);
+        const uint32_t row = view.base_row(r);
+        if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
+          values.emplace_back(cc->f64[row], r);
+        }
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = row_at(i);
+        const Value& v = view.ValueAt(r, col);
+        if (v.is_null()) {
+          continue;
+        }
+        const double x = v.AsDouble();
+        if (!std::isnan(x)) {
+          values.emplace_back(x, r);
+        }
       }
     }
-  } else if (cc != nullptr && cc->type == ValueType::kDouble) {
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
-        values.emplace_back(cc->f64[row], idx);
-      }
-    }
-  } else {
-    for (size_t idx : tuples) {
-      const Value& v = view.ValueAt(idx, col);
-      if (v.is_null()) {
-        continue;
-      }
-      const double x = v.AsDouble();
-      if (!std::isnan(x)) {
-        values.emplace_back(x, idx);
-      }
-    }
+    // Pairs are distinct (the row is unique) and NaN-free, so the sorted
+    // vector is the unique total order, whichever rows it was built from.
+    std::sort(values.begin(), values.end());
+    order.offsets_ = {0, values.size()};
+    return order;
   }
-  std::sort(values.begin(), values.end());
-  return values;
+
+  std::vector<KeyOrderEntry>* entries = &order.key_entries_;
+  std::vector<Value>* key_values = &order.key_values_;
+  const auto less = [](const auto& a, const auto& b) { return a < b; };
+  if (cc != nullptr && cc->type == ValueType::kString) {
+    const auto code_value = [cc](uint32_t code) {
+      return Value(cc->dict[code]);
+    };
+    if (entry != nullptr && entry->has_sorted_codes) {
+      RankSortedCells(std::span<const std::pair<uint32_t, uint32_t>>(
+                          entry->sorted_codes),
+                      less, code_value, entries, key_values);
+    } else {
+      std::vector<std::pair<uint32_t, uint32_t>> cells;
+      cells.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = row_at(i);
+        const uint32_t row = view.base_row(r);
+        if (!cc->IsNull(row)) {
+          cells.emplace_back(cc->codes[row], r);
+        }
+      }
+      SortAndRankCells(std::move(cells), less, code_value, entries,
+                       key_values);
+    }
+  } else if (cc != nullptr && cc->type == ValueType::kInt64) {
+    std::vector<std::pair<int64_t, uint32_t>> cells;
+    cells.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = row_at(i);
+      const uint32_t row = view.base_row(r);
+      if (!cc->IsNull(row)) {
+        cells.emplace_back(cc->i64[row], r);
+      }
+    }
+    SortAndRankCells(std::move(cells), less,
+                     [](int64_t v) { return Value(v); }, entries,
+                     key_values);
+  } else if (cc != nullptr && cc->type == ValueType::kDouble) {
+    std::vector<std::pair<double, uint32_t>> cells;
+    cells.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = row_at(i);
+      const uint32_t row = view.base_row(r);
+      if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
+        cells.emplace_back(cc->f64[row], r);
+      }
+    }
+    SortAndRankCells(std::move(cells), less,
+                     [](double v) { return Value(v); }, entries,
+                     key_values);
+  } else {
+    std::vector<std::pair<const Value*, uint32_t>> cells;
+    cells.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = row_at(i);
+      const Value& v = view.ValueAt(r, col);
+      if (!v.is_null() && !(v.is_double() && std::isnan(v.double_value()))) {
+        cells.emplace_back(&v, r);
+      }
+    }
+    SortAndRankCells(
+        std::move(cells),
+        [](const Value* a, const Value* b) { return *a < *b; },
+        [](const Value* v) { return *v; }, entries, key_values);
+  }
+  order.offsets_ = {0, entries->size()};
+  return order;
 }
 
+std::span<const NumericOrderEntry> AttributeOrder::numeric_entries() const {
+  return borrowed_.data() != nullptr
+             ? borrowed_
+             : std::span<const NumericOrderEntry>(numeric_entries_);
+}
+
+std::span<const NumericOrderEntry> AttributeOrder::numeric_run(
+    size_t run) const {
+  return numeric_entries().subspan(offsets_[run],
+                                   offsets_[run + 1] - offsets_[run]);
+}
+
+std::span<const KeyOrderEntry> AttributeOrder::key_run(size_t run) const {
+  return std::span<const KeyOrderEntry>(key_entries_)
+      .subspan(offsets_[run], offsets_[run + 1] - offsets_[run]);
+}
+
+void AttributeOrder::Distribute(const std::vector<int32_t>& slot_of_row,
+                                size_t num_runs) {
+  AUTOCAT_CHECK_LE(num_runs,
+                   static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  if (numeric_) {
+    std::vector<NumericOrderEntry> narrowed;
+    DistributeEntries(numeric_entries(), slot_of_row, num_runs, &narrowed,
+                      &offsets_);
+    numeric_entries_ = std::move(narrowed);
+    borrowed_ = {};
+    return;
+  }
+  std::vector<KeyOrderEntry> narrowed;
+  DistributeEntries(std::span<const KeyOrderEntry>(key_entries_),
+                    slot_of_row, num_runs, &narrowed, &offsets_);
+  key_entries_ = std::move(narrowed);
+}
+
+namespace {
+
 // Resolves [vmin, vmax] from the query's condition when it bounds that
-// side, otherwise from the data.
-void ResolveRange(const std::vector<std::pair<double, size_t>>& values,
+// side, otherwise from the data (a non-empty run).
+void ResolveRange(std::span<const NumericOrderEntry> run,
                   const NumericRange* query_range, double* vmin,
                   double* vmax) {
-  const double data_min = values.front().first;
-  const double data_max = values.back().first;
+  const double data_min = run.front().first;
+  const double data_max = run.back().first;
   *vmin = data_min;
   *vmax = data_max;
   if (query_range != nullptr) {
@@ -507,42 +358,45 @@ void ResolveRange(const std::vector<std::pair<double, size_t>>& values,
   if (*vmax < data_max) *vmax = data_max;
 }
 
-// Number of tuples with value in [lo, hi), or [lo, hi] when closed.
-size_t CountInRange(const std::vector<std::pair<double, size_t>>& values,
-                    double lo, double hi, bool closed) {
-  const auto begin = std::lower_bound(
-      values.begin(), values.end(), lo,
-      [](const auto& pair, double x) { return pair.first < x; });
-  const auto end =
-      closed ? std::upper_bound(values.begin(), values.end(), hi,
-                                [](double x, const auto& pair) {
-                                  return x < pair.first;
-                                })
-             : std::lower_bound(values.begin(), values.end(), hi,
-                                [](const auto& pair, double x) {
-                                  return pair.first < x;
-                                });
-  return static_cast<size_t>(end - begin);
+// Number of run entries with value < x.
+size_t RankBelow(std::span<const NumericOrderEntry> run, double x) {
+  return static_cast<size_t>(
+      std::lower_bound(run.begin(), run.end(), x,
+                       [](const NumericOrderEntry& e, double v) {
+                         return e.first < v;
+                       }) -
+      run.begin());
 }
 
-// The boundary-planning half of Section 5.1.3 — range resolution, bucket
-// count, split-point selection — shared by the partition and summary
-// flavors so both pick identical buckets. Requires non-empty `values`.
-struct NumericBucketPlan {
-  std::vector<double> boundaries;  // ascending; meaningless when degenerate
-  bool degenerate = false;         // vmin == vmax: one closed point bucket
-  double vmin = 0;
-  double vmax = 0;
-};
+// Number of run entries with value <= x.
+size_t RankAtOrBelow(std::span<const NumericOrderEntry> run, double x) {
+  return static_cast<size_t>(
+      std::upper_bound(run.begin(), run.end(), x,
+                       [](double v, const NumericOrderEntry& e) {
+                         return v < e.first;
+                       }) -
+      run.begin());
+}
 
-NumericBucketPlan PlanNumericBuckets(
+}  // namespace
+
+std::vector<NumericBucket> PlanNumericBuckets(
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
-    const std::vector<std::pair<double, size_t>>& values) {
-  NumericBucketPlan plan;
+    std::span<const NumericOrderEntry> run) {
+  std::vector<NumericBucket> out;
+  if (run.empty()) {
+    return out;
+  }
   double vmin = 0;
   double vmax = 0;
-  ResolveRange(values, query_range, &vmin, &vmax);
+  ResolveRange(run, query_range, &vmin, &vmax);
+  if (vmin == vmax) {
+    // Degenerate single-point domain: one closed bucket (no split point
+    // lies strictly inside it).
+    out.push_back(NumericBucket{vmin, vmax, true, 0, run.size()});
+    return out;
+  }
 
   // Derive the bucket count m. The paper leaves m to the system designer
   // (or to the goodness metric); high-goodness boundaries are exactly the
@@ -553,7 +407,7 @@ NumericBucketPlan PlanNumericBuckets(
   if (m == 0) {
     const size_t budget = std::max<size_t>(1, options.max_tuples_per_category);
     const size_t needed =
-        2 * ((values.size() + budget - 1) / budget);  // 2 * ceil(n / M)
+        2 * ((run.size() + budget - 1) / budget);  // 2 * ceil(n / M)
     m = std::clamp<size_t>(needed, 2, std::max<size_t>(2, options.max_buckets));
   }
 
@@ -581,8 +435,11 @@ NumericBucketPlan PlanNumericBuckets(
     m = std::max<size_t>(2, options.max_buckets);
   }
 
-  // Greedily select up to (m - 1) necessary split points.
-  std::set<double> chosen;
+  // Greedily select up to (m - 1) necessary split points, each with its
+  // rank (the entries below it). vmin has rank 0 (it is at most the data
+  // minimum) and the closed end at vmax takes every entry, so a bucket's
+  // count is a rank difference.
+  std::map<double, size_t> chosen;
   const size_t min_bucket = options.min_bucket_tuples;
   for (const SplitPoint& cand : candidates) {
     if (chosen.size() + 1 >= m) {
@@ -596,109 +453,49 @@ NumericBucketPlan PlanNumericBuckets(
     }
     // Neighboring boundaries after a hypothetical insertion.
     const auto next = chosen.upper_bound(cand.v);
-    const double hi_neighbor = (next == chosen.end()) ? vmax : *next;
-    const double lo_neighbor =
-        (next == chosen.begin()) ? vmin : *std::prev(next);
-    const bool hi_is_max = (next == chosen.end());
-    const size_t below =
-        CountInRange(values, lo_neighbor, cand.v, /*closed=*/false);
-    const size_t above =
-        CountInRange(values, cand.v, hi_neighbor, /*closed=*/hi_is_max);
-    if (below < min_bucket || above < min_bucket) {
+    const size_t hi_rank = next == chosen.end() ? run.size() : next->second;
+    const size_t lo_rank = next == chosen.begin() ? 0 : std::prev(next)->second;
+    const size_t rank = RankBelow(run, cand.v);
+    if (rank - lo_rank < min_bucket || hi_rank - rank < min_bucket) {
       continue;  // unnecessary split point: a bucket would be too small
     }
-    chosen.insert(cand.v);
+    chosen.emplace(cand.v, rank);
   }
 
-  plan.boundaries.push_back(vmin);
-  plan.boundaries.insert(plan.boundaries.end(), chosen.begin(),
-                         chosen.end());
-  plan.boundaries.push_back(vmax);
-  plan.degenerate = (vmin == vmax);
-  plan.vmin = vmin;
-  plan.vmax = vmax;
-  return plan;
-}
-
-// Section 5.1.3 over pre-sorted (value, index) pairs, scanned or taken
-// from the attribute index.
-std::vector<PartitionCategory> PartitionNumericCore(
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const std::vector<std::pair<double, size_t>>& values) {
-  if (values.empty()) {
-    return std::vector<PartitionCategory>{};
-  }
-  const NumericBucketPlan plan =
-      PlanNumericBuckets(attribute, stats, options, query_range, values);
-  if (plan.degenerate) {
-    // Degenerate single-point domain: one closed bucket.
-    std::vector<PartitionCategory> out;
-    PartitionCategory category;
-    category.label =
-        CategoryLabel::Numeric(attribute, plan.vmin, plan.vmax, true);
-    for (const auto& [value, idx] : values) {
-      (void)value;
-      category.tuples.push_back(idx);
+  double lo = vmin;
+  size_t lo_rank = 0;
+  for (const auto& [v, rank] : chosen) {
+    if (rank > lo_rank) {
+      out.push_back(NumericBucket{lo, v, false, lo_rank, rank - lo_rank});
     }
-    out.push_back(std::move(category));
-    AUTOCAT_DCHECK(ValidateNumericPartition(out).ok());
-    return out;
+    lo = v;
+    lo_rank = rank;
   }
-  std::vector<PartitionCategory> out =
-      MaterializeBuckets(attribute, values, plan.boundaries);
-  AUTOCAT_DCHECK(ValidateNumericPartition(out).ok());
+  if (run.size() > lo_rank) {
+    out.push_back(
+        NumericBucket{lo, vmax, true, lo_rank, run.size() - lo_rank});
+  }
   return out;
 }
 
-// Summary twin of PartitionNumericCore: the same plan, with per-bucket
-// counts taken by the same binary searches MaterializeBuckets slices
-// with (empties dropped identically).
-std::vector<PartitionSummary> SummarizeNumericCore(
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const std::vector<std::pair<double, size_t>>& values) {
-  if (values.empty()) {
-    return std::vector<PartitionSummary>{};
-  }
-  const NumericBucketPlan plan =
-      PlanNumericBuckets(attribute, stats, options, query_range, values);
-  std::vector<PartitionSummary> out;
-  if (plan.degenerate) {
-    out.push_back(PartitionSummary{
-        CategoryLabel::Numeric(attribute, plan.vmin, plan.vmax, true),
-        values.size()});
-    return out;
-  }
-  for (size_t b = 0; b + 1 < plan.boundaries.size(); ++b) {
-    const double lo = plan.boundaries[b];
-    const double hi = plan.boundaries[b + 1];
-    const bool last = (b + 2 == plan.boundaries.size());
-    const size_t count = CountInRange(values, lo, hi, /*closed=*/last);
-    if (count == 0) {
-      continue;  // drop empty bucket
-    }
-    out.push_back(PartitionSummary{
-        CategoryLabel::Numeric(attribute, lo, hi, last), count});
-  }
-  return out;
-}
+namespace {
 
 // Equi-width partitions past this many buckets are not cut (see
-// EquiWidthCore): the boundary walk stays bounded on any input.
+// EquiWidthBuckets): the boundary walk stays bounded on any input.
 constexpr size_t kMaxEquiWidthBuckets = size_t{1} << 20;
 
-// Section 6.1 equi-width buckets over pre-sorted (value, index) pairs.
-std::vector<PartitionCategory> EquiWidthCore(
-    const std::string& attribute, double width,
-    const NumericRange* query_range,
-    const std::vector<std::pair<double, size_t>>& values) {
-  if (values.empty()) {
-    return std::vector<PartitionCategory>{};
+}  // namespace
+
+std::vector<NumericBucket> EquiWidthBuckets(
+    double width, const NumericRange* query_range,
+    std::span<const NumericOrderEntry> run) {
+  std::vector<NumericBucket> out;
+  if (run.empty()) {
+    return out;
   }
   double vmin = 0;
   double vmax = 0;
-  ResolveRange(values, query_range, &vmin, &vmax);
+  ResolveRange(run, query_range, &vmin, &vmax);
 
   // A range the width cannot cut becomes one closed bucket
   // [first boundary, vmax] holding every value: an unbounded one (an
@@ -719,57 +516,155 @@ std::vector<PartitionCategory> EquiWidthCore(
   if (boundaries.size() < 2) {
     boundaries.push_back(boundaries.front() + width);
   }
-  std::vector<PartitionCategory> out =
-      MaterializeBuckets(attribute, values, boundaries);
+  for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
+    const bool last = (b + 2 == boundaries.size());
+    const size_t begin = RankBelow(run, boundaries[b]);
+    const size_t end = last ? RankAtOrBelow(run, boundaries[b + 1])
+                            : RankBelow(run, boundaries[b + 1]);
+    if (end > begin) {  // drop empty buckets
+      out.push_back(NumericBucket{boundaries[b], boundaries[b + 1], last,
+                                  begin, end - begin});
+    }
+  }
+  return out;
+}
+
+std::vector<PartitionCategory> SliceBuckets(
+    const std::string& attribute, const std::vector<NumericBucket>& buckets,
+    std::span<const NumericOrderEntry> run) {
+  std::vector<PartitionCategory> out;
+  out.reserve(buckets.size());
+  for (const NumericBucket& bucket : buckets) {
+    PartitionCategory category;
+    category.label =
+        CategoryLabel::Numeric(attribute, bucket.lo, bucket.hi, bucket.closed);
+    category.tuples.reserve(bucket.count);
+    for (const auto& [value, row] : run.subspan(bucket.begin, bucket.count)) {
+      (void)value;
+      category.tuples.push_back(row);
+    }
+    out.push_back(std::move(category));
+  }
   AUTOCAT_DCHECK(ValidateNumericPartition(out).ok());
   return out;
 }
 
+std::vector<KeyGroup> GroupKeys(std::span<const KeyOrderEntry> run) {
+  std::vector<KeyGroup> out;
+  for (size_t i = 0; i < run.size(); ++i) {
+    if (i == 0 || run[i].first != run[i - 1].first) {
+      out.push_back(KeyGroup{run[i].first, i, 0});
+    }
+    ++out.back().count;
+  }
+  return out;
+}
+
+void SortGroupsByOccurrence(const std::vector<size_t>& occ_of_key,
+                            std::vector<KeyGroup>* groups) {
+  // Decreasing occurrence count; key order (ascending value) breaks ties.
+  std::stable_sort(groups->begin(), groups->end(),
+                   [&occ_of_key](const KeyGroup& a, const KeyGroup& b) {
+                     return occ_of_key[a.key] > occ_of_key[b.key];
+                   });
+}
+
+std::vector<PartitionCategory> PartitionKeyGroups(
+    const std::string& attribute, const AttributeOrder& order,
+    std::span<const KeyOrderEntry> run, const std::vector<KeyGroup>& groups,
+    const std::vector<size_t>& parent_tuples,
+    std::vector<uint32_t>* group_of_row) {
+  constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
+  for (const size_t t : parent_tuples) {
+    (*group_of_row)[t] = kNoGroup;
+  }
+  std::vector<PartitionCategory> out;
+  out.reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const KeyGroup& group = groups[g];
+    out.push_back(PartitionCategory{
+        CategoryLabel::Categorical(attribute, {order.key_value(group.key)}),
+        {}});
+    out.back().tuples.reserve(group.count);
+    for (const KeyOrderEntry& e : run.subspan(group.begin, group.count)) {
+      (*group_of_row)[e.second] = static_cast<uint32_t>(g);
+    }
+  }
+  // The parent's own order: a numeric parent lists its tuples in (value,
+  // row) order, and the ONE-scenario explorer reads tuples in list order.
+  for (const size_t t : parent_tuples) {
+    const uint32_t g = (*group_of_row)[t];
+    if (g != kNoGroup) {
+      out[g].tuples.push_back(t);
+    }
+  }
+  AUTOCAT_DCHECK(ValidateCategoricalPartition(out).ok());
+  return out;
+}
+
+namespace {
+
+// The one-run order of `attribute` over `tuples`.
+Result<AttributeOrder> NodeOrder(const TableView& view,
+                                 const std::vector<size_t>& tuples,
+                                 const std::string& attribute,
+                                 ColumnKind kind) {
+  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
+                           view.schema().ColumnIndex(attribute));
+  if (kind == ColumnKind::kNumeric &&
+      view.schema().column(col).kind != ColumnKind::kNumeric) {
+    return Status::InvalidArgument("attribute '" + attribute +
+                                   "' is not numeric");
+  }
+  return AttributeOrder::Build(view, col, kind, &tuples, nullptr);
+}
+
 }  // namespace
+
+Result<std::vector<PartitionCategory>> PartitionCategorical(
+    const TableView& view, const std::vector<size_t>& tuples,
+    const std::string& attribute, const WorkloadStats& stats) {
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const AttributeOrder order,
+      NodeOrder(view, tuples, attribute, ColumnKind::kCategorical));
+  std::vector<size_t> occ_of_key(order.num_keys());
+  for (uint32_t key = 0; key < order.num_keys(); ++key) {
+    occ_of_key[key] = stats.OccurrenceCount(attribute, order.key_value(key));
+  }
+  std::vector<KeyGroup> groups = GroupKeys(order.key_run(0));
+  SortGroupsByOccurrence(occ_of_key, &groups);
+  std::vector<uint32_t> group_of_row(view.num_rows());
+  return PartitionKeyGroups(attribute, order, order.key_run(0), groups,
+                            tuples, &group_of_row);
+}
 
 Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return PartitionNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
+    const NumericPartitionOptions& options, const NumericRange* query_range) {
   AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(view, tuples, col, attribute));
-  return PartitionNumericCore(attribute, stats, options, query_range,
-                              values);
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
-    const TableView& view, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return SummarizeNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(view, tuples, col, attribute));
-  return SummarizeNumericCore(attribute, stats, options, query_range,
-                              values);
+      const AttributeOrder order,
+      NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
+  return SliceBuckets(attribute,
+                      PlanNumericBuckets(attribute, stats, options,
+                                         query_range, order.numeric_run(0)),
+                      order.numeric_run(0));
 }
 
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  return ArbitraryCategoricalFromGroups(attribute, rng,
-                                        GroupsOf(view, tuples, col));
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const AttributeOrder order,
+      NodeOrder(view, tuples, attribute, ColumnKind::kCategorical));
+  std::vector<uint32_t> group_of_row(view.num_rows());
+  std::vector<PartitionCategory> out = PartitionKeyGroups(
+      attribute, order, order.key_run(0), GroupKeys(order.key_run(0)),
+      tuples, &group_of_row);
+  if (rng != nullptr) {
+    rng->Shuffle(out);
+  }
+  return out;
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
@@ -779,11 +674,12 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
   if (!(width > 0 && std::isfinite(width))) {
     return Status::InvalidArgument("bucket width must be positive and finite");
   }
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
   AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(view, tuples, col, attribute));
-  return EquiWidthCore(attribute, width, query_range, values);
+      const AttributeOrder order,
+      NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
+  return SliceBuckets(
+      attribute, EquiWidthBuckets(width, query_range, order.numeric_run(0)),
+      order.numeric_run(0));
 }
 
 }  // namespace autocat

@@ -63,17 +63,30 @@ size_t ProbabilityEstimator::NOverlap(const CategoryLabel& label) const {
                                                     label.lo(), label.hi());
 }
 
+double ProbabilityEstimator::OverlapFraction(size_t overlap, size_t nattr) {
+  const double p = std::clamp(
+      static_cast<double>(overlap) / static_cast<double>(nattr), 0.0, 1.0);
+  AUTOCAT_DCHECK(IsValidProbability(p));
+  return p;
+}
+
 double ProbabilityEstimator::ExplorationProbability(
     const CategoryLabel& label) const {
   const size_t nattr = stats_->AttrUsageCount(label.attribute());
   if (nattr == 0) {
     return 0.0;
   }
-  const size_t overlap = NOverlap(label);
-  const double p = std::clamp(
-      static_cast<double>(overlap) / static_cast<double>(nattr), 0.0, 1.0);
-  AUTOCAT_DCHECK(IsValidProbability(p));
-  return p;
+  return OverlapFraction(NOverlap(label), nattr);
+}
+
+double ProbabilityEstimator::IntervalExplorationProbability(
+    std::string_view attribute, double lo, double hi) const {
+  const size_t nattr = stats_->AttrUsageCount(attribute);
+  if (nattr == 0) {
+    return 0.0;
+  }
+  return OverlapFraction(
+      stats_->CountConditionsOverlappingInterval(attribute, lo, hi), nattr);
 }
 
 }  // namespace autocat

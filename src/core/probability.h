@@ -51,6 +51,12 @@ class ProbabilityEstimator {
   /// P(C) for a category carrying `label`.
   double ExplorationProbability(const CategoryLabel& label) const;
 
+  /// P(C) for a numeric bucket on `attribute` with bounds [lo, hi] (the
+  /// closed end does not matter): ExplorationProbability of such a label,
+  /// without building one.
+  double IntervalExplorationProbability(std::string_view attribute,
+                                        double lo, double hi) const;
+
   /// NOverlap(C): workload queries whose condition on the label's
   /// attribute overlaps the label.
   size_t NOverlap(const CategoryLabel& label) const;
@@ -59,6 +65,9 @@ class ProbabilityEstimator {
   const Schema& schema() const { return *schema_; }
 
  private:
+  // overlap / nattr clamped to [0, 1]; 0 when nattr is 0.
+  static double OverlapFraction(size_t overlap, size_t nattr);
+
   const WorkloadStats* stats_;
   const Schema* schema_;
 };

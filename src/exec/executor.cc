@@ -43,7 +43,7 @@ void Database::PutTable(std::string_view name, Table table) {
 }
 
 Result<const Table*> Database::GetTable(std::string_view name) const {
-  const auto it = tables_.find(ToLower(name));
+  const auto it = FindLowercase(tables_, name);
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
@@ -52,7 +52,7 @@ Result<const Table*> Database::GetTable(std::string_view name) const {
 
 Result<std::shared_ptr<const ColumnarTable>> Database::ColumnarFor(
     std::string_view name) const {
-  const auto it = tables_.find(ToLower(name));
+  const auto it = FindLowercase(tables_, name);
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
@@ -64,7 +64,7 @@ Result<std::shared_ptr<const ColumnarTable>> Database::ColumnarFor(
 }
 
 bool Database::HasTable(std::string_view name) const {
-  return tables_.count(ToLower(name)) > 0;
+  return FindLowercase(tables_, name) != tables_.end();
 }
 
 std::vector<std::string> Database::TableNames() const {

@@ -1,6 +1,7 @@
 #ifndef AUTOCAT_EXEC_EXECUTOR_H_
 #define AUTOCAT_EXEC_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,7 +65,7 @@ class Database {
   };
   static std::shared_ptr<const ColumnarTable> ShadowOf(const Table& table);
 
-  std::map<std::string, Entry> tables_;  // keyed by lowercase name
+  std::map<std::string, Entry, std::less<>> tables_;  // keyed by lowercase name
 };
 
 /// Executes a parsed selection/projection query against `db`: scans the

@@ -1,6 +1,7 @@
 #include "exec/pipeline/cold_path.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -20,11 +21,35 @@ double NowMs() {
       .count();
 }
 
-// The root-level attribute index over the view's rows (see
-// storage/attr_index.h): sorted non-NULL, non-NaN (value, position) pairs
-// for numeric columns and ascending dictionary groups for string columns.
-// Values are read exactly as the partitioners' typed fast paths read
-// them, so an entry equals what a direct scan would have produced.
+// Stable LSD radix sort of (code, position) pairs by code, 8 bits a pass,
+// as many passes as the dictionary's largest code needs. The input is in
+// position order, so the output is in (code, position) order: O(k) per
+// pass with 256 counters, where a comparison sort costs O(k log k).
+void SortByCode(size_t dict_size,
+                std::vector<std::pair<uint32_t, uint32_t>>* pairs) {
+  std::vector<std::pair<uint32_t, uint32_t>> scratch(pairs->size());
+  for (uint64_t shift = 0; shift < 32 && (uint64_t{1} << shift) < dict_size;
+       shift += 8) {
+    std::array<size_t, 257> offsets{};
+    for (const auto& p : *pairs) {
+      ++offsets[((p.first >> shift) & 255) + 1];
+    }
+    for (size_t d = 0; d < 256; ++d) {
+      offsets[d + 1] += offsets[d];
+    }
+    for (const auto& p : *pairs) {
+      scratch[offsets[(p.first >> shift) & 255]++] = p;
+    }
+    pairs->swap(scratch);
+  }
+}
+
+// The attribute index over the view's rows (see storage/attr_index.h):
+// sorted non-NULL, non-NaN (value, position) pairs for numeric columns
+// and (dictionary code, position) pairs sorted by code for string
+// columns. Values
+// are read exactly as the partitioners' typed fast paths read them, so an
+// entry equals the order a direct scan and sort would have produced.
 ResultAttributeIndex BuildAttributeIndex(
     const TableView& view, const ColumnarTable& columnar,
     const std::vector<std::string>* stats_attributes) {
@@ -33,11 +58,39 @@ ResultAttributeIndex BuildAttributeIndex(
   ResultAttributeIndex index;
   index.num_rows = selection.size();
   index.columns.assign(schema.num_columns(), {});
+  // Dense selections rank-filter a numeric column's per-table
+  // `sorted_order` in one sequential walk over the base rows instead of
+  // sorting the survivors again. Both orders are (value asc, position
+  // asc), so the output is element-identical; the 1/16 cutoff is roughly
+  // where the walk and the O(k log k) sort cross over.
+  const bool dense = selection.size() * 16 >= columnar.num_rows();
   // Survivor bitmap over base rows and the survivor count before each
   // word, built for the first column that rank-filters: the selection
   // ascends, so the position of base row r is its rank in the bitmap.
   std::vector<uint64_t> words;
   std::vector<size_t> word_rank;
+  const auto position_of = [&](uint32_t row, size_t* pos) {
+    if (words.empty()) {
+      words.assign((columnar.num_rows() + 63) / 64, 0);
+      for (const uint32_t r : selection) {
+        words[r >> 6] |= uint64_t{1} << (r & 63);
+      }
+      word_rank.resize(words.size());
+      size_t running = 0;
+      for (size_t w = 0; w < words.size(); ++w) {
+        word_rank[w] = running;
+        running += static_cast<size_t>(std::popcount(words[w]));
+      }
+    }
+    const uint64_t word = words[row >> 6];
+    if (((word >> (row & 63)) & 1) == 0) {
+      return false;
+    }
+    *pos = word_rank[row >> 6] +
+           static_cast<size_t>(
+               std::popcount(word & ((uint64_t{1} << (row & 63)) - 1)));
+    return true;
+  };
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (stats_attributes != nullptr &&
         std::find(stats_attributes->begin(), stats_attributes->end(),
@@ -46,39 +99,18 @@ ResultAttributeIndex BuildAttributeIndex(
     }
     AttributeIndexEntry& entry = index.columns[c];
     const ColumnarTable::Column& cc = columnar.column(view.base_column(c));
+    size_t pos = 0;
     if (schema.column(c).kind == ColumnKind::kNumeric) {
       // Schema::Create admits only int64/double numeric columns.
       const bool i64 = cc.type == ValueType::kInt64;
       entry.has_sorted_values = true;
-      entry.sorted_values.reserve(selection.size());
-      // Dense selections rank-filter the per-table sorted order (one
-      // sequential walk over the base rows) instead of sorting the
-      // survivors' values again. Both orders are (value asc, position
-      // asc), so the output is element-identical; the 1/16 cutoff is
-      // roughly where the walk and the O(k log k) sort cross over.
-      if (!cc.sorted_order.empty() &&
-          selection.size() * 16 >= columnar.num_rows()) {
-        if (words.empty()) {
-          words.assign((columnar.num_rows() + 63) / 64, 0);
-          for (const uint32_t row : selection) {
-            words[row >> 6] |= uint64_t{1} << (row & 63);
-          }
-          word_rank.resize(words.size());
-          size_t running = 0;
-          for (size_t w = 0; w < words.size(); ++w) {
-            word_rank[w] = running;
-            running += static_cast<size_t>(std::popcount(words[w]));
-          }
-        }
+      std::vector<std::pair<double, size_t>>& out = entry.sorted_values;
+      out.reserve(selection.size());
+      if (dense && !cc.sorted_order.empty()) {
         // `sorted_order` holds no NULL or NaN row.
         for (const uint32_t row : cc.sorted_order) {
-          const uint64_t word = words[row >> 6];
-          if ((word >> (row & 63)) & 1) {
-            const size_t pos =
-                word_rank[row >> 6] +
-                static_cast<size_t>(std::popcount(
-                    word & ((uint64_t{1} << (row & 63)) - 1)));
-            entry.sorted_values.emplace_back(
+          if (position_of(row, &pos)) {
+            out.emplace_back(
                 i64 ? static_cast<double>(cc.i64[row]) : cc.f64[row], pos);
           }
         }
@@ -92,35 +124,24 @@ ResultAttributeIndex BuildAttributeIndex(
         const double value =
             i64 ? static_cast<double>(cc.i64[row]) : cc.f64[row];
         if (!std::isnan(value)) {
-          entry.sorted_values.emplace_back(value, k);
+          out.emplace_back(value, k);
         }
       }
       // Pairs are distinct (the position is unique) and NaN-free, so the
       // sorted vector is the unique total order — identical to sorting
       // the same pairs collected any other way.
-      std::sort(entry.sorted_values.begin(), entry.sorted_values.end());
+      std::sort(out.begin(), out.end());
     } else if (cc.type == ValueType::kString) {
-      std::vector<std::vector<size_t>> buckets(cc.dict.size());
-      std::vector<uint32_t> touched;
-      // Ascending positions per bucket.
+      entry.has_sorted_codes = true;
+      std::vector<std::pair<uint32_t, uint32_t>>& out = entry.sorted_codes;
+      out.reserve(selection.size());
       for (size_t k = 0; k < selection.size(); ++k) {
         const uint32_t row = selection[k];
-        if (cc.IsNull(row)) {
-          continue;
+        if (!cc.IsNull(row)) {
+          out.emplace_back(cc.codes[row], static_cast<uint32_t>(k));
         }
-        const uint32_t code = cc.codes[row];
-        if (buckets[code].empty()) {
-          touched.push_back(code);
-        }
-        buckets[code].push_back(k);
       }
-      std::sort(touched.begin(), touched.end());
-      entry.has_groups = true;
-      entry.groups.reserve(touched.size());
-      for (const uint32_t code : touched) {
-        entry.groups.emplace_back(Value(cc.dict[code]),
-                                  std::move(buckets[code]));
-      }
+      SortByCode(cc.dict.size(), &out);
     }
   }
   return index;

@@ -36,7 +36,7 @@ Result<std::shared_ptr<const CachedCategorization>> CachedCategorization::
   AUTOCAT_ASSIGN_OR_RETURN(CategoryTree tree, build_tree(payload->result_));
   payload->tree_ = std::move(tree);
   payload->approx_bytes_ =
-      ApproxTableBytes(payload->result_) + ApproxTreeBytes(payload->tree_);
+      ApproxTableBytes(payload->result_) + ApproxTreeBytes(*payload->tree_);
   return std::shared_ptr<const CachedCategorization>(std::move(payload));
 }
 
@@ -49,7 +49,7 @@ Result<std::shared_ptr<const CachedCategorization>> CachedCategorization::
       new CachedCategorization(std::move(result)));
   AUTOCAT_ASSIGN_OR_RETURN(CategoryTree tree, build_tree(payload->result_));
   payload->tree_ = std::move(tree);
-  payload->approx_bytes_ = table_bytes + ApproxTreeBytes(payload->tree_);
+  payload->approx_bytes_ = table_bytes + ApproxTreeBytes(*payload->tree_);
   return std::shared_ptr<const CachedCategorization>(std::move(payload));
 }
 

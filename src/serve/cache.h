@@ -7,6 +7,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ class CachedCategorization {
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);
 
   const Table& result() const { return result_; }
-  const CategoryTree& tree() const { return tree_; }
+  const CategoryTree& tree() const { return *tree_; }
   size_t result_rows() const { return result_.num_rows(); }
 
   /// The byte estimate used for cache capacity accounting: table cells
@@ -50,11 +51,12 @@ class CachedCategorization {
   size_t approx_bytes() const { return approx_bytes_; }
 
  private:
-  explicit CachedCategorization(Table result)
-      : result_(std::move(result)), tree_(&result_) {}
+  explicit CachedCategorization(Table result) : result_(std::move(result)) {}
 
   Table result_;
-  CategoryTree tree_;
+  // Set by Build; empty only while the builder runs (a placeholder tree
+  // would allocate a root over every row just to be replaced).
+  std::optional<CategoryTree> tree_;
   size_t approx_bytes_ = 0;
 };
 

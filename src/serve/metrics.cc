@@ -34,6 +34,12 @@ std::string_view ServeOperatorToString(ServeOperator op) {
       return "stats_build";
     case ServeOperator::kCategorize:
       return "categorize";
+    case ServeOperator::kCategorizeOrders:
+      return "categorize_orders";
+    case ServeOperator::kCategorizeScore:
+      return "categorize_score";
+    case ServeOperator::kCategorizeAttach:
+      return "categorize_attach";
   }
   return "unknown";
 }

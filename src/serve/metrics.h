@@ -31,7 +31,8 @@ std::string_view ServeOutcomeToString(ServeOutcome outcome);
 /// named after the pipeline operators (DESIGN.md §14). Each operator is
 /// recorded once per request that reaches it, except kStatsBuild, which
 /// is recorded once per per-table WorkloadStats build: when a table is
-/// installed, its schema changes, or the workload is rebuilt.
+/// installed, its schema changes, or the workload is rebuilt. The three
+/// kCategorize* phases (see CategorizeTimings) are parts of kCategorize.
 enum class ServeOperator {
   kParse = 0,
   kFilter,
@@ -39,8 +40,11 @@ enum class ServeOperator {
   kAttrIndex,
   kStatsBuild,
   kCategorize,
+  kCategorizeOrders,
+  kCategorizeScore,
+  kCategorizeAttach,
 };
-inline constexpr size_t kNumServeOperators = 6;
+inline constexpr size_t kNumServeOperators = 9;
 
 std::string_view ServeOperatorToString(ServeOperator op);
 

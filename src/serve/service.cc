@@ -302,9 +302,10 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   }
 
   const double categorize_start = WallMs();
+  CategorizeTimings phases;
   const auto build_tree = [&](const Table& owned) -> Result<CategoryTree> {
     return categorizer.Categorize(view, owned, &canonical.profile,
-                                  &scan.attr_index);
+                                  &scan.attr_index, &phases);
   };
   AUTOCAT_ASSIGN_OR_RETURN(
       auto payload,
@@ -312,6 +313,11 @@ CategorizationService::AttemptServe(const SelectQuery& query,
                                   build_tree));
   metrics_.RecordOperator(ServeOperator::kCategorize,
                           WallMs() - categorize_start);
+  metrics_.RecordOperator(ServeOperator::kCategorizeOrders,
+                          phases.orders_ms);
+  metrics_.RecordOperator(ServeOperator::kCategorizeScore, phases.score_ms);
+  metrics_.RecordOperator(ServeOperator::kCategorizeAttach,
+                          phases.attach_ms);
   if (!request.bypass_cache) {
     cache_.Insert(canonical.key, canonical.hash, payload, observed_epoch);
     traffic_.Record(false, canonical.profile);

@@ -347,13 +347,13 @@ Result<AttributeCondition> UnionConditions(const AttributeCondition& a,
       "OR mixing a value-set and a range condition on one attribute");
 }
 
-Result<std::map<std::string, AttributeCondition>> NormalizeExpr(
+Result<SelectionProfile::ConditionMap> NormalizeExpr(
     const Expr& expr, const Schema& schema);
 
-Result<std::map<std::string, AttributeCondition>> NormalizeLogical(
+Result<SelectionProfile::ConditionMap> NormalizeLogical(
     const LogicalExpr& expr, const Schema& schema) {
   if (expr.op() == LogicalExpr::Op::kAnd) {
-    std::map<std::string, AttributeCondition> merged;
+    SelectionProfile::ConditionMap merged;
     for (const auto& child : expr.children()) {
       AUTOCAT_ASSIGN_OR_RETURN(auto child_conds,
                                NormalizeExpr(*child, schema));
@@ -370,7 +370,7 @@ Result<std::map<std::string, AttributeCondition>> NormalizeLogical(
     return merged;
   }
   // OR: every disjunct must constrain exactly the same single attribute.
-  std::map<std::string, AttributeCondition> merged;
+  SelectionProfile::ConditionMap merged;
   for (const auto& child : expr.children()) {
     AUTOCAT_ASSIGN_OR_RETURN(auto child_conds, NormalizeExpr(*child, schema));
     if (child_conds.size() != 1) {
@@ -392,13 +392,13 @@ Result<std::map<std::string, AttributeCondition>> NormalizeLogical(
   return merged;
 }
 
-Result<std::map<std::string, AttributeCondition>> NormalizeExpr(
+Result<SelectionProfile::ConditionMap> NormalizeExpr(
     const Expr& expr, const Schema& schema) {
   if (expr.kind() == ExprKind::kLogical) {
     return NormalizeLogical(static_cast<const LogicalExpr&>(expr), schema);
   }
   AUTOCAT_ASSIGN_OR_RETURN(auto leaf, NormalizeLeaf(expr, schema));
-  std::map<std::string, AttributeCondition> out;
+  SelectionProfile::ConditionMap out;
   out.emplace(std::move(leaf.first), std::move(leaf.second));
   return out;
 }
@@ -422,12 +422,12 @@ Result<SelectionProfile> SelectionProfile::FromQuery(
 }
 
 bool SelectionProfile::Constrains(std::string_view attribute) const {
-  return conditions_.count(ToLower(attribute)) > 0;
+  return FindLowercase(conditions_, attribute) != conditions_.end();
 }
 
 const AttributeCondition* SelectionProfile::Find(
     std::string_view attribute) const {
-  const auto it = conditions_.find(ToLower(attribute));
+  const auto it = FindLowercase(conditions_, attribute);
   return it == conditions_.end() ? nullptr : &it->second;
 }
 

@@ -1,6 +1,7 @@
 #ifndef AUTOCAT_SQL_SELECTION_H_
 #define AUTOCAT_SQL_SELECTION_H_
 
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -106,8 +107,10 @@ class SelectionProfile {
   static Result<SelectionProfile> FromQuery(const SelectQuery& query,
                                             const Schema& schema);
 
-  /// Conditions keyed by lowercase attribute name.
-  const std::map<std::string, AttributeCondition>& conditions() const {
+  /// Conditions keyed by lowercase attribute name (transparent
+  /// comparison: see FindLowercase).
+  using ConditionMap = std::map<std::string, AttributeCondition, std::less<>>;
+  const ConditionMap& conditions() const {
     return conditions_;
   }
 
@@ -137,7 +140,7 @@ class SelectionProfile {
   std::string ToString() const;
 
  private:
-  std::map<std::string, AttributeCondition> conditions_;
+  ConditionMap conditions_;
 };
 
 }  // namespace autocat

@@ -6,42 +6,41 @@
 #include <utility>
 #include <vector>
 
-#include "common/value.h"
-
 namespace autocat {
 
-/// Per-attribute access structure over one materialized query result,
-/// built by the cold path's last step from the selection (see
+/// Per-attribute key order over one materialized query result, built by
+/// the cold path's last step from the selection (see
 /// exec/pipeline/cold_path.h).
 ///
-/// An entry describes the *root-level* tuple set — every row of the
-/// result, i.e. the identity tuple list 0..n-1 — in exactly the shape the
-/// partitioners consume:
+/// An entry covers every row of the result, in exactly the order the
+/// categorizer starts from (core/partition.h, `AttributeOrder`): it is the
+/// level-1 order of its attribute, which the categorizer then narrows
+/// level by level to the rows of the categories still to partition.
 ///   - numeric columns: the non-NULL, non-NaN (value, row) pairs sorted
-///     ascending
-///     (the `SortedNumericValues` shape; pairs are distinct because the
-///     row index is unique, so the sorted order is a total order and any
-///     correct sort produces the identical vector);
-///   - dictionary-encoded categorical string columns: one group per
-///     distinct value in ascending value order (== ascending dictionary
-///     code order), each group's row indices ascending (the `GroupsOf`
-///     shape).
-/// Columns that fit neither shape (non-string categoricals) simply have
-/// no entry and consumers fall back to their generic scan.
+///     ascending (pairs are distinct because the row index is unique, so
+///     the sorted order is a total order and any correct sort produces the
+///     identical vector);
+///   - dictionary-encoded categorical string columns: the (dictionary
+///     code, row) pairs of the non-NULL cells sorted ascending — the rows
+///     of one value are contiguous, in value order (the dictionary is
+///     sorted, so code order is value order). Codes index the dictionary
+///     of the shadow the result was selected from.
+/// Columns that fit neither shape (non-string categoricals) have no entry,
+/// and the categorizer sorts their cells once per request instead.
 struct AttributeIndexEntry {
-  /// Sorted non-NULL (value, row) pairs of a numeric column.
+  /// Sorted non-NULL, non-NaN (value, row) pairs of a numeric column.
   bool has_sorted_values = false;
   std::vector<std::pair<double, size_t>> sorted_values;
 
-  /// Ascending-value groups of a categorical string column.
-  bool has_groups = false;
-  std::vector<std::pair<Value, std::vector<size_t>>> groups;
+  /// Sorted non-NULL (dictionary code, row) pairs of a categorical string
+  /// column.
+  bool has_sorted_codes = false;
+  std::vector<std::pair<uint32_t, uint32_t>> sorted_codes;
 };
 
-/// One entry per result-schema column (same order). A consumer may use an
-/// entry only for the identity tuple set over all `num_rows` rows — any
-/// proper subset (or reordered set) must be rescanned, since the entry
-/// has no way to restrict itself.
+/// One entry per result-schema column (same order). Rows are result rows
+/// (selection positions), so an entry is valid only with a view of the
+/// same selection over the same shadow.
 struct ResultAttributeIndex {
   size_t num_rows = 0;
   std::vector<AttributeIndexEntry> columns;
@@ -50,21 +49,6 @@ struct ResultAttributeIndex {
     return col < columns.size() ? &columns[col] : nullptr;
   }
 };
-
-/// True when `tuples` is exactly the identity list 0..n-1 over `n` rows —
-/// the only tuple set a ResultAttributeIndex entry answers for. O(n) with
-/// early exit; callers pay this only to avoid an O(n log n) rescan.
-inline bool IsIdentityTupleSet(const std::vector<size_t>& tuples, size_t n) {
-  if (tuples.size() != n) {
-    return false;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (tuples[i] != i) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace autocat
 

@@ -39,7 +39,7 @@ Result<Schema> Schema::Create(std::vector<ColumnDef> columns) {
 }
 
 Result<size_t> Schema::ColumnIndex(std::string_view name) const {
-  const auto it = index_by_lower_name_.find(ToLower(name));
+  const auto it = FindLowercase(index_by_lower_name_, name);
   if (it == index_by_lower_name_.end()) {
     return Status::NotFound("no column named '" + std::string(name) + "'");
   }
@@ -47,7 +47,8 @@ Result<size_t> Schema::ColumnIndex(std::string_view name) const {
 }
 
 bool Schema::HasColumn(std::string_view name) const {
-  return index_by_lower_name_.count(ToLower(name)) > 0;
+  return FindLowercase(index_by_lower_name_, name) !=
+         index_by_lower_name_.end();
 }
 
 std::string Schema::ToString() const {

@@ -2,6 +2,7 @@
 #define AUTOCAT_STORAGE_SCHEMA_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -59,8 +60,18 @@ class Schema {
   bool operator==(const Schema& other) const;
 
  private:
+  // Hashes std::string and std::string_view alike, so lookups by a view
+  // build no key string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<ColumnDef> columns_;
-  std::unordered_map<std::string, size_t> index_by_lower_name_;
+  std::unordered_map<std::string, size_t, NameHash, std::equal_to<>>
+      index_by_lower_name_;
 };
 
 }  // namespace autocat

@@ -61,7 +61,8 @@ Result<WorkloadStats> WorkloadStats::Build(
     const WorkloadStatsOptions& options, const ParallelOptions& parallel) {
   WorkloadStats stats;
   stats.num_queries_ = workload.size();
-  stats.intervals_ = options.split_intervals;
+  stats.intervals_.insert(options.split_intervals.begin(),
+                          options.split_intervals.end());
   stats.default_interval_ = options.default_split_interval;
   if (options.default_split_interval <= 0) {
     return Status::InvalidArgument("split interval must be positive");
@@ -187,7 +188,7 @@ Result<WorkloadStats> WorkloadStats::Build(
 }
 
 size_t WorkloadStats::AttrUsageCount(std::string_view attribute) const {
-  const auto it = attr_usage_.find(ToLower(attribute));
+  const auto it = FindLowercase(attr_usage_, attribute);
   return it == attr_usage_.end() ? 0 : it->second;
 }
 
@@ -201,9 +202,8 @@ double WorkloadStats::AttrUsageFraction(std::string_view attribute) const {
 
 size_t WorkloadStats::OccurrenceCount(std::string_view attribute,
                                       const Value& v) const {
-  const std::string key = ToLower(attribute);
   size_t count = 0;
-  const auto occ_it = occurrence_.find(key);
+  const auto occ_it = FindLowercase(occurrence_, attribute);
   if (occ_it != occurrence_.end()) {
     const auto val_it = occ_it->second.find(v);
     if (val_it != occ_it->second.end()) {
@@ -213,7 +213,7 @@ size_t WorkloadStats::OccurrenceCount(std::string_view attribute,
   // For numeric attributes, range conditions containing v also count as
   // occurrences of v.
   if (v.is_numeric()) {
-    const auto num_it = numeric_.find(key);
+    const auto num_it = FindLowercase(numeric_, attribute);
     if (num_it != numeric_.end()) {
       const double x = v.AsDouble();
       count += num_it->second.CountOverlapping(x, x);
@@ -225,7 +225,7 @@ size_t WorkloadStats::OccurrenceCount(std::string_view attribute,
 std::vector<std::pair<Value, size_t>> WorkloadStats::OccurrenceCountsSorted(
     std::string_view attribute) const {
   std::vector<std::pair<Value, size_t>> out;
-  const auto it = occurrence_.find(ToLower(attribute));
+  const auto it = FindLowercase(occurrence_, attribute);
   if (it == occurrence_.end()) {
     return out;
   }
@@ -242,13 +242,12 @@ std::vector<std::pair<Value, size_t>> WorkloadStats::OccurrenceCountsSorted(
 
 size_t WorkloadStats::CountConditionsOverlappingInterval(
     std::string_view attribute, double a, double b) const {
-  const std::string key = ToLower(attribute);
   size_t count = 0;
-  const auto num_it = numeric_.find(key);
+  const auto num_it = FindLowercase(numeric_, attribute);
   if (num_it != numeric_.end()) {
     count += num_it->second.CountOverlapping(a, b);
   }
-  const auto set_it = numeric_set_conditions_.find(key);
+  const auto set_it = FindLowercase(numeric_set_conditions_, attribute);
   if (set_it != numeric_set_conditions_.end()) {
     for (const AttributeCondition& cond : set_it->second) {
       if (cond.OverlapsClosedInterval(a, b)) {
@@ -267,7 +266,7 @@ size_t WorkloadStats::CountConditionsOverlappingSet(
   if (values.size() == 1) {
     return OccurrenceCount(attribute, *values.begin());
   }
-  const auto it = raw_conditions_.find(ToLower(attribute));
+  const auto it = FindLowercase(raw_conditions_, attribute);
   if (it == raw_conditions_.end()) {
     return 0;
   }
@@ -283,7 +282,7 @@ size_t WorkloadStats::CountConditionsOverlappingSet(
 std::vector<SplitPoint> WorkloadStats::SplitPointsInRange(
     std::string_view attribute, double lo, double hi) const {
   std::vector<SplitPoint> out;
-  const auto it = numeric_.find(ToLower(attribute));
+  const auto it = FindLowercase(numeric_, attribute);
   if (it == numeric_.end()) {
     return out;
   }
@@ -304,7 +303,7 @@ std::vector<SplitPoint> WorkloadStats::SplitPointsInRange(
 }
 
 double WorkloadStats::split_interval(std::string_view attribute) const {
-  const auto it = intervals_.find(ToLower(attribute));
+  const auto it = FindLowercase(intervals_, attribute);
   return it == intervals_.end() ? default_interval_ : it->second;
 }
 
@@ -351,7 +350,7 @@ Result<Table> WorkloadStats::OccurrenceCountsTable(
 
 Result<Table> WorkloadStats::SplitPointsTable(
     std::string_view attribute) const {
-  const auto it = numeric_.find(ToLower(attribute));
+  const auto it = FindLowercase(numeric_, attribute);
   if (it == numeric_.end()) {
     return Status::NotFound("no split points recorded for attribute '" +
                             std::string(attribute) + "'");

@@ -1,6 +1,7 @@
 #ifndef AUTOCAT_WORKLOAD_COUNTS_H_
 #define AUTOCAT_WORKLOAD_COUNTS_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -125,19 +126,24 @@ class WorkloadStats {
     size_t CountOverlapping(double a, double b) const;
   };
 
+  // Every table is keyed by lowercase attribute name and compares
+  // transparently, so lookups by a lowercase view build no key string
+  // (see FindLowercase).
+  template <typename T>
+  using ByAttribute = std::map<std::string, T, std::less<>>;
+
   size_t num_queries_ = 0;
-  std::map<std::string, double> intervals_;
+  ByAttribute<double> intervals_;
   double default_interval_ = 1.0;
-  std::map<std::string, size_t> attr_usage_;                // NAttr
-  std::map<std::string, std::map<Value, size_t>> occurrence_;  // occ(v)
-  std::map<std::string, NumericCounts> numeric_;
+  ByAttribute<size_t> attr_usage_;                   // NAttr
+  ByAttribute<std::map<Value, size_t>> occurrence_;  // occ(v)
+  ByAttribute<NumericCounts> numeric_;
   // Raw conditions per attribute, for exact answers on label shapes the
   // fast paths do not cover (multi-value labels).
-  std::map<std::string, std::vector<AttributeCondition>> raw_conditions_;
+  ByAttribute<std::vector<AttributeCondition>> raw_conditions_;
   // Value-set conditions on numeric attributes (rare), scanned by the
   // interval-overlap path on top of the grid counts.
-  std::map<std::string, std::vector<AttributeCondition>>
-      numeric_set_conditions_;
+  ByAttribute<std::vector<AttributeCondition>> numeric_set_conditions_;
 };
 
 }  // namespace autocat

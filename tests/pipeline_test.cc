@@ -108,15 +108,9 @@ void ExpectIndexesIdentical(const ResultAttributeIndex& a,
       ASSERT_EQ(ea.sorted_values[k].second, eb.sorted_values[k].second)
           << context << " col " << c << " pair " << k;
     }
-    ASSERT_EQ(ea.has_groups, eb.has_groups) << context << " col " << c;
-    ASSERT_EQ(ea.groups.size(), eb.groups.size()) << context << " col "
-                                                  << c;
-    for (size_t g = 0; g < ea.groups.size(); ++g) {
-      ASSERT_TRUE(BitIdentical(ea.groups[g].first, eb.groups[g].first))
-          << context << " col " << c << " group " << g;
-      ASSERT_EQ(ea.groups[g].second, eb.groups[g].second)
-          << context << " col " << c << " group " << g;
-    }
+    ASSERT_EQ(ea.has_sorted_codes, eb.has_sorted_codes)
+        << context << " col " << c;
+    ASSERT_EQ(ea.sorted_codes, eb.sorted_codes) << context << " col " << c;
   }
 }
 
@@ -257,8 +251,9 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
 
 // From-scratch reference for the attribute index: rescan the
 // materialized result exactly the way the partitioners would (NULL and
-// NaN cells join no numeric bucket, so they have no pair).
-void ExpectIndexMatchesRescan(const Table& result,
+// NaN cells join no numeric bucket, so they have no pair; a string cell's
+// key is its code in the base shadow's sorted dictionary).
+void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
                               const ResultAttributeIndex& index,
                               const std::string& context) {
   ASSERT_EQ(index.num_rows, result.num_rows()) << context;
@@ -267,7 +262,7 @@ void ExpectIndexMatchesRescan(const Table& result,
     const AttributeIndexEntry& entry = index.columns[c];
     if (result.schema().column(c).kind == ColumnKind::kNumeric) {
       ASSERT_TRUE(entry.has_sorted_values) << context << " col " << c;
-      ASSERT_FALSE(entry.has_groups) << context << " col " << c;
+      ASSERT_FALSE(entry.has_sorted_codes) << context << " col " << c;
       std::vector<std::pair<double, size_t>> expected;
       for (size_t r = 0; r < result.num_rows(); ++r) {
         const Value v = result.ValueAt(r, c);
@@ -278,24 +273,24 @@ void ExpectIndexMatchesRescan(const Table& result,
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(entry.sorted_values, expected) << context << " col " << c;
     } else {
-      ASSERT_TRUE(entry.has_groups) << context << " col " << c;
+      ASSERT_TRUE(entry.has_sorted_codes) << context << " col " << c;
       ASSERT_FALSE(entry.has_sorted_values) << context << " col " << c;
-      std::map<std::string, std::vector<size_t>> expected;
+      const std::vector<std::string>& dict =
+          view.columnar()->column(view.base_column(c)).dict;
+      std::vector<std::pair<uint32_t, uint32_t>> expected;
       for (size_t r = 0; r < result.num_rows(); ++r) {
         const Value v = result.ValueAt(r, c);
         if (!v.is_null()) {
-          expected[v.string_value()].push_back(r);
+          const auto it =
+              std::lower_bound(dict.begin(), dict.end(), v.string_value());
+          ASSERT_TRUE(it != dict.end() && *it == v.string_value())
+              << context << " col " << c;
+          expected.emplace_back(static_cast<uint32_t>(it - dict.begin()),
+                                static_cast<uint32_t>(r));
         }
       }
-      ASSERT_EQ(entry.groups.size(), expected.size())
-          << context << " col " << c;
-      size_t g = 0;
-      for (const auto& [value, rows] : expected) {
-        EXPECT_EQ(entry.groups[g].first.string_value(), value)
-            << context << " col " << c;
-        EXPECT_EQ(entry.groups[g].second, rows) << context << " col " << c;
-        ++g;
-      }
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(entry.sorted_codes, expected) << context << " col " << c;
     }
   }
 }
@@ -332,8 +327,11 @@ TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
           ColdPipelineResult piped,
           RunColdPipeline(compiled.value(), table, shadow.get(), columns,
                           options));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const TableView view,
+          TableView::Create(table, shadow, piped.selection, columns));
       ExpectIndexMatchesRescan(
-          piped.result, piped.attr_index,
+          piped.result, view, piped.attr_index,
           std::string(sql) + " (threads=" + std::to_string(threads) + ")");
     }
   }
@@ -366,10 +364,10 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
     if (name == "price") {
       EXPECT_TRUE(entry.has_sorted_values) << name;
     } else if (name == "neighborhood") {
-      EXPECT_TRUE(entry.has_groups) << name;
+      EXPECT_TRUE(entry.has_sorted_codes) << name;
     } else {
       EXPECT_FALSE(entry.has_sorted_values) << name;
-      EXPECT_FALSE(entry.has_groups) << name;
+      EXPECT_FALSE(entry.has_sorted_codes) << name;
     }
   }
   EXPECT_EQ(piped.attr_index.num_rows, piped.result.num_rows());
@@ -386,7 +384,7 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
   EXPECT_EQ(bare.attr_index.num_rows, piped.result.num_rows());
   for (const AttributeIndexEntry& entry : bare.attr_index.columns) {
     EXPECT_FALSE(entry.has_sorted_values);
-    EXPECT_FALSE(entry.has_groups);
+    EXPECT_FALSE(entry.has_sorted_codes);
   }
 }
 

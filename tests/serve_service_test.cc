@@ -210,6 +210,40 @@ TEST(ServiceTest, RegisterTableRejectsDuplicatesAndKeepsCache) {
   EXPECT_FALSE(response->cache_hit);
 }
 
+// The categorize operator's three phases cover the level-by-level
+// construction: on a large request they sum to no more than the operator
+// and to within 5% of it (the rest is the payload around the tree).
+TEST(ServiceTest, CategorizePhasesAccountForCategorize) {
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("Homes", HomesTable(50000)).ok());
+  ServiceOptions options;
+  options.stats.split_intervals["price"] = 5000;
+  CategorizationService service(std::move(db), HomesWorkload(),
+                                std::move(options));
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price >= 0";
+  ASSERT_TRUE(service.Handle(request).ok());
+
+  const ServiceMetricsSnapshot snapshot = service.SnapshotMetrics();
+  const auto op = [&snapshot](ServeOperator o) -> const Histogram& {
+    return snapshot.operator_ms[static_cast<size_t>(o)];
+  };
+  const Histogram& categorize = op(ServeOperator::kCategorize);
+  ASSERT_EQ(categorize.count(), 1u);
+  double phases = 0;
+  for (const ServeOperator phase :
+       {ServeOperator::kCategorizeOrders, ServeOperator::kCategorizeScore,
+        ServeOperator::kCategorizeAttach}) {
+    ASSERT_EQ(op(phase).count(), 1u);
+    EXPECT_GE(op(phase).sum(), 0.0);
+    phases += op(phase).sum();
+  }
+  EXPECT_LE(phases, categorize.sum());
+  EXPECT_GE(phases, 0.95 * categorize.sum())
+      << "phases " << phases << " ms of categorize " << categorize.sum()
+      << " ms";
+}
+
 size_t StatsBuilds(const CategorizationService& service) {
   return service.SnapshotMetrics()
       .operator_ms[static_cast<size_t>(ServeOperator::kStatsBuild)]

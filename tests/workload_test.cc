@@ -139,6 +139,50 @@ TEST(WorkloadStatsTest, OccurrenceCounts) {
   EXPECT_EQ(stats->OccurrenceCount("neighborhood", Value("Nowhere")), 0u);
 }
 
+// Lookups are case-insensitive whether or not the name needs lowering:
+// mixed-case names return exactly the lowercase name's counts, and the
+// schema resolves them to the same column.
+TEST(WorkloadStatsTest, MixedCaseNamesMatchLowercase) {
+  const auto stats =
+      WorkloadStats::Build(SmallWorkload(), HomesSchema(), Options());
+  ASSERT_TRUE(stats.ok());
+  for (const auto& [lower, mixed] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"neighborhood", "NeighborHood"},
+           {"price", "PRICE"},
+           {"bedroomcount", "bedroomCount"},
+           {"unknown", "UnKnown"}}) {
+    EXPECT_EQ(stats->AttrUsageCount(mixed), stats->AttrUsageCount(lower));
+    EXPECT_EQ(stats->split_interval(mixed), stats->split_interval(lower));
+    EXPECT_EQ(stats->SplitPointsInRange(mixed, 0, 10000).size(),
+              stats->SplitPointsInRange(lower, 0, 10000).size());
+    for (const Value& v : {Value("Bellevue"), Value("Redmond"),
+                           Value(int64_t{3000}), Value(4.0)}) {
+      EXPECT_EQ(stats->OccurrenceCount(mixed, v),
+                stats->OccurrenceCount(lower, v))
+          << mixed;
+      EXPECT_EQ(stats->CountConditionsOverlappingSet(mixed, {v, Value("x")}),
+                stats->CountConditionsOverlappingSet(lower, {v, Value("x")}))
+          << mixed;
+    }
+    EXPECT_EQ(stats->CountConditionsOverlappingInterval(mixed, 1000, 6000),
+              stats->CountConditionsOverlappingInterval(lower, 1000, 6000));
+    const Schema schema = HomesSchema();
+    EXPECT_EQ(schema.HasColumn(mixed), schema.HasColumn(lower));
+    if (schema.HasColumn(lower)) {
+      EXPECT_EQ(schema.ColumnIndex(mixed).value(),
+                schema.ColumnIndex(lower).value());
+    } else {
+      EXPECT_FALSE(schema.ColumnIndex(mixed).ok());
+    }
+  }
+  EXPECT_EQ(stats->OccurrenceCount("NEIGHBORHOOD", Value("Bellevue")), 2u);
+  EXPECT_EQ(stats->CountConditionsOverlappingInterval("Price", 2000, 5000),
+            stats->CountConditionsOverlappingInterval("price", 2000, 5000));
+  EXPECT_GT(stats->CountConditionsOverlappingInterval("Price", 2000, 5000),
+            0u);
+}
+
 TEST(WorkloadStatsTest, OccurrenceCountsSortedDescending) {
   const auto stats =
       WorkloadStats::Build(SmallWorkload(), HomesSchema(), Options());

@@ -120,8 +120,10 @@ serve_leg() {
 # thread counts 1/2/7/16), the zone prover with the pipeline's verdict
 # counters, the posting-list candidate source against MatchesRow at
 # thread counts 1/2/7/16 with its work counters, the coalescing registry
-# units, and the service-level oracle and burst/epoch-invalidation tests.
-PIPELINE_FILTER='^(PipelineEquivalenceTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
+# units, the service-level oracle and burst/epoch-invalidation tests, and
+# every categorization technique built from presorted runs against a
+# per-node sort/group reference at thread counts 1/2/7/16.
+PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
 
 pipeline_leg() {
   local name="$1" dir="$2"
