@@ -34,8 +34,13 @@ const NumericRange* QueryRangeFor(const SelectionProfile* query,
   return &cond->range;
 }
 
-// Default candidate set: every column of the result schema.
-std::vector<std::string> DefaultCandidates(const Schema& schema) {
+// The candidate attributes of `options` over `schema`: the predefined
+// set, or every column of the schema when it is empty.
+std::vector<std::string> CandidatesOf(const CategorizerOptions& options,
+                                      const Schema& schema) {
+  if (!options.candidate_attributes.empty()) {
+    return options.candidate_attributes;
+  }
   std::vector<std::string> out;
   out.reserve(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -81,8 +86,9 @@ struct LevelAttribute {
   size_t col = 0;
   bool numeric = false;
   std::optional<AttributeOrder> order;
-  // Cost-based categorical partitioning: occ(v) of every key of `order`,
-  // and P(v) of its single-value label when candidates are scored.
+  // Categorical attributes: P(v) of every key's single-value label when
+  // candidates are scored, and occ(v) of every key for the cost-based
+  // presentation order.
   std::vector<size_t> occ_of_key;
   std::vector<double> prob_of_key;
 };
@@ -114,43 +120,52 @@ Status BuildOrder(const LevelContext& ctx, const CategoryTree& tree,
         AttributeOrder::Build(ctx.view, attr->col, kind, &rows, nullptr));
     attr->order->Distribute(slot_of_row, slots.size());
   }
-  if (attr->numeric || ctx.baseline_rng != nullptr) {
+  if (attr->numeric) {
     return Status::OK();
   }
   // occ(v) and P(v) once per distinct value per request, by the same
   // estimator calls a per-node partition would make.
+  const bool cost_based = ctx.baseline_rng == nullptr;
   const AttributeOrder& order = *attr->order;
-  attr->occ_of_key.resize(order.num_keys());
-  if (score_candidates) {
-    attr->prob_of_key.resize(order.num_keys());
-  }
   for (uint32_t key = 0; key < order.num_keys(); ++key) {
     const Value& value = order.key_value(key);
-    attr->occ_of_key[key] = ctx.stats.OccurrenceCount(attr->name, value);
+    if (cost_based) {
+      attr->occ_of_key.push_back(ctx.stats.OccurrenceCount(attr->name, value));
+    }
     if (score_candidates) {
-      attr->prob_of_key[key] = ctx.model.estimator().ExplorationProbability(
-          CategoryLabel::Categorical(attr->name, {value}));
+      attr->prob_of_key.push_back(ctx.model.estimator().ExplorationProbability(
+          CategoryLabel::Categorical(attr->name, {value})));
     }
   }
   return Status::OK();
 }
 
-// The partition of oversized category `slot` (tset `parent_tuples`) on
-// `attr`, from its run. `group_of_row` is the categorical scratch.
-Result<std::vector<PartitionCategory>> PartitionRun(
-    const LevelContext& ctx, const LevelAttribute& attr, size_t slot,
-    const std::vector<size_t>& parent_tuples,
-    std::vector<uint32_t>* group_of_row) {
+// What one candidate cuts one oversized category's run into, in
+// presentation order: buckets when the attribute is numeric, key groups
+// otherwise.
+struct RunPlan {
+  std::vector<NumericBucket> buckets;
+  std::vector<KeyGroup> groups;
+};
+
+// The plan of `attr` for oversized category `slot`, from its run. The
+// cost-based partitionings cut Section 5.1.3 buckets or order the groups
+// by decreasing occ(v); the baselines cut equi-width buckets or shuffle
+// the groups with `ctx.baseline_rng`. A shuffle's draws depend only on
+// the length, so shuffling the groups draws, and permutes, exactly as
+// shuffling the categories they become would.
+Result<RunPlan> PlanRun(const LevelContext& ctx, const LevelAttribute& attr,
+                        size_t slot) {
   const AttributeOrder& order = *attr.order;
+  RunPlan plan;
   if (attr.numeric) {
     const std::span<const NumericOrderEntry> run = order.numeric_run(slot);
     const NumericRange* query_range = QueryRangeFor(ctx.query, attr.name);
     if (ctx.baseline_rng == nullptr) {
-      return SliceBuckets(
-          attr.name,
+      plan.buckets =
           PlanNumericBuckets(attr.name, ctx.stats,
-                             NumericOptionsOf(ctx.options), query_range, run),
-          run);
+                             NumericOptionsOf(ctx.options), query_range, run);
+      return plan;
     }
     const double width = ctx.options.equiwidth_interval_multiplier *
                          ctx.stats.split_interval(attr.name);
@@ -158,59 +173,67 @@ Result<std::vector<PartitionCategory>> PartitionRun(
       return Status::InvalidArgument(
           "bucket width must be positive and finite");
     }
-    return SliceBuckets(attr.name, EquiWidthBuckets(width, query_range, run),
-                        run);
+    plan.buckets = EquiWidthBuckets(width, query_range, run);
+    return plan;
   }
-  const std::span<const KeyOrderEntry> run = order.key_run(slot);
-  std::vector<KeyGroup> groups = GroupKeys(run);
+  plan.groups = GroupKeys(order.key_run(slot));
   if (ctx.baseline_rng == nullptr) {
-    SortGroupsByOccurrence(attr.occ_of_key, &groups);
+    SortGroupsByOccurrence(attr.occ_of_key, &plan.groups);
+  } else {
+    ctx.baseline_rng->Shuffle(plan.groups);
   }
-  group_of_row->resize(ctx.view.num_rows());
-  std::vector<PartitionCategory> parts = PartitionKeyGroups(
-      attr.name, order, run, groups, parent_tuples, group_of_row);
-  if (ctx.baseline_rng != nullptr) {
-    ctx.baseline_rng->Shuffle(parts);
-  }
-  return parts;
+  return plan;
 }
 
-// The 1-level CostAll of partitioning a category of `tset_size` tuples on
-// `attr`, scored from its run `slot` without building the partition (the
-// cost-based partitionings only): labels and tset sizes are all the cost
-// model consumes.
-double ScoreRun(const LevelContext& ctx, const LevelAttribute& attr,
-                size_t slot, size_t tset_size, double pw) {
-  const ProbabilityEstimator& estimator = ctx.model.estimator();
+// The 1-level CostAll of cutting a category of `tset_size` tuples by
+// `plan`: label probabilities and tset sizes are all the cost model
+// consumes, so no category is built.
+double PlanCost(const LevelContext& ctx, const LevelAttribute& attr,
+                const RunPlan& plan, size_t tset_size, double pw) {
   std::vector<double> probs;
   std::vector<size_t> sizes;
   if (attr.numeric) {
-    const std::vector<NumericBucket> buckets = PlanNumericBuckets(
-        attr.name, ctx.stats, NumericOptionsOf(ctx.options),
-        QueryRangeFor(ctx.query, attr.name), attr.order->numeric_run(slot));
-    probs.reserve(buckets.size());
-    sizes.reserve(buckets.size());
-    for (const NumericBucket& bucket : buckets) {
-      probs.push_back(estimator.IntervalExplorationProbability(
+    probs.reserve(plan.buckets.size());
+    sizes.reserve(plan.buckets.size());
+    for (const NumericBucket& bucket : plan.buckets) {
+      probs.push_back(ctx.model.estimator().IntervalExplorationProbability(
           attr.name, bucket.lo, bucket.hi));
       sizes.push_back(bucket.count);
     }
   } else {
-    std::vector<KeyGroup> groups = GroupKeys(attr.order->key_run(slot));
-    SortGroupsByOccurrence(attr.occ_of_key, &groups);
-    probs.reserve(groups.size());
-    sizes.reserve(groups.size());
-    for (const KeyGroup& group : groups) {
+    probs.reserve(plan.groups.size());
+    sizes.reserve(plan.groups.size());
+    for (const KeyGroup& group : plan.groups) {
       probs.push_back(attr.prob_of_key[group.key]);
       sizes.push_back(group.count);
     }
   }
+  // A "partition" with a single category equal to its parent reduces
+  // nothing: for attribute *scoring* it must cost what browsing the tuples
+  // costs (otherwise a useless attribute looks cheap), but it is still
+  // attached — Figure 6 never revisits a level, so severing the lineage
+  // would strand the node above M forever while later attributes could
+  // still split it.
   if (sizes.empty() || (sizes.size() == 1 && sizes[0] == tset_size)) {
-    // No way to subcategorize on this attribute: the user must browse
-    // the tuples.
     return static_cast<double>(tset_size);
   }
   return ctx.model.OneLevelCostAll(pw, tset_size, probs, sizes);
+}
+
+// The categories `plan` cuts oversized category `slot` (tset
+// `parent_tuples`) into. `group_of_row` is the categorical scratch.
+std::vector<PartitionCategory> SlicePlan(
+    const LevelContext& ctx, const LevelAttribute& attr, size_t slot,
+    const RunPlan& plan, const std::vector<size_t>& parent_tuples,
+    std::vector<uint32_t>* group_of_row) {
+  if (attr.numeric) {
+    return SliceBuckets(attr.name, plan.buckets,
+                        attr.order->numeric_run(slot));
+  }
+  group_of_row->resize(ctx.view.num_rows());
+  return PartitionKeyGroups(attr.name, *attr.order,
+                            attr.order->key_run(slot), plan.groups,
+                            parent_tuples, group_of_row);
 }
 
 // The level-by-level construction shared by all four techniques
@@ -224,19 +247,20 @@ double ScoreRun(const LevelContext& ctx, const LevelAttribute& attr,
 // order that narrows it to the rows still in oversized categories,
 // instead of a sort or grouping per category and candidate.
 //
-// With the cost-based partitionings, candidates are scored from their
-// runs (bucket and group counts, no tuple vectors or labels) and only the
-// winner is partitioned. The baseline partitionings draw from a shared
-// Random, so 'Attr-cost' scores every candidate from its full partition,
-// in candidate order, keeping the winner's: the random stream, hence the
-// tree, is that of a per-category construction.
+// Each level plans every oversized category with each candidate it reads
+// (PlanRun: buckets or key groups, no tuple vectors or labels), scores a
+// candidate from its plans (PlanCost), and slices only the chosen
+// candidate's kept plans into categories (SlicePlan), for every technique.
+// The baselines' plans draw from a shared Random in candidate and category
+// order, so their tree is that of a per-category construction.
 //
 // `parallel`, when non-null, spreads the per-level candidate scoring over
-// threads (cost-based partitionings only). Each candidate's score is
-// computed by exactly the same sequence of operations as the sequential
-// loop, and the reduction takes the strict minimum in candidate order
-// (earliest wins on ties), so the chosen attribute — hence the whole
-// tree — is identical at any thread count.
+// threads (cost-based partitionings only: the baselines' draws must be
+// made in order). Each candidate's score is computed by exactly the same
+// sequence of operations as the sequential loop, and the reduction takes
+// the strict minimum in candidate order (earliest wins on ties), so the
+// chosen attribute — hence the whole tree — is identical at any thread
+// count.
 Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
                                        const std::vector<std::string>& names,
                                        bool cost_based_choice,
@@ -268,7 +292,6 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
   const ProbabilityEstimator& estimator = model.estimator();
   const size_t max_tuples = ctx.options.max_tuples_per_category;
   const size_t max_levels = ctx.options.max_levels;
-  const bool two_phase = ctx.baseline_rng == nullptr;
 
   // The categories the orders' runs are for, and the run of each row
   // (-1: none). Level 1 has one: the root, holding every row.
@@ -322,10 +345,10 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
     }
     lap(&spent.orders_ms);
 
-    // Choose the categorizing attribute for this level and compute the
-    // partitionings of every oversized category with it.
+    // Choose the categorizing attribute for this level, keeping its plan
+    // of every oversized category.
     size_t chosen = 0;
-    std::vector<std::vector<PartitionCategory>> chosen_parts;
+    std::vector<RunPlan> chosen_plans;
     if (cost_based_choice) {
       // P(C) of each oversized category, shared by every candidate.
       std::vector<double> slot_probs;
@@ -337,53 +360,24 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
       // different threads) and reduced below in candidate order.
       struct CandidateScore {
         double total = 0;
-        std::vector<std::vector<PartitionCategory>> parts;
+        std::vector<RunPlan> plans;
       };
       const auto evaluate = [&](size_t i, CandidateScore* score) -> Status {
         const LevelAttribute& attr = attrs[i];
         const double pw = estimator.ShowTuplesProbability(attr.name);
+        score->plans.reserve(slots.size());
         for (size_t s = 0; s < slots.size(); ++s) {
-          const CategoryNode& node = tree.node(slots[s]);
-          double cost_one_level;
-          if (two_phase) {
-            cost_one_level = ScoreRun(ctx, attr, s, node.tset_size(), pw);
-          } else {
-            AUTOCAT_ASSIGN_OR_RETURN(
-                auto parts,
-                PartitionRun(ctx, attr, s, node.tuples, &group_of_row));
-            // A "partition" with a single category equal to its parent
-            // reduces nothing: for attribute *scoring* it must cost what
-            // browsing the tuples costs (otherwise a useless attribute
-            // looks cheap), but it is still attached — Figure 6 never
-            // revisits a level, so severing the lineage would strand the
-            // node above M forever while later attributes could still
-            // split it.
-            if (parts.empty() ||
-                (parts.size() == 1 &&
-                 parts[0].tuples.size() == node.tset_size())) {
-              cost_one_level = static_cast<double>(node.tset_size());
-            } else {
-              std::vector<double> probs;
-              std::vector<size_t> sizes;
-              probs.reserve(parts.size());
-              sizes.reserve(parts.size());
-              for (const PartitionCategory& part : parts) {
-                probs.push_back(
-                    estimator.ExplorationProbability(part.label));
-                sizes.push_back(part.tuples.size());
-              }
-              cost_one_level =
-                  model.OneLevelCostAll(pw, node.tset_size(), probs, sizes);
-            }
-            score->parts.push_back(std::move(parts));
-          }
-          score->total += slot_probs[s] * cost_one_level;
+          AUTOCAT_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(ctx, attr, s));
+          score->total +=
+              slot_probs[s] *
+              PlanCost(ctx, attr, plan, tree.node(slots[s]).tset_size(), pw);
+          score->plans.push_back(std::move(plan));
         }
         return Status::OK();
       };
 
       std::vector<CandidateScore> scores(attrs.size());
-      if (two_phase && parallel != nullptr &&
+      if (ctx.baseline_rng == nullptr && parallel != nullptr &&
           parallel->ResolvedThreads() > 1 && attrs.size() > 1) {
         AUTOCAT_RETURN_IF_ERROR(ParallelFor(
             *parallel, 0, attrs.size(), /*grain=*/1,
@@ -410,29 +404,24 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
         }
       }
       AUTOCAT_CHECK_LT(chosen, attrs.size());
-      if (!two_phase) {
-        chosen_parts = std::move(scores[chosen].parts);
-      }
-      lap(&spent.score_ms);
-    }
-    if (chosen_parts.empty()) {
-      // Partition only the chosen attribute's runs.
-      chosen_parts.reserve(slots.size());
+      chosen_plans = std::move(scores[chosen].plans);
+    } else {
+      chosen_plans.reserve(slots.size());
       for (size_t s = 0; s < slots.size(); ++s) {
-        AUTOCAT_ASSIGN_OR_RETURN(
-            auto parts, PartitionRun(ctx, attrs[chosen], s,
-                                     tree.node(slots[s]).tuples,
-                                     &group_of_row));
-        chosen_parts.push_back(std::move(parts));
+        AUTOCAT_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(ctx, attrs[0], s));
+        chosen_plans.push_back(std::move(plan));
       }
     }
+    lap(&spent.score_ms);
 
-    // Attach the chosen partitionings and consume the attribute.
+    // Slice the chosen plans, attach them and consume the attribute.
     bool attached = false;
     for (size_t s = 0; s < slots.size(); ++s) {
-      for (PartitionCategory& part : chosen_parts[s]) {
-        tree.AddChild(slots[s], std::move(part.label),
-                      std::move(part.tuples));
+      const NodeId id = slots[s];
+      for (PartitionCategory& part :
+           SlicePlan(ctx, attrs[chosen], s, chosen_plans[s],
+                     tree.node(id).tuples, &group_of_row)) {
+        tree.AddChild(id, std::move(part.label), std::move(part.tuples));
         attached = true;
       }
     }
@@ -459,16 +448,30 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
   return tree;
 }
 
+// The level loop over every row of `result`, read through its cells: the
+// entry of the baselines and of the fixed-order construction.
+Result<CategoryTree> BuildOverRows(const Table& result,
+                                   const SelectionProfile* query,
+                                   const WorkloadStats& stats,
+                                   const CategorizerOptions& options,
+                                   const std::vector<std::string>& names,
+                                   bool cost_based_choice,
+                                   Random* baseline_rng) {
+  ProbabilityEstimator estimator(&stats, &result.schema());
+  CostModel model(&estimator, options.cost_params);
+  const TableView view = TableView::All(result, nullptr);
+  const LevelContext ctx{view,  result, /*index=*/nullptr, stats, options,
+                         query, model,  baseline_rng};
+  return BuildLevelByLevel(ctx, names, cost_based_choice,
+                           /*parallel=*/nullptr, /*timings=*/nullptr);
+}
+
 }  // namespace
 
 std::vector<std::string> CostBasedCategorizer::RetainedAttributes(
     const Schema& schema) const {
-  const std::vector<std::string> candidates =
-      options_.candidate_attributes.empty()
-          ? DefaultCandidates(schema)
-          : options_.candidate_attributes;
   std::vector<std::string> retained;
-  for (const std::string& attr : candidates) {
+  for (const std::string& attr : CandidatesOf(options_, schema)) {
     if (stats_->AttrUsageFraction(attr) >=
         options_.attribute_usage_threshold) {
       retained.push_back(attr);
@@ -515,48 +518,28 @@ Result<CategoryTree> CostBasedCategorizer::Categorize(
 
 Result<CategoryTree> AttrCostCategorizer::Categorize(
     const Table& result, const SelectionProfile* query) const {
-  ProbabilityEstimator estimator(stats_, &result.schema());
-  CostModel model(&estimator, options_.cost_params);
   Random rng(options_.arbitrary_seed);
-  const std::vector<std::string> candidates =
-      options_.candidate_attributes.empty()
-          ? DefaultCandidates(result.schema())
-          : options_.candidate_attributes;
-  const TableView view = TableView::All(result, nullptr);
-  const LevelContext ctx{view,  result, /*index=*/nullptr, *stats_, options_,
-                         query, model,  &rng};
-  return BuildLevelByLevel(ctx, candidates, /*cost_based_choice=*/true,
-                           /*parallel=*/nullptr, /*timings=*/nullptr);
+  return BuildOverRows(result, query, *stats_, options_,
+                       CandidatesOf(options_, result.schema()),
+                       /*cost_based_choice=*/true, &rng);
 }
 
 Result<CategoryTree> CategorizeWithFixedAttributeOrder(
     const Table& result, const std::vector<std::string>& attribute_order,
     const WorkloadStats* stats, const CategorizerOptions& options,
     const SelectionProfile* query) {
-  ProbabilityEstimator estimator(stats, &result.schema());
-  CostModel model(&estimator, options.cost_params);
-  const TableView view = TableView::All(result, nullptr);
-  const LevelContext ctx{view,  result, /*index=*/nullptr, *stats, options,
-                         query, model,  /*baseline_rng=*/nullptr};
-  return BuildLevelByLevel(ctx, attribute_order, /*cost_based_choice=*/false,
-                           /*parallel=*/nullptr, /*timings=*/nullptr);
+  return BuildOverRows(result, query, *stats, options, attribute_order,
+                       /*cost_based_choice=*/false, /*baseline_rng=*/nullptr);
 }
 
 Result<CategoryTree> NoCostCategorizer::Categorize(
     const Table& result, const SelectionProfile* query) const {
-  ProbabilityEstimator estimator(stats_, &result.schema());
-  CostModel model(&estimator, options_.cost_params);
   Random rng(options_.arbitrary_seed);
   std::vector<std::string> candidates =
-      options_.candidate_attributes.empty()
-          ? DefaultCandidates(result.schema())
-          : options_.candidate_attributes;
+      CandidatesOf(options_, result.schema());
   rng.Shuffle(candidates);
-  const TableView view = TableView::All(result, nullptr);
-  const LevelContext ctx{view,  result, /*index=*/nullptr, *stats_, options_,
-                         query, model,  &rng};
-  return BuildLevelByLevel(ctx, candidates, /*cost_based_choice=*/false,
-                           /*parallel=*/nullptr, /*timings=*/nullptr);
+  return BuildOverRows(result, query, *stats_, options_, candidates,
+                       /*cost_based_choice=*/false, &rng);
 }
 
 }  // namespace autocat

@@ -55,12 +55,12 @@ struct CategorizerOptions {
   /// and category order).
   uint64_t arbitrary_seed = 42;
 
-  /// Threads used by the cost-based technique to score candidate
-  /// attributes concurrently per level. Candidate costs are reduced in
-  /// candidate order with a strict-minimum tie-break, so the chosen tree
-  /// is bit-identical at any thread count; `threads = 1` runs the original
-  /// sequential loop. The baselines ignore this (their partitioners share
-  /// a mutable Random).
+  /// Threads used by the cost-based technique to plan and score
+  /// candidate attributes concurrently per level. Candidate costs are
+  /// reduced in candidate order with a strict-minimum tie-break, so the
+  /// chosen tree is bit-identical at any thread count; `threads = 1` runs
+  /// the sequential loop. The baselines ignore this: their plans draw
+  /// from one shared Random, in candidate order.
   ParallelOptions parallel;
 };
 
@@ -71,9 +71,10 @@ struct CategorizeTimings {
   /// Finding each level's oversized categories, and building the
   /// per-attribute key orders and narrowing them to those categories.
   double orders_ms = 0;
-  /// Scoring every candidate attribute from its runs, and the reduce.
+  /// Planning every oversized category's run with each candidate,
+  /// costing the plans, and the reduce.
   double score_ms = 0;
-  /// Partitioning the winner's runs and attaching the categories.
+  /// Slicing the winner's kept plans into categories and attaching them.
   double attach_ms = 0;
 };
 

@@ -64,13 +64,19 @@ Result<WorkloadStats> WorkloadStats::Build(
   stats.intervals_.insert(options.split_intervals.begin(),
                           options.split_intervals.end());
   stats.default_interval_ = options.default_split_interval;
-  if (options.default_split_interval <= 0) {
-    return Status::InvalidArgument("split interval must be positive");
+  // Written so NaN fails: a NaN interval would snap bounds to NaN keys,
+  // which break the ordering of the split-point maps.
+  const auto valid = [](double interval) {
+    return interval > 0 && std::isfinite(interval);
+  };
+  if (!valid(options.default_split_interval)) {
+    return Status::InvalidArgument(
+        "split interval must be positive and finite");
   }
   for (const auto& [attr, interval] : options.split_intervals) {
-    if (interval <= 0) {
+    if (!valid(interval)) {
       return Status::InvalidArgument("split interval for '" + attr +
-                                     "' must be positive");
+                                     "' must be positive and finite");
     }
     if (ToLower(attr) != attr) {
       return Status::InvalidArgument(

@@ -650,10 +650,11 @@ TEST_F(CategorizeRunsTest, BaselinesAndFixedOrderMatchPerNodeReference) {
   }
 }
 
-// Results at the edges: empty, a single row, a result whose only
-// candidate is the all-NULL column, and one where it is scored alongside
-// the others (it never partitions anything). M = 0 keeps partitioning
-// one-row categories until the candidates run out.
+// Results at the edges: empty, a single row, the rows priced at the int64
+// minimum, a result whose only candidate is the all-NULL column, and one
+// where it is scored alongside the others (it never partitions anything),
+// for every technique. M = 0 keeps partitioning one-row categories until
+// the candidates run out.
 TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
   Database single_db;
   const Table single = MakeRunsTable(1, 3);
@@ -667,6 +668,7 @@ TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
     const char* sql;
     std::vector<std::string> candidates;
   } kCases[] = {
+      {&base_, &shadow_, "SELECT * FROM runs WHERE price BETWEEN 1 AND 2", {}},
       {&base_, &shadow_, "SELECT * FROM runs WHERE price < 0", {}},
       {&single, &single_shadow, "SELECT * FROM runs", {}},
       {&base_, &shadow_, "SELECT * FROM runs WHERE bedrooms IN (1, 2, 3)",
@@ -697,6 +699,39 @@ TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
           const CategoryTree from_table,
           categorizer.Categorize(shadowed.result, nullptr));
       ExpectSameTree(want, from_table, c.sql);
+    }
+    // The baselines on the same results: empty plans (a shuffle of zero
+    // groups), and levels that attach nothing and retry with the next
+    // candidate.
+    std::vector<std::string> all = c.candidates;
+    if (all.empty()) {
+      for (size_t col = 0; col < shadowed.result.num_columns(); ++col) {
+        all.push_back(shadowed.result.schema().column(col).name);
+      }
+    }
+    {
+      Random rng(options.arbitrary_seed);
+      const CategoryTree want_attr_cost = RefBuild(
+          RefContext{shadowed.result, *stats_, options, nullptr, &rng}, all,
+          /*cost_based_choice=*/true);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree got,
+          AttrCostCategorizer(stats_.get(), options)
+              .Categorize(shadowed.result, nullptr));
+      ExpectSameTree(want_attr_cost, got, std::string("Attr-cost ") + c.sql);
+    }
+    {
+      Random rng(options.arbitrary_seed);
+      std::vector<std::string> shuffled = all;
+      rng.Shuffle(shuffled);
+      const CategoryTree want_no_cost = RefBuild(
+          RefContext{shadowed.result, *stats_, options, nullptr, &rng},
+          shuffled, /*cost_based_choice=*/false);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree got,
+          NoCostCategorizer(stats_.get(), options)
+              .Categorize(shadowed.result, nullptr));
+      ExpectSameTree(want_no_cost, got, std::string("No cost ") + c.sql);
     }
   }
 }

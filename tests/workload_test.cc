@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
 #include "common/random.h"
 #include "workload/counts.h"
@@ -321,6 +322,21 @@ TEST(WorkloadStatsTest, InvalidOptionsRejected) {
   upper_key.split_intervals = {{"Price", 5}};
   EXPECT_FALSE(
       WorkloadStats::Build(Workload(), HomesSchema(), upper_key).ok());
+  // Non-finite intervals: NaN passes a plain `<= 0` check.
+  for (const double interval : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+    WorkloadStatsOptions bad_default;
+    bad_default.default_split_interval = interval;
+    EXPECT_FALSE(
+        WorkloadStats::Build(Workload(), HomesSchema(), bad_default).ok())
+        << interval;
+    WorkloadStatsOptions bad_attribute;
+    bad_attribute.split_intervals = {{"price", interval}};
+    EXPECT_FALSE(
+        WorkloadStats::Build(Workload(), HomesSchema(), bad_attribute).ok())
+        << interval;
+  }
 }
 
 TEST(WorkloadStatsTest, SplitIntervalLookup) {

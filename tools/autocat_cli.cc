@@ -10,8 +10,10 @@
 // Schema entries: <column>:<string|int64|double>:<categorical|numeric>.
 // With --output sql and --node N, prints the drill-down SELECT for node N.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -47,6 +49,37 @@ int Usage(const char* argv0) {
       "<categorical|numeric>\n",
       argv0);
   return 2;
+}
+
+// Parses the value of numeric flag `flag` into `options`: the whole value
+// must be a number, doubles finite, --threshold in [0, 1] and --node a
+// non-negative int.
+Status ParseNumericFlag(const std::string& flag, const std::string& value,
+                        CliOptions* options) {
+  if (flag == "--max-tuples") {
+    AUTOCAT_ASSIGN_OR_RETURN(const uint64_t max_tuples, ParseUint64(value));
+    options->max_tuples = static_cast<size_t>(max_tuples);
+  } else if (flag == "--node") {
+    AUTOCAT_ASSIGN_OR_RETURN(const int64_t node, ParseInt64(value));
+    if (node < 0 || node > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("node id out of range: '" + value + "'");
+    }
+    options->node = static_cast<int>(node);
+  } else {
+    AUTOCAT_ASSIGN_OR_RETURN(const double number, ParseDouble(value));
+    if (!std::isfinite(number)) {
+      return Status::InvalidArgument("must be finite: '" + value + "'");
+    }
+    if (flag == "--threshold") {
+      if (number < 0 || number > 1) {
+        return Status::InvalidArgument("must be in [0, 1]: '" + value + "'");
+      }
+      options->threshold = number;
+    } else {
+      options->split_interval = number;
+    }
+  }
+  return Status::OK();
 }
 
 Result<Schema> ParseSchemaSpec(const std::string& spec) {
@@ -184,14 +217,14 @@ int main(int argc, char** argv) {
     const std::string value = argv[++i];
     if (const auto it = string_flags.find(flag); it != string_flags.end()) {
       *it->second = value;
-    } else if (flag == "--max-tuples") {
-      options.max_tuples = static_cast<size_t>(std::atoi(value.c_str()));
-    } else if (flag == "--threshold") {
-      options.threshold = std::atof(value.c_str());
-    } else if (flag == "--interval") {
-      options.split_interval = std::atof(value.c_str());
-    } else if (flag == "--node") {
-      options.node = std::atoi(value.c_str());
+    } else if (flag == "--max-tuples" || flag == "--threshold" ||
+               flag == "--interval" || flag == "--node") {
+      const Status status = ParseNumericFlag(flag, value, &options);
+      if (!status.ok()) {
+        std::fprintf(stderr, "error: %s: %s\n", flag.c_str(),
+                     status.message().c_str());
+        return 2;
+      }
     } else {
       return Usage(argv[0]);
     }

@@ -4,18 +4,20 @@
 # Runs, in order:
 #   1. Release build + full ctest (includes the autocat_lint gate and the
 #      SQL fuzz-corpus replay)
-#   2. Debug + AddressSanitizer build + full ctest
-#   3. Debug + UndefinedBehaviorSanitizer build + full ctest
-#   4. Debug + ThreadSanitizer build + full ctest (the parallel engine's
+#   2. The paper-evaluation gate (also available alone as --figures): the
+#      deterministic figure/table binaries against their golden outputs
+#   3. Debug + AddressSanitizer build + full ctest
+#   4. Debug + UndefinedBehaviorSanitizer build + full ctest
+#   5. Debug + ThreadSanitizer build + full ctest (the parallel engine's
 #      pool, hot paths, and determinism suite under real interleavings)
-#   5. The static-analysis leg (also available alone as --analyze):
+#   6. The static-analysis leg (also available alone as --analyze):
 #      clang thread-safety analysis over the annotated tree, the
 #      concurrency lint rules (autocat_lint), and clang-tidy with the
 #      concurrency-* checks. Clang-dependent stages skip with a notice
 #      when the toolchain is absent (the ctest gates skip the same way
 #      via exit code 77); the lint stage always runs.
 #
-# Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--analyze]
+# Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--figures|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
 #   --serve  run only the serving-layer suite (src/serve/ + histogram +
 #            Database) under ASan and TSan — the targeted gate for cache/admission
@@ -63,6 +65,13 @@
 #            --smoke sizes — the targeted gate for filter-kernel and
 #            zone-map work (DESIGN.md section 15). The ASan and UBSan
 #            passes of this leg also run in the default matrix.
+#   --figures
+#            build Release and run the 11 deterministic paper-evaluation
+#            binaries (Figures 4/5, 7-12 and Tables 1-4): each must exit 0
+#            (its own shape check HOLDS) and print exactly its golden
+#            output in tests/golden/figures/ — the gate that every
+#            technique's trees, hence the paper's figures, are unchanged.
+#            Also runs in the default matrix.
 #   --analyze
 #            run only the static-analysis leg — the targeted gate for
 #            concurrency-discipline work (DESIGN.md section 11)
@@ -78,6 +87,7 @@ BENCH_SMOKE=0
 WORKLOAD=0
 STORE=0
 KERNELS=0
+FIGURES=0
 ANALYZE=0
 if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
@@ -93,6 +103,8 @@ elif [[ "${1:-}" == "--store" ]]; then
   STORE=1
 elif [[ "${1:-}" == "--kernels" ]]; then
   KERNELS=1
+elif [[ "${1:-}" == "--figures" ]]; then
+  FIGURES=1
 elif [[ "${1:-}" == "--analyze" ]]; then
   ANALYZE=1
 fi
@@ -212,6 +224,41 @@ kernels_leg() {
   "$ROOT/$dir/bench/bench_exec_filter" --smoke --benchmark_min_time=0.01
 }
 
+# The paper-evaluation gate: the deterministic figure and table binaries
+# (bench_fig13_execution_time reports wall time and is left out). Their
+# stdout is compared byte for byte with the goldens; to re-record after a
+# deliberate change to the evaluation, copy build-ci-release/figures/*.txt
+# over tests/golden/figures/.
+FIGURE_BINARIES=(
+  bench_fig4_fig5_counts bench_fig7_correlation bench_fig8_fractional_cost
+  bench_fig9_cost_all_tasks bench_fig10_relevant_found
+  bench_fig11_normalized_cost bench_fig12_cost_one_tasks
+  bench_table1_subset_correlation bench_table2_user_correlation
+  bench_table3_vs_no_categorization bench_table4_survey
+)
+
+figures_leg() {
+  local dir="build-ci-release"
+  local out="$ROOT/$dir/figures"
+  echo "==== [figures] configure ===="
+  cmake -B "$ROOT/$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
+  echo "==== [figures] build ===="
+  cmake --build "$ROOT/$dir" -j "$JOBS" --target "${FIGURE_BINARIES[@]}"
+  echo "==== [figures] run (up to $JOBS at a time) ===="
+  mkdir -p "$out"
+  # Their outputs do not depend on the thread count, so they may share
+  # the cores; xargs exits non-zero when any run does.
+  printf '%s\n' "${FIGURE_BINARIES[@]}" |
+    xargs -P "$JOBS" -I{} sh -c '"$1/bench/$2" > "$3/$2.txt" || {
+      echo "$2: exit $?" >&2; exit 1; }' _ "$ROOT/$dir" {} "$out"
+  echo "==== [figures] diff against tests/golden/figures ===="
+  local b failed=0
+  for b in "${FIGURE_BINARIES[@]}"; do
+    diff -u "$ROOT/tests/golden/figures/$b.txt" "$out/$b.txt" || failed=1
+  done
+  return "$failed"
+}
+
 bench_smoke_leg() {
   local name="$1" dir="$2"
   shift 2
@@ -271,6 +318,12 @@ analyze_leg() {
 if [[ "$ANALYZE" == "1" ]]; then
   analyze_leg
   echo "==== analyze leg passed ===="
+  exit 0
+fi
+
+if [[ "$FIGURES" == "1" ]]; then
+  figures_leg
+  echo "==== figures leg passed ===="
   exit 0
 fi
 
@@ -346,6 +399,8 @@ run_leg() {
 run_leg release build-ci-release -DCMAKE_BUILD_TYPE=Release
 
 if [[ "$FAST" == "0" ]]; then
+  # The paper-evaluation gate reuses the Release build dir.
+  figures_leg
   run_leg asan build-ci-asan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   run_leg ubsan build-ci-ubsan \
