@@ -49,9 +49,9 @@ struct PipelineFixture {
   std::unique_ptr<StudyEnvironment> env;
   std::unique_ptr<CategorizationService> service;
   std::vector<SelectivityQuery> queries;
-  // The first 64 distinct workload queries — the same stream
-  // bench_serve_throughput's BM_ServeCold cycles, so the "mix" row here
-  // explains that benchmark's cold cost operator by operator.
+  // The first 64 distinct workload queries, requested cold: the "mix"
+  // row breaks a cold log-query stream's cost down operator by operator
+  // (perfbench's cold_explore measures such a stream end to end).
   std::vector<std::string> mix_sqls;
 
   static PipelineFixture& Get() {

@@ -86,10 +86,10 @@ struct ServiceOptions {
 /// request ever builds either.
 ///
 /// Handle() is thread-safe and blocking; drive concurrency by submitting
-/// Handle calls onto the shared ThreadPool (tools/loadgen does). Table
-/// and workload mutations (PutTable / RebuildWorkload) serialize against
-/// in-flight requests with a reader-writer lock and bump the cache epoch,
-/// so a response never mixes old and new table contents.
+/// Handle calls onto the shared ThreadPool (the scenario harness does).
+/// Table and workload mutations (PutTable / RebuildWorkload) serialize
+/// against in-flight requests with a reader-writer lock and bump the
+/// cache epoch, so a response never mixes old and new table contents.
 class CategorizationService {
  public:
   CategorizationService(Database db, Workload workload,
@@ -129,8 +129,9 @@ class CategorizationService {
   /// window, asks the controller for a plan, and applies it — snap widths
   /// under the write lock, TTL and capacity directly on the cache. A
   /// no-op (beyond draining the window) when `options().adaptive.enabled`
-  /// is false. The caller picks the cadence; tools/loadgen calls it every
-  /// `--adapt_every` completed requests.
+  /// is false. The caller picks the cadence; the scenario harness
+  /// (workloadgen/harness.h) calls it every `adapt_every` completed
+  /// requests.
   AdaptiveAction Adapt() AUTOCAT_EXCLUDES(state_mu_);
 
   /// Merged snapshot of request, cache, and admission counters.

@@ -1,6 +1,8 @@
 #include "workloadgen/scenario.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -53,9 +55,16 @@ Result<PhaseSpec> ParsePhaseLine(const std::vector<std::string>& tokens,
     } else if (key == "zipf") {
       AUTOCAT_ASSIGN_OR_RETURN(phase.zipf_s,
                                AnnotateLine(ParseDouble(value), line_no));
+      if (!(phase.zipf_s >= 0 && std::isfinite(phase.zipf_s))) {
+        return Status::ParseError("zipf must be finite and >= 0" + where);
+      }
     } else if (key == "drift") {
       AUTOCAT_ASSIGN_OR_RETURN(phase.drift.position,
                                AnnotateLine(ParseDouble(value), line_no));
+      // Written this way round so NaN fails too.
+      if (!(phase.drift.position >= 0 && phase.drift.position <= 1)) {
+        return Status::ParseError("drift must be in [0, 1]" + where);
+      }
     } else if (key == "gap_ms") {
       AUTOCAT_ASSIGN_OR_RETURN(phase.mean_gap_ms,
                                AnnotateLine(ParseInt64(value), line_no));
@@ -129,13 +138,18 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view text) {
     } else if (directive == "train_fraction") {
       AUTOCAT_ASSIGN_OR_RETURN(spec.train_fraction,
                                AnnotateLine(ParseDouble(value), line_no));
-      if (spec.train_fraction <= 0 || spec.train_fraction > 1) {
+      if (!(spec.train_fraction > 0 && spec.train_fraction <= 1)) {
         return Status::ParseError("train_fraction must be in (0, 1]" +
                                   where);
       }
     } else if (directive == "cache_mb") {
       AUTOCAT_ASSIGN_OR_RETURN(const uint64_t n,
                                AnnotateLine(ParseUint64(value), line_no));
+      // The harness sizes the cache as cache_mb << 20 bytes.
+      if (n > (std::numeric_limits<size_t>::max() >> 20)) {
+        return Status::ParseError("cache_mb is too large to express in "
+                                  "bytes" + where);
+      }
       spec.cache_mb = static_cast<size_t>(n);
     } else if (directive == "ttl_ms") {
       AUTOCAT_ASSIGN_OR_RETURN(spec.ttl_ms,

@@ -38,7 +38,10 @@ struct ScenarioSpec {
 ///   phase <name> requests=<n> [zipf=<s>] [drift=<p>] [gap_ms=<n>]
 ///         [burst=<n>] [pause_ms=<n>]
 /// Unknown directives, unknown phase keys, and malformed numeric values
-/// are errors (strict parsing — no silent zeroes).
+/// are errors (strict parsing — no silent zeroes), as are values out of
+/// range: `zipf` must be finite and >= 0, `drift` in [0, 1],
+/// `train_fraction` in (0, 1] (NaN fails each), and `cache_mb` small
+/// enough that its byte count fits in size_t.
 Result<ScenarioSpec> ParseScenarioSpec(std::string_view text);
 
 /// Renders `spec` in the ParseScenarioSpec format (round-trips).

@@ -20,52 +20,43 @@ Result<LoadgenConfig> Parse(std::vector<std::string> args) {
 TEST(LoadgenFlagsTest, DefaultsWithNoArgs) {
   auto config = Parse({});
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->num_homes, 20000u);
-  EXPECT_EQ(config->num_queries, 2000u);
-  EXPECT_EQ(config->num_requests, 500u);
-  EXPECT_EQ(config->num_signatures, 64u);
-  EXPECT_DOUBLE_EQ(config->qps, 0);
   EXPECT_EQ(config->threads, 4u);
   EXPECT_EQ(config->deadline_ms, 0);
-  EXPECT_EQ(config->cache_mb, 64u);
-  EXPECT_EQ(config->seed, 4242u);
-  EXPECT_FALSE(config->bypass_cache);
-  EXPECT_FALSE(config->scenario_mode());
+  // No override unless the flag is given.
+  EXPECT_FALSE(config->cache_mb.has_value());
+  EXPECT_FALSE(config->seed.has_value());
+  EXPECT_FALSE(config->has_scenario());
   EXPECT_FALSE(config->adaptive);
   EXPECT_EQ(config->adapt_every, 64u);
   EXPECT_FALSE(config->paced);
 }
 
 TEST(LoadgenFlagsTest, ParsesEveryFlag) {
-  auto config = Parse({"--homes=100", "--queries=50", "--requests=25",
-                       "--signatures=8", "--qps=12.5", "--threads=2",
-                       "--deadline-ms=150", "--cache-mb=16", "--seed=9",
-                       "--bypass-cache", "--adaptive", "--adapt-every=32",
+  // A given --cache-mb or --seed is kept whatever its value, so it
+  // overrides the scenario's even at 64 MiB or seed 4242.
+  auto config = Parse({"--threads=2", "--deadline-ms=150", "--cache-mb=64",
+                       "--seed=4242", "--adaptive", "--adapt-every=32",
                        "--paced", "--scenario=drifting"});
   ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_EQ(config->num_homes, 100u);
-  EXPECT_EQ(config->num_queries, 50u);
-  EXPECT_EQ(config->num_requests, 25u);
-  EXPECT_EQ(config->num_signatures, 8u);
-  EXPECT_DOUBLE_EQ(config->qps, 12.5);
   EXPECT_EQ(config->threads, 2u);
   EXPECT_EQ(config->deadline_ms, 150);
-  EXPECT_EQ(config->cache_mb, 16u);
-  EXPECT_EQ(config->seed, 9u);
-  EXPECT_TRUE(config->bypass_cache);
+  ASSERT_TRUE(config->cache_mb.has_value());
+  EXPECT_EQ(*config->cache_mb, 64u);
+  ASSERT_TRUE(config->seed.has_value());
+  EXPECT_EQ(*config->seed, 4242u);
   EXPECT_TRUE(config->adaptive);
   EXPECT_EQ(config->adapt_every, 32u);
   EXPECT_TRUE(config->paced);
   EXPECT_EQ(config->scenario, "drifting");
-  EXPECT_TRUE(config->scenario_mode());
+  EXPECT_TRUE(config->has_scenario());
 }
 
 TEST(LoadgenFlagsTest, RejectsMalformedNumbers) {
   // The strtoull this replaced silently parsed all of these to 0 (or to
   // a partial prefix); now each is an error naming the flag.
   for (const char* arg :
-       {"--homes=20x", "--homes=", "--homes=x20", "--homes=4 2",
-        "--requests=1.5", "--qps=1e--3", "--qps=fast",
+       {"--threads=20x", "--threads=", "--threads=x20", "--threads=4 2",
+        "--adapt-every=1.5", "--deadline-ms=1e--3", "--deadline-ms=fast",
         "--deadline-ms=12ms", "--seed=0xbeef", "--cache-mb=64MB"}) {
     const auto config = Parse({arg});
     EXPECT_FALSE(config.ok()) << arg << " should not parse";
@@ -80,10 +71,10 @@ TEST(LoadgenFlagsTest, RejectsMalformedNumbers) {
 
 TEST(LoadgenFlagsTest, RejectsNegativeUnsigned) {
   // strtoull accepts '-5' by wrapping to 2^64-5; strict parsing refuses.
-  EXPECT_FALSE(Parse({"--homes=-5"}).ok());
+  EXPECT_FALSE(Parse({"--threads=-5"}).ok());
+  EXPECT_FALSE(Parse({"--cache-mb=-5"}).ok());
   EXPECT_FALSE(Parse({"--seed=-1"}).ok());
   EXPECT_FALSE(Parse({"--deadline-ms=-1"}).ok());
-  EXPECT_FALSE(Parse({"--qps=-0.5"}).ok());
 }
 
 TEST(LoadgenFlagsTest, BoundaryValues) {
@@ -93,24 +84,27 @@ TEST(LoadgenFlagsTest, BoundaryValues) {
   EXPECT_EQ(max->seed, 18446744073709551615ull);
   EXPECT_FALSE(Parse({"--seed=18446744073709551616"}).ok());
 
-  // Zero-value semantics: allowed where 0 means "unbounded/unpaced",
-  // rejected where it would be degenerate.
-  EXPECT_TRUE(Parse({"--qps=0"}).ok());
+  // The cache's byte count (cache_mb << 20) must fit in size_t.
+  EXPECT_TRUE(Parse({"--cache-mb=17592186044415"}).ok());
+  EXPECT_FALSE(Parse({"--cache-mb=17592186044416"}).ok());
+
+  // Zero-value semantics: allowed where 0 means "no deadline" or "no
+  // cache", rejected where it would be degenerate.
   EXPECT_TRUE(Parse({"--deadline-ms=0"}).ok());
-  EXPECT_TRUE(Parse({"--signatures=0"}).ok());
+  EXPECT_TRUE(Parse({"--cache-mb=0"}).ok());
   EXPECT_FALSE(Parse({"--threads=0"}).ok());
   EXPECT_FALSE(Parse({"--adapt-every=0"}).ok());
 
   // Strict parsing still trims surrounding whitespace.
-  auto padded = Parse({"--homes= 42 "});
+  auto padded = Parse({"--threads= 42 "});
   ASSERT_TRUE(padded.ok());
-  EXPECT_EQ(padded->num_homes, 42u);
+  EXPECT_EQ(padded->threads, 42u);
 }
 
 TEST(LoadgenFlagsTest, RejectsUnknownFlags) {
   EXPECT_FALSE(Parse({"--frobnicate=1"}).ok());
-  EXPECT_FALSE(Parse({"--homes"}).ok());  // missing '='
-  EXPECT_FALSE(Parse({"homes=5"}).ok());  // missing '--'
+  EXPECT_FALSE(Parse({"--threads"}).ok());  // missing '='
+  EXPECT_FALSE(Parse({"threads=5"}).ok());  // missing '--'
   const auto config = Parse({"--frobnicate=1"});
   EXPECT_NE(config.status().message().find("--frobnicate=1"),
             std::string::npos);
@@ -125,56 +119,10 @@ TEST(LoadgenFlagsTest, ScenarioAndFileAreMutuallyExclusive) {
   EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(LoadgenFlagsTest, StoreFlag) {
-  EXPECT_TRUE(Parse({}).value().store.empty());
-  const auto config = Parse({"--store=/tmp/homes.store"});
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->store, "/tmp/homes.store");
-
-  // An empty path is a configuration error, not a silent default.
-  const auto empty = Parse({"--store="});
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
-
-  // Store mode is legacy-replay only.
-  const auto with_scenario =
-      Parse({"--store=/tmp/h.store", "--scenario=steady"});
-  ASSERT_FALSE(with_scenario.ok());
-  EXPECT_EQ(with_scenario.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(LoadgenFlagsTest, BurstFlag) {
-  EXPECT_EQ(Parse({}).value().burst, 1u);
-  const auto config = Parse({"--burst=8"});
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->burst, 8u);
-
-  const auto zero = Parse({"--burst=0"});
-  ASSERT_FALSE(zero.ok());
-  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
-
-  const auto malformed = Parse({"--burst=8x"});
-  ASSERT_FALSE(malformed.ok());
-  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(malformed.status().message().find("--burst"),
-            std::string::npos);
-
-  // Bursts coalesce in-flight duplicates; cache-bypass requests never
-  // coalesce, and the scenario harness drives its own traffic shape.
-  const auto with_bypass = Parse({"--burst=8", "--bypass-cache"});
-  ASSERT_FALSE(with_bypass.ok());
-  EXPECT_EQ(with_bypass.status().code(), StatusCode::kInvalidArgument);
-  const auto with_scenario = Parse({"--burst=8", "--scenario=steady"});
-  ASSERT_FALSE(with_scenario.ok());
-  EXPECT_EQ(with_scenario.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(LoadgenFlagsTest, UsageMentionsEveryFlag) {
   const std::string usage = LoadgenUsage("loadgen");
   for (const char* flag :
-       {"--homes", "--queries", "--requests", "--signatures", "--qps",
-        "--threads", "--deadline-ms", "--cache-mb", "--seed",
-        "--bypass-cache", "--burst", "--store", "--scenario",
+       {"--threads", "--deadline-ms", "--cache-mb", "--seed", "--scenario",
         "--scenario-file", "--adaptive", "--adapt-every", "--paced"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }

@@ -1,23 +1,28 @@
 // End-to-end tests for the categorization service: cache hit/miss flow,
 // signature sharing, invalidation on PutTable/RebuildWorkload, deadline
-// and overload handling, and deterministic metrics export.
+// and overload handling, deterministic metrics export, and threaded
+// cold + cached traffic over a generated table against a sequential run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/export.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
 #include "serve/service.h"
+#include "simgen/study.h"
 
 namespace autocat {
 namespace {
@@ -440,6 +445,124 @@ TEST(ServiceTest, ConcurrentRequestsThroughThreadPool) {
   // all hits.
   EXPECT_GE(misses, sqls.size());
   EXPECT_GT(hits, 0u);
+}
+
+// The threaded serve path over a generated table: the three workers of a
+// ThreadPool(4) drive Handle with cold (bypass_cache) and cached requests
+// through a cache too small for the working set, so entries are evicted
+// mid-run.
+// Every response must carry the tree and row count a single-threaded
+// service computes for the same SQL.
+TEST(ServiceTest, ConcurrentColdAndHitTrafficMatchesSequential) {
+  StudyConfig study = DefaultStudyConfig();
+  study.num_homes = 2000;
+  study.num_workload_queries = 500;
+  auto env = StudyEnvironment::Create(study);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const auto make_service = [&](CacheOptions cache, size_t threads) {
+    Database db;
+    EXPECT_TRUE(db.RegisterTable("ListProperty", env->homes()).ok());
+    ServiceOptions options;
+    options.categorizer = study.categorizer;
+    options.stats = study.stats;
+    options.cache = std::move(cache);
+    options.max_concurrent = threads;
+    options.max_queue = 1024;
+    return std::make_unique<CategorizationService>(
+        std::move(db), env->workload(), std::move(options));
+  };
+
+  // The reference: one cold answer per distinct signature, computed
+  // sequentially.
+  auto sequential = make_service(CacheOptions{}, 1);
+  std::vector<std::string> sqls;
+  std::vector<std::string> expected_trees;
+  std::vector<size_t> expected_rows;
+  std::set<std::string> signatures;
+  size_t total_bytes = 0;
+  size_t max_bytes = 0;
+  for (size_t i = 0; i < env->workload().size() && sqls.size() < 24; ++i) {
+    ServeRequest request;
+    request.sql = env->workload().entry(i).sql;
+    request.bypass_cache = true;
+    auto response = sequential->Handle(request);
+    ASSERT_TRUE(response.ok())
+        << request.sql << ": " << response.status().ToString();
+    if (!signatures.insert(response->signature).second) {
+      continue;
+    }
+    sqls.push_back(request.sql);
+    expected_trees.push_back(TreeToJson(response->payload->tree()));
+    expected_rows.push_back(response->payload->result_rows());
+    total_bytes += response->payload->approx_bytes();
+    max_bytes = std::max(max_bytes, response->payload->approx_bytes());
+  }
+  ASSERT_GE(sqls.size(), 16u);
+
+  // One shard that holds the largest payload but not every payload: all
+  // signatures are inserted during the run, so some must be evicted.
+  CacheOptions cache;
+  cache.shards = 1;
+  cache.capacity_bytes = std::max(max_bytes + 4096, total_bytes / 2);
+  ASSERT_LT(cache.capacity_bytes, total_bytes);
+  constexpr size_t kThreads = 4;
+  auto service = make_service(std::move(cache), kThreads);
+
+  // Four rounds over the SQLs, each running cold (bypass_cache) in
+  // exactly one round and through the cache in the other three, and
+  // interleaved with cached requests for a hot set of four, which the
+  // LRU keeps while the rounds churn the rest.
+  constexpr size_t kRounds = 4;
+  constexpr size_t kHot = 4;
+  std::vector<size_t> sql_of;
+  std::vector<bool> bypass;
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < sqls.size(); ++k) {
+      sql_of.push_back(k);
+      bypass.push_back((k + round) % kRounds == 0);
+      sql_of.push_back(k % kHot);
+      bypass.push_back(false);
+    }
+  }
+  const size_t num_requests = sql_of.size();
+  std::vector<ServeResponse> responses(num_requests);
+  ThreadPool pool(kThreads);
+  std::vector<std::future<Status>> done;
+  for (size_t i = 0; i < num_requests; ++i) {
+    ServeRequest request;
+    request.sql = sqls[sql_of[i]];
+    request.bypass_cache = bypass[i];
+    done.push_back(pool.Submit([&service, &responses, request, i]() {
+      AUTOCAT_ASSIGN_OR_RETURN(responses[i], service->Handle(request));
+      return Status::OK();
+    }));
+  }
+  for (auto& f : done) {
+    const Status status = f.get();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  for (size_t i = 0; i < num_requests; ++i) {
+    const ServeResponse& response = responses[i];
+    ASSERT_NE(response.payload, nullptr) << "request " << i;
+    const size_t k = sql_of[i];
+    EXPECT_EQ(TreeToJson(response.payload->tree()), expected_trees[k])
+        << sqls[k];
+    EXPECT_EQ(response.payload->result_rows(), expected_rows[k]) << sqls[k];
+    if (bypass[i]) {
+      EXPECT_FALSE(response.cache_hit) << "request " << i;
+    }
+  }
+  const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
+  EXPECT_EQ(snapshot.requests_total, num_requests);
+  const uint64_t hits =
+      snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kHit)];
+  const uint64_t misses =
+      snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kMiss)];
+  EXPECT_EQ(hits + misses, num_requests);
+  // Each SQL's bypass request and its first cached request both miss.
+  EXPECT_GE(misses, 2 * sqls.size());
+  EXPECT_GT(snapshot.cache.evictions, 0u);
 }
 
 TEST(AdmissionTest, RejectsWhenQueueIsFull) {

@@ -346,6 +346,29 @@ TEST(ScenarioSpecTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseScenarioSpec("scenario s\nhomes 0\n"
                                  "phase p requests=10\n")
                    .ok());
+  // Values that parse as numbers but would reach undefined behaviour
+  // downstream: a drift outside [0, 1] or NaN (a float-to-size_t cast
+  // out of range), a NaN or infinite Zipf exponent, a NaN train
+  // fraction, and a cache size whose byte count overflows size_t.
+  for (const char* bad :
+       {"scenario s\nphase p requests=10 drift=nan\n",
+        "scenario s\nphase p requests=10 drift=-1\n",
+        "scenario s\nphase p requests=10 drift=inf\n",
+        "scenario s\nphase p requests=10 drift=1.5\n",
+        "scenario s\nphase p requests=10 zipf=nan\n",
+        "scenario s\nphase p requests=10 zipf=inf\n",
+        "scenario s\nphase p requests=10 zipf=-1\n",
+        "scenario s\ntrain_fraction nan\nphase p requests=10\n",
+        "scenario s\ncache_mb 17592186044416\nphase p requests=10\n"}) {
+    const auto spec = ParseScenarioSpec(bad);
+    EXPECT_FALSE(spec.ok()) << bad;
+    EXPECT_NE(spec.status().message().find("(line 2)"), std::string::npos)
+        << bad << ": " << spec.status().ToString();
+  }
+  // The bounds themselves are valid.
+  EXPECT_TRUE(ParseScenarioSpec("scenario s\ncache_mb 17592186044415\n"
+                                "phase p requests=10 drift=1 zipf=0\n")
+                  .ok());
 }
 
 TEST(ScenarioSpecTest, ErrorsNameTheLine) {

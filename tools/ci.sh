@@ -20,8 +20,9 @@
 # Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--figures|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
 #   --serve  run only the serving-layer suite (src/serve/ + histogram +
-#            Database) under ASan and TSan — the targeted gate for cache/admission
-#            concurrency work
+#            Database) under ASan and TSan, including three pool workers
+#            driving cold and cached requests over a generated table —
+#            the targeted gate for cache/admission concurrency work
 #   --pipeline
 #            run the cold-path pipeline and request-coalescing suites
 #            (the filter -> materialize -> attribute-index chain against
@@ -34,11 +35,13 @@
 #            and coalescing work. The TSan pass of this leg also runs in
 #            the default matrix.
 #   --bench-smoke
-#            build and run bench_exec_filter, bench_serve_throughput, and
-#            bench_pipeline at tiny sizes (--smoke) under ASan and TSan —
-#            the targeted gate for the columnar engine's kernels, views,
-#            and the threaded serve path, exercised through the real
-#            benchmark drivers rather than unit fixtures
+#            build and run bench_exec_filter and bench_pipeline at tiny
+#            sizes (--smoke) under ASan and TSan — the targeted gate for
+#            the columnar engine's kernels, views and the cold pipeline,
+#            exercised through the real benchmark drivers rather than
+#            unit fixtures (the threaded serve path is gated by
+#            ServiceTest.ConcurrentColdAndHitTrafficMatchesSequential in
+#            the --serve leg)
 #   --workload
 #            run the workload-harness suites (session/traffic/scenario
 #            generators, the scenario harness with its drift-recovery
@@ -266,12 +269,9 @@ bench_smoke_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [bench-smoke/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target bench_exec_filter bench_serve_throughput bench_pipeline
+    --target bench_exec_filter bench_pipeline
   echo "==== [bench-smoke/$name] bench_exec_filter ===="
   "$ROOT/$dir/bench/bench_exec_filter" --smoke --benchmark_min_time=0.01
-  echo "==== [bench-smoke/$name] bench_serve_throughput ===="
-  "$ROOT/$dir/bench/bench_serve_throughput" --smoke \
-    --benchmark_min_time=0.01
   echo "==== [bench-smoke/$name] bench_pipeline ===="
   "$ROOT/$dir/bench/bench_pipeline" --smoke --benchmark_min_time=0.01
 }
@@ -409,8 +409,10 @@ if [[ "$FAST" == "0" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   # The workload gate's TSan pass: the full leg above already ran these
   # suites, so this reuses the build dir and adds only the scenario
-  # benchmark under TSan (threaded harness replay the unit legs don't
-  # exercise through the benchmark driver).
+  # benchmark under TSan (the harness through the benchmark driver, at
+  # threads = 1; the threaded serve path is gated by
+  # ServiceTest.ConcurrentColdAndHitTrafficMatchesSequential in the
+  # full leg and in --serve).
   workload_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   # The pipeline/coalescing gate's TSan pass: same build-dir reuse; adds

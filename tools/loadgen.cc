@@ -1,40 +1,21 @@
-// Load generator for the categorization service (src/serve/).
+// Load generator for the categorization service (src/serve/): runs a
+// declarative session-workload scenario (src/workloadgen/) — coherent
+// per-user refine/relax/pivot sessions composed into phases with Zipf
+// skew, bursts, and intent drift — through the scenario harness,
+// optionally with the adaptive serving knobs on:
 //
-// Two modes:
+//   loadgen --scenario=drifting --threads=2 --adaptive --adapt-every=64
+//   loadgen --scenario-file=my.scenario --paced
 //
-//   Legacy replay (default): builds the synthetic ListProperty
-//   environment, stands up a CategorizationService over it, and replays
-//   the generated query log at a target request rate through the shared
-//   thread pool:
-//
-//     loadgen --homes=20000 --queries=2000 --requests=500 --qps=200
-//             --threads=4 --deadline-ms=0 --cache-mb=64
-//
-//   Scenario harness: runs a declarative session-workload scenario
-//   (src/workloadgen/) — coherent per-user refine/relax/pivot sessions
-//   composed into phases with Zipf skew, bursts, and intent drift —
-//   optionally with the adaptive serving knobs on:
-//
-//     loadgen --scenario=drifting --threads=2 --adaptive --adapt-every=64
-//     loadgen --scenario-file=my.scenario --paced
-//
-// Both modes print deterministic JSON plus a short human summary, so the
-// output doubles as a smoke test for the serving stack. With --qps=0
-// (the default) legacy requests are issued as fast as the admission
-// queue accepts them, which exercises the kOverloaded path.
-#include <chrono>
-#include <cstdint>
+// Prints the harness report as deterministic JSON plus a short per-phase
+// summary, so the output doubles as a smoke test for the serving stack.
+// Without a scenario it prints its usage and exits 2.
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "serve/service.h"
-#include "simgen/study.h"
-#include "store/store.h"
 #include "tools/loadgen_flags.h"
 #include "workloadgen/harness.h"
 #include "workloadgen/scenario.h"
@@ -63,11 +44,11 @@ int RunScenario(const LoadgenConfig& config) {
                  spec.status().ToString().c_str());
     return 1;
   }
-  if (config.seed != LoadgenConfig().seed) {
-    spec.value().seed = config.seed;
+  if (config.seed.has_value()) {
+    spec.value().seed = *config.seed;
   }
-  if (config.cache_mb != LoadgenConfig().cache_mb) {
-    spec.value().cache_mb = config.cache_mb;
+  if (config.cache_mb.has_value()) {
+    spec.value().cache_mb = *config.cache_mb;
   }
 
   HarnessOptions options;
@@ -96,145 +77,6 @@ int RunScenario(const LoadgenConfig& config) {
   return 0;
 }
 
-int RunLegacyReplay(const LoadgenConfig& config) {
-  StudyConfig study = DefaultStudyConfig();
-  study.num_homes = config.num_homes;
-  study.num_workload_queries = config.num_queries;
-  study.seed = config.seed;
-  auto env_or = StudyEnvironment::Create(study);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "environment: %s\n",
-                 env_or.status().ToString().c_str());
-    return 1;
-  }
-  const StudyEnvironment& env = env_or.value();
-  if (env.workload().empty()) {
-    std::fprintf(stderr, "generated workload is empty\n");
-    return 1;
-  }
-
-  Database db;
-  if (!config.store.empty()) {
-    // Store mode: ListProperty is mapped zero-copy from the segment
-    // store built by `simgen --out-store`; the generated environment is
-    // still used for the query log (its queries depend only on the
-    // geography, not on the row count).
-    const auto map_start = std::chrono::steady_clock::now();
-    if (Status s = AttachStoreTables(config.store, &db); !s.ok()) {
-      std::fprintf(stderr, "store: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (!db.HasTable("ListProperty")) {
-      std::fprintf(stderr, "store '%s' has no ListProperty table\n",
-                   config.store.c_str());
-      return 1;
-    }
-    const double map_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - map_start)
-            .count();
-    std::printf("# mapped store '%s' in %.1fms\n", config.store.c_str(),
-                map_ms);
-  } else if (Status s = db.RegisterTable("ListProperty", env.homes());
-             !s.ok()) {
-    std::fprintf(stderr, "register: %s\n", s.ToString().c_str());
-    return 1;
-  }
-
-  ServiceOptions options;
-  options.categorizer = study.categorizer;
-  options.stats = study.stats;
-  options.cache.capacity_bytes = config.cache_mb << 20;
-  options.max_concurrent = config.threads;
-  options.max_queue = 4 * config.threads;
-  options.default_deadline_ms = config.deadline_ms;
-  CategorizationService service(std::move(db), env.workload(),
-                                std::move(options));
-
-  ThreadPool pool(config.threads);
-  size_t working_set = env.workload().size();
-  if (config.num_signatures > 0 && config.num_signatures < working_set) {
-    working_set = config.num_signatures;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<Status>> done;
-  done.reserve(config.num_requests * config.burst);
-  for (size_t i = 0; i < config.num_requests; ++i) {
-    if (config.qps > 0) {
-      // Pace against the planned issue time, not the previous request:
-      // a slow burst is caught up instead of permanently shifting the
-      // schedule.
-      const auto planned =
-          start + std::chrono::microseconds(
-                      static_cast<int64_t>(1e6 * i / config.qps));
-      const auto now = std::chrono::steady_clock::now();
-      if (planned > now) {
-        SleepForMillis(std::chrono::duration_cast<std::chrono::milliseconds>(
-                           planned - now)
-                           .count());
-      }
-    }
-    ServeRequest request;
-    request.sql = env.workload().entry(i % working_set).sql;
-    request.bypass_cache = config.bypass_cache;
-    // Burst mode issues the same query --burst times back to back, so a
-    // cold signature's duplicates overlap in flight and coalesce onto
-    // one execution instead of each running the cold path.
-    for (size_t dup = 0; dup < config.burst; ++dup) {
-      done.push_back(pool.Submit([&service, request]() {
-        // Failures (overload, deadline, ...) are accounted in the
-        // service metrics; the task itself always succeeds.
-        (void)service.Handle(request);
-        return Status::OK();
-      }));
-    }
-  }
-  for (auto& f : done) {
-    (void)f.get();
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::printf("%s\n", service.MetricsJson().c_str());
-  const ServiceMetricsSnapshot snapshot = service.SnapshotMetrics();
-  const size_t issued = config.num_requests * config.burst;
-  std::printf(
-      "# %zu requests in %.2fs (%.1f qps achieved, %.1f qps target), "
-      "%llu hits / %llu misses / %llu overloaded / %llu deadline / %llu "
-      "error\n",
-      issued, elapsed_s,
-      issued / (elapsed_s > 0 ? elapsed_s : 1.0), config.qps,
-      static_cast<unsigned long long>(
-          snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kHit)]),
-      static_cast<unsigned long long>(
-          snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kMiss)]),
-      static_cast<unsigned long long>(snapshot.by_outcome[static_cast<size_t>(
-          ServeOutcome::kOverloaded)]),
-      static_cast<unsigned long long>(snapshot.by_outcome[static_cast<size_t>(
-          ServeOutcome::kDeadlineExceeded)]),
-      static_cast<unsigned long long>(
-          snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kError)]));
-  if (config.burst > 1) {
-    // Every kMiss outcome is a cold-shaped request; the ones answered by
-    // another request's in-flight execution (coalesced hits) never ran
-    // the cold path themselves.
-    const uint64_t cold_shaped =
-        snapshot.by_outcome[static_cast<size_t>(ServeOutcome::kMiss)];
-    const uint64_t executed = cold_shaped - snapshot.coalesced_hits;
-    std::printf(
-        "# burst=%zu: %llu cold-shaped requests, %llu executed cold "
-        "paths (%llu coalesced away, %.1fx reduction)\n",
-        config.burst, static_cast<unsigned long long>(cold_shaped),
-        static_cast<unsigned long long>(executed),
-        static_cast<unsigned long long>(snapshot.coalesced_hits),
-        executed > 0 ? static_cast<double>(cold_shaped) /
-                           static_cast<double>(executed)
-                     : 1.0);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,14 +84,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     args.emplace_back(argv[i]);
   }
-  const Result<LoadgenConfig> config = ParseLoadgenArgs(args);
+  Result<LoadgenConfig> config = ParseLoadgenArgs(args);
+  if (config.ok() && !config.value().has_scenario()) {
+    config = Status::InvalidArgument(
+        "--scenario=NAME or --scenario-file=PATH is required");
+  }
   if (!config.ok()) {
     std::fprintf(stderr, "%s\nusage: %s", config.status().ToString().c_str(),
                  LoadgenUsage(argv[0]).c_str());
     return 2;
   }
-  if (config.value().scenario_mode()) {
-    return RunScenario(config.value());
-  }
-  return RunLegacyReplay(config.value());
+  return RunScenario(config.value());
 }

@@ -8,6 +8,8 @@
 // strtoull behavior this replaced).
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,42 +20,21 @@
 namespace autocat {
 
 struct LoadgenConfig {
-  // Legacy replay mode (default): cycle the generated query log.
-  size_t num_homes = 20000;
-  size_t num_queries = 2000;
-  size_t num_requests = 500;
-  // The request stream cycles through this many distinct workload
-  // queries, so steady state mixes cache hits with the occasional cold
-  // signature. 0 replays the whole log.
-  size_t num_signatures = 64;
-  double qps = 0;  // 0 = unpaced.
-  size_t threads = 4;
-  int64_t deadline_ms = 0;
-  size_t cache_mb = 64;
-  uint64_t seed = 4242;
-  bool bypass_cache = false;
-  // Duplicate-signature burst mode: each scheduled request is issued as
-  // this many concurrent duplicates of the same query (total requests =
-  // --requests * --burst). Duplicates of a cold signature coalesce onto
-  // one in-flight execution (serve/coalesce.h); the replay summary
-  // reports the executed-cold-path reduction. 1 = off.
-  size_t burst = 1;
-
-  // Scenario harness mode, selected by --scenario=<builtin name> or
-  // --scenario-file=<spec path> (mutually exclusive).
+  // The scenario to run, selected by --scenario=<builtin name> or
+  // --scenario-file=<spec path> (mutually exclusive; one is required).
   std::string scenario;
   std::string scenario_file;
+  size_t threads = 4;
+  int64_t deadline_ms = 0;
+  // Overrides of the scenario's own cache_mb / seed, set only when the
+  // flag is given (whatever its value).
+  std::optional<size_t> cache_mb;
+  std::optional<uint64_t> seed;
   bool adaptive = false;
   size_t adapt_every = 64;
   bool paced = false;
 
-  /// Path to a segment store file (built by tools/simgen --out-store).
-  /// Legacy replay mode only: the service's ListProperty table is mapped
-  /// from the store instead of generated in memory, so startup is a map,
-  /// not a build. Empty (the default) keeps the in-memory path.
-  std::string store;
-
-  bool scenario_mode() const {
+  bool has_scenario() const {
     return !scenario.empty() || !scenario_file.empty();
   }
 };
@@ -61,11 +42,8 @@ struct LoadgenConfig {
 inline std::string LoadgenUsage(std::string_view argv0) {
   std::string out(argv0);
   out +=
-      " [--homes=N] [--queries=N] [--requests=N]\n"
-      "          [--signatures=N] [--qps=D] [--threads=N]\n"
-      "          [--deadline-ms=N] [--cache-mb=N] [--seed=N]\n"
-      "          [--bypass-cache] [--burst=K] [--store=PATH]\n"
-      "          [--scenario=NAME | --scenario-file=PATH]\n"
+      " (--scenario=NAME | --scenario-file=PATH)\n"
+      "          [--threads=N] [--deadline-ms=N] [--cache-mb=N] [--seed=N]\n"
       "          [--adaptive] [--adapt-every=N] [--paced]\n";
   return out;
 }
@@ -103,7 +81,8 @@ inline Status ParseSize(std::string_view flag, std::string_view value,
 }  // namespace loadgen_internal
 
 /// Parses command-line arguments (excluding argv[0]). Unknown flags and
-/// malformed values are kInvalidArgument.
+/// malformed values are kInvalidArgument. A missing scenario is not a
+/// parse error; the caller checks has_scenario().
 inline Result<LoadgenConfig> ParseLoadgenArgs(
     const std::vector<std::string>& args) {
   using loadgen_internal::FlagError;
@@ -112,28 +91,7 @@ inline Result<LoadgenConfig> ParseLoadgenArgs(
   LoadgenConfig config;
   for (const std::string& arg : args) {
     std::string_view value;
-    if (MatchFlag(arg, "homes", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("homes", value,
-                                        &config.num_homes));
-    } else if (MatchFlag(arg, "queries", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("queries", value,
-                                        &config.num_queries));
-    } else if (MatchFlag(arg, "requests", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("requests", value,
-                                        &config.num_requests));
-    } else if (MatchFlag(arg, "signatures", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("signatures", value,
-                                        &config.num_signatures));
-    } else if (MatchFlag(arg, "qps", &value)) {
-      const Result<double> parsed = ParseDouble(value);
-      if (!parsed.ok()) {
-        return FlagError("qps", parsed.status());
-      }
-      if (parsed.value() < 0) {
-        return Status::InvalidArgument("--qps: must be >= 0");
-      }
-      config.qps = parsed.value();
-    } else if (MatchFlag(arg, "threads", &value)) {
+    if (MatchFlag(arg, "threads", &value)) {
       AUTOCAT_RETURN_IF_ERROR(ParseSize("threads", value,
                                         &config.threads));
       if (config.threads == 0) {
@@ -149,24 +107,20 @@ inline Result<LoadgenConfig> ParseLoadgenArgs(
       }
       config.deadline_ms = parsed.value();
     } else if (MatchFlag(arg, "cache-mb", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("cache-mb", value,
-                                        &config.cache_mb));
+      size_t cache_mb = 0;
+      AUTOCAT_RETURN_IF_ERROR(ParseSize("cache-mb", value, &cache_mb));
+      // The harness sizes the cache as cache_mb << 20 bytes.
+      if (cache_mb > (std::numeric_limits<size_t>::max() >> 20)) {
+        return Status::InvalidArgument(
+            "--cache-mb: too large to express in bytes");
+      }
+      config.cache_mb = cache_mb;
     } else if (MatchFlag(arg, "seed", &value)) {
       const Result<uint64_t> parsed = ParseUint64(value);
       if (!parsed.ok()) {
         return FlagError("seed", parsed.status());
       }
       config.seed = parsed.value();
-    } else if (MatchFlag(arg, "burst", &value)) {
-      AUTOCAT_RETURN_IF_ERROR(ParseSize("burst", value, &config.burst));
-      if (config.burst == 0) {
-        return Status::InvalidArgument("--burst: must be >= 1");
-      }
-    } else if (MatchFlag(arg, "store", &value)) {
-      if (value.empty()) {
-        return Status::InvalidArgument("--store: path must not be empty");
-      }
-      config.store = std::string(value);
     } else if (MatchFlag(arg, "scenario", &value)) {
       config.scenario = std::string(value);
     } else if (MatchFlag(arg, "scenario-file", &value)) {
@@ -177,8 +131,6 @@ inline Result<LoadgenConfig> ParseLoadgenArgs(
       if (config.adapt_every == 0) {
         return Status::InvalidArgument("--adapt-every: must be >= 1");
       }
-    } else if (arg == "--bypass-cache") {
-      config.bypass_cache = true;
     } else if (arg == "--adaptive") {
       config.adaptive = true;
     } else if (arg == "--paced") {
@@ -190,18 +142,6 @@ inline Result<LoadgenConfig> ParseLoadgenArgs(
   if (!config.scenario.empty() && !config.scenario_file.empty()) {
     return Status::InvalidArgument(
         "--scenario and --scenario-file are mutually exclusive");
-  }
-  if (!config.store.empty() && config.scenario_mode()) {
-    return Status::InvalidArgument(
-        "--store applies to legacy replay mode only, not --scenario");
-  }
-  if (config.burst > 1 && config.scenario_mode()) {
-    return Status::InvalidArgument(
-        "--burst applies to legacy replay mode only, not --scenario");
-  }
-  if (config.burst > 1 && config.bypass_cache) {
-    return Status::InvalidArgument(
-        "--burst needs coalescing, which --bypass-cache disables");
   }
   return config;
 }
