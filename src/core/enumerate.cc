@@ -42,7 +42,7 @@ std::vector<PartitionCategory> BucketsFromBoundaries(
     part.label = CategoryLabel::Numeric(attribute, boundaries[b],
                                         boundaries[b + 1], last);
     for (size_t r = 0; r < result.num_rows(); ++r) {
-      if (part.label.Matches(result.ValueAt(r, col))) {
+      if (part.label.Matches(result.CellValue(r, col))) {
         part.tuples.push_back(r);
       }
     }

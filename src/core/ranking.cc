@@ -16,7 +16,7 @@ Result<double> TupleScore(const Table& table, size_t row,
   for (const std::string& attr : attributes) {
     AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
                              table.schema().ColumnIndex(attr));
-    const Value& v = table.ValueAt(row, col);
+    const Value v = table.CellValue(row, col);
     if (v.is_null()) {
       continue;
     }

@@ -16,9 +16,10 @@ std::shared_ptr<const ColumnarTable> Database::ShadowOf(const Table& table) {
   if (table.num_rows() > std::numeric_limits<uint32_t>::max()) {
     return nullptr;
   }
-  if (!table.has_rows()) {
+  if (!table.has_rows() && !table.has_selection()) {
     // Column-backed tables (segment-store mode) carry their columnar
-    // representation already.
+    // representation already. A table with a selection does not: its
+    // backing is the shadow it selects from.
     return table.columnar_backing();
   }
   return std::make_shared<const ColumnarTable>(ColumnarTable::Build(table));
@@ -84,23 +85,11 @@ Result<std::vector<size_t>> FilterTable(const Table& table,
     std::iota(indices.begin(), indices.end(), 0);
     return indices;
   }
-  if (!table.has_rows()) {
-    // Column-backed base: synthesize each candidate row for the exact
-    // row-at-a-time evaluator.
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      AUTOCAT_ASSIGN_OR_RETURN(
-          const bool keep,
-          EvaluatePredicate(*where, table.CopyRow(r), table.schema()));
-      if (keep) {
-        indices.push_back(r);
-      }
-    }
-    return indices;
-  }
+  Row scratch;
   for (size_t r = 0; r < table.num_rows(); ++r) {
     AUTOCAT_ASSIGN_OR_RETURN(
         const bool keep,
-        EvaluatePredicate(*where, table.row(r), table.schema()));
+        EvaluatePredicate(*where, table.RowRef(r, &scratch), table.schema()));
     if (keep) {
       indices.push_back(r);
     }

@@ -43,8 +43,9 @@ class Database {
   /// synchronization — the contract is about the address, not the data.
   Result<const Table*> GetTable(std::string_view name) const;
 
-  /// Returns the table's columnar shadow: `ColumnarTable::Build` of a
-  /// row-store table, the backing of a column-backed one. The shared_ptr
+  /// Returns the table's columnar shadow: the backing of a `FromColumnar`
+  /// table, `ColumnarTable::Build` of any other (a table with a
+  /// selection is never its backing). The shared_ptr
   /// keeps the shadow alive across a later PutTable. Errors: kNotFound
   /// for an unknown table; kNotSupported when the table has more rows
   /// than a uint32_t selection vector can address (the serving layer

@@ -114,6 +114,11 @@ class CompiledPredicate {
     return columnar_ == nullptr ? 0 : columnar_->num_rows();
   }
 
+  /// The shadow the predicate was compiled against and filters.
+  const std::shared_ptr<const ColumnarTable>& columnar() const {
+    return columnar_;
+  }
+
   /// Number of evaluation morsels (kMorselRows-wide chunks) over the base.
   size_t num_morsels() const;
 

@@ -154,6 +154,7 @@ Result<ColdPipelineResult> RunColdPipeline(
     const ColumnarTable* columnar, const std::vector<std::string>& columns,
     const ColdPipelineOptions& options) {
   AUTOCAT_CHECK(columnar != nullptr);
+  AUTOCAT_CHECK(columnar == predicate.columnar().get());
   ColdPipelineResult out;
   ColdPipelineTimings& timings = out.timings;
 
@@ -181,8 +182,8 @@ Result<ColdPipelineResult> RunColdPipeline(
   const double t1 = NowMs();
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
-      TableView::Create(base, nullptr, out.selection, columns));
-  out.result = view.Materialize();
+      TableView::Create(base, predicate.columnar(), out.selection, columns));
+  out.result = view.AsTable();
   out.result_bytes = ApproxTableBytes(out.result);
   const double t2 = NowMs();
   out.attr_index =

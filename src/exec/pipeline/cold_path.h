@@ -44,19 +44,26 @@ struct ColdPipelineTimings {
   size_t rows_examined = 0;
   /// `CompiledPredicate::Filter`.
   double filter_ms = 0;
-  /// The projected gather (`TableView::Materialize`) and its byte count.
+  /// Wrapping the selection as the result table (`TableView::AsTable`)
+  /// and its byte count.
   double project_ms = 0;
   /// The attribute index.
   double stats_ms = 0;
 };
 
 /// Everything the cold serve path needs from the base relation. `result`
-/// row i is selection position i, exactly as `TableView::Materialize`
-/// over `selection` produces it, and `result_bytes` is
-/// `ApproxTableBytes(result)`, the cache's accounting of it.
+/// is the late-materialized result: the selection and projection over
+/// the predicate's shared shadow (`TableView::AsTable`), so no cell is
+/// copied and every `Table` method answers on it what it answers on
+/// `TableView::Materialize` of the same view. Row i is selection position
+/// i. The cache charges it `ApproxTableBytes(result)`: the shadow is not
+/// charged, because it belongs to the `Database` while its table version
+/// is live.
 struct ColdPipelineResult {
   std::vector<uint32_t> selection;
   Table result;
+  /// `ApproxTableBytes(result)`. Mirror only: perfbench's mirror is its
+  /// one reader outside the tests; delete it with the mirror.
   size_t result_bytes = 0;
   ResultAttributeIndex attr_index;
   ColdPipelineTimings timings;
@@ -65,14 +72,16 @@ struct ColdPipelineResult {
 /// Runs the cold path for one request as plain sequential steps:
 /// `CompiledPredicate::Filter` (zone-pruned, posting-sourced when a
 /// string value set is selective, morsel-parallel, shards merged in
-/// morsel order) -> `TableView::Create` + `Materialize` over the
-/// selection -> `ApproxTableBytes` -> the attribute index over the
-/// selection. Every step is deterministic at any thread count, so the
-/// outputs are too.
+/// morsel order) -> `TableView::Create` + `AsTable` over the selection
+/// -> `ApproxTableBytes` -> the attribute index over the selection.
+/// Every step is deterministic at any thread count, so the outputs are
+/// too.
 ///
-/// `columnar` is the base table's shadow and must be non-null. `columns`
-/// is the projection (empty = all base columns); errors mirror
-/// `TableView::Create` (unknown projection column).
+/// `columnar` is the base table's shadow, the one `predicate` was
+/// compiled against (`predicate.columnar()`, whose ownership the result
+/// shares), and must be non-null. `columns` is the projection (empty =
+/// all base columns); errors mirror `TableView::Create` (unknown
+/// projection column).
 Result<ColdPipelineResult> RunColdPipeline(const CompiledPredicate& predicate,
                                            const Table& base,
                                            const ColumnarTable* columnar,

@@ -48,11 +48,13 @@ void SimulatedExplorer::ExamineTuples(const CategoryTree& tree, NodeId id,
                                       ExplorationResult* result) const {
   const CategoryNode& node = tree.node(id);
   const Table& table = tree.result();
+  Row scratch;
   if (options_.scenario == Scenario::kAll) {
     // Figure 2: examine every tuple in tset(C).
     result->tuples_examined += node.tuples.size();
     for (size_t idx : node.tuples) {
-      if (interest.MatchesRow(table.row(idx), table.schema())) {
+      if (interest.MatchesRow(table.RowRef(idx, &scratch),
+                              table.schema())) {
         ++result->relevant_found;
       }
     }
@@ -61,7 +63,8 @@ void SimulatedExplorer::ExamineTuples(const CategoryTree& tree, NodeId id,
   // Figure 3: examine from the beginning until the first relevant tuple.
   for (size_t idx : node.tuples) {
     ++result->tuples_examined;
-    if (interest.MatchesRow(table.row(idx), table.schema())) {
+    if (interest.MatchesRow(table.RowRef(idx, &scratch),
+                            table.schema())) {
       ++result->relevant_found;
       result->found_any = true;
       return;

@@ -140,6 +140,13 @@ void SignatureCache::InsertLocked(
     Shard& shard, const std::string& key,
     std::shared_ptr<const CachedCategorization> payload,
     uint64_t observed_epoch) AUTOCAT_REQUIRES(shard.mu) {
+  // A payload computed under an earlier epoch is stale before it lands
+  // (a PutTable raced the computation); it would also pin the replaced
+  // table version's shadow, so it is refused.
+  if (observed_epoch != epoch_.load(std::memory_order_acquire)) {
+    ++shard.invalidations;
+    return;
+  }
   // Per-entry overhead: the key (stored twice) plus node bookkeeping.
   const size_t entry_bytes = payload->approx_bytes() + 2 * key.size() +
                              sizeof(Entry) + 64;
@@ -173,7 +180,23 @@ void SignatureCache::InsertLocked(
 }
 
 void SignatureCache::BumpEpoch() {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Drop what the bump made stale now, not on each entry's next access:
+  // a payload selects from its table version's shadow, so a stale entry
+  // left behind would keep a replaced shadow alive. An insert racing this
+  // loop either lands before its shard is swept (and is swept) or sees
+  // the new epoch and is refused.
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
+      const auto next = std::next(it);
+      if (it->epoch != epoch) {
+        ++shard->invalidations;
+        RemoveLocked(*shard, it);
+      }
+      it = next;
+    }
+  }
 }
 
 void SignatureCache::SetTtlMs(int64_t ttl_ms) {

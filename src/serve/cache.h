@@ -19,12 +19,14 @@
 
 namespace autocat {
 
-/// One cached categorization: the canonical query's result table, the
-/// category tree built over it, and the byte estimate the cache accounts
-/// it at. The payload owns the table at a stable heap address so the
-/// tree's internal `const Table*` stays valid for the payload's lifetime;
-/// entries are handed out as shared_ptr so eviction never invalidates an
-/// in-flight reader.
+/// One cached categorization: the canonical query's result table (on the
+/// serving path, a selection and projection over its table version's
+/// shared shadow; see `RunColdPipeline`), the category tree built over
+/// it, and the byte estimate the cache accounts it at. The payload owns
+/// the table at a stable heap address so the tree's internal
+/// `const Table*` stays valid for the payload's lifetime; entries are
+/// handed out as shared_ptr so eviction never invalidates an in-flight
+/// reader.
 class CachedCategorization {
  public:
   /// Takes ownership of `result`, then runs `build_tree` against the
@@ -33,11 +35,11 @@ class CachedCategorization {
       Table result,
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);
 
-  /// Build with a precomputed table-byte estimate: the cold pipeline
-  /// already counts `ApproxTableBytes(result)` as its `result_bytes`, so
-  /// the payload takes that figure instead of counting again.
-  /// `table_bytes` must equal `ApproxTableBytes(result)` (checked in
-  /// debug builds).
+  /// Build with a precomputed table-byte estimate, which must equal
+  /// `ApproxTableBytes(result)` (checked in debug builds). Mirror only:
+  /// perfbench's mirror is its one caller; delete it with the mirror
+  /// (`ApproxTableBytes` of a served result is O(1), so the precomputed
+  /// figure saves nothing).
   static Result<std::shared_ptr<const CachedCategorization>> Build(
       Table result, size_t table_bytes,
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);
@@ -46,8 +48,8 @@ class CachedCategorization {
   const CategoryTree& tree() const { return *tree_; }
   size_t result_rows() const { return result_.num_rows(); }
 
-  /// The byte estimate used for cache capacity accounting: table cells
-  /// (including string payloads) plus tree nodes and tuple lists.
+  /// The byte estimate used for cache capacity accounting: the result
+  /// table's `ApproxTableBytes` plus tree nodes and tuple lists.
   size_t approx_bytes() const { return approx_bytes_; }
 
  private:
@@ -81,7 +83,7 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;      ///< Capacity-driven LRU removals.
   uint64_t expirations = 0;    ///< TTL-driven removals.
-  uint64_t invalidations = 0;  ///< Epoch-mismatch removals.
+  uint64_t invalidations = 0;  ///< Stale-epoch removals and refusals.
   uint64_t oversized = 0;      ///< Inserts skipped: entry > shard share.
   size_t entries = 0;          ///< Live entries right now.
   size_t bytes = 0;            ///< Accounted bytes right now.
@@ -99,8 +101,10 @@ struct CacheStats {
 ///   - TTL: entries older than `ttl_ms` are treated as misses and removed
 ///     on access;
 ///   - epoch: `BumpEpoch()` (called by the service when table contents or
-///     workload stats change) logically invalidates every entry at once;
-///     stale entries are removed lazily on access.
+///     workload stats change) invalidates every entry at once and removes
+///     them before it returns, and an insert computed under an earlier
+///     epoch is refused, so no entry outlives the table version it
+///     selects from. Both count as invalidations.
 /// All operations are thread-safe.
 class SignatureCache {
  public:
@@ -120,8 +124,9 @@ class SignatureCache {
 
   /// Insert stamped with the epoch the caller observed while computing
   /// `payload`. If the epoch advanced mid-computation the entry is
-  /// already stale; it will be dropped on its next access rather than
-  /// served. The service uses this to close the read-table/insert race.
+  /// already stale, and the insert is refused (counted as an
+  /// invalidation). The service uses this to close the
+  /// read-table/insert race.
   void Insert(const std::string& key, uint64_t hash,
               std::shared_ptr<const CachedCategorization> payload,
               uint64_t observed_epoch);
@@ -132,8 +137,9 @@ class SignatureCache {
   /// The current invalidation epoch.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Invalidates every cached entry (logically, in O(1)): entries from
-  /// earlier epochs miss on their next access and are removed then.
+  /// Invalidates every cached entry: advances the epoch, then removes
+  /// every entry of an earlier epoch, shard by shard (O(entries)). A
+  /// `Get` that runs between the two still misses on a stale entry.
   void BumpEpoch();
 
   /// Removes every entry immediately (counters are kept).

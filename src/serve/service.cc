@@ -256,10 +256,11 @@ CategorizationService::AttemptServe(const SelectQuery& query,
                                          options_.categorizer);
 
   // One cold path (DESIGN.md §14). The canonical profile compiles against
-  // the table's columnar shadow, and the cold pipeline filters, gathers
-  // the projected result, counts its bytes, and builds the attribute
-  // index over the selection. ColumnarFor's refusal of a table too large
-  // for a 32-bit selection is a real error.
+  // the table's columnar shadow, and the cold pipeline filters, wraps the
+  // selection and projection over the shadow as the result (no cell is
+  // copied), counts its bytes, and builds the attribute index over the
+  // selection. ColumnarFor's refusal of a table too large for a 32-bit
+  // selection is a real error.
   AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
                            db_.ColumnarFor(table_key));
   AUTOCAT_ASSIGN_OR_RETURN(
@@ -309,8 +310,7 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   };
   AUTOCAT_ASSIGN_OR_RETURN(
       auto payload,
-      CachedCategorization::Build(std::move(scan.result), scan.result_bytes,
-                                  build_tree));
+      CachedCategorization::Build(std::move(scan.result), build_tree));
   metrics_.RecordOperator(ServeOperator::kCategorize,
                           WallMs() - categorize_start);
   metrics_.RecordOperator(ServeOperator::kCategorizeOrders,

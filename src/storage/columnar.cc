@@ -114,7 +114,27 @@ void ComputeZones(ColumnarTable::Column* col, size_t n) {
 
 }  // namespace
 
+Value ColumnarTable::Column::CellValue(size_t row) const {
+  if (IsNull(row)) {
+    return Value();
+  }
+  switch (type) {
+    case ValueType::kInt64:
+      return Value(i64[row]);
+    case ValueType::kDouble:
+      return Value(f64[row]);
+    case ValueType::kString:
+      return Value(dict[codes[row]]);
+    case ValueType::kNull:
+      return Value();
+  }
+  return Value();
+}
+
 ColumnarTable ColumnarTable::Build(const Table& table) {
+  if (!table.has_rows()) {
+    return Build(TableView::All(table, nullptr).Materialize());
+  }
   const size_t n = table.num_rows();
   const size_t words = (n + 63) / 64;
   ColumnarTable out;
@@ -244,16 +264,39 @@ ColumnarTable ColumnarTable::FromColumns(size_t num_rows,
   return out;
 }
 
+namespace {
+
+// True when `columnar` is to be read in `base`'s backing coordinates: the
+// caller passed none, or the base's backing itself.
+bool ReadsBacking(const Table& base,
+                  const std::shared_ptr<const ColumnarTable>& columnar) {
+  return columnar == nullptr || columnar == base.columnar_backing();
+}
+
+}  // namespace
+
 TableView TableView::All(const Table& base,
                          std::shared_ptr<const ColumnarTable> columnar) {
   TableView view;
   view.base_ = &base;
+  view.schema_ = base.schema();
+  if (!base.has_rows() && ReadsBacking(base, columnar)) {
+    view.columnar_ = base.columnar_backing();
+    if (base.has_selection()) {
+      view.rows_ = base.selection_;
+    } else {
+      view.rows_.resize(base.num_rows());
+      std::iota(view.rows_.begin(), view.rows_.end(), uint32_t{0});
+    }
+    view.projection_.assign(base.projection_.begin(),
+                            base.projection_.end());
+    return view;
+  }
   view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
   view.rows_.resize(base.num_rows());
   std::iota(view.rows_.begin(), view.rows_.end(), uint32_t{0});
   view.projection_.resize(base.num_columns());
   std::iota(view.projection_.begin(), view.projection_.end(), size_t{0});
-  view.schema_ = base.schema();
   return view;
 }
 
@@ -268,24 +311,35 @@ Result<TableView> TableView::Create(
   }
   TableView view;
   view.base_ = &base;
-  view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
-  view.rows_ = std::move(rows);
   if (columns.empty()) {
     view.projection_.resize(base.num_columns());
     std::iota(view.projection_.begin(), view.projection_.end(), size_t{0});
     view.schema_ = base.schema();
-    return view;
+  } else {
+    std::vector<ColumnDef> cols;
+    cols.reserve(columns.size());
+    view.projection_.reserve(columns.size());
+    for (const std::string& name : columns) {
+      AUTOCAT_ASSIGN_OR_RETURN(const size_t idx,
+                               base.schema().ColumnIndex(name));
+      cols.push_back(base.schema().column(idx));
+      view.projection_.push_back(idx);
+    }
+    AUTOCAT_ASSIGN_OR_RETURN(view.schema_, Schema::Create(std::move(cols)));
   }
-  std::vector<ColumnDef> cols;
-  cols.reserve(columns.size());
-  view.projection_.reserve(columns.size());
-  for (const std::string& name : columns) {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t idx,
-                             base.schema().ColumnIndex(name));
-    cols.push_back(base.schema().column(idx));
-    view.projection_.push_back(idx);
+  if (!base.has_rows() && ReadsBacking(base, columnar)) {
+    // Compose the base's maps: the view addresses the backing directly.
+    for (uint32_t& r : rows) {
+      r = static_cast<uint32_t>(base.BackingRow(r));
+    }
+    for (size_t& c : view.projection_) {
+      c = base.projection_[c];
+    }
+    view.columnar_ = base.columnar_backing();
+  } else {
+    view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
   }
-  AUTOCAT_ASSIGN_OR_RETURN(view.schema_, Schema::Create(std::move(cols)));
+  view.rows_ = std::move(rows);
   return view;
 }
 
@@ -296,14 +350,15 @@ Table TableView::Materialize() const {
   }
   out.rows_.reserve(rows_.size());
   if (!base_->has_rows()) {
-    // Column-backed base: gather each cell from the columnar arrays.
-    // Bit-identical to the row gather because the store round-trips cells
-    // losslessly (raw doubles, exact int64 decode, dictionary strings).
+    // Column-backed base: gather each cell from the columnar arrays, in
+    // the view's (columnar) coordinates. Bit-identical to the row gather
+    // because the store round-trips cells losslessly (raw doubles, exact
+    // int64 decode, dictionary strings).
     for (const uint32_t r : rows_) {
       Row projected;
       projected.reserve(projection_.size());
       for (const size_t c : projection_) {
-        projected.push_back(base_->CellValue(r, c));
+        projected.push_back(columnar_->column(c).CellValue(r));
       }
       out.rows_.push_back(std::move(projected));
     }
@@ -334,6 +389,17 @@ Table TableView::Materialize() const {
     }
     out.rows_.push_back(std::move(projected));
   }
+  return out;
+}
+
+Table TableView::AsTable() const {
+  AUTOCAT_CHECK(columnar_ != nullptr);
+  Table out(schema_);
+  out.columnar_ = columnar_;
+  out.columnar_rows_ = rows_.size();
+  out.selected_ = true;
+  out.selection_ = rows_;
+  out.projection_.assign(projection_.begin(), projection_.end());
   return out;
 }
 

@@ -150,6 +150,10 @@ class ColumnarTable {
     bool IsNull(size_t row) const {
       return (null_words[row >> 6] >> (row & 63)) & 1;
     }
+
+    /// Row `row`'s cell as an owned Value: NULL or the declared type,
+    /// bit-identical to the cell the column was built from.
+    Value CellValue(size_t row) const;
   };
 
   ColumnarTable() = default;
@@ -161,7 +165,8 @@ class ColumnarTable {
   /// Builds an in-memory shadow in one pass per column (three for
   /// strings: dictionary, codes with per-code counts, posting lists).
   /// Requires `table.num_rows() <= UINT32_MAX`
-  /// (callers gate; selection vectors are 32-bit). Aborts on a cell that
+  /// (callers gate; selection vectors are 32-bit). A column-backed
+  /// `table` is gathered into rows first. Aborts on a cell that
   /// is neither NULL nor the column's declared type: `Table::AppendRow`
   /// coerces, so only rows handed to `Table::FromValidatedRows` in breach
   /// of its precondition can carry one.
@@ -189,21 +194,30 @@ class ColumnarTable {
 /// indices plus a projection map of base-column indices. This is the
 /// result representation on the cold categorization path — the filter
 /// kernels emit the selection, partitioners/stats/ranking read cells
-/// through the view, and `Materialize()` performs the single fused
-/// gather (replacing SelectRows + Project) when an owned table is needed.
+/// through the view, and `AsTable()` wraps it as the served result table
+/// without copying a cell (`Materialize()` performs the single fused
+/// gather instead, when an owned row-store table is needed).
 ///
-/// Lifetime: the view borrows `base` (and optionally shares a columnar
-/// shadow); the base table must outlive the view and must not be mutated
-/// while the view is live. View row i of `Materialize()`'s output is view
-/// row i, so tuple indices computed through the view index the
-/// materialized table directly.
+/// Lifetime: the view borrows `base` (and shares a columnar shadow); the
+/// base table must outlive the view and must not be mutated while the
+/// view is live. View row i of `AsTable()` and `Materialize()` is view
+/// row i, so tuple indices computed through the view index either table
+/// directly.
+///
+/// Coordinates: `base_row` / `base_column` index `columnar()` when it is
+/// set, and `base()` otherwise. The two agree except over a
+/// column-backed base read through its own backing: a view of a table
+/// with a selection composes the table's maps into its own, so it
+/// addresses the shared shadow directly and no map is applied twice.
 class TableView {
  public:
   TableView() = default;
 
-  /// A view of every row and column of `base`. A null `columnar` means
-  /// the base's own backing: a column-backed base is always read through
-  /// it, and a row-store base without a shadow takes the generic
+  /// A view of every row and column of `base`. `columnar`, when neither
+  /// null nor the base's backing, must be a shadow of `base`'s own rows
+  /// (`Database::ColumnarFor`). Otherwise a column-backed base is read
+  /// through its backing, its selection and projection composed into the
+  /// view's, and a row-store base without a shadow takes the generic
   /// per-Value path.
   static TableView All(const Table& base,
                        std::shared_ptr<const ColumnarTable> columnar);
@@ -224,9 +238,10 @@ class TableView {
   size_t num_rows() const { return rows_.size(); }
   size_t num_columns() const { return projection_.size(); }
 
-  /// Base-table row index of view row `row`.
+  /// Row index of view row `row` in `columnar()` (in `base()` without
+  /// one; see the class comment).
   uint32_t base_row(size_t row) const { return rows_[row]; }
-  /// Base-table column index of view column `col`.
+  /// Column index of view column `col`, in the same coordinates.
   size_t base_column(size_t col) const { return projection_[col]; }
   const std::vector<uint32_t>& selection() const { return rows_; }
 
@@ -243,6 +258,12 @@ class TableView {
   /// column-backed base the cells are synthesized from the columnar
   /// arrays instead (bit-identical by the store's lossless round-trip).
   Table Materialize() const;
+
+  /// The view as an immutable column-backed table over `columnar()`,
+  /// which it shares: the selection and projection are copied, no cell
+  /// is. Every `Table` method answers on it what it answers on
+  /// `Materialize()`. Requires a non-null `columnar()`.
+  Table AsTable() const;
 
  private:
   const Table* base_ = nullptr;

@@ -92,10 +92,12 @@ std::string TableToCsv(const Table& table) {
     out += QuoteField(schema.column(c).name);
   }
   out += '\n';
+  Row scratch;
   for (size_t r = 0; r < table.num_rows(); ++r) {
+    const Row& row = table.RowRef(r, &scratch);
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       if (c > 0) out += ',';
-      const Value& v = table.ValueAt(r, c);
+      const Value& v = row[c];
       if (!v.is_null()) {
         out += QuoteField(v.ToString());
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -58,6 +59,8 @@ Table Table::FromColumnar(Schema schema,
   AUTOCAT_CHECK_EQ(columnar->num_columns(), schema.num_columns());
   Table out(std::move(schema));
   out.columnar_rows_ = columnar->num_rows();
+  out.projection_.resize(out.num_columns());
+  std::iota(out.projection_.begin(), out.projection_.end(), uint32_t{0});
   out.columnar_ = std::move(columnar);
   return out;
 }
@@ -72,21 +75,7 @@ Value Table::CellValue(size_t row, size_t col) const {
   if (columnar_ == nullptr) {
     return rows_[row][col];
   }
-  const ColumnarTable::Column& cc = columnar_->column(col);
-  if (cc.IsNull(row)) {
-    return Value();
-  }
-  switch (cc.type) {
-    case ValueType::kInt64:
-      return Value(cc.i64[row]);
-    case ValueType::kDouble:
-      return Value(cc.f64[row]);
-    case ValueType::kString:
-      return Value(cc.dict[cc.codes[row]]);
-    case ValueType::kNull:
-      return Value();
-  }
-  return Value();
+  return columnar_->column(projection_[col]).CellValue(BackingRow(row));
 }
 
 Row Table::CopyRow(size_t i) const {
@@ -99,6 +88,17 @@ Row Table::CopyRow(size_t i) const {
     out.push_back(CellValue(i, c));
   }
   return out;
+}
+
+const Row& Table::RowRef(size_t i, Row* scratch) const {
+  if (columnar_ == nullptr) {
+    return rows_[i];
+  }
+  scratch->clear();
+  for (size_t c = 0; c < num_columns(); ++c) {
+    scratch->push_back(CellValue(i, c));
+  }
+  return *scratch;
 }
 
 Status Table::AppendRow(Row row) {
@@ -137,11 +137,7 @@ Result<Table> Table::SelectRows(const std::vector<size_t>& indices) const {
       return Status::OutOfRange("row index " + std::to_string(idx) +
                                 " out of range");
     }
-    if (columnar_ == nullptr) {
-      out.rows_.push_back(rows_[idx]);
-    } else {
-      out.rows_.push_back(CopyRow(idx));
-    }
+    out.rows_.push_back(CopyRow(idx));
   }
   return out;
 }
@@ -154,21 +150,9 @@ std::vector<size_t> Table::FilterIndices(
   // table avoids the early doubling reallocations without ballooning
   // memory when only a handful of rows match.
   out.reserve(n / 4 + 16);
-  if (columnar_ == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if (pred(rows_[i])) {
-        out.push_back(i);
-      }
-    }
-    return out;
-  }
   Row scratch;
   for (size_t i = 0; i < n; ++i) {
-    scratch.clear();
-    for (size_t c = 0; c < num_columns(); ++c) {
-      scratch.push_back(CellValue(i, c));
-    }
-    if (pred(scratch)) {
+    if (pred(RowRef(i, &scratch))) {
       out.push_back(i);
     }
   }
@@ -231,9 +215,10 @@ Result<std::vector<Value>> Table::DistinctValues(size_t col) const {
     return Status::OutOfRange("column index out of range");
   }
   if (columnar_ != nullptr) {
-    const ColumnarTable::Column& cc = columnar_->column(col);
-    if (cc.type == ValueType::kString) {
-      // The dictionary IS the sorted distinct non-NULL value set.
+    const ColumnarTable::Column& cc = columnar_->column(projection_[col]);
+    if (cc.type == ValueType::kString && !selected_) {
+      // The dictionary IS the sorted distinct non-NULL value set of the
+      // whole backing (a selection may hold only some of it).
       std::vector<Value> out;
       out.reserve(cc.dict.size());
       for (const std::string& s : cc.dict) {
@@ -353,7 +338,9 @@ size_t ApproxValueBytes(const Value& v) {
 size_t ApproxTableBytes(const Table& table) {
   size_t bytes = sizeof(Table);
   if (!table.has_rows()) {
-    return bytes;
+    // The selection and projection; the cells belong to the backing.
+    const size_t selected = table.has_selection() ? table.num_rows() : 0;
+    return bytes + sizeof(uint32_t) * (selected + table.num_columns());
   }
   for (const Row& row : table.rows()) {
     bytes += sizeof(Row);

@@ -1,6 +1,7 @@
 #ifndef AUTOCAT_STORAGE_TABLE_H_
 #define AUTOCAT_STORAGE_TABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,15 +39,20 @@ Status CoerceRowToSchema(Row* row, const Schema& schema);
 /// A table comes in one of two storage modes:
 ///  - **row-backed** (the default): cells live in `rows_`, appends are
 ///    allowed, and `row()` / `rows()` / `ValueAt()` hand out references.
-///  - **column-backed** (`FromColumnar`): the cells live in a shared
-///    `ColumnarTable` — typically zero-copy views into a mapped segment
-///    store — and no row vectors exist at all. The table is immutable,
-///    `row()` / `rows()` / `ValueAt()` must not be called (`has_rows()` is
-///    false; debug builds check), and row-shaped consumers go through
-///    `CopyRow` / `CellValue`, which synthesize owned cells on demand.
+///  - **column-backed**: the cells live in a shared, immutable
+///    `ColumnarTable` and no row vectors exist at all. Table row r is
+///    backing row `selection[r]` and table column c is backing column
+///    `projection[c]`. `FromColumnar` wraps a whole relation (typically
+///    zero-copy views into a mapped segment store; the maps are the
+///    identity), and `TableView::AsTable` a view's rows and columns of a
+///    shadow (the late-materialized cold-path result: the maps are the
+///    view's). The table is immutable, `row()` / `rows()` / `ValueAt()`
+///    must not be called (`has_rows()` is false; debug builds check), and
+///    row-shaped consumers go through `RowRef` / `CopyRow` / `CellValue`,
+///    which synthesize owned cells through the maps on demand.
 /// All query operators (`SelectRows`, `FilterIndices`, `Project`,
-/// `DistinctValues`, `MinMax`, `ToString`) work in both modes and always
-/// produce row-backed results.
+/// `DistinctValues`, `MinMax`, `ToString`) work in both modes, answer
+/// alike for equal cells, and always produce row-backed results.
 class Table {
  public:
   Table() = default;
@@ -81,7 +87,13 @@ class Table {
 
   /// True when cells are stored as rows (references below are valid).
   bool has_rows() const { return columnar_ == nullptr; }
+  /// True for a column-backed table that reads its backing through a row
+  /// selection (`TableView::AsTable`); false for row-backed tables and for
+  /// `FromColumnar` tables, whose rows and columns are the backing's own.
+  bool has_selection() const { return selected_; }
   /// The backing columnar relation, or nullptr for row-backed tables.
+  /// When `has_selection()`, this is the shared shadow the table selects
+  /// from, not a columnar form of the table's own rows.
   const std::shared_ptr<const ColumnarTable>& columnar_backing() const {
     return columnar_;
   }
@@ -107,6 +119,12 @@ class Table {
 
   /// Mode-independent row accessor: an owned copy of row `i`.
   Row CopyRow(size_t i) const;
+
+  /// Mode-independent row reference: row `i` itself when row-backed,
+  /// otherwise row `i` synthesized into `*scratch` (which the returned
+  /// reference then points at). The reference lives until the next call
+  /// with the same scratch.
+  const Row& RowRef(size_t i, Row* scratch) const;
 
   /// Appends `row` after validating arity and coercing numeric cells to the
   /// declared column type. NULL is accepted in any column. Cells that
@@ -140,8 +158,9 @@ class Table {
   /// Returns a table with only the named columns, in the given order.
   Result<Table> Project(const std::vector<std::string>& column_names) const;
 
-  /// Sorted distinct non-NULL values of column `col`. Column-backed
-  /// string columns answer straight from the sorted dictionary.
+  /// Sorted distinct non-NULL values of column `col`. String columns of
+  /// a `FromColumnar` table answer straight from the sorted dictionary (a
+  /// selection may hold only some of its values).
   Result<std::vector<Value>> DistinctValues(size_t col) const;
 
   /// Min and max of the non-NULL values in column `col`. Errors if the
@@ -154,25 +173,39 @@ class Table {
 
  private:
   // TableView::Materialize gathers rows_ directly (one pass, no
-  // per-cell Status plumbing); see storage/columnar.h.
+  // per-cell Status plumbing), TableView::All/Create compose the
+  // column-backed maps, and TableView::AsTable sets them; see
+  // storage/columnar.h.
   friend class TableView;
+
+  // Column-backed mode: the backing row of table row `row`.
+  size_t BackingRow(size_t row) const {
+    return selected_ ? selection_[row] : row;
+  }
 
   Schema schema_;
   std::vector<Row> rows_;
-  // Column-backed mode: non-null backing + its row count; rows_ empty.
+  // Column-backed mode: non-null backing, the table's row count, and the
+  // two maps into the backing (see the class comment); rows_ empty.
+  // Without a selection, table row r is backing row r.
   std::shared_ptr<const ColumnarTable> columnar_;
   size_t columnar_rows_ = 0;
+  bool selected_ = false;
+  std::vector<uint32_t> selection_;
+  std::vector<uint32_t> projection_;
 };
 
 /// Approximate heap footprint of one cell: sizeof(Value) plus the string
 /// payload's capacity.
 size_t ApproxValueBytes(const Value& v);
 
-/// Approximate heap footprint of a row-backed table: sizeof(Table), plus
-/// sizeof(Row) and ApproxValueBytes of every cell per row. A
-/// column-backed table counts as sizeof(Table) alone, since its cells
-/// belong to the shared backing. The result cache accounts its entries
-/// with this.
+/// Approximate heap footprint of a table: sizeof(Table), plus for a
+/// row-backed table sizeof(Row) and ApproxValueBytes of every cell per
+/// row, and for a column-backed one 4 bytes per selected row and per
+/// projected column. A column-backed table's cells are not counted: they
+/// belong to the shared backing (for a served result, the shadow the
+/// `Database` owns while its table version is live). The result cache
+/// accounts its entries with this.
 size_t ApproxTableBytes(const Table& table);
 
 }  // namespace autocat

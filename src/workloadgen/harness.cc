@@ -188,7 +188,10 @@ Result<ScenarioReport> ScenarioHarness::Run(const ScenarioSpec& spec,
     }
   };
 
-  ThreadPool pool(std::max<size_t>(options.threads, 1));
+  // The calling thread only submits and waits, so `threads` requests run
+  // at once on `threads` workers (a pool of n has n - 1). One thread runs
+  // every request inline, in stream order.
+  ThreadPool pool(options.threads <= 1 ? 1 : options.threads + 1);
   const auto start = std::chrono::steady_clock::now();
   const size_t batch = options.adaptive && options.adapt_every > 0
                            ? options.adapt_every

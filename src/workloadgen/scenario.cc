@@ -92,6 +92,9 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view text) {
   ScenarioSpec spec;
   bool named = false;
   size_t line_no = 0;
+  // The latest arrival the phases so far can reach: a phase whose
+  // arrival clock could pass INT64_MAX is refused at its line.
+  int64_t clock_ms = 0;
   for (const std::string& raw_line : Split(text, '\n')) {
     ++line_no;
     std::string_view line = TrimWhitespace(raw_line);
@@ -113,6 +116,10 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view text) {
     if (directive == "phase") {
       AUTOCAT_ASSIGN_OR_RETURN(PhaseSpec phase,
                                ParsePhaseLine(tokens, line_no));
+      AUTOCAT_ASSIGN_OR_RETURN(
+          clock_ms,
+          AnnotateLine(TrafficStream::LatestArrivalMs(phase, clock_ms),
+                       line_no));
       spec.phases.push_back(std::move(phase));
       continue;
     }

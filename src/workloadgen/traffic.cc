@@ -1,6 +1,8 @@
 #include "workloadgen/traffic.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -49,6 +51,41 @@ const SessionQuery& TrafficStream::Query(const TrafficEvent& event) const {
   return session.queries[event.step];
 }
 
+Result<int64_t> TrafficStream::LatestArrivalMs(const PhaseSpec& phase,
+                                               int64_t start_ms) {
+  const std::string name = "phase '" + phase.name + "'";
+  if (phase.mean_gap_ms < 0 || phase.burst_pause_ms < 0) {
+    return Status::InvalidArgument(name +
+                                   " has a negative gap_ms or pause_ms");
+  }
+  // The arrival loop below advances the clock `steps` times by at most
+  // `step_ms`: once per burst boundary, or once per gap.
+  uint64_t steps = 0;
+  int64_t step_ms = 0;
+  bool overflow = false;
+  if (phase.requests > 0 && phase.burst_size > 0) {
+    steps = (phase.requests - 1) / phase.burst_size;
+    step_ms = phase.burst_pause_ms;
+  } else if (phase.requests > 1 && phase.mean_gap_ms > 0) {
+    steps = phase.requests - 1;
+    overflow = __builtin_add_overflow(phase.mean_gap_ms,
+                                      phase.mean_gap_ms / 2, &step_ms);
+  }
+  int64_t span_ms = 0;
+  int64_t end_ms = 0;
+  overflow = overflow ||
+             steps > static_cast<uint64_t>(
+                         std::numeric_limits<int64_t>::max()) ||
+             __builtin_mul_overflow(static_cast<int64_t>(steps), step_ms,
+                                    &span_ms) ||
+             __builtin_add_overflow(start_ms, span_ms, &end_ms);
+  if (overflow) {
+    return Status::InvalidArgument(
+        name + ": its arrival clock would pass INT64_MAX ms");
+  }
+  return end_ms;
+}
+
 Status TrafficStream::AddPhase(const PhaseSpec& phase) {
   if (phase.requests == 0) {
     return Status::InvalidArgument("phase '" + phase.name +
@@ -58,6 +95,7 @@ Status TrafficStream::AddPhase(const PhaseSpec& phase) {
     return Status::InvalidArgument("phase '" + phase.name +
                                    "' has negative zipf_s");
   }
+  AUTOCAT_RETURN_IF_ERROR(LatestArrivalMs(phase, clock_ms_).status());
   const size_t phase_index = phases_.size();
   Pool& pool = GetPool(phase.drift);
   const size_t num_sessions = pool.sessions.size();

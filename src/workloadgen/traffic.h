@@ -57,8 +57,18 @@ class TrafficStream {
                 uint64_t seed);
 
   /// Appends `phase.requests` events for the phase. Deterministic in
-  /// (seed, the sequence of phases added so far).
+  /// (seed, the sequence of phases added so far). Errors, leaving the
+  /// stream unchanged, on zero requests, a negative `zipf_s`, and
+  /// whatever `LatestArrivalMs` rejects from the current clock.
   Status AddPhase(const PhaseSpec& phase);
+
+  /// The arrival clock at `phase`'s last request when the phase starts
+  /// at `start_ms`, with every gap drawn at its largest (3/2 of
+  /// `mean_gap_ms`) — a bound on what `AddPhase` can reach. Errors with
+  /// kInvalidArgument on a negative `mean_gap_ms` or `burst_pause_ms`
+  /// and when the bound would pass INT64_MAX.
+  static Result<int64_t> LatestArrivalMs(const PhaseSpec& phase,
+                                         int64_t start_ms);
 
   const std::vector<TrafficEvent>& events() const { return events_; }
   const std::vector<PhaseSpec>& phases() const { return phases_; }

@@ -168,7 +168,7 @@ ValuePairs RefSortedValues(const Table& t, const std::vector<size_t>& tuples,
                            size_t col) {
   ValuePairs out;
   for (const size_t idx : tuples) {
-    const Value& v = t.ValueAt(idx, col);
+    const Value v = t.CellValue(idx, col);
     if (!v.is_null() && !std::isnan(v.AsDouble())) {
       out.emplace_back(v.AsDouble(), idx);
     }
@@ -183,7 +183,7 @@ std::vector<std::pair<Value, std::vector<size_t>>> RefGroups(
     const Table& t, const std::vector<size_t>& tuples, size_t col) {
   std::map<Value, std::vector<size_t>> groups;
   for (const size_t idx : tuples) {
-    const Value& v = t.ValueAt(idx, col);
+    const Value v = t.CellValue(idx, col);
     if (!v.is_null() && !(v.is_double() && std::isnan(v.double_value()))) {
       groups[v].push_back(idx);
     }
@@ -473,12 +473,14 @@ void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
   }
 }
 
-// A cold-pipeline result over the shadow: the materialized result, its
-// attribute index, and the view it was selected through.
+// A cold-pipeline result over the shadow: the result (a selection over
+// the shadow), its attribute index, the view it was selected through, and
+// the same rows materialized as a row-store table.
 struct ShadowResult {
   Table result;
   ResultAttributeIndex index;
   TableView view;
+  Table rows;
 };
 
 ShadowResult RunPipeline(const Table& base,
@@ -494,8 +496,9 @@ ShadowResult RunPipeline(const Table& base,
   EXPECT_TRUE(piped.ok()) << sql << ": " << piped.status().ToString();
   auto view = TableView::Create(base, shadow, piped->selection, columns);
   EXPECT_TRUE(view.ok()) << sql;
+  Table rows = view->Materialize();
   return ShadowResult{std::move(piped->result), std::move(piped->attr_index),
-                      std::move(view).value()};
+                      std::move(view).value(), std::move(rows)};
 }
 
 CategorizerOptions RunsOptions(size_t max_tuples) {
@@ -523,9 +526,12 @@ void ExpectCostBasedMatches(const WorkloadStats& stats,
     options.parallel.threads = threads;
     const CostBasedCategorizer categorizer(&stats, options);
     const std::string at = context + " threads=" + std::to_string(threads);
+    AUTOCAT_ASSERT_OK_AND_MOVE(const CategoryTree from_rows,
+                               categorizer.Categorize(shadowed.rows, query));
+    ExpectSameTree(want, from_rows, at + " (row table)");
     AUTOCAT_ASSERT_OK_AND_MOVE(const CategoryTree from_table,
                                categorizer.Categorize(result, query));
-    ExpectSameTree(want, from_table, at + " (row table)");
+    ExpectSameTree(want, from_table, at + " (selection table)");
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const CategoryTree from_view,
         categorizer.Categorize(shadowed.view, result, query));
@@ -541,8 +547,8 @@ void ExpectCostBasedMatches(const WorkloadStats& stats,
     EXPECT_GE(timings.attach_ms, 0) << at;
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const CategoryTree row_view_with_index,
-        categorizer.Categorize(TableView::All(result, nullptr), result, query,
-                               &shadowed.index));
+        categorizer.Categorize(TableView::All(shadowed.rows, nullptr),
+                               shadowed.rows, query, &shadowed.index));
     ExpectSameTree(want, row_view_with_index, at + " (row view + index)");
   }
 }

@@ -149,31 +149,32 @@ inline bool BitIdentical(const Value& a, const Value& b) {
   return false;
 }
 
-inline void ExpectTablesBitIdentical(const Table& row_result,
-                                     const Table& col_result,
+// Cell by cell through `CellValue`, so either table may be row-backed or
+// column-backed (a FromColumnar table, or a selection over a shadow).
+inline void ExpectTablesBitIdentical(const Table& expected,
+                                     const Table& actual,
                                      const std::string& context) {
-  ASSERT_EQ(row_result.schema().num_columns(),
-            col_result.schema().num_columns())
+  ASSERT_EQ(expected.schema().num_columns(), actual.schema().num_columns())
       << context;
-  for (size_t c = 0; c < row_result.schema().num_columns(); ++c) {
-    EXPECT_EQ(row_result.schema().column(c).name,
-              col_result.schema().column(c).name)
+  for (size_t c = 0; c < expected.schema().num_columns(); ++c) {
+    EXPECT_EQ(expected.schema().column(c).name,
+              actual.schema().column(c).name)
         << context;
-    EXPECT_EQ(row_result.schema().column(c).type,
-              col_result.schema().column(c).type)
+    EXPECT_EQ(expected.schema().column(c).type,
+              actual.schema().column(c).type)
         << context;
-    EXPECT_EQ(row_result.schema().column(c).kind,
-              col_result.schema().column(c).kind)
+    EXPECT_EQ(expected.schema().column(c).kind,
+              actual.schema().column(c).kind)
         << context;
   }
-  ASSERT_EQ(row_result.num_rows(), col_result.num_rows()) << context;
-  for (size_t r = 0; r < row_result.num_rows(); ++r) {
-    for (size_t c = 0; c < row_result.schema().num_columns(); ++c) {
-      ASSERT_TRUE(
-          BitIdentical(row_result.ValueAt(r, c), col_result.ValueAt(r, c)))
+  ASSERT_EQ(expected.num_rows(), actual.num_rows()) << context;
+  for (size_t r = 0; r < expected.num_rows(); ++r) {
+    for (size_t c = 0; c < expected.schema().num_columns(); ++c) {
+      const Value want = expected.CellValue(r, c);
+      const Value got = actual.CellValue(r, c);
+      ASSERT_TRUE(BitIdentical(want, got))
           << context << " differs at row " << r << " col " << c << ": "
-          << row_result.ValueAt(r, c).ToString() << " vs "
-          << col_result.ValueAt(r, c).ToString();
+          << want.ToString() << " vs " << got.ToString();
     }
   }
 }
@@ -247,17 +248,27 @@ inline Result<OracleResponse> ServeRows(std::string_view sql,
 }
 
 // A served payload against the oracle's: the result table bit for bit,
-// the rendered tree, the signature, and the cache byte accounting.
+// the rendered tree, the signature, and the cache byte accounting. The
+// served result is a selection over the table's shadow, charged at 4
+// bytes per row and per column; the oracle's owns its rows, so only the
+// tree's share of the two payloads' bytes can agree.
 inline void ExpectServedMatchesOracle(const ServeResponse& served,
                                       const OracleResponse& oracle,
                                       const std::string& context) {
   EXPECT_EQ(served.signature, oracle.signature) << context;
-  ExpectTablesBitIdentical(oracle.payload->result(),
-                           served.payload->result(), context);
+  const Table& result = served.payload->result();
+  ExpectTablesBitIdentical(oracle.payload->result(), result, context);
   EXPECT_EQ(served.payload->tree().Render(1000, 0),
             oracle.payload->tree().Render(1000, 0))
       << context;
-  EXPECT_EQ(served.payload->approx_bytes(), oracle.payload->approx_bytes())
+  EXPECT_TRUE(result.has_selection()) << context;
+  const size_t served_table_bytes =
+      sizeof(Table) +
+      sizeof(uint32_t) * (result.num_rows() + result.num_columns());
+  EXPECT_EQ(ApproxTableBytes(result), served_table_bytes) << context;
+  EXPECT_EQ(served.payload->approx_bytes() - served_table_bytes,
+            oracle.payload->approx_bytes() -
+                ApproxTableBytes(oracle.payload->result()))
       << context;
 }
 

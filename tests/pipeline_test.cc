@@ -72,21 +72,12 @@ Result<ReferenceCold> RunReference(
 }
 
 // Independent copy of the cache's byte accounting (ApproxTableBytes in
-// storage/table.cc) over the stored result rows: the pipeline's
-// result_bytes must equal what it reports for the finished table.
+// storage/table.cc) for the pipeline's result, a selection over the
+// shadow: the table object plus 4 bytes per selected row and per
+// projected column. The shadow's cells are the database's, not charged.
 size_t CacheBytes(const Table& table) {
-  size_t bytes = sizeof(Table);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    const Row& row = table.row(r);
-    bytes += sizeof(Row);
-    for (const Value& v : row) {
-      bytes += sizeof(Value);
-      if (v.is_string()) {
-        bytes += v.string_value().capacity();
-      }
-    }
-  }
-  return bytes;
+  return sizeof(Table) +
+         sizeof(uint32_t) * (table.num_rows() + table.num_columns());
 }
 
 void ExpectIndexesIdentical(const ResultAttributeIndex& a,
@@ -265,7 +256,7 @@ void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
       ASSERT_FALSE(entry.has_sorted_codes) << context << " col " << c;
       std::vector<std::pair<double, size_t>> expected;
       for (size_t r = 0; r < result.num_rows(); ++r) {
-        const Value v = result.ValueAt(r, c);
+        const Value v = result.CellValue(r, c);
         if (!v.is_null() && !std::isnan(v.AsDouble())) {
           expected.emplace_back(v.AsDouble(), r);
         }
@@ -279,7 +270,7 @@ void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
           view.columnar()->column(view.base_column(c)).dict;
       std::vector<std::pair<uint32_t, uint32_t>> expected;
       for (size_t r = 0; r < result.num_rows(); ++r) {
-        const Value v = result.ValueAt(r, c);
+        const Value v = result.CellValue(r, c);
         if (!v.is_null()) {
           const auto it =
               std::lower_bound(dict.begin(), dict.end(), v.string_value());

@@ -182,6 +182,45 @@ TEST(SignatureCacheTest, InsertWithStaleObservedEpochNeverServes) {
   EXPECT_EQ(cache.Stats().invalidations, 1u);
 }
 
+TEST(SignatureCacheTest, BumpEpochRemovesStaleEntriesBeforeReturning) {
+  SignatureCache cache(CacheOptions{});
+  std::weak_ptr<const CachedCategorization> held;
+  {
+    auto payload = MakePayload(2);
+    held = payload;
+    cache.Insert("k1", SignatureHash("k1"), std::move(payload));
+  }
+  cache.Insert("k2", SignatureHash("k2"), MakePayload(2));
+  ASSERT_FALSE(held.expired());
+  cache.BumpEpoch();
+  // No access needed: the bump itself released the stale payloads.
+  EXPECT_TRUE(held.expired());
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(SignatureCacheTest, StaleInsertIsRefusedAndCounted) {
+  SignatureCache cache(CacheOptions{});
+  const uint64_t observed = cache.epoch();
+  cache.BumpEpoch();
+  std::weak_ptr<const CachedCategorization> held;
+  {
+    auto payload = MakePayload(2);
+    held = payload;
+    cache.Insert("k", SignatureHash("k"), std::move(payload), observed);
+  }
+  EXPECT_TRUE(held.expired());  // never stored
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.invalidations, 1u);
+  // An insert under the current epoch is stored.
+  cache.Insert("k", SignatureHash("k"), MakePayload(2), cache.epoch());
+  EXPECT_NE(cache.Get("k", SignatureHash("k")), nullptr);
+}
+
 TEST(SignatureCacheTest, ClearRemovesEntriesAndKeepsCounters) {
   SignatureCache cache(CacheOptions{});
   cache.Insert("k", SignatureHash("k"), MakePayload(2));

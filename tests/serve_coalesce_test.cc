@@ -352,5 +352,51 @@ TEST(ServiceCoalescingTest, PipelineAndLegacyServeBitIdenticalResponses) {
   EXPECT_GT(snapshot.pipeline_morsels, 0u);
 }
 
+// The same oracle over cells with sharp comparison semantics (NaN,
+// -0.0, NULL, the int64 extremes, 2^53 + 1): the served result, a
+// selection over the shadow, must read back the row chain's cells bit
+// for bit. Each query's result holds some of them, either in the
+// filtered column or beside it.
+TEST(ServiceCoalescingTest, HostileCellsServeBitIdenticalToTheRowChain) {
+  const Table table = equiv::MakeHomes(1200, 31, 0.05, true);
+  Random rng(32);
+  std::vector<std::string> log;
+  for (int q = 0; q < 200; ++q) {
+    log.push_back(equiv::RandomQuery(rng, table.schema()));
+  }
+  const Workload workload = Workload::Parse(log, table.schema(), nullptr);
+  ServiceOptions options;
+  options.stats.split_intervals = {{"price", 25000},
+                                   {"squarefootage", 500},
+                                   {"bedroomcount", 1}};
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  CategorizationService service(std::move(db), Workload(workload),
+                                std::move(options));
+  const char* const kSqls[] = {
+      "SELECT * FROM homes WHERE neighborhood = 'Seattle'",
+      "SELECT * FROM homes WHERE price <= 0",
+      "SELECT * FROM homes WHERE price BETWEEN 0 AND 1",
+      "SELECT * FROM homes WHERE bedroomcount >= 1000000",
+      "SELECT * FROM homes WHERE bedroomcount <= 0",
+      "SELECT * FROM homes WHERE yearbuilt >= 2100",
+      "SELECT price, city FROM homes WHERE city IN ('Redmond', 'Bellevue')",
+      "SELECT bedroomcount, price, neighborhood FROM homes WHERE "
+      "propertytype = 'Condo' AND price <= 400000",
+      "SELECT * FROM homes WHERE bathcount >= 3 AND squarefootage <= 5000",
+  };
+  for (const char* sql : kSqls) {
+    ServeRequest request;
+    request.sql = sql;
+    const Result<ServeResponse> served = service.Handle(request);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status().ToString();
+    EXPECT_GT(served->payload->result_rows(), 0u) << sql;
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const equiv::OracleResponse oracle,
+        equiv::ServeRows(sql, table, workload, service.options()));
+    equiv::ExpectServedMatchesOracle(served.value(), oracle, sql);
+  }
+}
+
 }  // namespace
 }  // namespace autocat

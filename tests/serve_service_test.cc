@@ -23,6 +23,7 @@
 #include "serve/metrics.h"
 #include "serve/service.h"
 #include "simgen/study.h"
+#include "storage/columnar.h"
 
 namespace autocat {
 namespace {
@@ -177,6 +178,58 @@ TEST(ServiceTest, PutTableInvalidatesCachedEntries) {
   // The rebuilt entry reflects the replaced table's contents.
   EXPECT_GT(after->payload->result_rows(), before->payload->result_rows());
   EXPECT_GE(service->SnapshotMetrics().cache.epoch, 1u);
+}
+
+// A served result is a selection over its table version's shadow, so the
+// shadow lives as long as a payload does. PutTable drops the entries the
+// epoch bump made stale right away, and once the caller lets go of its
+// responses nothing pins the replaced version's shadow.
+TEST(ServiceTest, PutTableReleasesTheReplacedShadow) {
+  auto service = MakeService();
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  auto served = service->Handle(request);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(service->Handle(request)->cache_hit);
+  const Table& result = served->payload->result();
+  ASSERT_TRUE(result.has_selection());
+  std::weak_ptr<const ColumnarTable> shadow = result.columnar_backing();
+  ASSERT_FALSE(shadow.expired());
+
+  service->PutTable("Homes", HomesTable(80));
+  const ServiceMetricsSnapshot after_put = service->SnapshotMetrics();
+  EXPECT_EQ(after_put.cache.entries, 0u);
+  EXPECT_EQ(after_put.cache.invalidations, 1u);
+  // The response still in hand keeps its rows readable.
+  EXPECT_FALSE(shadow.expired());
+  EXPECT_EQ(result.num_rows(), served->payload->tree().node(0).tuples.size());
+
+  served = Status::Internal("dropped");
+  EXPECT_TRUE(shadow.expired());
+
+  // The new version serves from its own shadow.
+  auto fresh = service->Handle(request);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh->cache_hit);
+  EXPECT_NE(fresh->payload->result().columnar_backing(), nullptr);
+}
+
+TEST(ServiceTest, RebuildWorkloadDropsStaleEntriesAtOnce) {
+  auto service = MakeService();
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  std::weak_ptr<const CachedCategorization> payload;
+  {
+    auto served = service->Handle(request);
+    ASSERT_TRUE(served.ok());
+    payload = served->payload;
+  }
+  ASSERT_FALSE(payload.expired());  // the cache holds it
+  service->RebuildWorkload(HomesWorkload());
+  EXPECT_TRUE(payload.expired());
+  const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
+  EXPECT_EQ(snapshot.cache.entries, 0u);
+  EXPECT_EQ(snapshot.cache.invalidations, 1u);
 }
 
 TEST(ServiceTest, RebuildWorkloadInvalidatesCachedEntries) {

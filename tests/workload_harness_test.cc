@@ -1,9 +1,10 @@
 // Scenario-harness tests (src/workloadgen/harness.*), including the
 // drift-recovery acceptance gate: the drifting scenario must show the
 // cache hit-rate degrading under intent drift, and the adaptive serving
-// knobs must recover at least 30% of the lost hit-rate. All runs use
-// threads=1 (strictly sequential replay), so every counter asserted here
-// is exactly reproducible.
+// knobs must recover at least 30% of the lost hit-rate. All runs but one
+// use threads=1 (strictly sequential replay), so every counter asserted
+// there is exactly reproducible; the threads=4 run checks only what holds
+// at any interleaving (and gives TSan a concurrent replay to watch).
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,33 @@ TEST(WorkloadHarnessTest, RunsAreExactlyReproducible) {
     EXPECT_EQ(a->phases[p].distinct_signatures,
               b->phases[p].distinct_signatures);
   }
+}
+
+TEST(WorkloadHarnessTest, FourThreadReplayAnswersEveryRequest) {
+  auto spec = ParseScenarioSpec(
+      "scenario concurrent\n"
+      "homes 1500\n"
+      "sessions 48\n"
+      "phase warm requests=120 zipf=1.1\n"
+      "phase hot requests=160 zipf=1.1\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  HarnessOptions options;
+  options.threads = 4;
+  auto report = ScenarioHarness::Run(spec.value(), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->phases.size(), 2u);
+  uint64_t hits = 0;
+  for (size_t p = 0; p < report->phases.size(); ++p) {
+    const PhaseReport& phase = report->phases[p];
+    EXPECT_EQ(phase.requests, spec->phases[p].requests);
+    // Four requests at a time fit the four admission slots: none is
+    // rejected, queued out, or failed.
+    EXPECT_EQ(phase.hits + phase.misses, phase.requests) << phase.name;
+    EXPECT_EQ(phase.overloaded, 0u) << phase.name;
+    EXPECT_EQ(phase.errors, 0u) << phase.name;
+    hits += phase.hits;
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 TEST(WorkloadHarnessTest, ReportJsonCarriesTheSchema) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -270,6 +271,86 @@ TEST(TrafficStreamTest, RejectsDegeneratePhases) {
   negative.requests = 10;
   negative.zipf_s = -1;
   EXPECT_FALSE(stream.AddPhase(negative).ok());
+}
+
+// Arrival clocks that would pass INT64_MAX are refused before any event
+// is added (the arrival loop would overflow a signed int64 otherwise;
+// UBSan builds run these).
+TEST(TrafficStreamTest, RejectsPhasesWhoseClockWouldOverflow) {
+  const Geography geo = Geography::UnitedStates();
+  TrafficStream stream(&geo, SmallConfig(), 1);
+  PhaseSpec gap;
+  gap.name = "gap";
+  gap.requests = 3;
+  gap.mean_gap_ms = 8000000000000000000;  // 3/2 of it passes INT64_MAX
+  EXPECT_EQ(stream.AddPhase(gap).code(), StatusCode::kInvalidArgument);
+  PhaseSpec pause;
+  pause.name = "pause";
+  pause.requests = 5;
+  pause.burst_size = 2;
+  pause.burst_pause_ms = 9000000000000000000;  // two pauses pass it
+  EXPECT_EQ(stream.AddPhase(pause).code(), StatusCode::kInvalidArgument);
+  PhaseSpec negative;
+  negative.name = "negative";
+  negative.requests = 5;
+  negative.burst_size = 2;
+  negative.burst_pause_ms = -1;
+  EXPECT_EQ(stream.AddPhase(negative).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(stream.events().empty());
+  EXPECT_TRUE(stream.phases().empty());
+
+  // One pause of 9e18 fits; a second phase starting there cannot pause
+  // again, and the refusal leaves the stream as it was.
+  pause.requests = 3;
+  ASSERT_TRUE(stream.AddPhase(pause).ok());
+  EXPECT_EQ(stream.events().back().arrival_ms, 9000000000000000000);
+  const size_t events = stream.events().size();
+  EXPECT_FALSE(stream.AddPhase(pause).ok());
+  EXPECT_EQ(stream.events().size(), events);
+  PhaseSpec closed;
+  closed.name = "closed";
+  closed.requests = 4;
+  EXPECT_TRUE(stream.AddPhase(closed).ok());
+}
+
+TEST(TrafficStreamTest, LatestArrivalBoundsTheLargestGaps) {
+  PhaseSpec gap;
+  gap.name = "gap";
+  gap.requests = 11;
+  gap.mean_gap_ms = 10;
+  EXPECT_EQ(TrafficStream::LatestArrivalMs(gap, 100).value(), 100 + 10 * 15);
+  PhaseSpec bursts;
+  bursts.name = "bursts";
+  bursts.requests = 10;
+  bursts.burst_size = 4;
+  bursts.burst_pause_ms = 7;
+  EXPECT_EQ(TrafficStream::LatestArrivalMs(bursts, 0).value(), 2 * 7);
+  PhaseSpec single = gap;
+  single.requests = 1;
+  single.mean_gap_ms = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(TrafficStream::LatestArrivalMs(single, 5).value(), 5);
+}
+
+TEST(ScenarioSpecTest, RejectsOverflowingClocksAtTheirLine) {
+  auto gap = ParseScenarioSpec(
+      "scenario big\n"
+      "homes 10\n"
+      "phase p requests=3 gap_ms=8000000000000000000\n");
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.status().code(), StatusCode::kParseError);
+  EXPECT_NE(gap.status().message().find("(line 3)"), std::string::npos)
+      << gap.status().ToString();
+  // Each phase fits alone; the second would pass INT64_MAX after the
+  // first one's pause.
+  auto pause = ParseScenarioSpec(
+      "scenario big\n"
+      "homes 10\n"
+      "phase a requests=3 burst=2 pause_ms=9000000000000000000\n"
+      "\n"
+      "phase b requests=3 burst=2 pause_ms=9000000000000000000\n");
+  ASSERT_FALSE(pause.ok());
+  EXPECT_NE(pause.status().message().find("(line 5)"), std::string::npos)
+      << pause.status().ToString();
 }
 
 TEST(ScenarioSpecTest, ParsesFullSpec) {

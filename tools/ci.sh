@@ -20,9 +20,11 @@
 # Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--figures|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
 #   --serve  run only the serving-layer suite (src/serve/ + histogram +
-#            Database) under ASan and TSan, including three pool workers
-#            driving cold and cached requests over a generated table —
-#            the targeted gate for cache/admission concurrency work
+#            Database + the result tables that select from a shadow)
+#            under ASan and TSan, including three pool workers driving
+#            cold and cached requests over a generated table and a
+#            four-thread scenario-harness replay — the targeted gate for
+#            cache/admission concurrency work
 #   --pipeline
 #            run the cold-path pipeline and request-coalescing suites
 #            (the filter -> materialize -> attribute-index chain against
@@ -112,9 +114,11 @@ elif [[ "${1:-}" == "--analyze" ]]; then
   ANALYZE=1
 fi
 
-# Every serving-layer test suite, plus the histogram the metrics build on
-# and the Database whose shadows requests read under the shared lock.
-SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest)\.'
+# Every serving-layer test suite, plus the histogram the metrics build on,
+# the Database whose shadows requests read under the shared lock, the
+# result tables that select from those shadows, and the scenario harness
+# replaying four requests at a time.
+SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
 
 serve_leg() {
   local name="$1" dir="$2"
@@ -123,7 +127,8 @@ serve_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [serve/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target autocat_serve_tests autocat_common_tests autocat_sql_tests
+    --target autocat_serve_tests autocat_common_tests autocat_sql_tests \
+             autocat_columnar_tests autocat_workloadgen_tests
   echo "==== [serve/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$SERVE_FILTER")
@@ -137,8 +142,11 @@ serve_leg() {
 # thread counts 1/2/7/16 with its work counters, the coalescing registry
 # units, the service-level oracle and burst/epoch-invalidation tests, and
 # every categorization technique built from presorted runs against a
-# per-node sort/group reference at thread counts 1/2/7/16.
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
+# per-node sort/group reference at thread counts 1/2/7/16, the result
+# tables that select from a shadow against their materialized copies,
+# and the release of a replaced table version's shadow (stale cache
+# entries dropped at the epoch bump, stale inserts refused).
+PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
 
 pipeline_leg() {
   local name="$1" dir="$2"
