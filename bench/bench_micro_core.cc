@@ -24,7 +24,6 @@ struct MicroFixture {
   std::unique_ptr<WorkloadStats> stats;
   Table result;  // a large region-broadened result set
   SelectionProfile query;
-  std::shared_ptr<const ColumnarTable> shadow;  // of env->homes()
 
   static MicroFixture& Get() {
     static MicroFixture* fixture = [] {
@@ -48,8 +47,6 @@ struct MicroFixture {
       auto result = f->env->ExecuteProfile(f->query);
       AUTOCAT_CHECK(result.ok());
       f->result = std::move(result).value();
-      f->shadow = std::make_shared<const ColumnarTable>(
-          ColumnarTable::Build(f->env->homes()));
       return f;
     }();
     return *fixture;
@@ -164,7 +161,7 @@ void BM_SelectCompiled(benchmark::State& state) {
   const Table& homes = fixture.env->homes();
   for (auto _ : state) {
     auto compiled = CompiledPredicate::CompileProfile(
-        fixture.query, homes.schema(), fixture.shadow);
+        fixture.query, homes.schema(), homes.columnar_backing());
     AUTOCAT_CHECK(compiled.ok());
     const auto rows = compiled->Filter({.threads = 1});
     AUTOCAT_CHECK(rows.ok());

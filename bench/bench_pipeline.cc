@@ -82,7 +82,7 @@ struct PipelineFixture {
       std::vector<double> prices;
       prices.reserve(homes.num_rows());
       for (size_t r = 0; r < homes.num_rows(); ++r) {
-        const Value& v = homes.ValueAt(r, price_col.value());
+        const Value v = homes.CellValue(r, price_col.value());
         if (!v.is_null()) {
           prices.push_back(v.AsDouble());
         }

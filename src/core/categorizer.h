@@ -111,9 +111,10 @@ class CostBasedCategorizer final : public Categorizer {
   /// Columnar construction for the serving path: the same level-by-level
   /// algorithm with the partitioners reading dictionary codes / typed
   /// arrays through `view`, which describes the same rows as `result`
-  /// (view row i == result row i; `result` is the view materialized and
-  /// owns the tuples the tree references). `index`, when non-null, is a
-  /// precomputed `ResultAttributeIndex` over `view` (built by
+  /// (view row i == result row i; `result` is the view as a table,
+  /// `AsTable` or `Materialize`, and holds the tuples the tree
+  /// references). `index`, when non-null, is a precomputed
+  /// `ResultAttributeIndex` over `view`'s selection of its shadow (built by
   /// `RunColdPipeline`): its entries are the level-1 key orders of their
   /// attributes, taken instead of sorting the columns, producing the
   /// identical tree. `timings`, when non-null, receives the wall time of

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -176,10 +177,8 @@ Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
   const auto row_at = [rows](size_t i) -> uint32_t {
     return static_cast<uint32_t>(rows == nullptr ? i : (*rows)[i]);
   };
-  const ColumnarTable::Column* cc =
-      view.columnar() == nullptr
-          ? nullptr
-          : &view.columnar()->column(view.base_column(col));
+  const ColumnarTable::Column& cc =
+      view.columnar()->column(view.base_column(col));
 
   AttributeOrder order;
   order.numeric_ = kind == ColumnKind::kNumeric;
@@ -189,38 +188,22 @@ Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
       order.offsets_ = {0, entry->sorted_values.size()};
       return order;
     }
-    // Reads the typed arrays (and the null bitmap) directly when the view
-    // has a columnar shadow, the cells otherwise; extracted doubles are
-    // identical to AsDouble().
+    // A numeric column is int64 or double (Schema::Create). Reads the
+    // typed arrays and the null bitmap; extracted doubles are identical
+    // to AsDouble().
     std::vector<NumericOrderEntry>& values = order.numeric_entries_;
     values.reserve(n);
-    if (cc != nullptr && cc->type == ValueType::kInt64) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = row_at(i);
-        const uint32_t row = view.base_row(r);
-        if (!cc->IsNull(row)) {
-          values.emplace_back(static_cast<double>(cc->i64[row]), r);
-        }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = row_at(i);
+      const uint32_t row = view.base_row(r);
+      if (cc.IsNull(row)) {
+        continue;
       }
-    } else if (cc != nullptr && cc->type == ValueType::kDouble) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = row_at(i);
-        const uint32_t row = view.base_row(r);
-        if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
-          values.emplace_back(cc->f64[row], r);
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = row_at(i);
-        const Value& v = view.ValueAt(r, col);
-        if (v.is_null()) {
-          continue;
-        }
-        const double x = v.AsDouble();
-        if (!std::isnan(x)) {
-          values.emplace_back(x, r);
-        }
+      const double x = cc.type == ValueType::kInt64
+                           ? static_cast<double>(cc.i64[row])
+                           : cc.f64[row];
+      if (!std::isnan(x)) {
+        values.emplace_back(x, r);
       }
     }
     // Pairs are distinct (the row is unique) and NaN-free, so the sorted
@@ -233,67 +216,54 @@ Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
   std::vector<KeyOrderEntry>* entries = &order.key_entries_;
   std::vector<Value>* key_values = &order.key_values_;
   const auto less = [](const auto& a, const auto& b) { return a < b; };
-  if (cc != nullptr && cc->type == ValueType::kString) {
-    const auto code_value = [cc](uint32_t code) {
-      return Value(cc->dict[code]);
-    };
-    if (entry != nullptr && entry->has_sorted_codes) {
-      RankSortedCells(std::span<const std::pair<uint32_t, uint32_t>>(
-                          entry->sorted_codes),
-                      less, code_value, entries, key_values);
-    } else {
-      std::vector<std::pair<uint32_t, uint32_t>> cells;
-      cells.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = row_at(i);
-        const uint32_t row = view.base_row(r);
-        if (!cc->IsNull(row)) {
-          cells.emplace_back(cc->codes[row], r);
+  // The (cell, row) pairs of the non-NULL, non-NaN cells of one of the
+  // column's typed arrays.
+  const auto cells_of = [&](const auto& values) {
+    using Cell = std::decay_t<decltype(values[0])>;
+    std::vector<std::pair<Cell, uint32_t>> cells;
+    cells.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = row_at(i);
+      const uint32_t row = view.base_row(r);
+      if (cc.IsNull(row)) {
+        continue;
+      }
+      if constexpr (std::is_floating_point_v<Cell>) {
+        if (std::isnan(values[row])) {
+          continue;
         }
       }
-      SortAndRankCells(std::move(cells), less, code_value, entries,
+      cells.emplace_back(values[row], r);
+    }
+    return cells;
+  };
+  switch (cc.type) {
+    case ValueType::kString: {
+      const auto code_value = [&cc](uint32_t code) {
+        return Value(cc.dict[code]);
+      };
+      if (entry != nullptr && entry->has_sorted_codes) {
+        RankSortedCells(std::span<const std::pair<uint32_t, uint32_t>>(
+                            entry->sorted_codes),
+                        less, code_value, entries, key_values);
+      } else {
+        SortAndRankCells(cells_of(cc.codes), less, code_value, entries,
+                         key_values);
+      }
+      break;
+    }
+    case ValueType::kInt64:
+      SortAndRankCells(cells_of(cc.i64), less,
+                       [](int64_t v) { return Value(v); }, entries,
                        key_values);
-    }
-  } else if (cc != nullptr && cc->type == ValueType::kInt64) {
-    std::vector<std::pair<int64_t, uint32_t>> cells;
-    cells.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_at(i);
-      const uint32_t row = view.base_row(r);
-      if (!cc->IsNull(row)) {
-        cells.emplace_back(cc->i64[row], r);
-      }
-    }
-    SortAndRankCells(std::move(cells), less,
-                     [](int64_t v) { return Value(v); }, entries,
-                     key_values);
-  } else if (cc != nullptr && cc->type == ValueType::kDouble) {
-    std::vector<std::pair<double, uint32_t>> cells;
-    cells.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_at(i);
-      const uint32_t row = view.base_row(r);
-      if (!cc->IsNull(row) && !std::isnan(cc->f64[row])) {
-        cells.emplace_back(cc->f64[row], r);
-      }
-    }
-    SortAndRankCells(std::move(cells), less,
-                     [](double v) { return Value(v); }, entries,
-                     key_values);
-  } else {
-    std::vector<std::pair<const Value*, uint32_t>> cells;
-    cells.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_at(i);
-      const Value& v = view.ValueAt(r, col);
-      if (!v.is_null() && !(v.is_double() && std::isnan(v.double_value()))) {
-        cells.emplace_back(&v, r);
-      }
-    }
-    SortAndRankCells(
-        std::move(cells),
-        [](const Value* a, const Value* b) { return *a < *b; },
-        [](const Value* v) { return *v; }, entries, key_values);
+      break;
+    case ValueType::kDouble:
+      SortAndRankCells(cells_of(cc.f64), less,
+                       [](double v) { return Value(v); }, entries,
+                       key_values);
+      break;
+    case ValueType::kNull:
+      break;  // every cell is NULL: no entries
   }
   order.offsets_ = {0, entries->size()};
   return order;

@@ -61,14 +61,17 @@ using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
 ///
 /// A numeric order holds the (value, row) pairs of the non-NULL, non-NaN
 /// cells in ascending (value, row) order; a NaN cell joins no bucket, as
-/// NULL does not (and as CategoryLabel::Matches answers). A categorical
-/// order holds the (key, row) pairs of the non-NULL, non-NaN cells in
-/// ascending (key, row) order, so the rows of one value are contiguous
-/// within a run. Dictionary-encoded columns key by dictionary code (the
-/// dictionary is sorted, so code order is value order); other columns by
-/// the rank of the distinct `Value`. Cells are read through the view's
-/// columnar shadow when it has one and as `Value`s otherwise; both reads
-/// produce the identical order.
+/// NULL does not (and as CategoryLabel::Matches answers). The value of an
+/// int64 cell is `static_cast<double>` of it, so int64 cells that round
+/// to one double (2^53 and 2^53 + 1, say) tie and are ordered by row; a
+/// -0.0 cell ties with 0.0 the same way. A categorical order holds the
+/// (key, row) pairs of the non-NULL, non-NaN cells in ascending (key,
+/// row) order, so the rows of one value are contiguous within a run.
+/// String columns key by dictionary code (the dictionary is sorted, so
+/// code order is value order); int64 and double columns by the rank of
+/// the cell under its own type's `<` (so int64 cells tie only when
+/// equal). Cells are read from the view's columnar arrays (every view has
+/// one; see `TableView`).
 class AttributeOrder {
  public:
   /// Builds the `kind` order of view column `col` over `rows` (null =

@@ -12,18 +12,22 @@
 
 namespace autocat {
 
-std::shared_ptr<const ColumnarTable> Database::ShadowOf(const Table& table) {
-  if (table.num_rows() > std::numeric_limits<uint32_t>::max()) {
-    return nullptr;
+namespace {
+
+// `table` as a Database holds it: column-backed over its own shadow.
+Table Installed(Table table) {
+  if (table.num_rows() > std::numeric_limits<uint32_t>::max() ||
+      (!table.has_rows() && !table.has_selection())) {
+    // Too large for a columnar shadow, or already its backing (the
+    // segment store's tables, and tables another Database installed).
+    return table;
   }
-  if (!table.has_rows() && !table.has_selection()) {
-    // Column-backed tables (segment-store mode) carry their columnar
-    // representation already. A table with a selection does not: its
-    // backing is the shadow it selects from.
-    return table.columnar_backing();
-  }
-  return std::make_shared<const ColumnarTable>(ColumnarTable::Build(table));
+  auto shadow =
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(table));
+  return Table::FromColumnar(table.schema(), std::move(shadow));
 }
+
+}  // namespace
 
 Status Database::RegisterTable(std::string_view name, Table table) {
   const std::string key = ToLower(name);
@@ -31,16 +35,12 @@ Status Database::RegisterTable(std::string_view name, Table table) {
     return Status::AlreadyExists("table '" + std::string(name) +
                                  "' already registered");
   }
-  auto shadow = ShadowOf(table);
-  tables_.emplace(key, Entry{std::move(table), std::move(shadow)});
+  tables_.emplace(key, Installed(std::move(table)));
   return Status::OK();
 }
 
 void Database::PutTable(std::string_view name, Table table) {
-  auto shadow = ShadowOf(table);
-  Entry& entry = tables_[ToLower(name)];
-  entry.table = std::move(table);
-  entry.shadow = std::move(shadow);
+  tables_[ToLower(name)] = Installed(std::move(table));
 }
 
 Result<const Table*> Database::GetTable(std::string_view name) const {
@@ -48,20 +48,17 @@ Result<const Table*> Database::GetTable(std::string_view name) const {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
-  return &it->second.table;
+  return &it->second;
 }
 
 Result<std::shared_ptr<const ColumnarTable>> Database::ColumnarFor(
     std::string_view name) const {
-  const auto it = FindLowercase(tables_, name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table named '" + std::string(name) + "'");
-  }
-  if (it->second.shadow == nullptr) {
+  AUTOCAT_ASSIGN_OR_RETURN(const Table* table, GetTable(name));
+  if (table->num_rows() > std::numeric_limits<uint32_t>::max()) {
     return Status::NotSupported("table '" + std::string(name) +
                                 "' too large for a columnar shadow");
   }
-  return it->second.shadow;
+  return table->columnar_backing();
 }
 
 bool Database::HasTable(std::string_view name) const {
@@ -71,7 +68,7 @@ bool Database::HasTable(std::string_view name) const {
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
-  for (const auto& [key, entry] : tables_) {
+  for (const auto& [key, table] : tables_) {
     names.push_back(key);
   }
   return names;

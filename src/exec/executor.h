@@ -16,19 +16,26 @@
 namespace autocat {
 
 /// A minimal named-table catalog: the "database" queries run against.
-/// Each table is stored with its columnar shadow (storage/columnar.h),
-/// built when the table is registered or put, so a table never exists
-/// without its derived state. Copies share the immutable shadows. (As
-/// with the rest of the class, copying a Database that another thread is
-/// mutating requires external synchronization.)
+/// Every table is installed column-backed (`Table::FromColumnar`) over
+/// its columnar shadow (storage/columnar.h), built when the table is
+/// registered or put, so a table is its shadow and no row copy stays
+/// resident. Copies share the immutable shadows. (As with the rest of the
+/// class, copying a Database that another thread is mutating requires
+/// external synchronization.)
 class Database {
  public:
-  /// Registers `table` under `name` (case-insensitive) and builds its
-  /// shadow. Errors when a table with that name already exists.
+  /// Registers `table` under `name` (case-insensitive), installed as
+  /// described by `PutTable`. Errors when a table with that name already
+  /// exists.
   Status RegisterTable(std::string_view name, Table table);
 
-  /// Replaces or creates the table under `name`. Replacement happens in
-  /// place: the `Table` object keeps its address (see GetTable), only its
+  /// Replaces or creates the table under `name`. A `FromColumnar` table
+  /// without a selection is stored as it is; any other is stored as
+  /// `Table::FromColumnar` over `ColumnarTable::Build` of it (a table
+  /// with a selection is gathered first, so it never shares the shadow it
+  /// selects from) and its rows are freed. A table of more than
+  /// UINT32_MAX rows is stored as it is. Replacement happens in place:
+  /// the `Table` object keeps its address (see GetTable), only its
   /// contents change. The new shadow is built before the swap.
   void PutTable(std::string_view name, Table table);
 
@@ -43,13 +50,11 @@ class Database {
   /// synchronization — the contract is about the address, not the data.
   Result<const Table*> GetTable(std::string_view name) const;
 
-  /// Returns the table's columnar shadow: the backing of a `FromColumnar`
-  /// table, `ColumnarTable::Build` of any other (a table with a
-  /// selection is never its backing). The shared_ptr
-  /// keeps the shadow alive across a later PutTable. Errors: kNotFound
-  /// for an unknown table; kNotSupported when the table has more rows
-  /// than a uint32_t selection vector can address (the serving layer
-  /// returns the error).
+  /// Returns the table's columnar shadow: its `columnar_backing()`. The
+  /// shared_ptr keeps the shadow alive across a later PutTable. Errors:
+  /// kNotFound for an unknown table; kNotSupported when the table has
+  /// more rows than a uint32_t selection vector can address (the serving
+  /// layer returns the error).
   Result<std::shared_ptr<const ColumnarTable>> ColumnarFor(
       std::string_view name) const;
 
@@ -59,14 +64,7 @@ class Database {
   std::vector<std::string> TableNames() const;
 
  private:
-  struct Entry {
-    Table table;
-    /// Null when the table is too large for a columnar shadow.
-    std::shared_ptr<const ColumnarTable> shadow;
-  };
-  static std::shared_ptr<const ColumnarTable> ShadowOf(const Table& table);
-
-  std::map<std::string, Entry, std::less<>> tables_;  // keyed by lowercase name
+  std::map<std::string, Table, std::less<>> tables_;  // keyed by lowercase name
 };
 
 /// Executes a parsed selection/projection query against `db`: scans the

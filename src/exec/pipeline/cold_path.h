@@ -77,11 +77,12 @@ struct ColdPipelineResult {
 /// Every step is deterministic at any thread count, so the outputs are
 /// too.
 ///
-/// `columnar` is the base table's shadow, the one `predicate` was
-/// compiled against (`predicate.columnar()`, whose ownership the result
-/// shares), and must be non-null. `columns` is the projection (empty =
-/// all base columns); errors mirror `TableView::Create` (unknown
-/// projection column).
+/// `base` is a table as a `Database` holds it, and `columnar` its
+/// backing, the shadow `predicate` was compiled against
+/// (`predicate.columnar()`, whose ownership the result shares); it must
+/// be non-null. `columns` is the projection (empty = all base columns);
+/// errors mirror `TableView::Create` (unknown projection column, or a
+/// base whose backing is not `columnar`).
 Result<ColdPipelineResult> RunColdPipeline(const CompiledPredicate& predicate,
                                            const Table& base,
                                            const ColumnarTable* columnar,

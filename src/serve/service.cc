@@ -289,8 +289,8 @@ CategorizationService::AttemptServe(const SelectQuery& query,
                           scan.timings.morsels_all_pass,
                           scan.timings.simd_morsels,
                           scan.timings.rows_examined);
-  // The view borrows the database's base table and shadow (not the
-  // result), so it stays valid across the move into the payload.
+  // The view shares the table version's shadow (not the result), so it
+  // stays valid across the move into the payload.
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
       TableView::Create(*table, std::move(shadow), std::move(scan.selection),

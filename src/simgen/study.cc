@@ -30,13 +30,10 @@ StudyConfig DefaultStudyConfig() {
 }
 
 StudyEnvironment::StudyEnvironment(StudyConfig config, Geography geo,
-                                   Table homes,
-                                   std::shared_ptr<const ColumnarTable> shadow,
-                                   Workload workload)
+                                   Table homes, Workload workload)
     : config_(std::move(config)),
       geo_(std::move(geo)),
       homes_(std::move(homes)),
-      shadow_(std::move(shadow)),
       workload_(std::move(workload)) {}
 
 Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
@@ -46,9 +43,15 @@ Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
   homes_config.seed = config.seed * 2 + 1;
   homes_config.parallel = config.parallel;
   HomesGenerator homes_generator(&geo, homes_config);
-  AUTOCAT_ASSIGN_OR_RETURN(Table homes, homes_generator.Generate());
-  auto shadow =
-      std::make_shared<const ColumnarTable>(ColumnarTable::Build(homes));
+  Table homes;
+  {
+    // The generated rows are freed once their shadow is built.
+    AUTOCAT_ASSIGN_OR_RETURN(const Table generated,
+                             homes_generator.Generate());
+    homes = Table::FromColumnar(generated.schema(),
+                                std::make_shared<const ColumnarTable>(
+                                    ColumnarTable::Build(generated)));
+  }
 
   WorkloadGeneratorConfig workload_config;
   workload_config.num_queries = config.num_workload_queries;
@@ -60,7 +63,7 @@ Result<StudyEnvironment> StudyEnvironment::Create(const StudyConfig& config) {
       workload_generator.Generate(homes.schema(), nullptr));
 
   return StudyEnvironment(config, std::move(geo), std::move(homes),
-                          std::move(shadow), std::move(workload));
+                          std::move(workload));
 }
 
 Result<Table> StudyEnvironment::ExecuteProfile(
@@ -68,13 +71,14 @@ Result<Table> StudyEnvironment::ExecuteProfile(
   // Same selection as the cold serve path: the compiled kernels.
   AUTOCAT_ASSIGN_OR_RETURN(
       const CompiledPredicate compiled,
-      CompiledPredicate::CompileProfile(profile, homes_.schema(), shadow_));
+      CompiledPredicate::CompileProfile(profile, homes_.schema(),
+                                        homes_.columnar_backing()));
   AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                            compiled.Filter({.threads = 1}));
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
-      TableView::Create(homes_, shadow_, std::move(rows), {}));
-  return view.Materialize();
+      TableView::Create(homes_, nullptr, std::move(rows), {}));
+  return view.AsTable();
 }
 
 Result<SelectionProfile> BroadenToRegion(const SelectionProfile& w,

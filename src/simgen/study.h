@@ -61,22 +61,23 @@ class StudyEnvironment {
   const Table& homes() const { return homes_; }
   const Workload& workload() const { return workload_; }
 
-  /// Rows of `homes` matching `profile` (`MatchesRow` semantics), as a
-  /// new table in ascending row order. Selected by the compiled kernels
-  /// over the homes table's columnar shadow (exec/kernels.h).
+  /// Rows of `homes` matching `profile` (`MatchesRow` semantics), in
+  /// ascending row order: a column-backed table selecting from the homes
+  /// table's shared shadow (`TableView::AsTable`; no cell is copied), as
+  /// the service's cold path returns. Selected by the compiled kernels
+  /// (exec/kernels.h).
   Result<Table> ExecuteProfile(const SelectionProfile& profile) const;
 
  private:
   StudyEnvironment(StudyConfig config, Geography geo, Table homes,
-                   std::shared_ptr<const ColumnarTable> shadow,
                    Workload workload);
 
   StudyConfig config_;
   Geography geo_;
+  // Column-backed over its shadow, built once at creation; the shadow is
+  // shared, so moves of the environment and the tables selecting from it
+  // leave it valid.
   Table homes_;
-  // Built once from `homes_`; shared (not pointing into it), so moves of
-  // the environment leave it valid.
-  std::shared_ptr<const ColumnarTable> shadow_;
   Workload workload_;
 };
 

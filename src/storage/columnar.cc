@@ -264,45 +264,24 @@ ColumnarTable ColumnarTable::FromColumns(size_t num_rows,
   return out;
 }
 
-namespace {
-
-// True when `columnar` is to be read in `base`'s backing coordinates: the
-// caller passed none, or the base's backing itself.
-bool ReadsBacking(const Table& base,
-                  const std::shared_ptr<const ColumnarTable>& columnar) {
-  return columnar == nullptr || columnar == base.columnar_backing();
-}
-
-}  // namespace
-
 TableView TableView::All(const Table& base,
                          std::shared_ptr<const ColumnarTable> columnar) {
-  TableView view;
-  view.base_ = &base;
-  view.schema_ = base.schema();
-  if (!base.has_rows() && ReadsBacking(base, columnar)) {
-    view.columnar_ = base.columnar_backing();
-    if (base.has_selection()) {
-      view.rows_ = base.selection_;
-    } else {
-      view.rows_.resize(base.num_rows());
-      std::iota(view.rows_.begin(), view.rows_.end(), uint32_t{0});
-    }
-    view.projection_.assign(base.projection_.begin(),
-                            base.projection_.end());
-    return view;
-  }
-  view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
-  view.rows_.resize(base.num_rows());
-  std::iota(view.rows_.begin(), view.rows_.end(), uint32_t{0});
-  view.projection_.resize(base.num_columns());
-  std::iota(view.projection_.begin(), view.projection_.end(), size_t{0});
-  return view;
+  std::vector<uint32_t> rows(base.num_rows());
+  std::iota(rows.begin(), rows.end(), uint32_t{0});
+  Result<TableView> view = Create(base, std::move(columnar), std::move(rows),
+                                  /*columns=*/{});
+  AUTOCAT_CHECK(view.ok());
+  return std::move(view).value();
 }
 
 Result<TableView> TableView::Create(
     const Table& base, std::shared_ptr<const ColumnarTable> columnar,
     std::vector<uint32_t> rows, const std::vector<std::string>& columns) {
+  if (columnar != nullptr && columnar != base.columnar_backing()) {
+    return Status::InvalidArgument(
+        "a view reads its base table's own columnar backing, not another "
+        "shadow");
+  }
   for (const uint32_t r : rows) {
     if (r >= base.num_rows()) {
       return Status::OutOfRange("row index " + std::to_string(r) +
@@ -310,7 +289,6 @@ Result<TableView> TableView::Create(
     }
   }
   TableView view;
-  view.base_ = &base;
   if (columns.empty()) {
     view.projection_.resize(base.num_columns());
     std::iota(view.projection_.begin(), view.projection_.end(), size_t{0});
@@ -327,7 +305,11 @@ Result<TableView> TableView::Create(
     }
     AUTOCAT_ASSIGN_OR_RETURN(view.schema_, Schema::Create(std::move(cols)));
   }
-  if (!base.has_rows() && ReadsBacking(base, columnar)) {
+  if (base.has_rows()) {
+    // A row-store base: its shadow's coordinates are its own.
+    view.columnar_ =
+        std::make_shared<const ColumnarTable>(ColumnarTable::Build(base));
+  } else {
     // Compose the base's maps: the view addresses the backing directly.
     for (uint32_t& r : rows) {
       r = static_cast<uint32_t>(base.BackingRow(r));
@@ -336,8 +318,6 @@ Result<TableView> TableView::Create(
       c = base.projection_[c];
     }
     view.columnar_ = base.columnar_backing();
-  } else {
-    view.columnar_ = columnar ? std::move(columnar) : base.columnar_backing();
   }
   view.rows_ = std::move(rows);
   return view;
@@ -345,47 +325,12 @@ Result<TableView> TableView::Create(
 
 Table TableView::Materialize() const {
   Table out(schema_);
-  if (base_ == nullptr) {
-    return out;
-  }
   out.rows_.reserve(rows_.size());
-  if (!base_->has_rows()) {
-    // Column-backed base: gather each cell from the columnar arrays, in
-    // the view's (columnar) coordinates. Bit-identical to the row gather
-    // because the store round-trips cells losslessly (raw doubles, exact
-    // int64 decode, dictionary strings).
-    for (const uint32_t r : rows_) {
-      Row projected;
-      projected.reserve(projection_.size());
-      for (const size_t c : projection_) {
-        projected.push_back(columnar_->column(c).CellValue(r));
-      }
-      out.rows_.push_back(std::move(projected));
-    }
-    return out;
-  }
-  const bool identity =
-      projection_.size() == base_->num_columns() &&
-      [this] {
-        for (size_t c = 0; c < projection_.size(); ++c) {
-          if (projection_[c] != c) {
-            return false;
-          }
-        }
-        return true;
-      }();
-  if (identity) {
-    for (const uint32_t r : rows_) {
-      out.rows_.push_back(base_->rows_[r]);
-    }
-    return out;
-  }
   for (const uint32_t r : rows_) {
-    const Row& src = base_->rows_[r];
     Row projected;
     projected.reserve(projection_.size());
     for (const size_t c : projection_) {
-      projected.push_back(src[c]);
+      projected.push_back(columnar_->column(c).CellValue(r));
     }
     out.rows_.push_back(std::move(projected));
   }

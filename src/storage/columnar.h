@@ -72,8 +72,8 @@ class ColumnSpan {
 ///
 /// Two constructions exist:
 ///  - `Build` derives an in-memory shadow of a row-store `Table`
-///    (`Database` builds one with each table it registers or puts, and
-///    `ColumnarFor` returns it);
+///    (`Database` installs each table it registers or puts as
+///    `Table::FromColumnar` over one, and `ColumnarFor` returns it);
 ///  - `FromColumns` wraps columns whose spans point at externally owned
 ///    memory — the segment store (src/store/) uses it to expose mapped,
 ///    decompressed-or-raw column segments zero-copy, with `owner` keeping
@@ -166,7 +166,8 @@ class ColumnarTable {
   /// strings: dictionary, codes with per-code counts, posting lists).
   /// Requires `table.num_rows() <= UINT32_MAX`
   /// (callers gate; selection vectors are 32-bit). A column-backed
-  /// `table` is gathered into rows first. Aborts on a cell that
+  /// `table` (one with a selection, typically) is gathered into rows
+  /// first, so the result is compact. Aborts on a cell that
   /// is neither NULL nor the column's declared type: `Table::AppendRow`
   /// coerces, so only rows handed to `Table::FromValidatedRows` in breach
   /// of its precondition can carry one.
@@ -190,73 +191,59 @@ class ColumnarTable {
   std::shared_ptr<const void> owner_;
 };
 
-/// A zero-copy view over a base table: a selection vector of base-row
-/// indices plus a projection map of base-column indices. This is the
-/// result representation on the cold categorization path — the filter
-/// kernels emit the selection, partitioners/stats/ranking read cells
-/// through the view, and `AsTable()` wraps it as the served result table
-/// without copying a cell (`Materialize()` performs the single fused
-/// gather instead, when an owned row-store table is needed).
+/// A zero-copy view over a base table's columnar form: a selection
+/// vector of row indices plus a projection map of column indices, both
+/// into `columnar()`. This is the result representation on the cold
+/// categorization path — the filter kernels emit the selection,
+/// partitioners/stats/ranking read cells through the view's columns, and
+/// `AsTable()` wraps it as the served result table without copying a
+/// cell (`Materialize()` gathers an owned row-store copy instead).
 ///
-/// Lifetime: the view borrows `base` (and shares a columnar shadow); the
-/// base table must outlive the view and must not be mutated while the
+/// Every view has a `columnar()`. Over a column-backed base it is the
+/// base's backing, and the base's selection and projection are composed
+/// into the view's, so no map is applied twice. Over a row-backed base
+/// (the offline `Categorize(const Table&)` entry points and tests) the
+/// view builds the base's shadow once and owns it; its coordinates are
+/// then the base's own. Either way the view shares its columnar form and
+/// does not borrow the base, which may be destroyed or replaced while the
 /// view is live. View row i of `AsTable()` and `Materialize()` is view
 /// row i, so tuple indices computed through the view index either table
 /// directly.
-///
-/// Coordinates: `base_row` / `base_column` index `columnar()` when it is
-/// set, and `base()` otherwise. The two agree except over a
-/// column-backed base read through its own backing: a view of a table
-/// with a selection composes the table's maps into its own, so it
-/// addresses the shared shadow directly and no map is applied twice.
 class TableView {
  public:
   TableView() = default;
 
-  /// A view of every row and column of `base`. `columnar`, when neither
-  /// null nor the base's backing, must be a shadow of `base`'s own rows
-  /// (`Database::ColumnarFor`). Otherwise a column-backed base is read
-  /// through its backing, its selection and projection composed into the
-  /// view's, and a row-store base without a shadow takes the generic
-  /// per-Value path.
+  /// A view of every row and column of `base`. `columnar` must be null or
+  /// the base's backing (CHECK).
   static TableView All(const Table& base,
                        std::shared_ptr<const ColumnarTable> columnar);
 
   /// A view of the base rows listed in `rows` (in that order) projected to
   /// `columns` (in that order; empty = all columns). Errors mirror
   /// `Table::Project` (unknown / duplicate column) and `Table::SelectRows`
-  /// (row index out of range). A null `columnar` is treated as in `All`.
+  /// (row index out of range); a `columnar` that is neither null nor the
+  /// base's backing is kInvalidArgument.
   static Result<TableView> Create(
       const Table& base, std::shared_ptr<const ColumnarTable> columnar,
       std::vector<uint32_t> rows, const std::vector<std::string>& columns);
 
-  const Table& base() const { return *base_; }
-  /// The base table's columnar shadow, or nullptr.
+  /// The columnar form the view reads; null only for a default-built
+  /// view.
   const ColumnarTable* columnar() const { return columnar_.get(); }
   /// Schema of the *projected* view.
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return rows_.size(); }
   size_t num_columns() const { return projection_.size(); }
 
-  /// Row index of view row `row` in `columnar()` (in `base()` without
-  /// one; see the class comment).
+  /// Row index of view row `row` in `columnar()`.
   uint32_t base_row(size_t row) const { return rows_[row]; }
-  /// Column index of view column `col`, in the same coordinates.
+  /// Column index of view column `col` in `columnar()`.
   size_t base_column(size_t col) const { return projection_[col]; }
   const std::vector<uint32_t>& selection() const { return rows_; }
 
-  /// Cell accessor in view coordinates; bounds unchecked in release.
-  /// Valid only when the base table stores rows (see Table::has_rows);
-  /// consumers reading a column-backed base go through the columnar
-  /// fast paths, which cover every column.
-  const Value& ValueAt(size_t row, size_t col) const {
-    return base_->ValueAt(rows_[row], projection_[col]);
-  }
-
-  /// Copies the view into an owned row-store table: one gather pass, row
-  /// copies taken whole when the projection is the identity. For a
-  /// column-backed base the cells are synthesized from the columnar
-  /// arrays instead (bit-identical by the store's lossless round-trip).
+  /// Copies the view into an owned row-store table, each cell
+  /// synthesized from the columnar arrays (bit-identical to the cell the
+  /// column was built from).
   Table Materialize() const;
 
   /// The view as an immutable column-backed table over `columnar()`,
@@ -266,7 +253,6 @@ class TableView {
   Table AsTable() const;
 
  private:
-  const Table* base_ = nullptr;
   std::shared_ptr<const ColumnarTable> columnar_;
   std::vector<uint32_t> rows_;
   std::vector<size_t> projection_;

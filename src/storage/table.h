@@ -27,7 +27,7 @@ using Row = std::vector<Value>;
 /// both accept exactly the same rows.
 Status CoerceRowToSchema(Row* row, const Schema& schema);
 
-/// An in-memory row-store relation.
+/// An in-memory relation.
 ///
 /// `Table` is the substrate every other module operates on: the base
 /// `ListProperty` relation, query result sets, and the workload count
@@ -37,19 +37,23 @@ Status CoerceRowToSchema(Row* row, const Schema& schema);
 /// stored column is always homogeneous.
 ///
 /// A table comes in one of two storage modes:
-///  - **row-backed** (the default): cells live in `rows_`, appends are
-///    allowed, and `row()` / `rows()` / `ValueAt()` hand out references.
+///  - **row-backed** (the default): the builder. Cells live in `rows_`,
+///    appends are allowed, and `row()` / `rows()` / `ValueAt()` hand out
+///    references. The generator, the CSV reader, the count tables and
+///    query-operator results are row-backed, and `ColumnarTable::Build`
+///    reads them.
 ///  - **column-backed**: the cells live in a shared, immutable
 ///    `ColumnarTable` and no row vectors exist at all. Table row r is
 ///    backing row `selection[r]` and table column c is backing column
-///    `projection[c]`. `FromColumnar` wraps a whole relation (typically
-///    zero-copy views into a mapped segment store; the maps are the
-///    identity), and `TableView::AsTable` a view's rows and columns of a
-///    shadow (the late-materialized cold-path result: the maps are the
-///    view's). The table is immutable, `row()` / `rows()` / `ValueAt()`
-///    must not be called (`has_rows()` is false; debug builds check), and
-///    row-shaped consumers go through `RowRef` / `CopyRow` / `CellValue`,
-///    which synthesize owned cells through the maps on demand.
+///    `projection[c]`. `FromColumnar` wraps a whole relation (the maps
+///    are the identity): every table a `Database` holds is one, over a
+///    built shadow or a mapped segment store. `TableView::AsTable` wraps
+///    a view's rows and columns of a shadow (the late-materialized
+///    cold-path result: the maps are the view's). The table is
+///    immutable, `row()` / `rows()` / `ValueAt()` must not be called
+///    (`has_rows()` is false; debug builds check), and row-shaped
+///    consumers go through `RowRef` / `CopyRow` / `CellValue`, which
+///    synthesize owned cells through the maps on demand.
 /// All query operators (`SelectRows`, `FilterIndices`, `Project`,
 /// `DistinctValues`, `MinMax`, `ToString`) work in both modes, answer
 /// alike for equal cells, and always produce row-backed results.
@@ -172,10 +176,9 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  // TableView::Materialize gathers rows_ directly (one pass, no
-  // per-cell Status plumbing), TableView::All/Create compose the
-  // column-backed maps, and TableView::AsTable sets them; see
-  // storage/columnar.h.
+  // TableView::Materialize fills rows_ directly (one pass, no per-cell
+  // Status plumbing), TableView::Create composes the column-backed maps,
+  // and TableView::AsTable sets them; see storage/columnar.h.
   friend class TableView;
 
   // Column-backed mode: the backing row of table row `row`.

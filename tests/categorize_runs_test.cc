@@ -8,11 +8,12 @@
 // scored from its full partition, and the bucket planner counts with
 // binary searches. Every technique's tree must match it node by node —
 // labels, tset sizes and tuple order — with and without the cold
-// pipeline's attribute index, over row-table and shadow views, at threads
-// {1, 2, 7, 16}, over tables with NULL, NaN, ±inf, int64-extreme and
-// heavily duplicated cells, int64 and double categoricals, an all-NULL
-// candidate, single-row and empty results, and query ranges narrower than
-// the data.
+// pipeline's attribute index, over row-backed, column-backed and
+// selection results, at threads {1, 2, 7, 16}, over tables with NULL,
+// NaN, -0.0, ±inf, int64-extreme, 2^53 ± 1 and heavily duplicated cells,
+// int64 and double categoricals, an all-NULL candidate and a kNull-typed
+// one, single-row and empty results, and query ranges narrower than the
+// data.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +101,7 @@ Table MakeRunsTable(size_t n, uint64_t seed) {
   return table;
 }
 
-WorkloadStats MakeStats(uint64_t seed) {
+WorkloadStats MakeStats(uint64_t seed, const Schema& schema = RunsSchema()) {
   Random rng(seed);
   std::vector<std::string> sqls;
   for (int i = 0; i < 300; ++i) {
@@ -142,11 +143,11 @@ WorkloadStats MakeStats(uint64_t seed) {
     sqls.push_back(sql);
   }
   WorkloadParseReport report;
-  const Workload workload = Workload::Parse(sqls, RunsSchema(), &report);
+  const Workload workload = Workload::Parse(sqls, schema, &report);
   EXPECT_EQ(report.parsed, sqls.size());
   WorkloadStatsOptions options;
   options.split_intervals = {{"price", 5000}, {"sqft", 100}};
-  auto stats = WorkloadStats::Build(workload, RunsSchema(), options);
+  auto stats = WorkloadStats::Build(workload, schema, options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return std::move(stats).value();
 }
@@ -437,14 +438,17 @@ CategoryTree RefBuild(const RefContext& ctx,
   return tree;
 }
 
+// `exact` compares categorical values bit for bit; otherwise by Value
+// equality, under which -0.0 and 0.0 are one value.
 void ExpectLabelsIdentical(const CategoryLabel& a, const CategoryLabel& b,
-                           const std::string& context) {
+                           const std::string& context, bool exact) {
   EXPECT_EQ(a.attribute(), b.attribute()) << context;
   ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
   if (a.is_categorical()) {
     ASSERT_EQ(a.values().size(), b.values().size()) << context;
     for (size_t v = 0; v < a.values().size(); ++v) {
-      EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v]))
+      EXPECT_TRUE(exact ? BitIdentical(a.values()[v], b.values()[v])
+                        : a.values()[v] == b.values()[v])
           << context << ": " << a.ToString() << " vs " << b.ToString();
     }
   } else {
@@ -456,7 +460,7 @@ void ExpectLabelsIdentical(const CategoryLabel& a, const CategoryLabel& b,
 
 // Node by node: links, level, label and the tuple list in order.
 void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
-                    const std::string& context) {
+                    const std::string& context, bool exact_labels = true) {
   EXPECT_EQ(want.level_attributes(), got.level_attributes()) << context;
   ASSERT_EQ(want.num_nodes(), got.num_nodes()) << context;
   for (NodeId id = 0; id < static_cast<NodeId>(want.num_nodes()); ++id) {
@@ -468,7 +472,7 @@ void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
     ASSERT_EQ(a.level, b.level) << where;
     ASSERT_EQ(a.tuples, b.tuples) << where;
     if (!a.is_root()) {
-      ExpectLabelsIdentical(a.label, b.label, where);
+      ExpectLabelsIdentical(a.label, b.label, where, exact_labels);
     }
   }
 }
@@ -483,18 +487,20 @@ struct ShadowResult {
   Table rows;
 };
 
-ShadowResult RunPipeline(const Table& base,
-                         const std::shared_ptr<const ColumnarTable>& shadow,
-                         const std::string& sql,
+// The cold pipeline over `base`, a table as a Database holds it
+// (column-backed over its shadow).
+ShadowResult RunPipeline(const Table& base, const std::string& sql,
                          const std::vector<std::string>& columns) {
   const SelectionProfile profile = ProfileOf(sql);
+  const std::shared_ptr<const ColumnarTable>& shadow =
+      base.columnar_backing();
   auto compiled =
       CompiledPredicate::CompileProfile(profile, base.schema(), shadow);
   EXPECT_TRUE(compiled.ok()) << sql;
   auto piped = RunColdPipeline(compiled.value(), base, shadow.get(), columns,
                                ColdPipelineOptions{});
   EXPECT_TRUE(piped.ok()) << sql << ": " << piped.status().ToString();
-  auto view = TableView::Create(base, shadow, piped->selection, columns);
+  auto view = TableView::Create(base, nullptr, piped->selection, columns);
   EXPECT_TRUE(view.ok()) << sql;
   Table rows = view->Materialize();
   return ShadowResult{std::move(piped->result), std::move(piped->attr_index),
@@ -514,6 +520,12 @@ void ExpectCostBasedMatches(const WorkloadStats& stats,
                             const SelectionProfile* query,
                             size_t max_tuples, const std::string& context) {
   const Table& result = shadowed.result;
+  // The same rows installed on their own (a compact shadow), and the cold
+  // pipeline over every one of them: its index is over that shadow.
+  const Table compact = Table::FromColumnar(
+      shadowed.rows.schema(), std::make_shared<const ColumnarTable>(
+                                  ColumnarTable::Build(shadowed.rows)));
+  const ShadowResult whole = RunPipeline(compact, "SELECT * FROM runs", {});
   CategorizerOptions options = RunsOptions(max_tuples);
   const RefContext ref_ctx{result, stats, options, query, nullptr};
   const CostBasedCategorizer reference_categorizer(&stats, options);
@@ -546,26 +558,27 @@ void ExpectCostBasedMatches(const WorkloadStats& stats,
     EXPECT_GE(timings.score_ms, 0) << at;
     EXPECT_GE(timings.attach_ms, 0) << at;
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        const CategoryTree row_view_with_index,
-        categorizer.Categorize(TableView::All(shadowed.rows, nullptr),
-                               shadowed.rows, query, &shadowed.index));
-    ExpectSameTree(want, row_view_with_index, at + " (row view + index)");
+        const CategoryTree compact_with_index,
+        categorizer.Categorize(whole.view, whole.result, query,
+                               &whole.index));
+    ExpectSameTree(want, compact_with_index, at + " (compact view + index)");
   }
 }
 
 class CategorizeRunsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = MakeRunsTable(900, 11);
+    rows_ = MakeRunsTable(900, 11);
     stats_ = std::make_unique<WorkloadStats>(MakeStats(12));
-    ASSERT_TRUE(db_.RegisterTable("runs", Table(base_)).ok());
-    AUTOCAT_ASSERT_OK_AND_MOVE(shadow_, db_.ColumnarFor("runs"));
+    ASSERT_TRUE(db_.RegisterTable("runs", Table(rows_)).ok());
+    AUTOCAT_ASSERT_OK_AND_MOVE(base_, db_.GetTable("runs"));
   }
 
-  Table base_;
+  // The generated rows, and the column-backed table the Database holds.
+  Table rows_;
+  const Table* base_ = nullptr;
   std::unique_ptr<WorkloadStats> stats_;
   Database db_;
-  std::shared_ptr<const ColumnarTable> shadow_;
 };
 
 TEST_F(CategorizeRunsTest, CostBasedMatchesPerNodeReference) {
@@ -586,7 +599,7 @@ TEST_F(CategorizeRunsTest, CostBasedMatchesPerNodeReference) {
   };
   for (const auto& selection : kSelections) {
     const ShadowResult shadowed =
-        RunPipeline(base_, shadow_, selection.sql, selection.columns);
+        RunPipeline(*base_, selection.sql, selection.columns);
     ASSERT_GT(shadowed.result.num_rows(), 40u) << selection.sql;
     for (const SelectionProfile* query :
          {static_cast<const SelectionProfile*>(nullptr), &narrow, &wide}) {
@@ -603,8 +616,8 @@ TEST_F(CategorizeRunsTest, CostBasedMatchesPerNodeReference) {
 TEST_F(CategorizeRunsTest, BaselinesAndFixedOrderMatchPerNodeReference) {
   const SelectionProfile narrow =
       ProfileOf("SELECT * FROM runs WHERE price BETWEEN 200000 AND 250000");
-  const ShadowResult shadowed = RunPipeline(
-      base_, shadow_, "SELECT * FROM runs WHERE price >= 0", {});
+  const ShadowResult shadowed =
+      RunPipeline(*base_, "SELECT * FROM runs WHERE price >= 0", {});
   const Table& result = shadowed.result;
   for (const SelectionProfile* query :
        {static_cast<const SelectionProfile*>(nullptr), &narrow}) {
@@ -663,27 +676,22 @@ TEST_F(CategorizeRunsTest, BaselinesAndFixedOrderMatchPerNodeReference) {
 // the candidates run out.
 TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
   Database single_db;
-  const Table single = MakeRunsTable(1, 3);
-  ASSERT_TRUE(single_db.RegisterTable("runs", Table(single)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(const std::shared_ptr<const ColumnarTable>
-                                 single_shadow,
-                             single_db.ColumnarFor("runs"));
+  ASSERT_TRUE(single_db.RegisterTable("runs", MakeRunsTable(1, 3)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* single, single_db.GetTable("runs"));
   const struct {
     const Table* base;
-    const std::shared_ptr<const ColumnarTable>* shadow;
     const char* sql;
     std::vector<std::string> candidates;
   } kCases[] = {
-      {&base_, &shadow_, "SELECT * FROM runs WHERE price BETWEEN 1 AND 2", {}},
-      {&base_, &shadow_, "SELECT * FROM runs WHERE price < 0", {}},
-      {&single, &single_shadow, "SELECT * FROM runs", {}},
-      {&base_, &shadow_, "SELECT * FROM runs WHERE bedrooms IN (1, 2, 3)",
-       {"note"}},
-      {&base_, &shadow_, "SELECT * FROM runs WHERE bedrooms IN (1, 2, 3)",
+      {base_, "SELECT * FROM runs WHERE price BETWEEN 1 AND 2", {}},
+      {base_, "SELECT * FROM runs WHERE price < 0", {}},
+      {single, "SELECT * FROM runs", {}},
+      {base_, "SELECT * FROM runs WHERE bedrooms IN (1, 2, 3)", {"note"}},
+      {base_, "SELECT * FROM runs WHERE bedrooms IN (1, 2, 3)",
        {"note", "bedrooms", "rating"}},
   };
   for (const auto& c : kCases) {
-    const ShadowResult shadowed = RunPipeline(*c.base, *c.shadow, c.sql, {});
+    const ShadowResult shadowed = RunPipeline(*c.base, c.sql, {});
     CategorizerOptions options = RunsOptions(0);
     options.candidate_attributes = c.candidates;
     const RefContext ref_ctx{shadowed.result, *stats_, options, nullptr,
@@ -743,26 +751,28 @@ TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
 }
 
 // The per-node entry points build a one-run order over any tuple list
-// (a subset, in any order) and must equal the reference partitioners.
+// (a subset, in any order) and must equal the reference partitioners,
+// read through a view of the row table (which builds its own shadow) and
+// of the column-backed table the Database holds.
 TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
-  const TableView generic = TableView::All(base_, nullptr);
-  const TableView columnar = TableView::All(base_, shadow_);
+  const TableView of_rows = TableView::All(rows_, nullptr);
+  const TableView columnar = TableView::All(*base_, nullptr);
   const CategorizerOptions options = RunsOptions(20);
   NumericPartitionOptions numeric_options;
   numeric_options.max_tuples_per_category = 20;
   Random rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<size_t> tuples;
-    for (size_t r = 0; r < base_.num_rows(); ++r) {
+    for (size_t r = 0; r < rows_.num_rows(); ++r) {
       if (rng.Bernoulli(trial % 2 == 0 ? 0.5 : 0.05)) {
         tuples.push_back(r);
       }
     }
     rng.Shuffle(tuples);
     const std::string context = "trial " + std::to_string(trial);
-    for (const TableView* view : {&generic, &columnar}) {
+    for (const TableView* view : {&of_rows, &columnar}) {
       for (const std::string attr : {"neighborhood", "bedrooms", "rating"}) {
-        const RefContext cost_ctx{base_, *stats_, options, nullptr, nullptr};
+        const RefContext cost_ctx{rows_, *stats_, options, nullptr, nullptr};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto got,
             PartitionCategorical(*view, tuples, attr, *stats_));
@@ -770,7 +780,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
                                          got, context + " " + attr);
         Random ref_rng(trial);
         Random got_rng(trial);
-        const RefContext arb_ctx{base_, *stats_, options, nullptr, &ref_rng};
+        const RefContext arb_ctx{rows_, *stats_, options, nullptr, &ref_rng};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto arbitrary,
             PartitionCategoricalArbitrary(*view, tuples, attr, &got_rng));
@@ -779,7 +789,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
                                          context + " arbitrary " + attr);
       }
       for (const std::string attr : {"price", "sqft"}) {
-        const RefContext cost_ctx{base_, *stats_, options, nullptr, nullptr};
+        const RefContext cost_ctx{rows_, *stats_, options, nullptr, nullptr};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto got, PartitionNumeric(*view, tuples, attr, *stats_,
                                              numeric_options, nullptr));
@@ -791,8 +801,8 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
             const auto equi,
             PartitionNumericEquiWidth(*view, tuples, attr, width, nullptr));
         equiv::ExpectPartitionsIdentical(
-            RefEquiWidth(attr, RefSortedValues(base_, tuples,
-                                               base_.schema()
+            RefEquiWidth(attr, RefSortedValues(rows_, tuples,
+                                               rows_.schema()
                                                    .ColumnIndex(attr)
                                                    .value()),
                          width, nullptr),
@@ -804,13 +814,13 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
 
 // Distribute keeps each run in key order and drops rows without a slot.
 TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
-  const TableView view = TableView::All(base_, shadow_);
-  const size_t col = base_.schema().ColumnIndex("neighborhood").value();
+  const TableView view = TableView::All(*base_, nullptr);
+  const size_t col = rows_.schema().ColumnIndex("neighborhood").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       AttributeOrder order,
       AttributeOrder::Build(view, col, ColumnKind::kCategorical, nullptr,
                             nullptr));
-  std::vector<int32_t> slot_of_row(base_.num_rows());
+  std::vector<int32_t> slot_of_row(rows_.num_rows());
   for (size_t r = 0; r < slot_of_row.size(); ++r) {
     slot_of_row[r] = static_cast<int32_t>(r % 4) - 1;  // -1, 0, 1, 2
   }
@@ -819,9 +829,9 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
   for (size_t s = 0; s < 3; ++s) {
     const auto run = order.key_run(s);
     std::vector<size_t> expected;
-    for (size_t r = 0; r < base_.num_rows(); ++r) {
+    for (size_t r = 0; r < rows_.num_rows(); ++r) {
       if (slot_of_row[r] == static_cast<int32_t>(s) &&
-          !base_.ValueAt(r, col).is_null()) {
+          !rows_.ValueAt(r, col).is_null()) {
         expected.push_back(r);
       }
     }
@@ -832,7 +842,195 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
         EXPECT_LT(run[i - 1], run[i]) << "run " << s << " entry " << i;
       }
       EXPECT_TRUE(BitIdentical(order.key_value(run[i].first),
-                               base_.ValueAt(run[i].second, col)));
+                               rows_.ValueAt(run[i].second, col)));
+    }
+  }
+}
+
+// RunsSchema plus a kNull-typed column.
+Schema HostileKeysSchema() {
+  std::vector<ColumnDef> columns = RunsSchema().columns();
+  columns.emplace_back("void", ValueType::kNull, ColumnKind::kCategorical);
+  auto schema = Schema::Create(std::move(columns));
+  EXPECT_TRUE(schema.ok());
+  return std::move(schema).value();
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Keys that break a careless order: 2^53 and 2^53 + 1 (one double apart
+// from nothing: both cast to 2^53), the int64 extremes, NaN, -0.0 next to
+// 0.0, and NULL, in the numeric and the categorical int64/double columns,
+// among ordinary values; `void` is NULL throughout.
+Table MakeHostileKeysTable(size_t n, uint64_t seed) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Value prices[] = {Value(kTwo53), Value(kTwo53 + 1),
+                          Value(kTwo53 - 1),
+                          Value(std::numeric_limits<int64_t>::min()),
+                          Value(std::numeric_limits<int64_t>::max()),
+                          Value()};
+  const Value doubles[] = {Value(kNaN), Value(-0.0), Value(0.0), Value()};
+  const Value ints[] = {Value(kTwo53), Value(kTwo53 + 1),
+                        Value(std::numeric_limits<int64_t>::min()),
+                        Value(std::numeric_limits<int64_t>::max()),
+                        Value()};
+  Table table(HostileKeysSchema());
+  Random rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const bool hostile = rng.Bernoulli(0.5);
+    Row row;
+    row.push_back(rng.Bernoulli(0.05)
+                      ? Value()
+                      : Value(kNeighborhoods[rng.Uniform(0, 8)]));
+    row.push_back(hostile ? prices[rng.Uniform(0, 5)]
+                          : Value(100000 + 5000 * rng.Uniform(0, 80)));
+    row.push_back(hostile ? doubles[rng.Uniform(0, 3)]
+                          : Value(100.0 * static_cast<double>(
+                                              rng.Uniform(5, 40))));
+    row.push_back(hostile ? ints[rng.Uniform(0, 4)]
+                          : Value(rng.Uniform(1, 6)));
+    row.push_back(hostile ? doubles[rng.Uniform(0, 3)]
+                          : Value(rng.Bernoulli(0.5) ? 1.5 : 2.5));
+    row.push_back(Value());
+    row.push_back(Value());
+    EXPECT_TRUE(table.AppendRow(std::move(row)).ok());
+  }
+  return table;
+}
+
+// Over the hostile keys, every technique builds one tree from the
+// row-backed result (read through the shadow its view builds), from the
+// same rows installed column-backed, and from the cold pipeline's
+// selection over the installed table, and that tree is the per-node
+// reference's. A numeric order ties the int64 cells that cast to one
+// double, and -0.0 with 0.0, and orders them by row; a categorical order
+// keeps 2^53 and 2^53 + 1 apart. The reference labels a categorical group
+// of -0.0 and 0.0 cells with the node's first cell, the categorizer with
+// the result's lowest-row cell, so labels are compared to it by value
+// and bit for bit across the inputs.
+TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
+  const Schema schema = HostileKeysSchema();
+  const WorkloadStats stats = MakeStats(12, schema);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("runs", MakeHostileKeysTable(200, 17)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("runs"));
+  const ShadowResult shadowed = RunPipeline(
+      *installed,
+      "SELECT * FROM runs WHERE neighborhood IN ('N0', 'N1', 'N2', 'N3', "
+      "'N4', 'N5', 'N6', 'N7', 'N8')",
+      {});
+  const Table& selection = shadowed.result;
+  const Table& rows = shadowed.rows;
+  ASSERT_TRUE(selection.has_selection());
+  ASSERT_TRUE(rows.has_rows());
+  ASSERT_GT(rows.num_rows(), 160u);
+  const Table backed = Table::FromColumnar(
+      schema,
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows)));
+
+  // The orders themselves, over the column-backed input.
+  const TableView view = TableView::All(backed, nullptr);
+  const size_t price = schema.ColumnIndex("price").value();
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const AttributeOrder by_price,
+      AttributeOrder::Build(view, price, ColumnKind::kNumeric, nullptr,
+                            nullptr));
+  size_t tied = 0;
+  const auto run = by_price.numeric_run(0);
+  for (size_t i = 1; i < run.size(); ++i) {
+    ASSERT_LT(run[i - 1], run[i]);
+    if (run[i].first == static_cast<double>(kTwo53) &&
+        run[i - 1].first == run[i].first) {
+      ++tied;
+    }
+  }
+  EXPECT_GT(tied, 10u) << "2^53 and 2^53 + 1 cells should tie";
+  const size_t bedrooms = schema.ColumnIndex("bedrooms").value();
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const AttributeOrder by_bedrooms,
+      AttributeOrder::Build(view, bedrooms, ColumnKind::kCategorical,
+                            nullptr, nullptr));
+  std::set<int64_t> keys;
+  for (size_t k = 0; k < by_bedrooms.num_keys(); ++k) {
+    keys.insert(by_bedrooms.key_value(static_cast<uint32_t>(k)).int64_value());
+  }
+  EXPECT_EQ(keys.count(kTwo53), 1u);
+  EXPECT_EQ(keys.count(kTwo53 + 1), 1u);
+  const size_t void_col = schema.ColumnIndex("void").value();
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const AttributeOrder by_void,
+      AttributeOrder::Build(view, void_col, ColumnKind::kCategorical,
+                            nullptr, nullptr));
+  EXPECT_EQ(by_void.num_keys(), 0u);
+  EXPECT_TRUE(by_void.key_run(0).empty());
+
+  const std::pair<const char*, const Table*> inputs[] = {
+      {"row-backed", &rows}, {"column-backed", &backed},
+      {"selection", &selection}};
+  for (const size_t max_tuples : {size_t{20}, size_t{4}}) {
+    CategorizerOptions options = RunsOptions(max_tuples);
+    const std::string m = " M=" + std::to_string(max_tuples);
+    const CategoryTree want_cost = RefBuild(
+        RefContext{rows, stats, options, nullptr, nullptr},
+        CostBasedCategorizer(&stats, options).RetainedAttributes(schema),
+        /*cost_based_choice=*/true);
+    EXPECT_GE(want_cost.max_depth(), 2) << m;
+    std::vector<std::string> all;
+    for (const ColumnDef& col : schema.columns()) {
+      all.push_back(col.name);
+    }
+    Random attr_rng(options.arbitrary_seed);
+    const CategoryTree want_attr_cost =
+        RefBuild(RefContext{rows, stats, options, nullptr, &attr_rng}, all,
+                 /*cost_based_choice=*/true);
+    Random no_cost_rng(options.arbitrary_seed);
+    std::vector<std::string> shuffled = all;
+    no_cost_rng.Shuffle(shuffled);
+    const CategoryTree want_no_cost =
+        RefBuild(RefContext{rows, stats, options, nullptr, &no_cost_rng},
+                 shuffled, /*cost_based_choice=*/false);
+    options.parallel.threads = 1;
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CategoryTree rows_cost,
+        CostBasedCategorizer(&stats, options).Categorize(rows, nullptr));
+    ExpectSameTree(want_cost, rows_cost, "Cost-based reference" + m,
+                   /*exact_labels=*/false);
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CategoryTree rows_attr_cost,
+        AttrCostCategorizer(&stats, options).Categorize(rows, nullptr));
+    ExpectSameTree(want_attr_cost, rows_attr_cost, "Attr-cost reference" + m,
+                   /*exact_labels=*/false);
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CategoryTree rows_no_cost,
+        NoCostCategorizer(&stats, options).Categorize(rows, nullptr));
+    ExpectSameTree(want_no_cost, rows_no_cost, "No cost reference" + m,
+                   /*exact_labels=*/false);
+    for (const auto& [name, input] : inputs) {
+      const std::string at = std::string(name) + m;
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree cost,
+          CostBasedCategorizer(&stats, options).Categorize(*input, nullptr));
+      ExpectSameTree(rows_cost, cost, "Cost-based " + at);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree attr_cost,
+          AttrCostCategorizer(&stats, options).Categorize(*input, nullptr));
+      ExpectSameTree(rows_attr_cost, attr_cost, "Attr-cost " + at);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree no_cost,
+          NoCostCategorizer(&stats, options).Categorize(*input, nullptr));
+      ExpectSameTree(rows_no_cost, no_cost, "No cost " + at);
+    }
+    // The serving call, at every thread count.
+    for (const size_t threads : kThreadCounts) {
+      options.parallel.threads = threads;
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree with_index,
+          CostBasedCategorizer(&stats, options)
+              .Categorize(shadowed.view, selection, nullptr,
+                          &shadowed.index));
+      ExpectSameTree(rows_cost, with_index,
+                     "Cost-based view + index" + m + " threads=" +
+                         std::to_string(threads));
     }
   }
 }

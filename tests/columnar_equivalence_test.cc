@@ -7,8 +7,9 @@
 // randomized profiles and edge values (NaN cells, -0.0, 2^53 +- 1,
 // INT64_MIN/MAX, an empty table, all-NULL columns) over deterministic
 // tables, and pin the partitioners and the cost-based categorizer
-// reading a columnar shadow through a view to the generic per-Value walk
-// over the materialized result.
+// reading a selection of a registered table's shadow through a view to
+// the same readers over the materialized result, whose view builds a
+// compact shadow of its own.
 
 #include <gtest/gtest.h>
 
@@ -289,13 +290,8 @@ TEST(ColumnarEquivalenceTest, ViewMaterializeMatchesSelectRowsProject) {
                         "yearbuilt"}));
   ExpectTablesBitIdentical(expected, f.materialized,
                            "view materialization");
-  // ValueAt through the view reads the same cells without materializing.
-  for (size_t r = 0; r < f.view.num_rows(); ++r) {
-    for (size_t c = 0; c < f.view.num_columns(); ++c) {
-      EXPECT_TRUE(BitIdentical(f.view.ValueAt(r, c), expected.ValueAt(r, c)))
-          << "view cell " << r << "," << c;
-    }
-  }
+  // The view as a table reads the same cells without materializing.
+  ExpectTablesBitIdentical(expected, f.view.AsTable(), "view as a table");
 }
 
 WorkloadStats FuzzStats() {
@@ -330,9 +326,9 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
   for (const bool projected : {false, true}) {
     const ViewFixture f(projected);
     const std::string tag = projected ? " (projected)" : " (all columns)";
-    // The reference: no shadow attached, so every partitioner takes the
-    // generic per-Value walk over the materialized cells.
-    const TableView generic = TableView::All(f.materialized, nullptr);
+    // The reference: a view of the materialized cells, read through the
+    // compact shadow the view builds of them.
+    const TableView compact = TableView::All(f.materialized, nullptr);
 
     for (const std::string attr : {"neighborhood", "price"}) {
       const bool numeric = attr == "price";
@@ -340,7 +336,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
         NumericPartitionOptions options;
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_table,
-            PartitionNumeric(generic, f.all_tuples, attr, stats,
+            PartitionNumeric(compact, f.all_tuples, attr, stats,
                              options, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
@@ -351,7 +347,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
 
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto ew_table,
-            PartitionNumericEquiWidth(generic, f.all_tuples, attr,
+            PartitionNumericEquiWidth(compact, f.all_tuples, attr,
                                       25000, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto ew_view,
@@ -363,7 +359,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
       } else {
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_table,
-            PartitionCategorical(generic, f.all_tuples, attr,
+            PartitionCategorical(compact, f.all_tuples, attr,
                                  stats));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
@@ -376,7 +372,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
         Random rng_view(7);
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto arb_table,
-            PartitionCategoricalArbitrary(generic, f.all_tuples,
+            PartitionCategoricalArbitrary(compact, f.all_tuples,
                                           attr, &rng_table));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto arb_view,
@@ -392,15 +388,15 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
 
 // A NaN cell joins no numeric bucket, exactly as a NULL does not and as
 // CategoryLabel::Matches answers. Both numeric partitioners, read through
-// the generic per-Value walk and through the columnar shadow, must return
-// a valid partition whose every placed tuple matches its label, and the
-// two walks must agree.
+// a view of the row table (which builds its shadow) and of the
+// column-backed table a Database installs, must return a valid partition
+// whose every placed tuple matches its label, and the two must agree.
 TEST(ColumnarEquivalenceTest, NumericPartitionsPlaceNoNaNCell) {
   const WorkloadStats stats = FuzzStats();
   const Table table = MakeHomes(3000, 909, 0.05, true);
-  const auto shadow = ShadowOf(table);
-  const TableView generic = TableView::All(table, nullptr);
-  const TableView columnar = TableView::All(table, shadow);
+  const Table backed = Table::FromColumnar(table.schema(), ShadowOf(table));
+  const TableView of_rows = TableView::All(table, nullptr);
+  const TableView columnar = TableView::All(backed, nullptr);
   std::vector<size_t> all_tuples(table.num_rows());
   for (size_t i = 0; i < all_tuples.size(); ++i) {
     all_tuples[i] = i;
@@ -425,27 +421,27 @@ TEST(ColumnarEquivalenceTest, NumericPartitionsPlaceNoNaNCell) {
     };
     NumericPartitionOptions options;
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        auto cost_generic,
-        PartitionNumeric(generic, all_tuples, attr, stats, options, nullptr));
+        auto cost_rows,
+        PartitionNumeric(of_rows, all_tuples, attr, stats, options, nullptr));
     AUTOCAT_ASSERT_OK_AND_MOVE(
         auto cost_columnar,
         PartitionNumeric(columnar, all_tuples, attr, stats, options,
                          nullptr));
-    expect_valid(cost_generic, "PartitionNumeric generic " + attr);
+    expect_valid(cost_rows, "PartitionNumeric rows " + attr);
     expect_valid(cost_columnar, "PartitionNumeric columnar " + attr);
-    ExpectPartitionsIdentical(cost_generic, cost_columnar,
+    ExpectPartitionsIdentical(cost_rows, cost_columnar,
                               "PartitionNumeric " + attr);
 
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        auto ew_generic,
-        PartitionNumericEquiWidth(generic, all_tuples, attr, width, nullptr));
+        auto ew_rows,
+        PartitionNumericEquiWidth(of_rows, all_tuples, attr, width, nullptr));
     AUTOCAT_ASSERT_OK_AND_MOVE(
         auto ew_columnar,
         PartitionNumericEquiWidth(columnar, all_tuples, attr, width,
                                   nullptr));
-    expect_valid(ew_generic, "PartitionNumericEquiWidth generic " + attr);
+    expect_valid(ew_rows, "PartitionNumericEquiWidth rows " + attr);
     expect_valid(ew_columnar, "PartitionNumericEquiWidth columnar " + attr);
-    ExpectPartitionsIdentical(ew_generic, ew_columnar,
+    ExpectPartitionsIdentical(ew_rows, ew_columnar,
                               "PartitionNumericEquiWidth " + attr);
   }
 }
@@ -464,7 +460,7 @@ TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   auto profile = SelectionProfile::FromQuery(query.value(), FuzzSchema());
   ASSERT_TRUE(profile.ok());
 
-  // The reference reads the materialized cells with no shadow attached.
+  // The reference reads the materialized cells through their own shadow.
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const CategoryTree from_table,
       categorizer.Categorize(TableView::All(f.materialized, nullptr),

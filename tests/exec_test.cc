@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "exec/executor.h"
 #include "exec/predicate.h"
 #include "sql/parser.h"
+#include "storage/columnar.h"
 
 namespace autocat {
 namespace {
@@ -175,6 +183,147 @@ TEST(DatabaseTest, GetTablePointerIsStableAcrossMutations) {
   db.PutTable("Homes", HomesTable());
   EXPECT_EQ(db.GetTable("homes").value(), before);
   EXPECT_EQ(before->num_rows(), rows_before);
+}
+
+// 23 rows cycling through cells with sharp comparison semantics: NULL,
+// NaN, -0.0 next to 0.0, "" next to NULL, and the int64 extremes.
+Table HostileTable() {
+  auto schema = Schema::Create({
+      ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
+      ColumnDef("d", ValueType::kDouble, ColumnKind::kNumeric),
+      ColumnDef("i", ValueType::kInt64, ColumnKind::kNumeric),
+  });
+  EXPECT_TRUE(schema.ok());
+  const Value strings[] = {Value(""), Value("a"), Value(), Value("b")};
+  const Value doubles[] = {Value(std::numeric_limits<double>::quiet_NaN()),
+                           Value(-0.0), Value(0.0), Value(), Value(2.5)};
+  const Value ints[] = {Value(std::numeric_limits<int64_t>::min()),
+                        Value(std::numeric_limits<int64_t>::max()),
+                        Value(int64_t{0}), Value(), Value(int64_t{-3}),
+                        Value(int64_t{7})};
+  Table table(std::move(schema).value());
+  for (size_t r = 0; r < 23; ++r) {
+    EXPECT_TRUE(
+        table.AppendRow({strings[r % 4], doubles[r % 5], ints[r % 6]}).ok());
+  }
+  return table;
+}
+
+// Same dynamic type, doubles by representation (NaN == NaN, -0.0 != 0.0).
+bool BitIdentical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) {
+    return false;
+  }
+  if (a.is_double()) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.is_null() || a == b;
+}
+
+void ExpectCellsBitIdentical(const Table& want, const Table& got,
+                             const std::string& context) {
+  ASSERT_TRUE(want.schema() == got.schema()) << context;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << context;
+  for (size_t r = 0; r < want.num_rows(); ++r) {
+    for (size_t c = 0; c < want.num_columns(); ++c) {
+      EXPECT_TRUE(BitIdentical(want.CellValue(r, c), got.CellValue(r, c)))
+          << context << " cell " << r << "," << c << ": "
+          << want.CellValue(r, c).ToString() << " vs "
+          << got.CellValue(r, c).ToString();
+    }
+  }
+}
+
+// Whatever a Database is given — a row table, a table selecting from
+// another's shadow, or a FromColumnar table — it holds one column-backed
+// table whose backing is the shadow ColumnarFor returns. A FromColumnar
+// table is stored as it is; a selection is gathered into a shadow of its
+// own rows and never shares the one it selects from.
+TEST(DatabaseTest, EveryInstalledTableIsColumnBacked) {
+  const Table rows = HostileTable();
+  const auto parent = std::make_shared<const ColumnarTable>(
+      ColumnarTable::Build(rows));
+  const Table backed = Table::FromColumnar(rows.schema(), parent);
+  const auto view = TableView::Create(backed, nullptr, {5, 0, 3, 3, 22, 9},
+                                      {"i", "s"});
+  ASSERT_TRUE(view.ok());
+  const Table selected = view.value().AsTable();
+  ASSERT_TRUE(selected.has_selection());
+
+  const std::pair<const char*, const Table*> inputs[] = {
+      {"rows", &rows}, {"selection", &selected}, {"columnar", &backed}};
+  for (const auto& [name, input] : inputs) {
+    for (const bool put : {false, true}) {
+      const std::string context =
+          std::string(name) + (put ? " PutTable" : " RegisterTable");
+      Database db;
+      if (put) {
+        db.PutTable("t", *input);
+      } else {
+        ASSERT_TRUE(db.RegisterTable("t", *input).ok()) << context;
+      }
+      const auto got = db.GetTable("T");
+      ASSERT_TRUE(got.ok()) << context;
+      EXPECT_FALSE(got.value()->has_rows()) << context;
+      EXPECT_FALSE(got.value()->has_selection()) << context;
+      const auto shadow = db.ColumnarFor("t");
+      ASSERT_TRUE(shadow.ok()) << context;
+      ASSERT_NE(shadow.value(), nullptr) << context;
+      EXPECT_EQ(shadow.value(), got.value()->columnar_backing()) << context;
+      EXPECT_EQ(shadow.value()->num_rows(), input->num_rows()) << context;
+      if (input == &backed) {
+        EXPECT_EQ(shadow.value(), parent) << context;
+      } else {
+        EXPECT_NE(shadow.value(), parent) << context;
+      }
+      ExpectCellsBitIdentical(*input, *got.value(), context);
+    }
+  }
+}
+
+// The row oracle over an installed table: ExecuteSql synthesizes each
+// row from the shadow and must answer what the same filter, selection and
+// projection answer over the original row table, errors included.
+TEST(DatabaseTest, ExecuteSqlMatchesTheOriginalRowTable) {
+  const Table rows = HostileTable();
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", rows).ok());
+  const char* const kSqls[] = {
+      "SELECT * FROM t",
+      "SELECT * FROM t WHERE d = 0",
+      "SELECT * FROM t WHERE d < 1 AND i <= 7",
+      "SELECT d, s FROM t WHERE d BETWEEN 0 AND 3",
+      "SELECT * FROM t WHERE s = ''",
+      "SELECT i FROM t WHERE s IN ('', 'b') OR d IS NULL",
+      "SELECT * FROM t WHERE s IS NULL AND i IS NOT NULL",
+      "SELECT s FROM t WHERE s <> '' AND i > 0",
+      "SELECT * FROM t WHERE i = 9223372036854775807",
+      "SELECT * FROM t WHERE s > 5",  // a type error on the first row
+  };
+  for (const char* sql : kSqls) {
+    const auto query = ParseQuery(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    Result<Table> want = Status::Internal("unset");
+    const auto indices = FilterTable(rows, query.value().where.get());
+    if (!indices.ok()) {
+      want = indices.status();
+    } else {
+      want = rows.SelectRows(indices.value());
+      if (want.ok() && !query.value().select_all()) {
+        want = want.value().Project(query.value().columns);
+      }
+    }
+    const Result<Table> got = ExecuteSql(sql, db);
+    ASSERT_EQ(want.ok(), got.ok()) << sql;
+    if (!want.ok()) {
+      EXPECT_EQ(want.status().code(), got.status().code()) << sql;
+      continue;
+    }
+    EXPECT_TRUE(got.value().has_rows()) << sql;
+    ExpectCellsBitIdentical(want.value(), got.value(), sql);
+  }
 }
 
 // ---------------------------------------------------------------- executor

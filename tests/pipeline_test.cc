@@ -175,9 +175,11 @@ void ExpectPipelineMatchesReference(
 // ----------------------------------------------------------- corpus replay
 
 TEST(PipelineEquivalenceTest, FuzzCorpusLegacyVsPipeline) {
-  const Table table = MakeHomes(5000, 101, 0.08, true);
+  // The table as the Database holds it: column-backed over its shadow.
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(db.RegisterTable("homes", MakeHomes(5000, 101, 0.08, true)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
                              db.ColumnarFor("homes"));
 
@@ -206,9 +208,11 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
   const Schema schema = FuzzSchema();
   // 5000 rows = 3 morsels: morsel boundaries, a partial tail morsel, and
   // enough rows for both dense and sparse selections to occur.
-  const Table table = MakeHomes(5000, 202, 0.1, true);
+  // The table as the Database holds it: column-backed over its shadow.
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(db.RegisterTable("homes", MakeHomes(5000, 202, 0.1, true)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
                              db.ColumnarFor("homes"));
 
@@ -287,9 +291,11 @@ void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
 }
 
 TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
-  const Table table = MakeHomes(6000, 303, 0.1, true);
+  // The table as the Database holds it: column-backed over its shadow.
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(db.RegisterTable("homes", MakeHomes(6000, 303, 0.1, true)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
                              db.ColumnarFor("homes"));
 
@@ -329,9 +335,12 @@ TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
 }
 
 TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
-  const Table table = MakeHomes(3000, 404, 0.05, false);
+  // The table as the Database holds it: column-backed over its shadow.
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(
+      db.RegisterTable("homes", MakeHomes(3000, 404, 0.05, false)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
                              db.ColumnarFor("homes"));
   std::optional<CompiledPredicate> compiled;
@@ -380,9 +389,11 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
 }
 
 TEST(PipelineEquivalenceTest, EmptyTableAndUnknownProjectionColumn) {
-  const Table table = MakeHomes(0, 606, 0.0, false);
+  // The table as the Database holds it: column-backed over its shadow.
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(db.RegisterTable("homes", MakeHomes(0, 606, 0.0, false)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
                              db.ColumnarFor("homes"));
   std::optional<CompiledPredicate> compiled;

@@ -108,8 +108,9 @@ SelectionProfile Profile(const std::string& where, const Schema& schema) {
 std::vector<uint32_t> Oracle(const Table& table,
                              const SelectionProfile& profile) {
   std::vector<uint32_t> rows;
+  Row scratch;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (profile.MatchesRow(table.row(r), table.schema())) {
+    if (profile.MatchesRow(table.RowRef(r, &scratch), table.schema())) {
       rows.push_back(static_cast<uint32_t>(r));
     }
   }
@@ -121,7 +122,7 @@ size_t UnionSize(const Table& table, size_t col,
                  const std::set<std::string>& names) {
   size_t count = 0;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    const Value& v = table.ValueAt(r, col);
+    const Value v = table.CellValue(r, col);
     count += (v.is_string() && names.count(v.string_value()) > 0) ? 1 : 0;
   }
   return count;
@@ -272,10 +273,11 @@ TEST(PostingListTest, EmptyDictionaryHasOneOffset) {
 
 class PostingSourceTest : public ::testing::Test {
  protected:
-  void Use(Table table) {
-    table_ = std::move(table);
+  // `rows` as a Database installs it: column-backed over its shadow.
+  void Use(const Table& rows) {
     shadow_ = std::make_shared<const ColumnarTable>(
-        ColumnarTable::Build(table_));
+        ColumnarTable::Build(rows));
+    table_ = Table::FromColumnar(rows.schema(), shadow_);
   }
   Table table_{ListingSchema()};
   std::shared_ptr<const ColumnarTable> shadow_;
@@ -389,7 +391,7 @@ TEST_F(PostingSourceTest, ZonePrunedResidualLeaf) {
   // Only the candidates of the two unpruned morsels were examined.
   size_t candidates = 0;
   for (size_t r = 0; r < 2 * kMorselRows; ++r) {
-    const Value& v = table_.ValueAt(r, 0);
+    const Value v = table_.CellValue(r, 0);
     candidates += (v.is_string() && (v.string_value() == "n01" ||
                                      v.string_value() == "n02"))
                       ? 1

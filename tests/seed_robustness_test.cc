@@ -125,7 +125,7 @@ TEST(LeafGuaranteeTest, TaskTreesRespectM) {
         Value hi;
         std::set<Value> distinct;
         for (size_t idx : node.tuples) {
-          const Value& v = result->ValueAt(idx, col);
+          const Value v = result->CellValue(idx, col);
           if (v.is_null()) {
             continue;
           }

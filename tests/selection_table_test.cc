@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,16 +70,17 @@ Table HostileTable() {
   return table;
 }
 
+// A table as a Database installs it: column-backed over its shadow.
 struct Shadowed {
   Table base;
   std::shared_ptr<const ColumnarTable> shadow;
 };
 
-Shadowed MakeShadowed(Table base) {
+Shadowed MakeShadowed(const Table& rows) {
   Shadowed out;
   out.shadow =
-      std::make_shared<const ColumnarTable>(ColumnarTable::Build(base));
-  out.base = std::move(base);
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows));
+  out.base = Table::FromColumnar(rows.schema(), out.shadow);
   return out;
 }
 
@@ -316,6 +318,49 @@ TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
     EXPECT_FALSE(TableView::Create(selected, nullptr, {}, {"nope"}).ok())
         << c.name;
   }
+}
+
+// A view reads its base's own columnar form. A shadow of the same rows
+// that the base does not hold is refused: by Create with a precise
+// status, over a column-backed base and over a row-backed one alike.
+// Null, or the base's backing, is accepted; over a row-backed base the
+// view builds its own shadow, so it outlives the base.
+TEST(TableViewTest, CreateRefusesAForeignShadow) {
+  const Table rows = HostileTable();
+  const Shadowed h = MakeShadowed(rows);
+  const auto foreign =
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows));
+  for (const Table* base : {&h.base, &rows}) {
+    const Result<TableView> refused =
+        TableView::Create(*base, foreign, {0, 1}, {"d"});
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const TableView own, TableView::Create(h.base, h.shadow, {4, 0}, {"d"}));
+  EXPECT_EQ(own.columnar(), h.shadow.get());
+  std::optional<TableView> built;
+  {
+    const Table temporary = HostileTable();
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        built, TableView::Create(temporary, nullptr, {4, 0}, {"d"}));
+  }
+  ASSERT_NE(built->columnar(), nullptr);
+  EXPECT_NE(built->columnar(), h.shadow.get());
+  ExpectTablesBitIdentical(own.Materialize(), built->Materialize(),
+                           "view over a row-backed base");
+  ExpectTablesBitIdentical(own.Materialize(), built->AsTable(),
+                           "its AsTable");
+}
+
+// All has no status to return, so a foreign shadow is a CHECK failure.
+TEST(TableViewDeathTest, AllRefusesAForeignShadow) {
+  const Shadowed h = MakeShadowed(HostileTable());
+  const auto foreign = std::make_shared<const ColumnarTable>(
+      ColumnarTable::Build(HostileTable()));
+  EXPECT_DEATH((void)TableView::All(h.base, foreign),
+               "AUTOCAT_CHECK failed");
 }
 
 // A selection over the fuzz homes (hostile cells and NULLs included),

@@ -341,8 +341,11 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
   const StoreEquivalenceFixture f(400, 303, 0.1, false, "ops");
   const Table& mem = **f.mem_db().GetTable("homes");
   const Table& mapped = **f.store_db().GetTable("homes");
-  ASSERT_TRUE(mem.has_rows());
+  // Both are column-backed: the in-memory one over the shadow its
+  // Database built, the mapped one over the store.
+  ASSERT_FALSE(mem.has_rows());
   ASSERT_FALSE(mapped.has_rows());
+  ASSERT_NE(mem.columnar_backing(), mapped.columnar_backing());
 
   // Whole-table scan equivalence.
   ExpectTablesBitIdentical(mem, mapped, "identity");
@@ -434,17 +437,8 @@ TEST(StoreEquivalenceTest, ColdServeStoreVsMemory) {
     Database db;
     const Result<const Table*> table = source.GetTable("homes");
     EXPECT_TRUE(table.ok());
-    // Column-backed tables share the mapping; row tables are copied.
-    if (table.value()->has_rows()) {
-      EXPECT_TRUE(db.RegisterTable("homes", Table(*table.value())).ok());
-    } else {
-      EXPECT_TRUE(
-          db.RegisterTable(
-                "homes",
-                Table::FromColumnar(table.value()->schema(),
-                                    table.value()->columnar_backing()))
-              .ok());
-    }
+    // The copy shares the shadow or the mapping.
+    EXPECT_TRUE(db.RegisterTable("homes", *table.value()).ok());
     ServiceOptions options;
     options.stats.split_intervals = {{"price", 5000},
                                      {"squarefootage", 100},

@@ -34,9 +34,20 @@ const StudyEnvironment& SharedEnv() {
   return *env;
 }
 
+// The homes table as rows, gathered once: the row scans below read it
+// instead of synthesizing every row of the column-backed table per scan.
+const Table& SharedHomesRows() {
+  static const Table* rows = new Table(
+      TableView::All(SharedEnv().homes(), nullptr).Materialize());
+  return *rows;
+}
+
 TEST(StudyEnvironmentTest, BuildsDataAndWorkload) {
   const StudyEnvironment& env = SharedEnv();
   EXPECT_EQ(env.homes().num_rows(), 60000u);
+  // The homes table is its shadow: column-backed, no row copy kept.
+  EXPECT_FALSE(env.homes().has_rows());
+  EXPECT_FALSE(env.homes().has_selection());
   EXPECT_EQ(env.workload().size(), 8000u);
   EXPECT_TRUE(env.schema().HasColumn("neighborhood"));
 }
@@ -52,9 +63,12 @@ TEST(StudyEnvironmentTest, ExecuteProfileFiltersRows) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->num_rows(), 0u);
   EXPECT_LT(result->num_rows(), env.homes().num_rows());
+  // A selection over the homes table's shadow, as the service answers.
+  EXPECT_TRUE(result->has_selection());
+  EXPECT_EQ(result->columnar_backing(), env.homes().columnar_backing());
   const size_t beds_col = env.schema().ColumnIndex("bedroomcount").value();
   for (size_t r = 0; r < result->num_rows(); ++r) {
-    const int64_t b = result->ValueAt(r, beds_col).int64_value();
+    const int64_t b = result->CellValue(r, beds_col).int64_value();
     EXPECT_GE(b, 3);
     EXPECT_LE(b, 4);
   }
@@ -69,14 +83,15 @@ void ExpectMatchesRowScan(const StudyEnvironment& env,
   ASSERT_TRUE(selected.ok())
       << context << ": " << selected.status().ToString();
   const Schema& schema = env.schema();
-  const auto scanned = env.homes().SelectRows(env.homes().FilterIndices(
+  const Table& homes = SharedHomesRows();
+  const auto scanned = homes.SelectRows(homes.FilterIndices(
       [&](const Row& row) { return profile.MatchesRow(row, schema); }));
   ASSERT_TRUE(scanned.ok()) << context;
   ASSERT_EQ(selected->num_rows(), scanned->num_rows()) << context;
   ASSERT_EQ(selected->num_columns(), scanned->num_columns()) << context;
   for (size_t r = 0; r < scanned->num_rows(); ++r) {
     for (size_t c = 0; c < scanned->num_columns(); ++c) {
-      const Value& got = selected->ValueAt(r, c);
+      const Value got = selected->CellValue(r, c);
       const Value& want = scanned->ValueAt(r, c);
       ASSERT_TRUE(got.type() == want.type() && got == want)
           << context << " differs at row " << r << " col " << c << ": "

@@ -314,9 +314,10 @@ TEST(ZoneProverTest, ClusteredDataPrunesSelectiveMorsels) {
 
 TEST(ZoneProverTest, ColdPipelineReportsPrunedMorsels) {
   const size_t n = 16 * kZoneRows;
-  const Table table = MakeClusteredHomes(n);
   Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
+  ASSERT_TRUE(db.RegisterTable("homes", MakeClusteredHomes(n)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
+  const Table& table = *installed;
   const std::shared_ptr<const ColumnarTable> shadow = Shadow(db);
 
   // ~1% selectivity inside the first morsel: 15 of 16 morsels all-fail.

@@ -20,7 +20,8 @@
 # Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--figures|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
 #   --serve  run only the serving-layer suite (src/serve/ + histogram +
-#            Database + the result tables that select from a shadow)
+#            Database + the views and result tables that select from a
+#            shadow)
 #            under ASan and TSan, including three pool workers driving
 #            cold and cached requests over a generated table and a
 #            four-thread scenario-harness replay — the targeted gate for
@@ -31,7 +32,8 @@
 #            its sequential reference at threads 1/2/7/16, the zone
 #            prover's verdicts and the pipeline's pruning counters,
 #            served responses against the row oracle, the coalescing
-#            registry, and the service burst tests) in Release and under
+#            registry, the service burst tests, and the Database's
+#            column-backed install and views) in Release and under
 #            ASan, UBSan and TSan, plus bench_pipeline (cold ms/op) at
 #            --smoke sizes — the targeted gate for cold-path, scheduler
 #            and coalescing work. The TSan pass of this leg also runs in
@@ -115,10 +117,10 @@ elif [[ "${1:-}" == "--analyze" ]]; then
 fi
 
 # Every serving-layer test suite, plus the histogram the metrics build on,
-# the Database whose shadows requests read under the shared lock, the
-# result tables that select from those shadows, and the scenario harness
-# replaying four requests at a time.
-SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
+# the Database whose column-backed tables requests read under the shared
+# lock, the views and result tables that select from those shadows, and
+# the scenario harness replaying four requests at a time.
+SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest|TableViewTest|TableViewDeathTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
 
 serve_leg() {
   local name="$1" dir="$2"
@@ -144,9 +146,11 @@ serve_leg() {
 # every categorization technique built from presorted runs against a
 # per-node sort/group reference at thread counts 1/2/7/16, the result
 # tables that select from a shadow against their materialized copies,
-# and the release of a replaced table version's shadow (stale cache
-# entries dropped at the epoch bump, stale inserts refused).
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
+# the views over them (a foreign shadow refused), the Database installing
+# every table column-backed (its row oracle bit-identical to the row
+# table's), and the release of a replaced table version's shadow (stale
+# cache entries dropped at the epoch bump, stale inserts refused).
+PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest|TableViewTest|TableViewDeathTest|DatabaseTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -156,7 +160,7 @@ pipeline_leg() {
   echo "==== [pipeline/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_columnar_tests autocat_kernel_tests \
-             autocat_serve_tests bench_pipeline
+             autocat_serve_tests autocat_sql_tests bench_pipeline
   echo "==== [pipeline/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$PIPELINE_FILTER")
