@@ -62,9 +62,8 @@ NumericPartitionOptions NumericOptionsOf(const CategorizerOptions& options) {
 }
 
 // What every technique's level loop reads. The partitioners read the
-// result through `view` (dictionary codes / typed arrays when a columnar
-// shadow is attached, cells otherwise); `index`, when non-null, supplies
-// the level-1 orders. `baseline_rng`, when non-null, selects the baseline
+// result through `view` (the codes and typed arrays of its shadow);
+// `index`, when non-null, supplies the level-1 orders. `baseline_rng`, when non-null, selects the baseline
 // partitionings of Section 6.1 (arbitrary-order single-value categories
 // shuffled with it, equi-width buckets); null selects the cost-based ones
 // of Sections 5.1.2 / 5.1.3.
@@ -101,14 +100,12 @@ Status BuildOrder(const LevelContext& ctx, const CategoryTree& tree,
                   const std::vector<NodeId>& slots,
                   const std::vector<int32_t>& slot_of_row,
                   bool score_candidates, LevelAttribute* attr) {
-  const ColumnKind kind =
-      attr->numeric ? ColumnKind::kNumeric : ColumnKind::kCategorical;
   if (slots.size() == 1 && slots[0] == tree.root()) {
     const AttributeIndexEntry* entry =
         ctx.index == nullptr ? nullptr : ctx.index->entry(attr->col);
     AUTOCAT_ASSIGN_OR_RETURN(
         attr->order,
-        AttributeOrder::Build(ctx.view, attr->col, kind, nullptr, entry));
+        AttributeOrder::Build(ctx.view, attr->col, nullptr, entry));
   } else {
     std::vector<size_t> rows;
     for (const NodeId id : slots) {
@@ -117,7 +114,7 @@ Status BuildOrder(const LevelContext& ctx, const CategoryTree& tree,
     }
     AUTOCAT_ASSIGN_OR_RETURN(
         attr->order,
-        AttributeOrder::Build(ctx.view, attr->col, kind, &rows, nullptr));
+        AttributeOrder::Build(ctx.view, attr->col, &rows, nullptr));
     attr->order->Distribute(slot_of_row, slots.size());
   }
   if (attr->numeric) {
@@ -159,12 +156,12 @@ Result<RunPlan> PlanRun(const LevelContext& ctx, const LevelAttribute& attr,
   const AttributeOrder& order = *attr.order;
   RunPlan plan;
   if (attr.numeric) {
-    const std::span<const NumericOrderEntry> run = order.numeric_run(slot);
+    const std::span<const KeyOrderEntry> run = order.run(slot);
     const NumericRange* query_range = QueryRangeFor(ctx.query, attr.name);
     if (ctx.baseline_rng == nullptr) {
-      plan.buckets =
-          PlanNumericBuckets(attr.name, ctx.stats,
-                             NumericOptionsOf(ctx.options), query_range, run);
+      plan.buckets = PlanNumericBuckets(attr.name, ctx.stats,
+                                        NumericOptionsOf(ctx.options),
+                                        query_range, order, run);
       return plan;
     }
     const double width = ctx.options.equiwidth_interval_multiplier *
@@ -173,10 +170,10 @@ Result<RunPlan> PlanRun(const LevelContext& ctx, const LevelAttribute& attr,
       return Status::InvalidArgument(
           "bucket width must be positive and finite");
     }
-    plan.buckets = EquiWidthBuckets(width, query_range, run);
+    plan.buckets = EquiWidthBuckets(width, query_range, order, run);
     return plan;
   }
-  plan.groups = GroupKeys(order.key_run(slot));
+  plan.groups = GroupKeys(order.run(slot));
   if (ctx.baseline_rng == nullptr) {
     SortGroupsByOccurrence(attr.occ_of_key, &plan.groups);
   } else {
@@ -227,13 +224,11 @@ std::vector<PartitionCategory> SlicePlan(
     const RunPlan& plan, const std::vector<size_t>& parent_tuples,
     std::vector<uint32_t>* group_of_row) {
   if (attr.numeric) {
-    return SliceBuckets(attr.name, plan.buckets,
-                        attr.order->numeric_run(slot));
+    return SliceBuckets(attr.name, plan.buckets, attr.order->run(slot));
   }
   group_of_row->resize(ctx.view.num_rows());
-  return PartitionKeyGroups(attr.name, *attr.order,
-                            attr.order->key_run(slot), plan.groups,
-                            parent_tuples, group_of_row);
+  return PartitionKeyGroups(attr.name, *attr.order, attr.order->run(slot),
+                            plan.groups, parent_tuples, group_of_row);
 }
 
 // The level-by-level construction shared by all four techniques

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <type_traits>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -97,222 +96,91 @@ Status ValidateCategoricalPartition(
   return Status::OK();
 }
 
-
-namespace {
-
-// Keys (dense ranks) for `cells`, (cell, row) pairs already sorted by
-// (cell under `less`, row): one key per run of equivalent cells, the
-// first (lowest-row) cell of each run giving the key's value.
-template <typename Cell, typename Less, typename ToValue>
-void RankSortedCells(std::span<const std::pair<Cell, uint32_t>> cells,
-                     Less less, ToValue to_value,
-                     std::vector<KeyOrderEntry>* entries,
-                     std::vector<Value>* key_values) {
-  entries->reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (i == 0 || less(cells[i - 1].first, cells[i].first)) {
-      key_values->push_back(to_value(cells[i].first));
-    }
-    entries->emplace_back(static_cast<uint32_t>(key_values->size() - 1),
-                          cells[i].second);
-  }
-}
-
-// Sorts (cell, row) pairs by (cell under `less`, row) and ranks them.
-template <typename Cell, typename Less, typename ToValue>
-void SortAndRankCells(std::vector<std::pair<Cell, uint32_t>> cells,
-                      Less less, ToValue to_value,
-                      std::vector<KeyOrderEntry>* entries,
-                      std::vector<Value>* key_values) {
-  std::sort(cells.begin(), cells.end(), [&less](const auto& a, const auto& b) {
-    if (less(a.first, b.first)) return true;
-    if (less(b.first, a.first)) return false;
-    return a.second < b.second;
-  });
-  RankSortedCells(std::span<const std::pair<Cell, uint32_t>>(cells), less,
-                  to_value, entries, key_values);
-}
-
-// Stable scatter of `src` into `num_runs` runs by the slot of each
-// entry's row; entries whose row has a negative slot are dropped.
-template <typename Entry>
-void DistributeEntries(std::span<const Entry> src,
-                       const std::vector<int32_t>& slot_of_row,
-                       size_t num_runs, std::vector<Entry>* dst,
-                       std::vector<size_t>* offsets) {
-  offsets->assign(num_runs + 1, 0);
-  for (const Entry& e : src) {
-    const int32_t slot = slot_of_row[e.second];
-    if (slot >= 0) {
-      ++(*offsets)[static_cast<size_t>(slot) + 1];
-    }
-  }
-  for (size_t r = 0; r < num_runs; ++r) {
-    (*offsets)[r + 1] += (*offsets)[r];
-  }
-  dst->resize(offsets->back());
-  std::vector<size_t> cursor(offsets->begin(), offsets->end() - 1);
-  for (const Entry& e : src) {
-    const int32_t slot = slot_of_row[e.second];
-    if (slot >= 0) {
-      (*dst)[cursor[static_cast<size_t>(slot)]++] = e;
-    }
-  }
-}
-
-}  // namespace
-
 Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
-                                             size_t col, ColumnKind kind,
+                                             size_t col,
                                              const std::vector<size_t>* rows,
                                              const AttributeIndexEntry* entry) {
   if (view.num_rows() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
         "too many rows for a categorization order");
   }
-  if (rows != nullptr) {
-    entry = nullptr;  // an entry covers every view row
-  }
-  const size_t n = rows == nullptr ? view.num_rows() : rows->size();
-  const auto row_at = [rows](size_t i) -> uint32_t {
-    return static_cast<uint32_t>(rows == nullptr ? i : (*rows)[i]);
-  };
-  const ColumnarTable::Column& cc =
-      view.columnar()->column(view.base_column(col));
-
   AttributeOrder order;
-  order.numeric_ = kind == ColumnKind::kNumeric;
-  if (order.numeric_) {
-    if (entry != nullptr && entry->has_sorted_values) {
-      order.borrowed_ = entry->sorted_values;
-      order.offsets_ = {0, entry->sorted_values.size()};
-      return order;
-    }
-    // A numeric column is int64 or double (Schema::Create). Reads the
-    // typed arrays and the null bitmap; extracted doubles are identical
-    // to AsDouble().
-    std::vector<NumericOrderEntry>& values = order.numeric_entries_;
-    values.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_at(i);
-      const uint32_t row = view.base_row(r);
-      if (cc.IsNull(row)) {
-        continue;
-      }
-      const double x = cc.type == ValueType::kInt64
-                           ? static_cast<double>(cc.i64[row])
-                           : cc.f64[row];
-      if (!std::isnan(x)) {
-        values.emplace_back(x, r);
-      }
-    }
-    // Pairs are distinct (the row is unique) and NaN-free, so the sorted
-    // vector is the unique total order, whichever rows it was built from.
-    std::sort(values.begin(), values.end());
-    order.offsets_ = {0, values.size()};
-    return order;
+  order.view_ = &view;
+  order.column_ = &view.columnar()->column(view.base_column(col));
+  order.numeric_ = view.schema().column(col).kind == ColumnKind::kNumeric;
+  if (rows != nullptr) {
+    const std::vector<uint32_t> positions(rows->begin(), rows->end());
+    order.entries_ = SortedKeys(view, col, &positions);
+  } else if (entry != nullptr && entry->has_sorted_keys) {
+    order.entries_ = entry->sorted_keys;
+  } else {
+    order.entries_ = SortedKeys(view, col, nullptr);
   }
-
-  std::vector<KeyOrderEntry>* entries = &order.key_entries_;
-  std::vector<Value>* key_values = &order.key_values_;
-  const auto less = [](const auto& a, const auto& b) { return a < b; };
-  // The (cell, row) pairs of the non-NULL, non-NaN cells of one of the
-  // column's typed arrays.
-  const auto cells_of = [&](const auto& values) {
-    using Cell = std::decay_t<decltype(values[0])>;
-    std::vector<std::pair<Cell, uint32_t>> cells;
-    cells.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_at(i);
-      const uint32_t row = view.base_row(r);
-      if (cc.IsNull(row)) {
-        continue;
-      }
-      if constexpr (std::is_floating_point_v<Cell>) {
-        if (std::isnan(values[row])) {
-          continue;
-        }
-      }
-      cells.emplace_back(values[row], r);
-    }
-    return cells;
-  };
-  switch (cc.type) {
-    case ValueType::kString: {
-      const auto code_value = [&cc](uint32_t code) {
-        return Value(cc.dict[code]);
-      };
-      if (entry != nullptr && entry->has_sorted_codes) {
-        RankSortedCells(std::span<const std::pair<uint32_t, uint32_t>>(
-                            entry->sorted_codes),
-                        less, code_value, entries, key_values);
+  // Re-key densely, giving each key the value of its lowest row.
+  uint32_t last = 0;
+  for (size_t i = 0; i < order.entries_.size(); ++i) {
+    KeyOrderEntry& e = order.entries_[i];
+    if (i == 0 || e.first != last) {
+      last = e.first;
+      if (order.numeric_) {
+        order.key_numbers_.push_back(order.cell(e.second).AsDouble());
       } else {
-        SortAndRankCells(cells_of(cc.codes), less, code_value, entries,
-                         key_values);
+        order.key_values_.push_back(order.cell(e.second));
       }
-      break;
     }
-    case ValueType::kInt64:
-      SortAndRankCells(cells_of(cc.i64), less,
-                       [](int64_t v) { return Value(v); }, entries,
-                       key_values);
-      break;
-    case ValueType::kDouble:
-      SortAndRankCells(cells_of(cc.f64), less,
-                       [](double v) { return Value(v); }, entries,
-                       key_values);
-      break;
-    case ValueType::kNull:
-      break;  // every cell is NULL: no entries
+    e.first = static_cast<uint32_t>(order.num_keys() - 1);
   }
-  order.offsets_ = {0, entries->size()};
+  order.offsets_ = {0, order.entries_.size()};
   return order;
 }
 
-std::span<const NumericOrderEntry> AttributeOrder::numeric_entries() const {
-  return borrowed_.data() != nullptr
-             ? borrowed_
-             : std::span<const NumericOrderEntry>(numeric_entries_);
+std::span<const KeyOrderEntry> AttributeOrder::run(size_t run) const {
+  return std::span<const KeyOrderEntry>(entries_).subspan(
+      offsets_[run], offsets_[run + 1] - offsets_[run]);
 }
 
-std::span<const NumericOrderEntry> AttributeOrder::numeric_run(
-    size_t run) const {
-  return numeric_entries().subspan(offsets_[run],
-                                   offsets_[run + 1] - offsets_[run]);
-}
-
-std::span<const KeyOrderEntry> AttributeOrder::key_run(size_t run) const {
-  return std::span<const KeyOrderEntry>(key_entries_)
-      .subspan(offsets_[run], offsets_[run + 1] - offsets_[run]);
+Value AttributeOrder::cell(uint32_t row) const {
+  return column_->CellValue(view_->base_row(row));
 }
 
 void AttributeOrder::Distribute(const std::vector<int32_t>& slot_of_row,
                                 size_t num_runs) {
   AUTOCAT_CHECK_LE(num_runs,
                    static_cast<size_t>(std::numeric_limits<int32_t>::max()));
-  if (numeric_) {
-    std::vector<NumericOrderEntry> narrowed;
-    DistributeEntries(numeric_entries(), slot_of_row, num_runs, &narrowed,
-                      &offsets_);
-    numeric_entries_ = std::move(narrowed);
-    borrowed_ = {};
-    return;
+  // A stable scatter by the slot of each entry's row; entries whose row
+  // has a negative slot are dropped.
+  offsets_.assign(num_runs + 1, 0);
+  for (const KeyOrderEntry& e : entries_) {
+    const int32_t slot = slot_of_row[e.second];
+    if (slot >= 0) {
+      ++offsets_[static_cast<size_t>(slot) + 1];
+    }
   }
-  std::vector<KeyOrderEntry> narrowed;
-  DistributeEntries(std::span<const KeyOrderEntry>(key_entries_),
-                    slot_of_row, num_runs, &narrowed, &offsets_);
-  key_entries_ = std::move(narrowed);
+  for (size_t r = 0; r < num_runs; ++r) {
+    offsets_[r + 1] += offsets_[r];
+  }
+  std::vector<KeyOrderEntry> narrowed(offsets_.back());
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const KeyOrderEntry& e : entries_) {
+    const int32_t slot = slot_of_row[e.second];
+    if (slot >= 0) {
+      narrowed[cursor[static_cast<size_t>(slot)]++] = e;
+    }
+  }
+  entries_ = std::move(narrowed);
 }
 
 namespace {
 
 // Resolves [vmin, vmax] from the query's condition when it bounds that
-// side, otherwise from the data (a non-empty run).
-void ResolveRange(std::span<const NumericOrderEntry> run,
+// side, otherwise from the data (a non-empty run): the cells of its first
+// and last rows, so a -0.0 bound stays -0.0.
+void ResolveRange(const AttributeOrder& order,
+                  std::span<const KeyOrderEntry> run,
                   const NumericRange* query_range, double* vmin,
                   double* vmax) {
-  const double data_min = run.front().first;
-  const double data_max = run.back().first;
+  const double data_min = order.cell(run.front().second).AsDouble();
+  const double data_max = order.cell(run.back().second).AsDouble();
   *vmin = data_min;
   *vmax = data_max;
   if (query_range != nullptr) {
@@ -329,21 +197,23 @@ void ResolveRange(std::span<const NumericOrderEntry> run,
 }
 
 // Number of run entries with value < x.
-size_t RankBelow(std::span<const NumericOrderEntry> run, double x) {
+size_t RankBelow(const AttributeOrder& order,
+                 std::span<const KeyOrderEntry> run, double x) {
   return static_cast<size_t>(
       std::lower_bound(run.begin(), run.end(), x,
-                       [](const NumericOrderEntry& e, double v) {
-                         return e.first < v;
+                       [&order](const KeyOrderEntry& e, double v) {
+                         return order.key_number(e.first) < v;
                        }) -
       run.begin());
 }
 
 // Number of run entries with value <= x.
-size_t RankAtOrBelow(std::span<const NumericOrderEntry> run, double x) {
+size_t RankAtOrBelow(const AttributeOrder& order,
+                     std::span<const KeyOrderEntry> run, double x) {
   return static_cast<size_t>(
       std::upper_bound(run.begin(), run.end(), x,
-                       [](double v, const NumericOrderEntry& e) {
-                         return v < e.first;
+                       [&order](double v, const KeyOrderEntry& e) {
+                         return v < order.key_number(e.first);
                        }) -
       run.begin());
 }
@@ -353,14 +223,14 @@ size_t RankAtOrBelow(std::span<const NumericOrderEntry> run, double x) {
 std::vector<NumericBucket> PlanNumericBuckets(
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
-    std::span<const NumericOrderEntry> run) {
+    const AttributeOrder& order, std::span<const KeyOrderEntry> run) {
   std::vector<NumericBucket> out;
   if (run.empty()) {
     return out;
   }
   double vmin = 0;
   double vmax = 0;
-  ResolveRange(run, query_range, &vmin, &vmax);
+  ResolveRange(order, run, query_range, &vmin, &vmax);
   if (vmin == vmax) {
     // Degenerate single-point domain: one closed bucket (no split point
     // lies strictly inside it).
@@ -425,7 +295,7 @@ std::vector<NumericBucket> PlanNumericBuckets(
     const auto next = chosen.upper_bound(cand.v);
     const size_t hi_rank = next == chosen.end() ? run.size() : next->second;
     const size_t lo_rank = next == chosen.begin() ? 0 : std::prev(next)->second;
-    const size_t rank = RankBelow(run, cand.v);
+    const size_t rank = RankBelow(order, run, cand.v);
     if (rank - lo_rank < min_bucket || hi_rank - rank < min_bucket) {
       continue;  // unnecessary split point: a bucket would be too small
     }
@@ -457,15 +327,15 @@ constexpr size_t kMaxEquiWidthBuckets = size_t{1} << 20;
 }  // namespace
 
 std::vector<NumericBucket> EquiWidthBuckets(
-    double width, const NumericRange* query_range,
-    std::span<const NumericOrderEntry> run) {
+    double width, const NumericRange* query_range, const AttributeOrder& order,
+    std::span<const KeyOrderEntry> run) {
   std::vector<NumericBucket> out;
   if (run.empty()) {
     return out;
   }
   double vmin = 0;
   double vmax = 0;
-  ResolveRange(run, query_range, &vmin, &vmax);
+  ResolveRange(order, run, query_range, &vmin, &vmax);
 
   // A range the width cannot cut becomes one closed bucket
   // [first boundary, vmax] holding every value: an unbounded one (an
@@ -488,9 +358,9 @@ std::vector<NumericBucket> EquiWidthBuckets(
   }
   for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
     const bool last = (b + 2 == boundaries.size());
-    const size_t begin = RankBelow(run, boundaries[b]);
-    const size_t end = last ? RankAtOrBelow(run, boundaries[b + 1])
-                            : RankBelow(run, boundaries[b + 1]);
+    const size_t begin = RankBelow(order, run, boundaries[b]);
+    const size_t end = last ? RankAtOrBelow(order, run, boundaries[b + 1])
+                            : RankBelow(order, run, boundaries[b + 1]);
     if (end > begin) {  // drop empty buckets
       out.push_back(NumericBucket{boundaries[b], boundaries[b + 1], last,
                                   begin, end - begin});
@@ -501,7 +371,7 @@ std::vector<NumericBucket> EquiWidthBuckets(
 
 std::vector<PartitionCategory> SliceBuckets(
     const std::string& attribute, const std::vector<NumericBucket>& buckets,
-    std::span<const NumericOrderEntry> run) {
+    std::span<const KeyOrderEntry> run) {
   std::vector<PartitionCategory> out;
   out.reserve(buckets.size());
   for (const NumericBucket& bucket : buckets) {
@@ -509,8 +379,8 @@ std::vector<PartitionCategory> SliceBuckets(
     category.label =
         CategoryLabel::Numeric(attribute, bucket.lo, bucket.hi, bucket.closed);
     category.tuples.reserve(bucket.count);
-    for (const auto& [value, row] : run.subspan(bucket.begin, bucket.count)) {
-      (void)value;
+    for (const auto& [key, row] : run.subspan(bucket.begin, bucket.count)) {
+      (void)key;
       category.tuples.push_back(row);
     }
     out.push_back(std::move(category));
@@ -548,14 +418,10 @@ std::vector<PartitionCategory> PartitionKeyGroups(
   for (const size_t t : parent_tuples) {
     (*group_of_row)[t] = kNoGroup;
   }
-  std::vector<PartitionCategory> out;
-  out.reserve(groups.size());
+  std::vector<PartitionCategory> out(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const KeyGroup& group = groups[g];
-    out.push_back(PartitionCategory{
-        CategoryLabel::Categorical(attribute, {order.key_value(group.key)}),
-        {}});
-    out.back().tuples.reserve(group.count);
+    out[g].tuples.reserve(group.count);
     for (const KeyOrderEntry& e : run.subspan(group.begin, group.count)) {
       (*group_of_row)[e.second] = static_cast<uint32_t>(g);
     }
@@ -568,25 +434,31 @@ std::vector<PartitionCategory> PartitionKeyGroups(
       out[g].tuples.push_back(t);
     }
   }
+  for (PartitionCategory& category : out) {
+    category.label = CategoryLabel::Categorical(
+        attribute,
+        {order.cell(static_cast<uint32_t>(category.tuples.front()))});
+  }
   AUTOCAT_DCHECK(ValidateCategoricalPartition(out).ok());
   return out;
 }
 
 namespace {
 
-// The one-run order of `attribute` over `tuples`.
+// The one-run order of `attribute` over `tuples`; kInvalidArgument unless
+// the column is declared `kind`.
 Result<AttributeOrder> NodeOrder(const TableView& view,
                                  const std::vector<size_t>& tuples,
                                  const std::string& attribute,
                                  ColumnKind kind) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
                            view.schema().ColumnIndex(attribute));
-  if (kind == ColumnKind::kNumeric &&
-      view.schema().column(col).kind != ColumnKind::kNumeric) {
-    return Status::InvalidArgument("attribute '" + attribute +
-                                   "' is not numeric");
+  if (view.schema().column(col).kind != kind) {
+    return Status::InvalidArgument(
+        "attribute '" + attribute + "' is not " +
+        (kind == ColumnKind::kNumeric ? "numeric" : "categorical"));
   }
-  return AttributeOrder::Build(view, col, kind, &tuples, nullptr);
+  return AttributeOrder::Build(view, col, &tuples, nullptr);
 }
 
 }  // namespace
@@ -601,11 +473,11 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
   for (uint32_t key = 0; key < order.num_keys(); ++key) {
     occ_of_key[key] = stats.OccurrenceCount(attribute, order.key_value(key));
   }
-  std::vector<KeyGroup> groups = GroupKeys(order.key_run(0));
+  std::vector<KeyGroup> groups = GroupKeys(order.run(0));
   SortGroupsByOccurrence(occ_of_key, &groups);
   std::vector<uint32_t> group_of_row(view.num_rows());
-  return PartitionKeyGroups(attribute, order, order.key_run(0), groups,
-                            tuples, &group_of_row);
+  return PartitionKeyGroups(attribute, order, order.run(0), groups, tuples,
+                            &group_of_row);
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumeric(
@@ -617,8 +489,8 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
       NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
   return SliceBuckets(attribute,
                       PlanNumericBuckets(attribute, stats, options,
-                                         query_range, order.numeric_run(0)),
-                      order.numeric_run(0));
+                                         query_range, order, order.run(0)),
+                      order.run(0));
 }
 
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
@@ -628,9 +500,9 @@ Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
       const AttributeOrder order,
       NodeOrder(view, tuples, attribute, ColumnKind::kCategorical));
   std::vector<uint32_t> group_of_row(view.num_rows());
-  std::vector<PartitionCategory> out = PartitionKeyGroups(
-      attribute, order, order.key_run(0), GroupKeys(order.key_run(0)),
-      tuples, &group_of_row);
+  std::vector<PartitionCategory> out =
+      PartitionKeyGroups(attribute, order, order.run(0),
+                         GroupKeys(order.run(0)), tuples, &group_of_row);
   if (rng != nullptr) {
     rng->Shuffle(out);
   }
@@ -648,8 +520,8 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
       const AttributeOrder order,
       NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
   return SliceBuckets(
-      attribute, EquiWidthBuckets(width, query_range, order.numeric_run(0)),
-      order.numeric_run(0));
+      attribute, EquiWidthBuckets(width, query_range, order, order.run(0)),
+      order.run(0));
 }
 
 }  // namespace autocat

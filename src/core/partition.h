@@ -45,13 +45,6 @@ struct NumericPartitionOptions {
   double goodness_fraction = 0.3;
 };
 
-/// A numeric order entry: (cell value, view row).
-using NumericOrderEntry = std::pair<double, size_t>;
-/// A categorical order entry: (key, view row). A key is the dense rank of
-/// the cell's distinct value among the order's rows, so key order is value
-/// order.
-using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
-
 /// One attribute's key order over a set of view rows, split into
 /// contiguous runs — one run per category node being partitioned. Every
 /// partitioner reads its input through a run: the categorizer builds one
@@ -59,44 +52,45 @@ using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
 /// (`Distribute`), and the per-node functions below build a one-run order
 /// over their `tuples`.
 ///
-/// A numeric order holds the (value, row) pairs of the non-NULL, non-NaN
-/// cells in ascending (value, row) order; a NaN cell joins no bucket, as
-/// NULL does not (and as CategoryLabel::Matches answers). The value of an
-/// int64 cell is `static_cast<double>` of it, so int64 cells that round
-/// to one double (2^53 and 2^53 + 1, say) tie and are ordered by row; a
-/// -0.0 cell ties with 0.0 the same way. A categorical order holds the
-/// (key, row) pairs of the non-NULL, non-NaN cells in ascending (key,
-/// row) order, so the rows of one value are contiguous within a run.
-/// String columns key by dictionary code (the dictionary is sorted, so
-/// code order is value order); int64 and double columns by the rank of
-/// the cell under its own type's `<` (so int64 cells tie only when
-/// equal). Cells are read from the view's columnar arrays (every view has
-/// one; see `TableView`).
+/// An order holds the (key, row) pairs of the non-NULL, non-NaN cells in
+/// ascending (key, row) order, so the rows of one value are contiguous
+/// within a run and in row order; a NaN cell joins no category, as NULL
+/// does not (and as CategoryLabel::Matches answers). The pairs come from
+/// `SortedKeys` (storage/attr_index.h), under the kind the view's schema
+/// declares for the column, re-keyed densely: key k is the k-th smallest
+/// distinct value among the order's rows. A numeric order compares the
+/// `static_cast<double>` of an int64 cell, so int64 cells that round to
+/// one double (2^53 and 2^53 + 1, say) share a key and are ordered by
+/// row, as -0.0 and 0.0 are; a categorical int64 order keeps them apart.
+/// Cells are read from the view's columnar arrays (every view has one;
+/// see `TableView`), and the view must outlive the order.
 class AttributeOrder {
  public:
-  /// Builds the `kind` order of view column `col` over `rows` (null =
-  /// every view row) as a single run. `entry`, used only when `rows` is
-  /// null, is the cold pipeline's attribute-index entry for the column
-  /// over the same view: its sorted values are borrowed (they must
-  /// outlive the order) and its sorted dictionary codes re-keyed, instead
-  /// of sorting the column again. Errors when the view has 2^32 rows or
-  /// more.
+  /// Builds the order of view column `col` over `rows` (null = every
+  /// view row) as a single run. `entry`, used only when `rows` is null, is
+  /// the cold pipeline's attribute-index entry for the column over the
+  /// same view: its sorted keys are re-keyed instead of sorting the
+  /// column again. Errors when the view has 2^32 rows or more.
   static Result<AttributeOrder> Build(const TableView& view, size_t col,
-                                      ColumnKind kind,
                                       const std::vector<size_t>* rows,
                                       const AttributeIndexEntry* entry);
 
+  /// True when the view's schema declares the column numeric.
+  bool numeric() const { return numeric_; }
   size_t num_runs() const { return offsets_.size() - 1; }
-
-  /// Run `run` of a numeric order.
-  std::span<const NumericOrderEntry> numeric_run(size_t run) const;
-  /// Run `run` of a categorical order.
-  std::span<const KeyOrderEntry> key_run(size_t run) const;
-  /// Number of distinct keys of a categorical order.
-  size_t num_keys() const { return key_values_.size(); }
-  /// The value of categorical key `key`: the cell of the lowest row
-  /// holding it (values of one key compare equal).
+  /// Run `run`.
+  std::span<const KeyOrderEntry> run(size_t run) const;
+  /// Number of distinct keys.
+  size_t num_keys() const {
+    return numeric_ ? key_numbers_.size() : key_values_.size();
+  }
+  /// The value of key `key` of a categorical order: the cell of the
+  /// lowest row holding it (values of one key compare equal).
   const Value& key_value(uint32_t key) const { return key_values_[key]; }
+  /// The value of key `key` of a numeric order, as a double.
+  double key_number(uint32_t key) const { return key_numbers_[key]; }
+  /// The cell of view row `row`.
+  Value cell(uint32_t row) const;
 
   /// Redistributes the entries into `num_runs` runs: an entry whose row r
   /// has `slot_of_row[r] >= 0` moves to run `slot_of_row[r]`, the others
@@ -106,18 +100,13 @@ class AttributeOrder {
   void Distribute(const std::vector<int32_t>& slot_of_row, size_t num_runs);
 
  private:
-  // Every numeric entry, all runs.
-  std::span<const NumericOrderEntry> numeric_entries() const;
-
+  const TableView* view_ = nullptr;
+  const ColumnarTable::Column* column_ = nullptr;
   bool numeric_ = false;
-  // Numeric entries: the borrowed index entry until the first
-  // Distribute, the owned buffer after it. Each Distribute writes a new
-  // buffer no larger than the old one and frees the old one, so an order
-  // holds one buffer between levels.
-  std::span<const NumericOrderEntry> borrowed_;
-  std::vector<NumericOrderEntry> numeric_entries_;
-  std::vector<KeyOrderEntry> key_entries_;
+  std::vector<KeyOrderEntry> entries_;
+  // Per key: its value (categorical orders) or its double (numeric ones).
   std::vector<Value> key_values_;
+  std::vector<double> key_numbers_;
   // Run r is entries [offsets_[r], offsets_[r + 1]).
   std::vector<size_t> offsets_ = {0, 0};
 };
@@ -138,23 +127,24 @@ struct NumericBucket {
 /// order. `query_range`, when non-null, supplies vmin/vmax from the user
 /// query's selection condition; otherwise the run's values define the
 /// range. Counts are rank differences, one binary search per split point
-/// the greedy selection visits.
+/// the greedy selection visits. `run` is a run of numeric `order`.
 std::vector<NumericBucket> PlanNumericBuckets(
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
-    std::span<const NumericOrderEntry> run);
+    const AttributeOrder& order, std::span<const KeyOrderEntry> run);
 
 /// Section 6.1 equi-width buckets over one numeric run (see
 /// `PartitionNumericEquiWidth`). `width` must be positive and finite.
+/// `run` is a run of numeric `order`.
 std::vector<NumericBucket> EquiWidthBuckets(
-    double width, const NumericRange* query_range,
-    std::span<const NumericOrderEntry> run);
+    double width, const NumericRange* query_range, const AttributeOrder& order,
+    std::span<const KeyOrderEntry> run);
 
 /// The partition the buckets describe: one category per bucket, its
 /// tuples the bucket's rows in run order ((value, row) order).
 std::vector<PartitionCategory> SliceBuckets(
     const std::string& attribute, const std::vector<NumericBucket>& buckets,
-    std::span<const NumericOrderEntry> run);
+    std::span<const KeyOrderEntry> run);
 
 /// One distinct key of a categorical run: its `count` entries start at
 /// `begin`.
@@ -175,9 +165,10 @@ void SortGroupsByOccurrence(const std::vector<size_t>& occ_of_key,
 
 /// The single-value categories of `groups`, in that order, over a node
 /// whose tset is `parent_tuples`: each category's tuples are the parent's
-/// tuples holding its value, in the parent's order. `run` is the node's
-/// run of `order`, and `group_of_row` a scratch array with one slot per
-/// view row.
+/// tuples holding its value, in the parent's order, and its label the
+/// cell of its first tuple (values of one key compare equal, but -0.0 and
+/// 0.0 differ in bits). `run` is the node's run of categorical `order`,
+/// and `group_of_row` a scratch array with one slot per view row.
 std::vector<PartitionCategory> PartitionKeyGroups(
     const std::string& attribute, const AttributeOrder& order,
     std::span<const KeyOrderEntry> run, const std::vector<KeyGroup>& groups,
@@ -188,7 +179,9 @@ std::vector<PartitionCategory> PartitionKeyGroups(
 /// (read through `view`, see `AttributeOrder`) and partitions it. The
 /// categorizer does not call these; it partitions its narrowed runs
 /// directly with the same functions, so both produce the identical
-/// partition of a node.
+/// partition of a node. Each is kInvalidArgument on a column whose
+/// declared kind is not its own: an order keys a column by its declared
+/// kind, so the other kind's partition would be cut from the wrong order.
 
 /// Cost-based categorical partitioning (Section 5.1.2): one single-value
 /// category per distinct value of `attribute` among `tuples`, presented in

@@ -18,7 +18,7 @@ struct ColdPipelineOptions {
   /// any count).
   ParallelOptions parallel;
   /// Result columns the attribute index covers, by name (null = every
-  /// supported column). The serve layer passes the categorizer's retained
+  /// column). The serve layer passes the categorizer's retained
   /// candidate attributes, so no entry is built for a column the
   /// partitioners will never touch. Borrowed; must outlive the call.
   const std::vector<std::string>* stats_attributes = nullptr;

@@ -3,39 +3,57 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "storage/columnar.h"
+#include "storage/schema.h"
+
 namespace autocat {
+
+/// One entry of an attribute's key order: (key, view row). Keys order as
+/// the cells' values do under the column's declared kind, and equal keys
+/// mean equal values.
+using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
+
+/// The one producer of attribute orders: the (key, position) pair of
+/// every non-NULL, non-NaN cell of `column` at base rows `selection[p]`,
+/// p in `positions` (distinct, in any order; null = every position of
+/// `selection`), sorted by (key, position). Keys follow `kind`: a numeric
+/// column compares `static_cast<double>` of an int64 cell, so 2^53 and
+/// 2^53 + 1 share a key and are ordered by position, as -0.0 and 0.0 are;
+/// a categorical int64 column compares exactly, a double column by `<`.
+///   - A column with codes (every string column, and the int64/double
+///     columns of a `ColumnarTable::Build` shadow) gathers them in
+///     position order and radix-sorts: as many 8-bit passes as the
+///     largest gathered key needs. The keys are the column's own codes.
+///   - A column without (a segment-store wrapped int64/double column)
+///     comparison-sorts its cells and ranks them: the keys are dense ranks
+///     over the given positions.
+/// Either way the pairs spell the same order, so a consumer may compare
+/// keys only within one call's output.
+std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
+                                      ColumnKind kind,
+                                      std::span<const uint32_t> selection,
+                                      const std::vector<uint32_t>* positions);
+
+/// `SortedKeys` of view column `col` over view rows `positions` (null =
+/// every view row), under the kind the view's schema declares.
+std::vector<KeyOrderEntry> SortedKeys(const TableView& view, size_t col,
+                                      const std::vector<uint32_t>* positions);
 
 /// Per-attribute key order over one materialized query result, built by
 /// the cold path's last step from the selection (see
-/// exec/pipeline/cold_path.h).
-///
-/// An entry covers every row of the result, in exactly the order the
-/// categorizer starts from (core/partition.h, `AttributeOrder`): it is the
-/// level-1 order of its attribute, which the categorizer then narrows
-/// level by level to the rows of the categories still to partition.
-///   - numeric columns: the non-NULL, non-NaN (value, row) pairs sorted
-///     ascending (pairs are distinct because the row index is unique, so
-///     the sorted order is a total order and any correct sort produces the
-///     identical vector);
-///   - dictionary-encoded categorical string columns: the (dictionary
-///     code, row) pairs of the non-NULL cells sorted ascending — the rows
-///     of one value are contiguous, in value order (the dictionary is
-///     sorted, so code order is value order). Codes index the dictionary
-///     of the shadow the result was selected from.
-/// Columns that fit neither shape (non-string categoricals) have no entry,
-/// and the categorizer sorts their cells once per request instead.
+/// exec/pipeline/cold_path.h): `SortedKeys` of the column over every
+/// result row. It is the level-1 order of its attribute, which the
+/// categorizer re-keys densely and narrows level by level to the rows of
+/// the categories still to partition (core/partition.h,
+/// `AttributeOrder`).
 struct AttributeIndexEntry {
-  /// Sorted non-NULL, non-NaN (value, row) pairs of a numeric column.
-  bool has_sorted_values = false;
-  std::vector<std::pair<double, size_t>> sorted_values;
-
-  /// Sorted non-NULL (dictionary code, row) pairs of a categorical string
-  /// column.
-  bool has_sorted_codes = false;
-  std::vector<std::pair<uint32_t, uint32_t>> sorted_codes;
+  /// False for a column the index skipped (not a partitioner input).
+  bool has_sorted_keys = false;
+  std::vector<KeyOrderEntry> sorted_keys;
 };
 
 /// One entry per result-schema column (same order). Rows are result rows

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "storage/attr_index.h"
 
 namespace autocat {
 
@@ -225,30 +226,17 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
     }
     ComputeZones(&col, n);
     if (col.type == ValueType::kInt64 || col.type == ValueType::kDouble) {
-      // One (double, row) sort per table lifetime. Keys are the same
-      // doubles the partitioners read (int64 cells through the same
-      // static_cast), so rank-filtering this order reproduces a per-query
-      // survivor sort bit for bit, ties included. NaN cells join no
-      // numeric bucket and would break the sort's ordering, so they are
-      // left out like NULLs.
-      std::vector<std::pair<double, uint32_t>> keyed;
-      keyed.reserve(n - col.null_count);
-      for (size_t r = 0; r < n; ++r) {
-        if (col.IsNull(r)) {
-          continue;
-        }
-        const double key = col.type == ValueType::kInt64
-                               ? static_cast<double>(col.owned_i64[r])
-                               : col.owned_f64[r];
-        if (!std::isnan(key)) {
-          keyed.emplace_back(key, static_cast<uint32_t>(r));
-        }
+      // Rank codes: the column has none yet, so SortedKeys sorts and
+      // ranks its cells, once per table lifetime.
+      std::vector<uint32_t> all_rows(n);
+      std::iota(all_rows.begin(), all_rows.end(), uint32_t{0});
+      const std::vector<KeyOrderEntry> ranked =
+          SortedKeys(col, table.schema().column(c).kind, all_rows, nullptr);
+      col.owned_codes.assign(n, kNoKey);
+      for (const auto& [code, row] : ranked) {
+        col.owned_codes[row] = code;
       }
-      std::sort(keyed.begin(), keyed.end());
-      col.sorted_order.reserve(keyed.size());
-      for (const auto& [key, row] : keyed) {
-        col.sorted_order.push_back(row);
-      }
+      col.PointAtOwned();
     }
   }
   return out;

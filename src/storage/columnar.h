@@ -2,6 +2,7 @@
 #define AUTOCAT_STORAGE_COLUMNAR_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,10 @@ namespace autocat {
 /// zone entry z describes exactly the rows of morsel z) and a multiple of
 /// 64, so each entry owns whole null-bitmap words.
 inline constexpr size_t kZoneRows = 2048;
+
+/// The rank code of a NULL or NaN int64/double cell: no key (see
+/// `ColumnarTable::Column::codes`).
+inline constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
 
 /// Zone metadata for one kZoneRows-row slice of a column: row/valid
 /// counts plus the extrema of the slice's non-NULL values in the
@@ -68,7 +73,11 @@ class ColumnSpan {
 /// contiguous typed array plus a null bitmap. Strings are
 /// dictionary-encoded against a *sorted* dictionary, so dictionary-code
 /// order equals `Value` comparison order — grouping or comparing by code
-/// is exactly grouping or comparing by value.
+/// is exactly grouping or comparing by value. A built shadow gives its
+/// int64 and double columns rank codes of the same kind, so every column
+/// of it has one key domain: a `uint32_t` per row whose order is value
+/// order (`Column::codes`), which the categorizer's attribute orders sort
+/// by (storage/attr_index.h).
 ///
 /// Two constructions exist:
 ///  - `Build` derives an in-memory shadow of a row-store `Table`
@@ -93,18 +102,19 @@ class ColumnarTable {
     ColumnSpan<int64_t> i64;
     /// type == kDouble: one entry per row (0 for NULL cells).
     ColumnSpan<double> f64;
-    /// type == kString: dictionary code per row (0 for NULL cells).
+    /// One key per row, ordered as the cells' values (see `Build`):
+    ///  - kString: the dictionary code (0 for NULL cells);
+    ///  - kInt64/kDouble columns built by `Build`: the rank code, the
+    ///    cell's rank among the column's distinct non-NULL, non-NaN values
+    ///    under its declared kind — numeric compares `static_cast<double>`
+    ///    of the cell (so 2^53 and 2^53 + 1 share a code, as -0.0 and 0.0
+    ///    do), categorical int64 compares exactly — and kNoKey for NULL and
+    ///    NaN cells. Empty for segment-store wrapped int64/double columns,
+    ///    whose consumers rank the cells themselves
+    ///    (storage/attr_index.h, `SortedKeys`).
     ColumnSpan<uint32_t> codes;
     /// type == kString: sorted distinct non-NULL strings.
     std::vector<std::string> dict;
-    /// kInt64/kDouble columns built by `Build`: the row indices of the
-    /// non-NULL, non-NaN cells ordered by (value as double ascending, row
-    /// ascending) — the same total order sorting per-query (value,
-    /// position) pairs produces. Computed once per table so the cold
-    /// path's attribute index can rank-filter a selection against it
-    /// instead of re-sorting survivors on every cold request. Empty for
-    /// segment-store wrapped columns, and consumers must fall back.
-    std::vector<uint32_t> sorted_order;
     /// kString columns built by `Build`: CSR posting lists, one per
     /// dictionary code. The rows holding code c are
     /// `posting_rows[posting_offsets[c] .. posting_offsets[c + 1])`, in
@@ -163,7 +173,10 @@ class ColumnarTable {
   ColumnarTable& operator=(ColumnarTable&&) = default;
 
   /// Builds an in-memory shadow in one pass per column (three for
-  /// strings: dictionary, codes with per-code counts, posting lists).
+  /// strings: dictionary, codes with per-code counts, posting lists), plus
+  /// one sort per int64/double column for its rank codes, which follow
+  /// the kind `table.schema()` declares. A table wrapping the shadow
+  /// (`Table::FromColumnar`) must declare the same kinds.
   /// Requires `table.num_rows() <= UINT32_MAX`
   /// (callers gate; selection vectors are 32-bit). A column-backed
   /// `table` (one with a selection, typically) is gathered into rows

@@ -70,7 +70,8 @@ class Table {
   /// Wraps an already-built columnar relation as an immutable
   /// column-backed table.
   /// `columnar.num_columns()` must equal `schema.num_columns()` with
-  /// matching types.
+  /// matching types, and a shadow's numeric rank codes follow the kinds
+  /// it was built under, so `schema` must declare those kinds.
   static Table FromColumnar(Schema schema,
                             std::shared_ptr<const ColumnarTable> columnar);
 

@@ -9,17 +9,20 @@
 // binary searches. Every technique's tree must match it node by node —
 // labels, tset sizes and tuple order — with and without the cold
 // pipeline's attribute index, over row-backed, column-backed and
-// selection results, at threads {1, 2, 7, 16}, over tables with NULL,
+// selection results and a segment-store copy (whose numeric columns carry
+// no rank codes), at threads {1, 2, 7, 16}, over tables with NULL,
 // NaN, -0.0, ±inf, int64-extreme, 2^53 ± 1 and heavily duplicated cells,
 // int64 and double categoricals, an all-NULL candidate and a kNull-typed
 // one, single-row and empty results, and query ranges narrower than the
 // data.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -39,6 +42,8 @@
 #include "sql/selection.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
+#include "store/store.h"
+#include "store/writer.h"
 #include "workload/counts.h"
 #include "workload/workload.h"
 
@@ -438,17 +443,14 @@ CategoryTree RefBuild(const RefContext& ctx,
   return tree;
 }
 
-// `exact` compares categorical values bit for bit; otherwise by Value
-// equality, under which -0.0 and 0.0 are one value.
 void ExpectLabelsIdentical(const CategoryLabel& a, const CategoryLabel& b,
-                           const std::string& context, bool exact) {
+                           const std::string& context) {
   EXPECT_EQ(a.attribute(), b.attribute()) << context;
   ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
   if (a.is_categorical()) {
     ASSERT_EQ(a.values().size(), b.values().size()) << context;
     for (size_t v = 0; v < a.values().size(); ++v) {
-      EXPECT_TRUE(exact ? BitIdentical(a.values()[v], b.values()[v])
-                        : a.values()[v] == b.values()[v])
+      EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v]))
           << context << ": " << a.ToString() << " vs " << b.ToString();
     }
   } else {
@@ -460,7 +462,7 @@ void ExpectLabelsIdentical(const CategoryLabel& a, const CategoryLabel& b,
 
 // Node by node: links, level, label and the tuple list in order.
 void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
-                    const std::string& context, bool exact_labels = true) {
+                    const std::string& context) {
   EXPECT_EQ(want.level_attributes(), got.level_attributes()) << context;
   ASSERT_EQ(want.num_nodes(), got.num_nodes()) << context;
   for (NodeId id = 0; id < static_cast<NodeId>(want.num_nodes()); ++id) {
@@ -472,7 +474,7 @@ void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
     ASSERT_EQ(a.level, b.level) << where;
     ASSERT_EQ(a.tuples, b.tuples) << where;
     if (!a.is_root()) {
-      ExpectLabelsIdentical(a.label, b.label, where, exact_labels);
+      ExpectLabelsIdentical(a.label, b.label, where);
     }
   }
 }
@@ -818,8 +820,7 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
   const size_t col = rows_.schema().ColumnIndex("neighborhood").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       AttributeOrder order,
-      AttributeOrder::Build(view, col, ColumnKind::kCategorical, nullptr,
-                            nullptr));
+      AttributeOrder::Build(view, col, nullptr, nullptr));
   std::vector<int32_t> slot_of_row(rows_.num_rows());
   for (size_t r = 0; r < slot_of_row.size(); ++r) {
     slot_of_row[r] = static_cast<int32_t>(r % 4) - 1;  // -1, 0, 1, 2
@@ -827,7 +828,7 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
   order.Distribute(slot_of_row, 3);
   ASSERT_EQ(order.num_runs(), 3u);
   for (size_t s = 0; s < 3; ++s) {
-    const auto run = order.key_run(s);
+    const auto run = order.run(s);
     std::vector<size_t> expected;
     for (size_t r = 0; r < rows_.num_rows(); ++r) {
       if (slot_of_row[r] == static_cast<int32_t>(s) &&
@@ -861,8 +862,9 @@ constexpr int64_t kTwo53 = int64_t{1} << 53;
 // Keys that break a careless order: 2^53 and 2^53 + 1 (one double apart
 // from nothing: both cast to 2^53), the int64 extremes, NaN, -0.0 next to
 // 0.0, and NULL, in the numeric and the categorical int64/double columns,
-// among ordinary values; `void` is NULL throughout.
-Table MakeHostileKeysTable(size_t n, uint64_t seed) {
+// among ordinary values; `void` (left out when `with_void` is false, so
+// the table has RunsSchema) is NULL throughout.
+Table MakeHostileKeysTable(size_t n, uint64_t seed, bool with_void = true) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   const Value prices[] = {Value(kTwo53), Value(kTwo53 + 1),
                           Value(kTwo53 - 1),
@@ -874,7 +876,7 @@ Table MakeHostileKeysTable(size_t n, uint64_t seed) {
                         Value(std::numeric_limits<int64_t>::min()),
                         Value(std::numeric_limits<int64_t>::max()),
                         Value()};
-  Table table(HostileKeysSchema());
+  Table table(with_void ? HostileKeysSchema() : RunsSchema());
   Random rng(seed);
   for (size_t i = 0; i < n; ++i) {
     const bool hostile = rng.Bernoulli(0.5);
@@ -892,81 +894,63 @@ Table MakeHostileKeysTable(size_t n, uint64_t seed) {
     row.push_back(hostile ? doubles[rng.Uniform(0, 3)]
                           : Value(rng.Bernoulli(0.5) ? 1.5 : 2.5));
     row.push_back(Value());
-    row.push_back(Value());
+    if (with_void) {
+      row.push_back(Value());
+    }
     EXPECT_TRUE(table.AppendRow(std::move(row)).ok());
   }
   return table;
 }
 
-// Over the hostile keys, every technique builds one tree from the
-// row-backed result (read through the shadow its view builds), from the
-// same rows installed column-backed, and from the cold pipeline's
-// selection over the installed table, and that tree is the per-node
-// reference's. A numeric order ties the int64 cells that cast to one
-// double, and -0.0 with 0.0, and orders them by row; a categorical order
-// keeps 2^53 and 2^53 + 1 apart. The reference labels a categorical group
-// of -0.0 and 0.0 cells with the node's first cell, the categorizer with
-// the result's lowest-row cell, so labels are compared to it by value
-// and bit for bit across the inputs.
-TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
-  const Schema schema = HostileKeysSchema();
-  const WorkloadStats stats = MakeStats(12, schema);
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("runs", MakeHostileKeysTable(200, 17)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("runs"));
-  const ShadowResult shadowed = RunPipeline(
-      *installed,
-      "SELECT * FROM runs WHERE neighborhood IN ('N0', 'N1', 'N2', 'N3', "
-      "'N4', 'N5', 'N6', 'N7', 'N8')",
-      {});
-  const Table& selection = shadowed.result;
-  const Table& rows = shadowed.rows;
-  ASSERT_TRUE(selection.has_selection());
-  ASSERT_TRUE(rows.has_rows());
-  ASSERT_GT(rows.num_rows(), 160u);
-  const Table backed = Table::FromColumnar(
-      schema,
-      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows)));
+const char kHostileSql[] =
+    "SELECT * FROM runs WHERE neighborhood IN ('N0', 'N1', 'N2', 'N3', "
+    "'N4', 'N5', 'N6', 'N7', 'N8')";
 
-  // The orders themselves, over the column-backed input.
-  const TableView view = TableView::All(backed, nullptr);
+// The orders over `view`, a view of a hostile-keys table: the numeric
+// order ties the int64 cells that cast to one double, and orders them by
+// row; the categorical int64 order keeps 2^53 and 2^53 + 1 apart.
+void ExpectHostileOrders(const TableView& view, const std::string& context) {
+  const Schema& schema = view.schema();
   const size_t price = schema.ColumnIndex("price").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const AttributeOrder by_price,
-      AttributeOrder::Build(view, price, ColumnKind::kNumeric, nullptr,
-                            nullptr));
+      AttributeOrder::Build(view, price, nullptr, nullptr));
+  ASSERT_TRUE(by_price.numeric()) << context;
   size_t tied = 0;
-  const auto run = by_price.numeric_run(0);
+  const auto run = by_price.run(0);
   for (size_t i = 1; i < run.size(); ++i) {
-    ASSERT_LT(run[i - 1], run[i]);
-    if (run[i].first == static_cast<double>(kTwo53) &&
+    ASSERT_LT(run[i - 1], run[i]) << context;
+    if (by_price.key_number(run[i].first) == static_cast<double>(kTwo53) &&
         run[i - 1].first == run[i].first) {
       ++tied;
     }
   }
-  EXPECT_GT(tied, 10u) << "2^53 and 2^53 + 1 cells should tie";
+  EXPECT_GT(tied, 10u) << context << ": 2^53 and 2^53 + 1 cells should tie";
   const size_t bedrooms = schema.ColumnIndex("bedrooms").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const AttributeOrder by_bedrooms,
-      AttributeOrder::Build(view, bedrooms, ColumnKind::kCategorical,
-                            nullptr, nullptr));
+      AttributeOrder::Build(view, bedrooms, nullptr, nullptr));
+  ASSERT_FALSE(by_bedrooms.numeric()) << context;
   std::set<int64_t> keys;
   for (size_t k = 0; k < by_bedrooms.num_keys(); ++k) {
     keys.insert(by_bedrooms.key_value(static_cast<uint32_t>(k)).int64_value());
   }
-  EXPECT_EQ(keys.count(kTwo53), 1u);
-  EXPECT_EQ(keys.count(kTwo53 + 1), 1u);
-  const size_t void_col = schema.ColumnIndex("void").value();
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const AttributeOrder by_void,
-      AttributeOrder::Build(view, void_col, ColumnKind::kCategorical,
-                            nullptr, nullptr));
-  EXPECT_EQ(by_void.num_keys(), 0u);
-  EXPECT_TRUE(by_void.key_run(0).empty());
+  EXPECT_EQ(keys.count(kTwo53), 1u) << context;
+  EXPECT_EQ(keys.count(kTwo53 + 1), 1u) << context;
+}
 
-  const std::pair<const char*, const Table*> inputs[] = {
-      {"row-backed", &rows}, {"column-backed", &backed},
-      {"selection", &selection}};
+// Every technique's tree over `rows` (a row-backed result) is the
+// per-node reference's, labels bit for bit: a categorical group of -0.0
+// and 0.0 cells is labelled with its first tuple's cell by both. Each of
+// `inputs` (the same rows in another representation) builds the same
+// trees, and so does the serving call over `shadowed` (the same rows
+// selected by the cold pipeline) at every thread count.
+void ExpectHostileTreesAlike(
+    const Table& rows,
+    const std::vector<std::pair<std::string, const Table*>>& inputs,
+    const ShadowResult& shadowed) {
+  const Schema& schema = rows.schema();
+  const WorkloadStats stats = MakeStats(12, schema);
   for (const size_t max_tuples : {size_t{20}, size_t{4}}) {
     CategorizerOptions options = RunsOptions(max_tuples);
     const std::string m = " M=" + std::to_string(max_tuples);
@@ -990,35 +974,23 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
         RefBuild(RefContext{rows, stats, options, nullptr, &no_cost_rng},
                  shuffled, /*cost_based_choice=*/false);
     options.parallel.threads = 1;
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const CategoryTree rows_cost,
-        CostBasedCategorizer(&stats, options).Categorize(rows, nullptr));
-    ExpectSameTree(want_cost, rows_cost, "Cost-based reference" + m,
-                   /*exact_labels=*/false);
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const CategoryTree rows_attr_cost,
-        AttrCostCategorizer(&stats, options).Categorize(rows, nullptr));
-    ExpectSameTree(want_attr_cost, rows_attr_cost, "Attr-cost reference" + m,
-                   /*exact_labels=*/false);
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const CategoryTree rows_no_cost,
-        NoCostCategorizer(&stats, options).Categorize(rows, nullptr));
-    ExpectSameTree(want_no_cost, rows_no_cost, "No cost reference" + m,
-                   /*exact_labels=*/false);
-    for (const auto& [name, input] : inputs) {
-      const std::string at = std::string(name) + m;
+    std::vector<std::pair<std::string, const Table*>> all_inputs = {
+        {"row-backed", &rows}};
+    all_inputs.insert(all_inputs.end(), inputs.begin(), inputs.end());
+    for (const auto& [name, input] : all_inputs) {
+      const std::string at = name + m;
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree cost,
           CostBasedCategorizer(&stats, options).Categorize(*input, nullptr));
-      ExpectSameTree(rows_cost, cost, "Cost-based " + at);
+      ExpectSameTree(want_cost, cost, "Cost-based " + at);
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree attr_cost,
           AttrCostCategorizer(&stats, options).Categorize(*input, nullptr));
-      ExpectSameTree(rows_attr_cost, attr_cost, "Attr-cost " + at);
+      ExpectSameTree(want_attr_cost, attr_cost, "Attr-cost " + at);
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree no_cost,
           NoCostCategorizer(&stats, options).Categorize(*input, nullptr));
-      ExpectSameTree(rows_no_cost, no_cost, "No cost " + at);
+      ExpectSameTree(want_no_cost, no_cost, "No cost " + at);
     }
     // The serving call, at every thread count.
     for (const size_t threads : kThreadCounts) {
@@ -1026,13 +998,91 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree with_index,
           CostBasedCategorizer(&stats, options)
-              .Categorize(shadowed.view, selection, nullptr,
+              .Categorize(shadowed.view, shadowed.result, nullptr,
                           &shadowed.index));
-      ExpectSameTree(rows_cost, with_index,
+      ExpectSameTree(want_cost, with_index,
                      "Cost-based view + index" + m + " threads=" +
                          std::to_string(threads));
     }
   }
+}
+
+// Over the hostile keys, every technique builds one tree from the
+// row-backed result (read through the shadow its view builds), from the
+// same rows installed column-backed, and from the cold pipeline's
+// selection over the installed table, and that tree is the per-node
+// reference's.
+TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
+  const Schema schema = HostileKeysSchema();
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("runs", MakeHostileKeysTable(200, 17)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("runs"));
+  const ShadowResult shadowed = RunPipeline(*installed, kHostileSql, {});
+  const Table& selection = shadowed.result;
+  const Table& rows = shadowed.rows;
+  ASSERT_TRUE(selection.has_selection());
+  ASSERT_TRUE(rows.has_rows());
+  ASSERT_GT(rows.num_rows(), 160u);
+  const Table backed = Table::FromColumnar(
+      schema,
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows)));
+
+  // The orders themselves, over the column-backed input.
+  const TableView view = TableView::All(backed, nullptr);
+  ExpectHostileOrders(view, "column-backed");
+  const size_t void_col = schema.ColumnIndex("void").value();
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const AttributeOrder by_void,
+      AttributeOrder::Build(view, void_col, nullptr, nullptr));
+  EXPECT_EQ(by_void.num_keys(), 0u);
+  EXPECT_TRUE(by_void.run(0).empty());
+
+  ExpectHostileTreesAlike(
+      rows, {{"column-backed", &backed}, {"selection", &selection}},
+      shadowed);
+}
+
+// The same checks over a segment-store copy of the hostile table (without
+// `void`: the store format has no kNull columns). A store-mapped int64 or
+// double column has no rank codes, so its orders rank the cells per
+// request, and must meet the same ties and extremes.
+TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverAStoreCopy) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("autocat_runs_hostile_" + std::to_string(::getpid()) + ".store"))
+          .string();
+  const Table hostile = MakeHostileKeysTable(200, 17, /*with_void=*/false);
+  {
+    StoreWriterOptions options;
+    AUTOCAT_ASSERT_OK_AND_MOVE(std::unique_ptr<StoreWriter> writer,
+                               StoreWriter::Create(path, options));
+    ASSERT_TRUE(writer->BeginTable("runs", hostile.schema()).ok());
+    for (size_t r = 0; r < hostile.num_rows(); ++r) {
+      ASSERT_TRUE(writer->Append(hostile.row(r)).ok());
+    }
+    ASSERT_TRUE(writer->FinishTable().ok());
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  Database db;
+  const Status attached = AttachStoreTables(path, &db);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);  // the mapping keeps the data alive
+  ASSERT_TRUE(attached.ok()) << attached.ToString();
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* stored, db.GetTable("runs"));
+  const std::shared_ptr<const ColumnarTable>& mapped =
+      stored->columnar_backing();
+  ASSERT_NE(mapped, nullptr);
+  const size_t price = stored->schema().ColumnIndex("price").value();
+  ASSERT_TRUE(mapped->column(price).codes.empty())
+      << "a store-mapped numeric column should carry no rank codes";
+
+  ExpectHostileOrders(TableView::All(*stored, nullptr), "store-mapped");
+  const ShadowResult shadowed = RunPipeline(*stored, kHostileSql, {});
+  ASSERT_GT(shadowed.rows.num_rows(), 160u);
+  ExpectHostileOrders(shadowed.view, "store-mapped selection");
+  ExpectHostileTreesAlike(shadowed.rows,
+                          {{"store-mapped selection", &shadowed.result}},
+                          shadowed);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -292,6 +293,138 @@ TEST(ColumnarEquivalenceTest, ViewMaterializeMatchesSelectRowsProject) {
                            "view materialization");
   // The view as a table reads the same cells without materializing.
   ExpectTablesBitIdentical(expected, f.view.AsTable(), "view as a table");
+}
+
+// Rank codes: a built shadow keys every int64 and double row by its
+// cell's rank among the column's distinct values under the declared
+// kind. Numeric int64 compares as double (2^53 and 2^53 + 1 share a
+// code), categorical int64 exactly, doubles by `<` (-0.0 and 0.0 share
+// one); NULL and NaN cells get kNoKey; codes are dense. A selection table
+// gets the codes its gathered rows get.
+TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
+  auto schema_or = Schema::Create({
+      ColumnDef("i_num", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("i_cat", ValueType::kInt64, ColumnKind::kCategorical),
+      ColumnDef("d_num", ValueType::kDouble, ColumnKind::kNumeric),
+      ColumnDef("d_cat", ValueType::kDouble, ColumnKind::kCategorical),
+      ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
+  });
+  ASSERT_TRUE(schema_or.ok());
+  const Schema schema = std::move(schema_or).value();
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Value ints[] = {Value(kTwo53),
+                        Value(kTwo53 + 1),
+                        Value(kTwo53 - 1),
+                        Value(std::numeric_limits<int64_t>::min()),
+                        Value(std::numeric_limits<int64_t>::max()),
+                        Value(int64_t{0}),
+                        Value(int64_t{-5}),
+                        Value()};
+  const Value doubles[] = {Value(std::numeric_limits<double>::quiet_NaN()),
+                           Value(-0.0),
+                           Value(0.0),
+                           Value(kInf),
+                           Value(-kInf),
+                           Value(1.5),
+                           Value(-2.25),
+                           Value()};
+  Table rows(schema);
+  Random rng(91);
+  for (size_t i = 0; i < 300; ++i) {
+    const Value& i64 = ints[rng.Uniform(0, 7)];
+    const Value& f64 = doubles[rng.Uniform(0, 7)];
+    ASSERT_TRUE(rows.AppendRow({i64, ints[rng.Uniform(0, 7)], f64,
+                                doubles[rng.Uniform(0, 7)],
+                                rng.Bernoulli(0.1)
+                                    ? Value()
+                                    : Value(kNeighborhoods[rng.Uniform(0, 5)])})
+                    .ok());
+  }
+  const ColumnarTable shadow = ColumnarTable::Build(rows);
+  for (size_t c = 0; c < 4; ++c) {
+    const std::string& name = schema.column(c).name;
+    const bool numeric = schema.column(c).kind == ColumnKind::kNumeric;
+    const auto less = [numeric](const Value& a, const Value& b) {
+      return numeric ? a.AsDouble() < b.AsDouble() : a < b;
+    };
+    const ColumnarTable::Column& column = shadow.column(c);
+    ASSERT_EQ(column.codes.size(), rows.num_rows()) << name;
+    std::vector<size_t> keyed;
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      const Value& v = rows.ValueAt(r, c);
+      if (v.is_null() || (v.is_double() && std::isnan(v.double_value()))) {
+        EXPECT_EQ(column.codes[r], kNoKey) << name << " row " << r;
+      } else {
+        keyed.push_back(r);
+      }
+    }
+    ASSERT_FALSE(keyed.empty()) << name;
+    // Code order is value order, and equal codes are equal values.
+    for (const size_t a : keyed) {
+      for (const size_t b : keyed) {
+        const Value& va = rows.ValueAt(a, c);
+        const Value& vb = rows.ValueAt(b, c);
+        ASSERT_EQ(column.codes[a] < column.codes[b], less(va, vb))
+            << name << " rows " << a << ", " << b;
+      }
+    }
+    // Dense: the codes are exactly 0 .. distinct - 1.
+    std::set<uint32_t> codes;
+    size_t distinct = 0;
+    std::vector<Value> values;
+    for (const size_t r : keyed) {
+      codes.insert(column.codes[r]);
+      values.push_back(rows.ValueAt(r, c));
+    }
+    std::sort(values.begin(), values.end(), less);
+    for (size_t i = 0; i < values.size(); ++i) {
+      distinct += (i == 0 || less(values[i - 1], values[i])) ? 1 : 0;
+    }
+    EXPECT_EQ(codes.size(), distinct) << name;
+    EXPECT_EQ(*codes.rbegin() + 1, distinct) << name;
+  }
+  // The pinned ties: 2^53 and 2^53 + 1 share a numeric code, not a
+  // categorical one; -0.0 and 0.0 share a code under either kind.
+  const auto code_of = [&](size_t c, const Value& v) {
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      if (BitIdentical(rows.ValueAt(r, c), v)) {
+        return shadow.column(c).codes[r];
+      }
+    }
+    ADD_FAILURE() << v.ToString() << " not drawn in column " << c;
+    return kNoKey;
+  };
+  EXPECT_EQ(code_of(0, Value(kTwo53)), code_of(0, Value(kTwo53 + 1)));
+  EXPECT_NE(code_of(1, Value(kTwo53)), code_of(1, Value(kTwo53 + 1)));
+  EXPECT_EQ(code_of(2, Value(-0.0)), code_of(2, Value(0.0)));
+  EXPECT_EQ(code_of(3, Value(-0.0)), code_of(3, Value(0.0)));
+
+  // A selection table (rows out of order, some twice) builds the codes of
+  // the rows it gathers.
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", Table(rows)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("t"));
+  std::vector<uint32_t> picked;
+  for (uint32_t r = 0; r < rows.num_rows(); r += 3) {
+    picked.push_back(static_cast<uint32_t>(rows.num_rows()) - 1 - r);
+    picked.push_back(r / 2);
+  }
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const TableView view,
+      TableView::Create(*installed, nullptr, picked, {}));
+  const Table selection = view.AsTable();
+  ASSERT_TRUE(selection.has_selection());
+  const ColumnarTable from_selection = ColumnarTable::Build(selection);
+  const ColumnarTable from_rows = ColumnarTable::Build(view.Materialize());
+  ASSERT_EQ(from_selection.num_rows(), picked.size());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ColumnSpan<uint32_t>& a = from_selection.column(c).codes;
+    const ColumnSpan<uint32_t>& b = from_rows.column(c).codes;
+    ASSERT_EQ(a.size(), b.size()) << schema.column(c).name;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+        << schema.column(c).name;
+  }
 }
 
 WorkloadStats FuzzStats() {

@@ -97,6 +97,23 @@ TEST(PartitionCategoricalTest, UnknownAttributeErrors) {
       PartitionCategorical(View(table), AllRows(table), "bogus", stats).ok());
 }
 
+// An order keys a column by its declared kind, so grouping a numeric
+// column would group double-cast keys: both categorical partitioners
+// refuse it, as the numeric ones refuse a categorical column.
+TEST(PartitionCategoricalTest, NumericAttributeErrors) {
+  const WorkloadStats stats = StatsFromSql(
+      {"SELECT * FROM homes WHERE neighborhood = 'a'"});
+  const Table table = HomesTable({{"a", 1, 1}, {"b", 2, 2}});
+  const auto cost_based =
+      PartitionCategorical(View(table), AllRows(table), "price", stats);
+  ASSERT_FALSE(cost_based.ok());
+  EXPECT_EQ(cost_based.status().code(), StatusCode::kInvalidArgument);
+  const auto arbitrary = PartitionCategoricalArbitrary(
+      View(table), AllRows(table), "price", nullptr);
+  ASSERT_FALSE(arbitrary.ok());
+  EXPECT_EQ(arbitrary.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PartitionCategoricalTest, EmptyInputYieldsNoCategories) {
   const WorkloadStats stats = StatsFromSql(
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});

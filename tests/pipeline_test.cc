@@ -9,15 +9,18 @@
 // from-scratch rescan of the result. These tests replay the checked-in
 // SQL fuzz corpus and randomized queries over a deterministic table
 // seeded with edge values (NaN, -0.0, 2^53+1, int64 extremes, NULLs) at
-// threads {1, 2, 7, 16}, and pin both attribute-index strategies (the
-// dense rank-filter over the per-table presorted order and the sparse
-// gather-and-sort) to the same reference.
+// threads {1, 2, 7, 16}, and pin the attribute index over both kinds of
+// column (a built shadow's, which carry codes, and a mapped segment
+// store's numeric ones, which are ranked per request) to the same
+// from-scratch reference.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -35,7 +38,10 @@
 #include "sql/parser.h"
 #include "sql/selection.h"
 #include "storage/columnar.h"
+#include "storage/attr_index.h"
 #include "storage/table.h"
+#include "store/store.h"
+#include "store/writer.h"
 
 #include "equivalence_fixture.h"
 
@@ -88,20 +94,9 @@ void ExpectIndexesIdentical(const ResultAttributeIndex& a,
   for (size_t c = 0; c < a.columns.size(); ++c) {
     const AttributeIndexEntry& ea = a.columns[c];
     const AttributeIndexEntry& eb = b.columns[c];
-    ASSERT_EQ(ea.has_sorted_values, eb.has_sorted_values)
+    ASSERT_EQ(ea.has_sorted_keys, eb.has_sorted_keys)
         << context << " col " << c;
-    ASSERT_EQ(ea.sorted_values.size(), eb.sorted_values.size())
-        << context << " col " << c;
-    for (size_t k = 0; k < ea.sorted_values.size(); ++k) {
-      ASSERT_TRUE(BitIdentical(Value(ea.sorted_values[k].first),
-                               Value(eb.sorted_values[k].first)))
-          << context << " col " << c << " pair " << k;
-      ASSERT_EQ(ea.sorted_values[k].second, eb.sorted_values[k].second)
-          << context << " col " << c << " pair " << k;
-    }
-    ASSERT_EQ(ea.has_sorted_codes, eb.has_sorted_codes)
-        << context << " col " << c;
-    ASSERT_EQ(ea.sorted_codes, eb.sorted_codes) << context << " col " << c;
+    ASSERT_EQ(ea.sorted_keys, eb.sorted_keys) << context << " col " << c;
   }
 }
 
@@ -244,92 +239,161 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
 
 // -------------------------------------------------- attribute-index shape
 
-// From-scratch reference for the attribute index: rescan the
-// materialized result exactly the way the partitioners would (NULL and
-// NaN cells join no numeric bucket, so they have no pair; a string cell's
-// key is its code in the base shadow's sorted dictionary).
+// From-scratch reference for the attribute index: rescan the result's
+// cells under each column's declared kind (numeric: as doubles, so 2^53
+// and 2^53 + 1 tie; categorical: by Value order, exact for int64). Every
+// entry lists the positions of the non-NULL, non-NaN cells in (value,
+// position) order, its key rises exactly where the value does, and a
+// column that carries codes in its shadow is keyed by them.
 void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
                               const ResultAttributeIndex& index,
                               const std::string& context) {
   ASSERT_EQ(index.num_rows, result.num_rows()) << context;
   ASSERT_EQ(index.columns.size(), result.schema().num_columns()) << context;
   for (size_t c = 0; c < result.schema().num_columns(); ++c) {
+    const std::string at = context + " col " + std::to_string(c);
     const AttributeIndexEntry& entry = index.columns[c];
-    if (result.schema().column(c).kind == ColumnKind::kNumeric) {
-      ASSERT_TRUE(entry.has_sorted_values) << context << " col " << c;
-      ASSERT_FALSE(entry.has_sorted_codes) << context << " col " << c;
-      std::vector<std::pair<double, size_t>> expected;
-      for (size_t r = 0; r < result.num_rows(); ++r) {
-        const Value v = result.CellValue(r, c);
-        if (!v.is_null() && !std::isnan(v.AsDouble())) {
-          expected.emplace_back(v.AsDouble(), r);
-        }
+    ASSERT_TRUE(entry.has_sorted_keys) << at;
+    const bool numeric =
+        result.schema().column(c).kind == ColumnKind::kNumeric;
+    const auto less = [numeric](const Value& a, const Value& b) {
+      return numeric ? a.AsDouble() < b.AsDouble() : a < b;
+    };
+    std::vector<std::pair<Value, uint32_t>> expected;
+    for (size_t r = 0; r < result.num_rows(); ++r) {
+      Value v = result.CellValue(r, c);
+      if (!v.is_null() && !(v.is_double() && std::isnan(v.double_value()))) {
+        expected.emplace_back(std::move(v), static_cast<uint32_t>(r));
       }
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(entry.sorted_values, expected) << context << " col " << c;
-    } else {
-      ASSERT_TRUE(entry.has_sorted_codes) << context << " col " << c;
-      ASSERT_FALSE(entry.has_sorted_values) << context << " col " << c;
-      const std::vector<std::string>& dict =
-          view.columnar()->column(view.base_column(c)).dict;
-      std::vector<std::pair<uint32_t, uint32_t>> expected;
-      for (size_t r = 0; r < result.num_rows(); ++r) {
-        const Value v = result.CellValue(r, c);
-        if (!v.is_null()) {
-          const auto it =
-              std::lower_bound(dict.begin(), dict.end(), v.string_value());
-          ASSERT_TRUE(it != dict.end() && *it == v.string_value())
-              << context << " col " << c;
-          expected.emplace_back(static_cast<uint32_t>(it - dict.begin()),
-                                static_cast<uint32_t>(r));
-        }
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&less](const auto& a, const auto& b) {
+                       return less(a.first, b.first);
+                     });
+    const std::vector<KeyOrderEntry>& got = entry.sorted_keys;
+    ASSERT_EQ(got.size(), expected.size()) << at;
+    const ColumnarTable::Column& column =
+        view.columnar()->column(view.base_column(c));
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].second, expected[i].second) << at << " entry " << i;
+      if (i > 0) {
+        ASSERT_EQ(got[i - 1].first < got[i].first,
+                  less(expected[i - 1].first, expected[i].first))
+            << at << " entry " << i;
+        ASSERT_LE(got[i - 1].first, got[i].first) << at << " entry " << i;
       }
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(entry.sorted_codes, expected) << context << " col " << c;
+      if (!column.codes.empty()) {
+        ASSERT_EQ(got[i].first, column.codes[view.base_row(got[i].second)])
+            << at << " entry " << i;
+      }
     }
   }
 }
 
-TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
-  // The table as the Database holds it: column-backed over its shadow.
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", MakeHomes(6000, 303, 0.1, true)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db.GetTable("homes"));
-  const Table& table = *installed;
-  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
-                             db.ColumnarFor("homes"));
+// Writes `rows` (in order) as table `name` of a new segment store at
+// `path` and registers it into `db`, whose table then maps it.
+void AttachStoreCopy(const Table& rows, const std::string& name,
+                     const std::string& path, Database* db) {
+  StoreWriterOptions options;
+  AUTOCAT_ASSERT_OK_AND_MOVE(std::unique_ptr<StoreWriter> writer,
+                             StoreWriter::Create(path, options));
+  ASSERT_TRUE(writer->BeginTable(name, rows.schema()).ok());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    ASSERT_TRUE(writer->Append(rows.row(r)).ok());
+  }
+  ASSERT_TRUE(writer->FinishTable().ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  const Status attached = AttachStoreTables(path, db);
+  ASSERT_TRUE(attached.ok()) << attached.ToString();
+}
 
-  // The dense queries keep well over 1/16 of the base rows alive, forcing
-  // the rank-filter walk over the per-table presorted order (for both an
-  // int64 and a double column); the sparse ones select a sliver, forcing
-  // the gather-and-sort path. Both must land on the identical index.
-  const char* const kQueries[] = {
-      "SELECT * FROM homes WHERE price >= 0",                  // dense
-      "SELECT * FROM homes WHERE bedroomcount >= 0",           // dense
-      "SELECT * FROM homes WHERE yearbuilt >= 1900",           // dense
-      "SELECT * FROM homes WHERE price BETWEEN 50000 AND 60000",  // sparse
-      "SELECT * FROM homes WHERE neighborhood = 'Ballard' AND "
-      "bedroomcount = 3",                                      // sparse
-      "SELECT * FROM homes WHERE price < 0",                   // empty
+TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
+  // The same rows as a built shadow (every column carries codes: string
+  // dictionary codes and numeric rank codes) and as a mapped segment store
+  // (numeric columns carry none and are ranked per request).
+  const Table homes = MakeHomes(6000, 303, 0.1, true);
+  Database shadow_db;
+  ASSERT_TRUE(shadow_db.RegisterTable("homes", Table(homes)).ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("autocat_pipeline_index_" + std::to_string(::getpid()) + ".store"))
+          .string();
+  Database store_db;
+  AttachStoreCopy(homes, "homes", path, &store_db);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);  // the mapping keeps the data alive
+  ASSERT_FALSE(HasFatalFailure());
+
+  // A floor area held by exactly one row selects a one-row result (a
+  // price would not: NaN prices match every price range).
+  const size_t sqft = homes.schema().ColumnIndex("squarefootage").value();
+  std::map<double, size_t> sqft_count;
+  for (size_t r = 0; r < homes.num_rows(); ++r) {
+    const Value& v = homes.ValueAt(r, sqft);
+    if (!v.is_null()) {
+      ++sqft_count[v.double_value()];
+    }
+  }
+  std::string one_row;
+  for (const auto& [value, count] : sqft_count) {
+    if (count == 1) {
+      char literal[64];
+      std::snprintf(literal, sizeof(literal), "%.17g", value);
+      one_row =
+          std::string("SELECT * FROM homes WHERE squarefootage BETWEEN ") +
+          literal + " AND " + literal;
+      break;
+    }
+  }
+  ASSERT_FALSE(one_row.empty());
+  const struct {
+    std::string sql;
+    size_t min_rows;
+    size_t max_rows;
+  } kQueries[] = {
+      {"SELECT * FROM homes WHERE bedroomcount BETWEEN 100 AND 200", 0, 0},
+      {one_row, 1, 1},
+      {"SELECT * FROM homes WHERE price BETWEEN 50000 AND 60000", 2, 600},
+      {"SELECT * FROM homes WHERE neighborhood = 'Ballard' AND "
+       "bedroomcount = 3", 2, 600},
+      {"SELECT * FROM homes WHERE bedroomcount >= 0", 3000, 5999},
+      {"SELECT price, yearbuilt, city FROM homes WHERE yearbuilt >= 1900",
+       3000, 5999},
+      {"SELECT * FROM homes", 6000, 6000},
   };
-  for (const char* sql : kQueries) {
-    std::optional<CompiledPredicate> compiled;
-    std::vector<std::string> columns;
-    CompileOrSkip(sql, table.schema(), shadow, &compiled, &columns);
-    ASSERT_TRUE(compiled.has_value()) << sql;
-    for (const size_t threads : kThreadCounts) {
-      ColdPipelineOptions options;
-      options.parallel.threads = threads;
-      AUTOCAT_ASSERT_OK_AND_MOVE(
-          ColdPipelineResult piped,
-          RunColdPipeline(compiled.value(), table, shadow.get(), columns,
-                          options));
-      AUTOCAT_ASSERT_OK_AND_MOVE(
-          const TableView view,
-          TableView::Create(table, shadow, piped.selection, columns));
-      ExpectIndexMatchesRescan(
-          piped.result, view, piped.attr_index,
-          std::string(sql) + " (threads=" + std::to_string(threads) + ")");
+  for (const Database* db : {&shadow_db, &store_db}) {
+    const std::string input = db == &shadow_db ? "shadow" : "store";
+    AUTOCAT_ASSERT_OK_AND_MOVE(const Table* installed, db->GetTable("homes"));
+    AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
+                               db->ColumnarFor("homes"));
+    const size_t price_col =
+        installed->schema().ColumnIndex("price").value();
+    EXPECT_EQ(shadow->column(price_col).codes.empty(), db == &store_db)
+        << input;
+    for (const auto& query : kQueries) {
+      std::optional<CompiledPredicate> compiled;
+      std::vector<std::string> columns;
+      CompileOrSkip(query.sql, installed->schema(), shadow, &compiled,
+                    &columns);
+      ASSERT_TRUE(compiled.has_value()) << query.sql;
+      for (const size_t threads : kThreadCounts) {
+        const std::string context = input + ": " + query.sql +
+                                    " (threads=" + std::to_string(threads) +
+                                    ")";
+        ColdPipelineOptions options;
+        options.parallel.threads = threads;
+        AUTOCAT_ASSERT_OK_AND_MOVE(
+            ColdPipelineResult piped,
+            RunColdPipeline(compiled.value(), *installed, shadow.get(),
+                            columns, options));
+        ASSERT_GE(piped.selection.size(), query.min_rows) << context;
+        ASSERT_LE(piped.selection.size(), query.max_rows) << context;
+        AUTOCAT_ASSERT_OK_AND_MOVE(
+            const TableView view,
+            TableView::Create(*installed, shadow, piped.selection, columns));
+        ExpectIndexMatchesRescan(piped.result, view, piped.attr_index,
+                                 context);
+      }
     }
   }
 }
@@ -361,13 +425,10 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
   for (size_t c = 0; c < table.schema().num_columns(); ++c) {
     const std::string& name = table.schema().column(c).name;
     const AttributeIndexEntry& entry = piped.attr_index.columns[c];
-    if (name == "price") {
-      EXPECT_TRUE(entry.has_sorted_values) << name;
-    } else if (name == "neighborhood") {
-      EXPECT_TRUE(entry.has_sorted_codes) << name;
-    } else {
-      EXPECT_FALSE(entry.has_sorted_values) << name;
-      EXPECT_FALSE(entry.has_sorted_codes) << name;
+    const bool retained_column = name == "price" || name == "neighborhood";
+    EXPECT_EQ(entry.has_sorted_keys, retained_column) << name;
+    if (!retained_column) {
+      EXPECT_TRUE(entry.sorted_keys.empty()) << name;
     }
   }
   EXPECT_EQ(piped.attr_index.num_rows, piped.result.num_rows());
@@ -383,8 +444,8 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
                       options));
   EXPECT_EQ(bare.attr_index.num_rows, piped.result.num_rows());
   for (const AttributeIndexEntry& entry : bare.attr_index.columns) {
-    EXPECT_FALSE(entry.has_sorted_values);
-    EXPECT_FALSE(entry.has_sorted_codes);
+    EXPECT_FALSE(entry.has_sorted_keys);
+    EXPECT_TRUE(entry.sorted_keys.empty());
   }
 }
 

@@ -144,13 +144,15 @@ serve_leg() {
 # thread counts 1/2/7/16 with its work counters, the coalescing registry
 # units, the service-level oracle and burst/epoch-invalidation tests, and
 # every categorization technique built from presorted runs against a
-# per-node sort/group reference at thread counts 1/2/7/16, the result
+# per-node sort/group reference at thread counts 1/2/7/16 (over a
+# built shadow and a mapped segment store), the per-node partitioners
+# that read the same key orders, the result
 # tables that select from a shadow against their materialized copies,
 # the views over them (a foreign shadow refused), the Database installing
 # every table column-backed (its row oracle bit-identical to the row
 # table's), and the release of a replaced table version's shadow (stale
 # cache entries dropped at the epoch bump, stale inserts refused).
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest|TableViewTest|TableViewDeathTest|DatabaseTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
+PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|PartitionNumericTest|PartitionEquiWidthTest|PartitionCategoricalTest|PartitionArbitraryTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest|TableViewTest|TableViewDeathTest|DatabaseTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -160,7 +162,8 @@ pipeline_leg() {
   echo "==== [pipeline/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_columnar_tests autocat_kernel_tests \
-             autocat_serve_tests autocat_sql_tests bench_pipeline
+             autocat_serve_tests autocat_sql_tests autocat_core_tests \
+             bench_pipeline
   echo "==== [pipeline/$name] ctest ===="
   (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
     -R "$PIPELINE_FILTER")
