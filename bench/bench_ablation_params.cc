@@ -115,21 +115,23 @@ int main() {
   // ---- greedy vs exhaustive attribute order -----------------------------
   std::printf("\n(d) greedy per-level attribute choice vs exhaustive "
               "order search (500-row sample)\n");
-  std::vector<size_t> sample;
+  std::vector<uint32_t> sample;
   for (size_t i = 0; i < std::min<size_t>(500, result->num_rows()); ++i) {
-    sample.push_back(i);
+    sample.push_back(static_cast<uint32_t>(i));
   }
-  auto small = result->SelectRows(sample);
-  if (!small.ok()) {
+  auto small_view = TableView::Create(result.value(), nullptr,
+                                      std::move(sample), {});
+  if (!small_view.ok()) {
     return 1;
   }
+  const Table small = small_view.value().AsTable();
   CategorizerOptions options = config.categorizer;
   const CostBasedCategorizer greedy_categorizer(&stats.value(), options);
   const std::vector<std::string> candidates =
       greedy_categorizer.RetainedAttributes(env->schema());
-  auto greedy = greedy_categorizer.Categorize(small.value(), &homes_query);
+  auto greedy = greedy_categorizer.Categorize(small, &homes_query);
   auto exhaustive = EnumerateBestAttributeOrder(
-      small.value(), candidates, &stats.value(), options, &homes_query);
+      small, candidates, &stats.value(), options, &homes_query);
   if (!greedy.ok() || !exhaustive.ok()) {
     std::fprintf(stderr, "enumeration failed: %s\n",
                  exhaustive.ok() ? greedy.status().ToString().c_str()

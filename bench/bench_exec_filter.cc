@@ -1,6 +1,6 @@
 // Profile filtering microbenchmark: the row-at-a-time WHERE evaluator
 // (ExecuteQuery) vs the compiled selection-profile kernels
-// (CompileProfile -> Filter -> TableView::Create -> Materialize, the
+// (CompileProfile -> Filter -> TableView::Create -> AsTable, the
 // selection step of the serving cold path) vs the kernels with a threaded
 // chunk-order merge, swept across selectivities {0.1%, 1%, 10%, 90%} of
 // the synthetic ListProperty table (price-quantile range queries and
@@ -85,7 +85,7 @@ struct SelectivityCase {
 };
 
 // The columnar arm: the case's range profile compiled against the
-// table's shadow, filtered, and materialized through a zero-copy view.
+// table's shadow, filtered, and wrapped as a selection over the shadow.
 Result<Table> ExecuteProfile(const SelectivityCase& c, const Database& db,
                              const ParallelOptions& parallel) {
   AUTOCAT_ASSIGN_OR_RETURN(const Table* table,
@@ -100,7 +100,7 @@ Result<Table> ExecuteProfile(const SelectivityCase& c, const Database& db,
   AUTOCAT_ASSIGN_OR_RETURN(
       const TableView view,
       TableView::Create(*table, std::move(shadow), std::move(rows), {}));
-  return view.Materialize();
+  return view.AsTable();
 }
 
 // One point of the candidate-source sweep: a neighborhood value set whose
@@ -165,7 +165,7 @@ struct FilterFixture {
       std::vector<double> prices;
       prices.reserve(f->num_rows);
       for (size_t r = 0; r < f->num_rows; ++r) {
-        prices.push_back(homes.value().ValueAt(r, price_col).AsDouble());
+        prices.push_back(homes.value().row(r)[price_col].AsDouble());
       }
 
       // Clustered and shuffled copies of the same rows.
@@ -193,17 +193,18 @@ struct FilterFixture {
                   shuffled_rows[static_cast<size_t>(
                       rng.Uniform(0, static_cast<int64_t>(r) - 1))]);
       }
+      Table sorted(schema);
+      AUTOCAT_CHECK(sorted.AppendRows(std::move(sorted_rows)).ok());
+      Table shuffled(schema);
+      AUTOCAT_CHECK(shuffled.AppendRows(std::move(shuffled_rows)).ok());
       AUTOCAT_CHECK(f->db
                         .RegisterTable(kLayoutTables[kClustered],
-                                       Table::FromValidatedRows(
-                                           schema, std::move(sorted_rows)))
+                                       std::move(sorted))
                         .ok());
-      AUTOCAT_CHECK(
-          f->db
-              .RegisterTable(kLayoutTables[kShuffled],
-                             Table::FromValidatedRows(
-                                 schema, std::move(shuffled_rows)))
-              .ok());
+      AUTOCAT_CHECK(f->db
+                        .RegisterTable(kLayoutTables[kShuffled],
+                                       std::move(shuffled))
+                        .ok());
       AUTOCAT_CHECK(f->db
                         .RegisterTable(kLayoutTables[kGenerator],
                                        std::move(homes).value())
@@ -259,8 +260,8 @@ struct FilterFixture {
           for (size_t r = 0; r < by_rows.value().num_rows(); ++r) {
             for (size_t col = 0;
                  col < by_rows.value().schema().num_columns(); ++col) {
-              AUTOCAT_CHECK(by_rows.value().ValueAt(r, col) ==
-                            by_cols.value().ValueAt(r, col));
+              AUTOCAT_CHECK(by_rows.value().CellValue(r, col) ==
+                            by_cols.value().CellValue(r, col));
             }
           }
           c.matching = by_rows.value().num_rows();
@@ -344,7 +345,7 @@ struct FilterFixture {
   }
 };
 
-// One benchmark body: execute the case end to end (filter + materialize)
+// One benchmark body: execute the case end to end (filter + result table)
 // on the row or the columnar arm, reporting ms/op, selectivity, and the
 // layout's zone-verdict fractions.
 void BM_Filter(benchmark::State& state, const std::string& mode,

@@ -4,7 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/cost_model.h"
@@ -115,7 +117,7 @@ void BM_PartitionNumeric(benchmark::State& state) {
   for (size_t i = 0; i < all.size(); ++i) {
     all[i] = i;
   }
-  NumericPartitionOptions options;
+  const CategorizerOptions options;
   const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
     auto parts = PartitionNumeric(view, all, "price",
@@ -146,10 +148,15 @@ BENCHMARK(BM_CostModelEvaluation)->Unit(benchmark::kMillisecond);
 void BM_SelectFullScan(benchmark::State& state) {
   MicroFixture& fixture = MicroFixture::Get();
   const Table& homes = fixture.env->homes();
+  Row scratch;
   for (auto _ : state) {
-    const auto rows = homes.FilterIndices([&](const Row& row) {
-      return fixture.query.MatchesRow(row, homes.schema());
-    });
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < homes.num_rows(); ++r) {
+      if (fixture.query.MatchesRow(homes.RowRef(r, &scratch),
+                                   homes.schema())) {
+        rows.push_back(r);
+      }
+    }
     benchmark::DoNotOptimize(rows.size());
   }
   state.counters["table_rows"] = static_cast<double>(homes.num_rows());
@@ -176,16 +183,18 @@ void BM_CategorizeBySize(benchmark::State& state) {
   const size_t rows =
       std::min<size_t>(static_cast<size_t>(state.range(0)),
                        fixture.result.num_rows());
-  std::vector<size_t> subset(rows);
+  std::vector<uint32_t> subset(rows);
   for (size_t i = 0; i < rows; ++i) {
-    subset[i] = i;
+    subset[i] = static_cast<uint32_t>(i);
   }
-  auto result = fixture.result.SelectRows(subset);
-  AUTOCAT_CHECK(result.ok());
+  auto view = TableView::Create(fixture.result, nullptr, std::move(subset),
+                                {});
+  AUTOCAT_CHECK(view.ok());
+  const Table result = view.value().AsTable();
   const CostBasedCategorizer categorizer(fixture.stats.get(),
                                          fixture.config.categorizer);
   for (auto _ : state) {
-    auto tree = categorizer.Categorize(result.value(), &fixture.query);
+    auto tree = categorizer.Categorize(result, &fixture.query);
     AUTOCAT_CHECK(tree.ok());
     benchmark::DoNotOptimize(tree->num_nodes());
   }

@@ -148,7 +148,7 @@ void BM_MapStart(benchmark::State& state) {
 }
 BENCHMARK(BM_MapStart)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-std::vector<Row> MaterializeRows(size_t n) {
+std::vector<Row> GenerateRows(size_t n) {
   const HomesGenerator generator = MakeGenerator(n);
   std::vector<Row> rows;
   rows.reserve(n);
@@ -164,7 +164,7 @@ std::vector<Row> MaterializeRows(size_t n) {
 }
 
 void BM_AppendRowsBulk(benchmark::State& state) {
-  const std::vector<Row> rows = MaterializeRows(AppendRows());
+  const std::vector<Row> rows = GenerateRows(AppendRows());
   const Result<Schema> schema = HomesGenerator::ListPropertySchema();
   AUTOCAT_CHECK(schema.ok());
   for (auto _ : state) {
@@ -180,7 +180,7 @@ void BM_AppendRowsBulk(benchmark::State& state) {
 BENCHMARK(BM_AppendRowsBulk)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_AppendRowPerRow(benchmark::State& state) {
-  const std::vector<Row> rows = MaterializeRows(AppendRows());
+  const std::vector<Row> rows = GenerateRows(AppendRows());
   const Result<Schema> schema = HomesGenerator::ListPropertySchema();
   AUTOCAT_CHECK(schema.ok());
   for (auto _ : state) {

@@ -8,7 +8,10 @@
 #include "core/categorizer.h"
 #include "core/cost_model.h"
 #include "core/probability.h"
+#include "exec/executor.h"
 #include "simgen/study.h"
+#include "sql/parser.h"
+#include "sql/selection.h"
 #include "storage/csv.h"
 
 namespace {
@@ -73,18 +76,19 @@ int Run() {
   }
 
   // Categorize a broad search: 3-bedroom homes under 400K anywhere.
-  SelectionProfile query;
-  NumericRange price;
-  price.hi = 400000;
-  query.Set("price", AttributeCondition::Range(price));
-  NumericRange beds;
-  beds.lo = 3;
-  beds.hi = 3;
-  query.Set("bedroomcount", AttributeCondition::Range(beds));
-  const auto matches = homes->FilterIndices([&](const Row& row) {
-    return query.MatchesRow(row, schema.value());
-  });
-  auto result = homes->SelectRows(matches);
+  auto sql = ParseQuery(
+      "SELECT * FROM ListProperty WHERE price <= 400000 AND "
+      "bedroomcount = 3");
+  if (!sql.ok()) {
+    return 1;
+  }
+  auto query = SelectionProfile::FromQuery(sql.value(), schema.value());
+  if (!query.ok()) {
+    return 1;
+  }
+  Database db;
+  db.PutTable("ListProperty", std::move(homes).value());
+  auto result = ExecuteQuery(sql.value(), db);
   if (!result.ok()) {
     return 1;
   }
@@ -92,7 +96,7 @@ int Run() {
 
   const CostBasedCategorizer categorizer(&stats.value(),
                                          config.categorizer);
-  auto tree = categorizer.Categorize(result.value(), &query);
+  auto tree = categorizer.Categorize(result.value(), &query.value());
   if (!tree.ok()) {
     std::fprintf(stderr, "categorize: %s\n",
                  tree.status().ToString().c_str());

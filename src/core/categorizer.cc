@@ -49,18 +49,6 @@ std::vector<std::string> CandidatesOf(const CategorizerOptions& options,
   return out;
 }
 
-// The cost-based numeric partitioning knobs from the categorizer options.
-NumericPartitionOptions NumericOptionsOf(const CategorizerOptions& options) {
-  NumericPartitionOptions numeric_options;
-  numeric_options.num_buckets = options.num_buckets;
-  numeric_options.max_tuples_per_category = options.max_tuples_per_category;
-  numeric_options.max_buckets = options.max_buckets;
-  numeric_options.min_bucket_tuples = options.min_bucket_tuples;
-  numeric_options.auto_buckets = options.auto_numeric_buckets;
-  numeric_options.goodness_fraction = options.goodness_fraction;
-  return numeric_options;
-}
-
 // What every technique's level loop reads. The partitioners read the
 // result through `view` (the codes and typed arrays of its shadow);
 // `index`, when non-null, supplies the level-1 orders. `baseline_rng`, when non-null, selects the baseline
@@ -159,8 +147,7 @@ Result<RunPlan> PlanRun(const LevelContext& ctx, const LevelAttribute& attr,
     const std::span<const KeyOrderEntry> run = order.run(slot);
     const NumericRange* query_range = QueryRangeFor(ctx.query, attr.name);
     if (ctx.baseline_rng == nullptr) {
-      plan.buckets = PlanNumericBuckets(attr.name, ctx.stats,
-                                        NumericOptionsOf(ctx.options),
+      plan.buckets = PlanNumericBuckets(attr.name, ctx.stats, ctx.options,
                                         query_range, order, run);
       return plan;
     }

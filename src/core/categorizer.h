@@ -25,12 +25,21 @@ struct CategorizerOptions {
   /// Attributes with NAttr(A)/N < x are discarded up front.
   double attribute_usage_threshold = 0.4;
 
-  /// Bucket-count controls for cost-based numeric partitioning.
-  size_t num_buckets = 0;  ///< Fixed m; 0 derives from M.
+  /// Bucket-count controls for cost-based numeric partitioning
+  /// (Section 5.1.3, `PlanNumericBuckets`).
+  /// Fixed bucket count m; 0 derives m = clamp(2*ceil(n / M), 2,
+  /// max_buckets) from the tuple count n.
+  size_t num_buckets = 0;
   size_t max_buckets = 10;
+  /// A split point is "unnecessary" (skipped) when an adjacent resulting
+  /// bucket would hold fewer than this many tuples.
   size_t min_bucket_tuples = 1;
-  /// Goodness-driven automatic bucket count (see
-  /// NumericPartitionOptions::auto_buckets).
+  /// When true (and num_buckets == 0), m is determined by the goodness
+  /// distribution instead (the paper: "the goodness metric may be used as
+  /// a basis for automatically determining m"): candidates are taken in
+  /// decreasing goodness while their goodness stays at least
+  /// `goodness_fraction` of the best candidate's, capped at
+  /// max_buckets - 1 split points.
   bool auto_numeric_buckets = false;
   double goodness_fraction = 0.3;
 
@@ -112,7 +121,7 @@ class CostBasedCategorizer final : public Categorizer {
   /// algorithm with the partitioners reading dictionary codes / typed
   /// arrays through `view`, which describes the same rows as `result`
   /// (view row i == result row i; `result` is the view as a table,
-  /// `AsTable` or `Materialize`, and holds the tuples the tree
+  /// `AsTable`, or a copy of its rows, and holds the tuples the tree
   /// references). `index`, when non-null, is a precomputed
   /// `ResultAttributeIndex` over `view`'s selection of its shadow (built by
   /// `RunColdPipeline`): its entries are the level-1 key orders of their

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -53,6 +54,30 @@ std::vector<PartitionCategory> BucketsFromBoundaries(
   return parts;
 }
 
+// The least and greatest non-NULL cells of column `col` under `Value`
+// order, the first seen winning ties. kNotFound when every cell is NULL.
+Result<std::pair<Value, Value>> CellExtremes(const Table& result,
+                                            size_t col) {
+  std::optional<std::pair<Value, Value>> extremes;
+  for (size_t r = 0; r < result.num_rows(); ++r) {
+    Value v = result.CellValue(r, col);
+    if (v.is_null()) {
+      continue;
+    }
+    if (!extremes.has_value()) {
+      extremes.emplace(v, v);
+      continue;
+    }
+    if (v < extremes->first) extremes->first = v;
+    if (v > extremes->second) extremes->second = std::move(v);
+  }
+  if (!extremes.has_value()) {
+    return Status::NotFound("column '" + result.schema().column(col).name +
+                            "' has no non-NULL values");
+  }
+  return *std::move(extremes);
+}
+
 void ConsiderCandidate(const CostModel& model, CategoryTree tree,
                        std::vector<std::string> order,
                        std::optional<EnumerationResult>* best) {
@@ -98,7 +123,7 @@ Result<EnumerationResult> EnumerateBestOneLevel(
       return Status::OK();
     }
     // Numeric: enumerate every subset of the candidate split points.
-    AUTOCAT_ASSIGN_OR_RETURN(const auto min_max, result.MinMax(col));
+    AUTOCAT_ASSIGN_OR_RETURN(const auto min_max, CellExtremes(result, col));
     double vmin = min_max.first.AsDouble();
     double vmax = min_max.second.AsDouble();
     if (query != nullptr) {

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "core/categorizer.h"
 
 namespace autocat {
 
@@ -222,7 +223,7 @@ size_t RankAtOrBelow(const AttributeOrder& order,
 
 std::vector<NumericBucket> PlanNumericBuckets(
     const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
+    const CategorizerOptions& options, const NumericRange* query_range,
     const AttributeOrder& order, std::span<const KeyOrderEntry> run) {
   std::vector<NumericBucket> out;
   if (run.empty()) {
@@ -264,7 +265,7 @@ std::vector<NumericBucket> PlanNumericBuckets(
 
   // In goodness-driven auto mode, only candidates comparable to the best
   // one qualify; the bucket count then follows from the data.
-  const bool auto_mode = options.num_buckets == 0 && options.auto_buckets;
+  const bool auto_mode = options.num_buckets == 0 && options.auto_numeric_buckets;
   const size_t goodness_floor =
       (auto_mode && !candidates.empty())
           ? static_cast<size_t>(options.goodness_fraction *
@@ -483,7 +484,7 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range) {
+    const CategorizerOptions& options, const NumericRange* query_range) {
   AUTOCAT_ASSIGN_OR_RETURN(
       const AttributeOrder order,
       NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));

@@ -16,33 +16,14 @@
 
 namespace autocat {
 
+struct CategorizerOptions;  // core/categorizer.h
+
 /// One category produced by a partitioner: its label and tset as row
 /// indices into the result table. Order within the returned vector is the
 /// presentation order.
 struct PartitionCategory {
   CategoryLabel label;
   std::vector<size_t> tuples;
-};
-
-/// Options for cost-based numeric partitioning (Section 5.1.3).
-struct NumericPartitionOptions {
-  /// Fixed bucket count m; 0 derives m = clamp(2*ceil(n / M), 2,
-  /// max_buckets) from the tuple count n.
-  size_t num_buckets = 0;
-  /// M, the per-category tuple budget used to derive m.
-  size_t max_tuples_per_category = 20;
-  size_t max_buckets = 10;
-  /// A split point is "unnecessary" (skipped) when an adjacent resulting
-  /// bucket would hold fewer than this many tuples.
-  size_t min_bucket_tuples = 1;
-  /// When true (and num_buckets == 0), m is determined by the goodness
-  /// distribution instead (the paper: "the goodness metric may be used as
-  /// a basis for automatically determining m"): candidates are taken in
-  /// decreasing goodness while their goodness stays at least
-  /// `goodness_fraction` of the best candidate's, capped at
-  /// max_buckets - 1 split points.
-  bool auto_buckets = false;
-  double goodness_fraction = 0.3;
 };
 
 /// One attribute's key order over a set of view rows, split into
@@ -128,9 +109,10 @@ struct NumericBucket {
 /// query's selection condition; otherwise the run's values define the
 /// range. Counts are rank differences, one binary search per split point
 /// the greedy selection visits. `run` is a run of numeric `order`.
+/// Of `options` it reads M and the numeric bucket-count fields.
 std::vector<NumericBucket> PlanNumericBuckets(
     const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
+    const CategorizerOptions& options, const NumericRange* query_range,
     const AttributeOrder& order, std::span<const KeyOrderEntry> run);
 
 /// Section 6.1 equi-width buckets over one numeric run (see
@@ -198,7 +180,7 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range);
+    const CategorizerOptions& options, const NumericRange* query_range);
 
 /// Baseline categorical partitioning (Section 6.1, 'No cost'):
 /// single-value categories in arbitrary order — value order, shuffled when

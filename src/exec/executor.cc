@@ -96,13 +96,16 @@ Result<std::vector<size_t>> FilterTable(const Table& table,
 
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db) {
   AUTOCAT_ASSIGN_OR_RETURN(const Table* table, db.GetTable(query.table_name));
+  AUTOCAT_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarTable> shadow,
+                           db.ColumnarFor(query.table_name));
   AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
                            FilterTable(*table, query.where.get()));
-  AUTOCAT_ASSIGN_OR_RETURN(Table selected, table->SelectRows(indices));
-  if (query.select_all()) {
-    return selected;
-  }
-  return selected.Project(query.columns);
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(*table, std::move(shadow),
+                        std::vector<uint32_t>(indices.begin(), indices.end()),
+                        query.columns));
+  return view.AsTable();
 }
 
 Result<Table> ExecuteSql(std::string_view sql, const Database& db) {

@@ -69,10 +69,13 @@ class Database {
 
 /// Executes a parsed selection/projection query against `db`: scans the
 /// FROM table, keeps rows matching the WHERE clause with the exact
-/// row-at-a-time evaluator (FilterTable), then projects the select list
-/// (SelectRows -> Project). Returns the result relation, or the first
-/// error a row's evaluation raises (an unknown column, or a string
-/// compared with a number).
+/// row-at-a-time evaluator (FilterTable), then projects the select list.
+/// Returns the result relation as a selection over the table's shadow
+/// (`TableView::AsTable` over `ColumnarFor`), in row order, or the first
+/// error: an unknown table (kNotFound), a table too large for a shadow
+/// (kNotSupported), a row's evaluation error (an unknown column, or a
+/// string compared with a number), or an unknown or duplicate select-list
+/// column.
 Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db);
 
 /// Parses and executes an SQL string.

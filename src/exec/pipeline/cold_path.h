@@ -54,9 +54,8 @@ struct ColdPipelineTimings {
 /// Everything the cold serve path needs from the base relation. `result`
 /// is the late-materialized result: the selection and projection over
 /// the predicate's shared shadow (`TableView::AsTable`), so no cell is
-/// copied and every `Table` method answers on it what it answers on
-/// `TableView::Materialize` of the same view. Row i is selection position
-/// i. The cache charges it `ApproxTableBytes(result)`: the shadow is not
+/// copied; its cells are bit-identical to the base rows it selects, as
+/// `ExecuteQuery` returns them. Row i is selection position i. The cache charges it `ApproxTableBytes(result)`: the shadow is not
 /// charged, because it belongs to the `Database` while its table version
 /// is live.
 struct ColdPipelineResult {

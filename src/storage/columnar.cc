@@ -134,7 +134,17 @@ Value ColumnarTable::Column::CellValue(size_t row) const {
 
 ColumnarTable ColumnarTable::Build(const Table& table) {
   if (!table.has_rows()) {
-    return Build(TableView::All(table, nullptr).Materialize());
+    // A column-backed table (a selection, typically): gather its rows
+    // into a builder first, so the shadow is compact. RowRef synthesizes
+    // each row into its scratch, here the row's own slot. The append
+    // fails only on a cell its declared column type cannot hold.
+    std::vector<Row> rows(table.num_rows());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      (void)table.RowRef(r, &rows[r]);
+    }
+    Table builder(table.schema());
+    AUTOCAT_CHECK(builder.AppendRows(std::move(rows)).ok());
+    return Build(builder);
   }
   const size_t n = table.num_rows();
   const size_t words = (n + 63) / 64;
@@ -164,7 +174,7 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
       // std::string order equals Value string order.
       std::map<std::string_view, uint32_t> dict_map;
       for (size_t r = 0; r < n; ++r) {
-        const Value& v = table.ValueAt(r, c);
+        const Value& v = table.row(r)[c];
         if (v.is_null()) {
           col.owned_null_words[r >> 6] |= uint64_t{1} << (r & 63);
           ++col.null_count;
@@ -182,7 +192,7 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
       const size_t dict_size = col.dict.size();
       col.posting_offsets.assign(dict_size + 1, 0);
       for (size_t r = 0; r < n; ++r) {
-        const Value& v = table.ValueAt(r, c);
+        const Value& v = table.row(r)[c];
         if (!v.is_null()) {
           const uint32_t code = dict_map.find(v.string_value())->second;
           col.owned_codes[r] = code;
@@ -211,7 +221,7 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
       continue;
     }
     for (size_t r = 0; r < n; ++r) {
-      const Value& v = table.ValueAt(r, c);
+      const Value& v = table.row(r)[c];
       if (v.is_null()) {
         col.owned_null_words[r >> 6] |= uint64_t{1} << (r & 63);
         ++col.null_count;
@@ -294,7 +304,7 @@ Result<TableView> TableView::Create(
     AUTOCAT_ASSIGN_OR_RETURN(view.schema_, Schema::Create(std::move(cols)));
   }
   if (base.has_rows()) {
-    // A row-store base: its shadow's coordinates are its own.
+    // A builder base: its shadow's coordinates are its own.
     view.columnar_ =
         std::make_shared<const ColumnarTable>(ColumnarTable::Build(base));
   } else {
@@ -309,20 +319,6 @@ Result<TableView> TableView::Create(
   }
   view.rows_ = std::move(rows);
   return view;
-}
-
-Table TableView::Materialize() const {
-  Table out(schema_);
-  out.rows_.reserve(rows_.size());
-  for (const uint32_t r : rows_) {
-    Row projected;
-    projected.reserve(projection_.size());
-    for (const size_t c : projection_) {
-      projected.push_back(columnar_->column(c).CellValue(r));
-    }
-    out.rows_.push_back(std::move(projected));
-  }
-  return out;
 }
 
 Table TableView::AsTable() const {

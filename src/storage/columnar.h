@@ -80,7 +80,7 @@ class ColumnSpan {
 /// by (storage/attr_index.h).
 ///
 /// Two constructions exist:
-///  - `Build` derives an in-memory shadow of a row-store `Table`
+///  - `Build` derives an in-memory shadow of a builder `Table`
 ///    (`Database` installs each table it registers or puts as
 ///    `Table::FromColumnar` over one, and `ColumnarFor` returns it);
 ///  - `FromColumns` wraps columns whose spans point at externally owned
@@ -179,11 +179,12 @@ class ColumnarTable {
   /// (`Table::FromColumnar`) must declare the same kinds.
   /// Requires `table.num_rows() <= UINT32_MAX`
   /// (callers gate; selection vectors are 32-bit). A column-backed
-  /// `table` (one with a selection, typically) is gathered into rows
-  /// first, so the result is compact. Aborts on a cell that
-  /// is neither NULL nor the column's declared type: `Table::AppendRow`
-  /// coerces, so only rows handed to `Table::FromValidatedRows` in breach
-  /// of its precondition can carry one.
+  /// `table` (one with a selection, typically) is gathered into a builder
+  /// first, so the result is compact. Aborts on a cell that is neither
+  /// NULL nor the column's declared type: a builder's appends coerce, so
+  /// only a column-backed table whose schema misdeclares its backing's
+  /// types (a breach of `Table::FromColumnar`'s precondition) can carry
+  /// one.
   static ColumnarTable Build(const Table& table);
 
   /// Wraps externally built columns (the segment store's open path).
@@ -209,8 +210,8 @@ class ColumnarTable {
 /// into `columnar()`. This is the result representation on the cold
 /// categorization path — the filter kernels emit the selection,
 /// partitioners/stats/ranking read cells through the view's columns, and
-/// `AsTable()` wraps it as the served result table without copying a
-/// cell (`Materialize()` gathers an owned row-store copy instead).
+/// `AsTable()` wraps it as the result table without copying a cell (the
+/// cold path, the service and `ExecuteQuery` all answer with one).
 ///
 /// Every view has a `columnar()`. Over a column-backed base it is the
 /// base's backing, and the base's selection and projection are composed
@@ -219,9 +220,8 @@ class ColumnarTable {
 /// view builds the base's shadow once and owns it; its coordinates are
 /// then the base's own. Either way the view shares its columnar form and
 /// does not borrow the base, which may be destroyed or replaced while the
-/// view is live. View row i of `AsTable()` and `Materialize()` is view
-/// row i, so tuple indices computed through the view index either table
-/// directly.
+/// view is live. Row i of `AsTable()` is view row i, so tuple indices
+/// computed through the view index that table directly.
 class TableView {
  public:
   TableView() = default;
@@ -232,10 +232,11 @@ class TableView {
                        std::shared_ptr<const ColumnarTable> columnar);
 
   /// A view of the base rows listed in `rows` (in that order) projected to
-  /// `columns` (in that order; empty = all columns). Errors mirror
-  /// `Table::Project` (unknown / duplicate column) and `Table::SelectRows`
-  /// (row index out of range); a `columnar` that is neither null nor the
-  /// base's backing is kInvalidArgument.
+  /// `columns` (in that order; empty = all columns). Errors: an unknown
+  /// column is kNotFound and a duplicate one kAlreadyExists (as
+  /// `Schema` answers), a row index out of range kOutOfRange, and a
+  /// `columnar` that is neither null nor the base's backing
+  /// kInvalidArgument.
   static Result<TableView> Create(
       const Table& base, std::shared_ptr<const ColumnarTable> columnar,
       std::vector<uint32_t> rows, const std::vector<std::string>& columns);
@@ -254,15 +255,10 @@ class TableView {
   size_t base_column(size_t col) const { return projection_[col]; }
   const std::vector<uint32_t>& selection() const { return rows_; }
 
-  /// Copies the view into an owned row-store table, each cell
-  /// synthesized from the columnar arrays (bit-identical to the cell the
-  /// column was built from).
-  Table Materialize() const;
-
   /// The view as an immutable column-backed table over `columnar()`,
   /// which it shares: the selection and projection are copied, no cell
-  /// is. Every `Table` method answers on it what it answers on
-  /// `Materialize()`. Requires a non-null `columnar()`.
+  /// is. Its cells are bit-identical to the cells the shadow was built
+  /// from. Requires a non-null `columnar()`.
   Table AsTable() const;
 
  private:

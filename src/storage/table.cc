@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "storage/columnar.h"
@@ -65,29 +64,11 @@ Table Table::FromColumnar(Schema schema,
   return out;
 }
 
-Table Table::FromValidatedRows(Schema schema, std::vector<Row> rows) {
-  Table out(std::move(schema));
-  out.rows_ = std::move(rows);
-  return out;
-}
-
 Value Table::CellValue(size_t row, size_t col) const {
   if (columnar_ == nullptr) {
     return rows_[row][col];
   }
   return columnar_->column(projection_[col]).CellValue(BackingRow(row));
-}
-
-Row Table::CopyRow(size_t i) const {
-  if (columnar_ == nullptr) {
-    return rows_[i];
-  }
-  Row out;
-  out.reserve(num_columns());
-  for (size_t c = 0; c < num_columns(); ++c) {
-    out.push_back(CellValue(i, c));
-  }
-  return out;
 }
 
 const Row& Table::RowRef(size_t i, Row* scratch) const {
@@ -126,159 +107,6 @@ Status Table::AppendRows(std::vector<Row> rows) {
     rows_.push_back(std::move(row));
   }
   return Status::OK();
-}
-
-Result<Table> Table::SelectRows(const std::vector<size_t>& indices) const {
-  Table out(schema_);
-  out.Reserve(indices.size());
-  const size_t n = num_rows();
-  for (size_t idx : indices) {
-    if (idx >= n) {
-      return Status::OutOfRange("row index " + std::to_string(idx) +
-                                " out of range");
-    }
-    out.rows_.push_back(CopyRow(idx));
-  }
-  return out;
-}
-
-std::vector<size_t> Table::FilterIndices(
-    const std::function<bool(const Row&)>& pred) const {
-  const size_t n = num_rows();
-  std::vector<size_t> out;
-  // Heuristic: most filters on this path are selective; a quarter of the
-  // table avoids the early doubling reallocations without ballooning
-  // memory when only a handful of rows match.
-  out.reserve(n / 4 + 16);
-  Row scratch;
-  for (size_t i = 0; i < n; ++i) {
-    if (pred(RowRef(i, &scratch))) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
-Result<Table> Table::Project(
-    const std::vector<std::string>& column_names) const {
-  std::vector<ColumnDef> cols;
-  std::vector<size_t> src_indices;
-  cols.reserve(column_names.size());
-  for (const std::string& name : column_names) {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t idx, schema_.ColumnIndex(name));
-    cols.push_back(schema_.column(idx));
-    src_indices.push_back(idx);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(cols)));
-  const size_t n = num_rows();
-  Table out(std::move(out_schema));
-  out.Reserve(n);
-  if (columnar_ != nullptr) {
-    for (size_t r = 0; r < n; ++r) {
-      Row projected;
-      projected.reserve(src_indices.size());
-      for (const size_t c : src_indices) {
-        projected.push_back(CellValue(r, c));
-      }
-      out.rows_.push_back(std::move(projected));
-    }
-    return out;
-  }
-  // Identity projection: every column in schema order — the rows can be
-  // copied whole instead of cell by cell.
-  const bool identity =
-      src_indices.size() == schema_.num_columns() &&
-      [&src_indices] {
-        for (size_t c = 0; c < src_indices.size(); ++c) {
-          if (src_indices[c] != c) {
-            return false;
-          }
-        }
-        return true;
-      }();
-  if (identity) {
-    out.rows_ = rows_;
-    return out;
-  }
-  for (const Row& r : rows_) {
-    Row projected(src_indices.size());
-    for (size_t c = 0; c < src_indices.size(); ++c) {
-      projected[c] = r[src_indices[c]];
-    }
-    out.rows_.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<std::vector<Value>> Table::DistinctValues(size_t col) const {
-  if (col >= schema_.num_columns()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  if (columnar_ != nullptr) {
-    const ColumnarTable::Column& cc = columnar_->column(projection_[col]);
-    if (cc.type == ValueType::kString && !selected_) {
-      // The dictionary IS the sorted distinct non-NULL value set of the
-      // whole backing (a selection may hold only some of it).
-      std::vector<Value> out;
-      out.reserve(cc.dict.size());
-      for (const std::string& s : cc.dict) {
-        out.emplace_back(s);
-      }
-      return out;
-    }
-    std::set<Value> distinct;
-    const size_t n = num_rows();
-    for (size_t r = 0; r < n; ++r) {
-      Value v = CellValue(r, col);
-      if (!v.is_null()) {
-        distinct.insert(std::move(v));
-      }
-    }
-    return std::vector<Value>(distinct.begin(), distinct.end());
-  }
-  std::set<Value> distinct;
-  for (const Row& r : rows_) {
-    if (!r[col].is_null()) {
-      distinct.insert(r[col]);
-    }
-  }
-  return std::vector<Value>(distinct.begin(), distinct.end());
-}
-
-Result<std::pair<Value, Value>> Table::MinMax(size_t col) const {
-  if (col >= schema_.num_columns()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  bool seen = false;
-  Value min_v;
-  Value max_v;
-  const size_t n = num_rows();
-  for (size_t r = 0; r < n; ++r) {
-    Value owned;
-    const Value* v;
-    if (columnar_ == nullptr) {
-      v = &rows_[r][col];
-    } else {
-      owned = CellValue(r, col);
-      v = &owned;
-    }
-    if (v->is_null()) {
-      continue;
-    }
-    if (!seen) {
-      min_v = *v;
-      max_v = *v;
-      seen = true;
-    } else {
-      if (*v < min_v) min_v = *v;
-      if (*v > max_v) max_v = *v;
-    }
-  }
-  if (!seen) {
-    return Status::NotFound("column '" + schema_.column(col).name +
-                            "' has no non-NULL values");
-  }
-  return std::make_pair(min_v, max_v);
 }
 
 std::string Table::ToString(size_t max_rows) const {
@@ -342,9 +170,9 @@ size_t ApproxTableBytes(const Table& table) {
     const size_t selected = table.has_selection() ? table.num_rows() : 0;
     return bytes + sizeof(uint32_t) * (selected + table.num_columns());
   }
-  for (const Row& row : table.rows()) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
     bytes += sizeof(Row);
-    for (const Value& v : row) {
+    for (const Value& v : table.row(r)) {
       bytes += ApproxValueBytes(v);
     }
   }

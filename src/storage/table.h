@@ -2,7 +2,6 @@
 #define AUTOCAT_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,36 +26,27 @@ using Row = std::vector<Value>;
 /// both accept exactly the same rows.
 Status CoerceRowToSchema(Row* row, const Schema& schema);
 
-/// An in-memory relation.
-///
-/// `Table` is the substrate every other module operates on: the base
-/// `ListProperty` relation, query result sets, and the workload count
-/// tables (AttributeUsageCounts / OccurrenceCounts / SplitPoints) are all
-/// `Table`s. Appends validate arity and cell types against the schema and
-/// coerce int64 into double columns (and vice versa when lossless), so a
-/// stored column is always homogeneous.
-///
-/// A table comes in one of two storage modes:
-///  - **row-backed** (the default): the builder. Cells live in `rows_`,
-///    appends are allowed, and `row()` / `rows()` / `ValueAt()` hand out
-///    references. The generator, the CSV reader, the count tables and
-///    query-operator results are row-backed, and `ColumnarTable::Build`
-///    reads them.
-///  - **column-backed**: the cells live in a shared, immutable
+/// An in-memory relation, in one of two roles:
+///  - **builder** (row-backed, the default): `Table(schema)`, then
+///    `AppendRow(s)` / `Reserve`. Appends validate arity and cell types
+///    against the schema and coerce int64 into double columns (and vice
+///    versa when lossless), so a stored column is always homogeneous. The
+///    generator, the CSV reader and the workload count tables build
+///    tables this way, and `ColumnarTable::Build` reads them into a
+///    shadow through `row()`. Outside the library only perfbench's input
+///    generator reads builder rows.
+///  - **column-backed relation**: the cells live in a shared, immutable
 ///    `ColumnarTable` and no row vectors exist at all. Table row r is
 ///    backing row `selection[r]` and table column c is backing column
 ///    `projection[c]`. `FromColumnar` wraps a whole relation (the maps
 ///    are the identity): every table a `Database` holds is one, over a
 ///    built shadow or a mapped segment store. `TableView::AsTable` wraps
-///    a view's rows and columns of a shadow (the late-materialized
-///    cold-path result: the maps are the view's). The table is
-///    immutable, `row()` / `rows()` / `ValueAt()` must not be called
-///    (`has_rows()` is false; debug builds check), and row-shaped
-///    consumers go through `RowRef` / `CopyRow` / `CellValue`, which
-///    synthesize owned cells through the maps on demand.
-/// All query operators (`SelectRows`, `FilterIndices`, `Project`,
-/// `DistinctValues`, `MinMax`, `ToString`) work in both modes, answer
-/// alike for equal cells, and always produce row-backed results.
+///    a view's rows and columns of a shadow: every query result
+///    (`ExecuteQuery`, the cold path, the service) is one. The table is
+///    immutable, `row()` must not be called (`has_rows()` is false; debug
+///    builds check).
+/// Either role is read through `CellValue`, `RowRef` and `ToString`,
+/// which answer alike for equal cells.
 class Table {
  public:
   Table() = default;
@@ -75,14 +65,6 @@ class Table {
   static Table FromColumnar(Schema schema,
                             std::shared_ptr<const ColumnarTable> columnar);
 
-  /// Builds a row-backed table from rows that already conform to `schema`
-  /// — every cell a copy of a cell validated against the same declared
-  /// column types. Skips the per-cell validation/coercion of
-  /// `AppendRows`; passing rows that were not gathered from a
-  /// schema-matching table breaks the homogeneity invariant, and
-  /// `ColumnarTable::Build` aborts on the result.
-  static Table FromValidatedRows(Schema schema, std::vector<Row> rows);
-
   const Schema& schema() const { return schema_; }
   size_t num_rows() const {
     return columnar_ == nullptr ? rows_.size() : columnar_rows_;
@@ -90,7 +72,8 @@ class Table {
   size_t num_columns() const { return schema_.num_columns(); }
   bool empty() const { return num_rows() == 0; }
 
-  /// True when cells are stored as rows (references below are valid).
+  /// True for a builder: its cells are stored as rows and `row()` is
+  /// valid.
   bool has_rows() const { return columnar_ == nullptr; }
   /// True for a column-backed table that reads its backing through a row
   /// selection (`TableView::AsTable`); false for row-backed tables and for
@@ -103,27 +86,15 @@ class Table {
     return columnar_;
   }
 
+  /// Builder row `i`. Row-backed only.
   const Row& row(size_t i) const {
     AUTOCAT_DCHECK(has_rows());
     return rows_[i];
-  }
-  const std::vector<Row>& rows() const {
-    AUTOCAT_DCHECK(has_rows());
-    return rows_;
-  }
-
-  /// Cell accessor; bounds unchecked in release builds. Row-backed only.
-  const Value& ValueAt(size_t row, size_t col) const {
-    AUTOCAT_DCHECK(has_rows());
-    return rows_[row][col];
   }
 
   /// Mode-independent cell accessor: returns an owned copy, synthesized
   /// from the columnar arrays when column-backed.
   Value CellValue(size_t row, size_t col) const;
-
-  /// Mode-independent row accessor: an owned copy of row `i`.
-  Row CopyRow(size_t i) const;
 
   /// Mode-independent row reference: row `i` itself when row-backed,
   /// otherwise row `i` synthesized into `*scratch` (which the returned
@@ -149,37 +120,13 @@ class Table {
     }
   }
 
-  /// Returns a table with the same schema containing the rows at `indices`
-  /// (in the given order). Indices must be in range.
-  Result<Table> SelectRows(const std::vector<size_t>& indices) const;
-
-  /// Returns indices of the rows for which `pred` is true. On
-  /// column-backed tables each candidate row is synthesized for the
-  /// predicate (the columnar kernels are the fast path; this is the
-  /// semantic fallback).
-  std::vector<size_t> FilterIndices(
-      const std::function<bool(const Row&)>& pred) const;
-
-  /// Returns a table with only the named columns, in the given order.
-  Result<Table> Project(const std::vector<std::string>& column_names) const;
-
-  /// Sorted distinct non-NULL values of column `col`. String columns of
-  /// a `FromColumnar` table answer straight from the sorted dictionary (a
-  /// selection may hold only some of its values).
-  Result<std::vector<Value>> DistinctValues(size_t col) const;
-
-  /// Min and max of the non-NULL values in column `col`. Errors if the
-  /// column has no non-NULL values.
-  Result<std::pair<Value, Value>> MinMax(size_t col) const;
-
   /// Renders up to `max_rows` rows as an aligned ASCII table (for examples
   /// and debugging).
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  // TableView::Materialize fills rows_ directly (one pass, no per-cell
-  // Status plumbing), TableView::Create composes the column-backed maps,
-  // and TableView::AsTable sets them; see storage/columnar.h.
+  // TableView::Create composes the column-backed maps and
+  // TableView::AsTable sets them; see storage/columnar.h.
   friend class TableView;
 
   // Column-backed mode: the backing row of table row `row`.

@@ -481,7 +481,7 @@ void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
 
 // A cold-pipeline result over the shadow: the result (a selection over
 // the shadow), its attribute index, the view it was selected through, and
-// the same rows materialized as a row-store table.
+// the same rows copied into a builder table (`SelectProjectRows`).
 struct ShadowResult {
   Table result;
   ResultAttributeIndex index;
@@ -504,9 +504,13 @@ ShadowResult RunPipeline(const Table& base, const std::string& sql,
   EXPECT_TRUE(piped.ok()) << sql << ": " << piped.status().ToString();
   auto view = TableView::Create(base, nullptr, piped->selection, columns);
   EXPECT_TRUE(view.ok()) << sql;
-  Table rows = view->Materialize();
+  auto rows = SelectProjectRows(
+      base,
+      std::vector<size_t>(piped->selection.begin(), piped->selection.end()),
+      columns);
+  EXPECT_TRUE(rows.ok()) << sql;
   return ShadowResult{std::move(piped->result), std::move(piped->attr_index),
-                      std::move(view).value(), std::move(rows)};
+                      std::move(view).value(), std::move(rows).value()};
 }
 
 CategorizerOptions RunsOptions(size_t max_tuples) {
@@ -760,8 +764,6 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
   const TableView of_rows = TableView::All(rows_, nullptr);
   const TableView columnar = TableView::All(*base_, nullptr);
   const CategorizerOptions options = RunsOptions(20);
-  NumericPartitionOptions numeric_options;
-  numeric_options.max_tuples_per_category = 20;
   Random rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<size_t> tuples;
@@ -794,7 +796,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
         const RefContext cost_ctx{rows_, *stats_, options, nullptr, nullptr};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto got, PartitionNumeric(*view, tuples, attr, *stats_,
-                                             numeric_options, nullptr));
+                                             options, nullptr));
         equiv::ExpectPartitionsIdentical(RefPartition(cost_ctx, tuples, attr),
                                          got, context + " " + attr);
         const double width = options.equiwidth_interval_multiplier *
@@ -832,7 +834,7 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
     std::vector<size_t> expected;
     for (size_t r = 0; r < rows_.num_rows(); ++r) {
       if (slot_of_row[r] == static_cast<int32_t>(s) &&
-          !rows_.ValueAt(r, col).is_null()) {
+          !rows_.CellValue(r, col).is_null()) {
         expected.push_back(r);
       }
     }
@@ -843,7 +845,7 @@ TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
         EXPECT_LT(run[i - 1], run[i]) << "run " << s << " entry " << i;
       }
       EXPECT_TRUE(BitIdentical(order.key_value(run[i].first),
-                               rows_.ValueAt(run[i].second, col)));
+                               rows_.CellValue(run[i].second, col)));
     }
   }
 }

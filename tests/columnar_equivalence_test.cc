@@ -227,18 +227,25 @@ TEST(ColumnarEquivalenceTest, NanValueSetMemberCompilesAsMatchAll) {
   }
 }
 
-// Columns are typed by construction; only a caller breaking
-// Table::FromValidatedRows's precondition can hand ColumnarTable::Build a
-// mixed-type column, and Build refuses to shadow it.
+// Columns are typed by construction; only a column-backed table whose
+// schema misdeclares its backing's types, against
+// Table::FromColumnar's precondition, can hand ColumnarTable::Build a
+// mistyped cell, and Build refuses to shadow it.
 TEST(ColumnarEquivalenceDeathTest, MixedTypeColumnDiesInBuild) {
   const Table typed = MakeHomes(40, 9, 0.0, false);
-  std::vector<Row> rows;
-  for (size_t r = 0; r < typed.num_rows(); ++r) {
-    rows.push_back(typed.row(r));
+  std::vector<ColumnDef> defs;
+  for (size_t c = 0; c < typed.num_columns(); ++c) {
+    defs.push_back(typed.schema().column(c));
   }
-  rows[5][0] = Value(int64_t{7});  // an int64 cell in `neighborhood`
-  const Table mixed = Table::FromValidatedRows(FuzzSchema(), std::move(rows));
-  EXPECT_DEATH((void)ColumnarTable::Build(mixed),
+  // The int64 `bedroomcount` cells read as a string column's.
+  const size_t beds = typed.schema().ColumnIndex("bedroomcount").value();
+  defs[beds] = ColumnDef("bedroomcount", ValueType::kString,
+                         ColumnKind::kCategorical);
+  auto schema = Schema::Create(std::move(defs));
+  ASSERT_TRUE(schema.ok());
+  const Table mistyped =
+      Table::FromColumnar(std::move(schema).value(), ShadowOf(typed));
+  EXPECT_DEATH((void)ColumnarTable::Build(mistyped),
                "columnar\\.cc.*AUTOCAT_CHECK failed");
 }
 
@@ -249,7 +256,7 @@ struct ViewFixture {
   Database db;
   std::shared_ptr<const ColumnarTable> shadow;
   TableView view;       // filtered + projected
-  Table materialized;   // view.Materialize()
+  Table materialized;   // SelectProjectRows of the view's rows of `table`
   std::vector<size_t> all_tuples;
 
   explicit ViewFixture(bool projected)
@@ -266,33 +273,38 @@ struct ViewFixture {
         projected ? std::vector<std::string>{"neighborhood", "price",
                                              "bedroomcount", "yearbuilt"}
                   : std::vector<std::string>{};
+    auto copy = SelectProjectRows(
+        table, std::vector<size_t>(rows.begin(), rows.end()), columns);
+    EXPECT_TRUE(copy.ok());
+    materialized = std::move(copy).value();
     auto view_or =
         TableView::Create(*db.GetTable("homes").value(), shadow,
                           std::move(rows), columns);
     EXPECT_TRUE(view_or.ok());
     view = std::move(view_or).value();
-    materialized = view.Materialize();
     for (size_t i = 0; i < view.num_rows(); ++i) {
       all_tuples.push_back(i);
     }
   }
 };
 
-TEST(ColumnarEquivalenceTest, ViewMaterializeMatchesSelectRowsProject) {
+// The view as a table reads, without copying a cell, exactly the builder
+// rows it selects, in selection order and projection order.
+TEST(ColumnarEquivalenceTest, ViewAsTableMatchesTheBuilderRows) {
   const ViewFixture f(true);
   std::vector<size_t> rows;
   for (size_t r = 0; r < f.table.num_rows(); r += 2) {
     rows.push_back(r);
   }
-  AUTOCAT_ASSERT_OK_AND_MOVE(Table selected, f.table.SelectRows(rows));
   AUTOCAT_ASSERT_OK_AND_MOVE(
-      Table expected,
-      selected.Project({"neighborhood", "price", "bedroomcount",
-                        "yearbuilt"}));
-  ExpectTablesBitIdentical(expected, f.materialized,
-                           "view materialization");
-  // The view as a table reads the same cells without materializing.
-  ExpectTablesBitIdentical(expected, f.view.AsTable(), "view as a table");
+      const Table expected,
+      SelectProjectRows(f.table, rows,
+                        {"neighborhood", "price", "bedroomcount",
+                         "yearbuilt"}));
+  const Table as_table = f.view.AsTable();
+  EXPECT_TRUE(as_table.has_selection());
+  EXPECT_EQ(as_table.columnar_backing(), f.shadow);
+  ExpectTablesBitIdentical(expected, as_table, "view as a table");
 }
 
 // Rank codes: a built shadow keys every int64 and double row by its
@@ -352,7 +364,7 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
     ASSERT_EQ(column.codes.size(), rows.num_rows()) << name;
     std::vector<size_t> keyed;
     for (size_t r = 0; r < rows.num_rows(); ++r) {
-      const Value& v = rows.ValueAt(r, c);
+      const Value& v = rows.row(r)[c];
       if (v.is_null() || (v.is_double() && std::isnan(v.double_value()))) {
         EXPECT_EQ(column.codes[r], kNoKey) << name << " row " << r;
       } else {
@@ -363,8 +375,8 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
     // Code order is value order, and equal codes are equal values.
     for (const size_t a : keyed) {
       for (const size_t b : keyed) {
-        const Value& va = rows.ValueAt(a, c);
-        const Value& vb = rows.ValueAt(b, c);
+        const Value& va = rows.row(a)[c];
+        const Value& vb = rows.row(b)[c];
         ASSERT_EQ(column.codes[a] < column.codes[b], less(va, vb))
             << name << " rows " << a << ", " << b;
       }
@@ -375,7 +387,7 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
     std::vector<Value> values;
     for (const size_t r : keyed) {
       codes.insert(column.codes[r]);
-      values.push_back(rows.ValueAt(r, c));
+      values.push_back(rows.row(r)[c]);
     }
     std::sort(values.begin(), values.end(), less);
     for (size_t i = 0; i < values.size(); ++i) {
@@ -388,7 +400,7 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
   // categorical one; -0.0 and 0.0 share a code under either kind.
   const auto code_of = [&](size_t c, const Value& v) {
     for (size_t r = 0; r < rows.num_rows(); ++r) {
-      if (BitIdentical(rows.ValueAt(r, c), v)) {
+      if (BitIdentical(rows.row(r)[c], v)) {
         return shadow.column(c).codes[r];
       }
     }
@@ -416,7 +428,12 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
   const Table selection = view.AsTable();
   ASSERT_TRUE(selection.has_selection());
   const ColumnarTable from_selection = ColumnarTable::Build(selection);
-  const ColumnarTable from_rows = ColumnarTable::Build(view.Materialize());
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const Table gathered,
+      SelectProjectRows(rows,
+                        std::vector<size_t>(picked.begin(), picked.end()),
+                        {}));
+  const ColumnarTable from_rows = ColumnarTable::Build(gathered);
   ASSERT_EQ(from_selection.num_rows(), picked.size());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const ColumnSpan<uint32_t>& a = from_selection.column(c).codes;
@@ -466,7 +483,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
     for (const std::string attr : {"neighborhood", "price"}) {
       const bool numeric = attr == "price";
       if (numeric) {
-        NumericPartitionOptions options;
+        const CategorizerOptions options;
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_table,
             PartitionNumeric(compact, f.all_tuples, attr, stats,
@@ -545,14 +562,14 @@ TEST(ColumnarEquivalenceTest, NumericPartitionsPlaceNoNaNCell) {
       EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
       for (const PartitionCategory& part : parts) {
         for (const size_t t : part.tuples) {
-          EXPECT_TRUE(part.label.Matches(table.ValueAt(t, col)))
+          EXPECT_TRUE(part.label.Matches(table.CellValue(t, col)))
               << context << ": tuple " << t << " ("
-              << table.ValueAt(t, col).ToString() << ") outside "
+              << table.CellValue(t, col).ToString() << ") outside "
               << part.label.ToString();
         }
       }
     };
-    NumericPartitionOptions options;
+    const CategorizerOptions options;
     AUTOCAT_ASSERT_OK_AND_MOVE(
         auto cost_rows,
         PartitionNumeric(of_rows, all_tuples, attr, stats, options, nullptr));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "common/random.h"
@@ -13,6 +14,7 @@
 #include "core/cost_model.h"
 #include "core/enumerate.h"
 #include "core/probability.h"
+#include "storage/columnar.h"
 #include "test_util.h"
 
 namespace autocat {
@@ -84,7 +86,7 @@ void ExpectValidTree(const CategoryTree& tree) {
                              .ColumnIndex(node.label.attribute())
                              .value();
       for (size_t idx : node.tuples) {
-        EXPECT_TRUE(node.label.Matches(tree.result().ValueAt(idx, col)));
+        EXPECT_TRUE(node.label.Matches(tree.result().CellValue(idx, col)));
       }
       // tset(C) is a subset of the parent's tset.
       const CategoryNode& parent = tree.node(node.parent);
@@ -328,6 +330,36 @@ TEST(EnumerateTest, AttributeOrderSearchCoversGreedy) {
   const ProbabilityEstimator estimator(&stats, &schema);
   const CostModel model(&estimator, options.cost_params);
   EXPECT_LE(best->cost, model.CostAll(greedy.value()) + 1e-9);
+}
+
+// A numeric candidate's range comes from its non-NULL cells; a column of
+// only NULLs has none, over a builder result and a column-backed one
+// alike. One non-NULL cell is enough.
+TEST(EnumerateTest, AllNullNumericCandidateIsNotFound) {
+  const WorkloadStats stats = StatsFromSql(RichWorkload());
+  const CategorizerOptions options;
+  Table rows(test::HomesSchema());
+  for (const char* n : {"a", "b", "a"}) {
+    ASSERT_TRUE(
+        rows.AppendRow({Value(n), Value(), Value(int64_t{2}), Value("Condo")})
+            .ok());
+  }
+  const Table backed = Table::FromColumnar(
+      rows.schema(),
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows)));
+  const Table* const results[] = {&rows, &backed};
+  for (const Table* result : results) {
+    EXPECT_EQ(EnumerateBestOneLevel(*result, {"price"}, &stats, options,
+                                    nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+  }
+  ASSERT_TRUE(rows.AppendRow({Value("c"), Value(int64_t{3000}),
+                              Value(int64_t{2}), Value("Condo")})
+                  .ok());
+  EXPECT_TRUE(
+      EnumerateBestOneLevel(rows, {"price"}, &stats, options, nullptr).ok());
 }
 
 TEST(EnumerateTest, InputValidation) {

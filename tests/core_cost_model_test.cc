@@ -283,7 +283,7 @@ TEST_P(CostModelPropertyTest, MatchesReferenceOnRandomTrees) {
   for (const char* n : kNeighborhoods) {
     std::vector<size_t> members;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (table.ValueAt(r, nb_col) == Value(n)) {
+      if (table.CellValue(r, nb_col) == Value(n)) {
         members.push_back(r);
       }
     }
@@ -298,7 +298,7 @@ TEST_P(CostModelPropertyTest, MatchesReferenceOnRandomTrees) {
     std::vector<size_t> low;
     std::vector<size_t> high;
     for (size_t r : tree.node(node).tuples) {
-      (table.ValueAt(r, price_col).AsDouble() < split ? low : high)
+      (table.CellValue(r, price_col).AsDouble() < split ? low : high)
           .push_back(r);
     }
     if (!low.empty() && !high.empty()) {

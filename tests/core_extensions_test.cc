@@ -349,10 +349,15 @@ TEST(RefinedProfileTest, ConjoinsPathAndReproducesTset) {
   for (NodeId id = 0; id < static_cast<NodeId>(tree.num_nodes()); ++id) {
     const auto refined = RefinedProfile(tree, id, original);
     ASSERT_TRUE(refined.ok());
-    const auto rows = fixture.table.FilterIndices([&](const Row& row) {
-      return refined->MatchesRow(row, fixture.table.schema());
-    });
-    EXPECT_EQ(rows.size(), tree.node(id).tset_size()) << "node " << id;
+    size_t matched = 0;
+    Row scratch;
+    for (size_t r = 0; r < fixture.table.num_rows(); ++r) {
+      matched += refined->MatchesRow(fixture.table.RowRef(r, &scratch),
+                                     fixture.table.schema())
+                     ? 1
+                     : 0;
+    }
+    EXPECT_EQ(matched, tree.node(id).tset_size()) << "node " << id;
   }
   EXPECT_FALSE(RefinedProfile(tree, 999, original).ok());
 }
@@ -417,16 +422,16 @@ TEST(AutoBucketsTest, GoodnessFloorLimitsSplitPoints) {
   std::vector<size_t> all = {0, 1, 2, 3, 4};
   const TableView view = TableView::All(table, nullptr);
 
-  NumericPartitionOptions with_floor;
-  with_floor.auto_buckets = true;
+  CategorizerOptions with_floor;
+  with_floor.auto_numeric_buckets = true;
   with_floor.goodness_fraction = 0.3;
   const auto narrow =
       PartitionNumeric(view, all, "price", stats, with_floor, nullptr);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow->size(), 2u);  // single split at 5000
 
-  NumericPartitionOptions no_floor;
-  no_floor.auto_buckets = true;
+  CategorizerOptions no_floor;
+  no_floor.auto_numeric_buckets = true;
   no_floor.goodness_fraction = 0.0;
   const auto wide =
       PartitionNumeric(view, all, "price", stats, no_floor, nullptr);

@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 
+#include "core/categorizer.h"
 #include "test_util.h"
 
 namespace autocat {
@@ -40,14 +41,14 @@ void ExpectDisjointCover(const std::vector<PartitionCategory>& parts,
     for (size_t idx : part.tuples) {
       EXPECT_TRUE(seen.insert(idx).second)
           << "tuple " << idx << " placed twice";
-      EXPECT_TRUE(part.label.Matches(table.ValueAt(idx, col)))
+      EXPECT_TRUE(part.label.Matches(table.CellValue(idx, col)))
           << "tuple " << idx << " violates its label "
           << part.label.ToString();
     }
   }
   size_t non_null = 0;
   for (size_t idx : input) {
-    if (!table.ValueAt(idx, col).is_null()) {
+    if (!table.CellValue(idx, col).is_null()) {
       ++non_null;
     }
   }
@@ -142,7 +143,7 @@ TEST(PartitionNumericTest, PicksTopGoodnessSplitPoints) {
                                   {"a", 6000, 1},
                                   {"a", 8500, 1},
                                   {"a", 9500, 1}});
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   options.num_buckets = 3;  // pick 2 split points: 5000 and 8000
   const auto parts = PartitionNumeric(
       View(table), AllRows(table), "price", stats, options, nullptr);
@@ -172,7 +173,7 @@ TEST(PartitionNumericTest, SkipsUnnecessarySplitPoints) {
                                   {"a", 3000, 1},
                                   {"a", 4000, 1},
                                   {"a", 9000, 1}});
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   options.num_buckets = 2;
   options.min_bucket_tuples = 2;
   const auto parts = PartitionNumeric(
@@ -194,7 +195,7 @@ TEST(PartitionNumericTest, QueryRangeSuppliesBounds) {
   NumericRange query_range;
   query_range.lo = 0;
   query_range.hi = 10000;
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   options.num_buckets = 3;
   const auto parts = PartitionNumeric(
       View(table), AllRows(table), "price", stats, options, &query_range);
@@ -211,7 +212,7 @@ TEST(PartitionNumericTest, NoSplitPointsYieldsSingleBucket) {
       "SELECT * FROM homes WHERE neighborhood = 'a'",  // nothing on price
   });
   const Table table = HomesTable({{"a", 1000, 1}, {"a", 2000, 1}});
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   const auto parts = PartitionNumeric(
       View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
@@ -224,7 +225,7 @@ TEST(PartitionNumericTest, SingleValueDomain) {
       "SELECT * FROM homes WHERE price BETWEEN 1000 AND 2000",
   });
   const Table table = HomesTable({{"a", 1500, 1}, {"b", 1500, 2}});
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   const auto parts = PartitionNumeric(
       View(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
@@ -247,7 +248,7 @@ TEST(PartitionNumericTest, DerivesBucketCountFromM) {
                    std::to_string(v * 1000));
   }
   const WorkloadStats stats = StatsFromSql(sqls);
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   options.max_tuples_per_category = 10;
   options.max_buckets = 6;
   const auto parts = PartitionNumeric(
@@ -261,7 +262,7 @@ TEST(PartitionNumericTest, CategoricalAttributeErrors) {
   const WorkloadStats stats = StatsFromSql(
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   EXPECT_FALSE(PartitionNumeric(View(table), AllRows(table), "neighborhood",
                                 stats, options, nullptr)
                    .ok());
@@ -402,7 +403,7 @@ TEST_P(NumericPartitionPropertyTest, DisjointCoverAscending) {
                    std::to_string(lo + rng.Uniform(1, 5) * 1000));
   }
   const WorkloadStats stats = StatsFromSql(sqls);
-  NumericPartitionOptions options;
+  CategorizerOptions options;
   options.max_tuples_per_category =
       static_cast<size_t>(rng.Uniform(5, 30));
   const auto cost_based = PartitionNumeric(View(table), AllRows(table), "price",

@@ -21,6 +21,7 @@
 #include "core/categorizer.h"
 #include "core/partition.h"
 #include "exec/executor.h"
+#include "row_oracle.h"
 #include "serve/cache.h"
 #include "serve/service.h"
 #include "serve/signature.h"
@@ -212,7 +213,7 @@ struct OracleResponse {
 };
 
 // The serve-path reference: one cold request through the row chain —
-// CanonicalizeQuery -> MatchesRow -> SelectRows -> Project ->
+// CanonicalizeQuery -> MatchesRow -> SelectProjectRows ->
 // CostBasedCategorizer::Categorize(Table) -> CachedCategorization::Build —
 // with a service's effective `options` (see CategorizationService::
 // options()) and the service's `workload`. A served response must match
@@ -228,15 +229,16 @@ inline Result<OracleResponse> ServeRows(std::string_view sql,
   AUTOCAT_ASSIGN_OR_RETURN(
       const WorkloadStats stats,
       WorkloadStats::Build(workload, table.schema(), options.stats));
-  const Schema& schema = table.schema();
-  const std::vector<size_t> indices =
-      table.FilterIndices([&](const Row& row) {
-        return canonical.profile.MatchesRow(row, schema);
-      });
-  AUTOCAT_ASSIGN_OR_RETURN(Table result, table.SelectRows(indices));
-  if (!canonical.columns.empty()) {
-    AUTOCAT_ASSIGN_OR_RETURN(result, result.Project(canonical.columns));
+  std::vector<size_t> indices;
+  Row scratch;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (canonical.profile.MatchesRow(table.RowRef(r, &scratch),
+                                     table.schema())) {
+      indices.push_back(r);
+    }
   }
+  AUTOCAT_ASSIGN_OR_RETURN(
+      Table result, SelectProjectRows(table, indices, canonical.columns));
   const CostBasedCategorizer categorizer(&stats, options.categorizer);
   AUTOCAT_ASSIGN_OR_RETURN(
       std::shared_ptr<const CachedCategorization> payload,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -10,9 +11,13 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/kernels.h"
 #include "exec/predicate.h"
 #include "sql/parser.h"
+#include "sql/selection.h"
 #include "storage/columnar.h"
+
+#include "row_oracle.h"
 
 namespace autocat {
 namespace {
@@ -236,6 +241,15 @@ void ExpectCellsBitIdentical(const Table& want, const Table& got,
   }
 }
 
+// What `query` must return over the builder `rows`: the rows FilterTable
+// keeps, in row order, projected to the select list, each cell copied
+// from `rows`; or the error the row path raises first.
+Result<Table> ExpectedResult(const Table& rows, const SelectQuery& query) {
+  AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
+                           FilterTable(rows, query.where.get()));
+  return SelectProjectRows(rows, indices, query.columns);
+}
+
 // Whatever a Database is given — a row table, a table selecting from
 // another's shadow, or a FromColumnar table — it holds one column-backed
 // table whose backing is the shadow ColumnarFor returns. A FromColumnar
@@ -305,23 +319,14 @@ TEST(DatabaseTest, ExecuteSqlMatchesTheOriginalRowTable) {
   for (const char* sql : kSqls) {
     const auto query = ParseQuery(sql);
     ASSERT_TRUE(query.ok()) << sql;
-    Result<Table> want = Status::Internal("unset");
-    const auto indices = FilterTable(rows, query.value().where.get());
-    if (!indices.ok()) {
-      want = indices.status();
-    } else {
-      want = rows.SelectRows(indices.value());
-      if (want.ok() && !query.value().select_all()) {
-        want = want.value().Project(query.value().columns);
-      }
-    }
+    const Result<Table> want = ExpectedResult(rows, query.value());
     const Result<Table> got = ExecuteSql(sql, db);
     ASSERT_EQ(want.ok(), got.ok()) << sql;
     if (!want.ok()) {
       EXPECT_EQ(want.status().code(), got.status().code()) << sql;
       continue;
     }
-    EXPECT_TRUE(got.value().has_rows()) << sql;
+    EXPECT_TRUE(got.value().has_selection()) << sql;
     ExpectCellsBitIdentical(want.value(), got.value(), sql);
   }
 }
@@ -354,7 +359,7 @@ TEST(ExecutorTest, FilterAndProject) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 2u);
   EXPECT_EQ(result->num_columns(), 1u);
-  EXPECT_EQ(result->ValueAt(0, 0).string_value(), "Bellevue");
+  EXPECT_EQ(result->CellValue(0, 0).string_value(), "Bellevue");
 }
 
 TEST(ExecutorTest, EmptyResultKeepsSchema) {
@@ -384,6 +389,133 @@ TEST(ExecutorTest, PredicateErrorSurfaces) {
   db.PutTable("homes", HomesTable());
   EXPECT_FALSE(
       ExecuteSql("SELECT * FROM homes WHERE neighborhood > 5", db).ok());
+}
+
+// A result is a selection over the installed table's shadow: no cell is
+// copied out of it.
+TEST(ExecutorTest, ResultIsASelectionOverTheShadow) {
+  Database db;
+  db.PutTable("homes", HomesTable());
+  const auto shadow = db.ColumnarFor("homes");
+  ASSERT_TRUE(shadow.ok());
+  for (const char* sql :
+       {"SELECT * FROM homes", "SELECT price FROM homes WHERE price > 0",
+        "SELECT * FROM homes WHERE price > 99999999"}) {
+    const auto result = ExecuteSql(sql, db);
+    ASSERT_TRUE(result.ok()) << sql;
+    EXPECT_FALSE(result->has_rows()) << sql;
+    EXPECT_TRUE(result->has_selection()) << sql;
+    EXPECT_EQ(result->columnar_backing(), shadow.value()) << sql;
+  }
+}
+
+// Over NULL, NaN, -0.0, "" and the int64 extremes, a result's cells are
+// the builder rows' cells bit for bit, in row order and select-list
+// order.
+TEST(ExecutorTest, ResultCellsAreTheBuilderRows) {
+  const Table rows = HostileTable();
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", rows).ok());
+  const char* const kSqls[] = {
+      "SELECT * FROM t",
+      "SELECT * FROM t WHERE i >= 0",
+      "SELECT d FROM t WHERE s IS NOT NULL",
+      "SELECT i, s, d FROM t",
+      "SELECT d, i FROM t WHERE d = 0",
+      "SELECT * FROM t WHERE i > 9223372036854775807",
+      "SELECT s FROM t WHERE i > 9223372036854775807",
+  };
+  for (const char* sql : kSqls) {
+    const auto query = ParseQuery(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    const auto want = ExpectedResult(rows, query.value());
+    ASSERT_TRUE(want.ok()) << sql;
+    const auto got = ExecuteSql(sql, db);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    ExpectCellsBitIdentical(want.value(), got.value(), sql);
+  }
+  const auto empty = ExecuteSql("SELECT s FROM t WHERE i > 9223372036854775807",
+                                db);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(empty->schema().column(0).name, "s");
+}
+
+// Every error keeps its code: an unknown table, an unknown or duplicate
+// select-list column, and a row's evaluation error.
+TEST(ExecutorTest, ErrorsKeepTheirCodes) {
+  Database db;
+  db.PutTable("homes", HomesTable());
+  const struct {
+    const char* sql;
+    StatusCode code;
+  } kCases[] = {
+      {"SELECT * FROM nothere", StatusCode::kNotFound},
+      {"SELECT bogus FROM homes", StatusCode::kNotFound},
+      {"SELECT price, PRICE FROM homes", StatusCode::kAlreadyExists},
+      {"SELECT * FROM homes WHERE neighborhood > 5",
+       StatusCode::kInvalidArgument},
+      {"SELECT * FROM homes WHERE bogus = 1", StatusCode::kNotFound},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(ExecuteSql(c.sql, db).status().code(), c.code) << c.sql;
+  }
+}
+
+// A NaN cell under a range. NumericRange::Contains keeps it in every
+// range, and so does CompiledPredicate::Filter. The SQL row evaluator
+// compares through Value::Compare, under which NaN equals every number:
+// it agrees on =, the inclusive comparisons and BETWEEN, and drops the NaN
+// row under a strict one. This pins both sides as they are.
+TEST(ExecutorTest, NaNRowsUnderARange) {
+  const Table rows = HostileTable();
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", rows).ok());
+  const auto shadow = db.ColumnarFor("t");
+  ASSERT_TRUE(shadow.ok());
+  std::vector<uint32_t> nan_rows;
+  for (uint32_t r = 0; r < rows.num_rows(); ++r) {
+    const Value& d = rows.row(r)[1];
+    if (d.is_double() && std::isnan(d.double_value())) {
+      nan_rows.push_back(r);
+    }
+  }
+  ASSERT_FALSE(nan_rows.empty());
+  const struct {
+    const char* sql;
+    bool row_evaluator_keeps_nan;
+  } kCases[] = {
+      {"SELECT * FROM t WHERE d < 0", false},
+      {"SELECT * FROM t WHERE d > 3", false},
+      {"SELECT * FROM t WHERE d = 1", true},
+      {"SELECT * FROM t WHERE d >= 3", true},
+      {"SELECT * FROM t WHERE d BETWEEN 1 AND 2", true},
+  };
+  for (const auto& c : kCases) {
+    const auto query = ParseQuery(c.sql);
+    ASSERT_TRUE(query.ok()) << c.sql;
+    // No finite cell of `d` lies in these ranges, so a kept row is a NaN
+    // row.
+    const auto executed = FilterTable(rows, query.value().where.get());
+    ASSERT_TRUE(executed.ok()) << c.sql;
+    const std::vector<uint32_t> row_kept(executed->begin(), executed->end());
+    EXPECT_EQ(row_kept,
+              c.row_evaluator_keeps_nan ? nan_rows : std::vector<uint32_t>{})
+        << c.sql;
+    const auto result = ExecuteSql(c.sql, db);
+    ASSERT_TRUE(result.ok()) << c.sql;
+    EXPECT_EQ(result->num_rows(), row_kept.size()) << c.sql;
+
+    const auto profile =
+        SelectionProfile::FromQuery(query.value(), rows.schema());
+    ASSERT_TRUE(profile.ok()) << c.sql;
+    const auto compiled = CompiledPredicate::CompileProfile(
+        profile.value(), rows.schema(), shadow.value());
+    ASSERT_TRUE(compiled.ok()) << c.sql;
+    const auto filtered = compiled->Filter({.threads = 1});
+    ASSERT_TRUE(filtered.ok()) << c.sql;
+    EXPECT_EQ(filtered.value(), nan_rows) << c.sql;
+  }
 }
 
 TEST(FilterTableTest, NullPredicateKeepsAll) {

@@ -27,7 +27,7 @@ struct Figure1 {
     std::vector<size_t> seattle;  // Seattle rows
     const size_t nb = 0;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const std::string& n = table.ValueAt(r, nb).string_value();
+      const std::string n = table.CellValue(r, nb).string_value();
       if (n == "Redmond" || n == "Bellevue") {
         rb.push_back(r);
       } else if (n == "Issaquah" || n == "Sammamish") {
@@ -58,7 +58,7 @@ struct Figure1 {
     std::vector<size_t> high;
     const size_t price = 1;
     for (size_t r : rb) {
-      const double p = table.ValueAt(r, price).AsDouble();
+      const double p = table.CellValue(r, price).AsDouble();
       if (p < 225000) {
         low.push_back(r);
       } else if (p < 250000) {

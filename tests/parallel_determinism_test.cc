@@ -40,7 +40,7 @@ std::string TableFingerprint(const Table& table) {
   std::string out;
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      out += table.ValueAt(r, c).ToString();
+      out += table.CellValue(r, c).ToString();
       out += '|';
     }
     out += '\n';

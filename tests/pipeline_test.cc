@@ -1,10 +1,10 @@
 // Reference-vs-pipeline equivalence gate for the cold pipeline
 // (DESIGN.md §14).
 //
-// RunColdPipeline promises that its selection, materialized result, and
-// byte accounting are bit-identical to a sequential reference chain
-// (CompiledPredicate::Filter at one thread -> TableView::Create ->
-// Materialize, bytes counted by an independent copy of the cache's
+// RunColdPipeline promises that its selection, result table, and byte
+// accounting are bit-identical to a sequential reference chain
+// (CompiledPredicate::Filter at one thread -> a builder copy of the
+// selected rows, bytes counted by an independent copy of the cache's
 // formula) at every thread count, and that its attribute index matches a
 // from-scratch rescan of the result. These tests replay the checked-in
 // SQL fuzz corpus and randomized queries over a deterministic table
@@ -53,16 +53,15 @@ using namespace equiv;  // NOLINT
 const size_t kThreadCounts[] = {1, 2, 7, 16};
 
 // The sequential reference chain: filter to a full selection at one
-// thread, wrap it in a view, materialize.
+// thread, then copy the selected rows into a builder table.
 struct ReferenceCold {
   std::vector<uint32_t> selection;
   Table result;
 };
 
-Result<ReferenceCold> RunReference(
-    const Table& table, std::shared_ptr<const ColumnarTable> shadow,
-    const CompiledPredicate& compiled,
-    const std::vector<std::string>& columns) {
+Result<ReferenceCold> RunReference(const Table& table,
+                                   const CompiledPredicate& compiled,
+                                   const std::vector<std::string>& columns) {
   ParallelOptions sequential;
   sequential.threads = 1;
   AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> selection,
@@ -70,10 +69,10 @@ Result<ReferenceCold> RunReference(
   ReferenceCold out;
   out.selection = selection;
   AUTOCAT_ASSIGN_OR_RETURN(
-      TableView view,
-      TableView::Create(table, std::move(shadow), std::move(selection),
+      out.result,
+      SelectProjectRows(table,
+                        std::vector<size_t>(selection.begin(), selection.end()),
                         columns));
-  out.result = view.Materialize();
   return out;
 }
 
@@ -139,7 +138,7 @@ void ExpectPipelineMatchesReference(
 
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const ReferenceCold reference,
-      RunReference(table, shadow, compiled.value(), columns));
+      RunReference(table, compiled.value(), columns));
   const size_t expected_bytes = CacheBytes(reference.result);
 
   std::optional<ResultAttributeIndex> reference_index;
@@ -329,7 +328,7 @@ TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
   const size_t sqft = homes.schema().ColumnIndex("squarefootage").value();
   std::map<double, size_t> sqft_count;
   for (size_t r = 0; r < homes.num_rows(); ++r) {
-    const Value& v = homes.ValueAt(r, sqft);
+    const Value v = homes.CellValue(r, sqft);
     if (!v.is_null()) {
       ++sqft_count[v.double_value()];
     }

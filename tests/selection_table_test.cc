@@ -1,8 +1,9 @@
 // Gate for the late-materialized result table (storage/table.h): a
 // column-backed `Table` that reads a shared shadow through a row
 // selection and a column projection (`TableView::AsTable`) must answer
-// every `Table` method exactly as the `Materialize()`d copy of the same
-// view does. The cells are hostile (NULL, NaN, -0.0, "", the int64
+// every `Table` method exactly as a builder copy of the same rows does
+// (`SelectProjectRows` over the builder rows the shadow was built from).
+// The cells are hostile (NULL, NaN, -0.0, "", the int64
 // extremes), the projections reordered subsets, and the selections
 // reversed, repeated and empty. Views over such a table compose its maps
 // instead of applying them twice, every categorization technique builds
@@ -31,6 +32,7 @@
 #include "storage/table.h"
 
 #include "equivalence_fixture.h"
+#include "row_oracle.h"
 
 namespace autocat {
 namespace {
@@ -101,7 +103,9 @@ void ExpectSameValues(const std::vector<Value>& want,
 }
 
 // Every `Table` method on `got` (column-backed with a selection) against
-// the same method on `want` (the materialized copy).
+// the same method on `want` (a builder copy of its rows), and a further
+// selection and projection of each (`TableView` over `got`,
+// `SelectProjectRows` over `want`), errors included.
 void ExpectAnswersAlike(const Table& want, const Table& got,
                         const std::string& context) {
   ASSERT_TRUE(want.has_rows()) << context;
@@ -115,78 +119,51 @@ void ExpectAnswersAlike(const Table& want, const Table& got,
   const size_t n = want.num_rows();
   Row scratch;
   for (size_t r = 0; r < n; ++r) {
-    ExpectSameValues(want.CopyRow(r), got.CopyRow(r),
-                     context + " CopyRow " + std::to_string(r));
     ExpectSameValues(want.row(r), got.RowRef(r, &scratch),
                      context + " RowRef " + std::to_string(r));
   }
-
-  std::vector<std::vector<size_t>> picks = {{}};
-  if (n > 0) {
-    picks.push_back({n - 1, 0, n - 1, n / 2});
-  }
-  for (const auto& indices : picks) {
-    auto a = want.SelectRows(indices);
-    auto b = got.SelectRows(indices);
-    ASSERT_TRUE(a.ok() && b.ok()) << context;
-    EXPECT_TRUE(b->has_rows()) << context;
-    ExpectTablesBitIdentical(a.value(), b.value(), context + " SelectRows");
-  }
-  ExpectSameStatus(want.SelectRows({n}).status(), got.SelectRows({n}).status(),
-                   context + " SelectRows out of range");
-
-  const auto first_not_null = [](const Row& row) {
-    return !row.empty() && !row[0].is_null();
-  };
-  const auto last_is_empty_string = [](const Row& row) {
-    return !row.empty() && row.back().is_string() &&
-           row.back().string_value().empty();
-  };
-  EXPECT_EQ(want.FilterIndices(first_not_null),
-            got.FilterIndices(first_not_null))
-      << context;
-  EXPECT_EQ(want.FilterIndices(last_is_empty_string),
-            got.FilterIndices(last_is_empty_string))
-      << context;
 
   std::vector<std::string> reversed;
   for (size_t c = want.num_columns(); c-- > 0;) {
     reversed.push_back(want.schema().column(c).name);
   }
-  for (const auto& names :
-       {reversed, std::vector<std::string>{reversed.front()},
-        std::vector<std::string>{}}) {
-    auto a = want.Project(names);
-    auto b = got.Project(names);
-    ASSERT_EQ(a.ok(), b.ok()) << context;
-    if (a.ok()) {
-      EXPECT_TRUE(b->has_rows()) << context;
-      ExpectTablesBitIdentical(a.value(), b.value(), context + " Project");
-    } else {
-      ExpectSameStatus(a.status(), b.status(), context + " Project");
+  std::vector<std::vector<uint32_t>> picks = {{}};
+  if (n > 0) {
+    const uint32_t last = static_cast<uint32_t>(n - 1);
+    picks.push_back({last, 0, last, static_cast<uint32_t>(n / 2)});
+  }
+  for (const auto& rows : picks) {
+    for (const auto& names :
+         {reversed, std::vector<std::string>{reversed.front()},
+          std::vector<std::string>{}}) {
+      const std::vector<size_t> indices(rows.begin(), rows.end());
+      AUTOCAT_ASSERT_OK_AND_MOVE(const Table a,
+                                 SelectProjectRows(want, indices, names));
+      AUTOCAT_ASSERT_OK_AND_MOVE(const TableView b,
+                                 TableView::Create(got, nullptr, rows, names));
+      ExpectTablesBitIdentical(a, b.AsTable(), context + " select/project");
     }
   }
-  ExpectSameStatus(want.Project({"nope"}).status(),
-                   got.Project({"nope"}).status(), context + " Project");
+  const uint32_t out_of_range = static_cast<uint32_t>(n);
+  ExpectSameStatus(SelectProjectRows(want, {n}, {}).status(),
+                   TableView::Create(got, nullptr, {out_of_range}, {}).status(),
+                   context + " row out of range");
+  ExpectSameStatus(SelectProjectRows(want, {}, {"nope"}).status(),
+                   TableView::Create(got, nullptr, {}, {"nope"}).status(),
+                   context + " unknown column");
 
-  for (size_t c = 0; c <= want.num_columns(); ++c) {
-    const std::string at = context + " column " + std::to_string(c);
-    auto a = want.DistinctValues(c);
-    auto b = got.DistinctValues(c);
-    ASSERT_EQ(a.ok(), b.ok()) << at;
-    if (a.ok()) {
-      ExpectSameValues(a.value(), b.value(), at + " DistinctValues");
-    } else {
-      ExpectSameStatus(a.status(), b.status(), at + " DistinctValues");
-    }
-    auto x = want.MinMax(c);
-    auto y = got.MinMax(c);
-    ASSERT_EQ(x.ok(), y.ok()) << at;
-    if (x.ok()) {
-      EXPECT_TRUE(BitIdentical(x->first, y->first)) << at << " min";
-      EXPECT_TRUE(BitIdentical(x->second, y->second)) << at << " max";
-    } else {
-      ExpectSameStatus(x.status(), y.status(), at + " MinMax");
+  // The row filter reads both alike.
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const ColumnDef& col = want.schema().column(c);
+    for (const std::string& where :
+         {col.name + " IS NOT NULL",
+          col.name + (col.type == ValueType::kString ? " = ''" : " <= 0")}) {
+      AUTOCAT_ASSERT_OK_AND_MOVE(const std::unique_ptr<Expr> expr,
+                                 ParseExpression(where));
+      const auto a = FilterTable(want, expr.get());
+      const auto b = FilterTable(got, expr.get());
+      ASSERT_TRUE(a.ok() && b.ok()) << context << " " << where;
+      EXPECT_EQ(a.value(), b.value()) << context << " " << where;
     }
   }
 
@@ -194,7 +171,7 @@ void ExpectAnswersAlike(const Table& want, const Table& got,
   EXPECT_EQ(want.ToString(1000), got.ToString(1000)) << context;
 
   Table appended = got;
-  EXPECT_FALSE(appended.AppendRow(n > 0 ? want.CopyRow(0) : Row()).ok())
+  EXPECT_FALSE(appended.AppendRow(n > 0 ? want.row(0) : Row()).ok())
       << context;
   EXPECT_FALSE(appended.AppendRows({}).ok()) << context;
   EXPECT_EQ(appended.num_rows(), n) << context;
@@ -228,46 +205,40 @@ std::vector<Case> Cases(size_t n) {
   };
 }
 
+// The builder copy of a case's rows and columns of `rows`.
+Table CopyOf(const Table& rows, const Case& c) {
+  auto copy = SelectProjectRows(
+      rows, std::vector<size_t>(c.rows.begin(), c.rows.end()), c.columns);
+  EXPECT_TRUE(copy.ok()) << c.name;
+  return std::move(copy).value();
+}
+
 TEST(SelectionTableTest, EveryMethodAnswersAsTheMaterializedCopy) {
-  const Shadowed h = MakeShadowed(HostileTable());
+  const Table rows = HostileTable();
+  const Shadowed h = MakeShadowed(rows);
   for (const Case& c : Cases(h.base.num_rows())) {
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const TableView view,
         TableView::Create(h.base, h.shadow, c.rows, c.columns));
     const Table selected = view.AsTable();
     EXPECT_EQ(selected.columnar_backing(), h.shadow) << c.name;
-    ExpectAnswersAlike(view.Materialize(), selected, c.name);
+    const Table want = CopyOf(rows, c);
+    ExpectAnswersAlike(want, selected, c.name);
     // Copies keep their maps.
     const Table copy = selected;
-    ExpectAnswersAlike(view.Materialize(), copy, c.name + " (copy)");
+    ExpectAnswersAlike(want, copy, c.name + " (copy)");
   }
 }
 
-// The whole-dictionary answer of a FromColumnar string column would be
-// wrong for a selection that misses some of its values.
-TEST(SelectionTableTest, DistinctValuesTakesNoWholeDictionaryShortcut) {
-  const Shadowed h = MakeShadowed(HostileTable());
-  AUTOCAT_ASSERT_OK_AND_MOVE(const TableView view,
-                             TableView::Create(h.base, h.shadow, {1, 6}, {}));
-  const Table selected = view.AsTable();
-  AUTOCAT_ASSERT_OK_AND_MOVE(const std::vector<Value> distinct,
-                             selected.DistinctValues(0));
-  ASSERT_EQ(distinct.size(), 1u);
-  EXPECT_EQ(distinct[0].string_value(), "a");
-  const Table whole = Table::FromColumnar(h.base.schema(), h.shadow);
-  AUTOCAT_ASSERT_OK_AND_MOVE(const std::vector<Value> all,
-                             whole.DistinctValues(0));
-  EXPECT_EQ(all.size(), 4u);  // "", "a", "b", "zz"
-}
-
 TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
-  const Shadowed h = MakeShadowed(HostileTable());
+  const Table base_rows = HostileTable();
+  const Shadowed h = MakeShadowed(base_rows);
   for (const Case& c : Cases(h.base.num_rows())) {
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const TableView view,
         TableView::Create(h.base, h.shadow, c.rows, c.columns));
     const Table selected = view.AsTable();
-    const Table materialized = view.Materialize();
+    const Table materialized = CopyOf(base_rows, c);
 
     // All: the view addresses the shadow directly.
     const TableView all = TableView::All(selected, nullptr);
@@ -279,11 +250,10 @@ TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
     for (size_t col = 0; col < all.num_columns(); ++col) {
       EXPECT_EQ(all.base_column(col), view.base_column(col)) << c.name;
     }
-    ExpectTablesBitIdentical(materialized, all.Materialize(),
-                             c.name + " All");
+    ExpectTablesBitIdentical(materialized, all.AsTable(), c.name + " All");
     const TableView all_explicit =
         TableView::All(selected, selected.columnar_backing());
-    ExpectTablesBitIdentical(materialized, all_explicit.Materialize(),
+    ExpectTablesBitIdentical(materialized, all_explicit.AsTable(),
                              c.name + " All(backing)");
 
     // Create over the selection: a second selection and projection on
@@ -303,12 +273,12 @@ TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
         const TableView nested,
         TableView::Create(selected, nullptr, rows, names));
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        const TableView nested_copy,
-        TableView::Create(materialized, nullptr, rows, names));
+        const Table want,
+        SelectProjectRows(materialized,
+                          std::vector<size_t>(rows.begin(), rows.end()),
+                          names));
     EXPECT_EQ(nested.columnar(), h.shadow.get()) << c.name;
-    const Table want = nested_copy.Materialize();
-    ExpectTablesBitIdentical(want, nested.Materialize(), c.name + " nested");
-    ExpectAnswersAlike(want, nested.AsTable(), c.name + " nested AsTable");
+    ExpectAnswersAlike(want, nested.AsTable(), c.name + " nested");
     EXPECT_EQ(
         TableView::Create(selected, nullptr, {static_cast<uint32_t>(n)}, {})
             .status()
@@ -348,10 +318,11 @@ TEST(TableViewTest, CreateRefusesAForeignShadow) {
   }
   ASSERT_NE(built->columnar(), nullptr);
   EXPECT_NE(built->columnar(), h.shadow.get());
-  ExpectTablesBitIdentical(own.Materialize(), built->Materialize(),
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table want,
+                             SelectProjectRows(rows, {4, 0}, {"d"}));
+  ExpectTablesBitIdentical(want, own.AsTable(), "view over its base's shadow");
+  ExpectTablesBitIdentical(want, built->AsTable(),
                            "view over a row-backed base");
-  ExpectTablesBitIdentical(own.Materialize(), built->AsTable(),
-                           "its AsTable");
 }
 
 // All has no status to return, so a foreign shadow is a CHECK failure.
@@ -373,18 +344,23 @@ struct HomesSelection {
 
 HomesSelection MakeHomesSelection() {
   HomesSelection out;
-  out.h = MakeShadowed(MakeHomes(700, 77, 0.05, true));
+  const Table homes = MakeHomes(700, 77, 0.05, true);
+  out.h = MakeShadowed(homes);
   std::vector<uint32_t> rows;
   for (uint32_t r = 0; r < out.h.base.num_rows(); r += 2) {
     rows.push_back(r);
   }
-  auto view = TableView::Create(
-      out.h.base, out.h.shadow, std::move(rows),
-      {"price", "neighborhood", "squarefootage", "propertytype",
-       "bedroomcount", "city"});
+  const std::vector<std::string> columns = {
+      "price", "neighborhood", "squarefootage", "propertytype",
+      "bedroomcount", "city"};
+  auto copy = SelectProjectRows(
+      homes, std::vector<size_t>(rows.begin(), rows.end()), columns);
+  EXPECT_TRUE(copy.ok());
+  out.materialized = std::move(copy).value();
+  auto view =
+      TableView::Create(out.h.base, out.h.shadow, std::move(rows), columns);
   EXPECT_TRUE(view.ok());
   out.selected = view->AsTable();
-  out.materialized = view->Materialize();
   return out;
 }
 

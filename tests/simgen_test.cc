@@ -82,7 +82,7 @@ TEST(HomesGeneratorTest, DeterministicPerSeed) {
   ASSERT_TRUE(b.ok());
   for (size_t r = 0; r < a->num_rows(); ++r) {
     for (size_t c = 0; c < a->num_columns(); ++c) {
-      ASSERT_EQ(a->ValueAt(r, c), b->ValueAt(r, c));
+      ASSERT_EQ(a->CellValue(r, c), b->CellValue(r, c));
     }
   }
   config.seed += 1;
@@ -90,7 +90,7 @@ TEST(HomesGeneratorTest, DeterministicPerSeed) {
   ASSERT_TRUE(other.ok());
   bool any_difference = false;
   for (size_t r = 0; r < other->num_rows() && !any_difference; ++r) {
-    any_difference = !(other->ValueAt(r, 4) == a->ValueAt(r, 4));
+    any_difference = !(other->CellValue(r, 4) == a->CellValue(r, 4));
   }
   EXPECT_TRUE(any_difference);
 }
@@ -110,18 +110,18 @@ TEST(HomesGeneratorTest, AllAttributesNonNullAndPlausible) {
   const size_t nb = schema.ColumnIndex("neighborhood").value();
   for (size_t r = 0; r < table->num_rows(); ++r) {
     for (size_t c = 0; c < table->num_columns(); ++c) {
-      ASSERT_FALSE(table->ValueAt(r, c).is_null()) << "row " << r;
+      ASSERT_FALSE(table->CellValue(r, c).is_null()) << "row " << r;
     }
-    EXPECT_GE(table->ValueAt(r, price).int64_value(), 40000);
-    EXPECT_LE(table->ValueAt(r, price).int64_value(), 8000000);
-    EXPECT_GE(table->ValueAt(r, beds).int64_value(), 1);
-    EXPECT_LE(table->ValueAt(r, beds).int64_value(), 9);
-    EXPECT_GE(table->ValueAt(r, baths).int64_value(), 1);
-    EXPECT_GE(table->ValueAt(r, year).int64_value(), 1900);
-    EXPECT_LE(table->ValueAt(r, year).int64_value(), 2004);
-    EXPECT_GE(table->ValueAt(r, sqft).int64_value(), 300);
+    EXPECT_GE(table->CellValue(r, price).int64_value(), 40000);
+    EXPECT_LE(table->CellValue(r, price).int64_value(), 8000000);
+    EXPECT_GE(table->CellValue(r, beds).int64_value(), 1);
+    EXPECT_LE(table->CellValue(r, beds).int64_value(), 9);
+    EXPECT_GE(table->CellValue(r, baths).int64_value(), 1);
+    EXPECT_GE(table->CellValue(r, year).int64_value(), 1900);
+    EXPECT_LE(table->CellValue(r, year).int64_value(), 2004);
+    EXPECT_GE(table->CellValue(r, sqft).int64_value(), 300);
     EXPECT_TRUE(
-        geo.RegionOfNeighborhood(table->ValueAt(r, nb).string_value())
+        geo.RegionOfNeighborhood(table->CellValue(r, nb).string_value())
             .ok());
   }
 }
@@ -140,13 +140,13 @@ TEST(HomesGeneratorTest, RegionalPriceLevelsOrdered) {
   size_t austin_count = 0;
   for (size_t r = 0; r < table->num_rows(); ++r) {
     const auto region =
-        geo.RegionOfNeighborhood(table->ValueAt(r, nb).string_value());
+        geo.RegionOfNeighborhood(table->CellValue(r, nb).string_value());
     ASSERT_TRUE(region.ok());
     if (region.value()->name == "NYC - Manhattan, Bronx") {
-      nyc_sum += table->ValueAt(r, price).AsDouble();
+      nyc_sum += table->CellValue(r, price).AsDouble();
       ++nyc_count;
     } else if (region.value()->name == "Austin") {
-      austin_sum += table->ValueAt(r, price).AsDouble();
+      austin_sum += table->CellValue(r, price).AsDouble();
       ++austin_count;
     }
   }

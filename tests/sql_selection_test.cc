@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sql/parser.h"
 
@@ -53,6 +54,38 @@ TEST(NumericRangeTest, ContainsRespectsInclusivity) {
   EXPECT_TRUE(r.Contains(19.999));
   EXPECT_FALSE(r.Contains(20));
   EXPECT_FALSE(r.Contains(9.999));
+}
+
+// NaN fails every comparison, so it lies inside every range: open,
+// closed, half-open and point. A range condition therefore keeps a
+// NaN cell (this pins the behaviour; it is not a choice made here).
+TEST(NumericRangeTest, ContainsNaN) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double lo;
+    double hi;
+    bool lo_inclusive;
+    bool hi_inclusive;
+  } kRanges[] = {
+      {-inf, inf, true, true},  // unbounded
+      {0, 10, false, false},    // open
+      {0, 10, true, true},      // closed
+      {0, 10, true, false},     // half-open
+      {-inf, 0, true, false},   // price < 0
+      {0, inf, false, true},    // price > 0
+      {7, 7, true, true},       // point
+  };
+  for (const auto& k : kRanges) {
+    NumericRange r;
+    r.lo = k.lo;
+    r.hi = k.hi;
+    r.lo_inclusive = k.lo_inclusive;
+    r.hi_inclusive = k.hi_inclusive;
+    EXPECT_TRUE(r.Contains(nan)) << r.ToString();
+    EXPECT_TRUE(AttributeCondition::Range(r).Matches(Value(nan)))
+        << r.ToString();
+  }
 }
 
 TEST(NumericRangeTest, EmptyDetection) {

@@ -98,10 +98,10 @@ TEST(TableTest, AppendCoercesNumerics) {
   Table table(TestSchema());
   // int into double column, whole double into int column.
   ASSERT_TRUE(table.AppendRow({Value("a"), Value(5.0), Value(2)}).ok());
-  EXPECT_TRUE(table.ValueAt(0, 1).is_int64());
-  EXPECT_EQ(table.ValueAt(0, 1).int64_value(), 5);
-  EXPECT_TRUE(table.ValueAt(0, 2).is_double());
-  EXPECT_DOUBLE_EQ(table.ValueAt(0, 2).double_value(), 2.0);
+  EXPECT_TRUE(table.CellValue(0, 1).is_int64());
+  EXPECT_EQ(table.CellValue(0, 1).int64_value(), 5);
+  EXPECT_TRUE(table.CellValue(0, 2).is_double());
+  EXPECT_DOUBLE_EQ(table.CellValue(0, 2).double_value(), 2.0);
 }
 
 TEST(TableTest, AppendRejectsLossyCoercion) {
@@ -114,57 +114,16 @@ TEST(TableTest, NullAllowedAnywhere) {
   EXPECT_TRUE(table.AppendRow({Value(), Value(), Value()}).ok());
 }
 
-TEST(TableTest, SelectRows) {
+// A builder is charged its rows and cells, string payloads included.
+TEST(TableTest, ApproxTableBytesCountsBuilderCells) {
   const Table table = TestTable();
-  const auto selected = table.SelectRows({2, 0});
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(selected->num_rows(), 2u);
-  EXPECT_EQ(selected->ValueAt(0, 1).int64_value(), 300);
-  EXPECT_EQ(selected->ValueAt(1, 1).int64_value(), 100);
-  EXPECT_FALSE(table.SelectRows({99}).ok());
-}
-
-TEST(TableTest, FilterIndices) {
-  const Table table = TestTable();
-  const auto indices = table.FilterIndices(
-      [](const Row& row) { return row[1] >= Value(150); });
-  EXPECT_EQ(indices, (std::vector<size_t>{1, 2, 3}));
-}
-
-TEST(TableTest, Project) {
-  const Table table = TestTable();
-  const auto projected = table.Project({"score", "name"});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected->num_columns(), 2u);
-  EXPECT_EQ(projected->schema().column(0).name, "score");
-  EXPECT_EQ(projected->ValueAt(0, 1).string_value(), "a");
-  EXPECT_FALSE(table.Project({"nope"}).ok());
-}
-
-TEST(TableTest, DistinctValuesSortedAndNullFree) {
-  const Table table = TestTable();
-  const auto distinct = table.DistinctValues(0);
-  ASSERT_TRUE(distinct.ok());
-  EXPECT_EQ(distinct->size(), 3u);
-  EXPECT_EQ((*distinct)[0], Value("a"));
-  EXPECT_EQ((*distinct)[2], Value("c"));
-  // score column has a NULL which must not appear.
-  EXPECT_EQ(table.DistinctValues(2)->size(), 3u);
-  EXPECT_FALSE(table.DistinctValues(9).ok());
-}
-
-TEST(TableTest, MinMax) {
-  const Table table = TestTable();
-  const auto min_max = table.MinMax(1);
-  ASSERT_TRUE(min_max.ok());
-  EXPECT_EQ(min_max->first.int64_value(), 100);
-  EXPECT_EQ(min_max->second.int64_value(), 300);
-}
-
-TEST(TableTest, MinMaxAllNullErrors) {
-  Table table(TestSchema());
-  ASSERT_TRUE(table.AppendRow({Value("a"), Value(), Value()}).ok());
-  EXPECT_FALSE(table.MinMax(1).ok());
+  size_t want = sizeof(Table);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    want += sizeof(Row) + 3 * sizeof(Value) +
+            table.row(r)[0].string_value().capacity();
+  }
+  EXPECT_EQ(ApproxTableBytes(table), want);
+  EXPECT_EQ(ApproxTableBytes(Table(TestSchema())), sizeof(Table));
 }
 
 TEST(TableTest, ToStringTruncates) {
@@ -184,7 +143,7 @@ TEST(CsvTest, RoundTrip) {
   ASSERT_EQ(loaded->num_rows(), table.num_rows());
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
-      EXPECT_EQ(loaded->ValueAt(r, c), table.ValueAt(r, c))
+      EXPECT_EQ(loaded->CellValue(r, c), table.CellValue(r, c))
           << "row " << r << " col " << c;
     }
   }
@@ -198,7 +157,7 @@ TEST(CsvTest, QuotingRoundTrip) {
           .ok());
   const auto loaded = TableFromCsv(table.schema(), TableToCsv(table));
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ValueAt(0, 0).string_value(),
+  EXPECT_EQ(loaded->CellValue(0, 0).string_value(),
             "has,comma \"and\" quotes");
 }
 
@@ -207,8 +166,8 @@ TEST(CsvTest, NullRoundTripsAsEmptyField) {
   ASSERT_TRUE(table.AppendRow({Value(), Value(), Value(2.0)}).ok());
   const auto loaded = TableFromCsv(table.schema(), TableToCsv(table));
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->ValueAt(0, 0).is_null());
-  EXPECT_TRUE(loaded->ValueAt(0, 1).is_null());
+  EXPECT_TRUE(loaded->CellValue(0, 0).is_null());
+  EXPECT_TRUE(loaded->CellValue(0, 1).is_null());
 }
 
 TEST(CsvTest, HeaderMismatchRejected) {

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -350,41 +351,24 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
   // Whole-table scan equivalence.
   ExpectTablesBitIdentical(mem, mapped, "identity");
 
-  // Projection.
-  auto p_mem = mem.Project({"price", "neighborhood"});
-  auto p_map = mapped.Project({"price", "neighborhood"});
-  ASSERT_TRUE(p_mem.ok() && p_map.ok());
-  ExpectTablesBitIdentical(p_mem.value(), p_map.value(), "project");
-
-  // Row selection.
-  std::vector<size_t> picks;
-  for (size_t r = 0; r < mem.num_rows(); r += 3) {
+  // Projection and row selection, as views of each.
+  std::vector<uint32_t> all(mem.num_rows());
+  std::iota(all.begin(), all.end(), uint32_t{0});
+  std::vector<uint32_t> picks;
+  for (uint32_t r = 0; r < mem.num_rows(); r += 3) {
     picks.push_back(r);
   }
-  auto s_mem = mem.SelectRows(picks);
-  auto s_map = mapped.SelectRows(picks);
-  ASSERT_TRUE(s_mem.ok() && s_map.ok());
-  ExpectTablesBitIdentical(s_mem.value(), s_map.value(), "select");
-
-  // Distinct values and min/max per column.
-  for (size_t c = 0; c < mem.num_columns(); ++c) {
-    auto d_mem = mem.DistinctValues(c);
-    auto d_map = mapped.DistinctValues(c);
-    ASSERT_TRUE(d_mem.ok() && d_map.ok());
-    ASSERT_EQ(d_mem.value().size(), d_map.value().size()) << "col " << c;
-    for (size_t i = 0; i < d_mem.value().size(); ++i) {
-      EXPECT_TRUE(BitIdentical(d_mem.value()[i], d_map.value()[i]))
-          << "col " << c << " distinct " << i;
-    }
-    auto m_mem = mem.MinMax(c);
-    auto m_map = mapped.MinMax(c);
-    ASSERT_EQ(m_mem.ok(), m_map.ok()) << "col " << c;
-    if (m_mem.ok()) {
-      EXPECT_TRUE(
-          BitIdentical(m_mem.value().first, m_map.value().first));
-      EXPECT_TRUE(
-          BitIdentical(m_mem.value().second, m_map.value().second));
-    }
+  const struct {
+    const char* name;
+    const std::vector<uint32_t>& rows;
+    std::vector<std::string> columns;
+  } kViews[] = {{"project", all, {"price", "neighborhood"}},
+                {"select", picks, {}}};
+  for (const auto& v : kViews) {
+    auto v_mem = TableView::Create(mem, nullptr, v.rows, v.columns);
+    auto v_map = TableView::Create(mapped, nullptr, v.rows, v.columns);
+    ASSERT_TRUE(v_mem.ok() && v_map.ok()) << v.name;
+    ExpectTablesBitIdentical(v_mem->AsTable(), v_map->AsTable(), v.name);
   }
 
   // A view of the mapped table reads its backing even when no shadow is
@@ -412,7 +396,8 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
 
   // Appends are refused on the mapped table.
   Table& mutable_mapped = const_cast<Table&>(mapped);
-  EXPECT_FALSE(mutable_mapped.AppendRow(mem.CopyRow(0)).ok());
+  Row scratch;
+  EXPECT_FALSE(mutable_mapped.AppendRow(mem.RowRef(0, &scratch)).ok());
 }
 
 // Cold-serve equivalence: two services over the same workload — one with

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/probability.h"
+#include "row_oracle.h"
 
 namespace autocat {
 namespace {
@@ -37,8 +40,14 @@ const StudyEnvironment& SharedEnv() {
 // The homes table as rows, gathered once: the row scans below read it
 // instead of synthesizing every row of the column-backed table per scan.
 const Table& SharedHomesRows() {
-  static const Table* rows = new Table(
-      TableView::All(SharedEnv().homes(), nullptr).Materialize());
+  static const Table* rows = [] {
+    const Table& homes = SharedEnv().homes();
+    std::vector<size_t> all(homes.num_rows());
+    std::iota(all.begin(), all.end(), size_t{0});
+    auto gathered = SelectProjectRows(homes, all, {});
+    EXPECT_TRUE(gathered.ok());
+    return new Table(std::move(gathered).value());
+  }();
   return *rows;
 }
 
@@ -84,15 +93,20 @@ void ExpectMatchesRowScan(const StudyEnvironment& env,
       << context << ": " << selected.status().ToString();
   const Schema& schema = env.schema();
   const Table& homes = SharedHomesRows();
-  const auto scanned = homes.SelectRows(homes.FilterIndices(
-      [&](const Row& row) { return profile.MatchesRow(row, schema); }));
+  std::vector<size_t> matched;
+  for (size_t r = 0; r < homes.num_rows(); ++r) {
+    if (profile.MatchesRow(homes.row(r), schema)) {
+      matched.push_back(r);
+    }
+  }
+  const auto scanned = SelectProjectRows(homes, matched, {});
   ASSERT_TRUE(scanned.ok()) << context;
   ASSERT_EQ(selected->num_rows(), scanned->num_rows()) << context;
   ASSERT_EQ(selected->num_columns(), scanned->num_columns()) << context;
   for (size_t r = 0; r < scanned->num_rows(); ++r) {
     for (size_t c = 0; c < scanned->num_columns(); ++c) {
       const Value got = selected->CellValue(r, c);
-      const Value& want = scanned->ValueAt(r, c);
+      const Value want = scanned->CellValue(r, c);
       ASSERT_TRUE(got.type() == want.type() && got == want)
           << context << " differs at row " << r << " col " << c << ": "
           << got.ToString() << " vs " << want.ToString();

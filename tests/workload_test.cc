@@ -287,13 +287,13 @@ TEST(WorkloadStatsTest, CountTableExports) {
   const Table usage = stats->AttributeUsageCountsTable(HomesSchema());
   ASSERT_EQ(usage.num_rows(), 3u);
   // Sorted by descending usage: price (4) first.
-  EXPECT_EQ(usage.ValueAt(0, 0).string_value(), "price");
-  EXPECT_EQ(usage.ValueAt(0, 1).int64_value(), 4);
+  EXPECT_EQ(usage.CellValue(0, 0).string_value(), "price");
+  EXPECT_EQ(usage.CellValue(0, 1).int64_value(), 4);
 
   const auto occurrence = stats->OccurrenceCountsTable("neighborhood");
   ASSERT_TRUE(occurrence.ok());
   EXPECT_EQ(occurrence->num_rows(), 3u);
-  EXPECT_EQ(occurrence->ValueAt(0, 0).string_value(), "Bellevue");
+  EXPECT_EQ(occurrence->CellValue(0, 0).string_value(), "Bellevue");
 
   const auto splits = stats->SplitPointsTable("price");
   ASSERT_TRUE(splits.ok());

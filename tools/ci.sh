@@ -118,9 +118,11 @@ fi
 
 # Every serving-layer test suite, plus the histogram the metrics build on,
 # the Database whose column-backed tables requests read under the shared
-# lock, the views and result tables that select from those shadows, and
-# the scenario harness replaying four requests at a time.
-SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest|TableViewTest|TableViewDeathTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
+# lock, the views and result tables that select from those shadows, the
+# builder tables and CSV reader they are built from, the executor that
+# answers with a selection over a shadow and its row filter, and the
+# scenario harness replaying four requests at a time.
+SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest|TableViewTest|TableViewDeathTest|TableTest|CsvTest|ExecutorTest|FilterTableTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
 
 serve_leg() {
   local name="$1" dir="$2"
@@ -137,7 +139,8 @@ serve_leg() {
 }
 
 # The pipeline/coalescing gate: the cold path's equivalence suite
-# against a sequential Filter -> Materialize -> rescan reference
+# against a sequential Filter -> builder copy of the selected rows ->
+# rescan reference
 # (bit-identical results, byte accounting and attribute indexes at
 # thread counts 1/2/7/16), the zone prover with the pipeline's verdict
 # counters, the posting-list candidate source against MatchesRow at
@@ -147,7 +150,7 @@ serve_leg() {
 # per-node sort/group reference at thread counts 1/2/7/16 (over a
 # built shadow and a mapped segment store), the per-node partitioners
 # that read the same key orders, the result
-# tables that select from a shadow against their materialized copies,
+# tables that select from a shadow against builder copies of their rows,
 # the views over them (a foreign shadow refused), the Database installing
 # every table column-backed (its row oracle bit-identical to the row
 # table's), and the release of a replaced table version's shadow (stale
