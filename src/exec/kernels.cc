@@ -13,7 +13,6 @@
 
 #include "exec/pipeline/morsel.h"
 #include "exec/pipeline/scheduler.h"
-#include "exec/simd_kernels.h"
 
 namespace autocat {
 
@@ -29,8 +28,6 @@ struct PredicateLeaf {
   /// column's zone map, never contradicting `fill`. Missing means every
   /// morsel is unprovable (kMixed).
   std::function<CompiledPredicate::ZoneVerdict(size_t m)> zone;
-  /// True when `fill` routes dense morsels through the SIMD kernels.
-  bool simd = false;
   /// Dictionary leaves over a column with posting lists: that column and
   /// the accepted codes, whose lists together hold exactly the rows the
   /// leaf passes (NULL rows are in no list), and the lists' total length.
@@ -93,12 +90,10 @@ bool MemberOf(const std::vector<double>& v, double a) {
   return found;
 }
 
-// ---- zone proving + SIMD plumbing ------------------------------------
+// ---- zone proving ----------------------------------------------------
 
 using ZV = CompiledPredicate::ZoneVerdict;
 using ZoneFn = std::function<ZV(size_t)>;
-using SimdFill = std::function<bool(size_t begin, size_t end,
-                                    uint64_t* bits)>;
 
 double DoubleFromBits(uint64_t bits) {
   double d = 0;
@@ -106,77 +101,27 @@ double DoubleFromBits(uint64_t bits) {
   return d;
 }
 
-// Expands a row-per-bit verdict bitmap into the 0/1 byte-mask protocol of
-// the leaf kernels: 8 bits become 8 bytes per step via the multiply
-// spread (replicate the byte into every lane, isolate one bit per lane,
-// saturate it down to 0/1).
-void ExpandBits(const uint64_t* bits, size_t n, uint8_t* mask) {
-  size_t j = 0;
-  for (size_t w = 0; j < n; ++w) {
-    uint64_t word = bits[w];
-    for (int byte = 0; byte < 8 && j < n; ++byte, word >>= 8) {
-      uint64_t m = (word & 0xff) * 0x0101010101010101ULL;
-      m &= 0x8040201008040201ULL;
-      m = ((m + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
-      if (n - j >= 8) {
-        std::memcpy(mask + j, &m, 8);
-        j += 8;
-      } else {
-        std::memcpy(mask + j, &m, n - j);
-        j = n;
-      }
-    }
-  }
-}
-
 // Wraps a per-row predicate (null handling excluded) into a leaf that
 // masks NULL rows off with the null bitmap — or skips the bitmap
 // entirely when the column has no NULLs. The predicate is evaluated
 // unconditionally: NULL slots hold in-range defaults (0 / 0.0 / code 0,
 // see ColumnarTable::Build), so the loads are safe and the `&` keeps the
-// result exact.
-//
-// When `simd_fill` is provided the leaf first offers the span to the
-// vector kernel. Morsel dispatch always starts chunks on a multiple of
-// kMorselRows (a multiple of 64), so the verdict words line up with the
-// null-bitmap words and the NULL mask is a word-wise ANDNOT instead of a
-// per-row bit probe. The kernel either produces bit-identical verdicts
-// or declines (no AVX2, test override), in which case the scalar loop
-// runs — the mask is the same either way.
+// result exact. This `fill`/`row_pred` pair is every leaf's one
+// implementation (DESIGN.md §15).
 template <typename Pred>
-Leaf MaskedLeafSimd(const Column* col, Pred pred, SimdFill simd_fill) {
+Leaf MaskedLeaf(const Column* col, Pred pred) {
   Leaf leaf;
   if (col->null_count == 0) {
-    leaf.fill = [pred, simd_fill](size_t begin, size_t end, uint8_t* mask) {
-      if (simd_fill && (begin & 63) == 0 && end - begin <= kMorselRows) {
-        uint64_t bits[kMorselRows / 64];
-        if (simd_fill(begin, end, bits)) {
-          ExpandBits(bits, end - begin, mask);
-          return;
-        }
-      }
+    leaf.fill = [pred](size_t begin, size_t end, uint8_t* mask) {
       for (size_t r = begin; r < end; ++r) {
         mask[r - begin] = static_cast<uint8_t>(pred(r));
       }
     };
     leaf.row_pred = pred;
-    leaf.simd = static_cast<bool>(simd_fill);
     return leaf;
   }
   const uint64_t* null_words = col->null_words.data();
-  leaf.fill = [null_words, pred, simd_fill](size_t begin, size_t end,
-                                            uint8_t* mask) {
-    if (simd_fill && (begin & 63) == 0 && end - begin <= kMorselRows) {
-      uint64_t bits[kMorselRows / 64];
-      if (simd_fill(begin, end, bits)) {
-        const size_t words = (end - begin + 63) / 64;
-        for (size_t w = 0; w < words; ++w) {
-          bits[w] &= ~null_words[(begin >> 6) + w];
-        }
-        ExpandBits(bits, end - begin, mask);
-        return;
-      }
-    }
+  leaf.fill = [null_words, pred](size_t begin, size_t end, uint8_t* mask) {
     for (size_t r = begin; r < end; ++r) {
       const auto not_null =
           static_cast<uint8_t>(~(null_words[r >> 6] >> (r & 63)) & 1);
@@ -186,13 +131,7 @@ Leaf MaskedLeafSimd(const Column* col, Pred pred, SimdFill simd_fill) {
   leaf.row_pred = [null_words, pred](size_t r) {
     return ((~(null_words[r >> 6] >> (r & 63)) & 1) != 0) && pred(r);
   };
-  leaf.simd = static_cast<bool>(simd_fill);
   return leaf;
-}
-
-template <typename Pred>
-Leaf MaskedLeaf(const Column* col, Pred pred) {
-  return MaskedLeafSimd(col, std::move(pred), SimdFill());
 }
 
 // Wraps an extrema-level prover `zp` — a verdict about a zone's non-NULL,
@@ -265,18 +204,6 @@ ZoneFn DictZone(const Column* col, const std::vector<uint8_t>& accept) {
       });
 }
 
-// Widens a compiled uint8 accept table once (the gather kernel reads full
-// 32-bit lanes) and binds the AcceptCodes SIMD fill for `col`'s codes.
-SimdFill DictSimd(const Column* col, const std::vector<uint8_t>& accept) {
-  auto accept32 = std::make_shared<std::vector<uint32_t>>(accept.begin(),
-                                                          accept.end());
-  return [codes = col->codes.data(), accept32](size_t begin, size_t end,
-                                               uint64_t* bits) {
-    return simd::AcceptCodes(codes + begin, end - begin, accept32->data(),
-                             accept32->size(), bits);
-  };
-}
-
 // A dictionary-code membership leaf: row r passes iff accept[codes[r]].
 // `accept` has one entry per dictionary code plus a trailing 0, so data()
 // stays valid for an empty dictionary (NULL rows carry code 0 and are
@@ -284,11 +211,9 @@ SimdFill DictSimd(const Column* col, const std::vector<uint8_t>& accept) {
 // only on the code. On a column with posting lists the leaf also records
 // its accepted codes, the candidate source's raw material.
 Leaf DictLeaf(const Column* col, const std::vector<uint8_t>& accept) {
-  Leaf leaf = MaskedLeafSimd(col,
-                             [codes = col->codes.data(), accept](size_t r) {
-                               return accept[codes[r]] != 0;
-                             },
-                             DictSimd(col, accept));
+  Leaf leaf = MaskedLeaf(col, [codes = col->codes.data(), accept](size_t r) {
+    return accept[codes[r]] != 0;
+  });
   leaf.zone = DictZone(col, accept);
   if (!col->posting_offsets.empty()) {
     leaf.postings = col;
@@ -410,20 +335,20 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
       return std::nullopt;
     }
     const NumericRange range = cond.range;
+    // Branch-free bound tests; every ordered comparison with NaN is false,
+    // so a NaN cell is out of neither bound.
+    const auto out_lo = [range](double x) {
+      return ((x < range.lo) | ((x == range.lo) & !range.lo_inclusive)) != 0;
+    };
+    const auto out_hi = [range](double x) {
+      return ((x > range.hi) | ((x == range.hi) & !range.hi_inclusive)) != 0;
+    };
     // Extrema prove ranges directly: out_lo is non-increasing and out_hi
     // non-decreasing in the cell, so the zone is all-inside iff its min
     // clears the low bound and its max clears the high bound, and
     // all-outside iff its max is below the range or its min above. NaN
     // cells are inside every range (nan_pass).
-    const auto range_zone = [range](double zmin, double zmax) {
-      const auto out_lo = [range](double x) {
-        return ((x < range.lo) |
-                ((x == range.lo) & !range.lo_inclusive)) != 0;
-      };
-      const auto out_hi = [range](double x) {
-        return ((x > range.hi) |
-                ((x == range.hi) & !range.hi_inclusive)) != 0;
-      };
+    const auto range_zone = [out_lo, out_hi](double zmin, double zmax) {
       if (!out_lo(zmin) && !out_hi(zmax)) {
         return ZV::kAllPass;
       }
@@ -433,15 +358,11 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
       return ZV::kMixed;
     };
     if (col.type == ValueType::kInt64) {
-      Leaf leaf = MaskedLeaf(&col, [vals = col.i64.data(),
-                                    range](size_t r) {
-        const double x = static_cast<double>(vals[r]);
-        const bool out_lo =
-            (x < range.lo) | ((x == range.lo) & !range.lo_inclusive);
-        const bool out_hi =
-            (x > range.hi) | ((x == range.hi) & !range.hi_inclusive);
-        return !(out_lo | out_hi);
-      });
+      Leaf leaf = MaskedLeaf(
+          &col, [vals = col.i64.data(), out_lo, out_hi](size_t r) {
+            const double x = static_cast<double>(vals[r]);
+            return !(out_lo(x) | out_hi(x));
+          });
       leaf.zone = MaskedZone(
           &col, /*nan_pass=*/true, [range_zone](const ZoneEntry& z) {
             return range_zone(
@@ -450,21 +371,9 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
           });
       return leaf;
     }
-    const double* fvals = col.f64.data();
-    Leaf leaf = MaskedLeafSimd(
-        &col,
-        [vals = fvals, range](size_t r) {
-          const double x = vals[r];
-          const bool out_lo =
-              (x < range.lo) | ((x == range.lo) & !range.lo_inclusive);
-          const bool out_hi =
-              (x > range.hi) | ((x == range.hi) & !range.hi_inclusive);
-          return !(out_lo | out_hi);
-        },
-        [fvals, range](size_t begin, size_t end, uint64_t* bits) {
-          return simd::RangeF64(fvals + begin, end - begin, range.lo,
-                                range.lo_inclusive, range.hi,
-                                range.hi_inclusive, bits);
+    Leaf leaf = MaskedLeaf(
+        &col, [vals = col.f64.data(), out_lo, out_hi](size_t r) {
+          return !(out_lo(vals[r]) | out_hi(vals[r]));
         });
     leaf.zone = MaskedZone(
         &col, /*nan_pass=*/true, [range_zone](const ZoneEntry& z) {
@@ -678,9 +587,7 @@ CompiledPredicate::ZoneVerdict CompiledPredicate::MorselVerdict(
 
 // Mirrors AppendMorselSurvivors' dispatch: zone-proven morsels touch no
 // cell, and a mixed morsel examines either its candidate rows or all of
-// its rows through the first leaf's fill, whose SIMD kernel runs exactly
-// when the leaf has one and simd::Enabled() (morsels start on a multiple
-// of 64 and span at most kMorselRows rows, as the fill requires).
+// its rows through the first leaf's fill.
 CompiledPredicate::MorselWork CompiledPredicate::PlanMorsel(size_t m) const {
   MorselWork work;
   work.verdict = MorselVerdict(m);
@@ -691,7 +598,6 @@ CompiledPredicate::MorselWork CompiledPredicate::PlanMorsel(size_t m) const {
   }
   if (candidates_.empty()) {
     work.rows_examined = end - begin;
-    work.simd = leaves_.front().simd && simd::Enabled();
     return work;
   }
   for (size_t w = begin >> 6; w << 6 < end; ++w) {

@@ -17,7 +17,7 @@ namespace autocat {
 /// and built only in kernels.cc.
 struct PredicateLeaf;
 
-/// A serving-layer SelectionProfile compiled into vectorized per-column
+/// A serving-layer SelectionProfile compiled into per-column scalar
 /// kernels over a `ColumnarTable`: a flat conjunction of one leaf per
 /// constrained attribute, a never-matches flag, or (no leaves) every row.
 ///
@@ -95,9 +95,6 @@ class CompiledPredicate {
     /// Rows some leaf is evaluated on: none for a zone-proven morsel, the
     /// candidate rows under a posting source, else every row.
     size_t rows_examined = 0;
-    /// True when the first leaf's mask for the morsel is filled by a SIMD
-    /// kernel (only a dense-sourced mixed morsel fills one).
-    bool simd = false;
   };
   MorselWork PlanMorsel(size_t m) const;
 

@@ -65,7 +65,6 @@ Result<ColdPipelineResult> RunColdPipeline(
         break;
     }
     timings.rows_examined += work.rows_examined;
-    timings.simd_morsels += work.simd ? 1 : 0;
   }
 
   const double t0 = NowMs();

@@ -34,9 +34,8 @@ struct ColdPipelineTimings {
   /// Morsels the zone prover ruled all-pass: dense survivors, no per-row
   /// evaluation.
   size_t morsels_all_pass = 0;
-  /// Mixed morsels whose first leaf's mask a SIMD kernel filled (zero
-  /// under a posting source, when that leaf has no vector kernel, or when
-  /// AVX2 is unavailable).
+  /// Always 0: the filter has no vector kernels. Mirror only: perfbench's
+  /// mirror is its one reader; delete it with the mirror.
   size_t simd_morsels = 0;
   /// Rows some leaf was evaluated on: the posting candidates, or every
   /// row of the mixed morsels under the dense scan (zone-proven morsels

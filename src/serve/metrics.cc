@@ -61,14 +61,12 @@ void ServiceMetrics::RecordOperator(ServeOperator op, double ms) {
 }
 
 void ServiceMetrics::RecordPipeline(size_t morsels, size_t pruned,
-                                    size_t all_pass, size_t simd,
-                                    size_t rows_examined) {
+                                    size_t all_pass, size_t rows_examined) {
   MutexLock lock(mu_);
   ++pipeline_requests_;
   pipeline_morsels_ += morsels;
   morsels_pruned_ += pruned;
   morsels_all_pass_ += all_pass;
-  simd_morsels_ += simd;
   rows_examined_ += rows_examined;
 }
 
@@ -97,7 +95,6 @@ void ServiceMetrics::FillSnapshot(ServiceMetricsSnapshot* snapshot) const {
   snapshot->pipeline_morsels = pipeline_morsels_;
   snapshot->morsels_pruned = morsels_pruned_;
   snapshot->morsels_all_pass = morsels_all_pass_;
-  snapshot->simd_morsels = simd_morsels_;
   snapshot->rows_examined = rows_examined_;
   snapshot->coalesced_leaders = coalesced_leaders_;
   snapshot->coalesced_hits = coalesced_hits_;
@@ -139,7 +136,6 @@ std::string ServiceMetricsSnapshot::ToJson() const {
   out += ",\"morsels\":" + std::to_string(pipeline_morsels);
   out += ",\"morsels_pruned\":" + std::to_string(morsels_pruned);
   out += ",\"morsels_all_pass\":" + std::to_string(morsels_all_pass);
-  out += ",\"simd_morsels\":" + std::to_string(simd_morsels);
   out += ",\"rows_examined\":" + std::to_string(rows_examined);
   out += "},\"coalescing\":{\"leaders\":" +
          std::to_string(coalesced_leaders);

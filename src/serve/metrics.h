@@ -67,13 +67,11 @@ struct ServiceMetricsSnapshot {
   /// Pipelined cold executions and the morsels they scheduled, plus the
   /// zone-map accounting: morsels the prover ruled all-fail (no cell
   /// touched), morsels it ruled all-pass (dense survivors, no per-row
-  /// evaluation), mixed morsels whose first mask ran on the SIMD
-  /// kernels, and the rows some leaf was evaluated on.
+  /// evaluation), and the rows some leaf was evaluated on.
   uint64_t pipeline_requests = 0;
   uint64_t pipeline_morsels = 0;
   uint64_t morsels_pruned = 0;
   uint64_t morsels_all_pass = 0;
-  uint64_t simd_morsels = 0;
   uint64_t rows_examined = 0;
   /// In-flight request coalescing: executions that led a flight, requests
   /// answered from another request's in-flight execution, and the
@@ -105,10 +103,9 @@ class ServiceMetrics {
 
   /// Counts one pipelined cold execution, the morsels it covered, and the
   /// zone-map split: `pruned` all-fail morsels, `all_pass` dense morsels,
-  /// `simd` mixed morsels whose first mask ran on the vector kernels, and
-  /// `rows_examined` rows some leaf was evaluated on.
+  /// and `rows_examined` rows some leaf was evaluated on.
   void RecordPipeline(size_t morsels, size_t pruned, size_t all_pass,
-                      size_t simd, size_t rows_examined)
+                      size_t rows_examined)
       AUTOCAT_EXCLUDES(mu_);
 
   /// Counts one execution that led a coalescing flight.
@@ -140,7 +137,6 @@ class ServiceMetrics {
   uint64_t pipeline_morsels_ AUTOCAT_GUARDED_BY(mu_) = 0;
   uint64_t morsels_pruned_ AUTOCAT_GUARDED_BY(mu_) = 0;
   uint64_t morsels_all_pass_ AUTOCAT_GUARDED_BY(mu_) = 0;
-  uint64_t simd_morsels_ AUTOCAT_GUARDED_BY(mu_) = 0;
   uint64_t rows_examined_ AUTOCAT_GUARDED_BY(mu_) = 0;
   uint64_t coalesced_leaders_ AUTOCAT_GUARDED_BY(mu_) = 0;
   uint64_t coalesced_hits_ AUTOCAT_GUARDED_BY(mu_) = 0;

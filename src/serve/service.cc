@@ -287,7 +287,6 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   metrics_.RecordOperator(ServeOperator::kAttrIndex, scan.timings.stats_ms);
   metrics_.RecordPipeline(scan.timings.morsels, scan.timings.morsels_pruned,
                           scan.timings.morsels_all_pass,
-                          scan.timings.simd_morsels,
                           scan.timings.rows_examined);
   // The view shares the table version's shadow (not the result), so it
   // stays valid across the move into the payload.

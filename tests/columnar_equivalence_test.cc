@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -29,6 +30,7 @@
 #include "core/partition.h"
 #include "exec/executor.h"
 #include "exec/kernels.h"
+#include "exec/pipeline/morsel.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
 #include "storage/columnar.h"
@@ -48,7 +50,7 @@ using namespace equiv;  // NOLINT
 // -------------------------------------------- profile (serving-path) filter
 
 // Compiles `profile` against `shadow` (the shadow of `table`) and
-// requires Filter at threads 1 and 7 to select exactly the rows
+// requires Filter at threads {1, 2, 7, 16} to select exactly the rows
 // MatchesRow keeps.
 void ExpectProfileMatchesRows(const Table& table,
                               std::shared_ptr<const ColumnarTable> shadow,
@@ -65,7 +67,7 @@ void ExpectProfileMatchesRows(const Table& table,
       expected.push_back(static_cast<uint32_t>(r));
     }
   }
-  for (const size_t threads : {size_t{1}, size_t{7}}) {
+  for (const size_t threads : {1, 2, 7, 16}) {
     ParallelOptions parallel;
     parallel.threads = threads;
     AUTOCAT_ASSERT_OK_AND_MOVE(std::vector<uint32_t> got,
@@ -175,6 +177,52 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
       ExpectProfileMatchesRows(*t, t_shadow, profile,
                                std::string(name) + ": " + attr + " " +
                                    cond.ToString());
+    }
+  }
+
+  // Double ranges over every sharp double cell: NaN, -0.0, 0.0, +-inf,
+  // +-max, +-denorm_min and neighbours of a split point, with NULLs, over
+  // three morsels and a ragged tail. Each bound lies on or next to one of
+  // those values, and every pair of bounds runs with all four
+  // inclusivities: alone (the range leaf fills the mask) and under a
+  // string value set (the dictionary leaf fills it, the range tests the
+  // survivors).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double dmax = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double split = 250000.0;
+  const double below = std::nextafter(split, -inf);
+  const double above = std::nextafter(split, inf);
+  const double sharp[] = {nan,  -0.0, 0.0,   inf,   -inf,  dmax,
+                          -dmax, tiny, -tiny, split, below, above};
+  const Table homes = MakeHomes(3 * kMorselRows + 77, 808, 0.1, true);
+  Table doubles(schema);
+  for (size_t r = 0; r < homes.num_rows(); ++r) {
+    Row row = homes.row(r);
+    if (r % 3 == 0) {
+      row[3] = Value(sharp[r / 3 % std::size(sharp)]);
+    }
+    if (r % 7 == 0) {
+      row[3] = Value();
+    }
+    ASSERT_TRUE(doubles.AppendRow(std::move(row)).ok());
+  }
+  const auto doubles_shadow = ShadowOf(doubles);
+  const double bounds[] = {nan,  -inf, -dmax, -tiny, -0.0,  0.0,  tiny,
+                           below, split, above, dmax,  inf};
+  for (const double lo : bounds) {
+    for (const double hi : bounds) {
+      for (int inc = 0; inc < 4; ++inc) {
+        SelectionProfile profile;
+        profile.Set("price", Range(lo, (inc & 1) != 0, hi, (inc & 2) != 0));
+        ExpectProfileMatchesRows(doubles, doubles_shadow, profile,
+                                 "doubles: " + profile.ToString());
+        profile.Set("neighborhood",
+                    AttributeCondition::ValueSet(
+                        {Value(kNeighborhoods[0]), Value(kNeighborhoods[2])}));
+        ExpectProfileMatchesRows(doubles, doubles_shadow, profile,
+                                 "doubles: " + profile.ToString());
+      }
     }
   }
 }

@@ -2,17 +2,18 @@
 // (DESIGN.md §14).
 //
 // RunColdPipeline promises that its selection, result table, and byte
-// accounting are bit-identical to a sequential reference chain
-// (CompiledPredicate::Filter at one thread -> a builder copy of the
-// selected rows, bytes counted by an independent copy of the cache's
-// formula) at every thread count, and that its attribute index matches a
-// from-scratch rescan of the result. These tests replay the checked-in
-// SQL fuzz corpus and randomized queries over a deterministic table
-// seeded with edge values (NaN, -0.0, 2^53+1, int64 extremes, NULLs) at
-// threads {1, 2, 7, 16}, and pin the attribute index over both kinds of
-// column (a built shadow's, which carry codes, and a mapped segment
-// store's numeric ones, which are ranked per request) to the same
-// from-scratch reference.
+// accounting are bit-identical to a sequential reference chain (the rows
+// SelectionProfile::MatchesRow keeps -> a builder copy of those rows,
+// bytes counted by an independent copy of the cache's formula) at every
+// thread count, and that its attribute index matches a from-scratch
+// rescan of the result. The reference never runs a compiled kernel, so
+// the pipeline's filter is held against the row oracle. These tests
+// replay the checked-in SQL fuzz corpus and randomized queries over a
+// deterministic table seeded with edge values (NaN, -0.0, 2^53+1, int64
+// extremes, NULLs) at threads {1, 2, 7, 16}, and pin the attribute
+// index over both kinds of column (a built shadow's, which carry codes,
+// and a mapped segment store's numeric ones, which are ranked per
+// request) to the same from-scratch reference.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -52,27 +53,27 @@ using namespace equiv;  // NOLINT
 
 const size_t kThreadCounts[] = {1, 2, 7, 16};
 
-// The sequential reference chain: filter to a full selection at one
-// thread, then copy the selected rows into a builder table.
+// The sequential reference chain: the rows MatchesRow keeps, in order,
+// then a builder copy of those rows.
 struct ReferenceCold {
   std::vector<uint32_t> selection;
   Table result;
 };
 
 Result<ReferenceCold> RunReference(const Table& table,
-                                   const CompiledPredicate& compiled,
+                                   const SelectionProfile& profile,
                                    const std::vector<std::string>& columns) {
-  ParallelOptions sequential;
-  sequential.threads = 1;
-  AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> selection,
-                           compiled.Filter(sequential));
   ReferenceCold out;
-  out.selection = selection;
-  AUTOCAT_ASSIGN_OR_RETURN(
-      out.result,
-      SelectProjectRows(table,
-                        std::vector<size_t>(selection.begin(), selection.end()),
-                        columns));
+  std::vector<size_t> rows;
+  Row scratch;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (profile.MatchesRow(table.RowRef(r, &scratch), table.schema())) {
+      out.selection.push_back(static_cast<uint32_t>(r));
+      rows.push_back(r);
+    }
+  }
+  AUTOCAT_ASSIGN_OR_RETURN(out.result,
+                           SelectProjectRows(table, rows, columns));
   return out;
 }
 
@@ -101,11 +102,13 @@ void ExpectIndexesIdentical(const ResultAttributeIndex& a,
 
 // Parses and compiles `sql`; a query that does not parse or normalize to
 // a profile is skipped and leaves `*compiled_out` empty. The profile
-// compiler is total, so every profile must compile.
+// compiler is total, so every profile must compile. `profile_out`, when
+// given, receives the compiled profile.
 void CompileOrSkip(const std::string& sql, const Schema& schema,
                    const std::shared_ptr<const ColumnarTable>& shadow,
                    std::optional<CompiledPredicate>* compiled_out,
-                   std::vector<std::string>* columns_out) {
+                   std::vector<std::string>* columns_out,
+                   SelectionProfile* profile_out = nullptr) {
   compiled_out->reset();
   auto query = ParseQuery(sql);
   if (!query.ok()) {
@@ -120,6 +123,9 @@ void CompileOrSkip(const std::string& sql, const Schema& schema,
   ASSERT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
   *columns_out = query.value().columns;
   compiled_out->emplace(std::move(compiled).value());
+  if (profile_out != nullptr) {
+    *profile_out = std::move(profile).value();
+  }
 }
 
 // Runs the reference chain once and the pipeline at every thread count:
@@ -130,15 +136,15 @@ void ExpectPipelineMatchesReference(
     const std::string& sql, size_t* compiled_queries) {
   std::optional<CompiledPredicate> compiled;
   std::vector<std::string> columns;
-  CompileOrSkip(sql, table.schema(), shadow, &compiled, &columns);
+  SelectionProfile profile;
+  CompileOrSkip(sql, table.schema(), shadow, &compiled, &columns, &profile);
   if (!compiled.has_value()) {
     return;
   }
   ++*compiled_queries;
 
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const ReferenceCold reference,
-      RunReference(table, compiled.value(), columns));
+  AUTOCAT_ASSERT_OK_AND_MOVE(const ReferenceCold reference,
+                             RunReference(table, profile, columns));
   const size_t expected_bytes = CacheBytes(reference.result);
 
   std::optional<ResultAttributeIndex> reference_index;

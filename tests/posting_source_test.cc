@@ -7,10 +7,11 @@
 // row count, `{0}` for an empty dictionary), and that posting-sourced
 // `Filter` selects exactly the rows `MatchesRow` keeps at threads
 // {1, 2, 7, 16} and under every candidate-source rule: NULL string
-// cells, tiny and ragged row counts, IN lists with absent or duplicate
-// names, two dictionary leaves, unions on both sides of the cutoff, a
-// zone-pruned residual leaf, and a store-wrapped table without postings.
-// The cold pipeline's work counters are checked against the candidates.
+// cells, tiny and ragged row counts (dense dictionary and double-range
+// leaves included), IN lists with absent or duplicate names, two
+// dictionary leaves, unions on both sides of the cutoff, a zone-pruned
+// residual leaf, and a store-wrapped table without postings. The cold
+// pipeline's work counters are checked against the candidates.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@
 #include "exec/kernels.h"
 #include "exec/pipeline/cold_path.h"
 #include "exec/pipeline/morsel.h"
-#include "exec/simd_kernels.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
 #include "storage/columnar.h"
@@ -291,18 +291,31 @@ TEST_F(PostingSourceTest, NullStringCells) {
 }
 
 TEST_F(PostingSourceTest, TinyAndRaggedRowCounts) {
-  // Below one bitmap word, and a ragged last morsel.
-  for (const size_t n : {size_t{7}, size_t{50}, 2 * kMorselRows + 77}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    Use(MakeListings(n, 31 + n, 0.1, false));
-    // When the sample lacks the name the leaf never matches; below
-    // kPostingCutoffDivisor rows even one candidate is over the cutoff.
-    const size_t hits = UnionSize(table_, 0, {"n05"});
-    const bool want = hits > 0 &&
-                      hits * CompiledPredicate::kPostingCutoffDivisor <= n;
-    ExpectExact(table_, shadow_, "neighborhood IN ('n05')", want);
-    ExpectExact(table_, shadow_, "neighborhood IN ('n05') AND price < 500000",
-                want);
+  // One row, below and around one bitmap word, around one morsel, and
+  // ragged last morsels; with and without NULL cells (the leaf masks
+  // NULL rows only when its column has some). Under the dense rule the
+  // first leaf fills each morsel's mask: the dictionary leaf, or the
+  // double-range leaf when price stands alone.
+  for (const size_t n :
+       {size_t{1}, size_t{7}, size_t{50}, size_t{63}, size_t{64},
+        size_t{65}, kMorselRows - 1, kMorselRows + 1, 2 * kMorselRows + 77,
+        3 * kMorselRows + 77}) {
+    for (const double null_p : {0.0, 0.1}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " null_p=" + std::to_string(null_p));
+      Use(MakeListings(n, 31 + n, null_p, false));
+      // When the sample lacks the name the leaf never matches; below
+      // kPostingCutoffDivisor rows even one candidate is over the cutoff.
+      const size_t hits = UnionSize(table_, 0, {"n05"});
+      const bool want = hits > 0 &&
+                        hits * CompiledPredicate::kPostingCutoffDivisor <= n;
+      ExpectExact(table_, shadow_, "neighborhood IN ('n05')", want);
+      ExpectExact(table_, shadow_,
+                  "neighborhood IN ('n05') AND price < 500000", want);
+      ExpectExact(table_, shadow_, "price < 500000", false);
+      ExpectExact(table_, shadow_, "price >= 250000 AND price <= 750000",
+                  false);
+    }
   }
 }
 
@@ -387,7 +400,6 @@ TEST_F(PostingSourceTest, ZonePrunedResidualLeaf) {
       RunColdPipeline(*compiled, table_, shadow_.get(), {}, options));
   EXPECT_EQ(piped.timings.morsels, 8u);
   EXPECT_EQ(piped.timings.morsels_pruned, 6u);
-  EXPECT_EQ(piped.timings.simd_morsels, 0u);
   // Only the candidates of the two unpruned morsels were examined.
   size_t candidates = 0;
   for (size_t r = 0; r < 2 * kMorselRows; ++r) {
@@ -453,7 +465,7 @@ TEST_F(PostingSourceTest, RandomizedProfilesMatchOracle) {
 
 // ------------------------------------------------------- work counters
 
-TEST_F(PostingSourceTest, SimdMorselsCountOnlyVectorFills) {
+TEST_F(PostingSourceTest, RowsExaminedFollowTheCandidateSource) {
   Use(MakeListings(4 * kMorselRows, 101, 0.0, false));
   ColdPipelineOptions options;
   options.parallel.threads = 1;
@@ -466,25 +478,20 @@ TEST_F(PostingSourceTest, SimdMorselsCountOnlyVectorFills) {
     EXPECT_TRUE(piped.ok());
     return std::move(piped).value().timings;
   };
-  const size_t vector_morsels = simd::Enabled() ? 4 : 0;
   // Profile leaves follow attribute-name order. Dense scan led by a
-  // dictionary leaf (city sorts before price): the SIMD accept-table
-  // kernel fills every mixed morsel.
+  // dictionary leaf (city sorts before price; six of 16 cities is over
+  // the posting cutoff): every row of every mixed morsel is examined.
   const std::string six_cities =
       "city IN ('c01', 'c02', 'c03', 'c04', 'c05', 'c06')";
   const ColdPipelineTimings dense_dict = run(six_cities + " AND price > 10");
-  EXPECT_EQ(dense_dict.simd_morsels, vector_morsels);
   EXPECT_EQ(dense_dict.rows_examined, 4 * kMorselRows);
   // Dense scan led by an int64 range leaf (bedroomcount sorts before
-  // city), which has no vector kernel: no SIMD fill runs, although the
-  // later city leaf has one.
+  // city): the same.
   const ColdPipelineTimings dense_int =
       run(six_cities + " AND bedroomcount < 5");
-  EXPECT_EQ(dense_int.simd_morsels, 0u);
   EXPECT_EQ(dense_int.rows_examined, 4 * kMorselRows);
-  // Posting-sourced: no mask is filled at all.
+  // Posting-sourced: only the candidates are examined.
   const ColdPipelineTimings posted = run("city IN ('c01') AND price > 10");
-  EXPECT_EQ(posted.simd_morsels, 0u);
   EXPECT_EQ(posted.rows_examined, UnionSize(table_, 1, {"c01"}));
 }
 

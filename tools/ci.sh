@@ -62,15 +62,15 @@
 #            the targeted gate for on-disk-format work. The ASan and
 #            TSan passes of this leg also run in the default matrix.
 #   --kernels
-#            run the zone-map + SIMD kernel suites (exact zone metadata,
-#            the zone prover's refuse-or-exact verdicts against row
-#            truth, cold-pipeline pruning counters, posting lists and the
-#            posting-sourced filter against the row oracle, and the
-#            SIMD-vs-scalar equivalence gate over the profiles of the
-#            fuzz corpus and randomized queries at threads 1/2/7/16) in
-#            Release and under ASan and UBSan, plus bench_exec_filter at
-#            --smoke sizes — the targeted gate for filter-kernel and
-#            zone-map work (DESIGN.md section 15). The ASan and UBSan
+#            run the zone-map + filter-kernel suites (exact zone
+#            metadata, the zone prover's refuse-or-exact verdicts against
+#            row truth, cold-pipeline pruning counters, posting lists and
+#            the posting-sourced filter against the row oracle, and the
+#            cold pipeline over the profiles of the fuzz corpus and
+#            randomized queries against the row oracle at threads
+#            1/2/7/16) in Release and under ASan and UBSan, plus
+#            bench_exec_filter at --smoke sizes — the targeted gate for
+#            filter-kernel and zone-map work (DESIGN.md section 15). The ASan and UBSan
 #            passes of this leg also run in the default matrix.
 #   --figures
 #            build Release and run the 11 deterministic paper-evaluation
@@ -217,17 +217,16 @@ store_leg() {
     -R "$STORE_FILTER")
 }
 
-# The zone-map + SIMD kernel gate: zone metadata construction, the zone
-# prover's refuse-or-exact verdicts (randomized, NULL/NaN edges,
+# The zone-map + filter-kernel gate: zone metadata construction, the
+# zone prover's refuse-or-exact verdicts (randomized, NULL/NaN edges,
 # clustered pruning bite, cold-pipeline counters), the CSR posting lists
-# and the posting-sourced filter against MatchesRow, the kernel-vs-scalar
-# unit comparisons, the end-to-end SIMD-vs-scalar equivalence gate
-# (profiles of the fuzz corpus and of randomized queries, identical
-# selections at threads 1/2/7/16), and the columnar equivalence suite,
-# where the profile compiler is held total and exact against MatchesRow
-# (randomized profiles and edge values) and a mixed-type column dies in
-# Build.
-KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|PostingListTest|PostingSourceTest|SimdKernelTest|SimdEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
+# and the posting-sourced filter against MatchesRow, the cold pipeline
+# over the profiles of the fuzz corpus and of randomized queries against
+# MatchesRow at threads 1/2/7/16 (PipelineEquivalenceTest), and the
+# columnar equivalence suite, where the profile compiler is held total
+# and exact against MatchesRow (randomized profiles and edge values) and
+# a mixed-type column dies in Build.
+KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|PostingListTest|PostingSourceTest|PipelineEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
 
 kernels_leg() {
   local name="$1" dir="$2"
