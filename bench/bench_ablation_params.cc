@@ -119,12 +119,12 @@ int main() {
   for (size_t i = 0; i < std::min<size_t>(500, result->num_rows()); ++i) {
     sample.push_back(static_cast<uint32_t>(i));
   }
-  auto small_view = TableView::Create(result.value(), nullptr,
-                                      std::move(sample), {});
-  if (!small_view.ok()) {
+  auto selected = Table::Select(result.value(), nullptr, std::move(sample),
+                                {});
+  if (!selected.ok()) {
     return 1;
   }
-  const Table small = small_view.value().AsTable();
+  const Table& small = selected.value();
   CategorizerOptions options = config.categorizer;
   const CostBasedCategorizer greedy_categorizer(&stats.value(), options);
   const std::vector<std::string> candidates =

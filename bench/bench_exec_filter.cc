@@ -1,7 +1,7 @@
 // Profile filtering microbenchmark: the row-at-a-time WHERE evaluator
 // (ExecuteQuery) vs the compiled selection-profile kernels
-// (CompileProfile -> Filter -> TableView::Create -> AsTable, the
-// selection step of the serving cold path) vs the kernels with a threaded
+// (CompileProfile -> Filter -> Table::Select, the selection step of the
+// serving cold path) vs the kernels with a threaded
 // chunk-order merge, swept across selectivities {0.1%, 1%, 10%, 90%} of
 // the synthetic ListProperty table (price-quantile range queries and
 // their equivalent range profiles).
@@ -97,10 +97,7 @@ Result<Table> ExecuteProfile(const SelectivityCase& c, const Database& db,
       CompiledPredicate::CompileProfile(c.profile, table->schema(), shadow));
   AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                            compiled.Filter(parallel));
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(*table, std::move(shadow), std::move(rows), {}));
-  return view.AsTable();
+  return Table::Select(*table, std::move(shadow), std::move(rows), {});
 }
 
 // One point of the candidate-source sweep: a neighborhood value set whose

@@ -100,9 +100,8 @@ void BM_PartitionCategorical(benchmark::State& state) {
   for (size_t i = 0; i < all.size(); ++i) {
     all[i] = i;
   }
-  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionCategorical(view, all, "neighborhood",
+    auto parts = PartitionCategorical(fixture.result, all, "neighborhood",
                                       *fixture.stats);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());
@@ -118,9 +117,8 @@ void BM_PartitionNumeric(benchmark::State& state) {
     all[i] = i;
   }
   const CategorizerOptions options;
-  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionNumeric(view, all, "price",
+    auto parts = PartitionNumeric(fixture.result, all, "price",
                                   *fixture.stats, options, nullptr);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());
@@ -187,10 +185,10 @@ void BM_CategorizeBySize(benchmark::State& state) {
   for (size_t i = 0; i < rows; ++i) {
     subset[i] = static_cast<uint32_t>(i);
   }
-  auto view = TableView::Create(fixture.result, nullptr, std::move(subset),
+  auto selected = Table::Select(fixture.result, nullptr, std::move(subset),
                                 {});
-  AUTOCAT_CHECK(view.ok());
-  const Table result = view.value().AsTable();
+  AUTOCAT_CHECK(selected.ok());
+  const Table& result = selected.value();
   const CostBasedCategorizer categorizer(fixture.stats.get(),
                                          fixture.config.categorizer);
   for (auto _ : state) {

@@ -23,6 +23,8 @@ std::string_view ValueTypeToString(ValueType type) {
   return "unknown";
 }
 
+bool Value::is_nan() const { return is_double() && std::isnan(double_value()); }
+
 double Value::AsDouble() const {
   if (is_int64()) {
     return static_cast<double>(int64_value());

@@ -60,6 +60,9 @@ class Value {
 
   /// True for int64 or double values.
   bool is_numeric() const { return is_int64() || is_double(); }
+  /// True for a double NaN. The predicate evaluators treat a NaN cell as
+  /// they treat a NULL one: it satisfies no comparison, range or set.
+  bool is_nan() const;
 
   /// Accessors. Each aborts (via std::get) if the type does not match.
   int64_t int64_value() const { return std::get<int64_t>(data_); }

@@ -49,15 +49,15 @@ std::vector<std::string> CandidatesOf(const CategorizerOptions& options,
   return out;
 }
 
-// What every technique's level loop reads. The partitioners read the
-// result through `view` (the codes and typed arrays of its shadow);
-// `index`, when non-null, supplies the level-1 orders. `baseline_rng`, when non-null, selects the baseline
-// partitionings of Section 6.1 (arbitrary-order single-value categories
-// shuffled with it, equi-width buckets); null selects the cost-based ones
-// of Sections 5.1.2 / 5.1.3.
+// What every technique's level loop reads. The partitioners read
+// `table`, the column-backed result (the codes and typed arrays of its
+// backing); `index`, when non-null, supplies the level-1 orders.
+// `baseline_rng`, when non-null, selects the baseline partitionings of
+// Section 6.1 (arbitrary-order single-value categories shuffled with it,
+// equi-width buckets); null selects the cost-based ones of Sections
+// 5.1.2 / 5.1.3.
 struct LevelContext {
-  const TableView& view;
-  const Table& result;
+  const Table& table;
   const ResultAttributeIndex* index;
   const WorkloadStats& stats;
   const CategorizerOptions& options;
@@ -93,7 +93,7 @@ Status BuildOrder(const LevelContext& ctx, const CategoryTree& tree,
         ctx.index == nullptr ? nullptr : ctx.index->entry(attr->col);
     AUTOCAT_ASSIGN_OR_RETURN(
         attr->order,
-        AttributeOrder::Build(ctx.view, attr->col, nullptr, entry));
+        AttributeOrder::Build(ctx.table, attr->col, nullptr, entry));
   } else {
     std::vector<size_t> rows;
     for (const NodeId id : slots) {
@@ -102,7 +102,7 @@ Status BuildOrder(const LevelContext& ctx, const CategoryTree& tree,
     }
     AUTOCAT_ASSIGN_OR_RETURN(
         attr->order,
-        AttributeOrder::Build(ctx.view, attr->col, &rows, nullptr));
+        AttributeOrder::Build(ctx.table, attr->col, &rows, nullptr));
     attr->order->Distribute(slot_of_row, slots.size());
   }
   if (attr->numeric) {
@@ -213,7 +213,7 @@ std::vector<PartitionCategory> SlicePlan(
   if (attr.numeric) {
     return SliceBuckets(attr.name, plan.buckets, attr.order->run(slot));
   }
-  group_of_row->resize(ctx.view.num_rows());
+  group_of_row->resize(ctx.table.num_rows());
   return PartitionKeyGroups(attr.name, *attr.order, attr.order->run(slot),
                             plan.groups, parent_tuples, group_of_row);
 }
@@ -243,7 +243,11 @@ std::vector<PartitionCategory> SlicePlan(
 // the strict minimum in candidate order (earliest wins on ties), so the
 // chosen attribute — hence the whole tree — is identical at any thread
 // count.
+//
+// The tree references `result`: `ctx.table` itself, or the builder it is
+// a column-backed copy of.
 Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
+                                       const Table& result,
                                        const std::vector<std::string>& names,
                                        bool cost_based_choice,
                                        const ParallelOptions* parallel,
@@ -258,7 +262,7 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
     mark = now;
   };
 
-  const Schema& schema = ctx.view.schema();
+  const Schema& schema = ctx.table.schema();
   std::vector<LevelAttribute> attrs;
   attrs.reserve(names.size());
   for (const std::string& name : names) {
@@ -269,7 +273,7 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
     attr.numeric = schema.column(col).kind == ColumnKind::kNumeric;
     attrs.push_back(std::move(attr));
   }
-  CategoryTree tree(&ctx.result);
+  CategoryTree tree(&result);
   const CostModel& model = ctx.model;
   const ProbabilityEstimator& estimator = model.estimator();
   const size_t max_tuples = ctx.options.max_tuples_per_category;
@@ -278,7 +282,7 @@ Result<CategoryTree> BuildLevelByLevel(const LevelContext& ctx,
   // The categories the orders' runs are for, and the run of each row
   // (-1: none). Level 1 has one: the root, holding every row.
   std::vector<NodeId> slots = {tree.root()};
-  std::vector<int32_t> slot_of_row(ctx.result.num_rows(), 0);
+  std::vector<int32_t> slot_of_row(ctx.table.num_rows(), 0);
   std::vector<uint32_t> group_of_row;
 
   int level = 1;
@@ -441,10 +445,10 @@ Result<CategoryTree> BuildOverRows(const Table& result,
                                    Random* baseline_rng) {
   ProbabilityEstimator estimator(&stats, &result.schema());
   CostModel model(&estimator, options.cost_params);
-  const TableView view = TableView::All(result, nullptr);
-  const LevelContext ctx{view,  result, /*index=*/nullptr, stats, options,
-                         query, model,  baseline_rng};
-  return BuildLevelByLevel(ctx, names, cost_based_choice,
+  std::optional<Table> copy;
+  const LevelContext ctx{ColumnBacked(result, &copy), /*index=*/nullptr,
+                         stats, options, query, model, baseline_rng};
+  return BuildLevelByLevel(ctx, result, names, cost_based_choice,
                            /*parallel=*/nullptr, /*timings=*/nullptr);
 }
 
@@ -464,38 +468,44 @@ std::vector<std::string> CostBasedCategorizer::RetainedAttributes(
 
 Result<CategoryTree> CostBasedCategorizer::Categorize(
     const Table& result, const SelectionProfile* query) const {
-  return Categorize(TableView::All(result, nullptr), result, query);
+  return Categorize(result, query, /*index=*/nullptr, /*timings=*/nullptr);
 }
 
 Result<CategoryTree> CostBasedCategorizer::Categorize(
-    const TableView& view, const Table& result, const SelectionProfile* query,
+    const Table& result, const SelectionProfile* query,
     const ResultAttributeIndex* index, CategorizeTimings* timings) const {
-  // The tree's tuple indices are rows of `result`; the partitioners read
-  // the same rows through `view`, so the two must describe one relation.
-  if (view.num_rows() != result.num_rows() ||
-      view.num_columns() != result.num_columns()) {
-    return Status::InvalidArgument(
-        "view shape does not match the result table");
-  }
-  for (size_t c = 0; c < result.num_columns(); ++c) {
-    if (view.schema().column(c).name != result.schema().column(c).name ||
-        view.schema().column(c).type != result.schema().column(c).type ||
-        view.schema().column(c).kind != result.schema().column(c).kind) {
-      return Status::InvalidArgument(
-          "view schema does not match the result table");
-    }
-  }
   if (index != nullptr && index->num_rows != result.num_rows()) {
     return Status::InvalidArgument(
         "attribute index does not cover the result table");
   }
   ProbabilityEstimator estimator(stats_, &result.schema());
   CostModel model(&estimator, options_.cost_params);
-  const LevelContext ctx{view,     result, index, *stats_, options_,
-                         query,    model,  /*baseline_rng=*/nullptr};
-  return BuildLevelByLevel(ctx, RetainedAttributes(result.schema()),
+  std::optional<Table> copy;
+  const LevelContext ctx{ColumnBacked(result, &copy), index, *stats_,
+                         options_, query, model, /*baseline_rng=*/nullptr};
+  return BuildLevelByLevel(ctx, result, RetainedAttributes(result.schema()),
                            /*cost_based_choice=*/true, &options_.parallel,
                            timings);
+}
+
+Result<CategoryTree> CostBasedCategorizer::Categorize(
+    const Table& view, const Table& result, const SelectionProfile* query,
+    const ResultAttributeIndex* index, CategorizeTimings* timings) const {
+  bool same = !view.has_rows() && !result.has_rows() &&
+              view.columnar_backing() == result.columnar_backing() &&
+              view.num_rows() == result.num_rows() &&
+              view.schema() == result.schema();
+  for (size_t r = 0; same && r < view.num_rows(); ++r) {
+    same = view.backing_row(r) == result.backing_row(r);
+  }
+  for (size_t c = 0; same && c < view.num_columns(); ++c) {
+    same = view.backing_column(c) == result.backing_column(c);
+  }
+  if (!same) {
+    return Status::InvalidArgument(
+        "view is not the result table's relation");
+  }
+  return Categorize(result, query, index, timings);
 }
 
 Result<CategoryTree> AttrCostCategorizer::Categorize(

@@ -117,23 +117,29 @@ class CostBasedCategorizer final : public Categorizer {
   Result<CategoryTree> Categorize(
       const Table& result, const SelectionProfile* query) const override;
 
-  /// Columnar construction for the serving path: the same level-by-level
-  /// algorithm with the partitioners reading dictionary codes / typed
-  /// arrays through `view`, which describes the same rows as `result`
-  /// (view row i == result row i; `result` is the view as a table,
-  /// `AsTable`, or a copy of its rows, and holds the tuples the tree
-  /// references). `index`, when non-null, is a precomputed
-  /// `ResultAttributeIndex` over `view`'s selection of its shadow (built by
-  /// `RunColdPipeline`): its entries are the level-1 key orders of their
-  /// attributes, taken instead of sorting the columns, producing the
-  /// identical tree. `timings`, when non-null, receives the wall time of
-  /// the construction's phases. Errors InvalidArgument when `view`,
-  /// `index`, and `result` disagree on shape.
-  Result<CategoryTree> Categorize(
-      const TableView& view, const Table& result,
-      const SelectionProfile* query,
-      const ResultAttributeIndex* index = nullptr,
-      CategorizeTimings* timings = nullptr) const;
+  /// The construction for the serving path, with the partitioners
+  /// reading dictionary codes / typed arrays through `result`'s backing
+  /// (a builder `result` is read through a column-backed copy built once
+  /// per call). `index`, when non-null, is a precomputed
+  /// `ResultAttributeIndex` over `result` (built by `RunColdPipeline`):
+  /// its entries are the level-1 key orders of their attributes, taken
+  /// instead of sorting the columns, producing the identical tree.
+  /// `timings`, when non-null, receives the wall time of the
+  /// construction's phases. Errors InvalidArgument when `index` does not
+  /// cover `result`'s rows.
+  Result<CategoryTree> Categorize(const Table& result,
+                                  const SelectionProfile* query,
+                                  const ResultAttributeIndex* index,
+                                  CategorizeTimings* timings) const;
+
+  /// The one-table `Categorize` after checking that `view` is `result`'s
+  /// relation: both column-backed over the same backing with the same
+  /// schema, selection and projection (InvalidArgument otherwise).
+  /// Mirror only; delete with the mirror.
+  Result<CategoryTree> Categorize(const Table& view, const Table& result,
+                                  const SelectionProfile* query,
+                                  const ResultAttributeIndex* index,
+                                  CategorizeTimings* timings = nullptr) const;
 
   std::string name() const override { return "Cost-based"; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_set>
 
@@ -97,25 +98,30 @@ Status ValidateCategoricalPartition(
   return Status::OK();
 }
 
-Result<AttributeOrder> AttributeOrder::Build(const TableView& view,
-                                             size_t col,
+Result<AttributeOrder> AttributeOrder::Build(const Table& table, size_t col,
                                              const std::vector<size_t>* rows,
                                              const AttributeIndexEntry* entry) {
-  if (view.num_rows() > std::numeric_limits<uint32_t>::max()) {
+  if (table.has_rows()) {
+    return Status::InvalidArgument(
+        "a categorization order reads a column-backed table, not a "
+        "builder");
+  }
+  if (table.num_rows() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
         "too many rows for a categorization order");
   }
   AttributeOrder order;
-  order.view_ = &view;
-  order.column_ = &view.columnar()->column(view.base_column(col));
-  order.numeric_ = view.schema().column(col).kind == ColumnKind::kNumeric;
+  order.table_ = &table;
+  order.column_ =
+      &table.columnar_backing()->column(table.backing_column(col));
+  order.numeric_ = table.schema().column(col).kind == ColumnKind::kNumeric;
   if (rows != nullptr) {
     const std::vector<uint32_t> positions(rows->begin(), rows->end());
-    order.entries_ = SortedKeys(view, col, &positions);
+    order.entries_ = SortedKeys(table, col, &positions);
   } else if (entry != nullptr && entry->has_sorted_keys) {
     order.entries_ = entry->sorted_keys;
   } else {
-    order.entries_ = SortedKeys(view, col, nullptr);
+    order.entries_ = SortedKeys(table, col, nullptr);
   }
   // Re-key densely, giving each key the value of its lowest row.
   uint32_t last = 0;
@@ -141,7 +147,7 @@ std::span<const KeyOrderEntry> AttributeOrder::run(size_t run) const {
 }
 
 Value AttributeOrder::cell(uint32_t row) const {
-  return column_->CellValue(view_->base_row(row));
+  return column_->CellValue(table_->backing_row(row));
 }
 
 void AttributeOrder::Distribute(const std::vector<int32_t>& slot_of_row,
@@ -448,46 +454,56 @@ namespace {
 
 // The one-run order of `attribute` over `tuples`; kInvalidArgument unless
 // the column is declared `kind`.
-Result<AttributeOrder> NodeOrder(const TableView& view,
+Result<AttributeOrder> NodeOrder(const Table& table,
                                  const std::vector<size_t>& tuples,
                                  const std::string& attribute,
                                  ColumnKind kind) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           view.schema().ColumnIndex(attribute));
-  if (view.schema().column(col).kind != kind) {
+                           table.schema().ColumnIndex(attribute));
+  if (table.schema().column(col).kind != kind) {
     return Status::InvalidArgument(
         "attribute '" + attribute + "' is not " +
         (kind == ColumnKind::kNumeric ? "numeric" : "categorical"));
   }
-  return AttributeOrder::Build(view, col, &tuples, nullptr);
+  return AttributeOrder::Build(table, col, &tuples, nullptr);
 }
 
 }  // namespace
 
+const Table& ColumnBacked(const Table& result, std::optional<Table>* copy) {
+  if (!result.has_rows()) {
+    return result;
+  }
+  copy->emplace(Table::FromColumnar(
+      result.schema(),
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(result))));
+  return **copy;
+}
+
 Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats) {
   AUTOCAT_ASSIGN_OR_RETURN(
       const AttributeOrder order,
-      NodeOrder(view, tuples, attribute, ColumnKind::kCategorical));
+      NodeOrder(table, tuples, attribute, ColumnKind::kCategorical));
   std::vector<size_t> occ_of_key(order.num_keys());
   for (uint32_t key = 0; key < order.num_keys(); ++key) {
     occ_of_key[key] = stats.OccurrenceCount(attribute, order.key_value(key));
   }
   std::vector<KeyGroup> groups = GroupKeys(order.run(0));
   SortGroupsByOccurrence(occ_of_key, &groups);
-  std::vector<uint32_t> group_of_row(view.num_rows());
+  std::vector<uint32_t> group_of_row(table.num_rows());
   return PartitionKeyGroups(attribute, order, order.run(0), groups, tuples,
                             &group_of_row);
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const CategorizerOptions& options, const NumericRange* query_range) {
   AUTOCAT_ASSIGN_OR_RETURN(
       const AttributeOrder order,
-      NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
+      NodeOrder(table, tuples, attribute, ColumnKind::kNumeric));
   return SliceBuckets(attribute,
                       PlanNumericBuckets(attribute, stats, options,
                                          query_range, order, order.run(0)),
@@ -495,12 +511,12 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 }
 
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng) {
   AUTOCAT_ASSIGN_OR_RETURN(
       const AttributeOrder order,
-      NodeOrder(view, tuples, attribute, ColumnKind::kCategorical));
-  std::vector<uint32_t> group_of_row(view.num_rows());
+      NodeOrder(table, tuples, attribute, ColumnKind::kCategorical));
+  std::vector<uint32_t> group_of_row(table.num_rows());
   std::vector<PartitionCategory> out =
       PartitionKeyGroups(attribute, order, order.run(0),
                          GroupKeys(order.run(0)), tuples, &group_of_row);
@@ -511,7 +527,7 @@ Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,
     const NumericRange* query_range) {
   if (!(width > 0 && std::isfinite(width))) {
@@ -519,7 +535,7 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
   }
   AUTOCAT_ASSIGN_OR_RETURN(
       const AttributeOrder order,
-      NodeOrder(view, tuples, attribute, ColumnKind::kNumeric));
+      NodeOrder(table, tuples, attribute, ColumnKind::kNumeric));
   return SliceBuckets(
       attribute, EquiWidthBuckets(width, query_range, order, order.run(0)),
       order.run(0));

@@ -2,6 +2,7 @@
 #define AUTOCAT_CORE_PARTITION_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,7 +27,7 @@ struct PartitionCategory {
   std::vector<size_t> tuples;
 };
 
-/// One attribute's key order over a set of view rows, split into
+/// One attribute's key order over a set of table rows, split into
 /// contiguous runs — one run per category node being partitioned. Every
 /// partitioner reads its input through a run: the categorizer builds one
 /// order per retained attribute per request and narrows it level by level
@@ -37,26 +38,27 @@ struct PartitionCategory {
 /// ascending (key, row) order, so the rows of one value are contiguous
 /// within a run and in row order; a NaN cell joins no category, as NULL
 /// does not (and as CategoryLabel::Matches answers). The pairs come from
-/// `SortedKeys` (storage/attr_index.h), under the kind the view's schema
+/// `SortedKeys` (storage/attr_index.h), under the kind the table's schema
 /// declares for the column, re-keyed densely: key k is the k-th smallest
 /// distinct value among the order's rows. A numeric order compares the
 /// `static_cast<double>` of an int64 cell, so int64 cells that round to
 /// one double (2^53 and 2^53 + 1, say) share a key and are ordered by
 /// row, as -0.0 and 0.0 are; a categorical int64 order keeps them apart.
-/// Cells are read from the view's columnar arrays (every view has one;
-/// see `TableView`), and the view must outlive the order.
+/// Cells are read from the columnar arrays of a column-backed table (a
+/// builder is refused), which must outlive the order.
 class AttributeOrder {
  public:
-  /// Builds the order of view column `col` over `rows` (null = every
-  /// view row) as a single run. `entry`, used only when `rows` is null, is
-  /// the cold pipeline's attribute-index entry for the column over the
-  /// same view: its sorted keys are re-keyed instead of sorting the
-  /// column again. Errors when the view has 2^32 rows or more.
-  static Result<AttributeOrder> Build(const TableView& view, size_t col,
+  /// Builds the order of column `col` of `table` over `rows` (null =
+  /// every table row) as a single run. `entry`, used only when `rows` is
+  /// null, is the cold pipeline's attribute-index entry for the column
+  /// over the same table: its sorted keys are re-keyed instead of sorting
+  /// the column again. kInvalidArgument for a builder table or one with
+  /// 2^32 rows or more.
+  static Result<AttributeOrder> Build(const Table& table, size_t col,
                                       const std::vector<size_t>* rows,
                                       const AttributeIndexEntry* entry);
 
-  /// True when the view's schema declares the column numeric.
+  /// True when the table's schema declares the column numeric.
   bool numeric() const { return numeric_; }
   size_t num_runs() const { return offsets_.size() - 1; }
   /// Run `run`.
@@ -70,7 +72,7 @@ class AttributeOrder {
   const Value& key_value(uint32_t key) const { return key_values_[key]; }
   /// The value of key `key` of a numeric order, as a double.
   double key_number(uint32_t key) const { return key_numbers_[key]; }
-  /// The cell of view row `row`.
+  /// The cell of table row `row`.
   Value cell(uint32_t row) const;
 
   /// Redistributes the entries into `num_runs` runs: an entry whose row r
@@ -81,7 +83,7 @@ class AttributeOrder {
   void Distribute(const std::vector<int32_t>& slot_of_row, size_t num_runs);
 
  private:
-  const TableView* view_ = nullptr;
+  const Table* table_ = nullptr;
   const ColumnarTable::Column* column_ = nullptr;
   bool numeric_ = false;
   std::vector<KeyOrderEntry> entries_;
@@ -150,7 +152,7 @@ void SortGroupsByOccurrence(const std::vector<size_t>& occ_of_key,
 /// tuples holding its value, in the parent's order, and its label the
 /// cell of its first tuple (values of one key compare equal, but -0.0 and
 /// 0.0 differ in bits). `run` is the node's run of categorical `order`,
-/// and `group_of_row` a scratch array with one slot per view row.
+/// and `group_of_row` a scratch array with one slot per table row.
 std::vector<PartitionCategory> PartitionKeyGroups(
     const std::string& attribute, const AttributeOrder& order,
     std::span<const KeyOrderEntry> run, const std::vector<KeyGroup>& groups,
@@ -158,19 +160,20 @@ std::vector<PartitionCategory> PartitionKeyGroups(
     std::vector<uint32_t>* group_of_row);
 
 /// Per-node entry points: each builds a one-run order over `tuples`
-/// (read through `view`, see `AttributeOrder`) and partitions it. The
-/// categorizer does not call these; it partitions its narrowed runs
-/// directly with the same functions, so both produce the identical
-/// partition of a node. Each is kInvalidArgument on a column whose
-/// declared kind is not its own: an order keys a column by its declared
-/// kind, so the other kind's partition would be cut from the wrong order.
+/// (rows of the column-backed `table`, see `AttributeOrder`) and
+/// partitions it. The categorizer does not call these; it partitions its
+/// narrowed runs directly with the same functions, so both produce the
+/// identical partition of a node. Each is kInvalidArgument on a builder
+/// table and on a column whose declared kind is not its own: an order
+/// keys a column by its declared kind, so the other kind's partition
+/// would be cut from the wrong order.
 
 /// Cost-based categorical partitioning (Section 5.1.2): one single-value
 /// category per distinct value of `attribute` among `tuples`, presented in
 /// decreasing occurrence count occ(v) (ties in value order). Tuples with a
 /// NULL (or NaN) cell are not placed in any category.
 Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats);
 
 /// Cost-based numeric partitioning (Section 5.1.3, see
@@ -178,7 +181,7 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 /// are dropped. Tuples with a NULL or NaN cell are not placed in any
 /// bucket.
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const CategorizerOptions& options, const NumericRange* query_range);
 
@@ -186,7 +189,7 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 /// single-value categories in arbitrary order — value order, shuffled when
 /// `rng` is provided.
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng);
 
 /// Baseline numeric partitioning (Section 6.1): equi-width buckets of the
@@ -196,9 +199,14 @@ Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
 /// infinite cell, steps too small to advance near int64-extreme cells, or
 /// more than 2^20 buckets) becomes one closed bucket holding every value.
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const TableView& view, const std::vector<size_t>& tuples,
+    const Table& table, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,
     const NumericRange* query_range);
+
+/// The table the partitioners read for `result`: `result` itself when it
+/// is column-backed, otherwise a column-backed copy of it over a shadow
+/// built once, held in `*copy`, whose rows are `result`'s rows.
+const Table& ColumnBacked(const Table& result, std::optional<Table>* copy);
 
 /// Invariant sweep over a numeric partitioning: every label is a numeric
 /// bucket on one shared attribute, buckets are in ascending value order and

@@ -100,12 +100,9 @@ Result<Table> ExecuteQuery(const SelectQuery& query, const Database& db) {
                            db.ColumnarFor(query.table_name));
   AUTOCAT_ASSIGN_OR_RETURN(const std::vector<size_t> indices,
                            FilterTable(*table, query.where.get()));
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(*table, std::move(shadow),
-                        std::vector<uint32_t>(indices.begin(), indices.end()),
-                        query.columns));
-  return view.AsTable();
+  return Table::Select(*table, std::move(shadow),
+                       std::vector<uint32_t>(indices.begin(), indices.end()),
+                       query.columns);
 }
 
 Result<Table> ExecuteSql(std::string_view sql, const Database& db) {

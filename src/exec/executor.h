@@ -71,7 +71,7 @@ class Database {
 /// FROM table, keeps rows matching the WHERE clause with the exact
 /// row-at-a-time evaluator (FilterTable), then projects the select list.
 /// Returns the result relation as a selection over the table's shadow
-/// (`TableView::AsTable` over `ColumnarFor`), in row order, or the first
+/// (`Table::Select` over `ColumnarFor`), in row order, or the first
 /// error: an unknown table (kNotFound), a table too large for a shadow
 /// (kNotSupported), a row's evaluation error (an unknown column, or a
 /// string compared with a number), or an unknown or duplicate select-list

@@ -137,21 +137,19 @@ Leaf MaskedLeaf(const Column* col, Pred pred) {
 // Wraps an extrema-level prover `zp` — a verdict about a zone's non-NULL,
 // non-NaN cells, derived from its ZoneEntry — into the per-morsel zone fn
 // of a MaskedLeaf, restoring the cells the extrema do not describe: NULL
-// rows always fail a masked leaf, so all-pass additionally requires a
-// NULL-free zone (all-NULL zones fail outright); NaN cells get the leaf's
-// compile-time constant verdict `nan_pass`, so a has_nan zone keeps
-// all-pass only when NaN passes too, and all-fail only when NaN fails.
-// An all-NaN zone retains zeroed extrema — still sound, because `zp`'s
-// claim then quantifies over zero cells and only the NaN/NULL
-// adjustments decide the verdict.
+// and NaN rows always fail a leaf, so all-pass additionally requires a
+// zone free of both (all-NULL zones fail outright), and all-fail stays
+// sound. An all-NaN zone retains zeroed extrema — still sound, because
+// `zp`'s claim then quantifies over zero cells, and the zone cannot be
+// all-pass.
 template <typename ZP>
-ZoneFn MaskedZone(const Column* col, bool nan_pass, ZP zp) {
+ZoneFn MaskedZone(const Column* col, ZP zp) {
   if (col->zones.empty()) {
     return nullptr;
   }
   const ZoneEntry* zones = col->zones.data();
   const size_t num_zones = col->zones.size();
-  return [zones, num_zones, nan_pass, zp](size_t m) {
+  return [zones, num_zones, zp](size_t m) {
     if (m >= num_zones) {
       return ZV::kMixed;
     }
@@ -159,13 +157,9 @@ ZoneFn MaskedZone(const Column* col, bool nan_pass, ZP zp) {
     if (z.valid_count == 0) {
       return ZV::kAllFail;
     }
-    ZV v = zp(z);
-    if (z.has_nan && ((v == ZV::kAllPass && !nan_pass) ||
-                      (v == ZV::kAllFail && nan_pass))) {
-      v = ZV::kMixed;
-    }
-    if (v == ZV::kAllPass && z.valid_count != z.row_count) {
-      v = ZV::kMixed;
+    const ZV v = zp(z);
+    if (v == ZV::kAllPass && (z.has_nan || z.valid_count != z.row_count)) {
+      return ZV::kMixed;
     }
     return v;
   };
@@ -186,8 +180,7 @@ ZoneFn DictZone(const Column* col, const std::vector<uint8_t>& accept) {
     (*prefix)[c + 1] = (*prefix)[c] + accept[c];
   }
   return MaskedZone(
-      col, /*nan_pass=*/false,
-      [prefix, n = col->dict.size()](const ZoneEntry& z) {
+      col, [prefix, n = col->dict.size()](const ZoneEntry& z) {
         const uint64_t lo = z.min_bits;
         const uint64_t hi = z.max_bits;
         if (hi >= n || lo > hi) {
@@ -230,92 +223,62 @@ Leaf DictLeaf(const Column* col, const std::vector<uint8_t>& accept) {
 
 // ---- value-set kernels ---------------------------------------------
 
-// Files one numeric value-set member: an int64 member
-// of an int64 column stays exact in `vi`; any other widens to double in
-// `vd`. A NaN member compares "equal" to every numeric cell under
-// Value::Compare, so it sets `match_all` instead.
-void AddNumericMember(const Column& col, const Value& v,
-                      std::vector<int64_t>* vi, std::vector<double>* vd,
-                      bool* match_all) {
-  if (col.type == ValueType::kInt64 && v.is_int64()) {
-    vi->push_back(v.int64_value());
-    return;
-  }
-  const double d = v.AsDouble();
-  if (std::isnan(d)) {
-    *match_all = true;
-  } else {
-    vd->push_back(d);
-  }
-}
-
-// Numeric value-set leaf: a non-NULL cell is found when `match_all` is
-// set or it equals a member of `vi` (exactly) or `vd` (widened). The set
-// holds at least one numeric member, so on a double column (where `vi` is
-// empty) a NaN cell is always found: it compares "equal" to that member.
+// Numeric value-set leaf: a non-NULL, non-NaN cell is found when it
+// equals a member of `vi` (exactly) or `vd` (widened).
 Leaf NumericMemberLeaf(const Column* col, std::vector<int64_t> vi,
-                       std::vector<double> vd, bool match_all) {
+                       std::vector<double> vd) {
   std::sort(vi.begin(), vi.end());
   std::sort(vd.begin(), vd.end());
   if (col->type == ValueType::kInt64) {
-    // Zone prover: a match-all member is a uniform verdict; a constant
-    // zone evaluates the membership once; a zone whose value range misses
-    // every member (both lists sorted) proves no match. Overlap proves
-    // nothing — membership inside the range stays kMixed.
-    ZoneFn zone = MaskedZone(
-        col, /*nan_pass=*/false, [vi, vd, match_all](const ZoneEntry& z) {
-          const int64_t zmin = static_cast<int64_t>(z.min_bits);
-          const int64_t zmax = static_cast<int64_t>(z.max_bits);
-          if (match_all) {
-            return ZV::kAllPass;
-          }
-          if (zmin == zmax) {
-            const bool found =
-                MemberOf(vi, zmin) ||
-                (!vd.empty() && MemberOf(vd, static_cast<double>(zmin)));
-            return found ? ZV::kAllPass : ZV::kAllFail;
-          }
-          const bool vi_overlap =
-              !vi.empty() && vi.back() >= zmin && vi.front() <= zmax;
-          const bool vd_overlap = !vd.empty() &&
-                                  vd.back() >= static_cast<double>(zmin) &&
-                                  vd.front() <= static_cast<double>(zmax);
-          if (!vi_overlap && !vd_overlap) {
-            return ZV::kAllFail;
-          }
-          return ZV::kMixed;
-        });
+    // Zone prover: a constant zone evaluates the membership once; a zone
+    // whose value range misses every member (both lists sorted) proves no
+    // match. Overlap proves nothing — membership inside the range stays
+    // kMixed.
+    ZoneFn zone = MaskedZone(col, [vi, vd](const ZoneEntry& z) {
+      const int64_t zmin = static_cast<int64_t>(z.min_bits);
+      const int64_t zmax = static_cast<int64_t>(z.max_bits);
+      if (zmin == zmax) {
+        const bool found =
+            MemberOf(vi, zmin) ||
+            (!vd.empty() && MemberOf(vd, static_cast<double>(zmin)));
+        return found ? ZV::kAllPass : ZV::kAllFail;
+      }
+      const bool vi_overlap =
+          !vi.empty() && vi.back() >= zmin && vi.front() <= zmax;
+      const bool vd_overlap = !vd.empty() &&
+                              vd.back() >= static_cast<double>(zmin) &&
+                              vd.front() <= static_cast<double>(zmax);
+      if (!vi_overlap && !vd_overlap) {
+        return ZV::kAllFail;
+      }
+      return ZV::kMixed;
+    });
     Leaf leaf = MaskedLeaf(col, [vals = col->i64.data(), vi = std::move(vi),
-                                 vd = std::move(vd), match_all](size_t r) {
+                                 vd = std::move(vd)](size_t r) {
       const int64_t a = vals[r];
-      return match_all || MemberOf(vi, a) ||
+      return MemberOf(vi, a) ||
              (!vd.empty() && MemberOf(vd, static_cast<double>(a)));
     });
     leaf.zone = std::move(zone);
     return leaf;
   }
-  // NaN cells pass (nan_pass). A bit-constant zone (min_bits == max_bits)
-  // evaluates once — sound even across ±0.0, which compare equal
-  // everywhere the predicate looks.
-  ZoneFn zone = MaskedZone(
-      col, /*nan_pass=*/true, [vd, match_all](const ZoneEntry& z) {
-        const double zmin = DoubleFromBits(z.min_bits);
-        const double zmax = DoubleFromBits(z.max_bits);
-        if (match_all) {
-          return ZV::kAllPass;
-        }
-        if (z.min_bits == z.max_bits) {
-          return MemberOf(vd, zmin) ? ZV::kAllPass : ZV::kAllFail;
-        }
-        if (vd.empty() || vd.back() < zmin || vd.front() > zmax) {
-          return ZV::kAllFail;
-        }
-        return ZV::kMixed;
-      });
-  Leaf leaf = MaskedLeaf(col, [vals = col->f64.data(), vd = std::move(vd),
-                               match_all](size_t r) {
+  // A bit-constant zone (min_bits == max_bits) evaluates once — sound
+  // even across ±0.0, which compare equal everywhere the predicate looks.
+  ZoneFn zone = MaskedZone(col, [vd](const ZoneEntry& z) {
+    const double zmin = DoubleFromBits(z.min_bits);
+    const double zmax = DoubleFromBits(z.max_bits);
+    if (z.min_bits == z.max_bits) {
+      return MemberOf(vd, zmin) ? ZV::kAllPass : ZV::kAllFail;
+    }
+    if (vd.empty() || vd.back() < zmin || vd.front() > zmax) {
+      return ZV::kAllFail;
+    }
+    return ZV::kMixed;
+  });
+  Leaf leaf = MaskedLeaf(col, [vals = col->f64.data(),
+                               vd = std::move(vd)](size_t r) {
     const double a = vals[r];
-    return std::isnan(a) || match_all || MemberOf(vd, a);
+    return !std::isnan(a) && MemberOf(vd, a);
   });
   leaf.zone = std::move(zone);
   return leaf;
@@ -330,64 +293,61 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
   if (cond.is_range()) {
     if (cc != 1) {
       // Matches(): non-numeric cells never satisfy a range; NULL never
-      // matches. (A NaN cell, however, satisfies *every* range — the
-      // literal Contains() translation below preserves that.)
+      // matches.
       return std::nullopt;
     }
     const NumericRange range = cond.range;
-    // Branch-free bound tests; every ordered comparison with NaN is false,
-    // so a NaN cell is out of neither bound.
-    const auto out_lo = [range](double x) {
-      return ((x < range.lo) | ((x == range.lo) & !range.lo_inclusive)) != 0;
+    // Branch-free bound tests, NumericRange::Contains spelled with `&`:
+    // every ordered comparison with NaN is false, so a NaN cell is inside
+    // neither bound.
+    const auto in_lo = [range](double x) {
+      return ((x > range.lo) | ((x == range.lo) & range.lo_inclusive)) != 0;
     };
-    const auto out_hi = [range](double x) {
-      return ((x > range.hi) | ((x == range.hi) & !range.hi_inclusive)) != 0;
+    const auto in_hi = [range](double x) {
+      return ((x < range.hi) | ((x == range.hi) & range.hi_inclusive)) != 0;
     };
-    // Extrema prove ranges directly: out_lo is non-increasing and out_hi
-    // non-decreasing in the cell, so the zone is all-inside iff its min
+    // Extrema prove ranges directly: in_lo is non-decreasing and in_hi
+    // non-increasing in the cell, so the zone is all-inside iff its min
     // clears the low bound and its max clears the high bound, and
-    // all-outside iff its max is below the range or its min above. NaN
-    // cells are inside every range (nan_pass).
-    const auto range_zone = [out_lo, out_hi](double zmin, double zmax) {
-      if (!out_lo(zmin) && !out_hi(zmax)) {
+    // all-outside iff its max is below the range or its min above.
+    const auto range_zone = [in_lo, in_hi](double zmin, double zmax) {
+      if (in_lo(zmin) && in_hi(zmax)) {
         return ZV::kAllPass;
       }
-      if (out_lo(zmax) || out_hi(zmin)) {
+      if (!in_lo(zmax) || !in_hi(zmin)) {
         return ZV::kAllFail;
       }
       return ZV::kMixed;
     };
     if (col.type == ValueType::kInt64) {
       Leaf leaf = MaskedLeaf(
-          &col, [vals = col.i64.data(), out_lo, out_hi](size_t r) {
+          &col, [vals = col.i64.data(), in_lo, in_hi](size_t r) {
             const double x = static_cast<double>(vals[r]);
-            return !(out_lo(x) | out_hi(x));
+            return (in_lo(x) & in_hi(x)) != 0;
           });
-      leaf.zone = MaskedZone(
-          &col, /*nan_pass=*/true, [range_zone](const ZoneEntry& z) {
-            return range_zone(
-                static_cast<double>(static_cast<int64_t>(z.min_bits)),
-                static_cast<double>(static_cast<int64_t>(z.max_bits)));
-          });
+      leaf.zone = MaskedZone(&col, [range_zone](const ZoneEntry& z) {
+        return range_zone(
+            static_cast<double>(static_cast<int64_t>(z.min_bits)),
+            static_cast<double>(static_cast<int64_t>(z.max_bits)));
+      });
       return leaf;
     }
-    Leaf leaf = MaskedLeaf(
-        &col, [vals = col.f64.data(), out_lo, out_hi](size_t r) {
-          return !(out_lo(vals[r]) | out_hi(vals[r]));
-        });
-    leaf.zone = MaskedZone(
-        &col, /*nan_pass=*/true, [range_zone](const ZoneEntry& z) {
-          return range_zone(DoubleFromBits(z.min_bits),
-                            DoubleFromBits(z.max_bits));
-        });
+    Leaf leaf = MaskedLeaf(&col, [vals = col.f64.data(), in_lo,
+                                  in_hi](size_t r) {
+      return (in_lo(vals[r]) & in_hi(vals[r])) != 0;
+    });
+    leaf.zone = MaskedZone(&col, [range_zone](const ZoneEntry& z) {
+      return range_zone(DoubleFromBits(z.min_bits),
+                        DoubleFromBits(z.max_bits));
+    });
     return leaf;
   }
   // Value set: only members of the column's comparison class can be equal
   // to a cell; mixed-class members are simply never matched by the
   // std::set<Value>::count tree walk (classes order totally), so they are
-  // dropped here. A NaN member compares "equal" to every numeric, so the
-  // set keeps one only when it holds no other numeric member, and count()
-  // then matches every non-NULL numeric cell: a match-all member.
+  // dropped here, as is a NaN member, which matches no cell. An int64
+  // member of an int64 column stays exact in `vi`; any other widens to
+  // double in `vd`.
   if (cc == 0) {
     return std::nullopt;
   }
@@ -410,20 +370,19 @@ std::optional<Leaf> CompileCondition(const AttributeCondition& cond,
     }
     return DictLeaf(&col, member);
   }
-  bool match_all = false;
-  bool any_numeric = false;
   std::vector<int64_t> vi;
   std::vector<double> vd;
   for (const Value& v : cond.values) {
-    if (v.is_numeric()) {
-      any_numeric = true;
-      AddNumericMember(col, v, &vi, &vd, &match_all);
+    if (col.type == ValueType::kInt64 && v.is_int64()) {
+      vi.push_back(v.int64_value());
+    } else if (v.is_numeric() && !v.is_nan()) {
+      vd.push_back(v.AsDouble());
     }
   }
-  if (!any_numeric) {
+  if (vi.empty() && vd.empty()) {
     return std::nullopt;
   }
-  return NumericMemberLeaf(&col, std::move(vi), std::move(vd), match_all);
+  return NumericMemberLeaf(&col, std::move(vi), std::move(vd));
 }
 
 // ---- evaluation ------------------------------------------------------

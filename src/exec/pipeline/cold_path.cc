@@ -17,13 +17,13 @@ double NowMs() {
       .count();
 }
 
-// The attribute index over the view's rows (see storage/attr_index.h):
+// The attribute index over the result's rows (see storage/attr_index.h):
 // the sorted keys of every column the partitioners may read.
 ResultAttributeIndex BuildAttributeIndex(
-    const TableView& view, const std::vector<std::string>* stats_attributes) {
-  const Schema& schema = view.schema();
+    const Table& result, const std::vector<std::string>* stats_attributes) {
+  const Schema& schema = result.schema();
   ResultAttributeIndex index;
-  index.num_rows = view.num_rows();
+  index.num_rows = result.num_rows();
   index.columns.assign(schema.num_columns(), {});
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (stats_attributes != nullptr &&
@@ -33,7 +33,7 @@ ResultAttributeIndex BuildAttributeIndex(
     }
     AttributeIndexEntry& entry = index.columns[c];
     entry.has_sorted_keys = true;
-    entry.sorted_keys = SortedKeys(view, c, nullptr);
+    entry.sorted_keys = SortedKeys(result, c, nullptr);
   }
   return index;
 }
@@ -71,12 +71,11 @@ Result<ColdPipelineResult> RunColdPipeline(
   AUTOCAT_ASSIGN_OR_RETURN(out.selection, predicate.Filter(options.parallel));
   const double t1 = NowMs();
   AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(base, predicate.columnar(), out.selection, columns));
-  out.result = view.AsTable();
+      out.result,
+      Table::Select(base, predicate.columnar(), out.selection, columns));
   out.result_bytes = ApproxTableBytes(out.result);
   const double t2 = NowMs();
-  out.attr_index = BuildAttributeIndex(view, options.stats_attributes);
+  out.attr_index = BuildAttributeIndex(out.result, options.stats_attributes);
   const double t3 = NowMs();
 
   timings.filter_ms = t1 - t0;

@@ -43,8 +43,8 @@ struct ColdPipelineTimings {
   size_t rows_examined = 0;
   /// `CompiledPredicate::Filter`.
   double filter_ms = 0;
-  /// Wrapping the selection as the result table (`TableView::AsTable`)
-  /// and its byte count.
+  /// Wrapping the selection as the result table (`Table::Select`) and
+  /// its byte count.
   double project_ms = 0;
   /// The attribute index.
   double stats_ms = 0;
@@ -52,12 +52,15 @@ struct ColdPipelineTimings {
 
 /// Everything the cold serve path needs from the base relation. `result`
 /// is the late-materialized result: the selection and projection over
-/// the predicate's shared shadow (`TableView::AsTable`), so no cell is
-/// copied; its cells are bit-identical to the base rows it selects, as
-/// `ExecuteQuery` returns them. Row i is selection position i. The cache charges it `ApproxTableBytes(result)`: the shadow is not
-/// charged, because it belongs to the `Database` while its table version
-/// is live.
+/// the predicate's shared shadow (`Table::Select`), so no cell is copied;
+/// its cells are bit-identical to the base rows it selects, as
+/// `ExecuteQuery` returns them. Row i is selection position i. The cache
+/// charges it `ApproxTableBytes(result)`: the shadow is not charged,
+/// because it belongs to the `Database` while its table version is live.
 struct ColdPipelineResult {
+  /// The filter's output, the base rows `result` selects. Mirror only:
+  /// perfbench's mirror is its one reader outside the tests; delete it
+  /// with the mirror.
   std::vector<uint32_t> selection;
   Table result;
   /// `ApproxTableBytes(result)`. Mirror only: perfbench's mirror is its
@@ -70,8 +73,8 @@ struct ColdPipelineResult {
 /// Runs the cold path for one request as plain sequential steps:
 /// `CompiledPredicate::Filter` (zone-pruned, posting-sourced when a
 /// string value set is selective, morsel-parallel, shards merged in
-/// morsel order) -> `TableView::Create` + `AsTable` over the selection
-/// -> `ApproxTableBytes` -> the attribute index over the selection.
+/// morsel order) -> `Table::Select` over the selection ->
+/// `ApproxTableBytes` -> the attribute index over the result.
 /// Every step is deterministic at any thread count, so the outputs are
 /// too.
 ///
@@ -79,8 +82,8 @@ struct ColdPipelineResult {
 /// backing, the shadow `predicate` was compiled against
 /// (`predicate.columnar()`, whose ownership the result shares); it must
 /// be non-null. `columns` is the projection (empty = all base columns);
-/// errors mirror `TableView::Create` (unknown projection column, or a
-/// base whose backing is not `columnar`).
+/// errors are `Table::Select`'s (unknown projection column, or a base
+/// whose backing is not `columnar`).
 Result<ColdPipelineResult> RunColdPipeline(const CompiledPredicate& predicate,
                                            const Table& base,
                                            const ColumnarTable* columnar,

@@ -22,7 +22,7 @@ Result<bool> EvaluateComparison(const ComparisonExpr& cmp, const Row& row,
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
                            schema.ColumnIndex(cmp.column()));
   const Value& cell = row[col];
-  if (cell.is_null() || cmp.literal().is_null()) {
+  if (cell.is_null() || cell.is_nan() || cmp.literal().is_null()) {
     return false;
   }
   AUTOCAT_RETURN_IF_ERROR(CheckComparable(cell, cmp.literal(), cmp.column()));
@@ -42,7 +42,7 @@ Result<bool> EvaluateInList(const InListExpr& in, const Row& row,
                             const Schema& schema) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col, schema.ColumnIndex(in.column()));
   const Value& cell = row[col];
-  if (cell.is_null()) {
+  if (cell.is_null() || cell.is_nan()) {
     return false;
   }
   bool found = false;
@@ -63,7 +63,8 @@ Result<bool> EvaluateBetween(const BetweenExpr& bt, const Row& row,
                              const Schema& schema) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col, schema.ColumnIndex(bt.column()));
   const Value& cell = row[col];
-  if (cell.is_null() || bt.lo().is_null() || bt.hi().is_null()) {
+  if (cell.is_null() || cell.is_nan() || bt.lo().is_null() ||
+      bt.hi().is_null()) {
     return false;
   }
   AUTOCAT_RETURN_IF_ERROR(CheckComparable(cell, bt.lo(), bt.column()));

@@ -288,13 +288,6 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   metrics_.RecordPipeline(scan.timings.morsels, scan.timings.morsels_pruned,
                           scan.timings.morsels_all_pass,
                           scan.timings.rows_examined);
-  // The view shares the table version's shadow (not the result), so it
-  // stays valid across the move into the payload.
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(*table, std::move(shadow), std::move(scan.selection),
-                        canonical.columns));
-
   if (deadline.ExpiredAt(NowMs())) {
     *outcome = ServeOutcome::kDeadlineExceeded;
     return Status::DeadlineExceeded(
@@ -304,7 +297,7 @@ CategorizationService::AttemptServe(const SelectQuery& query,
   const double categorize_start = WallMs();
   CategorizeTimings phases;
   const auto build_tree = [&](const Table& owned) -> Result<CategoryTree> {
-    return categorizer.Categorize(view, owned, &canonical.profile,
+    return categorizer.Categorize(owned, &canonical.profile,
                                   &scan.attr_index, &phases);
   };
   AUTOCAT_ASSIGN_OR_RETURN(

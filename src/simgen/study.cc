@@ -75,10 +75,7 @@ Result<Table> StudyEnvironment::ExecuteProfile(
                                         homes_.columnar_backing()));
   AUTOCAT_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                            compiled.Filter({.threads = 1}));
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const TableView view,
-      TableView::Create(homes_, nullptr, std::move(rows), {}));
-  return view.AsTable();
+  return Table::Select(homes_, nullptr, std::move(rows), {});
 }
 
 Result<SelectionProfile> BroadenToRegion(const SelectionProfile& w,

@@ -63,7 +63,7 @@ class StudyEnvironment {
 
   /// Rows of `homes` matching `profile` (`MatchesRow` semantics), in
   /// ascending row order: a column-backed table selecting from the homes
-  /// table's shared shadow (`TableView::AsTable`; no cell is copied), as
+  /// table's shared shadow (`Table::Select`; no cell is copied), as
   /// the service's cold path returns. Selected by the compiled kernels
   /// (exec/kernels.h).
   Result<Table> ExecuteProfile(const SelectionProfile& profile) const;

@@ -22,13 +22,9 @@ bool NumericRange::IsEmpty() const {
 }
 
 bool NumericRange::Contains(double x) const {
-  if (x < lo || (x == lo && !lo_inclusive)) {
-    return false;
-  }
-  if (x > hi || (x == hi && !hi_inclusive)) {
-    return false;
-  }
-  return true;
+  // Every comparison with a NaN `x` is false, so it is inside no range.
+  return (x > lo || (x == lo && lo_inclusive)) &&
+         (x < hi || (x == hi && hi_inclusive));
 }
 
 bool NumericRange::OverlapsClosed(double a, double b) const {
@@ -128,11 +124,13 @@ bool AttributeCondition::IsEmpty() const {
 }
 
 bool AttributeCondition::Matches(const Value& v) const {
-  if (v.is_null()) {
+  if (v.is_null() || v.is_nan()) {
     return false;
   }
   if (is_value_set()) {
-    return values.count(v) > 0;
+    // A NaN member compares equal to every number, yet matches nothing.
+    const auto it = values.find(v);
+    return it != values.end() && !it->is_nan();
   }
   return v.is_numeric() && range.Contains(v.AsDouble());
 }

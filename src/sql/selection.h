@@ -26,14 +26,9 @@ struct NumericRange {
   /// True when no value satisfies the range.
   bool IsEmpty() const;
 
-  /// True when `x` lies inside the range. A NaN `x` fails every
-  /// comparison, so it lies inside every range: the profile condition
-  /// `price < 0` (MatchesRow, and the compiled kernels, which agree)
-  /// keeps the NaN-price rows, and the numeric partitioners then place
-  /// those rows in no bucket (a NaN cell has no key). The SQL row
-  /// evaluator (`EvaluatePredicate`) compares through `Value::Compare`,
-  /// under which NaN equals every number: it keeps a NaN cell under `=`,
-  /// `<=`, `>=` and BETWEEN, and drops it under `<`, `>` and `<>`.
+  /// True when `x` lies inside the range. A NaN `x` lies inside none,
+  /// as every predicate evaluator answers for a NaN cell (see
+  /// `Value::is_nan`), and the numeric partitioners place it in no bucket.
   bool Contains(double x) const;
 
   /// True when this range intersects the *closed* interval [a, b]. This is
@@ -76,10 +71,8 @@ struct AttributeCondition {
   /// True when the condition can match no value at all.
   bool IsEmpty() const;
 
-  /// True when non-NULL `v` satisfies the condition. A NaN cell
-  /// satisfies every range (see `NumericRange::Contains`), so `price < 0`
-  /// matches the NaN-price rows, which the numeric partitioners then
-  /// place in no bucket.
+  /// True when `v` satisfies the condition. A NULL or NaN cell satisfies
+  /// none, and a NaN member of a value set matches no cell.
   bool Matches(const Value& v) const;
 
   /// True when the condition admits at least one value in the closed

@@ -55,8 +55,8 @@ std::vector<KeyOrderEntry> RankCells(
 }  // namespace
 
 std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
-                                      ColumnKind kind,
-                                      std::span<const uint32_t> selection,
+                                      ColumnKind kind, size_t num_rows,
+                                      const uint32_t* selection,
                                       const std::vector<uint32_t>* positions) {
   std::vector<uint32_t> ascending;
   if (!column.codes.empty() && positions != nullptr &&
@@ -66,9 +66,12 @@ std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
     std::sort(ascending.begin(), ascending.end());
     positions = &ascending;
   }
-  const size_t n = positions == nullptr ? selection.size() : positions->size();
+  const size_t n = positions == nullptr ? num_rows : positions->size();
   const auto position_at = [positions](size_t i) -> uint32_t {
     return positions == nullptr ? static_cast<uint32_t>(i) : (*positions)[i];
+  };
+  const auto row_at = [selection](uint32_t pos) {
+    return selection == nullptr ? pos : selection[pos];
   };
   if (!column.codes.empty()) {
     std::vector<KeyOrderEntry> out;
@@ -76,7 +79,7 @@ std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
     uint32_t max_key = 0;
     for (size_t i = 0; i < n; ++i) {
       const uint32_t pos = position_at(i);
-      const uint32_t row = selection[pos];
+      const uint32_t row = row_at(pos);
       const uint32_t key = column.codes[row];
       if (!column.IsNull(row) && key != kNoKey) {
         max_key = std::max(max_key, key);
@@ -94,7 +97,7 @@ std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
     cells.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const uint32_t pos = position_at(i);
-      const uint32_t row = selection[pos];
+      const uint32_t row = row_at(pos);
       if (column.IsNull(row)) {
         continue;
       }
@@ -125,11 +128,13 @@ std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
   return {};
 }
 
-std::vector<KeyOrderEntry> SortedKeys(const TableView& view, size_t col,
+std::vector<KeyOrderEntry> SortedKeys(const Table& table, size_t col,
                                       const std::vector<uint32_t>* positions) {
-  return SortedKeys(view.columnar()->column(view.base_column(col)),
-                    view.schema().column(col).kind, view.selection(),
-                    positions);
+  AUTOCAT_CHECK(!table.has_rows());
+  return SortedKeys(
+      table.columnar_backing()->column(table.backing_column(col)),
+      table.schema().column(col).kind, table.num_rows(),
+      table.has_selection() ? table.selection().data() : nullptr, positions);
 }
 
 }  // namespace autocat

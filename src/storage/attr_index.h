@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -12,15 +11,16 @@
 
 namespace autocat {
 
-/// One entry of an attribute's key order: (key, view row). Keys order as
+/// One entry of an attribute's key order: (key, table row). Keys order as
 /// the cells' values do under the column's declared kind, and equal keys
 /// mean equal values.
 using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
 
 /// The one producer of attribute orders: the (key, position) pair of
-/// every non-NULL, non-NaN cell of `column` at base rows `selection[p]`,
-/// p in `positions` (distinct, in any order; null = every position of
-/// `selection`), sorted by (key, position). Keys follow `kind`: a numeric
+/// every non-NULL, non-NaN cell of `column` at base rows `selection[p]`
+/// (row p itself when `selection` is null), p in `positions` (distinct,
+/// in any order; null = every position below `num_rows`), sorted by
+/// (key, position). Keys follow `kind`: a numeric
 /// column compares `static_cast<double>` of an int64 cell, so 2^53 and
 /// 2^53 + 1 share a key and are ordered by position, as -0.0 and 0.0 are;
 /// a categorical int64 column compares exactly, a double column by `<`.
@@ -34,13 +34,14 @@ using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
 /// Either way the pairs spell the same order, so a consumer may compare
 /// keys only within one call's output.
 std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
-                                      ColumnKind kind,
-                                      std::span<const uint32_t> selection,
+                                      ColumnKind kind, size_t num_rows,
+                                      const uint32_t* selection,
                                       const std::vector<uint32_t>* positions);
 
-/// `SortedKeys` of view column `col` over view rows `positions` (null =
-/// every view row), under the kind the view's schema declares.
-std::vector<KeyOrderEntry> SortedKeys(const TableView& view, size_t col,
+/// `SortedKeys` of column `col` of a column-backed `table` over its rows
+/// `positions` (null = every row), under the kind its schema declares.
+/// A builder table has no backing to read (CHECK).
+std::vector<KeyOrderEntry> SortedKeys(const Table& table, size_t col,
                                       const std::vector<uint32_t>* positions);
 
 /// Per-attribute key order over one materialized query result, built by
@@ -57,8 +58,8 @@ struct AttributeIndexEntry {
 };
 
 /// One entry per result-schema column (same order). Rows are result rows
-/// (selection positions), so an entry is valid only with a view of the
-/// same selection over the same shadow.
+/// (selection positions), so an entry is valid only with the result table
+/// it was built from.
 struct ResultAttributeIndex {
   size_t num_rows = 0;
   std::vector<AttributeIndexEntry> columns;

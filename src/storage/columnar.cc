@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <numeric>
 #include <string_view>
 #include <utility>
 
@@ -238,10 +237,8 @@ ColumnarTable ColumnarTable::Build(const Table& table) {
     if (col.type == ValueType::kInt64 || col.type == ValueType::kDouble) {
       // Rank codes: the column has none yet, so SortedKeys sorts and
       // ranks its cells, once per table lifetime.
-      std::vector<uint32_t> all_rows(n);
-      std::iota(all_rows.begin(), all_rows.end(), uint32_t{0});
-      const std::vector<KeyOrderEntry> ranked =
-          SortedKeys(col, table.schema().column(c).kind, all_rows, nullptr);
+      const std::vector<KeyOrderEntry> ranked = SortedKeys(
+          col, table.schema().column(c).kind, n, nullptr, nullptr);
       col.owned_codes.assign(n, kNoKey);
       for (const auto& [code, row] : ranked) {
         col.owned_codes[row] = code;
@@ -259,76 +256,6 @@ ColumnarTable ColumnarTable::FromColumns(size_t num_rows,
   out.num_rows_ = num_rows;
   out.columns_ = std::move(columns);
   out.owner_ = std::move(owner);
-  return out;
-}
-
-TableView TableView::All(const Table& base,
-                         std::shared_ptr<const ColumnarTable> columnar) {
-  std::vector<uint32_t> rows(base.num_rows());
-  std::iota(rows.begin(), rows.end(), uint32_t{0});
-  Result<TableView> view = Create(base, std::move(columnar), std::move(rows),
-                                  /*columns=*/{});
-  AUTOCAT_CHECK(view.ok());
-  return std::move(view).value();
-}
-
-Result<TableView> TableView::Create(
-    const Table& base, std::shared_ptr<const ColumnarTable> columnar,
-    std::vector<uint32_t> rows, const std::vector<std::string>& columns) {
-  if (columnar != nullptr && columnar != base.columnar_backing()) {
-    return Status::InvalidArgument(
-        "a view reads its base table's own columnar backing, not another "
-        "shadow");
-  }
-  for (const uint32_t r : rows) {
-    if (r >= base.num_rows()) {
-      return Status::OutOfRange("row index " + std::to_string(r) +
-                                " out of range");
-    }
-  }
-  TableView view;
-  if (columns.empty()) {
-    view.projection_.resize(base.num_columns());
-    std::iota(view.projection_.begin(), view.projection_.end(), size_t{0});
-    view.schema_ = base.schema();
-  } else {
-    std::vector<ColumnDef> cols;
-    cols.reserve(columns.size());
-    view.projection_.reserve(columns.size());
-    for (const std::string& name : columns) {
-      AUTOCAT_ASSIGN_OR_RETURN(const size_t idx,
-                               base.schema().ColumnIndex(name));
-      cols.push_back(base.schema().column(idx));
-      view.projection_.push_back(idx);
-    }
-    AUTOCAT_ASSIGN_OR_RETURN(view.schema_, Schema::Create(std::move(cols)));
-  }
-  if (base.has_rows()) {
-    // A builder base: its shadow's coordinates are its own.
-    view.columnar_ =
-        std::make_shared<const ColumnarTable>(ColumnarTable::Build(base));
-  } else {
-    // Compose the base's maps: the view addresses the backing directly.
-    for (uint32_t& r : rows) {
-      r = static_cast<uint32_t>(base.BackingRow(r));
-    }
-    for (size_t& c : view.projection_) {
-      c = base.projection_[c];
-    }
-    view.columnar_ = base.columnar_backing();
-  }
-  view.rows_ = std::move(rows);
-  return view;
-}
-
-Table TableView::AsTable() const {
-  AUTOCAT_CHECK(columnar_ != nullptr);
-  Table out(schema_);
-  out.columnar_ = columnar_;
-  out.columnar_rows_ = rows_.size();
-  out.selected_ = true;
-  out.selection_ = rows_;
-  out.projection_.assign(projection_.begin(), projection_.end());
   return out;
 }
 

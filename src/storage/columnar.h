@@ -205,69 +205,6 @@ class ColumnarTable {
   std::shared_ptr<const void> owner_;
 };
 
-/// A zero-copy view over a base table's columnar form: a selection
-/// vector of row indices plus a projection map of column indices, both
-/// into `columnar()`. This is the result representation on the cold
-/// categorization path — the filter kernels emit the selection,
-/// partitioners/stats/ranking read cells through the view's columns, and
-/// `AsTable()` wraps it as the result table without copying a cell (the
-/// cold path, the service and `ExecuteQuery` all answer with one).
-///
-/// Every view has a `columnar()`. Over a column-backed base it is the
-/// base's backing, and the base's selection and projection are composed
-/// into the view's, so no map is applied twice. Over a row-backed base
-/// (the offline `Categorize(const Table&)` entry points and tests) the
-/// view builds the base's shadow once and owns it; its coordinates are
-/// then the base's own. Either way the view shares its columnar form and
-/// does not borrow the base, which may be destroyed or replaced while the
-/// view is live. Row i of `AsTable()` is view row i, so tuple indices
-/// computed through the view index that table directly.
-class TableView {
- public:
-  TableView() = default;
-
-  /// A view of every row and column of `base`. `columnar` must be null or
-  /// the base's backing (CHECK).
-  static TableView All(const Table& base,
-                       std::shared_ptr<const ColumnarTable> columnar);
-
-  /// A view of the base rows listed in `rows` (in that order) projected to
-  /// `columns` (in that order; empty = all columns). Errors: an unknown
-  /// column is kNotFound and a duplicate one kAlreadyExists (as
-  /// `Schema` answers), a row index out of range kOutOfRange, and a
-  /// `columnar` that is neither null nor the base's backing
-  /// kInvalidArgument.
-  static Result<TableView> Create(
-      const Table& base, std::shared_ptr<const ColumnarTable> columnar,
-      std::vector<uint32_t> rows, const std::vector<std::string>& columns);
-
-  /// The columnar form the view reads; null only for a default-built
-  /// view.
-  const ColumnarTable* columnar() const { return columnar_.get(); }
-  /// Schema of the *projected* view.
-  const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
-  size_t num_columns() const { return projection_.size(); }
-
-  /// Row index of view row `row` in `columnar()`.
-  uint32_t base_row(size_t row) const { return rows_[row]; }
-  /// Column index of view column `col` in `columnar()`.
-  size_t base_column(size_t col) const { return projection_[col]; }
-  const std::vector<uint32_t>& selection() const { return rows_; }
-
-  /// The view as an immutable column-backed table over `columnar()`,
-  /// which it shares: the selection and projection are copied, no cell
-  /// is. Its cells are bit-identical to the cells the shadow was built
-  /// from. Requires a non-null `columnar()`.
-  Table AsTable() const;
-
- private:
-  std::shared_ptr<const ColumnarTable> columnar_;
-  std::vector<uint32_t> rows_;
-  std::vector<size_t> projection_;
-  Schema schema_;
-};
-
 }  // namespace autocat
 
 #endif  // AUTOCAT_STORAGE_COLUMNAR_H_

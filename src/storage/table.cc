@@ -64,11 +64,64 @@ Table Table::FromColumnar(Schema schema,
   return out;
 }
 
+Result<Table> Table::Select(const Table& base,
+                            std::shared_ptr<const ColumnarTable> columnar,
+                            std::vector<uint32_t> rows,
+                            const std::vector<std::string>& columns) {
+  if (columnar != nullptr && columnar != base.columnar_) {
+    return Status::InvalidArgument(
+        "a selection reads its base table's own columnar backing, not "
+        "another shadow");
+  }
+  for (const uint32_t r : rows) {
+    if (r >= base.num_rows()) {
+      return Status::OutOfRange("row index " + std::to_string(r) +
+                                " out of range");
+    }
+  }
+  Table out;
+  if (columns.empty()) {
+    out.schema_ = base.schema_;
+    out.projection_.resize(base.num_columns());
+    std::iota(out.projection_.begin(), out.projection_.end(), uint32_t{0});
+  } else {
+    std::vector<ColumnDef> cols;
+    cols.reserve(columns.size());
+    out.projection_.reserve(columns.size());
+    for (const std::string& name : columns) {
+      AUTOCAT_ASSIGN_OR_RETURN(const size_t idx,
+                               base.schema_.ColumnIndex(name));
+      cols.push_back(base.schema_.column(idx));
+      out.projection_.push_back(static_cast<uint32_t>(idx));
+    }
+    AUTOCAT_ASSIGN_OR_RETURN(out.schema_, Schema::Create(std::move(cols)));
+  }
+  if (base.has_rows()) {
+    // A builder base: its shadow's coordinates are its own.
+    out.columnar_ =
+        std::make_shared<const ColumnarTable>(ColumnarTable::Build(base));
+  } else {
+    // Compose the base's maps: the selection addresses the backing
+    // directly.
+    for (uint32_t& r : rows) {
+      r = base.backing_row(r);
+    }
+    for (uint32_t& c : out.projection_) {
+      c = base.projection_[c];
+    }
+    out.columnar_ = base.columnar_;
+  }
+  out.columnar_rows_ = rows.size();
+  out.selected_ = true;
+  out.selection_ = std::move(rows);
+  return out;
+}
+
 Value Table::CellValue(size_t row, size_t col) const {
   if (columnar_ == nullptr) {
     return rows_[row][col];
   }
-  return columnar_->column(projection_[col]).CellValue(BackingRow(row));
+  return columnar_->column(projection_[col]).CellValue(backing_row(row));
 }
 
 const Row& Table::RowRef(size_t i, Row* scratch) const {

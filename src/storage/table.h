@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,14 +38,15 @@ Status CoerceRowToSchema(Row* row, const Schema& schema);
 ///    generator reads builder rows.
 ///  - **column-backed relation**: the cells live in a shared, immutable
 ///    `ColumnarTable` and no row vectors exist at all. Table row r is
-///    backing row `selection[r]` and table column c is backing column
-///    `projection[c]`. `FromColumnar` wraps a whole relation (the maps
-///    are the identity): every table a `Database` holds is one, over a
-///    built shadow or a mapped segment store. `TableView::AsTable` wraps
-///    a view's rows and columns of a shadow: every query result
-///    (`ExecuteQuery`, the cold path, the service) is one. The table is
-///    immutable, `row()` must not be called (`has_rows()` is false; debug
-///    builds check).
+///    backing row `backing_row(r)` and table column c is backing column
+///    `backing_column(c)`. `FromColumnar` wraps a whole relation (the
+///    maps are the identity): every table a `Database` holds is one, over
+///    a built shadow or a mapped segment store. `Select` picks rows and
+///    columns of a table through a selection vector: every query result
+///    (`ExecuteQuery`, the cold path, the service) is one, and the
+///    categorizer and the partitioners read it through its backing. The
+///    table is immutable, `row()` must not be called (`has_rows()` is
+///    false; debug builds check).
 /// Either role is read through `CellValue`, `RowRef` and `ToString`,
 /// which answer alike for equal cells.
 class Table {
@@ -65,6 +67,29 @@ class Table {
   static Table FromColumnar(Schema schema,
                             std::shared_ptr<const ColumnarTable> columnar);
 
+  /// The rows of `base` listed in `rows` (in that order) projected to
+  /// `columns` (in that order; empty = all columns), as a column-backed
+  /// table with a selection. Over a column-backed base it shares the
+  /// base's backing and composes the base's maps into its own, so no map
+  /// is applied twice. Over a builder base it builds the base's shadow
+  /// once and owns it; its coordinates are then the base's own. Either
+  /// way it does not borrow `base`, which may be destroyed or replaced
+  /// while the selection is live. Errors: an unknown column is kNotFound
+  /// and a duplicate one kAlreadyExists (as `Schema` answers), a row
+  /// index out of range kOutOfRange, and a `columnar` that is neither
+  /// null nor the base's backing kInvalidArgument.
+  static Result<Table> Select(const Table& base,
+                              std::shared_ptr<const ColumnarTable> columnar,
+                              std::vector<uint32_t> rows,
+                              const std::vector<std::string>& columns);
+  /// `Select`. Mirror only; delete with the mirror.
+  static Result<Table> Create(const Table& base,
+                              std::shared_ptr<const ColumnarTable> columnar,
+                              std::vector<uint32_t> rows,
+                              const std::vector<std::string>& columns) {
+    return Select(base, std::move(columnar), std::move(rows), columns);
+  }
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const {
     return columnar_ == nullptr ? rows_.size() : columnar_rows_;
@@ -76,8 +101,8 @@ class Table {
   /// valid.
   bool has_rows() const { return columnar_ == nullptr; }
   /// True for a column-backed table that reads its backing through a row
-  /// selection (`TableView::AsTable`); false for row-backed tables and for
-  /// `FromColumnar` tables, whose rows and columns are the backing's own.
+  /// selection (`Select`); false for row-backed tables and for
+  /// `FromColumnar` tables, whose rows are the backing's own.
   bool has_selection() const { return selected_; }
   /// The backing columnar relation, or nullptr for row-backed tables.
   /// When `has_selection()`, this is the shared shadow the table selects
@@ -85,6 +110,20 @@ class Table {
   const std::shared_ptr<const ColumnarTable>& columnar_backing() const {
     return columnar_;
   }
+
+  /// Column-backed only: the backing row of table row `row`.
+  uint32_t backing_row(size_t row) const {
+    AUTOCAT_DCHECK(!has_rows());
+    return selected_ ? selection_[row] : static_cast<uint32_t>(row);
+  }
+  /// Column-backed only: the backing column of table column `col`.
+  uint32_t backing_column(size_t col) const {
+    AUTOCAT_DCHECK(!has_rows());
+    return projection_[col];
+  }
+  /// The backing rows of a table with a selection, in table row order
+  /// (empty without one).
+  std::span<const uint32_t> selection() const { return selection_; }
 
   /// Builder row `i`. Row-backed only.
   const Row& row(size_t i) const {
@@ -125,15 +164,6 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  // TableView::Create composes the column-backed maps and
-  // TableView::AsTable sets them; see storage/columnar.h.
-  friend class TableView;
-
-  // Column-backed mode: the backing row of table row `row`.
-  size_t BackingRow(size_t row) const {
-    return selected_ ? selection_[row] : row;
-  }
-
   Schema schema_;
   std::vector<Row> rows_;
   // Column-backed mode: non-null backing, the table's row count, and the
@@ -145,6 +175,10 @@ class Table {
   std::vector<uint32_t> selection_;
   std::vector<uint32_t> projection_;
 };
+
+/// Mirror only; delete with the mirror: a selection over a backing is a
+/// `Table`.
+using TableView = Table;
 
 /// Approximate heap footprint of one cell: sizeof(Value) plus the string
 /// payload's capacity.

@@ -26,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -480,12 +481,11 @@ void ExpectSameTree(const CategoryTree& want, const CategoryTree& got,
 }
 
 // A cold-pipeline result over the shadow: the result (a selection over
-// the shadow), its attribute index, the view it was selected through, and
-// the same rows copied into a builder table (`SelectProjectRows`).
+// the shadow), its attribute index, and the same rows copied into a
+// builder table (`SelectProjectRows`).
 struct ShadowResult {
   Table result;
   ResultAttributeIndex index;
-  TableView view;
   Table rows;
 };
 
@@ -502,15 +502,13 @@ ShadowResult RunPipeline(const Table& base, const std::string& sql,
   auto piped = RunColdPipeline(compiled.value(), base, shadow.get(), columns,
                                ColdPipelineOptions{});
   EXPECT_TRUE(piped.ok()) << sql << ": " << piped.status().ToString();
-  auto view = TableView::Create(base, nullptr, piped->selection, columns);
-  EXPECT_TRUE(view.ok()) << sql;
   auto rows = SelectProjectRows(
       base,
       std::vector<size_t>(piped->selection.begin(), piped->selection.end()),
       columns);
   EXPECT_TRUE(rows.ok()) << sql;
   return ShadowResult{std::move(piped->result), std::move(piped->attr_index),
-                      std::move(view).value(), std::move(rows).value()};
+                      std::move(rows).value()};
 }
 
 CategorizerOptions RunsOptions(size_t max_tuples) {
@@ -551,23 +549,22 @@ void ExpectCostBasedMatches(const WorkloadStats& stats,
                                categorizer.Categorize(result, query));
     ExpectSameTree(want, from_table, at + " (selection table)");
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        const CategoryTree from_view,
-        categorizer.Categorize(shadowed.view, result, query));
-    ExpectSameTree(want, from_view, at + " (shadow view)");
+        const CategoryTree from_serving,
+        categorizer.Categorize(result, query, nullptr, nullptr));
+    ExpectSameTree(want, from_serving, at + " (serving entry)");
     CategorizeTimings timings;
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const CategoryTree from_index,
-        categorizer.Categorize(shadowed.view, result, query, &shadowed.index,
-                               &timings));
-    ExpectSameTree(want, from_index, at + " (shadow view + index)");
+        categorizer.Categorize(result, query, &shadowed.index, &timings));
+    ExpectSameTree(want, from_index, at + " (serving entry + index)");
     EXPECT_GE(timings.orders_ms, 0) << at;
     EXPECT_GE(timings.score_ms, 0) << at;
     EXPECT_GE(timings.attach_ms, 0) << at;
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const CategoryTree compact_with_index,
-        categorizer.Categorize(whole.view, whole.result, query,
-                               &whole.index));
-    ExpectSameTree(want, compact_with_index, at + " (compact view + index)");
+        categorizer.Categorize(whole.result, query, &whole.index, nullptr));
+    ExpectSameTree(want, compact_with_index,
+                   at + " (compact result + index)");
   }
 }
 
@@ -712,8 +709,8 @@ TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
       const CostBasedCategorizer categorizer(stats_.get(), options);
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree got,
-          categorizer.Categorize(shadowed.view, shadowed.result, nullptr,
-                                 &shadowed.index));
+          categorizer.Categorize(shadowed.result, nullptr, &shadowed.index,
+                                 nullptr));
       ExpectSameTree(want, got, c.sql);
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree from_table,
@@ -758,11 +755,14 @@ TEST_F(CategorizeRunsTest, EdgeResultsMatchPerNodeReference) {
 
 // The per-node entry points build a one-run order over any tuple list
 // (a subset, in any order) and must equal the reference partitioners,
-// read through a view of the row table (which builds its own shadow) and
-// of the column-backed table the Database holds.
+// read through a selection of every row of the row table (which builds
+// its own shadow) and through the column-backed table the Database holds.
 TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
-  const TableView of_rows = TableView::All(rows_, nullptr);
-  const TableView columnar = TableView::All(*base_, nullptr);
+  std::vector<uint32_t> every_row(rows_.num_rows());
+  std::iota(every_row.begin(), every_row.end(), uint32_t{0});
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table of_rows,
+                             Table::Select(rows_, nullptr, every_row, {}));
+  const Table& columnar = *base_;
   const CategorizerOptions options = RunsOptions(20);
   Random rng(5);
   for (int trial = 0; trial < 20; ++trial) {
@@ -774,12 +774,12 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
     }
     rng.Shuffle(tuples);
     const std::string context = "trial " + std::to_string(trial);
-    for (const TableView* view : {&of_rows, &columnar}) {
+    for (const Table* table : {&of_rows, &columnar}) {
       for (const std::string attr : {"neighborhood", "bedrooms", "rating"}) {
         const RefContext cost_ctx{rows_, *stats_, options, nullptr, nullptr};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto got,
-            PartitionCategorical(*view, tuples, attr, *stats_));
+            PartitionCategorical(*table, tuples, attr, *stats_));
         equiv::ExpectPartitionsIdentical(RefPartition(cost_ctx, tuples, attr),
                                          got, context + " " + attr);
         Random ref_rng(trial);
@@ -787,7 +787,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
         const RefContext arb_ctx{rows_, *stats_, options, nullptr, &ref_rng};
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto arbitrary,
-            PartitionCategoricalArbitrary(*view, tuples, attr, &got_rng));
+            PartitionCategoricalArbitrary(*table, tuples, attr, &got_rng));
         equiv::ExpectPartitionsIdentical(RefPartition(arb_ctx, tuples, attr),
                                          arbitrary,
                                          context + " arbitrary " + attr);
@@ -795,7 +795,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
       for (const std::string attr : {"price", "sqft"}) {
         const RefContext cost_ctx{rows_, *stats_, options, nullptr, nullptr};
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            const auto got, PartitionNumeric(*view, tuples, attr, *stats_,
+            const auto got, PartitionNumeric(*table, tuples, attr, *stats_,
                                              options, nullptr));
         equiv::ExpectPartitionsIdentical(RefPartition(cost_ctx, tuples, attr),
                                          got, context + " " + attr);
@@ -803,7 +803,7 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
                              stats_->split_interval(attr);
         AUTOCAT_ASSERT_OK_AND_MOVE(
             const auto equi,
-            PartitionNumericEquiWidth(*view, tuples, attr, width, nullptr));
+            PartitionNumericEquiWidth(*table, tuples, attr, width, nullptr));
         equiv::ExpectPartitionsIdentical(
             RefEquiWidth(attr, RefSortedValues(rows_, tuples,
                                                rows_.schema()
@@ -818,11 +818,10 @@ TEST_F(CategorizeRunsTest, PerNodeFunctionsMatchReference) {
 
 // Distribute keeps each run in key order and drops rows without a slot.
 TEST_F(CategorizeRunsTest, DistributeNarrowsStably) {
-  const TableView view = TableView::All(*base_, nullptr);
   const size_t col = rows_.schema().ColumnIndex("neighborhood").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       AttributeOrder order,
-      AttributeOrder::Build(view, col, nullptr, nullptr));
+      AttributeOrder::Build(*base_, col, nullptr, nullptr));
   std::vector<int32_t> slot_of_row(rows_.num_rows());
   for (size_t r = 0; r < slot_of_row.size(); ++r) {
     slot_of_row[r] = static_cast<int32_t>(r % 4) - 1;  // -1, 0, 1, 2
@@ -908,15 +907,15 @@ const char kHostileSql[] =
     "SELECT * FROM runs WHERE neighborhood IN ('N0', 'N1', 'N2', 'N3', "
     "'N4', 'N5', 'N6', 'N7', 'N8')";
 
-// The orders over `view`, a view of a hostile-keys table: the numeric
-// order ties the int64 cells that cast to one double, and orders them by
-// row; the categorical int64 order keeps 2^53 and 2^53 + 1 apart.
-void ExpectHostileOrders(const TableView& view, const std::string& context) {
-  const Schema& schema = view.schema();
+// The orders over `table`, a column-backed hostile-keys table: the
+// numeric order ties the int64 cells that cast to one double, and orders
+// them by row; the categorical int64 order keeps 2^53 and 2^53 + 1 apart.
+void ExpectHostileOrders(const Table& table, const std::string& context) {
+  const Schema& schema = table.schema();
   const size_t price = schema.ColumnIndex("price").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const AttributeOrder by_price,
-      AttributeOrder::Build(view, price, nullptr, nullptr));
+      AttributeOrder::Build(table, price, nullptr, nullptr));
   ASSERT_TRUE(by_price.numeric()) << context;
   size_t tied = 0;
   const auto run = by_price.run(0);
@@ -931,7 +930,7 @@ void ExpectHostileOrders(const TableView& view, const std::string& context) {
   const size_t bedrooms = schema.ColumnIndex("bedrooms").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const AttributeOrder by_bedrooms,
-      AttributeOrder::Build(view, bedrooms, nullptr, nullptr));
+      AttributeOrder::Build(table, bedrooms, nullptr, nullptr));
   ASSERT_FALSE(by_bedrooms.numeric()) << context;
   std::set<int64_t> keys;
   for (size_t k = 0; k < by_bedrooms.num_keys(); ++k) {
@@ -1000,17 +999,17 @@ void ExpectHostileTreesAlike(
       AUTOCAT_ASSERT_OK_AND_MOVE(
           const CategoryTree with_index,
           CostBasedCategorizer(&stats, options)
-              .Categorize(shadowed.view, shadowed.result, nullptr,
-                          &shadowed.index));
+              .Categorize(shadowed.result, nullptr, &shadowed.index,
+                          nullptr));
       ExpectSameTree(want_cost, with_index,
-                     "Cost-based view + index" + m + " threads=" +
+                     "Cost-based serving entry + index" + m + " threads=" +
                          std::to_string(threads));
     }
   }
 }
 
 // Over the hostile keys, every technique builds one tree from the
-// row-backed result (read through the shadow its view builds), from the
+// row-backed result (read through a column-backed copy), from the
 // same rows installed column-backed, and from the cold pipeline's
 // selection over the installed table, and that tree is the per-node
 // reference's.
@@ -1030,12 +1029,11 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
       std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows)));
 
   // The orders themselves, over the column-backed input.
-  const TableView view = TableView::All(backed, nullptr);
-  ExpectHostileOrders(view, "column-backed");
+  ExpectHostileOrders(backed, "column-backed");
   const size_t void_col = schema.ColumnIndex("void").value();
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const AttributeOrder by_void,
-      AttributeOrder::Build(view, void_col, nullptr, nullptr));
+      AttributeOrder::Build(backed, void_col, nullptr, nullptr));
   EXPECT_EQ(by_void.num_keys(), 0u);
   EXPECT_TRUE(by_void.run(0).empty());
 
@@ -1078,10 +1076,10 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverAStoreCopy) {
   ASSERT_TRUE(mapped->column(price).codes.empty())
       << "a store-mapped numeric column should carry no rank codes";
 
-  ExpectHostileOrders(TableView::All(*stored, nullptr), "store-mapped");
+  ExpectHostileOrders(*stored, "store-mapped");
   const ShadowResult shadowed = RunPipeline(*stored, kHostileSql, {});
   ASSERT_GT(shadowed.rows.num_rows(), 160u);
-  ExpectHostileOrders(shadowed.view, "store-mapped selection");
+  ExpectHostileOrders(shadowed.result, "store-mapped selection");
   ExpectHostileTreesAlike(shadowed.rows,
                           {{"store-mapped selection", &shadowed.result}},
                           shadowed);

@@ -20,6 +20,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -134,7 +135,7 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
   const int64_t i64max = std::numeric_limits<int64_t>::max();
   const int64_t i64min = std::numeric_limits<int64_t>::min();
   const std::vector<std::pair<std::string, AttributeCondition>> edges = {
-      // NaN cells lie inside every range; -0.0 and 0.0 compare equal.
+      // NaN cells lie inside no range; -0.0 and 0.0 compare equal.
       {"price", Range(0, false, inf, true)},
       {"price", Range(-inf, true, 0, false)},
       {"price", Range(0, true, 0, true)},
@@ -228,10 +229,10 @@ TEST(ColumnarEquivalenceTest, CompiledProfileMatchesRowSemantics) {
 }
 
 // A NaN member compares "equal" to every numeric, so a std::set<Value>
-// keeps one only when it holds no other numeric member, and count() then
-// matches every non-NULL numeric cell. The kernels compile that as the IN
-// list's match-all literal; a string column ignores the NaN member.
-TEST(ColumnarEquivalenceTest, NanValueSetMemberCompilesAsMatchAll) {
+// keeps one only when it holds no other numeric member. It matches no
+// cell, in MatchesRow as in the kernels, which drop it; the set's other
+// members still match.
+TEST(ColumnarEquivalenceTest, NanValueSetMemberMatchesNoCell) {
   const Schema schema = FuzzSchema();
   const Table table = MakeHomes(5000, 404, 0.1, true);
   Database db;
@@ -262,6 +263,9 @@ TEST(ColumnarEquivalenceTest, NanValueSetMemberCompilesAsMatchAll) {
         if (profile.MatchesRow(table.row(r), schema)) {
           expected.push_back(static_cast<uint32_t>(r));
         }
+      }
+      if (name == "{NaN}" || name == "{NaN,3}") {
+        EXPECT_TRUE(expected.empty()) << context;  // the set is {NaN}
       }
       for (const size_t threads : {size_t{1}, size_t{7}}) {
         ParallelOptions parallel;
@@ -297,14 +301,14 @@ TEST(ColumnarEquivalenceDeathTest, MixedTypeColumnDiesInBuild) {
                "columnar\\.cc.*AUTOCAT_CHECK failed");
 }
 
-// ------------------------------------------------- view-based consumers
+// ------------------------------------------------ selection consumers
 
 struct ViewFixture {
   Table table;
   Database db;
   std::shared_ptr<const ColumnarTable> shadow;
-  TableView view;       // filtered + projected
-  Table materialized;   // SelectProjectRows of the view's rows of `table`
+  Table selected;       // filtered + projected, over `shadow`
+  Table materialized;   // SelectProjectRows of the same rows of `table`
   std::vector<size_t> all_tuples;
 
   explicit ViewFixture(bool projected)
@@ -325,20 +329,19 @@ struct ViewFixture {
         table, std::vector<size_t>(rows.begin(), rows.end()), columns);
     EXPECT_TRUE(copy.ok());
     materialized = std::move(copy).value();
-    auto view_or =
-        TableView::Create(*db.GetTable("homes").value(), shadow,
-                          std::move(rows), columns);
-    EXPECT_TRUE(view_or.ok());
-    view = std::move(view_or).value();
-    for (size_t i = 0; i < view.num_rows(); ++i) {
+    auto selected_or = Table::Select(*db.GetTable("homes").value(), shadow,
+                                     std::move(rows), columns);
+    EXPECT_TRUE(selected_or.ok());
+    selected = std::move(selected_or).value();
+    for (size_t i = 0; i < selected.num_rows(); ++i) {
       all_tuples.push_back(i);
     }
   }
 };
 
-// The view as a table reads, without copying a cell, exactly the builder
-// rows it selects, in selection order and projection order.
-TEST(ColumnarEquivalenceTest, ViewAsTableMatchesTheBuilderRows) {
+// The selection reads, without copying a cell, exactly the builder rows
+// it selects, in selection order and projection order.
+TEST(ColumnarEquivalenceTest, SelectMatchesTheBuilderRows) {
   const ViewFixture f(true);
   std::vector<size_t> rows;
   for (size_t r = 0; r < f.table.num_rows(); r += 2) {
@@ -349,10 +352,9 @@ TEST(ColumnarEquivalenceTest, ViewAsTableMatchesTheBuilderRows) {
       SelectProjectRows(f.table, rows,
                         {"neighborhood", "price", "bedroomcount",
                          "yearbuilt"}));
-  const Table as_table = f.view.AsTable();
-  EXPECT_TRUE(as_table.has_selection());
-  EXPECT_EQ(as_table.columnar_backing(), f.shadow);
-  ExpectTablesBitIdentical(expected, as_table, "view as a table");
+  EXPECT_TRUE(f.selected.has_selection());
+  EXPECT_EQ(f.selected.columnar_backing(), f.shadow);
+  ExpectTablesBitIdentical(expected, f.selected, "selection");
 }
 
 // Rank codes: a built shadow keys every int64 and double row by its
@@ -470,10 +472,8 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
     picked.push_back(static_cast<uint32_t>(rows.num_rows()) - 1 - r);
     picked.push_back(r / 2);
   }
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const TableView view,
-      TableView::Create(*installed, nullptr, picked, {}));
-  const Table selection = view.AsTable();
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table selection,
+                             Table::Select(*installed, nullptr, picked, {}));
   ASSERT_TRUE(selection.has_selection());
   const ColumnarTable from_selection = ColumnarTable::Build(selection);
   AUTOCAT_ASSERT_OK_AND_MOVE(
@@ -524,9 +524,10 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
   for (const bool projected : {false, true}) {
     const ViewFixture f(projected);
     const std::string tag = projected ? " (projected)" : " (all columns)";
-    // The reference: a view of the materialized cells, read through the
-    // compact shadow the view builds of them.
-    const TableView compact = TableView::All(f.materialized, nullptr);
+    // The reference: the materialized cells, read through a compact
+    // shadow built of them.
+    const Table compact =
+        Table::FromColumnar(f.materialized.schema(), ShadowOf(f.materialized));
 
     for (const std::string attr : {"neighborhood", "price"}) {
       const bool numeric = attr == "price";
@@ -538,7 +539,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                              options, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
-            PartitionNumeric(f.view, f.all_tuples, attr, stats, options,
+            PartitionNumeric(f.selected, f.all_tuples, attr, stats, options,
                              nullptr));
         ExpectPartitionsIdentical(from_table, from_view,
                                   "PartitionNumeric " + attr + tag);
@@ -549,7 +550,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                                       25000, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto ew_view,
-            PartitionNumericEquiWidth(f.view, f.all_tuples, attr, 25000,
+            PartitionNumericEquiWidth(f.selected, f.all_tuples, attr, 25000,
                                       nullptr));
         ExpectPartitionsIdentical(ew_table, ew_view,
                                   "PartitionNumericEquiWidth " + attr +
@@ -561,7 +562,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                                  stats));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto from_view,
-            PartitionCategorical(f.view, f.all_tuples, attr, stats));
+            PartitionCategorical(f.selected, f.all_tuples, attr, stats));
         ExpectPartitionsIdentical(from_table, from_view,
                                   "PartitionCategorical " + attr + tag);
 
@@ -574,7 +575,7 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
                                           attr, &rng_table));
         AUTOCAT_ASSERT_OK_AND_MOVE(
             auto arb_view,
-            PartitionCategoricalArbitrary(f.view, f.all_tuples, attr,
+            PartitionCategoricalArbitrary(f.selected, f.all_tuples, attr,
                                           &rng_view));
         ExpectPartitionsIdentical(arb_table, arb_view,
                                   "PartitionCategoricalArbitrary " + attr +
@@ -586,19 +587,20 @@ TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
 
 // A NaN cell joins no numeric bucket, exactly as a NULL does not and as
 // CategoryLabel::Matches answers. Both numeric partitioners, read through
-// a view of the row table (which builds its shadow) and of the
-// column-backed table a Database installs, must return a valid partition
-// whose every placed tuple matches its label, and the two must agree.
+// a selection of every row of the row table (which builds its shadow)
+// and through the column-backed table a Database installs, must return a
+// valid partition whose every placed tuple matches its label, and the
+// two must agree.
 TEST(ColumnarEquivalenceTest, NumericPartitionsPlaceNoNaNCell) {
   const WorkloadStats stats = FuzzStats();
   const Table table = MakeHomes(3000, 909, 0.05, true);
   const Table backed = Table::FromColumnar(table.schema(), ShadowOf(table));
-  const TableView of_rows = TableView::All(table, nullptr);
-  const TableView columnar = TableView::All(backed, nullptr);
-  std::vector<size_t> all_tuples(table.num_rows());
-  for (size_t i = 0; i < all_tuples.size(); ++i) {
-    all_tuples[i] = i;
-  }
+  std::vector<uint32_t> every_row(table.num_rows());
+  std::iota(every_row.begin(), every_row.end(), uint32_t{0});
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table of_rows,
+                             Table::Select(table, nullptr, every_row, {}));
+  const Table& columnar = backed;
+  const std::vector<size_t> all_tuples(every_row.begin(), every_row.end());
 
   const std::pair<std::string, double> kAttrs[] = {
       {"price", 25000}, {"bathcount", 0.5}, {"squarefootage", 500}};
@@ -661,11 +663,10 @@ TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   // The reference reads the materialized cells through their own shadow.
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const CategoryTree from_table,
-      categorizer.Categorize(TableView::All(f.materialized, nullptr),
-                             f.materialized, &profile.value()));
+      categorizer.Categorize(f.materialized, &profile.value()));
   AUTOCAT_ASSERT_OK_AND_MOVE(
       const CategoryTree from_view,
-      categorizer.Categorize(f.view, f.materialized, &profile.value()));
+      categorizer.Categorize(f.selected, &profile.value(), nullptr, nullptr));
 
   EXPECT_EQ(from_table.level_attributes(), from_view.level_attributes());
   ASSERT_EQ(from_table.num_nodes(), from_view.num_nodes());
@@ -681,8 +682,56 @@ TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   // A mismatched view is rejected rather than silently miscombined.
   const ViewFixture other(true);
   EXPECT_FALSE(
-      categorizer.Categorize(other.view, f.materialized, &profile.value())
+      categorizer.Categorize(other.selected, f.selected, &profile.value(),
+                             nullptr)
           .ok());
+}
+
+// The mirror-only two-table Categorize takes `view` only when it is
+// `result`'s relation. A selection with `result`'s row count and schema
+// but other rows is refused, and one of the same rows over the same
+// shadow builds the one-table entry's tree.
+TEST(ColumnarEquivalenceTest, TwoTableCategorizeRefusesAnotherSelection) {
+  const WorkloadStats stats = FuzzStats();
+  const ViewFixture f(false);
+  const CostBasedCategorizer categorizer(&stats, CategorizerOptions{});
+  const Table& base = *f.db.GetTable("homes").value();
+  std::vector<uint32_t> even;
+  std::vector<uint32_t> odd;
+  for (uint32_t r = 0; r + 1 < base.num_rows(); r += 2) {
+    even.push_back(r);
+    odd.push_back(r + 1);
+  }
+  ASSERT_EQ(even.size(), f.selected.num_rows());
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table same,
+                             Table::Select(base, f.shadow, even, {}));
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table other,
+                             Table::Select(base, f.shadow, odd, {}));
+  ASSERT_EQ(other.num_rows(), f.selected.num_rows());
+  ASSERT_TRUE(other.schema() == f.selected.schema());
+
+  const Result<CategoryTree> refused =
+      categorizer.Categorize(other, f.selected, nullptr, nullptr);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(categorizer.Categorize(f.materialized, f.materialized, nullptr,
+                                   nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const CategoryTree want,
+      categorizer.Categorize(f.selected, nullptr, nullptr, nullptr));
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const CategoryTree got,
+      categorizer.Categorize(same, f.selected, nullptr, nullptr));
+  EXPECT_EQ(&got.result(), &f.selected);
+  ASSERT_EQ(want.num_nodes(), got.num_nodes());
+  for (size_t id = 0; id < want.num_nodes(); ++id) {
+    EXPECT_EQ(want.node(static_cast<NodeId>(id)).tuples,
+              got.node(static_cast<NodeId>(id)).tuples)
+        << "node " << id;
+  }
 }
 
 }  // namespace

@@ -18,8 +18,9 @@ namespace {
 using test::HomesTable;
 using test::StatsFromSql;
 
-// The partitioners read through a view; no shadow = the generic walk.
-TableView View(const Table& table) { return TableView::All(table, nullptr); }
+// The partitioners read a column-backed table: these tests hand them one
+// over a shadow of their builder table.
+Table Backed(const Table& table) { return test::ColumnBackedCopy(table); }
 
 std::vector<size_t> AllRows(const Table& table) {
   std::vector<size_t> rows(table.num_rows());
@@ -67,7 +68,7 @@ TEST(PartitionCategoricalTest, SingleValueCategoriesByOccurrence) {
   const Table table =
       HomesTable({{"a", 1, 1}, {"b", 2, 2}, {"b", 3, 3}, {"c", 4, 4}});
   const auto parts =
-      PartitionCategorical(View(table), AllRows(table), "neighborhood", stats);
+      PartitionCategorical(Backed(table), AllRows(table), "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   // occ(b)=3 > occ(a)=1 = occ(c)=1; value order breaks the a/c tie.
@@ -84,7 +85,7 @@ TEST(PartitionCategoricalTest, SubsetOfRows) {
   const Table table =
       HomesTable({{"a", 1, 1}, {"b", 2, 2}, {"a", 3, 3}, {"c", 4, 4}});
   const auto parts =
-      PartitionCategorical(View(table), {0, 1}, "neighborhood", stats);
+      PartitionCategorical(Backed(table), {0, 1}, "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 2u);
   ExpectDisjointCover(parts.value(), table, {0, 1}, "neighborhood");
@@ -95,7 +96,7 @@ TEST(PartitionCategoricalTest, UnknownAttributeErrors) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   EXPECT_FALSE(
-      PartitionCategorical(View(table), AllRows(table), "bogus", stats).ok());
+      PartitionCategorical(Backed(table), AllRows(table), "bogus", stats).ok());
 }
 
 // An order keys a column by its declared kind, so grouping a numeric
@@ -106,13 +107,41 @@ TEST(PartitionCategoricalTest, NumericAttributeErrors) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}, {"b", 2, 2}});
   const auto cost_based =
-      PartitionCategorical(View(table), AllRows(table), "price", stats);
+      PartitionCategorical(Backed(table), AllRows(table), "price", stats);
   ASSERT_FALSE(cost_based.ok());
   EXPECT_EQ(cost_based.status().code(), StatusCode::kInvalidArgument);
   const auto arbitrary = PartitionCategoricalArbitrary(
-      View(table), AllRows(table), "price", nullptr);
+      Backed(table), AllRows(table), "price", nullptr);
   ASSERT_FALSE(arbitrary.ok());
   EXPECT_EQ(arbitrary.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A builder table has no backing for an order to read: every per-node
+// partitioner refuses it.
+TEST(PartitionCategoricalTest, BuilderTableErrors) {
+  const WorkloadStats stats = StatsFromSql(
+      {"SELECT * FROM homes WHERE neighborhood = 'a'"});
+  const Table table = HomesTable({{"a", 1, 1}, {"b", 2, 2}});
+  const CategorizerOptions options;
+  EXPECT_EQ(PartitionCategorical(table, AllRows(table), "neighborhood", stats)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PartitionCategoricalArbitrary(table, AllRows(table),
+                                          "neighborhood", nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PartitionNumeric(table, AllRows(table), "price", stats, options,
+                             nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PartitionNumericEquiWidth(table, AllRows(table), "price", 1000,
+                                      nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PartitionCategoricalTest, EmptyInputYieldsNoCategories) {
@@ -120,7 +149,7 @@ TEST(PartitionCategoricalTest, EmptyInputYieldsNoCategories) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   const auto parts =
-      PartitionCategorical(View(table), {}, "neighborhood", stats);
+      PartitionCategorical(Backed(table), {}, "neighborhood", stats);
   ASSERT_TRUE(parts.ok());
   EXPECT_TRUE(parts->empty());
 }
@@ -146,7 +175,7 @@ TEST(PartitionNumericTest, PicksTopGoodnessSplitPoints) {
   CategorizerOptions options;
   options.num_buckets = 3;  // pick 2 split points: 5000 and 8000
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, nullptr);
+      Backed(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_DOUBLE_EQ((*parts)[0].label.lo(), 1000);
@@ -177,7 +206,7 @@ TEST(PartitionNumericTest, SkipsUnnecessarySplitPoints) {
   options.num_buckets = 2;
   options.min_bucket_tuples = 2;
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, nullptr);
+      Backed(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 2u);
   // 5000 was skipped (its upper bucket [5000, 9000] would hold a single
@@ -198,7 +227,7 @@ TEST(PartitionNumericTest, QueryRangeSuppliesBounds) {
   CategorizerOptions options;
   options.num_buckets = 3;
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, &query_range);
+      Backed(table), AllRows(table), "price", stats, options, &query_range);
   ASSERT_TRUE(parts.ok());
   ASSERT_FALSE(parts->empty());
   // Buckets span the query range, not just the data range.
@@ -214,7 +243,7 @@ TEST(PartitionNumericTest, NoSplitPointsYieldsSingleBucket) {
   const Table table = HomesTable({{"a", 1000, 1}, {"a", 2000, 1}});
   CategorizerOptions options;
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, nullptr);
+      Backed(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ(parts->front().tuples.size(), 2u);
@@ -227,7 +256,7 @@ TEST(PartitionNumericTest, SingleValueDomain) {
   const Table table = HomesTable({{"a", 1500, 1}, {"b", 1500, 2}});
   CategorizerOptions options;
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, nullptr);
+      Backed(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ(parts->front().tuples.size(), 2u);
@@ -252,7 +281,7 @@ TEST(PartitionNumericTest, DerivesBucketCountFromM) {
   options.max_tuples_per_category = 10;
   options.max_buckets = 6;
   const auto parts = PartitionNumeric(
-      View(table), AllRows(table), "price", stats, options, nullptr);
+      Backed(table), AllRows(table), "price", stats, options, nullptr);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 6u);  // capped at max_buckets
   ExpectDisjointCover(parts.value(), table, AllRows(table), "price");
@@ -263,7 +292,7 @@ TEST(PartitionNumericTest, CategoricalAttributeErrors) {
       {"SELECT * FROM homes WHERE neighborhood = 'a'"});
   const Table table = HomesTable({{"a", 1, 1}});
   CategorizerOptions options;
-  EXPECT_FALSE(PartitionNumeric(View(table), AllRows(table), "neighborhood",
+  EXPECT_FALSE(PartitionNumeric(Backed(table), AllRows(table), "neighborhood",
                                 stats, options, nullptr)
                    .ok());
 }
@@ -276,7 +305,7 @@ TEST(PartitionArbitraryTest, ValueOrderWithoutRng) {
   const Table table =
       HomesTable({{"c", 1, 1}, {"a", 2, 2}, {"b", 3, 3}});
   const auto parts = PartitionCategoricalArbitrary(
-      View(table), AllRows(table), "neighborhood", nullptr);
+      Backed(table), AllRows(table), "neighborhood", nullptr);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_EQ((*parts)[0].label.values()[0], Value("a"));
@@ -289,7 +318,7 @@ TEST(PartitionArbitraryTest, ShuffledWithRngButStillAPartition) {
       {{"c", 1, 1}, {"a", 2, 2}, {"b", 3, 3}, {"a", 4, 4}, {"d", 5, 5}});
   Random rng(99);
   const auto parts = PartitionCategoricalArbitrary(
-      View(table), AllRows(table), "neighborhood", &rng);
+      Backed(table), AllRows(table), "neighborhood", &rng);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 4u);
   ExpectDisjointCover(parts.value(), table, AllRows(table), "neighborhood");
@@ -300,7 +329,7 @@ TEST(PartitionEquiWidthTest, BucketsAlignedToWidthMultiples) {
                                   {"a", 230000, 1},
                                   {"a", 260000, 1},
                                   {"a", 299000, 1}});
-  const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
+  const auto parts = PartitionNumericEquiWidth(Backed(table), AllRows(table),
                                                "price", 25000, nullptr);
   ASSERT_TRUE(parts.ok());
   // Aligned buckets: [200K,225K) {210K}, [225K,250K) {230K},
@@ -313,7 +342,7 @@ TEST(PartitionEquiWidthTest, BucketsAlignedToWidthMultiples) {
 
 TEST(PartitionEquiWidthTest, EmptyBucketsRemoved) {
   const Table table = HomesTable({{"a", 0, 1}, {"a", 100000, 1}});
-  const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
+  const auto parts = PartitionNumericEquiWidth(Backed(table), AllRows(table),
                                                "price", 10000, nullptr);
   ASSERT_TRUE(parts.ok());
   EXPECT_EQ(parts->size(), 2u);  // the 9 empty middles are dropped
@@ -321,18 +350,18 @@ TEST(PartitionEquiWidthTest, EmptyBucketsRemoved) {
 
 TEST(PartitionEquiWidthTest, InvalidWidthErrors) {
   const Table table = HomesTable({{"a", 1, 1}});
-  EXPECT_FALSE(PartitionNumericEquiWidth(View(table), AllRows(table), "price",
+  EXPECT_FALSE(PartitionNumericEquiWidth(Backed(table), AllRows(table), "price",
                                          0, nullptr)
                    .ok());
-  EXPECT_FALSE(PartitionNumericEquiWidth(View(table), AllRows(table), "price",
+  EXPECT_FALSE(PartitionNumericEquiWidth(Backed(table), AllRows(table), "price",
                                          -10, nullptr)
                    .ok());
   EXPECT_FALSE(PartitionNumericEquiWidth(
-                   View(table), AllRows(table), "price",
+                   Backed(table), AllRows(table), "price",
                    std::numeric_limits<double>::infinity(), nullptr)
                    .ok());
   EXPECT_FALSE(PartitionNumericEquiWidth(
-                   View(table), AllRows(table), "price",
+                   Backed(table), AllRows(table), "price",
                    std::numeric_limits<double>::quiet_NaN(), nullptr)
                    .ok());
 }
@@ -371,7 +400,7 @@ TEST(PartitionEquiWidthTest, UncuttableRangesBecomeOneBucket) {
     Table table(schema.value());
     ASSERT_TRUE(table.AppendRow({c.a}).ok());
     ASSERT_TRUE(table.AppendRow({c.b}).ok());
-    const auto parts = PartitionNumericEquiWidth(View(table), AllRows(table),
+    const auto parts = PartitionNumericEquiWidth(Backed(table), AllRows(table),
                                                  "x", c.width, nullptr);
     ASSERT_TRUE(parts.ok()) << parts.status().ToString();
     ASSERT_EQ(parts->size(), 1u);
@@ -406,7 +435,7 @@ TEST_P(NumericPartitionPropertyTest, DisjointCoverAscending) {
   CategorizerOptions options;
   options.max_tuples_per_category =
       static_cast<size_t>(rng.Uniform(5, 30));
-  const auto cost_based = PartitionNumeric(View(table), AllRows(table), "price",
+  const auto cost_based = PartitionNumeric(Backed(table), AllRows(table), "price",
                                            stats, options, nullptr);
   ASSERT_TRUE(cost_based.ok());
   ExpectDisjointCover(cost_based.value(), table, AllRows(table), "price");
@@ -414,7 +443,7 @@ TEST_P(NumericPartitionPropertyTest, DisjointCoverAscending) {
     EXPECT_LE((*cost_based)[i - 1].label.hi(), (*cost_based)[i].label.lo());
   }
 
-  const auto equi = PartitionNumericEquiWidth(View(table), AllRows(table),
+  const auto equi = PartitionNumericEquiWidth(Backed(table), AllRows(table),
                                               "price", 2500, nullptr);
   ASSERT_TRUE(equi.ok());
   ExpectDisjointCover(equi.value(), table, AllRows(table), "price");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -260,10 +261,10 @@ TEST(DatabaseTest, EveryInstalledTableIsColumnBacked) {
   const auto parent = std::make_shared<const ColumnarTable>(
       ColumnarTable::Build(rows));
   const Table backed = Table::FromColumnar(rows.schema(), parent);
-  const auto view = TableView::Create(backed, nullptr, {5, 0, 3, 3, 22, 9},
-                                      {"i", "s"});
-  ASSERT_TRUE(view.ok());
-  const Table selected = view.value().AsTable();
+  const auto chosen = Table::Select(backed, nullptr, {5, 0, 3, 3, 22, 9},
+                                    {"i", "s"});
+  ASSERT_TRUE(chosen.ok());
+  const Table& selected = chosen.value();
   ASSERT_TRUE(selected.has_selection());
 
   const std::pair<const char*, const Table*> inputs[] = {
@@ -462,11 +463,12 @@ TEST(ExecutorTest, ErrorsKeepTheirCodes) {
   }
 }
 
-// A NaN cell under a range. NumericRange::Contains keeps it in every
-// range, and so does CompiledPredicate::Filter. The SQL row evaluator
-// compares through Value::Compare, under which NaN equals every number:
-// it agrees on =, the inclusive comparisons and BETWEEN, and drops the NaN
-// row under a strict one. This pins both sides as they are.
+// A NaN cell satisfies no comparison, range, BETWEEN or IN, negated or
+// not, as a NULL cell does not. For every op the SQL row evaluator
+// (FilterTable), ExecuteSql, MatchesRow and CompiledPredicate::Filter at
+// threads {1, 7} keep the same rows, and none of them a NaN row. `<>` and
+// the negated forms have no selection profile, so they are checked on
+// the SQL side only.
 TEST(ExecutorTest, NaNRowsUnderARange) {
   const Table rows = HostileTable();
   Database db;
@@ -475,46 +477,65 @@ TEST(ExecutorTest, NaNRowsUnderARange) {
   ASSERT_TRUE(shadow.ok());
   std::vector<uint32_t> nan_rows;
   for (uint32_t r = 0; r < rows.num_rows(); ++r) {
-    const Value& d = rows.row(r)[1];
-    if (d.is_double() && std::isnan(d.double_value())) {
+    if (rows.row(r)[1].is_nan()) {
       nan_rows.push_back(r);
     }
   }
   ASSERT_FALSE(nan_rows.empty());
   const struct {
-    const char* sql;
-    bool row_evaluator_keeps_nan;
+    const char* where;
+    bool has_profile;
   } kCases[] = {
-      {"SELECT * FROM t WHERE d < 0", false},
-      {"SELECT * FROM t WHERE d > 3", false},
-      {"SELECT * FROM t WHERE d = 1", true},
-      {"SELECT * FROM t WHERE d >= 3", true},
-      {"SELECT * FROM t WHERE d BETWEEN 1 AND 2", true},
+      {"d < 1", true},
+      {"d <= 0", true},
+      {"d = 0", true},
+      {"d >= 0", true},
+      {"d > 0", true},
+      {"d BETWEEN 0 AND 2.5", true},
+      {"d IN (0, 2.5)", true},
+      {"d <> 0", false},
+      {"d NOT BETWEEN 0 AND 1", false},
+      {"d NOT IN (0)", false},
   };
   for (const auto& c : kCases) {
-    const auto query = ParseQuery(c.sql);
-    ASSERT_TRUE(query.ok()) << c.sql;
-    // No finite cell of `d` lies in these ranges, so a kept row is a NaN
-    // row.
+    const std::string sql = std::string("SELECT * FROM t WHERE ") + c.where;
+    const auto query = ParseQuery(sql);
+    ASSERT_TRUE(query.ok()) << sql;
     const auto executed = FilterTable(rows, query.value().where.get());
-    ASSERT_TRUE(executed.ok()) << c.sql;
-    const std::vector<uint32_t> row_kept(executed->begin(), executed->end());
-    EXPECT_EQ(row_kept,
-              c.row_evaluator_keeps_nan ? nan_rows : std::vector<uint32_t>{})
-        << c.sql;
-    const auto result = ExecuteSql(c.sql, db);
-    ASSERT_TRUE(result.ok()) << c.sql;
-    EXPECT_EQ(result->num_rows(), row_kept.size()) << c.sql;
+    ASSERT_TRUE(executed.ok()) << sql;
+    const std::vector<uint32_t> want(executed->begin(), executed->end());
+    EXPECT_FALSE(want.empty()) << sql;
+    for (const uint32_t r : nan_rows) {
+      EXPECT_EQ(std::count(want.begin(), want.end(), r), 0) << sql;
+    }
+    const auto result = ExecuteSql(sql, db);
+    ASSERT_TRUE(result.ok()) << sql;
+    EXPECT_EQ(std::vector<uint32_t>(result->selection().begin(),
+                                    result->selection().end()),
+              want)
+        << sql;
+    if (!c.has_profile) {
+      continue;
+    }
 
     const auto profile =
         SelectionProfile::FromQuery(query.value(), rows.schema());
-    ASSERT_TRUE(profile.ok()) << c.sql;
+    ASSERT_TRUE(profile.ok()) << sql;
+    std::vector<uint32_t> matched;
+    for (uint32_t r = 0; r < rows.num_rows(); ++r) {
+      if (profile->MatchesRow(rows.row(r), rows.schema())) {
+        matched.push_back(r);
+      }
+    }
+    EXPECT_EQ(matched, want) << sql;
     const auto compiled = CompiledPredicate::CompileProfile(
         profile.value(), rows.schema(), shadow.value());
-    ASSERT_TRUE(compiled.ok()) << c.sql;
-    const auto filtered = compiled->Filter({.threads = 1});
-    ASSERT_TRUE(filtered.ok()) << c.sql;
-    EXPECT_EQ(filtered.value(), nan_rows) << c.sql;
+    ASSERT_TRUE(compiled.ok()) << sql;
+    for (const size_t threads : {size_t{1}, size_t{7}}) {
+      const auto filtered = compiled->Filter({.threads = threads});
+      ASSERT_TRUE(filtered.ok()) << sql;
+      EXPECT_EQ(filtered.value(), want) << sql << " threads=" << threads;
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Fixture: raw vector intrinsics outside src/exec/simd_kernels.cc.
+// Fixture: raw vector intrinsics, which the raw-simd rule allows nowhere.
 // Exactly four raw-simd violations — the suppressed line and the
 // prefixed lookalikes must not count.
 

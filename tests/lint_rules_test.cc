@@ -162,14 +162,16 @@ TEST(RawSimdRuleTest, FlagsIntrinsicsOutsideKernelTu) {
   EXPECT_EQ(issues.size(), 4u);
   ASSERT_FALSE(issues.empty());
   EXPECT_EQ(issues[0].rule, "raw-simd");
-  EXPECT_NE(issues[0].message.find("simd_kernels"), std::string::npos);
+  EXPECT_NE(issues[0].message.find("allowed nowhere"), std::string::npos);
 }
 
-TEST(RawSimdRuleTest, ExemptsOnlyTheKernelTu) {
+// No path is exempt: the former vector-kernel TU is flagged like any
+// other.
+TEST(RawSimdRuleTest, ExemptsNoPath) {
   const std::string content = "__m256i x = _mm256_setzero_si256();\n";
-  EXPECT_TRUE(
-      CheckRawSimd("src/exec/simd_kernels.cc", content).empty());
+  EXPECT_FALSE(CheckRawSimd("src/exec/simd_kernels.cc", content).empty());
   EXPECT_FALSE(CheckRawSimd("src/exec/simd_kernels.h", content).empty());
+  EXPECT_FALSE(CheckRawSimd("src/exec/kernels.cc", content).empty());
   EXPECT_FALSE(CheckRawSimd("src/exec/cold_path.cc", content).empty());
   EXPECT_FALSE(CheckRawSimd("src/serve/service.cc", content).empty());
   EXPECT_FALSE(CheckRawSimd("tools/bench_exec.cc", content).empty());
@@ -654,7 +656,6 @@ TEST(LintFixtureTest, PassTreeLintsClean) {
                         {"src/widget/widget.h", "src/widget/widget.cc",
                          "src/widget/file_io.cc",
                          "src/exec/pipeline/scheduler.cc",
-                         "src/exec/simd_kernels.cc",
                          "src/serve/ordered.cc",
                          "src/serve/annotated_sync.h",
                          "src/serve/raii_lock.cc",

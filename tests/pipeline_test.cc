@@ -249,8 +249,9 @@ TEST(PipelineEquivalenceTest, RandomizedQueriesLegacyVsPipeline) {
 // and 2^53 + 1 tie; categorical: by Value order, exact for int64). Every
 // entry lists the positions of the non-NULL, non-NaN cells in (value,
 // position) order, its key rises exactly where the value does, and a
-// column that carries codes in its shadow is keyed by them.
-void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
+// column that carries codes in its shadow is keyed by them, read through
+// `reselected`, the same rows selected from the base again.
+void ExpectIndexMatchesRescan(const Table& result, const Table& reselected,
                               const ResultAttributeIndex& index,
                               const std::string& context) {
   ASSERT_EQ(index.num_rows, result.num_rows()) << context;
@@ -278,7 +279,7 @@ void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
     const std::vector<KeyOrderEntry>& got = entry.sorted_keys;
     ASSERT_EQ(got.size(), expected.size()) << at;
     const ColumnarTable::Column& column =
-        view.columnar()->column(view.base_column(c));
+        reselected.columnar_backing()->column(reselected.backing_column(c));
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].second, expected[i].second) << at << " entry " << i;
       if (i > 0) {
@@ -288,7 +289,8 @@ void ExpectIndexMatchesRescan(const Table& result, const TableView& view,
         ASSERT_LE(got[i - 1].first, got[i].first) << at << " entry " << i;
       }
       if (!column.codes.empty()) {
-        ASSERT_EQ(got[i].first, column.codes[view.base_row(got[i].second)])
+        ASSERT_EQ(got[i].first,
+                  column.codes[reselected.backing_row(got[i].second)])
             << at << " entry " << i;
       }
     }
@@ -329,8 +331,7 @@ TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
   std::filesystem::remove(path, ec);  // the mapping keeps the data alive
   ASSERT_FALSE(HasFatalFailure());
 
-  // A floor area held by exactly one row selects a one-row result (a
-  // price would not: NaN prices match every price range).
+  // A floor area held by exactly one row selects a one-row result.
   const size_t sqft = homes.schema().ColumnIndex("squarefootage").value();
   std::map<double, size_t> sqft_count;
   for (size_t r = 0; r < homes.num_rows(); ++r) {
@@ -394,9 +395,9 @@ TEST(PipelineEquivalenceTest, AttrIndexMatchesRescanOnBothStrategies) {
         ASSERT_GE(piped.selection.size(), query.min_rows) << context;
         ASSERT_LE(piped.selection.size(), query.max_rows) << context;
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            const TableView view,
-            TableView::Create(*installed, shadow, piped.selection, columns));
-        ExpectIndexMatchesRescan(piped.result, view, piped.attr_index,
+            const Table reselected,
+            Table::Select(*installed, shadow, piped.selection, columns));
+        ExpectIndexMatchesRescan(piped.result, reselected, piped.attr_index,
                                  context);
       }
     }
@@ -477,7 +478,7 @@ TEST(PipelineEquivalenceTest, EmptyTableAndUnknownProjectionColumn) {
   EXPECT_EQ(piped.result.num_rows(), 0u);
   EXPECT_EQ(piped.attr_index.num_rows, 0u);
 
-  // Unknown projection columns error exactly as TableView::Create does.
+  // Unknown projection columns error exactly as Table::Select does.
   const auto bad = RunColdPipeline(compiled.value(), table, shadow.get(),
                                    {"bogus"}, options);
   ASSERT_FALSE(bad.ok());

@@ -3,7 +3,7 @@
 
 // The row-at-a-time selection/projection reference the result tables are
 // compared against. It copies cells row by row into a builder table and
-// never goes through a TableView, so it is independent of the
+// never goes through `Table::Select`, so it is independent of the
 // selection-over-a-shadow representation every query result uses.
 
 #include <string>

@@ -1,12 +1,12 @@
 // Gate for the late-materialized result table (storage/table.h): a
 // column-backed `Table` that reads a shared shadow through a row
-// selection and a column projection (`TableView::AsTable`) must answer
+// selection and a column projection (`Table::Select`) must answer
 // every `Table` method exactly as a builder copy of the same rows does
 // (`SelectProjectRows` over the builder rows the shadow was built from).
 // The cells are hostile (NULL, NaN, -0.0, "", the int64
 // extremes), the projections reordered subsets, and the selections
-// reversed, repeated and empty. Views over such a table compose its maps
-// instead of applying them twice, every categorization technique builds
+// reversed, repeated and empty. Selections over such a table compose its
+// maps instead of applying them twice, every categorization technique builds
 // the same tree over it, a Database registers it with a shadow of its
 // own rows, and the exploration and ranking models read its rows.
 
@@ -104,7 +104,7 @@ void ExpectSameValues(const std::vector<Value>& want,
 
 // Every `Table` method on `got` (column-backed with a selection) against
 // the same method on `want` (a builder copy of its rows), and a further
-// selection and projection of each (`TableView` over `got`,
+// selection and projection of each (`Table::Select` over `got`,
 // `SelectProjectRows` over `want`), errors included.
 void ExpectAnswersAlike(const Table& want, const Table& got,
                         const std::string& context) {
@@ -139,17 +139,17 @@ void ExpectAnswersAlike(const Table& want, const Table& got,
       const std::vector<size_t> indices(rows.begin(), rows.end());
       AUTOCAT_ASSERT_OK_AND_MOVE(const Table a,
                                  SelectProjectRows(want, indices, names));
-      AUTOCAT_ASSERT_OK_AND_MOVE(const TableView b,
-                                 TableView::Create(got, nullptr, rows, names));
-      ExpectTablesBitIdentical(a, b.AsTable(), context + " select/project");
+      AUTOCAT_ASSERT_OK_AND_MOVE(const Table b,
+                                 Table::Select(got, nullptr, rows, names));
+      ExpectTablesBitIdentical(a, b, context + " select/project");
     }
   }
   const uint32_t out_of_range = static_cast<uint32_t>(n);
   ExpectSameStatus(SelectProjectRows(want, {n}, {}).status(),
-                   TableView::Create(got, nullptr, {out_of_range}, {}).status(),
+                   Table::Select(got, nullptr, {out_of_range}, {}).status(),
                    context + " row out of range");
   ExpectSameStatus(SelectProjectRows(want, {}, {"nope"}).status(),
-                   TableView::Create(got, nullptr, {}, {"nope"}).status(),
+                   Table::Select(got, nullptr, {}, {"nope"}).status(),
                    context + " unknown column");
 
   // The row filter reads both alike.
@@ -218,9 +218,8 @@ TEST(SelectionTableTest, EveryMethodAnswersAsTheMaterializedCopy) {
   const Shadowed h = MakeShadowed(rows);
   for (const Case& c : Cases(h.base.num_rows())) {
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        const TableView view,
-        TableView::Create(h.base, h.shadow, c.rows, c.columns));
-    const Table selected = view.AsTable();
+        const Table selected,
+        Table::Select(h.base, h.shadow, c.rows, c.columns));
     EXPECT_EQ(selected.columnar_backing(), h.shadow) << c.name;
     const Table want = CopyOf(rows, c);
     ExpectAnswersAlike(want, selected, c.name);
@@ -230,35 +229,52 @@ TEST(SelectionTableTest, EveryMethodAnswersAsTheMaterializedCopy) {
   }
 }
 
+// Expects `got` to read the backing of `want` at the backing rows and
+// columns `want` reads at rows `rows` and columns `cols`.
+void ExpectAddressesTheBacking(const Table& want,
+                               const std::vector<uint32_t>& rows,
+                               const std::vector<size_t>& cols,
+                               const Table& got, const std::string& context) {
+  EXPECT_EQ(got.columnar_backing(), want.columnar_backing()) << context;
+  ASSERT_EQ(got.num_rows(), rows.size()) << context;
+  ASSERT_EQ(got.num_columns(), cols.size()) << context;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(got.backing_row(r), want.backing_row(rows[r])) << context;
+  }
+  for (size_t c = 0; c < cols.size(); ++c) {
+    EXPECT_EQ(got.backing_column(c), want.backing_column(cols[c]))
+        << context;
+  }
+}
+
 TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
   const Table base_rows = HostileTable();
   const Shadowed h = MakeShadowed(base_rows);
   for (const Case& c : Cases(h.base.num_rows())) {
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        const TableView view,
-        TableView::Create(h.base, h.shadow, c.rows, c.columns));
-    const Table selected = view.AsTable();
+        const Table selected,
+        Table::Select(h.base, h.shadow, c.rows, c.columns));
     const Table materialized = CopyOf(base_rows, c);
-
-    // All: the view addresses the shadow directly.
-    const TableView all = TableView::All(selected, nullptr);
-    EXPECT_EQ(all.columnar(), h.shadow.get()) << c.name;
-    ASSERT_EQ(all.num_rows(), view.num_rows()) << c.name;
-    for (size_t r = 0; r < all.num_rows(); ++r) {
-      EXPECT_EQ(all.base_row(r), view.base_row(r)) << c.name;
-    }
-    for (size_t col = 0; col < all.num_columns(); ++col) {
-      EXPECT_EQ(all.base_column(col), view.base_column(col)) << c.name;
-    }
-    ExpectTablesBitIdentical(materialized, all.AsTable(), c.name + " All");
-    const TableView all_explicit =
-        TableView::All(selected, selected.columnar_backing());
-    ExpectTablesBitIdentical(materialized, all_explicit.AsTable(),
-                             c.name + " All(backing)");
-
-    // Create over the selection: a second selection and projection on
-    // top of the first, against the same two steps on the copy.
     const size_t n = selected.num_rows();
+    std::vector<size_t> every_column(selected.num_columns());
+    std::iota(every_column.begin(), every_column.end(), size_t{0});
+
+    // Every row of the selection, with no shadow named or with its own
+    // backing: the selection addresses the shadow directly.
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), uint32_t{0});
+    for (const auto& named : {std::shared_ptr<const ColumnarTable>(),
+                              selected.columnar_backing()}) {
+      AUTOCAT_ASSERT_OK_AND_MOVE(const Table again,
+                                 Table::Select(selected, named, all, {}));
+      EXPECT_EQ(again.columnar_backing(), h.shadow) << c.name;
+      ExpectAddressesTheBacking(selected, all, every_column, again,
+                                c.name + " all rows");
+      ExpectTablesBitIdentical(materialized, again, c.name + " all rows");
+    }
+
+    // A second selection and projection on top of the first, against the
+    // same two steps on the copy.
     std::vector<uint32_t> rows;
     for (size_t r = n; r-- > 0;) {
       if (r % 3 != 1) {
@@ -269,69 +285,81 @@ TEST(SelectionTableTest, ViewsComposeTheMapsOnce) {
     for (size_t col = selected.num_columns(); col-- > 0;) {
       names.push_back(selected.schema().column(col).name);
     }
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const TableView nested,
-        TableView::Create(selected, nullptr, rows, names));
+    AUTOCAT_ASSERT_OK_AND_MOVE(const Table nested,
+                               Table::Select(selected, nullptr, rows, names));
     AUTOCAT_ASSERT_OK_AND_MOVE(
         const Table want,
         SelectProjectRows(materialized,
                           std::vector<size_t>(rows.begin(), rows.end()),
                           names));
-    EXPECT_EQ(nested.columnar(), h.shadow.get()) << c.name;
-    ExpectAnswersAlike(want, nested.AsTable(), c.name + " nested");
-    EXPECT_EQ(
-        TableView::Create(selected, nullptr, {static_cast<uint32_t>(n)}, {})
-            .status()
-            .code(),
-        StatusCode::kOutOfRange)
+    EXPECT_EQ(nested.columnar_backing(), h.shadow) << c.name;
+    ExpectAddressesTheBacking(
+        selected, rows,
+        std::vector<size_t>(every_column.rbegin(), every_column.rend()),
+        nested, c.name + " nested");
+    ExpectAnswersAlike(want, nested, c.name + " nested");
+    EXPECT_EQ(Table::Select(selected, nullptr, {static_cast<uint32_t>(n)}, {})
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
         << c.name;
-    EXPECT_FALSE(TableView::Create(selected, nullptr, {}, {"nope"}).ok())
+    EXPECT_FALSE(Table::Select(selected, nullptr, {}, {"nope"}).ok())
         << c.name;
   }
 }
 
-// A view reads its base's own columnar form. A shadow of the same rows
-// that the base does not hold is refused: by Create with a precise
-// status, over a column-backed base and over a row-backed one alike.
-// Null, or the base's backing, is accepted; over a row-backed base the
-// view builds its own shadow, so it outlives the base.
-TEST(TableViewTest, CreateRefusesAForeignShadow) {
+// A selection reads its base's own columnar form. A shadow of the same
+// rows that the base does not hold is refused with kInvalidArgument,
+// over a column-backed base and over a builder base alike. Null, or the
+// base's backing, is accepted; over a builder base the selection builds
+// and owns its shadow, so it outlives the base.
+TEST(SelectionTableTest, SelectRefusesAForeignShadow) {
   const Table rows = HostileTable();
   const Shadowed h = MakeShadowed(rows);
   const auto foreign =
       std::make_shared<const ColumnarTable>(ColumnarTable::Build(rows));
   for (const Table* base : {&h.base, &rows}) {
-    const Result<TableView> refused =
-        TableView::Create(*base, foreign, {0, 1}, {"d"});
+    const Result<Table> refused =
+        Table::Select(*base, foreign, {0, 1}, {"d"});
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
         << refused.status().ToString();
   }
 
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const TableView own, TableView::Create(h.base, h.shadow, {4, 0}, {"d"}));
-  EXPECT_EQ(own.columnar(), h.shadow.get());
-  std::optional<TableView> built;
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table own,
+                             Table::Select(h.base, h.shadow, {4, 0}, {"d"}));
+  EXPECT_EQ(own.columnar_backing(), h.shadow);
+  std::optional<Table> built;
   {
     const Table temporary = HostileTable();
     AUTOCAT_ASSERT_OK_AND_MOVE(
-        built, TableView::Create(temporary, nullptr, {4, 0}, {"d"}));
+        built, Table::Select(temporary, nullptr, {4, 0}, {"d"}));
   }
-  ASSERT_NE(built->columnar(), nullptr);
-  EXPECT_NE(built->columnar(), h.shadow.get());
+  ASSERT_NE(built->columnar_backing(), nullptr);
+  EXPECT_NE(built->columnar_backing(), h.shadow);
   AUTOCAT_ASSERT_OK_AND_MOVE(const Table want,
                              SelectProjectRows(rows, {4, 0}, {"d"}));
-  ExpectTablesBitIdentical(want, own.AsTable(), "view over its base's shadow");
-  ExpectTablesBitIdentical(want, built->AsTable(),
-                           "view over a row-backed base");
+  ExpectAnswersAlike(want, own, "selection over its base's shadow");
+  ExpectAnswersAlike(want, *built, "selection over a builder base");
 }
 
-// All has no status to return, so a foreign shadow is a CHECK failure.
-TEST(TableViewDeathTest, AllRefusesAForeignShadow) {
-  const Shadowed h = MakeShadowed(HostileTable());
+// Selecting every row and every column is no exception: a foreign shadow
+// is a kInvalidArgument status, not a crash, over either kind of base.
+TEST(SelectionTableTest, SelectAllRefusesAForeignShadow) {
+  const Table rows = HostileTable();
+  const Shadowed h = MakeShadowed(rows);
   const auto foreign = std::make_shared<const ColumnarTable>(
       ColumnarTable::Build(HostileTable()));
-  EXPECT_DEATH((void)TableView::All(h.base, foreign),
-               "AUTOCAT_CHECK failed");
+  std::vector<uint32_t> all(rows.num_rows());
+  std::iota(all.begin(), all.end(), uint32_t{0});
+  for (const Table* base : {&h.base, &rows}) {
+    const Result<Table> refused = Table::Select(*base, foreign, all, {});
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table own,
+                             Table::Select(h.base, h.shadow, all, {}));
+  EXPECT_EQ(own.num_rows(), rows.num_rows());
+  EXPECT_EQ(own.columnar_backing(), h.shadow);
 }
 
 // A selection over the fuzz homes (hostile cells and NULLs included),
@@ -357,10 +385,10 @@ HomesSelection MakeHomesSelection() {
       homes, std::vector<size_t>(rows.begin(), rows.end()), columns);
   EXPECT_TRUE(copy.ok());
   out.materialized = std::move(copy).value();
-  auto view =
-      TableView::Create(out.h.base, out.h.shadow, std::move(rows), columns);
-  EXPECT_TRUE(view.ok());
-  out.selected = view->AsTable();
+  auto selected =
+      Table::Select(out.h.base, out.h.shadow, std::move(rows), columns);
+  EXPECT_TRUE(selected.ok());
+  out.selected = std::move(selected).value();
   return out;
 }
 
@@ -413,10 +441,10 @@ TEST(SelectionTableTest, EveryTechniqueBuildsTheSameTree) {
                                  categorizer.Categorize(hs.selected, no_query));
       ExpectSameTree(want, got, "Cost-based" + m);
       AUTOCAT_ASSERT_OK_AND_MOVE(
-          const CategoryTree via_view,
-          categorizer.Categorize(TableView::All(hs.selected, nullptr),
-                                 hs.selected, no_query));
-      ExpectSameTree(want, via_view, "Cost-based view" + m);
+          const CategoryTree served,
+          categorizer.Categorize(hs.selected, no_query, /*index=*/nullptr,
+                                 /*timings=*/nullptr));
+      ExpectSameTree(want, served, "Cost-based serving entry" + m);
     }
     {
       const AttrCostCategorizer categorizer(&stats, options);
@@ -494,9 +522,8 @@ TEST(SelectionTableTest, DatabaseRegistersItWithAShadowOfItsOwnRows) {
       AUTOCAT_ASSERT_OK_AND_MOVE(const std::vector<uint32_t> rows,
                                  compiled.Filter(ParallelOptions{1}));
       AUTOCAT_ASSERT_OK_AND_MOVE(
-          const TableView view,
-          TableView::Create(*table, shadow, rows, query.columns));
-      results.push_back(view.AsTable());
+          Table result, Table::Select(*table, shadow, rows, query.columns));
+      results.push_back(std::move(result));
     }
     ASSERT_GT(results[0].num_rows(), 0u) << sql;
     ExpectTablesBitIdentical(results[0], results[1],

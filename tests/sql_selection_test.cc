@@ -56,9 +56,9 @@ TEST(NumericRangeTest, ContainsRespectsInclusivity) {
   EXPECT_FALSE(r.Contains(9.999));
 }
 
-// NaN fails every comparison, so it lies inside every range: open,
-// closed, half-open and point. A range condition therefore keeps a
-// NaN cell (this pins the behaviour; it is not a choice made here).
+// NaN fails every comparison, so it lies inside no range: open,
+// closed, half-open, point or unbounded. A range condition therefore
+// drops a NaN cell, as it drops a NULL one.
 TEST(NumericRangeTest, ContainsNaN) {
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
@@ -82,8 +82,8 @@ TEST(NumericRangeTest, ContainsNaN) {
     r.hi = k.hi;
     r.lo_inclusive = k.lo_inclusive;
     r.hi_inclusive = k.hi_inclusive;
-    EXPECT_TRUE(r.Contains(nan)) << r.ToString();
-    EXPECT_TRUE(AttributeCondition::Range(r).Matches(Value(nan)))
+    EXPECT_FALSE(r.Contains(nan)) << r.ToString();
+    EXPECT_FALSE(AttributeCondition::Range(r).Matches(Value(nan)))
         << r.ToString();
   }
 }

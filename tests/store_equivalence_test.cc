@@ -365,31 +365,28 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
   } kViews[] = {{"project", all, {"price", "neighborhood"}},
                 {"select", picks, {}}};
   for (const auto& v : kViews) {
-    auto v_mem = TableView::Create(mem, nullptr, v.rows, v.columns);
-    auto v_map = TableView::Create(mapped, nullptr, v.rows, v.columns);
+    auto v_mem = Table::Select(mem, nullptr, v.rows, v.columns);
+    auto v_map = Table::Select(mapped, nullptr, v.rows, v.columns);
     ASSERT_TRUE(v_mem.ok() && v_map.ok()) << v.name;
-    ExpectTablesBitIdentical(v_mem->AsTable(), v_map->AsTable(), v.name);
+    ExpectTablesBitIdentical(v_mem.value(), v_map.value(), v.name);
   }
 
-  // A view of the mapped table reads its backing even when no shadow is
-  // passed, so the partitioners take their typed paths on it and agree
-  // with the in-memory view.
-  const TableView mem_view = TableView::All(mem, nullptr);
-  const TableView mapped_view = TableView::All(mapped, nullptr);
-  EXPECT_EQ(mapped_view.columnar(), mapped.columnar_backing().get());
+  // The partitioners read the mapped table's backing directly, so they
+  // take their typed paths on it and agree with the in-memory table.
+  ASSERT_FALSE(mapped.has_rows());
   std::vector<size_t> all_rows(mem.num_rows());
   for (size_t r = 0; r < all_rows.size(); ++r) {
     all_rows[r] = r;
   }
-  auto c_mem = PartitionCategoricalArbitrary(mem_view, all_rows,
+  auto c_mem = PartitionCategoricalArbitrary(mem, all_rows,
                                              "neighborhood", nullptr);
-  auto c_map = PartitionCategoricalArbitrary(mapped_view, all_rows,
+  auto c_map = PartitionCategoricalArbitrary(mapped, all_rows,
                                              "neighborhood", nullptr);
   ASSERT_TRUE(c_mem.ok() && c_map.ok());
   equiv::ExpectPartitionsIdentical(c_mem.value(), c_map.value(), "neighborhood");
-  auto n_mem = PartitionNumericEquiWidth(mem_view, all_rows, "price",
+  auto n_mem = PartitionNumericEquiWidth(mem, all_rows, "price",
                                          50000, nullptr);
-  auto n_map = PartitionNumericEquiWidth(mapped_view, all_rows, "price",
+  auto n_map = PartitionNumericEquiWidth(mapped, all_rows, "price",
                                          50000, nullptr);
   ASSERT_TRUE(n_mem.ok() && n_map.ok());
   equiv::ExpectPartitionsIdentical(n_mem.value(), n_map.value(), "price");

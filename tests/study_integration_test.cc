@@ -117,7 +117,7 @@ void ExpectMatchesRowScan(const StudyEnvironment& env,
 TEST(StudyEnvironmentTest, ExecuteProfileMatchesRowScan) {
   const StudyEnvironment& env = SharedEnv();
   ExpectMatchesRowScan(env, SelectionProfile(), "empty profile");
-  // A NaN set member compiles as the kernels' match-all literal.
+  // A NaN set member matches no row, in the kernels as in MatchesRow.
   SelectionProfile nan_member;
   nan_member.Set("bedroomcount",
                  AttributeCondition::ValueSet(

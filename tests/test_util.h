@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "storage/columnar.h"
 #include "storage/table.h"
 #include "workload/counts.h"
 #include "workload/workload.h"
@@ -45,6 +47,14 @@ inline Table HomesTable(const std::vector<HomeRow>& rows) {
                     .ok());
   }
   return table;
+}
+
+/// `table` as a column-backed table over a shadow built from it, with
+/// the same rows: the partitioners read only column-backed tables.
+inline Table ColumnBackedCopy(const Table& table) {
+  return Table::FromColumnar(
+      table.schema(),
+      std::make_shared<const ColumnarTable>(ColumnarTable::Build(table)));
 }
 
 inline WorkloadStatsOptions StatsOptions(double price_interval = 1000) {

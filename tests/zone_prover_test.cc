@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -430,11 +431,10 @@ TEST(ZoneProverTest, NanExtremaVerdicts) {
 
   // Every price cell is NaN, the hostile corner of the zone contract:
   // extrema exclude NaN (an all-NaN zone keeps vacuous zeros) and only
-  // has_nan records the poison, so every definite verdict below must
-  // survive the has_nan downgrade. The row oracle is MatchesRow itself —
-  // profile ranges treat NaN as inside, Value::Compare treats it as equal
-  // to everything, and the prover must agree with whichever semantic the
-  // compiled shape carries.
+  // has_nan records the poison, so no zone may be proven all-pass. The
+  // row oracle is MatchesRow itself, under which a NaN cell satisfies no
+  // comparison, range or set: no row matches, and every definite verdict
+  // must be all-fail.
   for (const std::string sql :
        {"SELECT * FROM homes WHERE price > 0",
         "SELECT * FROM homes WHERE price < 0",
@@ -458,6 +458,12 @@ TEST(ZoneProverTest, NanExtremaVerdicts) {
     std::vector<bool> matches(n);
     for (size_t r = 0; r < n; ++r) {
       matches[r] = profile.value().MatchesRow(table.row(r), schema);
+    }
+    EXPECT_EQ(std::count(matches.begin(), matches.end(), true), 0) << sql;
+    for (size_t m = 0; m < compiled->num_morsels(); ++m) {
+      EXPECT_NE(compiled->MorselVerdict(m),
+                CompiledPredicate::ZoneVerdict::kAllPass)
+          << sql << " morsel " << m;
     }
     ExpectVerdictsSound(compiled.value(), matches, sql);
   }

@@ -20,8 +20,7 @@
 # Usage: tools/ci.sh [--fast|--serve|--pipeline|--bench-smoke|--workload|--store|--kernels|--figures|--analyze]
 #   --fast   run only the Release leg (useful as a pre-push smoke test)
 #   --serve  run only the serving-layer suite (src/serve/ + histogram +
-#            Database + the views and result tables that select from a
-#            shadow)
+#            Database + the result tables that select from a shadow)
 #            under ASan and TSan, including three pool workers driving
 #            cold and cached requests over a generated table and a
 #            four-thread scenario-harness replay — the targeted gate for
@@ -33,7 +32,7 @@
 #            prover's verdicts and the pipeline's pruning counters,
 #            served responses against the row oracle, the coalescing
 #            registry, the service burst tests, and the Database's
-#            column-backed install and views) in Release and under
+#            column-backed install and selections) in Release and under
 #            ASan, UBSan and TSan, plus bench_pipeline (cold ms/op) at
 #            --smoke sizes — the targeted gate for cold-path, scheduler
 #            and coalescing work. The TSan pass of this leg also runs in
@@ -41,7 +40,7 @@
 #   --bench-smoke
 #            build and run bench_exec_filter and bench_pipeline at tiny
 #            sizes (--smoke) under ASan and TSan — the targeted gate for
-#            the columnar engine's kernels, views and the cold pipeline,
+#            the columnar engine's kernels, selections and the cold pipeline,
 #            exercised through the real benchmark drivers rather than
 #            unit fixtures (the threaded serve path is gated by
 #            ServiceTest.ConcurrentColdAndHitTrafficMatchesSequential in
@@ -116,13 +115,52 @@ elif [[ "${1:-}" == "--analyze" ]]; then
   ANALYZE=1
 fi
 
+# A targeted leg names its tests as an array of anchored regexes, one per
+# suite or test, and runs their union. Before running, each regex must
+# select at least one test of the leg's build: a regex naming a suite
+# that was renamed away matches nothing, and would otherwise leave the
+# gate silently. The union is then run with --no-tests=error.
+leg_filter() {
+  local IFS='|'
+  echo "$*"
+}
+
+check_selects_tests() {
+  local dir="$1" pattern listed missing=0
+  shift
+  for pattern in "$@"; do
+    listed="$(cd "$dir" && ctest -N -R "$pattern")"
+    if [[ ! "$listed" =~ Total\ Tests:\ [1-9] ]]; then
+      echo "ci: '$pattern' selects no test in $dir" >&2
+      missing=1
+    fi
+  done
+  return "$missing"
+}
+
+# Checks the leg's regexes against build dir `dir`, then runs their union
+# there. A regex that selects nothing ends the run, whatever the caller.
+run_leg_tests() {
+  local dir="$1"
+  shift
+  check_selects_tests "$ROOT/$dir" "$@" || exit 1
+  (cd "$ROOT/$dir" && ctest --output-on-failure --no-tests=error \
+    -j "$JOBS" -R "$(leg_filter "$@")")
+}
+
 # Every serving-layer test suite, plus the histogram the metrics build on,
 # the Database whose column-backed tables requests read under the shared
-# lock, the views and result tables that select from those shadows, the
+# lock, the result tables that select from those shadows, the
 # builder tables and CSV reader they are built from, the executor that
 # answers with a selection over a shadow and its row filter, and the
 # scenario harness replaying four requests at a time.
-SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest|DatabaseTest|SelectionTableTest|TableViewTest|TableViewDeathTest|TableTest|CsvTest|ExecutorTest|FilterTableTest)\.|^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
+SERVE_TESTS=(
+  '^ServiceTest\.' '^SignatureTest\.' '^SignatureCacheTest\.'
+  '^CachedCategorizationTest\.' '^AdmissionTest\.' '^ServiceMetricsTest\.'
+  '^HistogramTest\.' '^DatabaseTest\.' '^SelectionTableTest\.'
+  '^TableTest\.' '^CsvTest\.' '^ExecutorTest\.' '^FilterTableTest\.'
+  '^WorkloadHarnessTest\.FourThreadReplayAnswersEveryRequest$'
+)
 
 serve_leg() {
   local name="$1" dir="$2"
@@ -134,8 +172,7 @@ serve_leg() {
     --target autocat_serve_tests autocat_common_tests autocat_sql_tests \
              autocat_columnar_tests autocat_workloadgen_tests
   echo "==== [serve/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$SERVE_FILTER")
+  run_leg_tests "$dir" "${SERVE_TESTS[@]}"
 }
 
 # The pipeline/coalescing gate: the cold path's equivalence suite
@@ -150,12 +187,24 @@ serve_leg() {
 # per-node sort/group reference at thread counts 1/2/7/16 (over a
 # built shadow and a mapped segment store), the per-node partitioners
 # that read the same key orders, the result
-# tables that select from a shadow against builder copies of their rows,
-# the views over them (a foreign shadow refused), the Database installing
+# tables that select from a shadow against builder copies of their rows
+# (selections over them compose the maps; a foreign shadow is refused),
+# the Database installing
 # every table column-backed (its row oracle bit-identical to the row
 # table's), and the release of a replaced table version's shadow (stale
 # cache entries dropped at the epoch bump, stale inserts refused).
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CategorizeRunsTest|PartitionNumericTest|PartitionEquiWidthTest|PartitionCategoricalTest|PartitionArbitraryTest|ZoneProverTest|PostingListTest|PostingSourceTest|CoalescingRegistryTest|ServiceCoalescingTest|SelectionTableTest|TableViewTest|TableViewDeathTest|DatabaseTest)\.|^ServiceTest\.(PutTableReleasesTheReplacedShadow|RebuildWorkloadDropsStaleEntriesAtOnce)$|^SignatureCacheTest\.(BumpEpochRemovesStaleEntriesBeforeReturning|StaleInsertIsRefusedAndCounted)$'
+PIPELINE_TESTS=(
+  '^PipelineEquivalenceTest\.' '^CategorizeRunsTest\.'
+  '^PartitionNumericTest\.' '^PartitionEquiWidthTest\.'
+  '^PartitionCategoricalTest\.' '^PartitionArbitraryTest\.'
+  '^ZoneProverTest\.' '^PostingListTest\.' '^PostingSourceTest\.'
+  '^CoalescingRegistryTest\.' '^ServiceCoalescingTest\.'
+  '^SelectionTableTest\.' '^DatabaseTest\.'
+  '^ServiceTest\.PutTableReleasesTheReplacedShadow$'
+  '^ServiceTest\.RebuildWorkloadDropsStaleEntriesAtOnce$'
+  '^SignatureCacheTest\.BumpEpochRemovesStaleEntriesBeforeReturning$'
+  '^SignatureCacheTest\.StaleInsertIsRefusedAndCounted$'
+)
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -168,8 +217,7 @@ pipeline_leg() {
              autocat_serve_tests autocat_sql_tests autocat_core_tests \
              bench_pipeline
   echo "==== [pipeline/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$PIPELINE_FILTER")
+  run_leg_tests "$dir" "${PIPELINE_TESTS[@]}"
   echo "==== [pipeline/$name] bench_pipeline --smoke ===="
   "$ROOT/$dir/bench/bench_pipeline" --smoke --benchmark_min_time=0.01
 }
@@ -178,7 +226,11 @@ pipeline_leg() {
 # scenario harness (including the drift-recovery acceptance gate), strict
 # loadgen flag parsing, the scripted admission burst, and the
 # bit-identical-at-any-thread-count determinism proofs.
-WORKLOAD_FILTER='^(SessionGeneratorTest|TrafficStreamTest|ScenarioSpecTest|WorkloadHarnessTest|LoadgenFlagsTest|ParallelDeterminismTest|AdmissionTest)\.'
+WORKLOAD_TESTS=(
+  '^SessionGeneratorTest\.' '^TrafficStreamTest\.' '^ScenarioSpecTest\.'
+  '^WorkloadHarnessTest\.' '^LoadgenFlagsTest\.'
+  '^ParallelDeterminismTest\.' '^AdmissionTest\.'
+)
 
 workload_leg() {
   local name="$1" dir="$2"
@@ -191,8 +243,7 @@ workload_leg() {
              autocat_parallel_tests autocat_serve_tests \
              bench_workload_scenarios
   echo "==== [workload/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$WORKLOAD_FILTER")
+  run_leg_tests "$dir" "${WORKLOAD_TESTS[@]}"
   echo "==== [workload/$name] bench_workload_scenarios --smoke ===="
   "$ROOT/$dir/bench/bench_workload_scenarios" --smoke \
     --benchmark_min_time=0.01
@@ -201,7 +252,13 @@ workload_leg() {
 # The segment-store gate: every Store* suite in tests/store_test.cc and
 # the store-vs-memory equivalence tests, the strict simgen flag parser,
 # and the decoder fuzz corpus replayed as a plain ctest entry.
-STORE_FILTER='^(StoreCodingTest|StoreSegmentTest|StoreMappedFileTest|StoreBufferManagerTest|StoreSorterTest|StoreWriterTest|StoreRoundTripTest|StoreCorruptionTest|StoreEquivalenceTest|SimgenFlagsTest)\.|^store_fuzz_corpus_replay$'
+STORE_TESTS=(
+  '^StoreCodingTest\.' '^StoreSegmentTest\.' '^StoreMappedFileTest\.'
+  '^StoreBufferManagerTest\.' '^StoreSorterTest\.' '^StoreWriterTest\.'
+  '^StoreRoundTripTest\.' '^StoreCorruptionTest\.'
+  '^StoreEquivalenceTest\.' '^SimgenFlagsTest\.'
+  '^store_fuzz_corpus_replay$'
+)
 
 store_leg() {
   local name="$1" dir="$2"
@@ -213,8 +270,7 @@ store_leg() {
     --target autocat_store_tests autocat_tooling_tests \
              autocat_store_fuzz_replay
   echo "==== [store/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$STORE_FILTER")
+  run_leg_tests "$dir" "${STORE_TESTS[@]}"
 }
 
 # The zone-map + filter-kernel gate: zone metadata construction, the
@@ -226,7 +282,12 @@ store_leg() {
 # columnar equivalence suite, where the profile compiler is held total
 # and exact against MatchesRow (randomized profiles and edge values) and
 # a mixed-type column dies in Build.
-KERNELS_FILTER='^(ZoneMapTest|ZoneProverTest|PostingListTest|PostingSourceTest|PipelineEquivalenceTest|StoreRoundTripTest|ColumnarEquivalenceTest|ColumnarEquivalenceDeathTest)\.'
+KERNELS_TESTS=(
+  '^ZoneMapTest\.' '^ZoneProverTest\.' '^PostingListTest\.'
+  '^PostingSourceTest\.' '^PipelineEquivalenceTest\.'
+  '^StoreRoundTripTest\.' '^ColumnarEquivalenceTest\.'
+  '^ColumnarEquivalenceDeathTest\.'
+)
 
 kernels_leg() {
   local name="$1" dir="$2"
@@ -238,8 +299,7 @@ kernels_leg() {
     --target autocat_kernel_tests autocat_store_tests \
     autocat_columnar_tests bench_exec_filter
   echo "==== [kernels/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$KERNELS_FILTER")
+  run_leg_tests "$dir" "${KERNELS_TESTS[@]}"
   echo "==== [kernels/$name] bench_exec_filter --smoke ===="
   "$ROOT/$dir/bench/bench_exec_filter" --smoke --benchmark_min_time=0.01
 }

@@ -354,12 +354,6 @@ std::vector<LintIssue> CheckRawMmap(const std::string& rel_path,
 std::vector<LintIssue> CheckRawSimd(const std::string& rel_path,
                                     const std::string& content) {
   std::vector<LintIssue> issues;
-  if (rel_path == "src/exec/simd_kernels.cc") {
-    // The one TU built with -mavx2; everywhere else the intrinsics would
-    // be compiled for the baseline target (or ICE on other arches), and
-    // the per-call runtime dispatch would be bypassed.
-    return issues;
-  }
   // Any of: the intrinsics header, a vector register type (__m128/256/512
   // with any element suffix), or a call-shaped _mm[256|512]_* intrinsic.
   // Word-bounded on the left so identifiers like `x__m256` or
@@ -377,9 +371,9 @@ std::vector<LintIssue> CheckRawSimd(const std::string& rel_path,
     if (std::regex_search(code, kRawSimd)) {
       issues.push_back(LintIssue{
           rel_path, i + 1, "raw-simd",
-          "raw SIMD intrinsic outside src/exec/simd_kernels.cc; vector "
-          "code lives behind the runtime-dispatched kernels "
-          "(exec/simd_kernels.h)"});
+          "raw SIMD intrinsic; the filter has one scalar implementation "
+          "per leaf and no vector kernels, so intrinsics are allowed "
+          "nowhere"});
     }
   }
   return issues;

@@ -73,13 +73,12 @@ std::vector<LintIssue> CheckRawMmap(const std::string& rel_path,
 /// Rule `raw-simd`: raw vector intrinsics — the intrinsics headers
 /// (`<immintrin.h>` and friends), the `__m128/__m256/__m512` register
 /// types, and call-shaped `_mm*_`/`_mm256_`/`_mm512_` intrinsics — may
-/// appear only in src/exec/simd_kernels.cc, the one TU compiled with
-/// -mavx2 behind the runtime-dispatched kernel API (exec/simd_kernels.h).
-/// Anywhere else the intrinsics would target the baseline ISA (or fail
-/// to compile on other arches) and bypass the Enabled() dispatch and the
-/// scalar-equivalence contract. The match is word-bounded on the left,
-/// so `x__m256` or `my_mm256_helper(` never count. Comment and string
-/// contents are ignored.
+/// appear nowhere. Every filter leaf has one scalar implementation
+/// (exec/kernels.cc), no TU is compiled for a wider ISA, and intrinsics
+/// would target the baseline one (or fail to compile on other arches).
+/// The match is word-bounded on the left, so `x__m256` or
+/// `my_mm256_helper(` never count. Comment and string contents are
+/// ignored.
 std::vector<LintIssue> CheckRawSimd(const std::string& rel_path,
                                     const std::string& content);
 
