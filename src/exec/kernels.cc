@@ -28,9 +28,9 @@ struct PredicateLeaf {
   /// column's zone map, never contradicting `fill`. Missing means every
   /// morsel is unprovable (kMixed).
   std::function<CompiledPredicate::ZoneVerdict(size_t m)> zone;
-  /// Dictionary leaves over a column with posting lists: that column and
-  /// the accepted codes, whose lists together hold exactly the rows the
-  /// leaf passes (NULL rows are in no list), and the lists' total length.
+  /// Dictionary leaves: their column and the accepted codes, whose
+  /// posting lists together hold exactly the rows the leaf passes (NULL
+  /// rows are in no list), and the lists' total length.
   const ColumnarTable::Column* postings = nullptr;
   std::vector<uint32_t> accepted_codes;
   size_t candidates = 0;
@@ -201,21 +201,18 @@ ZoneFn DictZone(const Column* col, const std::vector<uint8_t>& accept) {
 // `accept` has one entry per dictionary code plus a trailing 0, so data()
 // stays valid for an empty dictionary (NULL rows carry code 0 and are
 // masked). A string value set reduces to this shape: its verdict depends
-// only on the code. On a column with posting lists the leaf also records
-// its accepted codes, the candidate source's raw material.
+// only on the code. The leaf also records its accepted codes and the
+// rows their posting lists name, the candidate source's raw material.
 Leaf DictLeaf(const Column* col, const std::vector<uint8_t>& accept) {
   Leaf leaf = MaskedLeaf(col, [codes = col->codes.data(), accept](size_t r) {
     return accept[codes[r]] != 0;
   });
   leaf.zone = DictZone(col, accept);
-  if (!col->posting_offsets.empty()) {
-    leaf.postings = col;
-    for (size_t c = 0; c < col->dict.size(); ++c) {
-      if (accept[c] != 0) {
-        leaf.accepted_codes.push_back(static_cast<uint32_t>(c));
-        leaf.candidates +=
-            col->posting_offsets[c + 1] - col->posting_offsets[c];
-      }
+  leaf.postings = col;
+  for (size_t c = 0; c < col->dict.size(); ++c) {
+    if (accept[c] != 0) {
+      leaf.accepted_codes.push_back(static_cast<uint32_t>(c));
+      leaf.candidates += col->posting_offsets[c + 1] - col->posting_offsets[c];
     }
   }
   return leaf;

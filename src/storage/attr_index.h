@@ -20,26 +20,17 @@ using KeyOrderEntry = std::pair<uint32_t, uint32_t>;
 /// every non-NULL, non-NaN cell of `column` at base rows `selection[p]`
 /// (row p itself when `selection` is null), p in `positions` (distinct,
 /// in any order; null = every position below `num_rows`), sorted by
-/// (key, position). Keys follow `kind`: a numeric
-/// column compares `static_cast<double>` of an int64 cell, so 2^53 and
-/// 2^53 + 1 share a key and are ordered by position, as -0.0 and 0.0 are;
-/// a categorical int64 column compares exactly, a double column by `<`.
-///   - A column with codes (every string column, and the int64/double
-///     columns of a `ColumnarTable::Build` shadow) gathers them in
-///     position order and radix-sorts: as many 8-bit passes as the
-///     largest gathered key needs. The keys are the column's own codes.
-///   - A column without (a segment-store wrapped int64/double column)
-///     comparison-sorts its cells and ranks them: the keys are dense ranks
-///     over the given positions.
-/// Either way the pairs spell the same order, so a consumer may compare
-/// keys only within one call's output.
+/// (key, position). The keys are the column's own codes (its dictionary
+/// or rank codes, see `ColumnarTable::Column::codes`), gathered in
+/// position order and radix-sorted: as many 8-bit passes as the largest
+/// gathered key needs.
 std::vector<KeyOrderEntry> SortedKeys(const ColumnarTable::Column& column,
-                                      ColumnKind kind, size_t num_rows,
+                                      size_t num_rows,
                                       const uint32_t* selection,
                                       const std::vector<uint32_t>* positions);
 
 /// `SortedKeys` of column `col` of a column-backed `table` over its rows
-/// `positions` (null = every row), under the kind its schema declares.
+/// `positions` (null = every row).
 /// A builder table has no backing to read (CHECK).
 std::vector<KeyOrderEntry> SortedKeys(const Table& table, size_t col,
                                       const std::vector<uint32_t>* positions);

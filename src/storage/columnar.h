@@ -25,22 +25,77 @@ inline constexpr size_t kZoneRows = 2048;
 inline constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
 
 /// Zone metadata for one kZoneRows-row slice of a column: row/valid
-/// counts plus the extrema of the slice's non-NULL values in the
+/// counts plus the exact extrema of the slice's non-NULL values in the
 /// column's physical domain — int64 cast to uint64, double bit pattern,
-/// or dictionary code (the segment store's SegmentMeta convention).
-/// Extrema may describe a superset of the slice (the store replicates
-/// per-segment extrema across the segment's zones); consumers may only
-/// draw conclusions that stay valid under widening. For double columns
-/// NaN cells are excluded from the extrema — `has_nan` records whether
-/// any were present (a slice whose valid cells are all NaN keeps extrema
-/// of 0) — so range proofs must special-case NaN. Meaningless extrema
-/// (valid_count == 0) are 0.
+/// or dictionary code. For double columns NaN cells are excluded from
+/// the extrema — `has_nan` records whether any were present (a slice
+/// whose valid cells are all NaN keeps extrema of 0) — so range proofs
+/// must special-case NaN. Meaningless extrema (valid_count == 0) are 0.
 struct ZoneEntry {
   uint32_t row_count = 0;
   uint32_t valid_count = 0;
   uint64_t min_bits = 0;
   uint64_t max_bits = 0;
   bool has_nan = false;
+};
+
+/// Folds one column's cells, fed in row order, into its exact per-zone
+/// entries. `ColumnarTable::Build` and the segment store's writer both
+/// derive a column's zones with it, so a mapped column's zones equal its
+/// built shadow's.
+class ZoneAccumulator {
+ public:
+  void AddNull();
+  void AddInt64(int64_t v);
+  void AddDouble(double v);
+  void AddCode(uint32_t code);
+  /// The entries of the cells added so far (the last zone may be short).
+  std::vector<ZoneEntry> Finish() &&;
+
+ private:
+  // The entry the next cell lands in, starting a new one at a boundary.
+  ZoneEntry& Next();
+  // Widens the current entry's extrema to `v` (compared as T).
+  template <typename T>
+  void Widen(T v);
+
+  std::vector<ZoneEntry> zones_;
+  bool seen_ = false;  // the current entry has an extremum yet
+};
+
+/// The rank-code domain of one int64 or double column: the sorted
+/// distinct non-NULL, non-NaN values of its cells under the column's
+/// declared kind. A numeric column compares `static_cast<double>` of an
+/// int64 cell (so 2^53 and 2^53 + 1 are one value, as -0.0 and 0.0 are);
+/// a categorical int64 column compares exactly; a double column by `<`.
+/// A cell's rank code is the index of its value in the domain.
+/// `ColumnarTable::Build` adds every cell; the segment store's writer
+/// adds each row as it arrives and keeps only the distinct values.
+class RankDomain {
+ public:
+  RankDomain(ValueType type, ColumnKind kind);
+
+  /// Adds a non-NULL cell of the column's type (a NaN adds nothing).
+  void Add(int64_t cell) { Push(Key(cell)); }
+  void Add(double cell);
+  /// Sorts and deduplicates the added values; call before `Code`.
+  void Seal();
+  /// The rank code of a non-NULL cell whose value was added: kNoKey for
+  /// NaN.
+  uint32_t Code(int64_t cell) const { return Find(Key(cell)); }
+  uint32_t Code(double cell) const;
+
+ private:
+  // The order-preserving image of a cell's value under the domain's
+  // comparison (a double's must not be NaN).
+  uint64_t Key(int64_t cell) const;
+  static uint64_t Key(double cell);
+  void Push(uint64_t key);
+  uint32_t Find(uint64_t key) const;
+
+  bool exact_;  // a categorical int64 column: compare int64 cells
+  std::vector<uint64_t> keys_;
+  size_t distinct_ = 0;  // keys_.size() after the last deduplication
 };
 
 /// A borrowed, read-only view of a contiguous typed array. The columnar
@@ -73,23 +128,25 @@ class ColumnSpan {
 /// contiguous typed array plus a null bitmap. Strings are
 /// dictionary-encoded against a *sorted* dictionary, so dictionary-code
 /// order equals `Value` comparison order — grouping or comparing by code
-/// is exactly grouping or comparing by value. A built shadow gives its
-/// int64 and double columns rank codes of the same kind, so every column
-/// of it has one key domain: a `uint32_t` per row whose order is value
-/// order (`Column::codes`), which the categorizer's attribute orders sort
-/// by (storage/attr_index.h).
+/// is exactly grouping or comparing by value. Int64 and double columns
+/// carry rank codes of the same kind, so every column has one key domain:
+/// a `uint32_t` per row whose order is value order (`Column::codes`),
+/// which the categorizer's attribute orders sort by
+/// (storage/attr_index.h).
 ///
 /// Two constructions exist:
 ///  - `Build` derives an in-memory shadow of a builder `Table`
 ///    (`Database` installs each table it registers or puts as
 ///    `Table::FromColumnar` over one, and `ColumnarFor` returns it);
 ///  - `FromColumns` wraps columns whose spans point at externally owned
-///    memory — the segment store (src/store/) uses it to expose mapped,
-///    decompressed-or-raw column segments zero-copy, with `owner` keeping
-///    the mapping alive for the table's lifetime.
+///    memory — the segment store (src/store/) uses it to expose the
+///    arrays its writer derived with `Build`'s routines, mapped
+///    zero-copy, with `owner` keeping the mapping alive for the table's
+///    lifetime.
 ///
-/// Either way the table is immutable after construction, and every
-/// column is typed: each cell is the declared type or NULL (see `Build`).
+/// Either way the table is immutable after construction, every column
+/// is typed (each cell is the declared type or NULL, see `Build`), and
+/// every column holds every array `Build` derives.
 class ColumnarTable {
  public:
   struct Column {
@@ -102,40 +159,31 @@ class ColumnarTable {
     ColumnSpan<int64_t> i64;
     /// type == kDouble: one entry per row (0 for NULL cells).
     ColumnSpan<double> f64;
-    /// One key per row, ordered as the cells' values (see `Build`):
+    /// One key per row, ordered as the cells' values:
     ///  - kString: the dictionary code (0 for NULL cells);
-    ///  - kInt64/kDouble columns built by `Build`: the rank code, the
-    ///    cell's rank among the column's distinct non-NULL, non-NaN values
-    ///    under its declared kind — numeric compares `static_cast<double>`
-    ///    of the cell (so 2^53 and 2^53 + 1 share a code, as -0.0 and 0.0
-    ///    do), categorical int64 compares exactly — and kNoKey for NULL and
-    ///    NaN cells. Empty for segment-store wrapped int64/double columns,
-    ///    whose consumers rank the cells themselves
-    ///    (storage/attr_index.h, `SortedKeys`).
+    ///  - kInt64/kDouble: the rank code under the column's declared kind
+    ///    (`RankDomain`), and kNoKey for NULL and NaN cells.
     ColumnSpan<uint32_t> codes;
     /// type == kString: sorted distinct non-NULL strings.
     std::vector<std::string> dict;
-    /// kString columns built by `Build`: CSR posting lists, one per
+    /// kString columns: CSR posting lists (`DerivePostings`), one per
     /// dictionary code. The rows holding code c are
     /// `posting_rows[posting_offsets[c] .. posting_offsets[c + 1])`, in
     /// ascending order; NULL rows are in no list. `posting_offsets` has
     /// dict.size() + 1 entries (`{0}` for an empty dictionary), so
     /// `posting_rows` holds num_rows - null_count entries. The compiled
     /// filter unions a value set's lists into its candidate rows instead
-    /// of testing every row. Empty for segment-store wrapped columns, and
-    /// consumers must fall back.
+    /// of testing every row.
     std::vector<uint32_t> posting_offsets;
     std::vector<uint32_t> posting_rows;
     /// Per-zone (kZoneRows-row) metadata: ceil(num_rows / kZoneRows)
-    /// entries — exact for `Build` shadows, segment-replicated extrema
-    /// with exact per-zone counts for store-mapped columns. Empty for a
-    /// zero-row table or a kNull-typed column.
+    /// entries (`ZoneAccumulator`). Empty for a zero-row table or a
+    /// kNull-typed column.
     std::vector<ZoneEntry> zones;
 
     /// Owned backing arrays. `Build` fills these and points the spans at
-    /// them; the segment store leaves raw-encoded arrays here empty (the
-    /// spans point into the mapping) and fills only what it had to
-    /// decode (delta/varint-compressed numerics). Move-only: moving a
+    /// them; the segment store leaves them empty (the spans point into
+    /// the mapping). Move-only: moving a
     /// vector preserves its heap buffer, so the spans stay valid; a copy
     /// would leave them pointing at the source's storage.
     std::vector<uint64_t> owned_null_words;
@@ -172,10 +220,10 @@ class ColumnarTable {
   ColumnarTable(ColumnarTable&&) = default;
   ColumnarTable& operator=(ColumnarTable&&) = default;
 
-  /// Builds an in-memory shadow in one pass per column (three for
-  /// strings: dictionary, codes with per-code counts, posting lists), plus
-  /// one sort per int64/double column for its rank codes, which follow
-  /// the kind `table.schema()` declares. A table wrapping the shadow
+  /// Builds an in-memory shadow in two passes per column: values, nulls,
+  /// zones and the rank domain, then rank codes — for strings the
+  /// dictionary, then codes and zones, then the posting lists. Rank codes
+  /// follow the kind `table.schema()` declares. A table wrapping the shadow
   /// (`Table::FromColumnar`) must declare the same kinds.
   /// Requires `table.num_rows() <= UINT32_MAX`
   /// (callers gate; selection vectors are 32-bit). A column-backed
@@ -187,7 +235,8 @@ class ColumnarTable {
   /// one.
   static ColumnarTable Build(const Table& table);
 
-  /// Wraps externally built columns (the segment store's open path).
+  /// Wraps externally built columns (the segment store's open path),
+  /// each holding the arrays `Build` would derive from the same cells.
   /// `owner` is an opaque keep-alive for whatever memory the spans
   /// borrow — typically the store's file mapping.
   static ColumnarTable FromColumns(size_t num_rows,
@@ -197,6 +246,12 @@ class ColumnarTable {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t c) const { return columns_[c]; }
+
+  /// Fills a kString column's `posting_offsets` and `posting_rows` from
+  /// its `codes` and null bitmap over `num_rows` rows, sizing them first
+  /// (within any capacity they hold). Every non-NULL code must index the
+  /// dictionary.
+  static void DerivePostings(size_t num_rows, Column* col);
 
  private:
   size_t num_rows_ = 0;

@@ -37,10 +37,6 @@ bool ValidColumnKind(uint8_t k) {
          k == static_cast<uint8_t>(ColumnKind::kNumeric);
 }
 
-bool ValidEncoding(uint8_t e) {
-  return e <= static_cast<uint8_t>(ColumnEncoding::kDictCodes);
-}
-
 Result<ColumnMeta> ReadColumn(ByteReader* r) {
   ColumnMeta col;
   AUTOCAT_ASSIGN_OR_RETURN(const std::string_view name,
@@ -51,7 +47,6 @@ Result<ColumnMeta> ReadColumn(ByteReader* r) {
   }
   AUTOCAT_ASSIGN_OR_RETURN(const uint64_t vt, r->ReadVarint64());
   AUTOCAT_ASSIGN_OR_RETURN(const uint64_t kind, r->ReadVarint64());
-  AUTOCAT_ASSIGN_OR_RETURN(const uint64_t enc, r->ReadVarint64());
   if (vt > 255 || !ValidValueType(static_cast<uint8_t>(vt))) {
     return Status::ParseError("invalid value type in column '" + col.name +
                               "'");
@@ -60,43 +55,16 @@ Result<ColumnMeta> ReadColumn(ByteReader* r) {
     return Status::ParseError("invalid column kind in column '" + col.name +
                               "'");
   }
-  if (enc > 255 || !ValidEncoding(static_cast<uint8_t>(enc))) {
-    return Status::ParseError("invalid encoding in column '" + col.name +
-                              "'");
-  }
   col.value_type = static_cast<uint8_t>(vt);
   col.column_kind = static_cast<uint8_t>(kind);
-  col.encoding = static_cast<uint8_t>(enc);
   AUTOCAT_ASSIGN_OR_RETURN(col.null_count, r->ReadVarint64());
   AUTOCAT_ASSIGN_OR_RETURN(col.null_words, ReadRegion(r));
-  AUTOCAT_ASSIGN_OR_RETURN(col.data, ReadRegion(r));
+  AUTOCAT_ASSIGN_OR_RETURN(col.values, ReadRegion(r));
+  AUTOCAT_ASSIGN_OR_RETURN(col.codes, ReadRegion(r));
+  AUTOCAT_ASSIGN_OR_RETURN(col.zones, ReadRegion(r));
   AUTOCAT_ASSIGN_OR_RETURN(col.dict_count, r->ReadVarint64());
   AUTOCAT_ASSIGN_OR_RETURN(col.dict_offsets, ReadRegion(r));
   AUTOCAT_ASSIGN_OR_RETURN(col.dict_blob, ReadRegion(r));
-  AUTOCAT_ASSIGN_OR_RETURN(const uint64_t nsegs, r->ReadVarint64());
-  // Each serialized segment is >= 12 bytes; a count beyond the remaining
-  // bytes is corrupt and must not drive allocation.
-  if (nsegs > r->remaining() / 12 + 1) {
-    return Status::ParseError("segment count exceeds catalog bytes");
-  }
-  col.segments.reserve(static_cast<size_t>(nsegs));
-  for (uint64_t s = 0; s < nsegs; ++s) {
-    SegmentMeta seg;
-    AUTOCAT_ASSIGN_OR_RETURN(seg.byte_offset, r->ReadVarint64());
-    AUTOCAT_ASSIGN_OR_RETURN(seg.byte_length, r->ReadVarint64());
-    AUTOCAT_ASSIGN_OR_RETURN(const uint64_t rows, r->ReadVarint64());
-    if (rows == 0 || rows > kSegmentRows) {
-      return Status::ParseError("segment row count out of range");
-    }
-    seg.row_count = static_cast<uint32_t>(rows);
-    AUTOCAT_ASSIGN_OR_RETURN(seg.valid_count, r->ReadVarint64());
-    if (seg.valid_count > rows) {
-      return Status::ParseError("segment valid count exceeds rows");
-    }
-    AUTOCAT_ASSIGN_OR_RETURN(seg.min_bits, r->ReadFixed64());
-    AUTOCAT_ASSIGN_OR_RETURN(seg.max_bits, r->ReadFixed64());
-    col.segments.push_back(seg);
-  }
   return col;
 }
 
@@ -113,22 +81,14 @@ std::string EncodeCatalog(const StoreCatalog& catalog) {
       AppendLengthPrefixed(col.name, &out);
       AppendVarint64(col.value_type, &out);
       AppendVarint64(col.column_kind, &out);
-      AppendVarint64(col.encoding, &out);
       AppendVarint64(col.null_count, &out);
       AppendRegion(col.null_words, &out);
-      AppendRegion(col.data, &out);
+      AppendRegion(col.values, &out);
+      AppendRegion(col.codes, &out);
+      AppendRegion(col.zones, &out);
       AppendVarint64(col.dict_count, &out);
       AppendRegion(col.dict_offsets, &out);
       AppendRegion(col.dict_blob, &out);
-      AppendVarint64(col.segments.size(), &out);
-      for (const SegmentMeta& seg : col.segments) {
-        AppendVarint64(seg.byte_offset, &out);
-        AppendVarint64(seg.byte_length, &out);
-        AppendVarint64(seg.row_count, &out);
-        AppendVarint64(seg.valid_count, &out);
-        AppendFixed64(seg.min_bits, &out);
-        AppendFixed64(seg.max_bits, &out);
-      }
     }
   }
   return out;
@@ -180,8 +140,16 @@ Result<RegionRef> DecodeHeader(const char* data, size_t size) {
   if (size < sizeof(kStoreMagic)) {
     return Status::ParseError("file too small for a store header");
   }
-  if (std::memcmp(data, kStoreMagic, sizeof(kStoreMagic)) != 0) {
+  // The last two magic bytes name the format generation.
+  if (std::memcmp(data, kStoreMagic, sizeof(kStoreMagic) - 2) != 0) {
     return Status::ParseError("bad store magic (not a segment store file)");
+  }
+  if (std::memcmp(data, kStoreMagic, sizeof(kStoreMagic)) != 0) {
+    return Status::NotSupported(
+        "store format " + std::string(data, sizeof(kStoreMagic)) +
+        " not supported (this build reads " +
+        std::string(kStoreMagic, sizeof(kStoreMagic)) +
+        "); rewrite the store with this build's StoreWriter");
   }
   AUTOCAT_RETURN_IF_ERROR(r.Skip(sizeof(kStoreMagic)));
   AUTOCAT_ASSIGN_OR_RETURN(const uint32_t version, r.ReadFixed32());
@@ -200,6 +168,57 @@ Result<RegionRef> DecodeHeader(const char* data, size_t size) {
         "store file written with a different byte order");
   }
   return ReadRegion(&r);
+}
+
+void EncodeDict(const std::vector<std::string>& dict,
+                std::string* offsets_out, std::string* blob_out) {
+  uint64_t offset = 0;
+  AppendFixed64(0, offsets_out);
+  for (const std::string& s : dict) {
+    blob_out->append(s);
+    offset += s.size();
+    AppendFixed64(offset, offsets_out);
+  }
+}
+
+Result<std::vector<std::string>> DecodeDict(std::string_view offsets,
+                                            std::string_view blob,
+                                            uint64_t count) {
+  if (count > (uint64_t{1} << 32)) {
+    return Status::ParseError("dictionary count exceeds 32-bit code space");
+  }
+  if (offsets.size() != (count + 1) * 8) {
+    return Status::ParseError("dictionary offsets region holds " +
+                              std::to_string(offsets.size()) +
+                              " bytes, expected " +
+                              std::to_string((count + 1) * 8));
+  }
+  std::vector<std::string> dict;
+  dict.reserve(static_cast<size_t>(count));
+  uint64_t prev_off = 0;
+  std::memcpy(&prev_off, offsets.data(), 8);
+  if (prev_off != 0) {
+    return Status::ParseError("dictionary offsets must start at 0");
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t next_off = 0;
+    std::memcpy(&next_off, offsets.data() + (i + 1) * 8, 8);
+    if (next_off < prev_off || next_off > blob.size()) {
+      return Status::ParseError("dictionary offsets not monotone within "
+                                "the blob");
+    }
+    dict.emplace_back(blob.substr(static_cast<size_t>(prev_off),
+                                  static_cast<size_t>(next_off - prev_off)));
+    if (i > 0 && !(dict[static_cast<size_t>(i) - 1] < dict.back())) {
+      return Status::ParseError(
+          "dictionary not strictly ascending at code " + std::to_string(i));
+    }
+    prev_off = next_off;
+  }
+  if (prev_off != blob.size()) {
+    return Status::ParseError("dictionary blob has trailing bytes");
+  }
+  return dict;
 }
 
 }  // namespace autocat

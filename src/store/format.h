@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -14,37 +15,28 @@ namespace autocat {
 ///   page 0          header: magic, version, page size, endianness probe,
 ///                   catalog region reference (patched in last)
 ///   pages 1..k      per-column regions, each starting on a page boundary:
+///                   exactly the arrays `ColumnarTable::Build` derives —
 ///                     - null bitmap (raw uint64 words; bit r = row r NULL)
-///                     - data (encoding per column type, see ColumnEncoding)
+///                     - values: raw int64 or double cells (not strings)
+///                     - codes: uint32 dictionary or rank codes
+///                     - zones: kZoneWords uint64 words per kZoneRows rows
 ///                     - for strings: dictionary offsets + blob
 ///   tail            catalog (EncodeCatalog bytes), page-aligned
 ///
-/// Raw regions (doubles, dictionary codes, null words) are page-aligned
-/// and therefore alignment-safe to expose as typed spans straight out of
-/// the mapping — the zero-copy read path. Varint-compressed int64 columns
-/// are decoded once at table-open into owned arrays; per-segment byte
-/// offsets let each 64 Ki-row segment decode independently (and give the
-/// fuzzer a self-contained unit).
+/// Every array region is page-aligned and therefore alignment-safe to
+/// expose as a typed span straight out of the mapping: opening a table
+/// decodes nothing but the dictionaries and zones, and derives only the
+/// posting lists.
 inline constexpr char kStoreMagic[8] = {'A', 'C', 'A', 'T',
-                                        'S', 'G', '0', '1'};
-inline constexpr uint32_t kStoreFormatVersion = 1;
+                                        'S', 'G', '0', '2'};
+inline constexpr uint32_t kStoreFormatVersion = 2;
 inline constexpr uint64_t kStorePageSize = 4096;
-/// Fixed row span of one segment (the unit of min/max zone metadata and
-/// of independent int64 decode).
-inline constexpr uint64_t kSegmentRows = 64 * 1024;
 /// Written as fixed32; reads back differently on a big-endian host, which
 /// the header check turns into a clean kNotSupported.
 inline constexpr uint32_t kEndianProbe = 0x01020304;
-
-/// Physical encoding of a column's data region.
-enum class ColumnEncoding : uint8_t {
-  /// Raw 8-byte doubles, one per row (zero-copy span).
-  kRawF64 = 0,
-  /// Per-segment delta + zigzag + varint int64 (decoded at open).
-  kVarintI64 = 1,
-  /// Raw uint32 dictionary codes, one per row (zero-copy span).
-  kDictCodes = 2,
-};
+/// Words per zone entry: valid_count | has_nan << 32, min_bits, max_bits
+/// (the row count follows from the entry's position).
+inline constexpr uint64_t kZoneWords = 3;
 
 /// A byte range within the store file.
 struct RegionRef {
@@ -52,34 +44,19 @@ struct RegionRef {
   uint64_t bytes = 0;
 };
 
-/// Zone metadata for one segment (up to kSegmentRows rows).
-/// `min_bits`/`max_bits` hold the extrema of the segment's non-NULL
-/// values in the column's physical domain — int64, double bit pattern, or
-/// dictionary code — and are meaningless when valid_count == 0.
-struct SegmentMeta {
-  /// Byte range within the column's data region (varint columns; raw
-  /// columns compute it from the row span).
-  uint64_t byte_offset = 0;
-  uint64_t byte_length = 0;
-  uint32_t row_count = 0;
-  uint64_t valid_count = 0;
-  uint64_t min_bits = 0;
-  uint64_t max_bits = 0;
-};
-
 struct ColumnMeta {
   std::string name;
   uint8_t value_type = 0;   // autocat::ValueType
   uint8_t column_kind = 0;  // autocat::ColumnKind
-  uint8_t encoding = 0;     // ColumnEncoding
   uint64_t null_count = 0;
   RegionRef null_words;
-  RegionRef data;
+  RegionRef values;  // int64/double only
+  RegionRef codes;
+  RegionRef zones;
   // Strings only; dict_offsets holds (dict_count + 1) fixed64 entries.
   uint64_t dict_count = 0;
   RegionRef dict_offsets;
   RegionRef dict_blob;
-  std::vector<SegmentMeta> segments;
 };
 
 struct TableMeta {
@@ -104,8 +81,21 @@ Result<StoreCatalog> DecodeCatalog(const char* data, size_t size);
 /// Serializes the fixed-size header (always < one page).
 std::string EncodeHeader(RegionRef catalog);
 
-/// Parses and validates the header; returns the catalog region.
+/// Parses and validates the header; returns the catalog region. A store
+/// of another format generation is kNotSupported.
 Result<RegionRef> DecodeHeader(const char* data, size_t size);
+
+/// Encodes a sorted dictionary as (count + 1) fixed64 offsets plus a
+/// concatenated string blob.
+void EncodeDict(const std::vector<std::string>& dict,
+                std::string* offsets_out, std::string* blob_out);
+
+/// Decodes and validates a dictionary: offsets must be monotone within
+/// the blob and the strings strictly ascending (code order == value
+/// order is what the kernels' accept tables rely on).
+Result<std::vector<std::string>> DecodeDict(std::string_view offsets,
+                                            std::string_view blob,
+                                            uint64_t count);
 
 }  // namespace autocat
 

@@ -64,6 +64,18 @@ Result<std::unique_ptr<MappedFile>> MappedFile::OpenReadOnly(
   return out;
 }
 
+void MappedFile::ReleasePages(const void* data, size_t n) const {
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(data);
+  const uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const uintptr_t hi = (begin + n) & ~(page - 1);
+  if (writable_ || hi <= lo) {
+    return;
+  }
+  // Advice only: a failure leaves the pages resident, which is harmless.
+  (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+}
+
 MappedFile::~MappedFile() {
   if (base_ != nullptr) {
     ::munmap(base_, capacity_);

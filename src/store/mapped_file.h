@@ -56,6 +56,13 @@ class MappedFile {
   /// access (the mapping stays readable).
   Status Finish();
 
+  /// Unmaps the whole pages inside [data, data + n) from this process
+  /// (read-only mappings; a no-op otherwise). The page cache keeps them,
+  /// so the next read maps them back without I/O while it holds them. A
+  /// pass that reads a region once, such as open-time validation, calls
+  /// it so that the pass does not leave the region resident.
+  void ReleasePages(const void* data, size_t n) const;
+
  private:
   MappedFile() = default;
 

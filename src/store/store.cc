@@ -1,10 +1,11 @@
 #include "store/store.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "store/segment.h"
 
 namespace autocat {
 
@@ -13,103 +14,167 @@ namespace {
 // Rows per chunk of the parallel dictionary-code validation scan.
 constexpr uint64_t kCodeScanChunk = 256 * 1024;
 
-// Zones per segment: both widths are powers of two and a segment is the
-// larger, so every zone sits inside exactly one segment.
-static_assert(kSegmentRows % kZoneRows == 0,
-              "a segment must cover whole zones");
-
-uint64_t PopcountWords(const ColumnSpan<uint64_t>& words) {
-  uint64_t bits = 0;
-  for (const uint64_t w : words) {
-    bits += static_cast<uint64_t>(__builtin_popcountll(w));
+// Runs `fn(i)` for every i in [0, count) on the shared pool, or on the
+// calling thread when the pool refuses (OpenTable from inside another
+// parallel region). Each i must touch only its own state.
+void ForEachParallel(size_t count, const std::function<void(size_t)>& fn) {
+  auto range = [&fn](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      fn(i);
+    }
+    return Status::OK();
+  };
+  if (!ParallelFor(ParallelOptions{}, 0, count, 1, range).ok()) {
+    (void)range(0, count);
   }
-  return bits;
 }
 
-// Surfaces the catalog's per-segment extrema as per-zone metadata on a
-// mapped column: each 64 Ki-row segment's min/max replicate across its
-// 32 zones (a widening the prover's verdicts stay sound under), while
-// row/valid counts come exact from the mapped null bitmap. The store
-// format records no NaN presence — the writer excludes NaN from double
-// extrema — so double columns pay one `x != x` pass here to set
-// `has_nan` per zone; without it the extrema could not be trusted for
-// pruning at all.
-void SurfaceZones(const ColumnMeta& cm, uint64_t n,
-                  ColumnarTable::Column* col) {
-  if (n == 0) {
-    return;
+// NULL rows among rows [begin, end) of a bitmap; `begin` is a multiple
+// of 64.
+uint64_t NullsIn(const ColumnSpan<uint64_t>& words, uint64_t begin,
+                 uint64_t end) {
+  uint64_t nulls = 0;
+  for (uint64_t w = begin >> 6; w << 6 < end; ++w) {
+    uint64_t word = words[w];
+    if (((w + 1) << 6) > end) {
+      word &= (uint64_t{1} << (end & 63)) - 1;  // partial tail word
+    }
+    nulls += static_cast<uint64_t>(__builtin_popcountll(word));
   }
-  const size_t num_zones =
-      static_cast<size_t>((n + kZoneRows - 1) / kZoneRows);
-  col->zones.resize(num_zones);
-  for (size_t z = 0; z < num_zones; ++z) {
-    ZoneEntry& zone = col->zones[z];
-    const size_t begin = z * kZoneRows;
-    const size_t end =
-        std::min(static_cast<size_t>(n), begin + kZoneRows);
-    zone.row_count = static_cast<uint32_t>(end - begin);
-    size_t nulls = 0;
-    for (size_t w = begin >> 6; w << 6 < end; ++w) {
-      uint64_t word = col->null_words[w];
-      if (((w + 1) << 6) > end) {
-        word &= (uint64_t{1} << (end & 63)) - 1;  // partial tail word
-      }
-      nulls += static_cast<size_t>(__builtin_popcountll(word));
+  return nulls;
+}
+
+Status ColumnError(const ColumnMeta& cm, const std::string& what) {
+  return Status::ParseError("column '" + cm.name + "': " + what);
+}
+
+// Checks that every code of a string column indexes its dictionary (NULL
+// slots hold the default 0; an all-NULL column's empty dictionary admits
+// only that). The scan is pure validation over an immutable span, so
+// chunks run in parallel; each reports only the lowest bad row it saw
+// and the verdict picks the overall lowest, keeping the error
+// deterministic.
+Status CheckCodeRange(const ColumnMeta& cm, uint64_t n,
+                      const ColumnarTable::Column& col) {
+  const uint32_t limit =
+      static_cast<uint32_t>(col.dict.empty() ? 1 : col.dict.size());
+  const size_t num_chunks =
+      static_cast<size_t>((n + kCodeScanChunk - 1) / kCodeScanChunk);
+  std::vector<uint64_t> bad_row(num_chunks, n);
+  ForEachParallel(num_chunks, [&](size_t c) {
+    const uint64_t lo = static_cast<uint64_t>(c) * kCodeScanChunk;
+    const uint64_t hi = std::min<uint64_t>(n, lo + kCodeScanChunk);
+    // Branch-free max-reduce first (vectorizes); only a chunk that
+    // actually holds a bad code pays the positional scan.
+    uint32_t max_code = 0;
+    for (uint64_t r = lo; r < hi; ++r) {
+      max_code = std::max(max_code, col.codes[r]);
     }
-    zone.valid_count = static_cast<uint32_t>(end - begin - nulls);
-    if (zone.valid_count == 0) {
-      continue;
-    }
-    const SegmentMeta& seg = cm.segments[begin / kSegmentRows];
-    zone.min_bits = seg.min_bits;
-    zone.max_bits = seg.max_bits;
-    if (col->type == ValueType::kDouble) {
-      for (size_t r = begin; r < end; ++r) {
-        const double v = col->f64[r];
-        if (v != v && !col->IsNull(r)) {
-          zone.has_nan = true;
+    if (max_code >= limit) {
+      for (uint64_t r = lo; r < hi; ++r) {
+        if (col.codes[r] >= limit) {
+          bad_row[c] = r;
           break;
         }
       }
     }
-  }
-}
-
-// Structural validation of one column's segment list against the table's
-// row count: full segments of kSegmentRows rows, one trailing partial,
-// valid counts consistent with the column's null count.
-Status ValidateSegments(const ColumnMeta& col, uint64_t num_rows) {
-  const uint64_t expected =
-      num_rows == 0 ? 0 : (num_rows + kSegmentRows - 1) / kSegmentRows;
-  if (col.segments.size() != expected) {
-    return Status::ParseError("column '" + col.name + "' has " +
-                              std::to_string(col.segments.size()) +
-                              " segments, expected " +
-                              std::to_string(expected));
-  }
-  uint64_t rows = 0;
-  uint64_t valid = 0;
-  for (size_t s = 0; s < col.segments.size(); ++s) {
-    const SegmentMeta& seg = col.segments[s];
-    const bool last = s + 1 == col.segments.size();
-    if (!last && seg.row_count != kSegmentRows) {
-      return Status::ParseError("column '" + col.name +
-                                "': non-final segment is partial");
+  });
+  for (const uint64_t r : bad_row) {
+    if (r < n) {
+      return ColumnError(cm, "code " + std::to_string(col.codes[r]) +
+                                 " at row " + std::to_string(r) +
+                                 " out of dictionary range");
     }
-    rows += seg.row_count;
-    valid += seg.valid_count;
-  }
-  if (rows != num_rows) {
-    return Status::ParseError("column '" + col.name + "' segments cover " +
-                              std::to_string(rows) + " rows, table has " +
-                              std::to_string(num_rows));
-  }
-  if (col.null_count > num_rows || valid != num_rows - col.null_count) {
-    return Status::ParseError("column '" + col.name +
-                              "': segment valid counts disagree with the "
-                              "null count");
   }
   return Status::OK();
+}
+
+// Reads a column's zone entries. Each zone's valid count must match the
+// null bitmap and only a double zone may flag a NaN; the extrema are
+// trusted, as the writer derived them.
+Status ReadZones(const BufferManager& buffers, const ColumnMeta& cm,
+                 uint64_t n, ColumnarTable::Column* col) {
+  const uint64_t num_zones = (n + kZoneRows - 1) / kZoneRows;
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const ColumnSpan<uint64_t> words,
+      buffers.Region<uint64_t>(cm.zones, num_zones * kZoneWords));
+  const uint64_t max_nan_flag = col->type == ValueType::kDouble ? 1 : 0;
+  col->zones.resize(static_cast<size_t>(num_zones));
+  for (size_t z = 0; z < num_zones; ++z) {
+    ZoneEntry& zone = col->zones[z];
+    const uint64_t begin = z * kZoneRows;
+    const uint64_t end = std::min<uint64_t>(n, begin + kZoneRows);
+    const uint64_t head = words[z * kZoneWords];
+    zone.row_count = static_cast<uint32_t>(end - begin);
+    zone.valid_count = static_cast<uint32_t>(head);
+    zone.has_nan = (head >> 32) != 0;
+    zone.min_bits = words[z * kZoneWords + 1];
+    zone.max_bits = words[z * kZoneWords + 2];
+    if (zone.valid_count != end - begin - NullsIn(col->null_words, begin, end)) {
+      return ColumnError(cm, "zone " + std::to_string(z) +
+                                 " valid count disagrees with the null "
+                                 "bitmap");
+    }
+    if ((head >> 32) > max_nan_flag) {
+      return ColumnError(cm, "zone " + std::to_string(z) +
+                                 " has an invalid NaN flag");
+    }
+  }
+  return Status::OK();
+}
+
+// Maps one column's arrays zero-copy and validates everything the
+// kernels index by: bitmap size and popcount, region sizes, dictionary
+// order and code range, zone counts. Posting lists come later.
+Status MapColumn(const BufferManager& buffers, const ColumnMeta& cm,
+                 uint64_t n, ColumnarTable::Column* col) {
+  col->type = static_cast<ValueType>(cm.value_type);
+  col->null_count = static_cast<size_t>(cm.null_count);
+  AUTOCAT_ASSIGN_OR_RETURN(
+      col->null_words, buffers.Region<uint64_t>(cm.null_words, (n + 63) / 64));
+  uint64_t nulls = 0;
+  for (const uint64_t w : col->null_words) {
+    nulls += static_cast<uint64_t>(__builtin_popcountll(w));
+  }
+  if (nulls != cm.null_count) {
+    return ColumnError(cm, "null bitmap disagrees with the catalog's null "
+                           "count");
+  }
+  if (n % 64 != 0 && (col->null_words[n >> 6] >> (n % 64)) != 0) {
+    return ColumnError(cm, "null bits set past the last row");
+  }
+  AUTOCAT_ASSIGN_OR_RETURN(col->codes, buffers.Region<uint32_t>(cm.codes, n));
+  const bool is_string = col->type == ValueType::kString;
+  if (is_string ? cm.values.bytes != 0 : cm.dict_count != 0) {
+    return ColumnError(cm, is_string ? "values region on a string column"
+                                     : "dictionary on a non-string column");
+  }
+  switch (col->type) {
+    case ValueType::kInt64: {
+      AUTOCAT_ASSIGN_OR_RETURN(col->i64, buffers.Region<int64_t>(cm.values, n));
+      break;
+    }
+    case ValueType::kDouble: {
+      AUTOCAT_ASSIGN_OR_RETURN(col->f64, buffers.Region<double>(cm.values, n));
+      break;
+    }
+    case ValueType::kString: {
+      AUTOCAT_ASSIGN_OR_RETURN(const std::string_view offsets,
+                               buffers.Bytes(cm.dict_offsets));
+      AUTOCAT_ASSIGN_OR_RETURN(const std::string_view blob,
+                               buffers.Bytes(cm.dict_blob));
+      AUTOCAT_ASSIGN_OR_RETURN(col->dict,
+                               DecodeDict(offsets, blob, cm.dict_count));
+      if (col->dict.empty() && cm.null_count != n) {
+        return ColumnError(cm, "empty dictionary with non-NULL rows");
+      }
+      AUTOCAT_RETURN_IF_ERROR(CheckCodeRange(cm, n, *col));
+      break;
+    }
+    case ValueType::kNull:
+      break;
+  }
+  return ReadZones(buffers, cm, n, col);
 }
 
 }  // namespace
@@ -171,172 +236,34 @@ Result<Table> SegmentStore::OpenTable(const std::string& name) const {
   AUTOCAT_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(defs)));
 
   const uint64_t n = meta->num_rows;
-  const uint64_t words = (n + 63) / 64;
-  std::vector<ColumnarTable::Column> columns;
-  columns.reserve(meta->columns.size());
-  for (const ColumnMeta& cm : meta->columns) {
-    AUTOCAT_RETURN_IF_ERROR(ValidateSegments(cm, n));
-    ColumnarTable::Column col;
-    col.type = static_cast<ValueType>(cm.value_type);
-    col.null_count = static_cast<size_t>(cm.null_count);
-    AUTOCAT_ASSIGN_OR_RETURN(
-        col.null_words, buffers_->Region<uint64_t>(cm.null_words, words));
-    if (PopcountWords(col.null_words) != cm.null_count) {
-      return Status::ParseError("column '" + cm.name +
-                                "': null bitmap disagrees with the "
-                                "catalog's null count");
-    }
-    if (n > 0 &&
-        (col.null_words[(n - 1) >> 6] &
-         ~((n % 64 == 0) ? ~uint64_t{0}
-                         : ((uint64_t{1} << (n % 64)) - 1))) != 0) {
-      return Status::ParseError("column '" + cm.name +
-                                "': null bits set past the last row");
-    }
-
-    switch (static_cast<ColumnEncoding>(cm.encoding)) {
-      case ColumnEncoding::kVarintI64: {
-        if (col.type != ValueType::kInt64) {
-          return Status::ParseError("column '" + cm.name +
-                                    "': varint encoding on a non-int64 "
-                                    "column");
-        }
-        AUTOCAT_ASSIGN_OR_RETURN(const std::string_view data,
-                                 buffers_->Bytes(cm.data));
-        col.owned_i64.resize(static_cast<size_t>(n));
-        // Validate contiguity and pre-compute each segment's row offset
-        // sequentially (cheap), then decode the segments in parallel —
-        // they write disjoint ranges of owned_i64, and this decode is
-        // the dominant cost of mapping a store at service start.
-        std::vector<uint64_t> row_offsets;
-        row_offsets.reserve(cm.segments.size());
-        uint64_t row = 0;
-        uint64_t offset = 0;
-        for (const SegmentMeta& seg : cm.segments) {
-          if (seg.byte_offset != offset ||
-              seg.byte_length > data.size() - offset) {
-            return Status::ParseError("column '" + cm.name +
-                                      "': segment byte ranges are not "
-                                      "contiguous within the data region");
-          }
-          row_offsets.push_back(row);
-          row += seg.row_count;
-          offset += seg.byte_length;
-        }
-        if (offset != data.size()) {
-          return Status::ParseError("column '" + cm.name +
-                                    "': trailing bytes in the data region");
-        }
-        std::vector<Status> decoded(cm.segments.size());
-        auto decode_range = [&](size_t begin, size_t end) {
-          for (size_t s = begin; s < end; ++s) {
-            const SegmentMeta& seg = cm.segments[s];
-            decoded[s] = DecodeInt64Segment(
-                data.data() + seg.byte_offset,
-                static_cast<size_t>(seg.byte_length), seg.row_count,
-                col.owned_i64.data() + row_offsets[s]);
-          }
-          return Status::OK();
-        };
-        const Status dispatched = ParallelFor(
-            ParallelOptions{}, 0, cm.segments.size(), 1, decode_range);
-        if (!dispatched.ok()) {
-          // Pool unavailable (e.g. OpenTable from inside another
-          // parallel region): decode on the calling thread instead.
-          (void)decode_range(0, cm.segments.size());
-        }
-        for (const Status& status : decoded) {
-          AUTOCAT_RETURN_IF_ERROR(status);
-        }
-        col.i64 = ColumnSpan<int64_t>(col.owned_i64);
-        break;
-      }
-      case ColumnEncoding::kRawF64: {
-        if (col.type != ValueType::kDouble) {
-          return Status::ParseError("column '" + cm.name +
-                                    "': raw-double encoding on a "
-                                    "non-double column");
-        }
-        AUTOCAT_ASSIGN_OR_RETURN(col.f64,
-                                 buffers_->Region<double>(cm.data, n));
-        break;
-      }
-      case ColumnEncoding::kDictCodes: {
-        if (col.type != ValueType::kString) {
-          return Status::ParseError("column '" + cm.name +
-                                    "': dictionary encoding on a "
-                                    "non-string column");
-        }
-        AUTOCAT_ASSIGN_OR_RETURN(col.codes,
-                                 buffers_->Region<uint32_t>(cm.data, n));
-        AUTOCAT_ASSIGN_OR_RETURN(const std::string_view offsets,
-                                 buffers_->Bytes(cm.dict_offsets));
-        AUTOCAT_ASSIGN_OR_RETURN(const std::string_view blob,
-                                 buffers_->Bytes(cm.dict_blob));
-        AUTOCAT_ASSIGN_OR_RETURN(col.dict,
-                                 DecodeDict(offsets, blob, cm.dict_count));
-        // Kernel safety: every slot (NULL slots hold the default 0) must
-        // index into the dictionary-sized accept tables. An all-NULL
-        // column legitimately has an empty dictionary and all-zero codes,
-        // mirroring ColumnarTable::Build.
-        if (col.dict.empty() && cm.null_count != n) {
-          return Status::ParseError("column '" + cm.name +
-                                    "': empty dictionary with non-NULL "
-                                    "rows");
-        }
-        // The scan is pure validation over an immutable span, so chunks
-        // can run in parallel; each reports only the lowest bad row it
-        // saw and the final verdict picks the overall lowest, keeping
-        // the error deterministic. An empty dictionary (all-NULL column)
-        // requires limit 1: every default-filled slot must be code 0.
-        {
-          const uint32_t limit = static_cast<uint32_t>(
-              col.dict.empty() ? 1 : col.dict.size());
-          const size_t num_chunks =
-              (static_cast<size_t>(n) + kCodeScanChunk - 1) / kCodeScanChunk;
-          std::vector<uint64_t> bad_row(num_chunks, n);
-          auto scan_range = [&](size_t begin, size_t end) {
-            for (size_t c = begin; c < end; ++c) {
-              const uint64_t lo = static_cast<uint64_t>(c) * kCodeScanChunk;
-              const uint64_t hi =
-                  std::min<uint64_t>(n, lo + kCodeScanChunk);
-              // Branch-free max-reduce first (vectorizes); only a chunk
-              // that actually holds a bad code pays the positional scan.
-              uint32_t max_code = 0;
-              for (uint64_t r = lo; r < hi; ++r) {
-                max_code = std::max(max_code, col.codes[r]);
-              }
-              if (max_code >= limit) {
-                for (uint64_t r = lo; r < hi; ++r) {
-                  if (col.codes[r] >= limit) {
-                    bad_row[c] = r;
-                    break;
-                  }
-                }
-              }
-            }
-            return Status::OK();
-          };
-          const Status dispatched = ParallelFor(
-              ParallelOptions{}, 0, num_chunks, 1, scan_range);
-          if (!dispatched.ok()) {
-            (void)scan_range(0, num_chunks);
-          }
-          for (const uint64_t r : bad_row) {
-            if (r < n) {
-              return Status::ParseError(
-                  "column '" + cm.name + "': code " +
-                  std::to_string(col.codes[r]) + " at row " +
-                  std::to_string(r) + " out of dictionary range");
-            }
-          }
-        }
-        break;
-      }
-    }
-    SurfaceZones(cm, n, &col);
-    columns.push_back(std::move(col));
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::ParseError("table '" + name +
+                              "' has more rows than 32-bit row ids reach");
   }
+  std::vector<ColumnarTable::Column> columns(meta->columns.size());
+  std::vector<size_t> string_columns;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    AUTOCAT_RETURN_IF_ERROR(
+        MapColumn(*buffers_, meta->columns[c], n, &columns[c]));
+    if (columns[c].type == ValueType::kString) {
+      string_columns.push_back(c);
+    }
+  }
+  // Posting lists only once every code passed its range check. This
+  // thread sizes them, so a table opened again reuses its allocator's
+  // memory; each column fills only its own lists. The codes are read
+  // again by queries only where they touch them, so the pages the checks
+  // and the derivation read go back to the page cache.
+  for (const size_t c : string_columns) {
+    columns[c].posting_offsets.resize(columns[c].dict.size() + 1);
+    columns[c].posting_rows.resize(static_cast<size_t>(n) -
+                                   columns[c].null_count);
+  }
+  ForEachParallel(string_columns.size(), [&](size_t i) {
+    ColumnarTable::Column& col = columns[string_columns[i]];
+    ColumnarTable::DerivePostings(static_cast<size_t>(n), &col);
+    file_->ReleasePages(col.codes.data(), col.codes.size() * sizeof(uint32_t));
+  });
 
   auto columnar = std::make_shared<const ColumnarTable>(
       ColumnarTable::FromColumns(static_cast<size_t>(n), std::move(columns),

@@ -16,16 +16,17 @@ namespace autocat {
 
 /// A read-only view of a segment store file: the file is mapped once,
 /// the catalog parsed and validated, and each table exposed as a
-/// column-backed `Table` whose raw columns (doubles, dictionary codes,
-/// null bitmaps) are zero-copy spans into the mapping. Varint-compressed
-/// int64 columns are decoded into owned arrays at OpenTable (segments in
-/// parallel — they fill disjoint ranges). The mapping
-/// is shared: every opened table keeps it alive, so the store object
-/// itself may be dropped.
+/// column-backed `Table` over the arrays `ColumnarTable::Build` would
+/// derive from its rows: null bitmaps, values and codes are zero-copy
+/// spans into the mapping, dictionaries and zones are read, and posting
+/// lists are derived at OpenTable (string columns in parallel). The
+/// mapping is shared: every opened table keeps it alive, so the store
+/// object itself may be dropped.
 ///
 /// All validation that protects the kernels happens here, at open —
-/// dictionary order, code ranges, bitmap sizes, segment row accounting —
-/// so query-time reads can be unchecked spans.
+/// dictionary order, code ranges, bitmap sizes and popcounts, region
+/// sizes, zone valid counts — so query-time reads can be unchecked
+/// spans. Rank codes and zone extrema are trusted as written.
 class SegmentStore {
  public:
   /// Maps and validates `path`. Corrupt files return kParseError;

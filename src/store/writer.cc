@@ -1,24 +1,20 @@
 #include "store/writer.h"
 
-#include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
 #include "common/value.h"
-#include "store/coding.h"
 #include "store/mapped_file.h"
-#include "store/segment.h"
 
 namespace autocat {
 
 namespace {
 
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, 8);
-  return bits;
+// Appends the raw bytes of `v` to a spill file.
+template <typename T>
+void Put(std::ofstream& out, const T& v) {
+  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
 }  // namespace
@@ -32,27 +28,20 @@ struct StoreWriter::PendingTable {
   struct Col {
     std::vector<uint64_t> null_words;
     uint64_t null_count = 0;
-    std::vector<SegmentMeta> segments;
-    std::string data_path;
-    uint64_t data_bytes = 0;
+    // Spill files, each named once it exists (values: int64/double only).
+    std::string values_path;
+    std::string codes_path;
     std::vector<std::string> dict;
+    std::vector<ZoneEntry> zones;
   };
   std::vector<Col> cols;
 };
 
 // Per-column scratch while replaying the merged row stream.
 struct StoreWriter::ColumnEncoderState {
-  std::ofstream out;
-  // int64 columns buffer one segment before encoding it in one shot.
-  std::vector<int64_t> i64_buf;
-  uint64_t bytes_written = 0;
-  // Current segment accumulators.
-  uint32_t seg_rows = 0;
-  uint64_t seg_valid = 0;
-  bool has_extrema = false;
-  int64_t i64_min = 0, i64_max = 0;
-  double f64_min = 0, f64_max = 0;
-  uint32_t code_min = 0, code_max = 0;
+  std::ofstream values;
+  std::ofstream codes;
+  ZoneAccumulator zones;
 };
 
 StoreWriter::StoreWriter(std::string path, StoreWriterOptions options)
@@ -62,10 +51,7 @@ StoreWriter::~StoreWriter() {
   if (!finished_) {
     // Abandoned writer: drop spill state (run files die with the sorter).
     for (const auto& pending : pending_) {
-      for (const auto& col : pending->cols) {
-        std::error_code ec;
-        std::filesystem::remove(col.data_path, ec);
-      }
+      RemoveSpillFiles(*pending);
     }
     std::error_code ec;
     std::filesystem::remove(options_.temp_dir, ec);
@@ -119,6 +105,10 @@ Status StoreWriter::BeginTable(const std::string& name,
   sorter_ = std::make_unique<ExternalRowSorter>(schema,
                                                 std::move(sorter_options));
   dict_builders_.assign(schema.num_columns(), {});
+  domains_.clear();
+  for (const ColumnDef& def : schema.columns()) {
+    domains_.emplace_back(def.type, def.kind);
+  }
   return Status::OK();
 }
 
@@ -128,9 +118,12 @@ Status StoreWriter::Append(Row row) {
   }
   AUTOCAT_RETURN_IF_ERROR(CoerceRowToSchema(&row, current_->schema));
   for (size_t c = 0; c < row.size(); ++c) {
-    if (current_->schema.column(c).type == ValueType::kString &&
-        row[c].is_string()) {
+    if (row[c].is_string()) {
       dict_builders_[c].emplace(row[c].string_value(), 0);
+    } else if (row[c].is_int64()) {
+      domains_[c].Add(row[c].int64_value());
+    } else if (row[c].is_double()) {
+      domains_[c].Add(row[c].double_value());
     }
   }
   ++stats_.rows;
@@ -142,13 +135,31 @@ Status StoreWriter::FinishTable() {
     return Status::InvalidArgument("FinishTable without BeginTable");
   }
   std::unique_ptr<PendingTable> pending = std::move(current_);
-  const Status status = EncodeTable(pending.get());
-  AUTOCAT_RETURN_IF_ERROR(sorter_->Cleanup());
+  Status status = EncodeTable(pending.get());
+  const Status cleanup = sorter_->Cleanup();
   sorter_.reset();
   dict_builders_.clear();
-  AUTOCAT_RETURN_IF_ERROR(status);
+  domains_.clear();
+  if (status.ok()) {
+    status = cleanup;
+  }
+  if (!status.ok()) {
+    RemoveSpillFiles(*pending);
+    return status;
+  }
   pending_.push_back(std::move(pending));
   return Status::OK();
+}
+
+void StoreWriter::RemoveSpillFiles(const PendingTable& pending) {
+  for (const auto& col : pending.cols) {
+    for (const std::string* path : {&col.values_path, &col.codes_path}) {
+      if (!path->empty()) {
+        std::error_code ec;
+        std::filesystem::remove(*path, ec);
+      }
+    }
+  }
 }
 
 Status StoreWriter::EncodeTable(PendingTable* t) {
@@ -165,10 +176,23 @@ Status StoreWriter::EncodeTable(PendingTable* t) {
                            "': " + ec.message());
   }
 
+  // Opens a spill file, naming it in `recorded` once it exists.
+  auto open_spill = [](const std::string& path, std::ofstream* out,
+                       std::string* recorded) -> Status {
+    out->open(path, std::ios::binary | std::ios::trunc);
+    if (!*out) {
+      return Status::IOError("cannot create column spill file '" + path +
+                             "'");
+    }
+    *recorded = path;
+    return Status::OK();
+  };
   std::vector<ColumnEncoderState> enc(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     PendingTable::Col& col = t->cols[c];
     col.null_words.assign(words, 0);
+    const std::string base =
+        options_.temp_dir + "/" + t->name + "_col" + std::to_string(c);
     if (t->schema.column(c).type == ValueType::kString) {
       uint32_t code = 0;
       col.dict.reserve(dict_builders_[c].size());
@@ -181,55 +205,18 @@ Status StoreWriter::EncodeTable(PendingTable* t) {
                                     t->schema.column(c).name +
                                     "' exceeds 32-bit code space");
       }
+    } else {
+      domains_[c].Seal();
+      AUTOCAT_RETURN_IF_ERROR(
+          open_spill(base + ".values", &enc[c].values, &col.values_path));
     }
-    col.data_path = options_.temp_dir + "/" + t->name + "_col" +
-                    std::to_string(c) + ".dat";
-    enc[c].out.open(col.data_path, std::ios::binary | std::ios::trunc);
-    if (!enc[c].out) {
-      return Status::IOError("cannot create column spill file '" +
-                             col.data_path + "'");
-    }
+    AUTOCAT_RETURN_IF_ERROR(
+        open_spill(base + ".codes", &enc[c].codes, &col.codes_path));
   }
 
-  // Flushes column c's current segment: encodes buffered int64 data,
-  // records the segment's byte span and zone metadata.
-  auto flush_segment = [&](size_t c) -> Status {
-    ColumnEncoderState& e = enc[c];
-    if (e.seg_rows == 0) {
-      return Status::OK();
-    }
-    PendingTable::Col& col = t->cols[c];
-    const ValueType type = t->schema.column(c).type;
-    SegmentMeta seg;
-    seg.row_count = e.seg_rows;
-    seg.valid_count = e.seg_valid;
-    seg.byte_offset = e.bytes_written;
-    if (type == ValueType::kInt64) {
-      std::string bytes;
-      EncodeInt64Segment(e.i64_buf.data(), e.i64_buf.size(), &bytes);
-      e.out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-      seg.byte_length = bytes.size();
-      seg.min_bits = static_cast<uint64_t>(e.i64_min);
-      seg.max_bits = static_cast<uint64_t>(e.i64_max);
-      e.i64_buf.clear();
-    } else if (type == ValueType::kDouble) {
-      seg.byte_length = uint64_t{8} * e.seg_rows;
-      seg.min_bits = DoubleBits(e.f64_min);
-      seg.max_bits = DoubleBits(e.f64_max);
-    } else {
-      seg.byte_length = uint64_t{4} * e.seg_rows;
-      seg.min_bits = e.code_min;
-      seg.max_bits = e.code_max;
-    }
-    e.bytes_written += seg.byte_length;
-    col.segments.push_back(seg);
-    e.seg_rows = 0;
-    e.seg_valid = 0;
-    e.has_extrema = false;
-    return Status::OK();
-  };
-
+  // Replays the merged stream, deriving each column's arrays exactly as
+  // ColumnarTable::Build does: NULL slots hold 0 (value), 0 (dictionary
+  // code) or kNoKey (rank code).
   AUTOCAT_ASSIGN_OR_RETURN(ExternalRowSorter::Stream stream,
                            sorter_->OpenStream());
   Row row;
@@ -243,63 +230,51 @@ Status StoreWriter::EncodeTable(PendingTable* t) {
       PendingTable::Col& col = t->cols[c];
       const Value& v = row[c];
       const ValueType type = t->schema.column(c).type;
-      const bool null = v.is_null();
-      if (null) {
+      if (v.is_null()) {
         col.null_words[r >> 6] |= uint64_t{1} << (r & 63);
         ++col.null_count;
-      } else {
-        ++e.seg_valid;
+        e.zones.AddNull();
+        if (type == ValueType::kString) {
+          Put(e.codes, uint32_t{0});
+        } else {
+          Put(e.values, uint64_t{0});
+          Put(e.codes, kNoKey);
+        }
+        continue;
       }
-      if (type == ValueType::kInt64) {
-        // NULL slots encode the same in-range default (0) the in-memory
-        // shadow uses, so kernels see identical arrays either way.
-        const int64_t x = null ? 0 : v.int64_value();
-        e.i64_buf.push_back(x);
-        if (!null) {
-          if (!e.has_extrema || x < e.i64_min) e.i64_min = x;
-          if (!e.has_extrema || x > e.i64_max) e.i64_max = x;
-          e.has_extrema = true;
+      switch (type) {
+        case ValueType::kInt64:
+          Put(e.values, v.int64_value());
+          e.zones.AddInt64(v.int64_value());
+          Put(e.codes, domains_[c].Code(v.int64_value()));
+          break;
+        case ValueType::kDouble:
+          Put(e.values, v.double_value());
+          e.zones.AddDouble(v.double_value());
+          Put(e.codes, domains_[c].Code(v.double_value()));
+          break;
+        default: {
+          const uint32_t code =
+              dict_builders_[c].find(v.string_value())->second;
+          e.zones.AddCode(code);
+          Put(e.codes, code);
+          break;
         }
-      } else if (type == ValueType::kDouble) {
-        const double x = null ? 0.0 : v.double_value();
-        char buf[8];
-        std::memcpy(buf, &x, 8);
-        e.out.write(buf, 8);
-        // NaNs are excluded from zone extrema (they order nowhere); a
-        // segment whose valid cells are all NaN keeps extrema of 0.
-        if (!null && !std::isnan(x)) {
-          if (!e.has_extrema || x < e.f64_min) e.f64_min = x;
-          if (!e.has_extrema || x > e.f64_max) e.f64_max = x;
-          e.has_extrema = true;
-        }
-      } else {
-        uint32_t code = 0;
-        if (!null) {
-          code = dict_builders_[c].find(v.string_value())->second;
-        }
-        char buf[4];
-        std::memcpy(buf, &code, 4);
-        e.out.write(buf, 4);
-        if (!null) {
-          if (!e.has_extrema || code < e.code_min) e.code_min = code;
-          if (!e.has_extrema || code > e.code_max) e.code_max = code;
-          e.has_extrema = true;
-        }
-      }
-      if (++e.seg_rows == kSegmentRows) {
-        AUTOCAT_RETURN_IF_ERROR(flush_segment(c));
       }
     }
   }
   for (size_t c = 0; c < ncols; ++c) {
-    AUTOCAT_RETURN_IF_ERROR(flush_segment(c));
-    t->cols[c].data_bytes = enc[c].bytes_written;
-    enc[c].out.flush();
-    if (!enc[c].out) {
-      return Status::IOError("cannot write column spill file '" +
-                             t->cols[c].data_path + "'");
+    PendingTable::Col& col = t->cols[c];
+    col.zones = std::move(enc[c].zones).Finish();
+    for (std::ofstream* out : {&enc[c].values, &enc[c].codes}) {
+      if (out->is_open()) {
+        out->close();
+        if (!*out) {
+          return Status::IOError("cannot write the spill files of column '" +
+                                 t->schema.column(c).name + "'");
+        }
+      }
     }
-    enc[c].out.close();
   }
   return Status::OK();
 }
@@ -320,8 +295,10 @@ Status StoreWriter::Finish() {
     AUTOCAT_RETURN_IF_ERROR(file->Append(zeros.data(), zeros.size()));
   }
 
-  // Appends a spill file's contents in chunks, returning its region.
-  auto append_file = [&](const std::string& path) -> Result<RegionRef> {
+  // Appends a spill file's contents in chunks, returning its region,
+  // which must hold `expected` bytes.
+  auto append_file = [&](const std::string& path,
+                         uint64_t expected) -> Result<RegionRef> {
     AUTOCAT_RETURN_IF_ERROR(file->PadTo(kStorePageSize));
     RegionRef region;
     region.offset = file->size();
@@ -340,6 +317,10 @@ Status StoreWriter::Finish() {
       }
     }
     region.bytes = file->size() - region.offset;
+    if (region.bytes != expected) {
+      return Status::Internal("column spill file '" + path +
+                              "' changed size");
+    }
     return region;
   };
 
@@ -364,27 +345,26 @@ Status StoreWriter::Finish() {
       col.name = def.name;
       col.value_type = static_cast<uint8_t>(def.type);
       col.column_kind = static_cast<uint8_t>(def.kind);
-      switch (def.type) {
-        case ValueType::kInt64:
-          col.encoding = static_cast<uint8_t>(ColumnEncoding::kVarintI64);
-          break;
-        case ValueType::kDouble:
-          col.encoding = static_cast<uint8_t>(ColumnEncoding::kRawF64);
-          break;
-        default:
-          col.encoding = static_cast<uint8_t>(ColumnEncoding::kDictCodes);
-          break;
-      }
       col.null_count = src.null_count;
-      col.segments = src.segments;
       AUTOCAT_ASSIGN_OR_RETURN(
           col.null_words,
           append_bytes(src.null_words.data(), src.null_words.size() * 8));
-      AUTOCAT_ASSIGN_OR_RETURN(col.data, append_file(src.data_path));
-      if (col.data.bytes != src.data_bytes) {
-        return Status::Internal("column spill file '" + src.data_path +
-                                "' changed size");
+      if (def.type != ValueType::kString) {
+        AUTOCAT_ASSIGN_OR_RETURN(
+            col.values, append_file(src.values_path, pending->num_rows * 8));
       }
+      AUTOCAT_ASSIGN_OR_RETURN(
+          col.codes, append_file(src.codes_path, pending->num_rows * 4));
+      std::vector<uint64_t> zone_words;
+      zone_words.reserve(src.zones.size() * kZoneWords);
+      for (const ZoneEntry& zone : src.zones) {
+        zone_words.push_back(zone.valid_count |
+                             uint64_t{zone.has_nan} << 32);
+        zone_words.push_back(zone.min_bits);
+        zone_words.push_back(zone.max_bits);
+      }
+      AUTOCAT_ASSIGN_OR_RETURN(
+          col.zones, append_bytes(zone_words.data(), zone_words.size() * 8));
       if (def.type == ValueType::kString) {
         std::string offsets;
         std::string blob;
@@ -412,10 +392,7 @@ Status StoreWriter::Finish() {
 
   // Spill files served their purpose.
   for (const auto& pending : pending_) {
-    for (const auto& col : pending->cols) {
-      std::error_code ec;
-      std::filesystem::remove(col.data_path, ec);
-    }
+    RemoveSpillFiles(*pending);
   }
   std::error_code ec;
   std::filesystem::remove(options_.temp_dir, ec);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/columnar.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "store/format.h"
@@ -16,12 +17,12 @@
 namespace autocat {
 
 struct StoreWriterOptions {
-  /// Budget for the external sorter's in-memory chunk. Everything else
-  /// the writer holds is small relative to the data: null bitmaps
-  /// (rows/8 bytes per column), per-segment metadata, and the string
-  /// dictionaries (which must fit in memory — the homes domains are tiny;
-  /// a pathological all-distinct string column would not be, and is out
-  /// of scope for this format).
+  /// Budget for the external sorter's in-memory chunk. Beyond it the
+  /// writer holds null bitmaps (rows/8 bytes per column), zone entries
+  /// (24 bytes per 2048 rows per column) and each column's distinct
+  /// values: the string dictionaries and the int64/double rank domains,
+  /// which must fit in memory (the homes domains do; an all-distinct
+  /// 10M-row numeric column takes up to 160 MB).
   size_t memory_budget_bytes = 64ull << 20;
   /// Column names to sort each table by (Value order, ties keep input
   /// order). Empty preserves input order — required when a bit-identical
@@ -36,13 +37,16 @@ struct StoreWriterOptions {
 ///   auto writer = StoreWriter::Create(path, options);
 ///   writer->BeginTable("homes", schema);
 ///   for (...) writer->Append(row);      // spills beyond the budget
-///   writer->FinishTable();              // dictionaries + encode columns
+///   writer->FinishTable();              // derive every column's arrays
 ///   writer->Finish();                   // assemble file, catalog, header
 ///
 /// Rows stream through an ExternalRowSorter (serialized spill runs), so
-/// peak memory stays near the budget regardless of table size. After the
-/// last Append the merged run stream is replayed once, encoding every
-/// column into a spill file; Finish() concatenates those into page-aligned
+/// peak memory stays near the budget plus the distinct values. After the
+/// last Append the merged run stream is replayed once, deriving exactly
+/// the arrays `ColumnarTable::Build` would from the same rows: values and
+/// codes go to per-column spill files in the temp dir
+/// ("<table>_col<c>.values" and "<table>_col<c>.codes"), null bitmaps and
+/// zones stay in memory. Finish() concatenates them into page-aligned
 /// regions of the final mapped file and writes the catalog.
 class StoreWriter {
  public:
@@ -60,9 +64,10 @@ class StoreWriter {
   /// (NULL anywhere, lossless numeric coercion) and streams it in.
   Status Append(Row row);
 
-  /// Encodes the current table's columns (two scans of the spilled rows
-  /// overall: dictionaries are collected during Append, so this replays
-  /// the merged stream once).
+  /// Derives the current table's column arrays (dictionaries and rank
+  /// domains are collected during Append, so this replays the merged
+  /// stream once). On failure the table's spill files are removed and
+  /// the table is dropped.
   Status FinishTable();
 
   /// Assembles the store file. No further appends afterwards.
@@ -84,6 +89,7 @@ class StoreWriter {
   struct PendingTable;
 
   Status EncodeTable(PendingTable* pending);
+  static void RemoveSpillFiles(const PendingTable& pending);
 
   std::string path_;
   StoreWriterOptions options_;
@@ -95,6 +101,8 @@ class StoreWriter {
   // Sorted-unique strings per string column, collected during Append;
   // codes assigned (sorted order) at FinishTable.
   std::vector<std::map<std::string, uint32_t>> dict_builders_;
+  // Rank domains per int64/double column, collected during Append.
+  std::vector<RankDomain> domains_;
 
   std::vector<std::unique_ptr<PendingTable>> pending_;
   Stats stats_;

@@ -9,8 +9,8 @@
 // binary searches. Every technique's tree must match it node by node —
 // labels, tset sizes and tuple order — with and without the cold
 // pipeline's attribute index, over row-backed, column-backed and
-// selection results and a segment-store copy (whose numeric columns carry
-// no rank codes), at threads {1, 2, 7, 16}, over tables with NULL,
+// selection results and a segment-store copy (whose rank codes its
+// writer derived), at threads {1, 2, 7, 16}, over tables with NULL,
 // NaN, -0.0, ±inf, int64-extreme, 2^53 ± 1 and heavily duplicated cells,
 // int64 and double categoricals, an all-NULL candidate and a kNull-typed
 // one, single-row and empty results, and query ranges narrower than the
@@ -1044,8 +1044,8 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverEveryInput) {
 
 // The same checks over a segment-store copy of the hostile table (without
 // `void`: the store format has no kNull columns). A store-mapped int64 or
-// double column has no rank codes, so its orders rank the cells per
-// request, and must meet the same ties and extremes.
+// double column carries the rank codes its writer derived, which must
+// meet the same ties and extremes as the built shadow's.
 TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverAStoreCopy) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -1073,8 +1073,8 @@ TEST_F(CategorizeRunsTest, HostileKeysOrderAlikeOverAStoreCopy) {
       stored->columnar_backing();
   ASSERT_NE(mapped, nullptr);
   const size_t price = stored->schema().ColumnIndex("price").value();
-  ASSERT_TRUE(mapped->column(price).codes.empty())
-      << "a store-mapped numeric column should carry no rank codes";
+  ASSERT_EQ(mapped->column(price).codes.size(), hostile.num_rows())
+      << "a store-mapped numeric column should carry rank codes";
 
   ExpectHostileOrders(*stored, "store-mapped");
   const ShadowResult shadowed = RunPipeline(*stored, kHostileSql, {});

@@ -1,6 +1,6 @@
 // libFuzzer harness for the segment store's decode surface: varint /
-// fixed-width readers, int64 segment decode, dictionary decode, catalog
-// decode, and header decode. The store's safety contract is that every
+// fixed-width readers, dictionary decode, catalog decode, header decode,
+// and whole store images. The store's safety contract is that every
 // decoder consumes attacker-controlled (pointer, size) buffers and
 // reports malformed input through Status — never UB, never a count
 // trusted for allocation ahead of the bytes that back it. The harness
@@ -13,27 +13,31 @@
 //   3. A catalog that decodes must re-encode and re-decode to a fixed
 //      point (the writer emits canonical bytes, so decode(encode(x)) can
 //      never fail for a decodable x).
-//   4. Int64 segment decode writes exactly `expected_rows` values or
-//      nothing observable — it never reads or writes out of bounds
-//      (enforced by ASan on the exact-sized output buffer).
+//   4. A whole image — written to a scratch file, opened with
+//      SegmentStore::Open, every table with OpenTable — ends in a Status,
+//      and a table that opens reads back every row in bounds (enforced
+//      by ASan on the mapping and the derived posting lists).
 //
-// The first input byte selects the target decoder; the rest is the
-// payload. Built as a libFuzzer target (autocat_store_fuzzer) under
-// clang; always linked with fuzz_replay_main.cc into
-// autocat_store_fuzz_replay, which replays tests/fuzz/store_corpus
-// under plain ctest.
+// The first input byte selects the target; the rest is the payload.
+// Built as a libFuzzer target (autocat_store_fuzzer) under clang; always
+// linked with fuzz_replay_main.cc into autocat_store_fuzz_replay, which
+// replays tests/fuzz/store_corpus under plain ctest.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "store/coding.h"
 #include "store/format.h"
-#include "store/segment.h"
+#include "store/store.h"
 
 namespace {
 
@@ -41,10 +45,12 @@ using autocat::ByteReader;
 using autocat::DecodeCatalog;
 using autocat::DecodeDict;
 using autocat::DecodeHeader;
-using autocat::DecodeInt64Segment;
 using autocat::EncodeCatalog;
 using autocat::Result;
+using autocat::Row;
+using autocat::SegmentStore;
 using autocat::StoreCatalog;
+using autocat::Table;
 
 void FuzzByteReader(const char* data, size_t size) {
   ByteReader reader(data, size);
@@ -76,17 +82,33 @@ void FuzzByteReader(const char* data, size_t size) {
   }
 }
 
-void FuzzInt64Segment(const char* data, size_t size) {
-  if (size == 0) {
-    return;
+void FuzzStoreImage(const char* data, size_t size) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("autocat_store_fuzz_" + std::to_string(::getpid()) + ".store"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data, static_cast<std::streamsize>(size));
+    if (!out) {
+      std::fprintf(stderr, "store fuzz: cannot write %s\n", path.c_str());
+      std::abort();  // autocat-lint: allow(banned-call) — harness failure
+    }
   }
-  // The first payload byte picks the expected row count, so the fuzzer
-  // explores truncated/overlong buffers against many row counts. The
-  // output buffer is exactly expected_rows long: any out-of-bounds write
-  // trips ASan.
-  const size_t expected_rows = static_cast<uint8_t>(data[0]) + 1;
-  std::vector<int64_t> out(expected_rows);
-  (void)DecodeInt64Segment(data + 1, size - 1, expected_rows, out.data());
+  const Result<SegmentStore> store = SegmentStore::Open(path);
+  if (store.ok()) {
+    for (const std::string& name : store.value().TableNames()) {
+      const Result<Table> table = store.value().OpenTable(name);
+      if (table.ok()) {
+        Row row;
+        for (size_t r = 0; r < table.value().num_rows(); ++r) {
+          (void)table.value().RowRef(r, &row);
+        }
+      }
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 void FuzzDict(const char* data, size_t size) {
@@ -154,7 +176,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       FuzzByteReader(payload, payload_size);
       break;
     case 1:
-      FuzzInt64Segment(payload, payload_size);
+      FuzzStoreImage(payload, payload_size);
       break;
     case 2:
       FuzzDict(payload, payload_size);

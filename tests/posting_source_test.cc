@@ -9,9 +9,9 @@
 // {1, 2, 7, 16} and under every candidate-source rule: NULL string
 // cells, tiny and ragged row counts (dense dictionary and double-range
 // leaves included), IN lists with absent or duplicate names, two
-// dictionary leaves, unions on both sides of the cutoff, a zone-pruned
-// residual leaf, and a store-wrapped table without postings. The cold
-// pipeline's work counters are checked against the candidates.
+// dictionary leaves, unions on both sides of the cutoff, and a
+// zone-pruned residual leaf. The cold pipeline's work counters are
+// checked against the candidates.
 
 #include <gtest/gtest.h>
 
@@ -182,29 +182,6 @@ size_t RowsExamined(const CompiledPredicate& compiled) {
     rows += compiled.PlanMorsel(m).rows_examined;
   }
   return rows;
-}
-
-// A FromColumns wrap of `shadow` borrowing its arrays, as the segment
-// store wraps mapped columns: same data, dictionaries and zones, and no
-// posting lists or sorted orders.
-std::shared_ptr<const ColumnarTable> WrapWithoutPostings(
-    const std::shared_ptr<const ColumnarTable>& shadow) {
-  std::vector<ColumnarTable::Column> columns;
-  for (size_t c = 0; c < shadow->num_columns(); ++c) {
-    const ColumnarTable::Column& src = shadow->column(c);
-    ColumnarTable::Column col;
-    col.type = src.type;
-    col.null_count = src.null_count;
-    col.null_words = src.null_words;
-    col.i64 = src.i64;
-    col.f64 = src.f64;
-    col.codes = src.codes;
-    col.dict = src.dict;
-    col.zones = src.zones;
-    columns.push_back(std::move(col));
-  }
-  return std::make_shared<const ColumnarTable>(ColumnarTable::FromColumns(
-      shadow->num_rows(), std::move(columns), shadow));
 }
 
 // ----------------------------------------------------------- posting CSR
@@ -414,23 +391,6 @@ TEST_F(PostingSourceTest, ZonePrunedResidualLeaf) {
             Oracle(table_, Profile("neighborhood IN ('n01', 'n02') AND "
                                    "price < 3000000",
                                    table_.schema())));
-}
-
-TEST_F(PostingSourceTest, StoreWrappedTableHasNoPostings) {
-  Use(MakeListings(6 * kMorselRows + 5, 81, 0.1, false));
-  const std::shared_ptr<const ColumnarTable> wrapped =
-      WrapWithoutPostings(shadow_);
-  for (size_t c = 0; c < wrapped->num_columns(); ++c) {
-    EXPECT_TRUE(wrapped->column(c).posting_offsets.empty());
-  }
-  // Even the forced posting rule has no lists to use here.
-  ExpectExact(table_, wrapped, "neighborhood IN ('n07')", false);
-  const SourceGuard guard(Source::kPostings);
-  auto compiled = CompiledPredicate::CompileProfile(
-      Profile("neighborhood IN ('n07')", table_.schema()), table_.schema(),
-      wrapped);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_FALSE(compiled.value().uses_postings());
 }
 
 TEST_F(PostingSourceTest, RandomizedProfilesMatchOracle) {

@@ -5,11 +5,14 @@
 // row-at-a-time evaluator, the compiled profile kernels at threads 1 and
 // 7, and a cold CategorizationService request. Replays the checked-in SQL
 // fuzz corpus plus randomized queries over a table seeded with hostile
-// cells.
+// cells. Beneath that, StoreShadowTest requires every array of every
+// mapped column to equal ColumnarTable::Build of the same rows, bit for
+// bit.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -196,9 +199,7 @@ class StoreEquivalenceFixture {
   // Runs `sql` through ExecuteSql over the memory and the store table
   // and requires one shared outcome. When the query normalizes to a
   // selection profile, also compiles it against both shadows and requires
-  // identical Filter selections at threads 1 and 7: the store shadow's
-  // zones repeat each segment's extrema, the memory shadow's are computed
-  // per zone, and the zone prover must not tell them apart.
+  // identical Filter selections at threads 1 and 7.
   void ExpectEquivalent(const std::string& sql) const {
     const Result<Table> mem = ExecuteSql(sql, mem_db_);
     const Result<Table> store = ExecuteSql(sql, store_db_);
@@ -459,6 +460,189 @@ TEST(StoreEquivalenceTest, ColdServeStoreVsMemory) {
           << sql << " node " << id;
     }
   }
+}
+
+// ------------------------------------------------------- mapped shadow
+
+// Element-wise bit equality of two arrays.
+template <typename T>
+void ExpectSameBits(const T* built, size_t built_size, const T* mapped,
+                    size_t mapped_size, const std::string& what) {
+  ASSERT_EQ(built_size, mapped_size) << what;
+  for (size_t i = 0; i < built_size; ++i) {
+    ASSERT_EQ(std::memcmp(&built[i], &mapped[i], sizeof(T)), 0)
+        << what << " differs at " << i;
+  }
+}
+
+template <typename T>
+void ExpectSameBits(ColumnSpan<T> built, ColumnSpan<T> mapped,
+                    const std::string& what) {
+  ExpectSameBits(built.data(), built.size(), mapped.data(), mapped.size(),
+                 what);
+}
+
+template <typename T>
+void ExpectSameBits(const std::vector<T>& built, const std::vector<T>& mapped,
+                    const std::string& what) {
+  ExpectSameBits(built.data(), built.size(), mapped.data(), mapped.size(),
+                 what);
+}
+
+// Writes `rows` to a store through a spilling writer — sorted by
+// `sort_column` unless it is empty — and requires every array of every
+// mapped column to equal, bit for bit, the one `ColumnarTable::Build`
+// derives from the same rows in stored order.
+void ExpectMappedEqualsBuilt(const Schema& schema, std::vector<Row> rows,
+                             const std::string& sort_column,
+                             const std::string& tag) {
+  const std::string path =
+      (fs::temp_directory_path() / ("autocat_store_shadow_" + tag + "_" +
+                                    std::to_string(::getpid()) + ".store"))
+          .string();
+  StoreWriterOptions options;
+  options.memory_budget_bytes = 16 << 10;  // force spill runs
+  if (!sort_column.empty()) {
+    options.sort_columns = {sort_column};
+  }
+  {
+    AUTOCAT_ASSERT_OK_AND_MOVE(std::unique_ptr<StoreWriter> writer,
+                               StoreWriter::Create(path, options));
+    ASSERT_TRUE(writer->BeginTable("t", schema).ok());
+    for (const Row& row : rows) {
+      ASSERT_TRUE(writer->Append(row).ok());
+    }
+    ASSERT_TRUE(writer->FinishTable().ok());
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  AUTOCAT_ASSERT_OK_AND_MOVE(const SegmentStore store,
+                             SegmentStore::Open(path));
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table mapped, store.OpenTable("t"));
+  fs::remove(path);
+
+  if (!sort_column.empty()) {
+    const size_t key = schema.ColumnIndex(sort_column).value();
+    std::stable_sort(rows.begin(), rows.end(),
+                     [key](const Row& a, const Row& b) {
+                       return a[key].Compare(b[key]) < 0;
+                     });
+  }
+  Table builder(schema);
+  ASSERT_TRUE(builder.AppendRows(std::move(rows)).ok());
+  const ColumnarTable built = ColumnarTable::Build(builder);
+  const ColumnarTable& got = *mapped.columnar_backing();
+  ASSERT_EQ(got.num_rows(), built.num_rows()) << tag;
+  ASSERT_EQ(got.num_columns(), built.num_columns()) << tag;
+  for (size_t c = 0; c < built.num_columns(); ++c) {
+    const ColumnarTable::Column& want = built.column(c);
+    const ColumnarTable::Column& have = got.column(c);
+    const std::string what = tag + " col " + schema.column(c).name;
+    EXPECT_EQ(have.type, want.type) << what;
+    EXPECT_EQ(have.null_count, want.null_count) << what;
+    ExpectSameBits(want.null_words, have.null_words, what + " null words");
+    ExpectSameBits(want.i64, have.i64, what + " int64 values");
+    ExpectSameBits(want.f64, have.f64, what + " double values");
+    ExpectSameBits(want.codes, have.codes, what + " codes");
+    EXPECT_EQ(have.dict, want.dict) << what;
+    ExpectSameBits(want.posting_offsets, have.posting_offsets,
+                   what + " posting offsets");
+    ExpectSameBits(want.posting_rows, have.posting_rows,
+                   what + " posting rows");
+    ASSERT_EQ(have.zones.size(), want.zones.size()) << what;
+    for (size_t z = 0; z < want.zones.size(); ++z) {
+      const ZoneEntry& w = want.zones[z];
+      const ZoneEntry& h = have.zones[z];
+      EXPECT_EQ(h.row_count, w.row_count) << what << " zone " << z;
+      EXPECT_EQ(h.valid_count, w.valid_count) << what << " zone " << z;
+      EXPECT_EQ(h.min_bits, w.min_bits) << what << " zone " << z;
+      EXPECT_EQ(h.max_bits, w.max_bits) << what << " zone " << z;
+      EXPECT_EQ(h.has_nan, w.has_nan) << what << " zone " << z;
+    }
+  }
+}
+
+// Every numeric column under both kinds, and a string column.
+Schema ShadowSchema() {
+  auto schema = Schema::Create({
+      ColumnDef("i_num", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("i_cat", ValueType::kInt64, ColumnKind::kCategorical),
+      ColumnDef("d_num", ValueType::kDouble, ColumnKind::kNumeric),
+      ColumnDef("d_cat", ValueType::kDouble, ColumnKind::kCategorical),
+      ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
+  });
+  EXPECT_TRUE(schema.ok());
+  return std::move(schema).value();
+}
+
+// `n` rows whose cells are drawn from the hostile values: NULL, NaN,
+// ±0.0, the int64 extremes, and 2^53 beside 2^53 + 1 (one value under
+// the numeric kind, two under the categorical), among ordinary ones.
+std::vector<Row> HostileShadowRows(size_t n, uint64_t seed) {
+  const int64_t two53 = int64_t{1} << 53;
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(),
+                          two53,
+                          two53 + 1,
+                          -two53 - 1,
+                          0,
+                          -7,
+                          42};
+  const double doubles[] = {std::numeric_limits<double>::quiet_NaN(),
+                            0.0,
+                            -0.0,
+                            static_cast<double>(two53),
+                            -1.5,
+                            1e300,
+                            -std::numeric_limits<double>::infinity(),
+                            2.25};
+  const char* const strings[] = {"", "a", "b", "Queen Anne"};
+  Random rng(seed);
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto cell = [&rng](Value v) {
+      return rng.Bernoulli(0.15) ? Value() : std::move(v);
+    };
+    const auto pick = [&rng](size_t size) {
+      return static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(size) - 1));
+    };
+    const int64_t i_ord = rng.Uniform(-1000, 1000);
+    const double d_ord = rng.UniformReal(-10, 10);
+    rows.push_back({
+        cell(Value(rng.Bernoulli(0.5) ? ints[pick(8)] : i_ord)),
+        cell(Value(rng.Bernoulli(0.5) ? ints[pick(8)] : i_ord)),
+        cell(Value(rng.Bernoulli(0.5) ? doubles[pick(8)] : d_ord)),
+        cell(Value(rng.Bernoulli(0.5) ? doubles[pick(8)] : d_ord)),
+        cell(Value(strings[pick(4)])),
+    });
+  }
+  return rows;
+}
+
+// Two zones plus a tail, in input order and sorted by an int64 column of
+// each kind and by the string column, all through spilling writes. (A
+// double sort column would hold NaN, which `Value::Compare` leaves
+// unordered, so the stored order would not be a function of the rows.)
+TEST(StoreShadowTest, HostileCellsMatchBuildBitForBit) {
+  const std::vector<Row> rows = HostileShadowRows(2 * kZoneRows + 300, 53);
+  ExpectMappedEqualsBuilt(ShadowSchema(), rows, "", "input_order");
+  ExpectMappedEqualsBuilt(ShadowSchema(), rows, "i_num", "by_i_num");
+  ExpectMappedEqualsBuilt(ShadowSchema(), rows, "i_cat", "by_i_cat");
+  ExpectMappedEqualsBuilt(ShadowSchema(), rows, "s", "by_s");
+}
+
+TEST(StoreShadowTest, EmptyAndAllNullTablesMatchBuild) {
+  ExpectMappedEqualsBuilt(ShadowSchema(), {}, "", "empty");
+  ExpectMappedEqualsBuilt(ShadowSchema(),
+                          std::vector<Row>(kZoneRows + 5, Row(5, Value())),
+                          "", "all_null");
+}
+
+// The homes population of the equivalence gate, hostile cells included.
+TEST(StoreShadowTest, HomesRowsMatchBuild) {
+  ExpectMappedEqualsBuilt(FuzzSchema(), MakeHomesRows(3 * kZoneRows, 71, 0.1,
+                                                      true),
+                          "yearbuilt", "homes");
 }
 
 }  // namespace

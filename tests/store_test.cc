@@ -13,7 +13,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,7 +30,6 @@
 #include "store/coding.h"
 #include "store/format.h"
 #include "store/mapped_file.h"
-#include "store/segment.h"
 #include "store/sorter.h"
 #include "store/store.h"
 #include "store/writer.h"
@@ -155,69 +156,7 @@ TEST(StoreCodingTest, LengthPrefixedRoundTripAndOverrun) {
   EXPECT_FALSE(skipper.Skip(1).ok());
 }
 
-// ----------------------------------------------------------------- segment
-
-TEST(StoreSegmentTest, Int64SegmentRoundTrip) {
-  Random rng(31337);
-  std::vector<int64_t> values;
-  for (int i = 0; i < 5000; ++i) {
-    switch (rng.Uniform(0, 4)) {
-      case 0:
-        values.push_back(rng.Uniform(-1000, 1000));
-        break;
-      case 1:
-        values.push_back(std::numeric_limits<int64_t>::min());
-        break;
-      case 2:
-        values.push_back(std::numeric_limits<int64_t>::max());
-        break;
-      default:
-        values.push_back(static_cast<int64_t>(rng.Uniform(0, 1 << 30)) *
-                         rng.Uniform(-100, 100));
-        break;
-    }
-  }
-  std::string encoded;
-  EncodeInt64Segment(values.data(), values.size(), &encoded);
-  std::vector<int64_t> decoded(values.size());
-  const Status status = DecodeInt64Segment(encoded.data(), encoded.size(),
-                                           values.size(), decoded.data());
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(decoded, values);
-}
-
-TEST(StoreSegmentTest, SortedRunCompressesWell) {
-  std::vector<int64_t> values;
-  for (int64_t i = 0; i < 10000; ++i) {
-    values.push_back(100000 + i * 3);
-  }
-  std::string encoded;
-  EncodeInt64Segment(values.data(), values.size(), &encoded);
-  // Constant small deltas: ~1 byte per row, far below the 8 raw bytes.
-  EXPECT_LT(encoded.size(), values.size() * 2);
-}
-
-TEST(StoreSegmentTest, Int64SegmentMalformedIsError) {
-  std::vector<int64_t> values = {1, 2, 3};
-  std::string encoded;
-  EncodeInt64Segment(values.data(), values.size(), &encoded);
-  std::vector<int64_t> out(3);
-  // Trailing garbage (append a real NUL byte; a "\x00" literal is empty).
-  std::string padded = encoded;
-  padded.push_back('\0');
-  EXPECT_FALSE(
-      DecodeInt64Segment(padded.data(), padded.size(), 3, out.data()).ok());
-  // Truncation at every prefix.
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    EXPECT_FALSE(
-        DecodeInt64Segment(encoded.data(), len, 3, out.data()).ok());
-  }
-  // Row-count mismatch.
-  std::vector<int64_t> big(4);
-  EXPECT_FALSE(
-      DecodeInt64Segment(encoded.data(), encoded.size(), 4, big.data())
-          .ok());
-}
+// -------------------------------------------------------------- dictionary
 
 TEST(StoreSegmentTest, DictRoundTrip) {
   const std::vector<std::string> dict = {"", "Ballard", "Bellevue",
@@ -575,24 +514,25 @@ TEST(StoreRoundTripTest, SmallTableWithSpills) {
   EXPECT_FALSE(store.value().OpenTable("nope").ok());
 }
 
+// A table of many zones round-trips, and the catalog places one zone
+// entry per kZoneRows rows, each holding its zone's exact extrema.
 TEST(StoreRoundTripTest, MultiSegmentTableAndZoneMetadata) {
   const ScratchDir scratch("multiseg");
   const std::string path = scratch.Path("big.store");
   auto schema_or = Schema::Create(
       {ColumnDef("v", ValueType::kInt64, ColumnKind::kNumeric)});
   ASSERT_TRUE(schema_or.ok());
-  const size_t n = kSegmentRows + 1000;
+  const size_t n = 32 * kZoneRows + 1000;
+  const size_t num_zones = 33;
   std::vector<Row> rows;
   rows.reserve(n);
   Random rng(5);
-  int64_t min_seg2 = std::numeric_limits<int64_t>::max();
-  int64_t max_seg2 = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> zone_min(num_zones, std::numeric_limits<int64_t>::max());
+  std::vector<int64_t> zone_max(num_zones, std::numeric_limits<int64_t>::min());
   for (size_t i = 0; i < n; ++i) {
     const int64_t v = rng.Uniform(-1000000, 1000000);
-    if (i >= kSegmentRows) {
-      min_seg2 = std::min(min_seg2, v);
-      max_seg2 = std::max(max_seg2, v);
-    }
+    zone_min[i / kZoneRows] = std::min(zone_min[i / kZoneRows], v);
+    zone_max[i / kZoneRows] = std::max(zone_max[i / kZoneRows], v);
     rows.push_back({Value(v)});
   }
   BuildStore(path, "big", schema_or.value(), rows, 1 << 20);
@@ -602,18 +542,19 @@ TEST(StoreRoundTripTest, MultiSegmentTableAndZoneMetadata) {
   const TableMeta& meta = store.value().catalog().tables[0];
   EXPECT_EQ(meta.num_rows, n);
   ASSERT_EQ(meta.columns.size(), 1u);
-  ASSERT_EQ(meta.columns[0].segments.size(), 2u);
-  EXPECT_EQ(meta.columns[0].segments[0].row_count, kSegmentRows);
-  EXPECT_EQ(meta.columns[0].segments[1].row_count, 1000u);
-  // Zone metadata: the second segment's min/max match the data.
-  EXPECT_EQ(static_cast<int64_t>(meta.columns[0].segments[1].min_bits),
-            min_seg2);
-  EXPECT_EQ(static_cast<int64_t>(meta.columns[0].segments[1].max_bits),
-            max_seg2);
+  EXPECT_EQ(meta.columns[0].zones.bytes, num_zones * kZoneWords * 8);
 
   Result<Table> table = store.value().OpenTable("big");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   ExpectTableMatchesRows(table.value(), rows);
+  const ColumnarTable::Column& col =
+      table.value().columnar_backing()->column(0);
+  ASSERT_EQ(col.zones.size(), num_zones);
+  for (size_t z = 0; z < num_zones; ++z) {
+    EXPECT_EQ(static_cast<int64_t>(col.zones[z].min_bits), zone_min[z]);
+    EXPECT_EQ(static_cast<int64_t>(col.zones[z].max_bits), zone_max[z]);
+  }
+  EXPECT_EQ(col.zones.back().row_count, 1000u);
 }
 
 TEST(StoreRoundTripTest, SortedWriterOrdersRows) {
@@ -676,15 +617,14 @@ TEST(StoreRoundTripTest, AllNullAndEmptyTables) {
   EXPECT_EQ(empty.value().num_rows(), 0u);
 }
 
-// OpenTable surfaces the persisted segment extrema as zone-map entries
-// on the zero-copy columnar backing: per-zone row/valid counts are
-// exact, extrema are the owning segment's min/max replicated across its
-// zones (a sound superset), and has_nan comes from a per-zone scan.
+// OpenTable reads each zone's entry: counts and has_nan exact against
+// the mapped cells, extrema the zone's own (NaN excluded), compared as
+// values of the column's physical domain.
 TEST(StoreRoundTripTest, OpenTableSurfacesZoneMetadata) {
   const ScratchDir scratch("zones");
   const std::string path = scratch.Path("z.store");
   const Schema schema = HomesSchema();
-  const size_t n = 3 * kZoneRows + 500;  // one segment, partial tail zone
+  const size_t n = 3 * kZoneRows + 500;  // partial tail zone
   const std::vector<Row> rows = HomesRows(n, 23);
   BuildStore(path, "homes", schema, rows, 1 << 20);
 
@@ -696,13 +636,10 @@ TEST(StoreRoundTripTest, OpenTableSurfacesZoneMetadata) {
       table.value().columnar_backing();
   ASSERT_NE(shadow, nullptr);
 
-  const TableMeta& meta = store.value().catalog().tables[0];
   const size_t num_zones = (n + kZoneRows - 1) / kZoneRows;
   for (size_t c = 0; c < shadow->num_columns(); ++c) {
     const ColumnarTable::Column& col = shadow->column(c);
     ASSERT_EQ(col.zones.size(), num_zones) << "col " << c;
-    ASSERT_EQ(meta.columns[c].segments.size(), 1u) << "col " << c;
-    const SegmentMeta& segment = meta.columns[c].segments[0];
     for (size_t z = 0; z < num_zones; ++z) {
       const size_t begin = z * kZoneRows;
       const size_t end = std::min(n, begin + kZoneRows);
@@ -711,38 +648,71 @@ TEST(StoreRoundTripTest, OpenTableSurfacesZoneMetadata) {
                                              << z;
       uint32_t valid = 0;
       bool has_nan = false;
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -std::numeric_limits<double>::infinity();
       for (size_t r = begin; r < end; ++r) {
         if (col.IsNull(r)) {
           continue;
         }
         ++valid;
-        if (col.type == ValueType::kDouble && std::isnan(col.f64[r])) {
-          has_nan = true;
+        double v = 0;
+        switch (col.type) {
+          case ValueType::kInt64:
+            v = static_cast<double>(col.i64[r]);
+            break;
+          case ValueType::kDouble:
+            v = col.f64[r];
+            break;
+          default:
+            v = col.codes[r];
+            break;
         }
+        if (std::isnan(v)) {
+          has_nan = true;
+          continue;
+        }
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
       }
       EXPECT_EQ(zone.valid_count, valid) << "col " << c << " zone " << z;
       EXPECT_EQ(zone.has_nan, has_nan) << "col " << c << " zone " << z;
-      if (valid > 0) {
-        // Segment extrema replicated: a superset claim, never tighter
-        // than the segment and never absent.
-        EXPECT_EQ(zone.min_bits, segment.min_bits)
-            << "col " << c << " zone " << z;
-        EXPECT_EQ(zone.max_bits, segment.max_bits)
-            << "col " << c << " zone " << z;
+      if (!std::isfinite(lo)) {  // no non-NaN cell: extrema stay 0
+        EXPECT_EQ(zone.min_bits, 0u) << "col " << c << " zone " << z;
+        EXPECT_EQ(zone.max_bits, 0u) << "col " << c << " zone " << z;
+        continue;
       }
+      double zmin = 0;
+      double zmax = 0;
+      switch (col.type) {
+        case ValueType::kInt64:
+          zmin = static_cast<double>(static_cast<int64_t>(zone.min_bits));
+          zmax = static_cast<double>(static_cast<int64_t>(zone.max_bits));
+          break;
+        case ValueType::kDouble:
+          std::memcpy(&zmin, &zone.min_bits, sizeof(zmin));
+          std::memcpy(&zmax, &zone.max_bits, sizeof(zmax));
+          break;
+        default:
+          zmin = static_cast<double>(zone.min_bits);
+          zmax = static_cast<double>(zone.max_bits);
+          break;
+      }
+      EXPECT_EQ(zmin, lo) << "col " << c << " zone " << z;
+      EXPECT_EQ(zmax, hi) << "col " << c << " zone " << z;
     }
   }
 }
 
-// A price-sorted store is value-clustered per segment, so a compiled
-// predicate selecting only the top segment's range must rule every
-// morsel of the lower segment all-fail — the store's zone surfacing has
-// to deliver real pruning, not just satisfy the soundness contract.
+// A price-sorted store is value-clustered per zone, so a compiled
+// predicate selecting only prices above the lower rows' range must rule
+// every morsel of those rows all-fail — the store's zones have to
+// deliver real pruning, not just satisfy the soundness contract.
 TEST(StoreRoundTripTest, SortedStoreZonesPruneCompiledPredicates) {
   const ScratchDir scratch("prune");
   const std::string path = scratch.Path("p.store");
   const Schema schema = HomesSchema();
-  const size_t n = kSegmentRows + 8192;  // 2 segments, 36 morsels
+  const size_t lower_rows = 32 * kZoneRows;
+  const size_t n = lower_rows + 8192;  // 36 morsels
   std::vector<Row> rows = HomesRows(n, 29);
   StoreWriterOptions options;
   options.memory_budget_bytes = 1 << 22;
@@ -766,16 +736,15 @@ TEST(StoreRoundTripTest, SortedStoreZonesPruneCompiledPredicates) {
   ASSERT_NE(shadow, nullptr);
   const ColumnarTable::Column& price = shadow->column(1);
 
-  // Threshold just above the first segment's maximum price: only rows of
-  // the second segment can match, so the first segment's 32 morsels are
-  // provably empty.
-  int64_t seg1_max = std::numeric_limits<int64_t>::min();
-  for (size_t r = 0; r < kSegmentRows; ++r) {
+  // Threshold just above the lower rows' maximum price: only later rows
+  // can match, so the lower rows' 32 morsels are provably empty.
+  int64_t lower_max = std::numeric_limits<int64_t>::min();
+  for (size_t r = 0; r < lower_rows; ++r) {
     if (!price.IsNull(r)) {
-      seg1_max = std::max(seg1_max, static_cast<int64_t>(price.i64[r]));
+      lower_max = std::max(lower_max, static_cast<int64_t>(price.i64[r]));
     }
   }
-  const int64_t threshold = seg1_max + 1;
+  const int64_t threshold = lower_max + 1;
   const std::string sql = "SELECT * FROM homes WHERE price >= " +
                           std::to_string(threshold);
   auto query = ParseQuery(sql);
@@ -802,15 +771,15 @@ TEST(StoreRoundTripTest, SortedStoreZonesPruneCompiledPredicates) {
 
   using ZoneVerdict = CompiledPredicate::ZoneVerdict;
   size_t all_fail = 0;
-  const size_t seg1_morsels = kSegmentRows / kZoneRows;  // 32
+  const size_t lower_morsels = lower_rows / kZoneRows;  // 32
   for (size_t m = 0; m < compiled.value().num_morsels(); ++m) {
     const ZoneVerdict verdict = compiled.value().MorselVerdict(m);
     all_fail += verdict == ZoneVerdict::kAllFail ? 1 : 0;
-    if (m < seg1_morsels) {
+    if (m < lower_morsels) {
       EXPECT_EQ(verdict, ZoneVerdict::kAllFail) << "morsel " << m;
     }
   }
-  EXPECT_GE(all_fail, seg1_morsels);
+  EXPECT_GE(all_fail, lower_morsels);
 }
 
 TEST(StoreRoundTripTest, NumericCoercionMatchesTableAppend) {
@@ -869,6 +838,40 @@ TEST(StoreWriterTest, MisuseIsRejected) {
   // Anything after Finish.
   EXPECT_FALSE(writer.value()->BeginTable("v", schema).ok());
   EXPECT_FALSE(writer.value()->Finish().ok());
+}
+
+// A spill file that cannot be opened fails FinishTable partway through
+// the columns: the spill files already made go with the failed table,
+// and the temp dir with the writer.
+TEST(StoreWriterTest, FailedEncodeLeavesNoSpillFiles) {
+  const ScratchDir scratch("leak");
+  const std::string path = scratch.Path("l.store");
+  const std::string temp_dir = path + ".tmp";
+  // Eleven string columns spill to "<table>_col<c>.codes". A table name
+  // that makes the spill names of columns 0 to 9 exactly NAME_MAX (255)
+  // bytes long makes column 10's one byte longer, so its open fails with
+  // ten spill files made.
+  std::vector<ColumnDef> defs;
+  for (char c = 'a'; c <= 'k'; ++c) {
+    defs.emplace_back(std::string(1, c), ValueType::kString,
+                      ColumnKind::kCategorical);
+  }
+  auto schema = Schema::Create(std::move(defs));
+  ASSERT_TRUE(schema.ok());
+  const std::string name(255 - std::string("_col0.codes").size(), 't');
+  Result<std::unique_ptr<StoreWriter>> writer =
+      StoreWriter::Create(path, StoreWriterOptions{});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value()->BeginTable(name, schema.value()).ok());
+  ASSERT_TRUE(writer.value()->Append(Row(11, Value("x"))).ok());
+  const Status status = writer.value()->FinishTable();
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  // The failed table's spill files are gone at once...
+  ASSERT_TRUE(fs::exists(temp_dir));
+  EXPECT_TRUE(fs::is_empty(temp_dir));
+  // ...and the temp dir with the writer.
+  writer.value().reset();
+  EXPECT_FALSE(fs::exists(temp_dir));
 }
 
 TEST(StoreRoundTripTest, AttachStoreTablesIntoDatabase) {
@@ -970,6 +973,120 @@ TEST(StoreCorruptionTest, NoCatalogByteFlipEverCrashes) {
       }
     }
   }
+}
+
+// The file's bytes, and writes of some of them back in place.
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteAt(const std::string& path, uint64_t offset,
+             const std::string& bytes) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Rewrites the catalog of the store at `path` through `edit`, which
+// must keep its encoded size (region fields are fixed-width).
+void EditCatalog(const std::string& path,
+                 const std::function<void(StoreCatalog*)>& edit) {
+  const std::string file = ReadFile(path);
+  const Result<RegionRef> region = DecodeHeader(file.data(), file.size());
+  ASSERT_TRUE(region.ok());
+  Result<StoreCatalog> catalog = DecodeCatalog(
+      file.data() + region.value().offset, region.value().bytes);
+  ASSERT_TRUE(catalog.ok());
+  edit(&catalog.value());
+  const std::string bytes = EncodeCatalog(catalog.value());
+  ASSERT_EQ(bytes.size(), region.value().bytes);
+  WriteAt(path, region.value().offset, bytes);
+}
+
+// A fresh copy of the homes store at `path`, opened to its catalog.
+class CorruptStore {
+ public:
+  explicit CorruptStore(const std::string& tag) : scratch_(tag) {
+    BuildStore(path(), "homes", HomesSchema(), HomesRows(3000, 7));
+    Result<SegmentStore> store = SegmentStore::Open(path());
+    EXPECT_TRUE(store.ok());
+    catalog_ = store.value().catalog();
+  }
+  std::string path() const { return scratch_.Path("c.store"); }
+  const ColumnMeta& column(size_t c) const {
+    return catalog_.tables[0].columns[c];
+  }
+  // OpenTable's status on the store as it now is.
+  Status OpenStatus() const {
+    Result<SegmentStore> store = SegmentStore::Open(path());
+    if (!store.ok()) {
+      return store.status();
+    }
+    return store.value().OpenTable("homes").status();
+  }
+
+ private:
+  ScratchDir scratch_;
+  StoreCatalog catalog_;
+};
+
+TEST(StoreCorruptionTest, OlderFormatIsNotSupported) {
+  const CorruptStore store("corrupt_gen");
+  WriteAt(store.path(), 6, "01");  // the magic's generation digits
+  const Result<SegmentStore> opened = SegmentStore::Open(store.path());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(opened.status().message().find("ACATSG01"), std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST(StoreCorruptionTest, ZoneValidCountMustMatchNullBitmap) {
+  for (size_t c = 0; c < 3; ++c) {
+    const CorruptStore store("corrupt_zone");
+    const uint64_t head_offset = store.column(c).zones.offset + kZoneWords * 8;
+    uint64_t head = 0;
+    const std::string file = ReadFile(store.path());
+    std::memcpy(&head, file.data() + head_offset, sizeof(head));
+    head ^= 1;  // the second zone's valid count, off by one
+    WriteAt(store.path(), head_offset,
+            std::string(reinterpret_cast<const char*>(&head), sizeof(head)));
+    EXPECT_EQ(store.OpenStatus().code(), StatusCode::kParseError)
+        << "col " << c;
+  }
+}
+
+TEST(StoreCorruptionTest, CodeOrZoneRegionOfWrongLengthIsRejected) {
+  for (size_t c = 0; c < 3; ++c) {
+    for (const bool zones : {false, true}) {
+      const CorruptStore store("corrupt_len");
+      EditCatalog(store.path(), [c, zones](StoreCatalog* catalog) {
+        ColumnMeta& col = catalog->tables[0].columns[c];
+        (zones ? col.zones : col.codes).bytes -= zones ? 8 : 4;
+      });
+      EXPECT_EQ(store.OpenStatus().code(), StatusCode::kParseError)
+          << "col " << c << (zones ? " zones" : " codes");
+    }
+  }
+}
+
+TEST(StoreCorruptionTest, OutOfRangeDictionaryCodeIsRejected) {
+  const CorruptStore store("corrupt_code");
+  const ColumnMeta& hood = store.column(0);
+  ASSERT_EQ(hood.value_type, static_cast<uint8_t>(ValueType::kString));
+  // Row 1000's code names no dictionary entry. The open must refuse it
+  // before deriving posting lists, which index by code.
+  const uint32_t bad = static_cast<uint32_t>(hood.dict_count) + 3;
+  WriteAt(store.path(), hood.codes.offset + 1000 * 4,
+          std::string(reinterpret_cast<const char*>(&bad), sizeof(bad)));
+  const Status status = store.OpenStatus();
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("out of dictionary range"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

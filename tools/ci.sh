@@ -53,13 +53,14 @@
 #            scenario benchmark at --smoke sizes — the targeted gate for
 #            workload-synthesis and adaptive-serving work. The TSan pass
 #            of this leg also runs in the default matrix.
-#   --store  run the persistent segment-store suite (coding/segment
+#   --store  run the persistent segment-store suite (coding/dictionary
 #            decoders, mapped file + buffer manager, external-sort
 #            writer, corruption rejection, the store-vs-memory
-#            equivalence gate, simgen flag parsing, and the decoder
-#            fuzz-corpus replay) in Release and under ASan and TSan —
-#            the targeted gate for on-disk-format work. The ASan and
-#            TSan passes of this leg also run in the default matrix.
+#            equivalence gate, the mapped-vs-built shadow gate, simgen
+#            flag parsing, and the decoder fuzz-corpus replay) in
+#            Release and under ASan and TSan — the targeted gate for
+#            on-disk-format work. The ASan and TSan passes of this leg
+#            also run in the default matrix.
 #   --kernels
 #            run the zone-map + filter-kernel suites (exact zone
 #            metadata, the zone prover's refuse-or-exact verdicts against
@@ -249,14 +250,15 @@ workload_leg() {
     --benchmark_min_time=0.01
 }
 
-# The segment-store gate: every Store* suite in tests/store_test.cc and
-# the store-vs-memory equivalence tests, the strict simgen flag parser,
-# and the decoder fuzz corpus replayed as a plain ctest entry.
+# The segment-store gate: every Store* suite in tests/store_test.cc, the
+# store-vs-memory equivalence tests and the mapped-vs-built shadow gate,
+# the strict simgen flag parser, and the decoder fuzz corpus replayed as a
+# plain ctest entry.
 STORE_TESTS=(
   '^StoreCodingTest\.' '^StoreSegmentTest\.' '^StoreMappedFileTest\.'
   '^StoreBufferManagerTest\.' '^StoreSorterTest\.' '^StoreWriterTest\.'
   '^StoreRoundTripTest\.' '^StoreCorruptionTest\.'
-  '^StoreEquivalenceTest\.' '^SimgenFlagsTest\.'
+  '^StoreEquivalenceTest\.' '^StoreShadowTest\.' '^SimgenFlagsTest\.'
   '^store_fuzz_corpus_replay$'
 )
 
