@@ -3,6 +3,8 @@
 //
 //   BM_BulkLoadStore   streaming generate -> StoreWriter -> on-disk store
 //                      (rows/s, file bytes, spilled runs)
+//   BM_BuildShadow     ColumnarTable::Build of the generated homes table,
+//                      the in-memory twin of the writer's encoding
 //   BM_MapStart        SegmentStore open + attach into a Database, with
 //                      the regenerate-from-scratch time of the same table
 //                      as a counter — speedup_vs_regen is the ">= 50x"
@@ -30,6 +32,7 @@
 #include "exec/executor.h"
 #include "simgen/geo.h"
 #include "simgen/homes_generator.h"
+#include "storage/columnar.h"
 #include "storage/table.h"
 #include "store/store.h"
 #include "store/writer.h"
@@ -47,6 +50,7 @@ bool& SmokeMode() {
 
 size_t LoadRows() { return SmokeMode() ? 20000 : 1000000; }
 size_t AppendRows() { return SmokeMode() ? 20000 : 250000; }
+size_t ShadowRows() { return SmokeMode() ? 20000 : 120000; }
 
 std::string ScratchStorePath() {
   return (fs::temp_directory_path() /
@@ -106,6 +110,20 @@ void BM_BulkLoadStore(benchmark::State& state) {
                : 0;
 }
 BENCHMARK(BM_BulkLoadStore)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_BuildShadow(benchmark::State& state) {
+  Result<Table> homes = MakeGenerator(ShadowRows()).Generate();
+  AUTOCAT_CHECK(homes.ok());
+  const Table& table = homes.value();
+  for (auto _ : state) {
+    const ColumnarTable shadow = ColumnarTable::Build(table);
+    benchmark::DoNotOptimize(shadow.num_rows());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(table.num_rows()) *
+                          state.iterations());
+  state.counters["rows"] = static_cast<double>(table.num_rows());
+}
+BENCHMARK(BM_BuildShadow)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_MapStart(benchmark::State& state) {
   const std::string path = ScratchStorePath();

@@ -1,10 +1,8 @@
 #include "storage/columnar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -14,124 +12,158 @@ namespace autocat {
 
 namespace {
 
-uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
-// Values a RankDomain holds before it first deduplicates.
+// Rank keys a ColumnEncoder holds before it first deduplicates.
 constexpr size_t kRankDedupMin = 4096;
 
-}  // namespace
-
-ZoneEntry& ZoneAccumulator::Next() {
-  if (zones_.empty() || zones_.back().row_count == kZoneRows) {
-    zones_.emplace_back();
-    seen_ = false;
-  }
-  ZoneEntry& zone = zones_.back();
-  ++zone.row_count;
-  return zone;
-}
-
-template <typename T>
-void ZoneAccumulator::Widen(T v) {
-  ZoneEntry& zone = zones_.back();
-  T lo = v;
-  T hi = v;
-  if (seen_) {
-    if constexpr (std::is_same_v<T, double>) {
-      std::memcpy(&lo, &zone.min_bits, sizeof(lo));
-      std::memcpy(&hi, &zone.max_bits, sizeof(hi));
-    } else {
-      lo = static_cast<T>(zone.min_bits);
-      hi = static_cast<T>(zone.max_bits);
-    }
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if constexpr (std::is_same_v<T, double>) {
-    zone.min_bits = DoubleBits(lo);
-    zone.max_bits = DoubleBits(hi);
-  } else {
-    zone.min_bits = static_cast<uint64_t>(lo);
-    zone.max_bits = static_cast<uint64_t>(hi);
-  }
-  seen_ = true;
-}
-
-void ZoneAccumulator::AddNull() { Next(); }
-
-void ZoneAccumulator::AddInt64(int64_t v) {
-  ++Next().valid_count;
-  Widen(v);
-}
-
-void ZoneAccumulator::AddDouble(double v) {
-  ZoneEntry& zone = Next();
-  ++zone.valid_count;
-  if (std::isnan(v)) {
-    zone.has_nan = true;
-    return;
-  }
-  Widen(v);
-}
-
-void ZoneAccumulator::AddCode(uint32_t code) {
-  ++Next().valid_count;
-  Widen(code);
-}
-
-std::vector<ZoneEntry> ZoneAccumulator::Finish() && {
-  return std::move(zones_);
-}
-
-RankDomain::RankDomain(ValueType type, ColumnKind kind)
-    : exact_(type == ValueType::kInt64 && kind == ColumnKind::kCategorical) {}
-
-uint64_t RankDomain::Key(int64_t cell) const {
-  return exact_ ? static_cast<uint64_t>(cell) ^ kSignBit
-                : Key(static_cast<double>(cell));
-}
-
-uint64_t RankDomain::Key(double cell) {
-  // -0.0 and 0.0 are one value. Flipping every bit of a negative double
-  // and the sign bit of a positive one orders the images as the values.
-  const uint64_t bits = DoubleBits(cell == 0 ? 0.0 : cell);
+// The order-preserving image of a non-NaN double. -0.0 and 0.0 are one
+// value. Flipping every bit of a negative double and the sign bit of a
+// positive one orders the images as the values.
+uint64_t DoubleKey(double cell) {
+  const auto bits = std::bit_cast<uint64_t>(cell == 0 ? 0.0 : cell);
   return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-void RankDomain::Add(double cell) {
-  if (!std::isnan(cell)) {
-    Push(Key(cell));
+// The order-preserving image of a non-NULL, non-NaN int64/double cell's
+// value; `exact` ranks an int64 cell as itself, not as a double.
+uint64_t RankKey(const Value& cell, bool exact) {
+  if (cell.is_double()) {
+    return DoubleKey(cell.double_value());
   }
+  return exact ? static_cast<uint64_t>(cell.int64_value()) ^ kSignBit
+               : DoubleKey(static_cast<double>(cell.int64_value()));
 }
 
-uint32_t RankDomain::Code(double cell) const {
-  return std::isnan(cell) ? kNoKey : Find(Key(cell));
-}
+}  // namespace
 
-void RankDomain::Push(uint64_t key) {
-  keys_.push_back(key);
-  // Deduplicating each time the values double keeps them within twice
-  // the distinct ones, at amortized O(log) per value.
+ColumnEncoder::ColumnEncoder(ValueType type, ColumnKind kind)
+    : type_(type),
+      exact_(type == ValueType::kInt64 && kind == ColumnKind::kCategorical) {}
+
+void ColumnEncoder::Observe(const Value& cell) {
+  if (cell.is_null()) {
+    return;
+  }
+  AUTOCAT_CHECK(cell.type() == type_);
+  if (type_ == ValueType::kString) {
+    dict_.try_emplace(cell.string_value(), 0);
+    return;
+  }
+  if (cell.is_double() && std::isnan(cell.double_value())) {
+    return;
+  }
+  keys_.push_back(RankKey(cell, exact_));
+  // Deduplicating each time the keys double keeps them within twice the
+  // distinct ones, at amortized O(log) per cell.
   if (keys_.size() >= 2 * std::max(distinct_, kRankDedupMin)) {
     Seal();
   }
 }
 
-void RankDomain::Seal() {
-  std::sort(keys_.begin(), keys_.end());
-  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-  distinct_ = keys_.size();
+void ColumnEncoder::Seal() {
+  if (type_ != ValueType::kString) {
+    std::sort(keys_.begin(), keys_.end());
+    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+    distinct_ = keys_.size();
+    return;
+  }
+  // string_view order is std::string order is Value string order.
+  std::vector<std::pair<std::string_view, uint32_t*>> sorted;
+  sorted.reserve(dict_.size());
+  for (auto& [s, code] : dict_) {
+    sorted.emplace_back(s, &code);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    *sorted[i].second = static_cast<uint32_t>(i);
+  }
 }
 
-uint32_t RankDomain::Find(uint64_t key) const {
-  return static_cast<uint32_t>(
-      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+ZoneEntry& ColumnEncoder::NextZone() {
+  std::vector<ZoneEntry>& zones = out_.zones;
+  if (zones.empty() || zones.back().row_count == kZoneRows) {
+    zones.emplace_back();
+    zone_seen_ = false;
+  }
+  ++zones.back().row_count;
+  return zones.back();
+}
+
+template <typename T>
+void ColumnEncoder::Widen(T v) {
+  ZoneEntry& zone = out_.zones.back();
+  T lo = v;
+  T hi = v;
+  if (zone_seen_) {
+    if constexpr (std::is_same_v<T, double>) {
+      lo = std::min(std::bit_cast<double>(zone.min_bits), v);
+      hi = std::max(std::bit_cast<double>(zone.max_bits), v);
+    } else {
+      lo = std::min(static_cast<T>(zone.min_bits), v);
+      hi = std::max(static_cast<T>(zone.max_bits), v);
+    }
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    zone.min_bits = std::bit_cast<uint64_t>(lo);
+    zone.max_bits = std::bit_cast<uint64_t>(hi);
+  } else {
+    zone.min_bits = static_cast<uint64_t>(lo);
+    zone.max_bits = static_cast<uint64_t>(hi);
+  }
+  zone_seen_ = true;
+}
+
+ColumnEncoder::Cell ColumnEncoder::Encode(const Value& cell) {
+  const size_t r = rows_++;
+  if ((r & 63) == 0) {
+    out_.null_words.push_back(0);
+  }
+  if (cell.is_null()) {
+    out_.null_words.back() |= uint64_t{1} << (r & 63);
+    ++out_.null_count;
+    if (type_ == ValueType::kNull) {
+      return Cell{};
+    }
+    NextZone();
+    return Cell{0, type_ == ValueType::kString ? 0 : kNoKey};
+  }
+  ++NextZone().valid_count;
+  Cell out;
+  switch (type_) {
+    case ValueType::kString:
+      out.code = dict_.find(cell.string_value())->second;
+      Widen(out.code);
+      return out;
+    case ValueType::kInt64:
+      out.bits = static_cast<uint64_t>(cell.int64_value());
+      Widen(cell.int64_value());
+      break;
+    case ValueType::kDouble:
+      out.bits = std::bit_cast<uint64_t>(cell.double_value());
+      if (std::isnan(cell.double_value())) {
+        out_.zones.back().has_nan = true;
+        out.code = kNoKey;
+        return out;
+      }
+      Widen(cell.double_value());
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  out.code = static_cast<uint32_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), RankKey(cell, exact_)) -
+      keys_.begin());
+  return out;
+}
+
+ColumnEncoder::Output ColumnEncoder::Finish() && {
+  out_.dict.resize(dict_.size());
+  while (!dict_.empty()) {
+    auto node = dict_.extract(dict_.begin());
+    out_.dict[node.mapped()] = std::move(node.key());
+  }
+  return std::move(out_);
 }
 
 void ColumnarTable::DerivePostings(size_t num_rows, Column* col) {
@@ -180,109 +212,59 @@ Value ColumnarTable::Column::CellValue(size_t row) const {
 }
 
 ColumnarTable ColumnarTable::Build(const Table& table) {
-  if (!table.has_rows()) {
-    // A column-backed table (a selection, typically): gather its rows
-    // into a builder first, so the shadow is compact. RowRef synthesizes
-    // each row into its scratch, here the row's own slot. The append
-    // fails only on a cell its declared column type cannot hold.
-    std::vector<Row> rows(table.num_rows());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      (void)table.RowRef(r, &rows[r]);
-    }
-    Table builder(table.schema());
-    AUTOCAT_CHECK(builder.AppendRows(std::move(rows)).ok());
-    return Build(builder);
-  }
   const size_t n = table.num_rows();
-  const size_t words = (n + 63) / 64;
+  std::vector<ColumnEncoder> encoders;
+  for (const ColumnDef& def : table.schema().columns()) {
+    encoders.emplace_back(def.type, def.kind);
+  }
+  Row scratch;
+  for (size_t r = 0; r < n; ++r) {
+    const Row& row = table.RowRef(r, &scratch);
+    for (size_t c = 0; c < encoders.size(); ++c) {
+      encoders[c].Observe(row[c]);
+    }
+  }
   ColumnarTable out;
   out.num_rows_ = n;
-  out.columns_.resize(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
+  out.columns_.resize(encoders.size());
+  for (size_t c = 0; c < encoders.size(); ++c) {
+    encoders[c].Seal();
     Column& col = out.columns_[c];
     col.type = table.schema().column(c).type;
-    col.owned_null_words.assign(words, 0);
-    switch (col.type) {
-      case ValueType::kInt64:
-        col.owned_i64.assign(n, 0);
-        col.owned_codes.assign(n, kNoKey);
-        break;
-      case ValueType::kDouble:
-        col.owned_f64.assign(n, 0);
-        col.owned_codes.assign(n, kNoKey);
-        break;
-      case ValueType::kString:
-        col.owned_codes.assign(n, 0);
-        break;
-      case ValueType::kNull:
-        break;
-    }
-    col.PointAtOwned();
-    // Pass 1: nulls and values — for strings the sorted distinct strings
-    // (string_view order equals std::string order equals Value string
-    // order), for int64/double the rank domain and the zones.
-    std::map<std::string_view, uint32_t> dict_map;
-    RankDomain domain(col.type, table.schema().column(c).kind);
-    ZoneAccumulator zones;
-    for (size_t r = 0; r < n; ++r) {
-      const Value& v = table.row(r)[c];
-      if (v.is_null()) {
-        col.owned_null_words[r >> 6] |= uint64_t{1} << (r & 63);
-        ++col.null_count;
-        if (col.type != ValueType::kString) {
-          zones.AddNull();
-        }
-        continue;
-      }
-      AUTOCAT_CHECK(v.type() == col.type);
-      switch (col.type) {
-        case ValueType::kInt64:
-          col.owned_i64[r] = v.int64_value();
-          zones.AddInt64(v.int64_value());
-          domain.Add(v.int64_value());
-          break;
-        case ValueType::kDouble:
-          col.owned_f64[r] = v.double_value();
-          zones.AddDouble(v.double_value());
-          domain.Add(v.double_value());
-          break;
-        case ValueType::kString:
-          dict_map.emplace(v.string_value(), 0);
-          break;
-        case ValueType::kNull:
-          break;
-      }
-    }
-    // Pass 2: codes — dictionary codes and their zones, or rank codes.
-    if (col.type == ValueType::kString) {
-      col.dict.reserve(dict_map.size());
-      for (auto& [sv, code] : dict_map) {
-        code = static_cast<uint32_t>(col.dict.size());
-        col.dict.emplace_back(sv);
-      }
-      for (size_t r = 0; r < n; ++r) {
-        const Value& v = table.row(r)[c];
-        if (v.is_null()) {
-          zones.AddNull();
-          continue;
-        }
-        const uint32_t code = dict_map.find(v.string_value())->second;
-        col.owned_codes[r] = code;
-        zones.AddCode(code);
-      }
-      DerivePostings(n, &col);
-    } else if (col.type != ValueType::kNull) {
-      domain.Seal();
-      for (size_t r = 0; r < n; ++r) {
-        if (!col.IsNull(r)) {
-          col.owned_codes[r] = col.type == ValueType::kInt64
-                                   ? domain.Code(col.owned_i64[r])
-                                   : domain.Code(col.owned_f64[r]);
-        }
-      }
+    if (col.type == ValueType::kInt64) {
+      col.owned_i64.resize(n);
+    } else if (col.type == ValueType::kDouble) {
+      col.owned_f64.resize(n);
     }
     if (col.type != ValueType::kNull) {
-      col.zones = std::move(zones).Finish();
+      col.owned_codes.resize(n);
+    }
+  }
+  for (size_t r = 0; r < n; ++r) {
+    const Row& row = table.RowRef(r, &scratch);
+    for (size_t c = 0; c < encoders.size(); ++c) {
+      Column& col = out.columns_[c];
+      const ColumnEncoder::Cell cell = encoders[c].Encode(row[c]);
+      if (col.type == ValueType::kInt64) {
+        col.owned_i64[r] = static_cast<int64_t>(cell.bits);
+      } else if (col.type == ValueType::kDouble) {
+        col.owned_f64[r] = std::bit_cast<double>(cell.bits);
+      }
+      if (col.type != ValueType::kNull) {
+        col.owned_codes[r] = cell.code;
+      }
+    }
+  }
+  for (size_t c = 0; c < encoders.size(); ++c) {
+    Column& col = out.columns_[c];
+    ColumnEncoder::Output encoded = std::move(encoders[c]).Finish();
+    col.owned_null_words = std::move(encoded.null_words);
+    col.null_count = encoded.null_count;
+    col.dict = std::move(encoded.dict);
+    col.zones = std::move(encoded.zones);
+    col.PointAtOwned();
+    if (col.type == ValueType::kString) {
+      DerivePostings(n, &col);
     }
   }
   return out;

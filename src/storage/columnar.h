@@ -2,9 +2,12 @@
 #define AUTOCAT_STORAGE_COLUMNAR_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -39,63 +42,80 @@ struct ZoneEntry {
   bool has_nan = false;
 };
 
-/// Folds one column's cells, fed in row order, into its exact per-zone
-/// entries. `ColumnarTable::Build` and the segment store's writer both
-/// derive a column's zones with it, so a mapped column's zones equal its
-/// built shadow's.
-class ZoneAccumulator {
+/// Derives one column's arrays from its cells, the one place that knows
+/// how a cell becomes a null bit, a value, a key code and a zone entry.
+/// `ColumnarTable::Build` and the segment store's writer both encode
+/// every column with it, so a mapped column equals its built shadow.
+///
+/// Feed every cell of the column twice, in the same multiset both times:
+/// `Observe` each, then `Seal` once, then `Encode` each in row order,
+/// then `Finish`. Every cell must be NULL or the declared type (aborts
+/// otherwise). Key codes order as the cells' values:
+///  - kString: the code of the cell's string in the sorted dictionary
+///    (byte order, which is `Value` string order);
+///  - kInt64/kDouble: the rank code, the index of the cell's value among
+///    the column's distinct non-NULL, non-NaN values under the declared
+///    kind. A numeric column compares `static_cast<double>` of an int64
+///    cell (so 2^53 and 2^53 + 1 are one value, as -0.0 and 0.0 are); a
+///    categorical int64 column compares exactly; a double column by `<`.
+/// A NULL cell encodes as value 0 and code 0 (kString) or kNoKey; a NaN
+/// cell's rank code is kNoKey. A kNull-typed column's cells are all NULL
+/// and get no codes and no zones.
+class ColumnEncoder {
  public:
-  void AddNull();
-  void AddInt64(int64_t v);
-  void AddDouble(double v);
-  void AddCode(uint32_t code);
-  /// The entries of the cells added so far (the last zone may be short).
-  std::vector<ZoneEntry> Finish() &&;
+  /// One encoded cell: its value bits (an int64 cast to uint64, a
+  /// double's bit pattern, 0 for NULL and string cells) and key code.
+  struct Cell {
+    uint64_t bits = 0;
+    uint32_t code = 0;
+  };
+  /// The column-wide arrays, handed over by `Finish`.
+  struct Output {
+    /// Bit r set <=> encoded cell r is NULL.
+    std::vector<uint64_t> null_words;
+    size_t null_count = 0;
+    /// kString: the sorted distinct non-NULL strings.
+    std::vector<std::string> dict;
+    /// One entry per kZoneRows encoded cells (the last may be short).
+    std::vector<ZoneEntry> zones;
+  };
+
+  ColumnEncoder(ValueType type, ColumnKind kind);
+
+  void Observe(const Value& cell);
+  /// Fixes the dictionary or rank domain; call after the last `Observe`.
+  void Seal();
+  /// Encodes the next cell in row order; it must have been observed.
+  Cell Encode(const Value& cell);
+  Output Finish() &&;
 
  private:
-  // The entry the next cell lands in, starting a new one at a boundary.
-  ZoneEntry& Next();
-  // Widens the current entry's extrema to `v` (compared as T).
+  // Transparent hash, so the dictionary is probed by string_view.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+
+  // The zone the next cell lands in, starting a new one at a boundary.
+  ZoneEntry& NextZone();
+  // Widens the current zone's extrema to `v` (compared as T).
   template <typename T>
   void Widen(T v);
 
-  std::vector<ZoneEntry> zones_;
-  bool seen_ = false;  // the current entry has an extremum yet
-};
-
-/// The rank-code domain of one int64 or double column: the sorted
-/// distinct non-NULL, non-NaN values of its cells under the column's
-/// declared kind. A numeric column compares `static_cast<double>` of an
-/// int64 cell (so 2^53 and 2^53 + 1 are one value, as -0.0 and 0.0 are);
-/// a categorical int64 column compares exactly; a double column by `<`.
-/// A cell's rank code is the index of its value in the domain.
-/// `ColumnarTable::Build` adds every cell; the segment store's writer
-/// adds each row as it arrives and keeps only the distinct values.
-class RankDomain {
- public:
-  RankDomain(ValueType type, ColumnKind kind);
-
-  /// Adds a non-NULL cell of the column's type (a NaN adds nothing).
-  void Add(int64_t cell) { Push(Key(cell)); }
-  void Add(double cell);
-  /// Sorts and deduplicates the added values; call before `Code`.
-  void Seal();
-  /// The rank code of a non-NULL cell whose value was added: kNoKey for
-  /// NaN.
-  uint32_t Code(int64_t cell) const { return Find(Key(cell)); }
-  uint32_t Code(double cell) const;
-
- private:
-  // The order-preserving image of a cell's value under the domain's
-  // comparison (a double's must not be NaN).
-  uint64_t Key(int64_t cell) const;
-  static uint64_t Key(double cell);
-  void Push(uint64_t key);
-  uint32_t Find(uint64_t key) const;
-
-  bool exact_;  // a categorical int64 column: compare int64 cells
+  ValueType type_;
+  bool exact_;  // a categorical int64 column: rank cells exactly
+  // kInt64/kDouble: the observed rank keys, deduplicated as they double
+  // and sorted at Seal.
   std::vector<uint64_t> keys_;
   size_t distinct_ = 0;  // keys_.size() after the last deduplication
+  // kString: each distinct string and, once sealed, its code.
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      dict_;
+  size_t rows_ = 0;  // cells encoded
+  Output out_;
+  bool zone_seen_ = false;  // the current zone has an extremum yet
 };
 
 /// A borrowed, read-only view of a contiguous typed array. The columnar
@@ -135,12 +155,12 @@ class ColumnSpan {
 /// (storage/attr_index.h).
 ///
 /// Two constructions exist:
-///  - `Build` derives an in-memory shadow of a builder `Table`
-///    (`Database` installs each table it registers or puts as
-///    `Table::FromColumnar` over one, and `ColumnarFor` returns it);
+///  - `Build` derives an in-memory shadow of a `Table` (`Database`
+///    installs each table it registers or puts as `Table::FromColumnar`
+///    over one, and `ColumnarFor` returns it);
 ///  - `FromColumns` wraps columns whose spans point at externally owned
 ///    memory — the segment store (src/store/) uses it to expose the
-///    arrays its writer derived with `Build`'s routines, mapped
+///    arrays its writer derived with the same `ColumnEncoder`, mapped
 ///    zero-copy, with `owner` keeping the mapping alive for the table's
 ///    lifetime.
 ///
@@ -162,7 +182,7 @@ class ColumnarTable {
     /// One key per row, ordered as the cells' values:
     ///  - kString: the dictionary code (0 for NULL cells);
     ///  - kInt64/kDouble: the rank code under the column's declared kind
-    ///    (`RankDomain`), and kNoKey for NULL and NaN cells.
+    ///    (`ColumnEncoder`), and kNoKey for NULL and NaN cells.
     ColumnSpan<uint32_t> codes;
     /// type == kString: sorted distinct non-NULL strings.
     std::vector<std::string> dict;
@@ -177,7 +197,7 @@ class ColumnarTable {
     std::vector<uint32_t> posting_offsets;
     std::vector<uint32_t> posting_rows;
     /// Per-zone (kZoneRows-row) metadata: ceil(num_rows / kZoneRows)
-    /// entries (`ZoneAccumulator`). Empty for a zero-row table or a
+    /// entries (`ColumnEncoder`). Empty for a zero-row table or a
     /// kNull-typed column.
     std::vector<ZoneEntry> zones;
 
@@ -220,19 +240,17 @@ class ColumnarTable {
   ColumnarTable(ColumnarTable&&) = default;
   ColumnarTable& operator=(ColumnarTable&&) = default;
 
-  /// Builds an in-memory shadow in two passes per column: values, nulls,
-  /// zones and the rank domain, then rank codes — for strings the
-  /// dictionary, then codes and zones, then the posting lists. Rank codes
-  /// follow the kind `table.schema()` declares. A table wrapping the shadow
-  /// (`Table::FromColumnar`) must declare the same kinds.
-  /// Requires `table.num_rows() <= UINT32_MAX`
-  /// (callers gate; selection vectors are 32-bit). A column-backed
-  /// `table` (one with a selection, typically) is gathered into a builder
-  /// first, so the result is compact. Aborts on a cell that is neither
-  /// NULL nor the column's declared type: a builder's appends coerce, so
-  /// only a column-backed table whose schema misdeclares its backing's
-  /// types (a breach of `Table::FromColumnar`'s precondition) can carry
-  /// one.
+  /// Builds a compact in-memory shadow of `table`'s rows (read through
+  /// `RowRef`, so a selection's rows are its own): one `ColumnEncoder`
+  /// per column observes every row, then encodes every row into the
+  /// owned arrays; string columns then derive their posting lists. Rank
+  /// codes follow the kind `table.schema()` declares. A table wrapping
+  /// the shadow (`Table::FromColumnar`) must declare the same kinds.
+  /// Requires `table.num_rows() <= UINT32_MAX` (callers gate; selection
+  /// vectors are 32-bit). Aborts on a cell that is neither NULL nor the
+  /// column's declared type: a builder's appends coerce, so only a
+  /// column-backed table whose schema misdeclares its backing's types (a
+  /// breach of `Table::FromColumnar`'s precondition) can carry one.
   static ColumnarTable Build(const Table& table);
 
   /// Wraps externally built columns (the segment store's open path),

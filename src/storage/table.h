@@ -34,8 +34,8 @@ Status CoerceRowToSchema(Row* row, const Schema& schema);
 ///    versa when lossless), so a stored column is always homogeneous. The
 ///    generator, the CSV reader and the workload count tables build
 ///    tables this way, and `ColumnarTable::Build` reads them into a
-///    shadow through `row()`. Outside the library only perfbench's input
-///    generator reads builder rows.
+///    shadow through `RowRef`. Outside the library only perfbench's
+///    input generator reads builder rows through `row()`.
 ///  - **column-backed relation**: the cells live in a shared, immutable
 ///    `ColumnarTable` and no row vectors exist at all. Table row r is
 ///    backing row `backing_row(r)` and table column c is backing column

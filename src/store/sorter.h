@@ -28,9 +28,9 @@ struct SorterOptions {
 /// bounded-memory substrate. `AddRow` serializes each row into the current
 /// chunk; when the chunk exceeds the budget it is sorted (stably, input
 /// order breaking ties) and written to a run file. `OpenStream` performs
-/// a k-way merge over all runs and can be called repeatedly — the bulk
-/// loader replays the merged order once to build dictionaries and once to
-/// encode segments. Peak memory is one chunk plus one row per run.
+/// a k-way merge over all runs and can be called repeatedly; the bulk
+/// loader replays the merged order once, encoding every column as it
+/// goes. Peak memory is one chunk plus one row per run.
 class ExternalRowSorter {
  public:
   ExternalRowSorter(Schema schema, SorterOptions options);

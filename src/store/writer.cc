@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/value.h"
@@ -26,22 +27,12 @@ struct StoreWriter::PendingTable {
   uint64_t num_rows = 0;
 
   struct Col {
-    std::vector<uint64_t> null_words;
-    uint64_t null_count = 0;
     // Spill files, each named once it exists (values: int64/double only).
     std::string values_path;
     std::string codes_path;
-    std::vector<std::string> dict;
-    std::vector<ZoneEntry> zones;
+    ColumnEncoder::Output encoded;
   };
   std::vector<Col> cols;
-};
-
-// Per-column scratch while replaying the merged row stream.
-struct StoreWriter::ColumnEncoderState {
-  std::ofstream values;
-  std::ofstream codes;
-  ZoneAccumulator zones;
 };
 
 StoreWriter::StoreWriter(std::string path, StoreWriterOptions options)
@@ -85,6 +76,13 @@ Status StoreWriter::BeginTable(const std::string& name,
   if (schema.num_columns() == 0) {
     return Status::InvalidArgument("table '" + name + "' has no columns");
   }
+  for (const ColumnDef& def : schema.columns()) {
+    if (def.type == ValueType::kNull) {
+      // The reader refuses a column without a value type.
+      return Status::InvalidArgument("column '" + def.name + "' of table '" +
+                                     name + "' has no value type");
+    }
+  }
   for (const auto& pending : pending_) {
     if (pending->name == name) {
       return Status::AlreadyExists("table '" + name +
@@ -104,10 +102,8 @@ Status StoreWriter::BeginTable(const std::string& name,
   current_->cols.resize(schema.num_columns());
   sorter_ = std::make_unique<ExternalRowSorter>(schema,
                                                 std::move(sorter_options));
-  dict_builders_.assign(schema.num_columns(), {});
-  domains_.clear();
   for (const ColumnDef& def : schema.columns()) {
-    domains_.emplace_back(def.type, def.kind);
+    encoders_.emplace_back(def.type, def.kind);
   }
   return Status::OK();
 }
@@ -118,13 +114,7 @@ Status StoreWriter::Append(Row row) {
   }
   AUTOCAT_RETURN_IF_ERROR(CoerceRowToSchema(&row, current_->schema));
   for (size_t c = 0; c < row.size(); ++c) {
-    if (row[c].is_string()) {
-      dict_builders_[c].emplace(row[c].string_value(), 0);
-    } else if (row[c].is_int64()) {
-      domains_[c].Add(row[c].int64_value());
-    } else if (row[c].is_double()) {
-      domains_[c].Add(row[c].double_value());
-    }
+    encoders_[c].Observe(row[c]);
   }
   ++stats_.rows;
   return sorter_->AddRow(row);
@@ -138,8 +128,7 @@ Status StoreWriter::FinishTable() {
   Status status = EncodeTable(pending.get());
   const Status cleanup = sorter_->Cleanup();
   sorter_.reset();
-  dict_builders_.clear();
-  domains_.clear();
+  encoders_.clear();
   if (status.ok()) {
     status = cleanup;
   }
@@ -166,8 +155,12 @@ Status StoreWriter::EncodeTable(PendingTable* t) {
   AUTOCAT_RETURN_IF_ERROR(sorter_->Finish());
   stats_.spilled_runs += sorter_->num_runs();
   t->num_rows = sorter_->num_rows();
+  if (t->num_rows > std::numeric_limits<uint32_t>::max()) {
+    // Codes are 32-bit, and the reader refuses such a table.
+    return Status::NotSupported("table '" + t->name +
+                                "' has more rows than 32-bit row ids reach");
+  }
   const size_t ncols = t->schema.num_columns();
-  const uint64_t words = (t->num_rows + 63) / 64;
 
   std::error_code ec;
   std::filesystem::create_directories(options_.temp_dir, ec);
@@ -187,86 +180,45 @@ Status StoreWriter::EncodeTable(PendingTable* t) {
     *recorded = path;
     return Status::OK();
   };
-  std::vector<ColumnEncoderState> enc(ncols);
+  struct Spill {
+    std::ofstream values;
+    std::ofstream codes;
+  };
+  std::vector<Spill> spill(ncols);
   for (size_t c = 0; c < ncols; ++c) {
+    encoders_[c].Seal();
     PendingTable::Col& col = t->cols[c];
-    col.null_words.assign(words, 0);
     const std::string base =
         options_.temp_dir + "/" + t->name + "_col" + std::to_string(c);
-    if (t->schema.column(c).type == ValueType::kString) {
-      uint32_t code = 0;
-      col.dict.reserve(dict_builders_[c].size());
-      for (auto& [s, assigned] : dict_builders_[c]) {
-        assigned = code++;
-        col.dict.push_back(s);
-      }
-      if (col.dict.size() > (uint64_t{1} << 32)) {
-        return Status::NotSupported("dictionary for column '" +
-                                    t->schema.column(c).name +
-                                    "' exceeds 32-bit code space");
-      }
-    } else {
-      domains_[c].Seal();
+    if (t->schema.column(c).type != ValueType::kString) {
       AUTOCAT_RETURN_IF_ERROR(
-          open_spill(base + ".values", &enc[c].values, &col.values_path));
+          open_spill(base + ".values", &spill[c].values, &col.values_path));
     }
     AUTOCAT_RETURN_IF_ERROR(
-        open_spill(base + ".codes", &enc[c].codes, &col.codes_path));
+        open_spill(base + ".codes", &spill[c].codes, &col.codes_path));
   }
 
-  // Replays the merged stream, deriving each column's arrays exactly as
-  // ColumnarTable::Build does: NULL slots hold 0 (value), 0 (dictionary
-  // code) or kNoKey (rank code).
+  // Replays the merged stream once, encoding each cell into the spill
+  // files exactly as ColumnarTable::Build stores it.
   AUTOCAT_ASSIGN_OR_RETURN(ExternalRowSorter::Stream stream,
                            sorter_->OpenStream());
   Row row;
-  for (uint64_t r = 0;; ++r) {
+  for (;;) {
     AUTOCAT_ASSIGN_OR_RETURN(const bool more, stream.Next(&row));
     if (!more) {
       break;
     }
     for (size_t c = 0; c < ncols; ++c) {
-      ColumnEncoderState& e = enc[c];
-      PendingTable::Col& col = t->cols[c];
-      const Value& v = row[c];
-      const ValueType type = t->schema.column(c).type;
-      if (v.is_null()) {
-        col.null_words[r >> 6] |= uint64_t{1} << (r & 63);
-        ++col.null_count;
-        e.zones.AddNull();
-        if (type == ValueType::kString) {
-          Put(e.codes, uint32_t{0});
-        } else {
-          Put(e.values, uint64_t{0});
-          Put(e.codes, kNoKey);
-        }
-        continue;
+      const ColumnEncoder::Cell cell = encoders_[c].Encode(row[c]);
+      if (spill[c].values.is_open()) {
+        Put(spill[c].values, cell.bits);
       }
-      switch (type) {
-        case ValueType::kInt64:
-          Put(e.values, v.int64_value());
-          e.zones.AddInt64(v.int64_value());
-          Put(e.codes, domains_[c].Code(v.int64_value()));
-          break;
-        case ValueType::kDouble:
-          Put(e.values, v.double_value());
-          e.zones.AddDouble(v.double_value());
-          Put(e.codes, domains_[c].Code(v.double_value()));
-          break;
-        default: {
-          const uint32_t code =
-              dict_builders_[c].find(v.string_value())->second;
-          e.zones.AddCode(code);
-          Put(e.codes, code);
-          break;
-        }
-      }
+      Put(spill[c].codes, cell.code);
     }
   }
   for (size_t c = 0; c < ncols; ++c) {
-    PendingTable::Col& col = t->cols[c];
-    col.zones = std::move(enc[c].zones).Finish();
-    for (std::ofstream* out : {&enc[c].values, &enc[c].codes}) {
+    t->cols[c].encoded = std::move(encoders_[c]).Finish();
+    for (std::ofstream* out : {&spill[c].values, &spill[c].codes}) {
       if (out->is_open()) {
         out->close();
         if (!*out) {
@@ -345,10 +297,10 @@ Status StoreWriter::Finish() {
       col.name = def.name;
       col.value_type = static_cast<uint8_t>(def.type);
       col.column_kind = static_cast<uint8_t>(def.kind);
-      col.null_count = src.null_count;
-      AUTOCAT_ASSIGN_OR_RETURN(
-          col.null_words,
-          append_bytes(src.null_words.data(), src.null_words.size() * 8));
+      col.null_count = src.encoded.null_count;
+      const std::vector<uint64_t>& nulls = src.encoded.null_words;
+      AUTOCAT_ASSIGN_OR_RETURN(col.null_words,
+                               append_bytes(nulls.data(), nulls.size() * 8));
       if (def.type != ValueType::kString) {
         AUTOCAT_ASSIGN_OR_RETURN(
             col.values, append_file(src.values_path, pending->num_rows * 8));
@@ -356,8 +308,8 @@ Status StoreWriter::Finish() {
       AUTOCAT_ASSIGN_OR_RETURN(
           col.codes, append_file(src.codes_path, pending->num_rows * 4));
       std::vector<uint64_t> zone_words;
-      zone_words.reserve(src.zones.size() * kZoneWords);
-      for (const ZoneEntry& zone : src.zones) {
+      zone_words.reserve(src.encoded.zones.size() * kZoneWords);
+      for (const ZoneEntry& zone : src.encoded.zones) {
         zone_words.push_back(zone.valid_count |
                              uint64_t{zone.has_nan} << 32);
         zone_words.push_back(zone.min_bits);
@@ -368,8 +320,8 @@ Status StoreWriter::Finish() {
       if (def.type == ValueType::kString) {
         std::string offsets;
         std::string blob;
-        EncodeDict(src.dict, &offsets, &blob);
-        col.dict_count = src.dict.size();
+        EncodeDict(src.encoded.dict, &offsets, &blob);
+        col.dict_count = src.encoded.dict.size();
         AUTOCAT_ASSIGN_OR_RETURN(col.dict_offsets,
                                  append_bytes(offsets.data(),
                                               offsets.size()));

@@ -2,7 +2,6 @@
 #define AUTOCAT_STORE_WRITER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,14 +39,17 @@ struct StoreWriterOptions {
 ///   writer->FinishTable();              // derive every column's arrays
 ///   writer->Finish();                   // assemble file, catalog, header
 ///
-/// Rows stream through an ExternalRowSorter (serialized spill runs), so
-/// peak memory stays near the budget plus the distinct values. After the
-/// last Append the merged run stream is replayed once, deriving exactly
-/// the arrays `ColumnarTable::Build` would from the same rows: values and
-/// codes go to per-column spill files in the temp dir
-/// ("<table>_col<c>.values" and "<table>_col<c>.codes"), null bitmaps and
-/// zones stay in memory. Finish() concatenates them into page-aligned
-/// regions of the final mapped file and writes the catalog.
+/// Each column has one `ColumnEncoder`, the encoder `ColumnarTable::Build`
+/// uses, so the store holds exactly the arrays `Build` derives from the
+/// same rows. Append observes each cell (the encoders keep only the
+/// distinct values) and streams the row through an ExternalRowSorter
+/// (serialized spill runs), so peak memory stays near the budget plus the
+/// distinct values. FinishTable replays the merged run stream once,
+/// encoding every cell: values and codes go to per-column spill files in
+/// the temp dir ("<table>_col<c>.values" and "<table>_col<c>.codes"),
+/// null bitmaps, dictionaries and zones stay in memory. Finish()
+/// concatenates them into page-aligned regions of the final mapped file
+/// and writes the catalog.
 class StoreWriter {
  public:
   static Result<std::unique_ptr<StoreWriter>> Create(
@@ -57,17 +59,18 @@ class StoreWriter {
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Starts a table. Finish the previous one first.
+  /// Starts a table. Finish the previous one first. A kNull-typed column
+  /// is kInvalidArgument: the format has no all-NULL column type.
   Status BeginTable(const std::string& name, const Schema& schema);
 
   /// Validates `row` against the schema exactly as Table::AppendRow does
   /// (NULL anywhere, lossless numeric coercion) and streams it in.
   Status Append(Row row);
 
-  /// Derives the current table's column arrays (dictionaries and rank
-  /// domains are collected during Append, so this replays the merged
-  /// stream once). On failure the table's spill files are removed and
-  /// the table is dropped.
+  /// Derives the current table's column arrays (the encoders observed
+  /// every cell during Append, so this replays the merged stream once).
+  /// On failure the table's spill files are removed and the table is
+  /// dropped.
   Status FinishTable();
 
   /// Assembles the store file. No further appends afterwards.
@@ -83,8 +86,6 @@ class StoreWriter {
  private:
   StoreWriter(std::string path, StoreWriterOptions options);
 
-  // Per-column encode state while replaying the merged stream.
-  struct ColumnEncoderState;
   // A fully encoded table waiting for Finish() to place its regions.
   struct PendingTable;
 
@@ -98,11 +99,8 @@ class StoreWriter {
   // In-flight table (between BeginTable and FinishTable).
   std::unique_ptr<PendingTable> current_;
   std::unique_ptr<ExternalRowSorter> sorter_;
-  // Sorted-unique strings per string column, collected during Append;
-  // codes assigned (sorted order) at FinishTable.
-  std::vector<std::map<std::string, uint32_t>> dict_builders_;
-  // Rank domains per int64/double column, collected during Append.
-  std::vector<RankDomain> domains_;
+  // One per column of the in-flight table.
+  std::vector<ColumnEncoder> encoders_;
 
   std::vector<std::unique_ptr<PendingTable>> pending_;
   Stats stats_;

@@ -12,11 +12,13 @@
 // compact shadow of its own.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -36,6 +38,8 @@
 #include "sql/selection.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
+#include "store/store.h"
+#include "store/writer.h"
 #include "workload/counts.h"
 #include "workload/workload.h"
 
@@ -357,66 +361,31 @@ TEST(ColumnarEquivalenceTest, SelectMatchesTheBuilderRows) {
   ExpectTablesBitIdentical(expected, f.selected, "selection");
 }
 
-// Rank codes: a built shadow keys every int64 and double row by its
-// cell's rank among the column's distinct values under the declared
-// kind. Numeric int64 compares as double (2^53 and 2^53 + 1 share a
-// code), categorical int64 exactly, doubles by `<` (-0.0 and 0.0 share
-// one); NULL and NaN cells get kNoKey; codes are dense. A selection table
-// gets the codes its gathered rows get.
-TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
-  auto schema_or = Schema::Create({
-      ColumnDef("i_num", ValueType::kInt64, ColumnKind::kNumeric),
-      ColumnDef("i_cat", ValueType::kInt64, ColumnKind::kCategorical),
-      ColumnDef("d_num", ValueType::kDouble, ColumnKind::kNumeric),
-      ColumnDef("d_cat", ValueType::kDouble, ColumnKind::kCategorical),
-      ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
-  });
-  ASSERT_TRUE(schema_or.ok());
-  const Schema schema = std::move(schema_or).value();
-  constexpr int64_t kTwo53 = int64_t{1} << 53;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Value ints[] = {Value(kTwo53),
-                        Value(kTwo53 + 1),
-                        Value(kTwo53 - 1),
-                        Value(std::numeric_limits<int64_t>::min()),
-                        Value(std::numeric_limits<int64_t>::max()),
-                        Value(int64_t{0}),
-                        Value(int64_t{-5}),
-                        Value()};
-  const Value doubles[] = {Value(std::numeric_limits<double>::quiet_NaN()),
-                           Value(-0.0),
-                           Value(0.0),
-                           Value(kInf),
-                           Value(-kInf),
-                           Value(1.5),
-                           Value(-2.25),
-                           Value()};
-  Table rows(schema);
-  Random rng(91);
-  for (size_t i = 0; i < 300; ++i) {
-    const Value& i64 = ints[rng.Uniform(0, 7)];
-    const Value& f64 = doubles[rng.Uniform(0, 7)];
-    ASSERT_TRUE(rows.AppendRow({i64, ints[rng.Uniform(0, 7)], f64,
-                                doubles[rng.Uniform(0, 7)],
-                                rng.Bernoulli(0.1)
-                                    ? Value()
-                                    : Value(kNeighborhoods[rng.Uniform(0, 5)])})
-                    .ok());
-  }
-  const ColumnarTable shadow = ColumnarTable::Build(rows);
-  for (size_t c = 0; c < 4; ++c) {
-    const std::string& name = schema.column(c).name;
+// Checks that `shadow`, built or mapped from the rows of `rows`, keys
+// every row by its value. Int64 and double rank codes are dense and
+// order as the values under the declared kind, with kNoKey for NULL and
+// NaN cells. A string column's dictionary ascends strictly under `Value`
+// order, `dict[codes[r]]` is row r's string, and NULL rows hold code 0.
+void ExpectKeysOrderAsValues(const Table& rows, const ColumnarTable& shadow,
+                             const std::string& context) {
+  const Schema& schema = rows.schema();
+  ASSERT_EQ(shadow.num_rows(), rows.num_rows()) << context;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const std::string name = context + " " + schema.column(c).name;
     const bool numeric = schema.column(c).kind == ColumnKind::kNumeric;
     const auto less = [numeric](const Value& a, const Value& b) {
       return numeric ? a.AsDouble() < b.AsDouble() : a < b;
     };
     const ColumnarTable::Column& column = shadow.column(c);
+    const bool is_string = column.type == ValueType::kString;
     ASSERT_EQ(column.codes.size(), rows.num_rows()) << name;
     std::vector<size_t> keyed;
     for (size_t r = 0; r < rows.num_rows(); ++r) {
       const Value& v = rows.row(r)[c];
       if (v.is_null() || (v.is_double() && std::isnan(v.double_value()))) {
-        EXPECT_EQ(column.codes[r], kNoKey) << name << " row " << r;
+        EXPECT_EQ(column.IsNull(r), v.is_null()) << name << " row " << r;
+        EXPECT_EQ(column.codes[r], is_string ? 0 : kNoKey)
+            << name << " row " << r;
       } else {
         keyed.push_back(r);
       }
@@ -445,7 +414,105 @@ TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
     }
     EXPECT_EQ(codes.size(), distinct) << name;
     EXPECT_EQ(*codes.rbegin() + 1, distinct) << name;
+    if (!is_string) {
+      continue;
+    }
+    EXPECT_EQ(column.dict.size(), distinct) << name;
+    for (size_t i = 1; i < column.dict.size(); ++i) {
+      EXPECT_TRUE(Value(column.dict[i - 1]) < Value(column.dict[i]))
+          << name << " dictionary entries " << i - 1 << ", " << i;
+    }
+    for (const size_t r : keyed) {
+      ASSERT_LT(column.codes[r], column.dict.size()) << name << " row " << r;
+      EXPECT_EQ(column.dict[column.codes[r]], rows.row(r)[c].string_value())
+          << name << " row " << r;
+    }
   }
+}
+
+// Rank codes: a built shadow keys every int64 and double row by its
+// cell's rank among the column's distinct values under the declared
+// kind. Numeric int64 compares as double (2^53 and 2^53 + 1 share a
+// code), categorical int64 exactly, doubles by `<` (-0.0 and 0.0 share
+// one); NULL and NaN cells get kNoKey; codes are dense. String codes
+// index a dictionary sorted byte-wise, over strings that trip a careless
+// order: the empty string, an embedded NUL, bytes >= 0x80 and a prefix
+// pair. A segment store written from the same rows keys them alike. A
+// selection table gets the codes its gathered rows get.
+TEST(ColumnarEquivalenceTest, RankCodesOrderAsValuesUnderTheDeclaredKind) {
+  auto schema_or = Schema::Create({
+      ColumnDef("i_num", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("i_cat", ValueType::kInt64, ColumnKind::kCategorical),
+      ColumnDef("d_num", ValueType::kDouble, ColumnKind::kNumeric),
+      ColumnDef("d_cat", ValueType::kDouble, ColumnKind::kCategorical),
+      ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
+  });
+  ASSERT_TRUE(schema_or.ok());
+  const Schema schema = std::move(schema_or).value();
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Value ints[] = {Value(kTwo53),
+                        Value(kTwo53 + 1),
+                        Value(kTwo53 - 1),
+                        Value(std::numeric_limits<int64_t>::min()),
+                        Value(std::numeric_limits<int64_t>::max()),
+                        Value(int64_t{0}),
+                        Value(int64_t{-5}),
+                        Value()};
+  const Value doubles[] = {Value(std::numeric_limits<double>::quiet_NaN()),
+                           Value(-0.0),
+                           Value(0.0),
+                           Value(kInf),
+                           Value(-kInf),
+                           Value(1.5),
+                           Value(-2.25),
+                           Value()};
+  const Value strings[] = {Value(""),
+                           Value(std::string("a\0b", 3)),
+                           Value("a"),
+                           Value("\xC3\xA9"),
+                           Value("\xFF"),
+                           Value("Queen"),
+                           Value("Queen Anne"),
+                           Value()};
+  Table rows(schema);
+  Random rng(91);
+  for (size_t i = 0; i < 300; ++i) {
+    const Value& i64 = ints[rng.Uniform(0, 7)];
+    const Value& f64 = doubles[rng.Uniform(0, 7)];
+    ASSERT_TRUE(rows.AppendRow({i64, ints[rng.Uniform(0, 7)], f64,
+                                doubles[rng.Uniform(0, 7)],
+                                strings[rng.Uniform(0, 7)]})
+                    .ok());
+  }
+  const ColumnarTable shadow = ColumnarTable::Build(rows);
+  ExpectKeysOrderAsValues(rows, shadow, "built");
+
+  // The same rows through the segment store's writer, in input order.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("autocat_rank_codes_" + std::to_string(::getpid()) + ".store"))
+          .string();
+  {
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        std::unique_ptr<StoreWriter> writer,
+        StoreWriter::Create(path, StoreWriterOptions{}));
+    ASSERT_TRUE(writer->BeginTable("t", schema).ok());
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      ASSERT_TRUE(writer->Append(rows.row(r)).ok());
+    }
+    ASSERT_TRUE(writer->FinishTable().ok());
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  Result<SegmentStore> store = SegmentStore::Open(path);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);  // the mapping keeps the data alive
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  AUTOCAT_ASSERT_OK_AND_MOVE(const Table mapped,
+                             store.value().OpenTable("t"));
+  ASSERT_NE(mapped.columnar_backing(), nullptr);
+  ExpectKeysOrderAsValues(rows, *mapped.columnar_backing(), "mapped");
+
   // The pinned ties: 2^53 and 2^53 + 1 share a numeric code, not a
   // categorical one; -0.0 and 0.0 share a code under either kind.
   const auto code_of = [&](size_t c, const Value& v) {

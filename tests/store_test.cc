@@ -874,6 +874,45 @@ TEST(StoreWriterTest, FailedEncodeLeavesNoSpillFiles) {
   EXPECT_FALSE(fs::exists(temp_dir));
 }
 
+// A kNull-typed column has no value type the reader accepts, so the
+// writer refuses it up front, naming it, before any spill file exists.
+// A built shadow still carries such a column: all NULL, without codes or
+// zones.
+TEST(StoreWriterTest, NullTypedColumnIsRefused) {
+  const ScratchDir scratch("null_typed");
+  const std::string path = scratch.Path("n.store");
+  auto schema = Schema::Create(
+      {ColumnDef("s", ValueType::kString, ColumnKind::kCategorical),
+       ColumnDef("z", ValueType::kNull, ColumnKind::kCategorical)});
+  ASSERT_TRUE(schema.ok());
+  Result<std::unique_ptr<StoreWriter>> writer =
+      StoreWriter::Create(path, StoreWriterOptions{});
+  ASSERT_TRUE(writer.ok());
+  const Status status = writer.value()->BeginTable("t", schema.value());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("'z'"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  // No table is in flight, so the writer still finishes an empty store.
+  EXPECT_FALSE(writer.value()->Append({Value("x"), Value()}).ok());
+  ASSERT_TRUE(writer.value()->Finish().ok());
+  Result<SegmentStore> store = SegmentStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_FALSE(store.value().OpenTable("t").ok());
+
+  Table table(schema.value());
+  ASSERT_TRUE(table.AppendRow({Value("x"), Value()}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(), Value()}).ok());
+  const ColumnarTable shadow = ColumnarTable::Build(table);
+  const ColumnarTable::Column& z = shadow.column(1);
+  EXPECT_EQ(z.null_count, 2u);
+  EXPECT_TRUE(z.IsNull(0));
+  EXPECT_TRUE(z.IsNull(1));
+  EXPECT_TRUE(z.codes.empty());
+  EXPECT_TRUE(z.zones.empty());
+}
+
 TEST(StoreRoundTripTest, AttachStoreTablesIntoDatabase) {
   const ScratchDir scratch("attach");
   const std::string path = scratch.Path("db.store");

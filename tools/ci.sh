@@ -58,7 +58,8 @@
 #            writer, corruption rejection, the store-vs-memory
 #            equivalence gate, the mapped-vs-built shadow gate, simgen
 #            flag parsing, and the decoder fuzz-corpus replay) in
-#            Release and under ASan and TSan — the targeted gate for
+#            Release and under ASan and TSan, plus the loader benchmark
+#            (bench_store_load) at --smoke sizes — the targeted gate for
 #            on-disk-format work. The ASan and TSan passes of this leg
 #            also run in the default matrix.
 #   --kernels
@@ -270,9 +271,11 @@ store_leg() {
   echo "==== [store/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_store_tests autocat_tooling_tests \
-             autocat_store_fuzz_replay
+             autocat_store_fuzz_replay bench_store_load
   echo "==== [store/$name] ctest ===="
   run_leg_tests "$dir" "${STORE_TESTS[@]}"
+  echo "==== [store/$name] bench_store_load --smoke ===="
+  "$ROOT/$dir/bench/bench_store_load" --smoke --benchmark_min_time=0.01
 }
 
 # The zone-map + filter-kernel gate: zone metadata construction, the
